@@ -279,10 +279,9 @@ impl PageTable {
     }
 }
 
-/// The pre-overhaul `FxHashMap`-backed page table, kept only so the
-/// `bench` crate can measure flat-vs-map probe cost side by side.
-/// Scheduled for deletion once the comparison has served its purpose.
-#[cfg(any(test, feature = "compare-bench"))]
+/// The pre-overhaul `FxHashMap`-backed page table, kept as the
+/// equivalence oracle for the flat table's model test.
+#[cfg(test)]
 pub mod legacy {
     use super::{Frame, FxHashMap, Residency, VirtPage};
 

@@ -93,9 +93,9 @@ impl WalkCache {
     }
 }
 
-/// The seed's scan-based PWC, kept for the equivalence model test and
-/// the `compare-bench` microbenches.
-#[cfg(any(test, feature = "compare-bench"))]
+/// The seed's scan-based PWC, kept as the equivalence oracle for the
+/// model test below.
+#[cfg(test)]
 pub mod legacy {
     use crate::page_table::NodeId;
     use sim_core::stats::Counter;

@@ -61,13 +61,6 @@ pub struct GpuConfig {
     /// (eviction candidate windows, prefetch plan origins) for the
     /// audit experiment's ledger and oracle comparator.
     pub trace: TraceConfig,
-    /// Host-side self-profiler: wall-clock attribution per event kind,
-    /// queue-occupancy histograms and the cohort/conflict analyzer
-    /// behind the parallelism-readiness estimate. Off by default —
-    /// the profiler only *reads* simulation state (runs stay
-    /// bit-identical with it on) and when off the loop pays a single
-    /// `Option` branch per event.
-    pub hostprof: bool,
     /// Hit-path fast lane: when a lane's translation hits and its next
     /// access is provably another hit with no event scheduled to fire
     /// first, execute a bounded streak of accesses inline instead of
@@ -98,7 +91,6 @@ impl Default for GpuConfig {
             injection: InjectionConfig::disabled(),
             resilience: ResilienceConfig::default(),
             trace: TraceConfig::default(),
-            hostprof: false,
             fast_lane: true,
         }
     }
@@ -137,7 +129,6 @@ mod tests {
         assert!(!c.resilience.degraded_mode);
         assert!(!c.trace.enabled);
         assert!(!c.trace.audit, "decision auditing is opt-in");
-        assert!(!c.hostprof, "host self-profiling is opt-in");
         // The fast lane is bit-identical to the legacy path, so it is
         // on by default (opt-out, for the equivalence tests).
         assert!(c.fast_lane);

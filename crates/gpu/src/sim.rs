@@ -19,7 +19,6 @@ use gmmu::translation::{TranslationOutcome, TranslationPath, TranslationStats};
 use gmmu::types::{SmId, VirtPage};
 use sim_core::events::EventQueue;
 use sim_core::fault::{FaultInjector, InjectionStats};
-use sim_core::hostprof::{AllocProfile, HostKind, HostProfile, HostProfiler, DEFAULT_WINDOW};
 use sim_core::rng::Xoshiro256ss;
 use sim_core::time::Cycle;
 use telemetry::{SpanId, SpanStage};
@@ -101,10 +100,6 @@ pub struct RunResult {
     /// Recorded telemetry: typed event trace plus the per-batch metrics
     /// epoch series. `None` unless `GpuConfig::trace` enabled it.
     pub telemetry: Option<telemetry::RunTelemetry>,
-    /// Host-side self-profile: wall-clock attribution per event kind,
-    /// queue-depth histograms, zero-alloc counters and the cohort
-    /// analyzer's Amdahl ceilings. `None` unless `GpuConfig::hostprof`.
-    pub hostprof: Option<HostProfile>,
 }
 
 impl RunResult {
@@ -148,7 +143,6 @@ impl RunResult {
             injection: InjectionStats::default(),
             error: Some(error.into()),
             telemetry: None,
-            hostprof: None,
         }
     }
 }
@@ -168,16 +162,6 @@ enum Event {
 /// bit-identity — sized so a streak never starves the far heap's
 /// `drain_far` migration for long.
 const MAX_STREAK: u32 = 128;
-
-/// Record a host-profiler event — the profiler is optional and strictly
-/// read-only, so every site is the same `if let` around a `note` call.
-macro_rules! prof_note {
-    ($prof:expr, $q:expr, $kind:expr, $now:expr, $sm:expr, $page:expr) => {
-        if let Some(p) = $prof.as_mut() {
-            p.note($kind, $now, $sm, $page, $q.ring_len(), $q.far_len());
-        }
-    };
-}
 
 /// How a batch dispatch ended, from [`dispatch_batch`].
 enum BatchEnd {
@@ -399,12 +383,6 @@ pub fn simulate(
         }
     }
 
-    // Host self-profiler: strictly read-only with respect to simulation
-    // state — one `Option` branch per event when off, batched clock
-    // samples when on, bit-identical simulated results either way.
-    let mut prof: Option<HostProfiler> = cfg
-        .hostprof
-        .then(|| HostProfiler::new(DEFAULT_WINDOW, cfg.sms));
     let mut pending_faults: Vec<VirtPage> = Vec::new();
     // Double buffer for batch dispatch: faults accumulating for the
     // *next* batch swap into here, so dispatching never re-allocates.
@@ -429,9 +407,7 @@ pub fn simulate(
             Event::LaneReady(lane) => {
                 let l = lane as usize;
                 let stream = &streams[l];
-                let sm16 = (l / cfg.warps_per_sm) as u16;
                 if idx[l] >= stream.len() {
-                    prof_note!(prof, q, HostKind::LaneDrained, now.0, Some(sm16), None);
                     continue; // lane drained; no further events
                 }
                 let step = match stream[idx[l]] {
@@ -455,12 +431,11 @@ pub fn simulate(
                         } else {
                             waiters[b].push(lane);
                         }
-                        prof_note!(prof, q, HostKind::Barrier, now.0, Some(sm16), None);
                         continue;
                     }
                     LaneItem::Access(step) => step,
                 };
-                let sm = SmId(sm16);
+                let sm = SmId((l / cfg.warps_per_sm) as u16);
                 // Hit-path fast lane. The first iteration handles the
                 // event just popped; afterwards, while the lane's next
                 // access is a provable hit and no other event can fire
@@ -517,14 +492,6 @@ pub fn simulate(
                                 )
                                 && q.peek_time().is_none_or(|t| t > wake);
                             if run_ahead {
-                                prof_note!(
-                                    prof,
-                                    q,
-                                    HostKind::AccessHit,
-                                    now.0,
-                                    Some(sm.0),
-                                    Some(step.page.0)
-                                );
                                 end = wake;
                                 now = wake;
                                 streak += 1;
@@ -537,14 +504,6 @@ pub fn simulate(
                                 continue;
                             }
                             q.push(wake, Event::LaneReady(lane));
-                            prof_note!(
-                                prof,
-                                q,
-                                HostKind::AccessHit,
-                                now.0,
-                                Some(sm.0),
-                                Some(step.page.0)
-                            );
                             break;
                         }
                         TranslationOutcome::Fault { at } => {
@@ -615,9 +574,7 @@ pub fn simulate(
                             }
                             pending_faults.push(step.page);
                             waiting.push(step.page, lane);
-                            let mut kind = HostKind::FaultQueued;
                             if !driver_busy {
-                                kind = HostKind::BatchDispatch;
                                 driver_busy = true;
                                 match dispatch_batch(
                                     at,
@@ -646,11 +603,6 @@ pub fn simulate(
                                     }
                                 }
                             }
-                            // A dispatching fault is driver-side (serial)
-                            // work for the cohort model; a queued fault
-                            // stays attributed to its SM.
-                            let cohort_sm = (kind == HostKind::FaultQueued).then_some(sm.0);
-                            prof_note!(prof, q, kind, now.0, cohort_sm, Some(step.page.0));
                             break;
                         }
                     }
@@ -679,15 +631,13 @@ pub fn simulate(
                     wake_buf.push(Event::LaneReady(lane));
                 });
                 q.push_n(now, wake_buf.drain(..));
-                prof_note!(prof, q, HostKind::PageReady, now.0, None, Some(page.0));
             }
             Event::DriverFree => {
                 driver_busy = false;
-                let dispatched = !pending_faults.is_empty();
                 // Faults queued while the host was busy form the next
                 // batch immediately — the natural batching that
                 // amortizes the far-fault round trip.
-                if dispatched {
+                if !pending_faults.is_empty() {
                     driver_busy = true;
                     match dispatch_batch(
                         now,
@@ -716,31 +666,9 @@ pub fn simulate(
                         }
                     }
                 }
-                let kind = if dispatched {
-                    HostKind::BatchDispatch
-                } else {
-                    HostKind::DriverIdle
-                };
-                prof_note!(prof, q, kind, now.0, None, None);
             }
         }
     }
-
-    let hostprof = prof.map(|p| {
-        let (waiter_reuses, waiter_grows) = waiting.alloc_stats();
-        let (scratch_recycled, scratch_fresh) = driver.scratch_stats();
-        p.finish(
-            q.ring_len(),
-            q.far_len(),
-            AllocProfile {
-                waiter_reuses,
-                waiter_grows,
-                waiter_high_water: waiting.high_water() as u64,
-                scratch_recycled,
-                scratch_fresh,
-            },
-        )
-    });
 
     if outcome == Outcome::Completed && driver.degraded() {
         outcome = Outcome::Degraded;
@@ -774,7 +702,6 @@ pub fn simulate(
         injection,
         error,
         telemetry: run_telemetry,
-        hostprof,
     }
 }
 
@@ -1022,73 +949,6 @@ mod tests {
         let streams = vec![seq_stream(64, 2, 0)];
         let r = simulate_accesses(&cfg, PolicyPreset::Baseline.build(0), &streams, 32, 64);
         assert_eq!(r.outcome, Outcome::Completed);
-    }
-
-    #[test]
-    fn hostprof_records_without_perturbing_the_run() {
-        let cfg = GpuConfig {
-            hostprof: true,
-            ..tiny_cfg()
-        };
-        let streams = vec![seq_stream(256, 3, 100)];
-        let on = simulate_accesses(&cfg, PolicyPreset::Cppe.build(7), &streams, 128, 256);
-        let off = simulate_accesses(&tiny_cfg(), PolicyPreset::Cppe.build(7), &streams, 128, 256);
-        assert!(off.hostprof.is_none(), "profiling is opt-in");
-        // Bit-identical simulated results with profiling on.
-        assert_eq!(on.cycles, off.cycles);
-        assert_eq!(on.engine.chunk_evictions, off.engine.chunk_evictions);
-        assert_eq!(on.driver.batches, off.driver.batches);
-
-        let p = on.hostprof.expect("profiling was on");
-        assert!(p.events > 0);
-        assert_eq!(p.counts.iter().sum::<u64>(), p.events);
-        assert_eq!(p.cohorts.events, p.events, "every event joins a cohort");
-        assert!(p.cohorts.cycles > 0);
-        assert!(p.cohorts.cohort_size.count() == p.cohorts.cycles);
-        // Attribution never exceeds the measured loop wall, and batched
-        // sampling keeps the attributed share high.
-        assert!(p.attributed_ns() <= p.loop_wall_ns);
-        assert!(
-            p.attributed_share() > 0.90,
-            "share {}",
-            p.attributed_share()
-        );
-        // One batch dispatch per driver batch.
-        assert_eq!(
-            p.counts[HostKind::BatchDispatch as usize],
-            on.driver.batches
-        );
-        // The zero-alloc counters came through.
-        assert_eq!(
-            p.alloc.scratch_recycled + p.alloc.scratch_fresh,
-            on.driver.batches
-        );
-        assert!(p.alloc.waiter_high_water > 0);
-        // Queue-depth histograms sampled at every flush.
-        assert_eq!(p.ring_depth.count(), p.instant_samples);
-        // Speedup ceilings are sane: 1 ≤ ceiling(2) ≤ ceiling(∞).
-        let c2 = p.cohorts.ceiling_at(2).unwrap();
-        assert!(c2 >= 1.0);
-        assert!(p.cohorts.ceiling_inf() >= c2 - 1e-9);
-    }
-
-    #[test]
-    fn hostprof_profile_is_deterministic_in_counts() {
-        // Wall times vary run to run; dispatch counts and cohort
-        // reductions must not.
-        let cfg = GpuConfig {
-            hostprof: true,
-            ..tiny_cfg()
-        };
-        let streams = vec![seq_stream(128, 2, 50)];
-        let a = simulate_accesses(&cfg, PolicyPreset::Baseline.build(0), &streams, 64, 128);
-        let b = simulate_accesses(&cfg, PolicyPreset::Baseline.build(0), &streams, 64, 128);
-        let (pa, pb) = (a.hostprof.unwrap(), b.hostprof.unwrap());
-        assert_eq!(pa.counts, pb.counts);
-        assert_eq!(pa.cohorts.events, pb.cohorts.events);
-        assert_eq!(pa.cohorts.span, pb.cohorts.span);
-        assert_eq!(pa.cohorts.conflict_events, pb.cohorts.conflict_events);
-        assert_eq!(pa.alloc, pb.alloc);
     }
 
     #[test]

@@ -27,10 +27,6 @@ pub struct WaiterTable {
     slab: Vec<(u32, u32)>,
     /// Head of the free-cell list (`NIL` when empty).
     free: u32,
-    /// Cells handed out from the free list (steady-state allocations).
-    reuses: u64,
-    /// Cells that grew the slab (cold-start allocations).
-    grows: u64,
 }
 
 impl WaiterTable {
@@ -41,37 +37,19 @@ impl WaiterTable {
             runs: FxHashMap::default(),
             slab: Vec::new(),
             free: NIL,
-            reuses: 0,
-            grows: 0,
         }
     }
 
     fn alloc_cell(&mut self, lane: u32) -> u32 {
         if self.free != NIL {
-            self.reuses += 1;
             let idx = self.free;
             self.free = self.slab[idx as usize].1;
             self.slab[idx as usize] = (lane, NIL);
             idx
         } else {
-            self.grows += 1;
             self.slab.push((lane, NIL));
             (self.slab.len() - 1) as u32
         }
-    }
-
-    /// `(reuses, grows)`: cell allocations served by the free list vs
-    /// by growing the slab. In steady state reuses dominate — the
-    /// zero-alloc claim the host profiler reports on.
-    #[must_use]
-    pub fn alloc_stats(&self) -> (u64, u64) {
-        (self.reuses, self.grows)
-    }
-
-    /// High-water mark: cells ever allocated (the slab never shrinks).
-    #[must_use]
-    pub fn high_water(&self) -> usize {
-        self.slab.len()
     }
 
     /// Append `lane` to `page`'s waiter list.
@@ -166,12 +144,6 @@ mod tests {
         }
         // 8 concurrent waiters max → the slab never grows past one round.
         assert!(t.slab.len() <= 8, "slab grew to {}", t.slab.len());
-        // The counters tell the same story: 800 allocations, only the
-        // first round grew the slab.
-        let (reuses, grows) = t.alloc_stats();
-        assert_eq!(reuses + grows, 800);
-        assert_eq!(grows as usize, t.high_water());
-        assert!(grows <= 8, "grows = {grows}");
     }
 
     #[test]

@@ -1,18 +1,19 @@
 //! Cross-run bench trend tool. Appends bench artifacts to the
-//! fingerprint-keyed JSONL ledger and renders per-cell deltas with a
+//! JSONL ledger and renders per-cell deltas with a
 //! robust (median/MAD) significance bar plus an HTML dashboard.
 //!
 //! ```text
 //! cargo run --release -p harness --bin trend -- \
-//!     record --file BENCH_speed.json --label my-run [--history PATH]
+//!     record --file results/BENCH_profile.json --label my-run [--history PATH]
 //! cargo run --release -p harness --bin trend -- \
 //!     report [--history PATH] [--out results/trend.html]
 //! ```
 //!
-//! `record` accepts any of the repo's bench exports (`cppe-speed-v1`,
-//! `cppe-profile-v1`, `cppe-audit-v1`, `cppe-hostprof-v1`) and
-//! dispatches on the schema marker. The default ledger is `bench-history/history.jsonl`
-//! (committable, append-only). `report` prints the text table and
+//! `record` accepts the repo's simulated-metric exports
+//! (`cppe-profile-v1`, `cppe-audit-v1`) and dispatches on the schema
+//! marker. The default ledger is `bench-history/history.jsonl`
+//! (append-only). Host speed is not tracked here; `simbench` measures
+//! it and keys its records by machine. `report` prints the text table and
 //! writes the self-contained dashboard (inline SVG sparklines, no
 //! scripts) — exit 1 when the ledger is missing or empty.
 

@@ -4,9 +4,7 @@
 //! tests use. Chrome traces (`*trace.json`) additionally get their
 //! `ph:"B"`/`ph:"E"` span events balance-checked, and
 //! `BENCH_profile.json` / `BENCH_audit.json` must carry their expected
-//! schema markers with at least one profiled/audited workload.
-//! `BENCH_hostprof.json` gets the full structural check (counter
-//! consistency, attribution coverage, ceiling monotonicity). Monitor
+//! schema markers with at least one profiled/audited workload. Monitor
 //! snapshot dumps (`*monitor.json`) are schema- and
 //! accounting-checked, flight-recorder dossiers (`*flightrec.json`)
 //! structurally validated (including their embedded monitor series),
@@ -50,12 +48,6 @@ fn validate_json_artifact(name: &str, body: &str) -> Result<String, String> {
             return Err("no profiled workload with stage quantiles".into());
         }
         return Ok("profile schema ok".to_string());
-    }
-    if name == "BENCH_hostprof.json" {
-        // hostprof::validate_doc parses and checks counter consistency,
-        // attribution coverage, queue-quantile ordering, cohort sanity
-        // and speedup-ceiling monotonicity itself.
-        return harness::experiments::hostprof::validate_doc(body);
     }
     if name == "BENCH_audit.json" {
         let marker = format!(

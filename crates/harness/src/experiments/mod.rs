@@ -26,8 +26,6 @@
 //! | [`chaos`] | extension: slowdown under deterministic fault injection |
 //! | [`profile`] | extension: fault-lifecycle latency profile (BENCH_profile.json) |
 //! | [`audit`] | extension: decision provenance, page-lifetime ledger and Belady regret (BENCH_audit.json) |
-//! | [`speed`] | extension: simulator wall-clock baseline and CI regression gate (BENCH_speed.json) |
-//! | [`hostprof`] | extension: host wall-clock attribution and parallelism-readiness ceilings (BENCH_hostprof.json) |
 
 pub mod ablation;
 pub mod audit;
@@ -39,13 +37,11 @@ pub mod fig4;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod hostprof;
 pub mod motivation;
 pub mod overhead;
 pub mod profile;
 pub mod sens;
 pub mod sens2;
-pub mod speed;
 pub mod stability;
 pub mod table3;
 pub mod table4;

@@ -3,9 +3,10 @@
 //! Runs a pattern-diverse workload subset under CPPE at 50 %
 //! oversubscription with span recording on, folds the span trees into
 //! per-stage latency distributions ([`telemetry::LatencyAttribution`]),
-//! and exports `BENCH_profile.json` — a machine-readable perf-regression
-//! baseline with per-workload wall time, simulated cycles per second and
-//! per-stage p50/p95/p99. The text report shows the same numbers as a
+//! and exports `BENCH_profile.json` — a machine-readable regression
+//! baseline with per-workload simulated cycles and per-stage
+//! p50/p95/p99. Every number in it is simulated, so the export is
+//! deterministic (host speed is `simbench`'s job). The text report shows the same numbers as a
 //! stage-latency table plus the queueing-vs-service decomposition of
 //! each contended resource (walker slots, driver fault queue, PCIe
 //! retry path).
@@ -29,8 +30,8 @@ pub const SCHEMA: &str = "cppe-profile-v1";
 /// the full distribution stays available via `region_count`.
 const TOP_REGIONS: usize = 16;
 
-/// One profiled workload: the traced run, its folded span attribution
-/// and the host-side wall time of the simulation call.
+/// One profiled workload: the traced run and its folded span
+/// attribution.
 #[derive(Debug)]
 pub struct ProfiledRun {
     /// Workload abbreviation.
@@ -39,8 +40,6 @@ pub struct ProfiledRun {
     pub result: RunResult,
     /// Per-stage / per-resource / per-SM / per-region attribution.
     pub attribution: LatencyAttribution,
-    /// Wall time of the `simulate` call.
-    pub wall: std::time::Duration,
 }
 
 /// Run one workload under CPPE at 50 % oversubscription with span
@@ -61,7 +60,6 @@ pub fn run_profiled(cfg: &ExpConfig, abbr: &'static str) -> ProfiledRun {
         .map(|l| spec.lane_items(l, lanes, cfg.scale))
         .collect();
     let capacity = capacity_pages(&spec, 0.5, cfg.scale);
-    let t0 = std::time::Instant::now();
     let result = simulate(
         &gpu,
         PolicyPreset::Cppe.build(cfg.seed),
@@ -69,14 +67,12 @@ pub fn run_profiled(cfg: &ExpConfig, abbr: &'static str) -> ProfiledRun {
         capacity,
         spec.pages(cfg.scale),
     );
-    let wall = t0.elapsed();
     let t = result.telemetry.as_ref().expect("profile runs are traced");
     let attribution = LatencyAttribution::from_spans(&t.spans);
     ProfiledRun {
         app: abbr,
         result,
         attribution,
-        wall,
     }
 }
 
@@ -107,9 +103,8 @@ fn fmt_f64(v: f64) -> String {
 }
 
 /// Render the profiled runs as the `BENCH_profile.json` document
-/// (schema [`SCHEMA`]): per workload — outcome, simulated cycles, wall
-/// milliseconds, simulated cycles per wall second, span accounting,
-/// per-stage latency summaries, queueing-vs-service splits and the
+/// (schema [`SCHEMA`]): per workload — outcome, simulated cycles,
+/// accesses, span accounting, per-stage latency summaries, queueing-vs-service splits and the
 /// hottest page regions.
 ///
 /// # Panics
@@ -124,26 +119,15 @@ pub fn profile_json(runs: &[ProfiledRun]) -> String {
         }
         let r = &p.result;
         let t = r.telemetry.as_ref().expect("profile runs are traced");
-        let wall_s = p.wall.as_secs_f64();
-        let wall_ms = wall_s * 1e3;
-        #[allow(clippy::cast_precision_loss)]
-        let cps = if wall_s > 0.0 {
-            r.cycles as f64 / wall_s
-        } else {
-            0.0
-        };
         let outcome = format!("{:?}", r.outcome).to_lowercase();
         let _ = write!(
             s,
             "{{\"app\":{},\"outcome\":{},\"cycles\":{},\"accesses\":{},\
-             \"wall_ms\":{},\"sim_cycles_per_sec\":{},\
              \"spans\":{{\"recorded\":{},\"dropped\":{},\"unclosed\":{}}},",
             json::string(p.app),
             json::string(&outcome),
             r.cycles,
             r.accesses,
-            fmt_f64(wall_ms),
-            fmt_f64(cps),
             t.spans.len(),
             t.dropped_spans,
             t.unclosed_spans,
@@ -236,22 +220,12 @@ pub fn run(cfg: &ExpConfig, _threads: usize) -> String {
     for p in &runs {
         let r = &p.result;
         let t = r.telemetry.as_ref().expect("profile runs are traced");
-        let wall_s = p.wall.as_secs_f64();
-        #[allow(clippy::cast_precision_loss)]
-        let cps = if wall_s > 0.0 {
-            r.cycles as f64 / wall_s
-        } else {
-            0.0
-        };
         let _ = write!(
             out,
-            "\n{} — {:?}, {} cycles in {:.1} ms ({:.2} Mcycles/s), \
-             {} spans ({} unclosed)\n\n",
+            "\n{} — {:?}, {} cycles, {} spans ({} unclosed)\n\n",
             p.app,
             r.outcome,
             r.cycles,
-            wall_s * 1e3,
-            cps / 1e6,
             t.spans.len(),
             t.unclosed_spans,
         );
@@ -315,7 +289,7 @@ mod tests {
         assert!(doc.contains("\"app\":\"STN\""));
         assert!(doc.contains("\"stage\":\"fault_total\""));
         assert!(doc.contains("\"p99\":"));
-        assert!(doc.contains("\"sim_cycles_per_sec\":"));
+        assert!(!doc.contains("wall_ms"), "export must be deterministic");
         assert!(doc.contains("\"queue_fraction\":"));
     }
 

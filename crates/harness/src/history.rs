@@ -1,9 +1,12 @@
 //! Cross-run bench history.
 //!
-//! The repo's bench artifacts (`BENCH_speed.json`, `BENCH_profile.json`,
-//! `BENCH_audit.json`) are each a snapshot of *one* run; regressions
-//! that creep in over several PRs are invisible to any single snapshot
-//! diff. This module keeps a fingerprint-keyed JSONL ledger
+//! The repo's bench artifacts (`BENCH_profile.json`, `BENCH_audit.json`)
+//! are each a snapshot of *one* run; regressions that creep in over
+//! several PRs are invisible to any single snapshot diff. Every sample
+//! they yield is a simulated quantity (cycles, chunks), so the history
+//! is machine-independent: host speed is measured only by `simbench`,
+//! whose records carry the machine identity. This module keeps a JSONL
+//! ledger
 //! (`bench-history/history.jsonl`, schema [`HISTORY_SCHEMA`]) that the
 //! `trend` binary appends each bench summary to and reads back to
 //! compute per-cell deltas — latest value against the median of its
@@ -26,13 +29,13 @@ pub const HISTORY_SCHEMA: &str = "cppe-bench-history-v1";
 /// One measured scalar from one bench artifact.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Sample {
-    /// Cell key, e.g. `"STN/cppe"` (speed) or `"STN"` (profile/audit).
+    /// Cell key, e.g. `"STN"`.
     pub cell: String,
-    /// Metric name, e.g. `"wall_ms"`, `"fault_total_p99"`.
+    /// Metric name, e.g. `"fault_total_p99"`.
     pub metric: String,
     /// The value.
     pub value: f64,
-    /// Unit label for display, e.g. `"ms"`, `"cycles"`, `"chunks"`.
+    /// Unit label for display, e.g. `"cycles"`, `"chunks"`.
     pub unit: String,
 }
 
@@ -42,7 +45,7 @@ pub struct Sample {
 pub struct HistoryEntry {
     /// Caller-chosen label (commit, CI run id, "committed"/"fresh").
     pub label: String,
-    /// Source artifact kind: `"speed"`, `"profile"` or `"audit"`.
+    /// Source artifact kind: `"profile"` or `"audit"`.
     pub source: String,
     /// The measurements.
     pub samples: Vec<Sample>,
@@ -54,32 +57,14 @@ pub struct HistoryEntry {
 /// # Errors
 /// Describes why the document is not a recognized bench artifact.
 pub fn extract(doc: &str) -> Result<(String, Vec<Sample>), String> {
-    if doc.contains("\"schema\":\"cppe-speed-v1\"") {
-        let cells = crate::experiments::speed::parse_baseline(doc)
-            .ok_or("cppe-speed-v1 document has no parseable cells")?;
-        let samples = cells
-            .into_iter()
-            .map(|(app, policy, wall_ms)| Sample {
-                cell: format!("{app}/{policy}"),
-                metric: "wall_ms".to_string(),
-                value: wall_ms,
-                unit: "ms".to_string(),
-            })
-            .collect();
-        return Ok(("speed".to_string(), samples));
-    }
     if doc.contains("\"schema\":\"cppe-profile-v1\"") {
         return Ok(("profile".to_string(), extract_profile(doc)?));
     }
     if doc.contains("\"schema\":\"cppe-audit-v1\"") {
         return Ok(("audit".to_string(), extract_audit(doc)?));
     }
-    if doc.contains("\"schema\":\"cppe-hostprof-v1\"") {
-        return Ok(("hostprof".to_string(), extract_hostprof(doc)?));
-    }
     Err("document carries no recognized bench schema \
-         (expected cppe-speed-v1, cppe-profile-v1, cppe-audit-v1 or \
-         cppe-hostprof-v1)"
+         (expected cppe-profile-v1 or cppe-audit-v1)"
         .to_string())
 }
 
@@ -99,14 +84,6 @@ fn extract_profile(doc: &str) -> Result<Vec<Sample>, String> {
             .and_then(json::Value::as_str)
             .ok_or("workload missing \"app\"")?
             .to_string();
-        if let Some(wall) = w.get("wall_ms").and_then(json::Value::as_f64) {
-            samples.push(Sample {
-                cell: app.clone(),
-                metric: "wall_ms".to_string(),
-                value: wall,
-                unit: "ms".to_string(),
-            });
-        }
         let p99 = w
             .get("stages")
             .and_then(json::Value::as_array)
@@ -166,75 +143,6 @@ fn extract_audit(doc: &str) -> Result<Vec<Sample>, String> {
     }
     if samples.is_empty() {
         return Err("cppe-audit-v1 document yielded no samples".to_string());
-    }
-    Ok(samples)
-}
-
-fn extract_hostprof(doc: &str) -> Result<Vec<Sample>, String> {
-    let v = json::parse(doc).map_err(|e| format!("invalid JSON: {e}"))?;
-    let apps = v
-        .get("apps")
-        .and_then(json::Value::as_array)
-        .ok_or_else(|| "missing \"apps\" array".to_string())?;
-    let mut samples = Vec::new();
-    for w in apps {
-        let app = w
-            .get("app")
-            .and_then(json::Value::as_str)
-            .ok_or("app entry missing \"app\"")?
-            .to_string();
-        if let Some(wall) = w.get("loop_wall_ns").and_then(json::Value::as_f64) {
-            samples.push(Sample {
-                cell: app.clone(),
-                metric: "loop_wall_ms".to_string(),
-                value: wall / 1e6,
-                unit: "ms".to_string(),
-            });
-        }
-        if let Some(inf) = w
-            .get("amdahl")
-            .and_then(|a| a.get("ceiling_inf"))
-            .and_then(json::Value::as_f64)
-        {
-            samples.push(Sample {
-                cell: app.clone(),
-                metric: "ceiling_inf".to_string(),
-                value: inf,
-                unit: "x".to_string(),
-            });
-        }
-        if let Some(ratio) = w
-            .get("overhead")
-            .and_then(|o| o.get("ratio"))
-            .and_then(json::Value::as_f64)
-        {
-            samples.push(Sample {
-                cell: app.clone(),
-                metric: "overhead_ratio".to_string(),
-                value: ratio,
-                unit: "x".to_string(),
-            });
-        }
-        // Per-kind wall attribution → one sparkline per (app, kind).
-        if let Some(kinds) = w.get("kinds").and_then(json::Value::as_array) {
-            for k in kinds {
-                let (Some(kind), Some(wall)) = (
-                    k.get("kind").and_then(json::Value::as_str),
-                    k.get("wall_ns").and_then(json::Value::as_f64),
-                ) else {
-                    continue;
-                };
-                samples.push(Sample {
-                    cell: format!("{app}/{kind}"),
-                    metric: "wall_ns".to_string(),
-                    value: wall,
-                    unit: "ns".to_string(),
-                });
-            }
-        }
-    }
-    if samples.is_empty() {
-        return Err("cppe-hostprof-v1 document yielded no samples".to_string());
     }
     Ok(samples)
 }
@@ -365,7 +273,7 @@ pub fn load(path: &Path) -> std::io::Result<(Vec<HistoryEntry>, usize)> {
 /// One per-(source, cell, metric) series assembled from the ledger.
 #[derive(Debug, Clone)]
 pub struct TrendSeries {
-    /// `"speed"` / `"profile"` / `"audit"`.
+    /// `"profile"` / `"audit"`.
     pub source: String,
     /// Cell key.
     pub cell: String,
@@ -609,15 +517,15 @@ pub fn render_html(entries: &[HistoryEntry], skipped: usize) -> String {
 mod tests {
     use super::*;
 
-    fn entry(label: &str, wall: f64) -> HistoryEntry {
+    fn entry(label: &str, p99: f64) -> HistoryEntry {
         HistoryEntry {
             label: label.to_string(),
-            source: "speed".to_string(),
+            source: "profile".to_string(),
             samples: vec![Sample {
-                cell: "STN/cppe".to_string(),
-                metric: "wall_ms".to_string(),
-                value: wall,
-                unit: "ms".to_string(),
+                cell: "STN".to_string(),
+                metric: "fault_total_p99".to_string(),
+                value: p99,
+                unit: "cycles".to_string(),
             }],
         }
     }
@@ -631,22 +539,16 @@ mod tests {
     }
 
     #[test]
-    fn extract_dispatches_on_speed_schema() {
-        let doc = "{\"schema\":\"cppe-speed-v1\",\"cells\":[\
-                   {\"app\":\"STN\",\"policy\":\"cppe\",\"outcome\":\"completed\",\
-                   \"cycles\":5,\"wall_ms\":12.500,\"sim_cycles_per_sec\":1}]}";
-        let (source, samples) = extract(doc).unwrap();
-        assert_eq!(source, "speed");
-        assert_eq!(samples.len(), 1);
-        assert_eq!(samples[0].cell, "STN/cppe");
-        assert!((samples[0].value - 12.5).abs() < 1e-9);
+    fn extract_rejects_unknown_and_retired_schemas() {
         assert!(extract("{\"schema\":\"bogus\"}").is_err());
+        // Host wall-clock exports are not history sources.
+        assert!(extract("{\"schema\":\"cppe-speed-v1\",\"cells\":[]}").is_err());
     }
 
     #[test]
     fn extract_reads_profile_stage_p99() {
         let doc = "{\"schema\":\"cppe-profile-v1\",\"workloads\":[\
-                   {\"app\":\"STN\",\"wall_ms\":7.25,\"stages\":[\
+                   {\"app\":\"STN\",\"stages\":[\
                    {\"stage\":\"fault_total\",\"p99\":900},\
                    {\"stage\":\"gmmu_walk\",\"p99\":10}]}]}";
         let (source, samples) = extract(doc).unwrap();
@@ -656,28 +558,6 @@ mod tests {
             .find(|s| s.metric == "fault_total_p99")
             .unwrap();
         assert!((p99.value - 900.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn extract_reads_hostprof_kinds_and_ceilings() {
-        let doc = "{\"schema\":\"cppe-hostprof-v1\",\"apps\":[\
-                   {\"app\":\"STN\",\"loop_wall_ns\":2500000,\
-                   \"overhead\":{\"ratio\":1.02},\
-                   \"kinds\":[{\"kind\":\"batch_dispatch\",\"wall_ns\":2000000},\
-                   {\"kind\":\"access_hit\",\"wall_ns\":400000}],\
-                   \"amdahl\":{\"ceiling_inf\":3.4}}]}";
-        let (source, samples) = extract(doc).unwrap();
-        assert_eq!(source, "hostprof");
-        let wall = samples.iter().find(|s| s.metric == "loop_wall_ms").unwrap();
-        assert!((wall.value - 2.5).abs() < 1e-9);
-        let inf = samples.iter().find(|s| s.metric == "ceiling_inf").unwrap();
-        assert!((inf.value - 3.4).abs() < 1e-9);
-        let kind = samples
-            .iter()
-            .find(|s| s.cell == "STN/batch_dispatch")
-            .unwrap();
-        assert_eq!(kind.metric, "wall_ns");
-        assert!((kind.value - 2e6).abs() < 1e-9);
     }
 
     #[test]
@@ -726,7 +606,7 @@ mod tests {
     fn report_and_html_render() {
         let entries = vec![entry("a", 10.0), entry("b", 20.0)];
         let text = render_report(&entries, 0);
-        assert!(text.contains("STN/cppe"));
+        assert!(text.contains("STN"));
         assert!(text.contains("SIGNIFICANT"));
         let html = render_html(&entries, 1);
         assert!(html.contains("<svg"));

@@ -274,21 +274,6 @@ impl<E> EventQueue<E> {
         self.ring_len + self.far.len()
     }
 
-    /// Pending events in the near ring (the `[now, now + RING)` window).
-    /// Observability accessor for the host profiler's queue-occupancy
-    /// histograms; reads existing bookkeeping, costs two loads.
-    #[must_use]
-    pub fn ring_len(&self) -> usize {
-        self.ring_len
-    }
-
-    /// Pending events in the far heap (scheduled `RING` or more cycles
-    /// out — fault-batch round trips and long DMA tails).
-    #[must_use]
-    pub fn far_len(&self) -> usize {
-        self.far.len()
-    }
-
     /// True when no events are pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -481,25 +466,6 @@ mod tests {
         q.pop();
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
-    }
-
-    #[test]
-    fn tier_lengths_track_ring_and_far() {
-        let mut q = EventQueue::new();
-        assert_eq!((q.ring_len(), q.far_len()), (0, 0));
-        q.push(Cycle(3), 0); // near window
-        q.push(Cycle(RING + 10), 1); // far heap
-        q.push(Cycle(5), 2); // near window
-        assert_eq!(q.ring_len(), 2);
-        assert_eq!(q.far_len(), 1);
-        assert_eq!(q.len(), 3);
-        q.pop();
-        q.pop();
-        // Popping to cycle 5 leaves the far event still outside the
-        // window; ring empties, far holds it.
-        assert_eq!((q.ring_len(), q.far_len()), (0, 1));
-        q.pop();
-        assert_eq!((q.ring_len(), q.far_len()), (0, 0));
     }
 
     #[test]

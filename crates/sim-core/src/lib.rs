@@ -25,11 +25,7 @@
 //!   [`SimError`]) backing the fallible `try_new` constructors,
 //! * [`fingerprint`] — stable FNV-1a config fingerprints identifying
 //!   experiment cells across process restarts (the orchestrator's
-//!   resume/dedupe key),
-//! * [`hostprof`] — the host-side self-profiler: batched wall-clock
-//!   attribution over the event loop plus the per-cycle cohort/conflict
-//!   analyzer behind the parallelism-readiness (Amdahl ceiling)
-//!   estimates.
+//!   resume/dedupe key).
 
 pub mod bitvec;
 pub mod error;
@@ -37,7 +33,6 @@ pub mod events;
 pub mod fault;
 pub mod fingerprint;
 pub mod hash;
-pub mod hostprof;
 pub mod rng;
 pub mod stats;
 pub mod time;
@@ -48,7 +43,6 @@ pub use events::EventQueue;
 pub use fault::{FaultInjector, InjectionConfig, InjectionStats};
 pub use fingerprint::Fingerprint;
 pub use hash::{FxHashMap, FxHashSet};
-pub use hostprof::{AllocProfile, CohortProfile, HostKind, HostProfile, HostProfiler};
 pub use rng::{SplitMix64, Xoshiro256ss};
 pub use stats::{Counter, Histogram, StatSet};
 pub use time::{Cycle, GPU_CLOCK_GHZ};

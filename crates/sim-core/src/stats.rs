@@ -52,18 +52,9 @@ impl Histogram {
 
     /// Record one observation.
     pub fn record(&mut self, value: u64) {
-        self.record_n(value, 1);
-    }
-
-    /// Record `n` identical observations in one update (what per-value
-    /// tally folds use — hot loops count locally and fold here once).
-    pub fn record_n(&mut self, value: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        *self.buckets.entry(value).or_insert(0) += n;
-        self.count += n;
-        self.sum += value * n;
+        *self.buckets.entry(value).or_insert(0) += 1;
+        self.count += 1;
+        self.sum += value;
         self.max = self.max.max(value);
     }
 
@@ -308,31 +299,6 @@ mod tests {
         let mut big = Histogram::new();
         big.record(u64::MAX);
         assert_eq!(big.p99(), u64::MAX);
-    }
-
-    #[test]
-    fn record_n_matches_repeated_record() {
-        let mut bulk = Histogram::new();
-        bulk.record_n(3, 5);
-        bulk.record_n(9, 2);
-        bulk.record_n(7, 0); // no-op
-        let mut single = Histogram::new();
-        for _ in 0..5 {
-            single.record(3);
-        }
-        for _ in 0..2 {
-            single.record(9);
-        }
-        assert_eq!(bulk.count(), single.count());
-        assert_eq!(bulk.sum(), single.sum());
-        assert_eq!(bulk.max(), single.max());
-        assert_eq!(bulk.p50(), single.p50());
-        assert_eq!(bulk.p95(), single.p95());
-        assert_eq!(
-            bulk.bucket(7),
-            0,
-            "zero-count record_n must not create a bucket"
-        );
     }
 
     #[test]

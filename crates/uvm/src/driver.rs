@@ -325,12 +325,6 @@ pub struct UvmDriver {
     pinned_buf: FxHashSet<gmmu::types::ChunkId>,
     /// Reusable per-fault prefetch-plan buffer.
     plan_buf: Vec<VirtPage>,
-    /// Batches whose scratch buffers came back warm from
-    /// [`UvmDriver::recycle`] (capacity already reserved).
-    scratch_recycled: u64,
-    /// Batches that started with cold scratch (first batch, or a
-    /// result the caller dropped instead of recycling).
-    scratch_fresh: u64,
     /// Driver-level counters.
     pub stats: DriverStats,
 }
@@ -395,8 +389,6 @@ impl UvmDriver {
             scratch_deferred: Vec::new(),
             pinned_buf: FxHashSet::default(),
             plan_buf: Vec::new(),
-            scratch_recycled: 0,
-            scratch_fresh: 0,
             stats: DriverStats::default(),
         })
     }
@@ -610,13 +602,6 @@ impl UvmDriver {
             });
         }
 
-        // Reuse accounting for the host profiler: a warm batch starts
-        // with recycled capacity in every scratch buffer.
-        if self.scratch_migrated.capacity() > 0 {
-            self.scratch_recycled += 1;
-        } else {
-            self.scratch_fresh += 1;
-        }
         let mut migrated = std::mem::take(&mut self.scratch_migrated);
         migrated.clear();
         let mut evicted = std::mem::take(&mut self.scratch_evicted);
@@ -875,14 +860,6 @@ impl UvmDriver {
         self.scratch_evicted = r.evicted;
         self.scratch_completions = r.completions;
         self.scratch_deferred = r.deferred;
-    }
-
-    /// `(recycled, fresh)`: batches that started with warm recycled
-    /// scratch vs batches that had to allocate. The host profiler
-    /// reports the ratio as the zero-alloc path's reuse hit rate.
-    #[must_use]
-    pub fn scratch_stats(&self) -> (u64, u64) {
-        (self.scratch_recycled, self.scratch_fresh)
     }
 
     /// Thrash-death detection (Fig. 4: MVT/BIC die in the baseline): the

@@ -47,7 +47,6 @@ struct Fp {
     timeline_len: usize,
     timeline_hash: u64,
     telemetry: Option<(usize, usize, usize, u64)>,
-    hostprof_present: bool,
 }
 
 fn fp(r: &RunResult) -> Fp {
@@ -103,7 +102,6 @@ fn fp(r: &RunResult) -> Fp {
         timeline_len: r.timeline.len(),
         timeline_hash: th,
         telemetry,
-        hostprof_present: r.hostprof.is_some(),
     }
 }
 
@@ -317,24 +315,6 @@ fn traced_runs_agree() {
         640,
         256,
         &audited,
-    );
-}
-
-/// With the host self-profiler on, simulated results stay identical
-/// (the profile itself is wall-clock and not compared).
-#[test]
-fn hostprof_runs_agree() {
-    let prof = |cfg: &mut GpuConfig| cfg.hostprof = true;
-    paper_cell("STN", PolicyPreset::Baseline, 0.25, &prof);
-    synthetic_cell(
-        0x9090_ABAB_CDCD_EFEF,
-        PolicyPreset::Baseline,
-        6,
-        3,
-        160,
-        640,
-        256,
-        &prof,
     );
 }
 

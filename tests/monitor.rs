@@ -242,15 +242,15 @@ fn status_server_serves_metrics_status_and_healthz() {
 fn bench_history_renders_trend_dashboard() {
     let dir = temp_dir("trend");
     let ledger = dir.join("history.jsonl");
-    let speed_doc = |wall: f64| {
+    let profile_doc = |p99: u64| {
         format!(
-            "{{\"schema\":\"cppe-speed-v1\",\"scale\":0.25,\"rate\":0.5,\"reps\":5,\
-             \"cells\":[{{\"app\":\"STN\",\"policy\":\"cppe\",\"outcome\":\"completed\",\
-             \"cycles\":7,\"wall_ms\":{wall:.3},\"sim_cycles_per_sec\":1}}]}}"
+            "{{\"schema\":\"cppe-profile-v1\",\"workloads\":[{{\"app\":\"STN\",\
+             \"outcome\":\"completed\",\"cycles\":7,\
+             \"stages\":[{{\"stage\":\"fault_total\",\"p99\":{p99}}}]}}]}}"
         )
     };
-    for (label, wall) in [("committed", 10.0), ("fresh", 14.0)] {
-        let (source, samples) = history::extract(&speed_doc(wall)).unwrap();
+    for (label, p99) in [("committed", 10), ("fresh", 14)] {
+        let (source, samples) = history::extract(&profile_doc(p99)).unwrap();
         history::append(
             &ledger,
             &history::HistoryEntry {
@@ -265,7 +265,7 @@ fn bench_history_renders_trend_dashboard() {
     assert_eq!((entries.len(), skipped), (2, 0));
     let html = history::render_html(&entries, skipped);
     assert!(html.contains("<svg"), "dashboard has sparklines");
-    assert!(html.contains("STN/cppe"));
+    assert!(html.contains("STN"));
     assert!(html.contains("+4.000"), "delta vs prior median rendered");
     std::fs::remove_dir_all(&dir).unwrap();
 }
