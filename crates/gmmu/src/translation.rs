@@ -260,6 +260,27 @@ impl TranslationPath {
         self.page_table.mark_touched(page);
     }
 
+    /// Does `page`'s TLB bookkeeping match the TLBs themselves? A
+    /// non-resident page must be cached nowhere; a resident page's
+    /// presence mask must name exactly the TLBs holding it. Probes
+    /// every TLB without touching replacement state — a checking aid,
+    /// not a hot-path call.
+    #[must_use]
+    pub fn tlb_consistent(&self, page: VirtPage) -> bool {
+        if !self.page_table.is_resident(page) {
+            return self.l2.probe(page).is_none()
+                && self.l1.iter().all(|t| t.probe(page).is_none());
+        }
+        if !self.use_masks {
+            return true;
+        }
+        let mut held = u64::from(self.l2.probe(page).is_some()) << L2_MASK_BIT;
+        for (sm, l1) in self.l1.iter().enumerate() {
+            held |= u64::from(l1.probe(page).is_some()) << sm;
+        }
+        held == self.page_table.tlb_mask(page)
+    }
+
     /// Immutable view of the page table.
     #[must_use]
     pub fn page_table(&self) -> &PageTable {
@@ -517,10 +538,7 @@ mod tests {
                 1 if !resident.is_empty() => {
                     let victim = resident.swap_remove((x / 7) as usize % resident.len());
                     p.unmap_and_invalidate(victim);
-                    for (sm, l1) in p.l1.iter().enumerate() {
-                        assert!(l1.probe(victim).is_none(), "stale L1[{sm}] entry");
-                    }
-                    assert!(p.l2.probe(victim).is_none(), "stale L2 entry");
+                    assert!(p.tlb_consistent(victim), "stale entry for {victim:?}");
                 }
                 _ => {
                     let sm = SmId((x / 13) as u16 % 4);
@@ -529,21 +547,22 @@ mod tests {
             }
         }
         for &page in &resident {
-            let mut expect = 0u64;
-            for (sm, l1) in p.l1.iter().enumerate() {
-                if l1.probe(page).is_some() {
-                    expect |= 1 << sm;
-                }
-            }
-            if p.l2.probe(page).is_some() {
-                expect |= 1 << L2_MASK_BIT;
-            }
-            assert_eq!(
-                p.page_table.tlb_mask(page),
-                expect,
-                "mask drift for {page:?}"
-            );
+            assert!(p.tlb_consistent(page), "mask drift for {page:?}");
         }
+    }
+
+    #[test]
+    fn tlb_consistency_catches_drift() {
+        let mut p = path();
+        p.map(VirtPage(3), Frame(0), true);
+        let _ = p.translate(SmId(1), VirtPage(3), Cycle::ZERO);
+        assert!(p.tlb_consistent(VirtPage(3)));
+        // A mask bit with no TLB behind it is drift.
+        p.page_table.tlb_note_insert(VirtPage(3), 5);
+        assert!(!p.tlb_consistent(VirtPage(3)));
+        // So is a translation cached for a page no longer mapped.
+        p.page_table.unmap(VirtPage(3));
+        assert!(!p.tlb_consistent(VirtPage(3)));
     }
 
     #[test]

@@ -8,13 +8,19 @@
 //! * [`config`] — [`GpuConfig`] (Table I defaults),
 //! * [`cache`] — the L1/L2 data-cache latency model,
 //! * [`dram`] — the GDDR5 12-channel row-buffer model,
-//! * [`sim`] — [`simulate`], [`RunResult`] and [`Outcome`].
+//! * [`sim`] — [`simulate`], [`simulate_with`], [`RunResult`] and
+//!   [`Outcome`],
+//! * [`observe`] — the event loop's [`Observer`] hooks and the stock
+//!   observers ([`Timeline`], [`Invariants`], [`FireCounts`]).
 
 pub mod cache;
 pub mod config;
 pub mod dram;
+pub mod observe;
 pub mod sim;
+mod spans;
 pub mod waiters;
 
 pub use config::GpuConfig;
-pub use sim::{simulate, simulate_accesses, Outcome, RunResult, TimelinePoint};
+pub use observe::{FireCounts, Invariants, NoObserver, Observer, Timeline, TimelinePoint};
+pub use sim::{simulate, simulate_accesses, simulate_with, Outcome, RunResult};

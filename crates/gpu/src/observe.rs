@@ -1,0 +1,371 @@
+//! Hook points of the simulator's event loop.
+//!
+//! [`simulate_with`](crate::simulate_with) is generic over an
+//! [`Observer`]: the loop calls one method per natural simulation event
+//! — an access hit, a far fault raised, a fault batch dispatched, a page
+//! landing — and knows nothing about what the observer does with it. Every method defaults to a no-op, so
+//! [`NoObserver`] monomorphizes to a loop with no hook code at all.
+//!
+//! Observers watch; they never steer. A hook sees the simulator through
+//! a read-only [`Ctx`] whose one writable part is the run's telemetry
+//! tracer, so any observer combination leaves every simulated quantity
+//! bit-identical (`tests/observers.rs` checks this).
+//!
+//! Observers here:
+//! * [`Timeline`] — one [`TimelinePoint`] per dispatched batch;
+//! * [`Invariants`] — cross-structure consistency checks at every batch
+//!   boundary;
+//! * [`FireCounts`] — how often the fast lane's run-ahead fires.
+//!
+//! The fault-lifecycle span builder is one more observer, switched on by
+//! `GpuConfig::trace` (see `crate::spans`). A pair `(A, B)` of observers
+//! is itself an observer that calls `A` then `B`.
+
+use crate::waiters::WaiterTable;
+use gmmu::translation::{TranslationPath, TranslationTiming};
+use gmmu::types::VirtPage;
+use sim_core::time::Cycle;
+use sim_core::{FxHashMap, FxHashSet};
+use telemetry::Tracer;
+use uvm::driver::{BatchResult, UvmDriver};
+
+/// What a hook may see of the simulator at the moment it fires.
+pub struct Ctx<'a> {
+    pub(crate) driver: &'a mut UvmDriver,
+    pub(crate) xlat: &'a TranslationPath,
+    pub(crate) waiting: &'a WaiterTable,
+    pub(crate) pending: &'a [VirtPage],
+}
+
+impl<'a> Ctx<'a> {
+    /// The UVM driver: policy engine, counters, frame pool.
+    #[must_use]
+    pub fn driver(&self) -> &UvmDriver {
+        self.driver
+    }
+
+    /// The translation path: TLBs, walker and page table.
+    #[must_use]
+    pub fn xlat(&self) -> &'a TranslationPath {
+        self.xlat
+    }
+
+    /// Lanes blocked on in-flight far faults, per page.
+    #[must_use]
+    pub fn waiting(&self) -> &'a WaiterTable {
+        self.waiting
+    }
+
+    /// Faults raised but not yet dispatched to the driver.
+    #[must_use]
+    pub fn pending(&self) -> &'a [VirtPage] {
+        self.pending
+    }
+
+    /// The run's tracer (disabled unless `GpuConfig::trace` is on).
+    /// Recording into it is the one write a hook may make.
+    pub fn tracer(&mut self) -> &mut Tracer {
+        self.driver.tracer_mut()
+    }
+
+    /// A shorter-lived copy, so one context can feed several hooks.
+    fn reborrow(&mut self) -> Ctx<'_> {
+        Ctx {
+            driver: self.driver,
+            xlat: self.xlat,
+            waiting: self.waiting,
+            pending: self.pending,
+        }
+    }
+}
+
+/// Callbacks at the event loop's hook points. All default to no-ops.
+#[allow(unused_variables)]
+pub trait Observer {
+    /// Lane `lane`'s translation of `page` hit; the access proceeds at
+    /// `ready_at`. `streak` is the access's position in the lane's
+    /// run-ahead streak: 0 for an access popped from the event queue,
+    /// 1, 2, … for accesses the fast lane executed inline behind it.
+    #[inline]
+    fn access_hit(
+        &mut self,
+        ctx: Ctx<'_>,
+        lane: u32,
+        page: VirtPage,
+        ready_at: Cycle,
+        streak: u32,
+    ) {
+    }
+
+    /// Lane `lane`, issuing at `now`, missed every TLB and the walk
+    /// found `page` not resident at `at`; `timing` stamps each stage.
+    /// The lane blocks until the page's migration completes.
+    #[inline]
+    fn fault_raised(
+        &mut self,
+        ctx: Ctx<'_>,
+        lane: u32,
+        page: VirtPage,
+        now: Cycle,
+        timing: &TranslationTiming,
+        at: Cycle,
+    ) {
+    }
+
+    /// The driver serviced the fault batch dispatched at `dispatch`:
+    /// `batch` lists its completions, migrations, evictions and
+    /// deferred faults. Completion events are queued and deferred
+    /// faults are back in the pending list. Not called for a batch that
+    /// ended the run.
+    #[inline]
+    fn batch_dispatched(&mut self, ctx: Ctx<'_>, dispatch: Cycle, batch: &BatchResult) {}
+
+    /// A migration completion for `page` fired at `now`; `lanes` (in
+    /// wake order, possibly none) replay their access.
+    #[inline]
+    fn page_ready(&mut self, ctx: Ctx<'_>, page: VirtPage, now: Cycle, lanes: &[u32]) {}
+}
+
+/// The observer that watches nothing.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NoObserver;
+
+impl Observer for NoObserver {}
+
+impl<A: Observer, B: Observer> Observer for (A, B) {
+    #[inline]
+    fn access_hit(
+        &mut self,
+        mut ctx: Ctx<'_>,
+        lane: u32,
+        page: VirtPage,
+        ready_at: Cycle,
+        streak: u32,
+    ) {
+        self.0
+            .access_hit(ctx.reborrow(), lane, page, ready_at, streak);
+        self.1.access_hit(ctx, lane, page, ready_at, streak);
+    }
+
+    #[inline]
+    fn fault_raised(
+        &mut self,
+        mut ctx: Ctx<'_>,
+        lane: u32,
+        page: VirtPage,
+        now: Cycle,
+        timing: &TranslationTiming,
+        at: Cycle,
+    ) {
+        self.0
+            .fault_raised(ctx.reborrow(), lane, page, now, timing, at);
+        self.1.fault_raised(ctx, lane, page, now, timing, at);
+    }
+
+    #[inline]
+    fn batch_dispatched(&mut self, mut ctx: Ctx<'_>, dispatch: Cycle, batch: &BatchResult) {
+        self.0.batch_dispatched(ctx.reborrow(), dispatch, batch);
+        self.1.batch_dispatched(ctx, dispatch, batch);
+    }
+
+    #[inline]
+    fn page_ready(&mut self, mut ctx: Ctx<'_>, page: VirtPage, now: Cycle, lanes: &[u32]) {
+        self.0.page_ready(ctx.reborrow(), page, now, lanes);
+        self.1.page_ready(ctx, page, now, lanes);
+    }
+}
+
+impl<O: Observer + ?Sized> Observer for &mut O {
+    #[inline]
+    fn access_hit(
+        &mut self,
+        ctx: Ctx<'_>,
+        lane: u32,
+        page: VirtPage,
+        ready_at: Cycle,
+        streak: u32,
+    ) {
+        (**self).access_hit(ctx, lane, page, ready_at, streak);
+    }
+
+    #[inline]
+    fn fault_raised(
+        &mut self,
+        ctx: Ctx<'_>,
+        lane: u32,
+        page: VirtPage,
+        now: Cycle,
+        timing: &TranslationTiming,
+        at: Cycle,
+    ) {
+        (**self).fault_raised(ctx, lane, page, now, timing, at);
+    }
+
+    #[inline]
+    fn batch_dispatched(&mut self, ctx: Ctx<'_>, dispatch: Cycle, batch: &BatchResult) {
+        (**self).batch_dispatched(ctx, dispatch, batch);
+    }
+
+    #[inline]
+    fn page_ready(&mut self, ctx: Ctx<'_>, page: VirtPage, now: Cycle, lanes: &[u32]) {
+        (**self).page_ready(ctx, page, now, lanes);
+    }
+}
+
+/// One timeline sample, taken at a fault-batch dispatch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TimelinePoint {
+    /// Simulated cycle of the dispatch.
+    pub cycle: u64,
+    /// Cumulative demand faults.
+    pub faults: u64,
+    /// Cumulative pages migrated in.
+    pub pages_migrated: u64,
+    /// Cumulative pages evicted.
+    pub pages_evicted: u64,
+    /// Resident pages at the sample.
+    pub resident_pages: u64,
+}
+
+/// Samples the policy engine's cumulative counters at every batch.
+#[derive(Debug, Clone, Default)]
+pub struct Timeline {
+    /// One point per dispatched batch, in dispatch order.
+    pub points: Vec<TimelinePoint>,
+}
+
+impl Observer for Timeline {
+    fn batch_dispatched(&mut self, ctx: Ctx<'_>, dispatch: Cycle, _batch: &BatchResult) {
+        let st = ctx.driver().engine().stats;
+        self.points.push(TimelinePoint {
+            cycle: dispatch.0,
+            faults: st.faults,
+            pages_migrated: st.pages_migrated,
+            pages_evicted: st.pages_evicted,
+            resident_pages: ctx.xlat().page_table().resident_count() as u64,
+        });
+    }
+}
+
+/// How often the fast lane's run-ahead fired during a run — the one
+/// loop mechanism `RunResult`'s counters cannot show.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FireCounts {
+    /// Accesses the fast lane executed inline instead of via the queue.
+    pub run_ahead: u64,
+    /// Run-ahead streaks (queue pops followed by ≥ 1 inline access).
+    pub streaks: u64,
+    /// Longest streak, in inline accesses.
+    pub longest_streak: u32,
+}
+
+impl Observer for FireCounts {
+    #[inline]
+    fn access_hit(&mut self, _: Ctx<'_>, _: u32, _: VirtPage, _: Cycle, streak: u32) {
+        if streak > 0 {
+            self.run_ahead += 1;
+            self.streaks += u64::from(streak == 1);
+            self.longest_streak = self.longest_streak.max(streak);
+        }
+    }
+}
+
+/// Cross-structure consistency checks at every batch boundary:
+///
+/// * the frame pool and the page table agree (capacity − free frames =
+///   resident pages);
+/// * every page this batch migrated or evicted has TLB bookkeeping that
+///   matches the TLBs — presence masks name exactly the TLBs holding
+///   it, and a non-resident page is cached nowhere;
+/// * no lane waits on two pages at once, and every page with waiters
+///   is either pending dispatch or has a completion queued;
+/// * batches dispatch in non-decreasing time.
+///
+/// The first violation is kept with its cycle; later batches still
+/// count as checked.
+#[derive(Debug, Clone, Default)]
+pub struct Invariants {
+    /// Batch boundaries checked.
+    pub checks: u64,
+    /// The first violation seen, if any.
+    pub violation: Option<String>,
+    /// Queued-but-unfired completions per page (a page may have
+    /// several: a coalesced duplicate and its original).
+    in_flight: FxHashMap<VirtPage, u32>,
+    last_dispatch: u64,
+}
+
+impl Invariants {
+    /// Panic with the first violation, if any.
+    ///
+    /// # Panics
+    /// Panics when a check failed.
+    pub fn assert_clean(&self) {
+        if let Some(v) = &self.violation {
+            panic!("invariant violated: {v}");
+        }
+    }
+
+    fn check(&self, ctx: &Ctx<'_>, dispatch: Cycle, batch: &BatchResult) -> Result<(), String> {
+        let pt = ctx.xlat().page_table();
+        let held = ctx.driver().capacity_frames() - ctx.driver().free_frames();
+        if u64::from(held) != pt.resident_count() as u64 {
+            return Err(format!(
+                "{held} frames allocated but {} pages resident",
+                pt.resident_count()
+            ));
+        }
+        for &page in batch.migrated.iter().chain(&batch.evicted) {
+            if !ctx.xlat().tlb_consistent(page) {
+                return Err(format!(
+                    "TLB bookkeeping of {page:?} disagrees with the TLBs"
+                ));
+            }
+        }
+        if dispatch.0 < self.last_dispatch {
+            return Err(format!(
+                "batch dispatched at {} after one at {}",
+                dispatch.0, self.last_dispatch
+            ));
+        }
+        let pending: FxHashSet<VirtPage> = ctx.pending().iter().copied().collect();
+        let waiting = ctx.waiting();
+        let mut seen = FxHashSet::default();
+        for page in waiting.pages() {
+            for lane in waiting.lanes(page) {
+                if !seen.insert(lane) {
+                    return Err(format!("lane {lane} waits on two pages"));
+                }
+            }
+            if !pending.contains(&page) && !self.in_flight.contains_key(&page) {
+                return Err(format!(
+                    "{page:?} has waiters but no pending fault or queued completion"
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
+impl Observer for Invariants {
+    fn batch_dispatched(&mut self, ctx: Ctx<'_>, dispatch: Cycle, batch: &BatchResult) {
+        for &(page, _) in &batch.completions {
+            *self.in_flight.entry(page).or_insert(0) += 1;
+        }
+        if let Err(e) = self.check(&ctx, dispatch, batch) {
+            self.violation
+                .get_or_insert_with(|| format!("batch at cycle {}: {e}", dispatch.0));
+        }
+        self.last_dispatch = dispatch.0;
+        self.checks += 1;
+    }
+
+    fn page_ready(&mut self, _: Ctx<'_>, page: VirtPage, _: Cycle, _: &[u32]) {
+        if let Some(n) = self.in_flight.get_mut(&page) {
+            *n -= 1;
+            if *n == 0 {
+                self.in_flight.remove(&page);
+            }
+        }
+    }
+}

@@ -10,9 +10,15 @@
 //! Faults arriving while the driver is busy accumulate and are serviced
 //! as one batch when the driver frees up — the natural batching that
 //! amortizes the 20 µs host round-trip and that prefetching multiplies.
+//!
+//! [`simulate_with`] runs the same loop with an [`Observer`] attached at
+//! its hook points (see [`crate::observe`]).
 
 use crate::cache::DataHierarchy;
 use crate::config::GpuConfig;
+use crate::observe::{Ctx, NoObserver, Observer};
+use crate::spans::LaneSpans;
+use crate::waiters::WaiterTable;
 use cppe::engine::{EngineStats, OverheadSnapshot, PolicyEngine};
 use cppe::evict::MhpeTrace;
 use gmmu::translation::{TranslationOutcome, TranslationPath, TranslationStats};
@@ -21,7 +27,6 @@ use sim_core::events::EventQueue;
 use sim_core::fault::{FaultInjector, InjectionStats};
 use sim_core::rng::Xoshiro256ss;
 use sim_core::time::Cycle;
-use telemetry::{SpanId, SpanStage};
 use uvm::driver::{DriverStats, UvmConfig, UvmDriver};
 use workloads::{AccessStep, LaneItem};
 
@@ -38,21 +43,6 @@ pub enum Outcome {
     Crashed,
     /// Hit the `max_cycles` safety stop.
     Timeout,
-}
-
-/// One timeline sample, taken at a fault-batch dispatch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimelinePoint {
-    /// Simulated cycle of the dispatch.
-    pub cycle: u64,
-    /// Cumulative demand faults.
-    pub faults: u64,
-    /// Cumulative pages migrated in.
-    pub pages_migrated: u64,
-    /// Cumulative pages evicted.
-    pub pages_evicted: u64,
-    /// Resident pages at the sample.
-    pub resident_pages: u64,
 }
 
 /// Everything a run produces.
@@ -83,8 +73,6 @@ pub struct RunResult {
     pub mhpe: Option<MhpeTrace>,
     /// Pattern-buffer length at end of run (0 for bufferless).
     pub pattern_buffer_len: usize,
-    /// Per-batch samples (empty unless `GpuConfig::record_timeline`).
-    pub timeline: Vec<TimelinePoint>,
     /// GPU memory capacity the run was given, in frames.
     pub frames_capacity: u32,
     /// Free frames at end of run (leak check: capacity − free must
@@ -136,7 +124,6 @@ impl RunResult {
             overhead: OverheadSnapshot::default(),
             mhpe: None,
             pattern_buffer_len: 0,
-            timeline: Vec::new(),
             frames_capacity: 0,
             frames_free: 0,
             resident_pages: 0,
@@ -163,123 +150,111 @@ enum Event {
 /// `drain_far` migration for long.
 const MAX_STREAK: u32 = 128;
 
-/// How a batch dispatch ended, from [`dispatch_batch`].
-enum BatchEnd {
-    /// Completions and the driver-free event are queued.
-    Ok,
+/// Why the event loop stopped early.
+enum Stop {
+    /// Past `max_cycles`.
+    Timeout,
     /// Thrash-death: the run ends at the carried cycle.
     Crashed(Cycle),
     /// Service-path error: the run ends as crashed with this message.
     Error(String),
 }
 
-/// Dispatch the accumulated fault batch to the host driver and queue
-/// its completions. Shared by the fault arm (driver idle at fault time)
-/// and the `DriverFree` arm (faults accumulated while busy) — the two
-/// call sites were near-verbatim duplicates before the fast-lane
-/// refactor.
-#[allow(clippy::too_many_arguments)]
-fn dispatch_batch(
-    dispatch: Cycle,
-    cfg: &GpuConfig,
-    tracing: bool,
-    driver: &mut UvmDriver,
-    xlat: &mut TranslationPath,
-    caches: &mut DataHierarchy,
-    q: &mut EventQueue<Event>,
-    waiting: &crate::waiters::WaiterTable,
-    fault_spans: &sim_core::FxHashMap<(u64, u32), (SpanId, SpanId, u64)>,
-    pending_faults: &mut Vec<VirtPage>,
-    batch_buf: &mut Vec<VirtPage>,
-    timeline: &mut Vec<TimelinePoint>,
-) -> BatchEnd {
-    std::mem::swap(pending_faults, batch_buf);
-    let r = match driver.service_batch(batch_buf, dispatch, xlat) {
-        Ok(r) => r,
-        Err(e) => return BatchEnd::Error(e.to_string()),
-    };
-    batch_buf.clear();
-    if r.crashed {
-        return BatchEnd::Crashed(r.done_at);
-    }
-    if tracing {
-        record_batch_spans(
-            driver.tracer_mut(),
-            &r.completions,
-            waiting,
-            fault_spans,
-            dispatch,
-            cfg.warps_per_sm,
-        );
-    }
-    // Overflow tail (injected queue-depth limit): re-queue for the next
-    // batch.
-    pending_faults.extend_from_slice(&r.deferred);
-    for &p in &r.evicted {
-        caches.invalidate(p);
-    }
-    for &(page, t) in &r.completions {
-        q.push(t, Event::PageReady(page));
-    }
-    q.push(r.host_done, Event::DriverFree);
-    if cfg.record_timeline {
-        let st = driver.engine().stats;
-        timeline.push(TimelinePoint {
-            cycle: dispatch.0,
-            faults: st.faults,
-            pages_migrated: st.pages_migrated,
-            pages_evicted: st.pages_evicted,
-            resident_pages: xlat.page_table().resident_count() as u64,
-        });
-    }
-    driver.recycle(r);
-    BatchEnd::Ok
+/// The simulated machine the event loop drives.
+struct Machine {
+    xlat: TranslationPath,
+    driver: UvmDriver,
+    caches: DataHierarchy,
+    q: EventQueue<Event>,
+    /// Lanes blocked on each in-flight faulted page.
+    waiting: WaiterTable,
+    /// Faults raised since the last dispatch.
+    pending: Vec<VirtPage>,
+    /// Double buffer for dispatch: `pending` swaps into here, so
+    /// dispatching never re-allocates.
+    batch_buf: Vec<VirtPage>,
+    driver_busy: bool,
 }
 
-/// Close the fault-queue-wait span of every lane whose fault this batch
-/// completed, and hang its batch-service span off the fault root. A page
-/// may appear in `completions` more than once (a coalesced duplicate and
-/// its serviced original carry different times); the waiters wake at the
-/// *earliest* completion, so that is the service end — keeping replay
-/// contiguous with batch service and one service span per lifecycle.
-fn record_batch_spans(
-    tracer: &mut telemetry::Tracer,
-    completions: &[(VirtPage, Cycle)],
-    waiting: &crate::waiters::WaiterTable,
-    fault_spans: &sim_core::FxHashMap<(u64, u32), (SpanId, SpanId, u64)>,
-    dispatch: Cycle,
-    warps_per_sm: usize,
-) {
-    let mut ready: std::collections::BTreeMap<VirtPage, Cycle> = std::collections::BTreeMap::new();
-    for &(page, t_done) in completions {
-        ready
-            .entry(page)
-            .and_modify(|t| *t = (*t).min(t_done))
-            .or_insert(t_done);
+impl Machine {
+    #[inline]
+    fn ctx(&mut self) -> Ctx<'_> {
+        Ctx {
+            driver: &mut self.driver,
+            xlat: &self.xlat,
+            waiting: &self.waiting,
+            pending: &self.pending,
+        }
     }
-    for (page, t_done) in ready {
-        for lane in waiting.lanes(page) {
-            let Some(&(root, queue_wait, fault_at)) = fault_spans.get(&(page.0, lane)) else {
-                continue;
-            };
-            // A queued fault can be dispatched before its own walk
-            // resolves (the queue admits it at issue, not at walk
-            // completion); service begins no earlier than the fault
-            // itself, keeping the stage segments contiguous.
-            let service_start = dispatch.0.max(fault_at);
-            if tracer.span_close(queue_wait, service_start) {
-                let sm = (lane as usize / warps_per_sm) as u16;
-                tracer.span(
-                    SpanStage::BatchService,
-                    service_start,
-                    t_done.0,
-                    root,
-                    sm,
-                    lane,
-                    page.0,
-                );
+
+    /// Dispatch the pending faults to the host driver as one batch and
+    /// queue its completions.
+    fn dispatch<O: Observer>(&mut self, at: Cycle, obs: &mut O) -> Result<(), Stop> {
+        self.driver_busy = true;
+        std::mem::swap(&mut self.pending, &mut self.batch_buf);
+        let r = self
+            .driver
+            .service_batch(&self.batch_buf, at, &mut self.xlat)
+            .map_err(|e| Stop::Error(e.to_string()))?;
+        self.batch_buf.clear();
+        if r.crashed {
+            return Err(Stop::Crashed(r.done_at));
+        }
+        // Overflow tail (injected queue-depth limit): re-queue for the
+        // next batch.
+        self.pending.extend_from_slice(&r.deferred);
+        for &p in &r.evicted {
+            self.caches.invalidate(p);
+        }
+        for &(page, t) in &r.completions {
+            self.q.push(t, Event::PageReady(page));
+        }
+        self.q.push(r.host_done, Event::DriverFree);
+        obs.batch_dispatched(self.ctx(), at, &r);
+        self.driver.recycle(r);
+        Ok(())
+    }
+}
+
+/// Kernel-launch barriers: barrier `b` releases when every lane that
+/// ever reaches a `b`-th barrier has arrived.
+struct Barriers {
+    participants: Vec<usize>,
+    arrivals: Vec<usize>,
+    /// Lanes parked at each barrier, in arrival order.
+    parked: Vec<Vec<u32>>,
+    /// Per lane: index of its next barrier.
+    next: Vec<usize>,
+}
+
+impl Barriers {
+    fn new(streams: &[Vec<LaneItem>]) -> Self {
+        let mut participants: Vec<usize> = Vec::new();
+        for s in streams {
+            let n = s.iter().filter(|i| matches!(i, LaneItem::Barrier)).count();
+            if participants.len() < n {
+                participants.resize(n, 0);
+            }
+            for p in participants.iter_mut().take(n) {
+                *p += 1;
             }
         }
+        Barriers {
+            arrivals: vec![0; participants.len()],
+            parked: vec![Vec::new(); participants.len()],
+            participants,
+            next: vec![0; streams.len()],
+        }
+    }
+
+    /// `lane` arrives at its next barrier. On the last arrival, returns
+    /// every parked lane followed by `lane`, to be drained.
+    fn arrive(&mut self, lane: u32) -> Option<&mut Vec<u32>> {
+        let b = self.next[lane as usize];
+        self.next[lane as usize] += 1;
+        self.arrivals[b] += 1;
+        self.parked[b].push(lane);
+        (self.arrivals[b] == self.participants[b]).then(|| &mut self.parked[b])
     }
 }
 
@@ -320,31 +295,60 @@ pub fn simulate(
     capacity_pages: u32,
     footprint_pages: u64,
 ) -> RunResult {
+    simulate_with(
+        cfg,
+        engine,
+        streams,
+        capacity_pages,
+        footprint_pages,
+        NoObserver,
+    )
+}
+
+/// [`simulate`] with `obs` attached to the event loop's hook points.
+/// When `cfg.trace` is on, the fault-lifecycle span builder rides along
+/// ahead of `obs`. Pass `&mut obs` to read the observer back afterwards.
+///
+/// # Panics
+/// As [`simulate`].
+#[must_use]
+pub fn simulate_with<O: Observer>(
+    cfg: &GpuConfig,
+    engine: PolicyEngine,
+    streams: &[Vec<LaneItem>],
+    capacity_pages: u32,
+    footprint_pages: u64,
+    obs: O,
+) -> RunResult {
+    if cfg.trace.enabled {
+        let spans = LaneSpans::new(cfg.warps_per_sm);
+        run(
+            cfg,
+            engine,
+            streams,
+            capacity_pages,
+            footprint_pages,
+            (spans, obs),
+        )
+    } else {
+        run(cfg, engine, streams, capacity_pages, footprint_pages, obs)
+    }
+}
+
+fn run<O: Observer>(
+    cfg: &GpuConfig,
+    engine: PolicyEngine,
+    streams: &[Vec<LaneItem>],
+    capacity_pages: u32,
+    footprint_pages: u64,
+    mut obs: O,
+) -> RunResult {
     assert!(
         streams.len() <= cfg.lanes(),
         "{} streams for {} lanes",
         streams.len(),
         cfg.lanes()
     );
-    // Barrier b releases when every lane that ever reaches a b-th
-    // barrier has arrived.
-    let mut participants: Vec<usize> = Vec::new();
-    for s in streams {
-        let n = s.iter().filter(|i| matches!(i, LaneItem::Barrier)).count();
-        if participants.len() < n {
-            participants.resize(n, 0);
-        }
-        for p in participants.iter_mut().take(n) {
-            *p += 1;
-        }
-    }
-    let mut arrivals = vec![0usize; participants.len()];
-    let mut waiters: Vec<Vec<u32>> = vec![Vec::new(); participants.len()];
-    let mut lane_barrier_idx = vec![0usize; streams.len()];
-    let mut jitter: Vec<Xoshiro256ss> = (0..streams.len())
-        .map(|l| Xoshiro256ss::new(cfg.jitter_seed ^ (l as u64).wrapping_mul(0x9E37_79B9)))
-        .collect();
-    let mut xlat = TranslationPath::new(&cfg.translation);
     let mut driver = UvmDriver::with_injection(
         UvmConfig {
             capacity_pages,
@@ -361,79 +365,58 @@ pub fn simulate(
     )
     .expect("invalid GPU/UVM configuration — pre-check with GpuConfig::validate");
     driver.set_tracer(telemetry::Tracer::new(cfg.trace));
-    let tracing = driver.tracer_mut().enabled();
-    // Open fault lifecycles, keyed by (page, lane): the FaultTotal root,
-    // its still-open FaultQueueWait child, and the cycle the fault was
-    // raised. A lane blocks while faulting, so at most one entry per
-    // lane exists at a time.
-    let mut fault_spans: sim_core::FxHashMap<(u64, u32), (SpanId, SpanId, u64)> =
-        sim_core::FxHashMap::default();
-    // Replaying lanes: (root, open Replay span), closed on the next
-    // translate outcome for that lane.
-    let mut replay_spans: sim_core::FxHashMap<u32, (SpanId, SpanId)> =
-        sim_core::FxHashMap::default();
-    let mut caches = DataHierarchy::new(cfg.sms);
-    let mut q: EventQueue<Event> = EventQueue::new();
+    let mut m = Machine {
+        xlat: TranslationPath::new(&cfg.translation),
+        driver,
+        caches: DataHierarchy::new(cfg.sms),
+        q: EventQueue::new(),
+        waiting: WaiterTable::new(),
+        pending: Vec::new(),
+        batch_buf: Vec::new(),
+        driver_busy: false,
+    };
+    let mut barriers = Barriers::new(streams);
+    let mut jitter: Vec<Xoshiro256ss> = (0..streams.len())
+        .map(|l| Xoshiro256ss::new(cfg.jitter_seed ^ (l as u64).wrapping_mul(0x9E37_79B9)))
+        .collect();
     let mut idx = vec![0usize; streams.len()];
     let mut accesses = 0u64;
+    let mut end = Cycle::ZERO;
+    // Reused scratch for same-cycle lane wakes (PageReady bulk push).
+    let mut wake_buf: Vec<u32> = Vec::new();
 
     for (lane, s) in streams.iter().enumerate() {
         if !s.is_empty() {
-            q.push(Cycle::ZERO, Event::LaneReady(lane as u32));
+            m.q.push(Cycle::ZERO, Event::LaneReady(lane as u32));
         }
     }
 
-    let mut pending_faults: Vec<VirtPage> = Vec::new();
-    // Double buffer for batch dispatch: faults accumulating for the
-    // *next* batch swap into here, so dispatching never re-allocates.
-    let mut batch_buf: Vec<VirtPage> = Vec::new();
-    let mut waiting = crate::waiters::WaiterTable::new();
-    let mut driver_busy = false;
-    let mut outcome = Outcome::Completed;
-    let mut end = Cycle::ZERO;
-    let mut timeline: Vec<TimelinePoint> = Vec::new();
-    let mut error: Option<String> = None;
-    let fast_lane = cfg.fast_lane;
-    // Reused scratch for same-cycle lane wakes (PageReady bulk push).
-    let mut wake_buf: Vec<Event> = Vec::new();
-
-    'main: while let Some((now, ev)) = q.pop() {
+    let stop = 'main: loop {
+        let Some((now, ev)) = m.q.pop() else {
+            break None;
+        };
         end = now;
         if now.0 > cfg.max_cycles {
-            outcome = Outcome::Timeout;
-            break;
+            break Some(Stop::Timeout);
         }
         match ev {
             Event::LaneReady(lane) => {
                 let l = lane as usize;
                 let stream = &streams[l];
-                if idx[l] >= stream.len() {
-                    continue; // lane drained; no further events
-                }
-                let step = match stream[idx[l]] {
-                    LaneItem::Barrier => {
-                        let b = lane_barrier_idx[l];
-                        lane_barrier_idx[l] += 1;
+                let mut step = match stream.get(idx[l]) {
+                    None => continue, // lane drained; no further events
+                    Some(LaneItem::Barrier) => {
                         idx[l] += 1;
-                        arrivals[b] += 1;
-                        if arrivals[b] == participants[b] {
-                            // Kernel relaunch: everyone proceeds after
-                            // the launch overhead — all at the same
-                            // cycle, so one bulk push.
+                        if let Some(lanes) = barriers.arrive(lane) {
+                            // Kernel relaunch: everyone proceeds after the
+                            // launch overhead — all at the same cycle, so
+                            // one bulk push.
                             let resume = now.after(cfg.launch_overhead_cycles);
-                            q.push_n(
-                                resume,
-                                waiters[b]
-                                    .drain(..)
-                                    .chain(std::iter::once(lane))
-                                    .map(Event::LaneReady),
-                            );
-                        } else {
-                            waiters[b].push(lane);
+                            m.q.push_n(resume, lanes.drain(..).map(Event::LaneReady));
                         }
                         continue;
                     }
-                    LaneItem::Access(step) => step,
+                    Some(&LaneItem::Access(step)) => step,
                 };
                 let sm = SmId((l / cfg.warps_per_sm) as u16);
                 // Hit-path fast lane. The first iteration handles the
@@ -442,170 +425,58 @@ pub fn simulate(
                 // first, keep executing inline (run-ahead) instead of
                 // round-tripping each access through the queue.
                 let mut now = now;
-                let mut step = step;
                 let mut streak = 0u32;
                 loop {
-                    let (out, timing) = xlat.translate_timed(sm, step.page, now);
-                    match out {
-                        TranslationOutcome::Hit { ready_at, .. } => {
-                            // Only the streak head can be a replay
-                            // (replays wake through the queue), so the
-                            // span-map lookup is hoisted out of the
-                            // run-ahead inner loop.
-                            if tracing && streak == 0 {
-                                if let Some((root, replay)) = replay_spans.remove(&lane) {
-                                    let tr = driver.tracer_mut();
-                                    tr.span_close(replay, ready_at.0);
-                                    tr.span_close(root, ready_at.0);
+                    let (out, timing) = m.xlat.translate_timed(sm, step.page, now);
+                    let ready_at = match out {
+                        TranslationOutcome::Hit { ready_at, .. } => ready_at,
+                        TranslationOutcome::Fault { at } => {
+                            obs.fault_raised(m.ctx(), lane, step.page, now, &timing, at);
+                            m.pending.push(step.page);
+                            m.waiting.push(step.page, lane);
+                            if !m.driver_busy {
+                                if let Err(s) = m.dispatch(at, &mut obs) {
+                                    break 'main Some(s);
                                 }
                             }
-                            xlat.mark_touched(step.page);
-                            let dlat = caches.access(sm.idx(), step.page, now);
-                            idx[l] += 1;
-                            accesses += 1;
-                            let compute = if cfg.compute_jitter > 0.0 {
-                                let f = 1.0 - cfg.compute_jitter
-                                    + 2.0 * cfg.compute_jitter * jitter[l].gen_f64();
-                                (f64::from(step.compute) * f) as u64
-                            } else {
-                                u64::from(step.compute)
-                            };
-                            let wake = ready_at.after(dlat + compute);
-                            // Run-ahead hazard check — all must hold, or
-                            // we fall back to the one-event-per-access
-                            // round trip:
-                            //  * the next item is an access to a resident
-                            //    page (the walker faults exactly on
-                            //    non-residency, so this predicts a hit);
-                            //  * no pending event fires at or before
-                            //    `wake` (a same-cycle event queued earlier
-                            //    would pop first, hence strictly-greater);
-                            //  * `wake` respects the timeout guard;
-                            //  * the streak is bounded.
-                            let run_ahead = fast_lane
+                            break;
+                        }
+                    };
+                    obs.access_hit(m.ctx(), lane, step.page, ready_at, streak);
+                    m.xlat.mark_touched(step.page);
+                    let dlat = m.caches.access(sm.idx(), step.page, now);
+                    idx[l] += 1;
+                    accesses += 1;
+                    let wake = ready_at.after(dlat + compute_cycles(cfg, step, &mut jitter[l]));
+                    // Run-ahead hazard check — all must hold, or we fall
+                    // back to the one-event-per-access round trip:
+                    //  * the next item is an access to a resident page
+                    //    (the walker faults exactly on non-residency, so
+                    //    this predicts a hit);
+                    //  * no pending event fires at or before `wake` (a
+                    //    same-cycle event queued earlier would pop first,
+                    //    hence strictly-greater);
+                    //  * `wake` respects the timeout guard;
+                    //  * the streak is bounded.
+                    let next = match stream.get(idx[l]) {
+                        Some(&LaneItem::Access(n))
+                            if cfg.fast_lane
                                 && streak < MAX_STREAK
                                 && wake.0 <= cfg.max_cycles
-                                && matches!(
-                                    stream.get(idx[l]),
-                                    Some(LaneItem::Access(n))
-                                        if xlat.page_table().is_resident(n.page)
-                                )
-                                && q.peek_time().is_none_or(|t| t > wake);
-                            if run_ahead {
-                                end = wake;
-                                now = wake;
-                                streak += 1;
-                                step = match stream[idx[l]] {
-                                    LaneItem::Access(s) => s,
-                                    LaneItem::Barrier => {
-                                        unreachable!("hazard check admits accesses only")
-                                    }
-                                };
-                                continue;
-                            }
-                            q.push(wake, Event::LaneReady(lane));
+                                && m.xlat.page_table().is_resident(n.page)
+                                && m.q.peek_time().is_none_or(|t| t > wake) =>
+                        {
+                            n
+                        }
+                        _ => {
+                            m.q.push(wake, Event::LaneReady(lane));
                             break;
                         }
-                        TranslationOutcome::Fault { at } => {
-                            if tracing {
-                                let tr = driver.tracer_mut();
-                                // A replaying lane that faults again (page
-                                // evicted or its migration aborted) ends the
-                                // old lifecycle at the re-issue and opens a
-                                // fresh one.
-                                if let Some((root, replay)) = replay_spans.remove(&lane) {
-                                    tr.span_close(replay, now.0);
-                                    tr.span_close(root, now.0);
-                                }
-                                let page = step.page.0;
-                                let root = tr.span_open(
-                                    SpanStage::FaultTotal,
-                                    now.0,
-                                    SpanId::NONE,
-                                    sm.0,
-                                    lane,
-                                    page,
-                                );
-                                tr.span(
-                                    SpanStage::TlbL1,
-                                    now.0,
-                                    timing.l1_done.0,
-                                    root,
-                                    sm.0,
-                                    lane,
-                                    page,
-                                );
-                                tr.span(
-                                    SpanStage::TlbL2,
-                                    timing.l1_done.0,
-                                    timing.l2_done.0,
-                                    root,
-                                    sm.0,
-                                    lane,
-                                    page,
-                                );
-                                tr.span(
-                                    SpanStage::WalkerQueue,
-                                    timing.l2_done.0,
-                                    timing.walk_started.0,
-                                    root,
-                                    sm.0,
-                                    lane,
-                                    page,
-                                );
-                                tr.span(
-                                    SpanStage::PageWalk,
-                                    timing.walk_started.0,
-                                    at.0,
-                                    root,
-                                    sm.0,
-                                    lane,
-                                    page,
-                                );
-                                let queue_wait = tr.span_open(
-                                    SpanStage::FaultQueueWait,
-                                    at.0,
-                                    root,
-                                    sm.0,
-                                    lane,
-                                    page,
-                                );
-                                fault_spans.insert((page, lane), (root, queue_wait, at.0));
-                            }
-                            pending_faults.push(step.page);
-                            waiting.push(step.page, lane);
-                            if !driver_busy {
-                                driver_busy = true;
-                                match dispatch_batch(
-                                    at,
-                                    cfg,
-                                    tracing,
-                                    &mut driver,
-                                    &mut xlat,
-                                    &mut caches,
-                                    &mut q,
-                                    &waiting,
-                                    &fault_spans,
-                                    &mut pending_faults,
-                                    &mut batch_buf,
-                                    &mut timeline,
-                                ) {
-                                    BatchEnd::Ok => {}
-                                    BatchEnd::Crashed(done) => {
-                                        outcome = Outcome::Crashed;
-                                        end = done;
-                                        break 'main;
-                                    }
-                                    BatchEnd::Error(e) => {
-                                        error = Some(e);
-                                        outcome = Outcome::Crashed;
-                                        break 'main;
-                                    }
-                                }
-                            }
-                            break;
-                        }
-                    }
+                    };
+                    end = wake;
+                    now = wake;
+                    streak += 1;
+                    step = next;
                 }
             }
             Event::PageReady(page) => {
@@ -614,73 +485,39 @@ pub fn simulate(
                 // their own completions by the driver. The wakes are all
                 // same-cycle, so they collect into one bulk push.
                 wake_buf.clear();
-                waiting.take(page, |lane| {
-                    if tracing {
-                        if let Some((root, queue_wait, _)) = fault_spans.remove(&(page.0, lane)) {
-                            let tr = driver.tracer_mut();
-                            // A lane whose own fault never made a
-                            // batch (another lane's did) waits until
-                            // the shared page lands.
-                            tr.span_close(queue_wait, now.0);
-                            let sm = (lane as usize / cfg.warps_per_sm) as u16;
-                            let replay =
-                                tr.span_open(SpanStage::Replay, now.0, root, sm, lane, page.0);
-                            replay_spans.insert(lane, (root, replay));
-                        }
-                    }
-                    wake_buf.push(Event::LaneReady(lane));
-                });
-                q.push_n(now, wake_buf.drain(..));
+                m.waiting.take(page, |lane| wake_buf.push(lane));
+                obs.page_ready(m.ctx(), page, now, &wake_buf);
+                m.q.push_n(now, wake_buf.drain(..).map(Event::LaneReady));
             }
             Event::DriverFree => {
-                driver_busy = false;
+                m.driver_busy = false;
                 // Faults queued while the host was busy form the next
                 // batch immediately — the natural batching that
                 // amortizes the far-fault round trip.
-                if !pending_faults.is_empty() {
-                    driver_busy = true;
-                    match dispatch_batch(
-                        now,
-                        cfg,
-                        tracing,
-                        &mut driver,
-                        &mut xlat,
-                        &mut caches,
-                        &mut q,
-                        &waiting,
-                        &fault_spans,
-                        &mut pending_faults,
-                        &mut batch_buf,
-                        &mut timeline,
-                    ) {
-                        BatchEnd::Ok => {}
-                        BatchEnd::Crashed(done) => {
-                            outcome = Outcome::Crashed;
-                            end = done;
-                            break;
-                        }
-                        BatchEnd::Error(e) => {
-                            error = Some(e);
-                            outcome = Outcome::Crashed;
-                            break;
-                        }
+                if !m.pending.is_empty() {
+                    if let Err(s) = m.dispatch(now, &mut obs) {
+                        break Some(s);
                     }
                 }
             }
         }
-    }
+    };
 
-    if outcome == Outcome::Completed && driver.degraded() {
-        outcome = Outcome::Degraded;
-    }
-
-    let translation = xlat.stats();
-    let bytes_h2d = driver.pcie().bytes_h2d;
-    let bytes_d2h = driver.pcie().bytes_d2h;
-    let frames_free = driver.free_frames();
-    let injection = driver.injector_stats();
+    let (outcome, error) = match stop {
+        None if m.driver.degraded() => (Outcome::Degraded, None),
+        None => (Outcome::Completed, None),
+        Some(Stop::Timeout) => (Outcome::Timeout, None),
+        Some(Stop::Crashed(done)) => {
+            end = done;
+            (Outcome::Crashed, None)
+        }
+        Some(Stop::Error(e)) => (Outcome::Crashed, Some(e)),
+    };
+    let Machine {
+        xlat, mut driver, ..
+    } = m;
     let run_telemetry = driver.take_telemetry();
-    let mhpe = engine_trace(&mut driver);
+    let mhpe = driver.engine_mut().evict_policy_mut().mhpe_trace();
     let engine = driver.engine();
     RunResult {
         outcome,
@@ -688,30 +525,37 @@ pub fn simulate(
         accesses,
         engine: engine.stats,
         driver: driver.stats,
-        translation,
-        bytes_h2d,
-        bytes_d2h,
+        translation: xlat.stats(),
+        bytes_h2d: driver.pcie().bytes_h2d,
+        bytes_d2h: driver.pcie().bytes_d2h,
         wrong_evictions: engine.wrong_evictions(),
         overhead: engine.overhead(),
         mhpe,
         pattern_buffer_len: engine.overhead().pattern_buffer_max,
-        timeline,
         frames_capacity: capacity_pages,
-        frames_free,
+        frames_free: driver.free_frames(),
         resident_pages: xlat.page_table().resident_count() as u64,
-        injection,
+        injection: driver.injector_stats(),
         error,
         telemetry: run_telemetry,
     }
 }
 
-fn engine_trace(driver: &mut UvmDriver) -> Option<MhpeTrace> {
-    driver.engine_mut().evict_policy_mut().mhpe_trace()
+/// An access's compute delay, with the configured relative jitter.
+#[inline]
+fn compute_cycles(cfg: &GpuConfig, step: AccessStep, rng: &mut Xoshiro256ss) -> u64 {
+    if cfg.compute_jitter > 0.0 {
+        let f = 1.0 - cfg.compute_jitter + 2.0 * cfg.compute_jitter * rng.gen_f64();
+        (f64::from(step.compute) * f) as u64
+    } else {
+        u64::from(step.compute)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observe::{FireCounts, Invariants, Timeline};
     use cppe::presets::PolicyPreset;
 
     fn seq_stream(pages: u64, passes: u32, compute: u32) -> Vec<AccessStep> {
@@ -725,6 +569,13 @@ mod tests {
             }
         }
         s
+    }
+
+    fn items(streams: &[Vec<AccessStep>]) -> Vec<Vec<LaneItem>> {
+        streams
+            .iter()
+            .map(|s| s.iter().map(|&a| LaneItem::Access(a)).collect())
+            .collect()
     }
 
     fn tiny_cfg() -> GpuConfig {
@@ -888,31 +739,54 @@ mod tests {
     }
 
     #[test]
-    fn timeline_records_batch_samples_when_enabled() {
-        let cfg = GpuConfig {
-            record_timeline: true,
-            ..tiny_cfg()
-        };
-        let streams = vec![seq_stream(128, 2, 100)];
-        let r = simulate_accesses(&cfg, PolicyPreset::Baseline.build(0), &streams, 64, 128);
-        assert!(!r.timeline.is_empty());
-        assert_eq!(r.timeline.len() as u64, r.driver.batches);
+    fn timeline_observer_samples_every_batch() {
+        let streams = items(&[seq_stream(128, 2, 100)]);
+        let mut tl = Timeline::default();
+        let engine = PolicyPreset::Baseline.build(0);
+        let r = simulate_with(&tiny_cfg(), engine, &streams, 64, 128, &mut tl);
+        assert_eq!(tl.points.len() as u64, r.driver.batches);
         // Monotone cumulative counters and bounded residency.
-        for w in r.timeline.windows(2) {
+        for w in tl.points.windows(2) {
             assert!(w[0].cycle <= w[1].cycle);
             assert!(w[0].faults <= w[1].faults);
             assert!(w[0].pages_migrated <= w[1].pages_migrated);
         }
-        assert!(r.timeline.iter().all(|p| p.resident_pages <= 64));
+        assert!(tl.points.iter().all(|p| p.resident_pages <= 64));
+        let last = tl.points.last().expect("the run faulted");
+        assert_eq!(last.faults, r.engine.faults);
+    }
 
-        let off = simulate_accesses(
-            &tiny_cfg(),
-            PolicyPreset::Baseline.build(0),
-            &streams,
-            64,
-            128,
-        );
-        assert!(off.timeline.is_empty());
+    #[test]
+    fn fire_counts_see_run_ahead() {
+        // One lane, zero compute, everything resident after the first
+        // pass: the fast lane runs ahead; without it nothing does.
+        let streams = items(&[seq_stream(32, 4, 0)]);
+        let mut counts = Vec::new();
+        for fast_lane in [true, false] {
+            let cfg = GpuConfig {
+                fast_lane,
+                ..tiny_cfg()
+            };
+            let mut fc = FireCounts::default();
+            let engine = PolicyPreset::Baseline.build(0);
+            let r = simulate_with(&cfg, engine, &streams, 64, 32, &mut fc);
+            assert!(fc.run_ahead < r.accesses);
+            counts.push(fc);
+        }
+        let on = counts[0];
+        assert!(on.run_ahead > 0 && on.streaks > 0);
+        assert!(on.run_ahead >= on.streaks && on.longest_streak <= MAX_STREAK);
+        assert_eq!(counts[1], FireCounts::default());
+    }
+
+    #[test]
+    fn invariants_hold_under_thrash() {
+        let streams = items(&[seq_stream(512, 3, 50), seq_stream(512, 3, 70)]);
+        let mut inv = Invariants::default();
+        let engine = PolicyPreset::Cppe.build(3);
+        let r = simulate_with(&tiny_cfg(), engine, &streams, 128, 512, &mut inv);
+        inv.assert_clean();
+        assert_eq!(inv.checks, r.driver.batches);
     }
 
     #[test]
@@ -932,6 +806,7 @@ mod tests {
             r.engine.pages_migrated
         );
         assert!(!t.events.is_empty());
+        assert!(!t.spans.is_empty(), "lane span trees ride along");
 
         let off = simulate_accesses(
             &tiny_cfg(),

@@ -76,6 +76,11 @@ impl WaiterTable {
         .map(move |c| self.slab[c as usize].0)
     }
 
+    /// Every page with at least one waiter, in no particular order.
+    pub fn pages(&self) -> impl Iterator<Item = VirtPage> + '_ {
+        self.runs.keys().copied()
+    }
+
     /// Remove `page`'s waiter list, invoking `wake` on each lane in
     /// arrival order and returning the cells to the free list. Returns
     /// true if any lane was waiting.

@@ -11,7 +11,7 @@
 //! hpe-nopf lru-nopf tree
 
 use cppe::presets::PolicyPreset;
-use gpu::{simulate, GpuConfig};
+use gpu::{simulate_with, FireCounts, GpuConfig};
 use workloads::registry;
 
 fn parse_policy(name: &str) -> Option<PolicyPreset> {
@@ -127,8 +127,9 @@ fn main() {
     let pages = spec.pages(args.scale);
     let capacity = (((pages as f64 * args.rate) as u64).max(32) / 16 * 16) as u32;
     let engine = args.policy.build(args.seed);
+    let mut fired = FireCounts::default();
     let t0 = std::time::Instant::now();
-    let r = simulate(&gpu, engine, &streams, capacity, pages);
+    let r = simulate_with(&gpu, engine, &streams, capacity, pages, &mut fired);
     let wall = t0.elapsed();
 
     println!(
@@ -164,6 +165,10 @@ fn main() {
         r.engine.chunk_evictions, r.engine.pages_evicted, r.engine.total_untouch
     );
     println!("wrong evictions   {}", r.wrong_evictions);
+    println!(
+        "fast lane         {} of {} accesses ran ahead inline ({} streaks, longest {})",
+        fired.run_ahead, r.accesses, fired.streaks, fired.longest_streak
+    );
     println!(
         "pcie              {} B in, {} B out",
         r.bytes_h2d, r.bytes_d2h

@@ -416,6 +416,12 @@ impl UvmDriver {
         self.frames.free()
     }
 
+    /// Size of the frame pool (GPU memory capacity in pages).
+    #[must_use]
+    pub fn capacity_frames(&self) -> u32 {
+        self.frames.capacity()
+    }
+
     /// Has the run crashed from thrash?
     #[must_use]
     pub fn crashed(&self) -> bool {

@@ -1,17 +1,19 @@
 //! Chaos harness: sweep deterministic fault-injection scenarios across
 //! workloads and assert the simulator's robustness invariants.
 //!
-//! Under any injection scenario the simulator must (1) never panic,
-//! (2) never leak frames (capacity − free == resident), (3) keep
-//! residency within capacity, (4) keep the batch timeline monotone in
-//! event time, and (5) end every run Completed, Degraded or Timeout —
+//! Under any injection scenario the simulator must (0) pass the
+//! `gpu::Invariants` cross-structure checks at every batch boundary,
+//! (1) never panic, (2) never leak frames (capacity − free == resident),
+//! (3) keep residency within capacity, (4) keep the batch timeline
+//! monotone in event time, and (5) end every run Completed, Degraded or
+//! Timeout —
 //! injected faults are survivable by construction (retry + backoff +
 //! deferral), so they must not turn a completing workload into a crash.
 //! A final pair of tests demonstrates the degradation ladder rescuing a
 //! thrash-crashing run and re-checks bit-identical determinism.
 
 use cppe::presets::PolicyPreset;
-use gpu::{simulate, GpuConfig, Outcome, RunResult};
+use gpu::{simulate, simulate_with, GpuConfig, Invariants, Outcome, RunResult, Timeline};
 use harness::runner::capacity_pages;
 use sim_core::fault::InjectionConfig;
 use uvm::driver::ResilienceConfig;
@@ -35,16 +37,29 @@ fn scenarios(seed: u64) -> Vec<(&'static str, InjectionConfig)> {
     ]
 }
 
+/// A chaos run plus what its observers saw.
+struct Run {
+    result: RunResult,
+    timeline: Timeline,
+    invariants: Invariants,
+}
+
+impl std::ops::Deref for Run {
+    type Target = RunResult;
+    fn deref(&self) -> &RunResult {
+        &self.result
+    }
+}
+
 fn run_one(
     abbr: &str,
     preset: PolicyPreset,
     injection: InjectionConfig,
     resilience: ResilienceConfig,
-) -> RunResult {
+) -> Run {
     let spec = registry::by_abbr(abbr).expect("known app");
     let gpu = GpuConfig {
         warps_per_sm: 1,
-        record_timeline: true,
         injection,
         resilience,
         ..GpuConfig::default()
@@ -55,12 +70,32 @@ fn run_one(
         .collect();
     let capacity = capacity_pages(&spec, 0.5, SCALE);
     let engine = preset.build(0xC0FFEE ^ spec.seed);
-    simulate(&gpu, engine, &streams, capacity, spec.pages(SCALE))
+    let mut observers = (Timeline::default(), Invariants::default());
+    let result = simulate_with(
+        &gpu,
+        engine,
+        &streams,
+        capacity,
+        spec.pages(SCALE),
+        &mut observers,
+    );
+    let (timeline, invariants) = observers;
+    Run {
+        result,
+        timeline,
+        invariants,
+    }
 }
 
 /// Structural invariants every chaos run must uphold regardless of how
 /// it ends — even a thrash-crash must leave the machine consistent.
-fn assert_invariants(label: &str, r: &RunResult) {
+fn assert_invariants(label: &str, run: &Run) {
+    let r = &run.result;
+    // (0) the per-batch cross-structure checks never tripped.
+    assert!(run.invariants.checks > 0, "{label}: no batch was checked");
+    if let Some(v) = &run.invariants.violation {
+        panic!("{label}: {v}");
+    }
     // (1) reaching here at all means no panic; service-path errors
     // surface in `error` instead.
     assert!(
@@ -80,7 +115,7 @@ fn assert_invariants(label: &str, r: &RunResult) {
         "{label}: more resident pages than frames"
     );
     // (4) monotone event time and cumulative counters in the timeline.
-    for w in r.timeline.windows(2) {
+    for w in run.timeline.points.windows(2) {
         assert!(w[0].cycle <= w[1].cycle, "{label}: time ran backwards");
         assert!(
             w[0].faults <= w[1].faults,

@@ -18,9 +18,10 @@
 //! adds proptest-generated stream shapes on top (same convention as
 //! `tests/properties.rs`).
 
+use cppe::engine::PolicyEngine;
 use cppe::presets::PolicyPreset;
 use gmmu::types::VirtPage;
-use gpu::{GpuConfig, RunResult};
+use gpu::{GpuConfig, RunResult, Timeline};
 use harness::{capacity_pages, ExpConfig};
 use telemetry::TraceConfig;
 use workloads::registry;
@@ -49,7 +50,20 @@ struct Fp {
     telemetry: Option<(usize, usize, usize, u64)>,
 }
 
-fn fp(r: &RunResult) -> Fp {
+/// Simulate with a batch timeline attached and fingerprint the run.
+fn run(
+    cfg: &GpuConfig,
+    engine: PolicyEngine,
+    streams: &[Vec<LaneItem>],
+    capacity: u32,
+    footprint: u64,
+) -> Fp {
+    let mut timeline = Timeline::default();
+    let r = gpu::simulate_with(cfg, engine, streams, capacity, footprint, &mut timeline);
+    fp(&r, &timeline)
+}
+
+fn fp(r: &RunResult, timeline: &Timeline) -> Fp {
     let head = format!(
         "{:?} err={:?} cycles={} accesses={} {:?} {:?} {:?} h2d={} d2h={} wrong={} \
          pbuf={} cap={} free={} resident={} {:?} mhpe={}",
@@ -71,7 +85,7 @@ fn fp(r: &RunResult) -> Fp {
         r.mhpe.is_some(),
     );
     let mut th: u64 = 0xCBF2_9CE4_8422_2325;
-    for p in &r.timeline {
+    for p in &timeline.points {
         fnv(&mut th, p.cycle);
         fnv(&mut th, p.faults);
         fnv(&mut th, p.pages_migrated);
@@ -99,7 +113,7 @@ fn fp(r: &RunResult) -> Fp {
     });
     Fp {
         head,
-        timeline_len: r.timeline.len(),
+        timeline_len: timeline.points.len(),
         timeline_hash: th,
         telemetry,
     }
@@ -107,7 +121,6 @@ fn fp(r: &RunResult) -> Fp {
 
 fn gpu_cfg(fast_lane: bool) -> GpuConfig {
     GpuConfig {
-        record_timeline: true,
         fast_lane,
         ..ExpConfig::default().gpu
     }
@@ -127,13 +140,7 @@ fn paper_cell(abbr: &str, preset: PolicyPreset, scale: f64, mutate: &dyn Fn(&mut
             .collect();
         let seed = ExpConfig::default().seed ^ spec.seed;
         let engine = preset.build(seed);
-        results.push(fp(&gpu::simulate(
-            &cfg,
-            engine,
-            &streams,
-            capacity,
-            spec.pages(scale),
-        )));
+        results.push(run(&cfg, engine, &streams, capacity, spec.pages(scale)));
     }
     assert_eq!(
         results[0],
@@ -205,9 +212,7 @@ fn synthetic_cell(
         let mut cfg = gpu_cfg(fast_lane);
         mutate(&mut cfg);
         let engine = preset.build(seed ^ 0xD1B5_4A32_D192_ED03);
-        results.push(fp(&gpu::simulate(
-            &cfg, engine, &streams, capacity, footprint,
-        )));
+        results.push(run(&cfg, engine, &streams, capacity, footprint));
     }
     assert_eq!(
         results[0],
@@ -293,7 +298,7 @@ fn single_lane_long_streaks_agree() {
     for fast_lane in [true, false] {
         let cfg = gpu_cfg(fast_lane);
         let engine = PolicyPreset::Cppe.build(7);
-        results.push(fp(&gpu::simulate(&cfg, engine, &streams, 64, 48)));
+        results.push(run(&cfg, engine, &streams, 64, 48));
     }
     assert_eq!(results[0], results[1]);
 }
@@ -349,7 +354,7 @@ mod prop {
             for fast_lane in [true, false] {
                 let cfg = gpu_cfg(fast_lane);
                 let engine = preset.build(seed ^ 0x9E37_79B9_7F4A_7C15);
-                results.push(fp(&gpu::simulate(&cfg, engine, &streams, capacity, footprint)));
+                results.push(run(&cfg, engine, &streams, capacity, footprint));
             }
             prop_assert_eq!(&results[0], &results[1]);
         }

@@ -12,7 +12,7 @@
 //! figure.
 
 use cppe::presets::PolicyPreset;
-use gpu::GpuConfig;
+use gpu::Timeline;
 use harness::{capacity_pages, ExpConfig};
 use workloads::registry;
 
@@ -56,10 +56,6 @@ fn fnv(h: &mut u64, v: u64) {
 fn fingerprint(abbr: &str, preset: PolicyPreset) -> Fp {
     let cfg = ExpConfig {
         scale: 0.25,
-        gpu: GpuConfig {
-            record_timeline: true,
-            ..ExpConfig::default().gpu
-        },
         ..ExpConfig::default()
     };
     let spec = registry::by_abbr(abbr).expect("known app");
@@ -69,9 +65,17 @@ fn fingerprint(abbr: &str, preset: PolicyPreset) -> Fp {
         .collect();
     let capacity = capacity_pages(&spec, 0.5, cfg.scale);
     let engine = preset.build(cfg.seed ^ spec.seed);
-    let r = gpu::simulate(&cfg.gpu, engine, &streams, capacity, spec.pages(cfg.scale));
+    let mut timeline = Timeline::default();
+    let r = gpu::simulate_with(
+        &cfg.gpu,
+        engine,
+        &streams,
+        capacity,
+        spec.pages(cfg.scale),
+        &mut timeline,
+    );
     let mut th: u64 = 0xCBF2_9CE4_8422_2325;
-    for p in &r.timeline {
+    for p in &timeline.points {
         fnv(&mut th, p.cycle);
         fnv(&mut th, p.faults);
         fnv(&mut th, p.pages_migrated);
@@ -109,7 +113,7 @@ fn fingerprint(abbr: &str, preset: PolicyPreset) -> Fp {
         wrong_evictions: r.wrong_evictions,
         frames_free: r.frames_free,
         resident_pages: r.resident_pages,
-        timeline_len: r.timeline.len(),
+        timeline_len: timeline.points.len(),
         timeline_hash: th,
     }
 }
