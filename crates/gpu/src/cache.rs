@@ -4,8 +4,9 @@
 //! modelled as *page-presence* caches that determine the latency of the
 //! data access that follows a successful translation:
 //!
-//! * per-SM L1 (Table I: 48 KB → 12 pages) — hit: 4 cycles,
-//! * shared L2 (Table I: 3 MB → 768 pages) — hit: 30 cycles,
+//! * per-SM L1 (Table I: 48 KB → 12 pages, 2 sets × 6 ways) — hit: 4
+//!   cycles,
+//! * shared L2 (Table I: 3 MB → 768 pages, 16 ways) — hit: 30 cycles,
 //! * GDDR5 miss — 200 cycles.
 //!
 //! This is intentionally coarse (the policies under study never see
@@ -13,15 +14,26 @@
 //! instead of constant, and evicted pages are invalidated so stale
 //! residency never shortens a post-eviction re-access.
 //!
-//! Like the TLBs and the page-walk cache, the presence caches sit on
-//! the hit path of *every* access, so they use the same indexed
-//! set-associative store ([`gmmu::assoc::IndexedSets`]): O(1) probes
-//! and O(1) true-LRU replacement instead of the seed's per-lookup way
-//! scans and min-stamp victim searches. The scan implementation the
-//! seed used is preserved below as [`legacy::ScanPageCache`] and a
-//! model-based test drives both through random op streams — hit/miss
-//! results, victim choices and counters must agree exactly (the golden
-//! fingerprints depend on every latency this model returns).
+//! Both levels sit on the hit path of *every* access, and every evicted
+//! page is invalidated in all of them, so their layouts follow their
+//! geometry:
+//!
+//! * the per-SM L1s are one flat `L1Bank`: a single `Vec<u64>` of
+//!   page numbers laid out set-major, so an SM's 6-way set row is 48
+//!   contiguous bytes and the same set of *every* SM is one contiguous
+//!   run. Rows are kept MRU-first (a hit moves its way to the front, a
+//!   miss rotates the LRU or an empty tail way to the front), which is
+//!   exactly the seed's min-stamp true LRU. Invalidating a page is one
+//!   scan of `sms × 6` words instead of one hash probe per SM;
+//! * the L2 is a [`PageCache`] on the indexed set-associative store
+//!   shared with the TLBs ([`gmmu::assoc::IndexedSets`]): O(1) probes
+//!   and O(1) true-LRU replacement over its 48 sets × 16 ways.
+//!
+//! The seed's scan implementation is preserved below as
+//! [`legacy::ScanPageCache`], and model-based tests drive both layouts
+//! against it through random op streams — hit/miss results, victim
+//! choices and counters must agree exactly (the golden fingerprints
+//! depend on every latency this model returns).
 
 use crate::dram::{Dram, DramConfig};
 use gmmu::assoc::IndexedSets;
@@ -73,13 +85,92 @@ impl PageCache {
     pub fn invalidate(&mut self, page: VirtPage) {
         self.sets.remove(page);
     }
+
+    /// Whether `page` is cached (no LRU update).
+    #[must_use]
+    pub fn contains(&self, page: VirtPage) -> bool {
+        self.sets.peek(page).is_some()
+    }
+}
+
+/// Table I's per-SM L1: 48 KB = 12 pages, as this many sets…
+const L1_SETS: usize = 2;
+/// …of this many ways.
+const L1_WAYS: usize = 6;
+/// Table I's shared L2: 3 MB = 768 pages…
+const L2_PAGES: usize = 768;
+/// …16-way set-associative.
+const L2_WAYS: usize = 16;
+/// Marks an empty L1 way; empty ways always sit at a row's tail.
+const EMPTY: u64 = u64::MAX;
+
+/// Every SM's L1 presence cache in one flat, set-major array of page
+/// numbers: SM `sm`'s row for set `s` is
+/// `ways[(s * sms + sm) * L1_WAYS..][..L1_WAYS]`, most recently used
+/// first. A row's order is its LRU order, so the seed's min-stamp
+/// victim is always the last way.
+#[derive(Debug)]
+struct L1Bank {
+    sms: usize,
+    ways: Vec<u64>,
+}
+
+impl L1Bank {
+    fn new(sms: usize) -> Self {
+        L1Bank {
+            sms,
+            ways: vec![EMPTY; L1_SETS * sms * L1_WAYS],
+        }
+    }
+
+    /// Words holding set `page mod L1_SETS` for every SM.
+    #[inline]
+    fn set_span(&self, page: VirtPage) -> std::ops::Range<usize> {
+        let row = self.sms * L1_WAYS;
+        let start = (page.0 % L1_SETS as u64) as usize * row;
+        start..start + row
+    }
+
+    /// Access `page` from SM `sm`: returns true on a hit; a miss
+    /// allocates, displacing the LRU way when the row is full.
+    #[inline]
+    fn access(&mut self, sm: usize, page: VirtPage) -> bool {
+        debug_assert!(sm < self.sms && page.0 != EMPTY);
+        let start = self.set_span(page).start + sm * L1_WAYS;
+        let row = &mut self.ways[start..start + L1_WAYS];
+        if let Some(i) = row.iter().position(|&p| p == page.0) {
+            row[..=i].rotate_right(1);
+            true
+        } else {
+            row.rotate_right(1);
+            row[0] = page.0;
+            false
+        }
+    }
+
+    /// Drop `page` from every SM's row, keeping the survivors' order.
+    #[inline]
+    fn invalidate(&mut self, page: VirtPage) {
+        let span = self.set_span(page);
+        for row in self.ways[span].chunks_exact_mut(L1_WAYS) {
+            if let Some(i) = row.iter().position(|&p| p == page.0) {
+                row[i..].rotate_left(1);
+                row[L1_WAYS - 1] = EMPTY;
+            }
+        }
+    }
+
+    /// Whether any SM holds `page` (no LRU update).
+    fn holds(&self, page: VirtPage) -> bool {
+        self.ways[self.set_span(page)].contains(&page.0)
+    }
 }
 
 /// The two-level data-cache hierarchy backed by the GDDR5 channel
 /// model ([`Dram`]).
 #[derive(Debug)]
 pub struct DataHierarchy {
-    l1: Vec<PageCache>,
+    l1: L1Bank,
     l2: PageCache,
     dram: Dram,
     l1_hit: u64,
@@ -91,8 +182,8 @@ impl DataHierarchy {
     #[must_use]
     pub fn new(sms: usize) -> Self {
         DataHierarchy {
-            l1: (0..sms).map(|_| PageCache::new(12, 6)).collect(),
-            l2: PageCache::new(768, 16),
+            l1: L1Bank::new(sms),
+            l2: PageCache::new(L2_PAGES, L2_WAYS),
             dram: Dram::new(DramConfig::default()),
             l1_hit: 4,
             l2_hit: 30,
@@ -101,7 +192,7 @@ impl DataHierarchy {
 
     /// Latency of a data access from SM `sm` to `page` at time `now`.
     pub fn access(&mut self, sm: usize, page: VirtPage, now: Cycle) -> u64 {
-        if self.l1[sm].access(page) {
+        if self.l1.access(sm, page) {
             self.l1_hit
         } else if self.l2.access(page) {
             self.l1_hit + self.l2_hit
@@ -118,10 +209,15 @@ impl DataHierarchy {
 
     /// Invalidate an evicted page everywhere.
     pub fn invalidate(&mut self, page: VirtPage) {
-        for l1 in &mut self.l1 {
-            l1.invalidate(page);
-        }
+        self.l1.invalidate(page);
         self.l2.invalidate(page);
+    }
+
+    /// Whether any L1 or the L2 holds `page`. Read-only: no LRU state
+    /// or counter changes.
+    #[must_use]
+    pub fn holds(&self, page: VirtPage) -> bool {
+        self.l1.holds(page) || self.l2.contains(page)
     }
 }
 
@@ -256,20 +352,14 @@ mod tests {
         // every hit/miss result and on the counters — the victim choice
         // is observable through later hits/misses, so a long random
         // stream over a page range larger than capacity exercises it.
-        let mut rng = 0x1234_5678_9ABC_DEF0u64;
-        let mut step = move || {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            rng
-        };
+        let mut step = xorshift(0x1234_5678_9ABC_DEF0);
         for (entries, assoc) in [(12, 6), (768, 16), (4, 4)] {
             let mut fast = PageCache::new(entries, assoc);
             let mut slow = legacy::ScanPageCache::new(entries, assoc);
             for op in 0..200_000u64 {
                 let r = step();
                 let page = VirtPage(r % (entries as u64 * 3));
-                if r % 13 == 0 {
+                if r.is_multiple_of(13) {
                     fast.invalidate(page);
                     slow.invalidate(page);
                 } else {
@@ -280,5 +370,103 @@ mod tests {
             assert_eq!(fast.hits.get(), slow.hits.get());
             assert_eq!(fast.misses.get(), slow.misses.get());
         }
+    }
+
+    /// xorshift64 stream for the model-based tests.
+    fn xorshift(mut x: u64) -> impl FnMut() -> u64 {
+        move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        }
+    }
+
+    #[test]
+    fn l1_bank_matches_per_sm_scan_caches() {
+        // The bank must behave exactly like `sms` independent seed
+        // caches: same hit/miss on every access, and invalidation must
+        // reach every SM without disturbing the survivors' LRU order.
+        for sms in [1, 4, 28] {
+            let mut step = xorshift(0x9E37_79B9_7F4A_7C15 ^ sms as u64);
+            let mut bank = L1Bank::new(sms);
+            let mut oracle: Vec<_> = (0..sms)
+                .map(|_| legacy::ScanPageCache::new(L1_SETS * L1_WAYS, L1_WAYS))
+                .collect();
+            let pages = (L1_SETS * L1_WAYS * 3) as u64;
+            for op in 0..300_000u64 {
+                let r = step();
+                let page = VirtPage((r >> 8) % pages);
+                if r.is_multiple_of(11) {
+                    bank.invalidate(page);
+                    for o in &mut oracle {
+                        o.invalidate(page);
+                    }
+                } else {
+                    let sm = (r >> 40) as usize % sms;
+                    let (f, s) = (bank.access(sm, page), oracle[sm].access(page));
+                    assert_eq!(f, s, "op {op}: {sms} SMs diverged on SM {sm} {page:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hierarchy_matches_scan_oracle_hierarchy() {
+        // Latencies of the whole hierarchy against the seed's layout: one
+        // scan cache per SM, a scan L2 and the same DRAM model.
+        for sms in [1, 4, 28] {
+            let mut step = xorshift(0xC0FF_EE00_D15E_A5E5 ^ sms as u64);
+            let mut h = DataHierarchy::new(sms);
+            let mut l1: Vec<_> = (0..sms)
+                .map(|_| legacy::ScanPageCache::new(L1_SETS * L1_WAYS, L1_WAYS))
+                .collect();
+            let mut l2 = legacy::ScanPageCache::new(L2_PAGES, L2_WAYS);
+            let mut dram = Dram::new(DramConfig::default());
+            let pages = (L2_PAGES * 2) as u64;
+            let mut now = 0u64;
+            for op in 0..200_000u64 {
+                let r = step();
+                // Skewed pages so the L1s and L2 see reuse as well as churn.
+                let page = VirtPage((r >> 8) % if r.is_multiple_of(3) { pages } else { 40 });
+                if r.is_multiple_of(17) {
+                    h.invalidate(page);
+                    for c in &mut l1 {
+                        c.invalidate(page);
+                    }
+                    l2.invalidate(page);
+                    assert!(!h.holds(page));
+                    continue;
+                }
+                now += (r >> 48) % 64;
+                let sm = (r >> 32) as usize % sms;
+                let want = if l1[sm].access(page) {
+                    4
+                } else if l2.access(page) {
+                    4 + 30
+                } else {
+                    4 + 30 + dram.access(page, Cycle(now))
+                };
+                assert_eq!(h.access(sm, page, Cycle(now)), want, "op {op}: {sms} SMs");
+                assert!(h.holds(page));
+            }
+            assert_eq!(h.dram_stats(), (dram.row_hits.get(), dram.row_misses.get()));
+        }
+    }
+
+    #[test]
+    fn holds_is_read_only() {
+        let mut h = DataHierarchy::new(2);
+        // Fill SM 0's set-0 row: pages 0, 2, …, 10 (page 0 is LRU).
+        for p in (0..12).step_by(2) {
+            h.access(0, VirtPage(p), Cycle::ZERO);
+        }
+        assert!(h.holds(VirtPage(0)));
+        assert!(!h.holds(VirtPage(1)));
+        // Had `holds` refreshed page 0, page 2 would be the victim here.
+        h.access(0, VirtPage(12), Cycle::ZERO);
+        assert!(h.holds(VirtPage(2)));
+        assert_eq!(h.access(0, VirtPage(2), Cycle(10_000)), 4);
+        assert_eq!(h.access(0, VirtPage(0), Cycle(20_000)), 4 + 30);
     }
 }

@@ -21,6 +21,7 @@
 //! `GpuConfig::trace` (see `crate::spans`). A pair `(A, B)` of observers
 //! is itself an observer that calls `A` then `B`.
 
+use crate::cache::DataHierarchy;
 use crate::waiters::WaiterTable;
 use gmmu::translation::{TranslationPath, TranslationTiming};
 use gmmu::types::VirtPage;
@@ -33,6 +34,7 @@ use uvm::driver::{BatchResult, UvmDriver};
 pub struct Ctx<'a> {
     pub(crate) driver: &'a mut UvmDriver,
     pub(crate) xlat: &'a TranslationPath,
+    pub(crate) caches: &'a DataHierarchy,
     pub(crate) waiting: &'a WaiterTable,
     pub(crate) pending: &'a [VirtPage],
 }
@@ -48,6 +50,12 @@ impl<'a> Ctx<'a> {
     #[must_use]
     pub fn xlat(&self) -> &'a TranslationPath {
         self.xlat
+    }
+
+    /// The L1/L2 data caches.
+    #[must_use]
+    pub fn caches(&self) -> &'a DataHierarchy {
+        self.caches
     }
 
     /// Lanes blocked on in-flight far faults, per page.
@@ -73,6 +81,7 @@ impl<'a> Ctx<'a> {
         Ctx {
             driver: self.driver,
             xlat: self.xlat,
+            caches: self.caches,
             waiting: self.waiting,
             pending: self.pending,
         }
@@ -277,6 +286,7 @@ impl Observer for FireCounts {
 /// * every page this batch migrated or evicted has TLB bookkeeping that
 ///   matches the TLBs — presence masks name exactly the TLBs holding
 ///   it, and a non-resident page is cached nowhere;
+/// * no page this batch evicted is still held by a data cache;
 /// * no lane waits on two pages at once, and every page with waiters
 ///   is either pending dispatch or has a completion queued;
 /// * batches dispatch in non-decreasing time.
@@ -321,6 +331,9 @@ impl Invariants {
                     "TLB bookkeeping of {page:?} disagrees with the TLBs"
                 ));
             }
+        }
+        if let Some(page) = batch.evicted.iter().find(|&&p| ctx.caches().holds(p)) {
+            return Err(format!("evicted {page:?} is still in a data cache"));
         }
         if dispatch.0 < self.last_dispatch {
             return Err(format!(

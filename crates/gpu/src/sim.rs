@@ -182,6 +182,7 @@ impl Machine {
         Ctx {
             driver: &mut self.driver,
             xlat: &self.xlat,
+            caches: &self.caches,
             waiting: &self.waiting,
             pending: &self.pending,
         }
