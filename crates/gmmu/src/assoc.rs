@@ -1,345 +1,169 @@
-//! Indexed set-associative LRU storage — the hit-path probe engine
-//! shared by the TLBs and the page-walk cache.
+//! Flat true-LRU rows — the set-associative store behind the TLBs, the
+//! page-walk cache and the GPU data-cache L2.
 //!
-//! The seed implementations found an entry by scanning every filled way
-//! of its set and picked replacement victims by scanning for the
-//! minimum use stamp. For the fully-associative 128-entry L1 TLB that
-//! is up to three 128-way scans *per access* (miss probe, insert
-//! existence check, victim search) — and the golden fingerprints show
-//! the L1 never hits at bench scale, so every single access pays the
-//! worst case. [`IndexedSets`] replaces the scans with:
+//! [`LruRows`] keeps two parallel arrays, `keys: Vec<u64>` and
+//! `vals: Vec<V>`. Each set owns two row widths of words; its row is the
+//! `ways` words from the set's head, most recently used first. A hit
+//! rotates its way to the front and a remove rotates the ways behind it
+//! left, keeping the survivors' order. A fill steps the head back one
+//! word, so the last way (the LRU victim, or an empty way) drops off
+//! the end and no other way moves; once the head reaches the start of
+//! the set's words, the row is copied to the back half, one copy per
+//! `ways` fills. Empty ways hold [`EMPTY`] and always sit at a row's
+//! tail, so a probe is one scan of one contiguous row.
 //!
-//! * an **open-addressed index** (linear probing, ≤50 % load,
-//!   backward-shift deletion) mapping a key to its slot in O(1) probes,
-//! * a per-set **intrusive LRU list** (`prev`/`next` slot links with
-//!   per-set head/tail) so the replacement victim is the list tail —
-//!   no stamp scan, and
-//! * **generation-tagged** index entries: `clear()` bumps a generation
-//!   instead of walking the index, so a full flush is O(sets) not
-//!   O(index capacity).
-//!
-//! # Bit-identity with the scan implementation
-//!
-//! Observable behaviour must match the scan-based structures exactly —
-//! the golden fingerprints in `tests/perf_identity.rs` depend on every
-//! hit, miss and victim choice. The equivalence argument:
-//!
-//! * the old code stamped an entry with a strictly-increasing tick on
-//!   every lookup hit and insert, and evicted the minimum-stamp way;
-//!   stamps are unique, so "minimum stamp" is exactly "least recently
-//!   moved to the front of an LRU list" — the list tail;
-//! * within-set storage order was never observable (old removal swapped
-//!   the last way into the hole; victim choice used stamps, not
-//!   positions), so free-slot management here can differ freely;
-//! * `clear()`/generation bumps only change *when* work happens, not
-//!   what a subsequent probe returns.
-//!
-//! `tlb.rs` locks this with a model-based test driving millions of
-//! random ops through both implementations.
+//! The seed's structures stamped an entry with a strictly increasing
+//! tick on every hit and insert and evicted the minimum-stamp way.
+//! Sorting a set by stamp gives exactly the move-to-front order kept
+//! here, and the minimum-stamp way is the last filled way, so hits,
+//! misses and victims all agree. `tlb.rs`, `walk_cache.rs` and
+//! `gpu::cache` lock this with model tests against their `legacy::*`
+//! scan oracles.
 
-const NIL: u32 = u32::MAX;
+/// Key of an empty way. Never a valid key: pages and packed node ids
+/// stay below it.
+pub const EMPTY: u64 = u64::MAX;
 
-/// Keys usable in the open-addressed index.
-pub trait IndexKey: Copy + Eq {
-    /// Well-mixed 64-bit hash; the index takes its low bits.
-    fn index_hash(self) -> u64;
-}
-
-/// Fibonacci-style mixer: multiply spreads entropy up, the xor-shift
-/// folds the high bits back down so masking the low bits of the result
-/// sees the whole key.
-#[inline]
-pub(crate) fn mix64(x: u64) -> u64 {
-    let h = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    h ^ (h >> 32)
-}
-
-#[derive(Clone, Copy)]
-struct IdxEntry<K> {
-    key: K,
-    slot: u32,
-    /// Entry is live iff this equals the structure's current generation.
-    gen: u32,
-}
-
-/// Set-associative storage with an O(1) key index and O(1) true-LRU
-/// replacement. Slot `s` belongs to set `s / assoc`.
-pub struct IndexedSets<K, V> {
-    assoc: u32,
-    /// Per-slot key/value storage (`n_sets × assoc` slots).
-    keys: Vec<K>,
+/// `n_sets` rows of `ways` keys and values, each row MRU-first.
+#[derive(Clone)]
+pub struct LruRows<V> {
+    ways: usize,
+    /// Two row widths per set; words outside the live rows are empty.
+    keys: Vec<u64>,
     vals: Vec<V>,
-    /// Intrusive per-set LRU links (head = MRU, tail = LRU victim).
-    /// `next` doubles as the free-list link for vacated slots.
-    prev: Vec<u32>,
-    next: Vec<u32>,
-    head: Vec<u32>,
-    tail: Vec<u32>,
-    /// Filled slots per set.
-    lens: Vec<u32>,
-    /// High-water mark of slots ever handed out per set.
-    fill: Vec<u32>,
-    /// Per-set free list of slots vacated by `remove`.
-    free: Vec<u32>,
-    /// Open-addressed key → slot index, 2× oversized (≤50 % load).
-    idx: Vec<IdxEntry<K>>,
-    idx_mask: usize,
-    gen: u32,
+    /// Index of each set's front (most recently used) way.
+    heads: Vec<usize>,
 }
 
-impl<K: IndexKey + Default, V: Copy + Default> IndexedSets<K, V> {
-    /// Build storage for `n_sets × assoc` entries.
+impl<V: Copy + Default> LruRows<V> {
+    /// Build `n_sets × ways` empty ways.
     ///
     /// # Panics
-    /// Panics on zero sets or zero associativity.
-    pub fn new(n_sets: usize, assoc: usize) -> Self {
-        assert!(n_sets > 0 && assoc > 0, "degenerate geometry");
-        let entries = n_sets * assoc;
-        let cap = (entries * 2).next_power_of_two().max(16);
-        IndexedSets {
-            assoc: assoc as u32,
-            keys: vec![K::default(); entries],
-            vals: vec![V::default(); entries],
-            prev: vec![NIL; entries],
-            next: vec![NIL; entries],
-            head: vec![NIL; n_sets],
-            tail: vec![NIL; n_sets],
-            lens: vec![0; n_sets],
-            fill: vec![0; n_sets],
-            free: vec![NIL; n_sets],
-            idx: vec![
-                IdxEntry {
-                    key: K::default(),
-                    slot: 0,
-                    gen: 0,
-                };
-                cap
-            ],
-            idx_mask: cap - 1,
-            gen: 1,
+    /// Panics on zero sets or zero ways.
+    #[must_use]
+    pub fn new(n_sets: usize, ways: usize) -> Self {
+        assert!(n_sets > 0 && ways > 0, "degenerate geometry");
+        LruRows {
+            ways,
+            keys: vec![EMPTY; n_sets * 2 * ways],
+            vals: vec![V::default(); n_sets * 2 * ways],
+            heads: (0..n_sets).map(|s| (2 * s + 1) * ways).collect(),
         }
     }
 
-    /// Slot holding `key`, if present.
+    /// Word range of set `set`'s row.
     #[inline]
-    fn find_slot(&self, key: K) -> Option<u32> {
-        let mut i = (key.index_hash() as usize) & self.idx_mask;
-        loop {
-            let e = &self.idx[i];
-            if e.gen != self.gen {
-                return None;
-            }
-            if e.key == key {
-                return Some(e.slot);
-            }
-            i = (i + 1) & self.idx_mask;
-        }
+    fn row(&self, set: usize) -> std::ops::Range<usize> {
+        let start = self.heads[set];
+        start..start + self.ways
     }
 
-    /// Index position *and* slot of `key`, if present.
+    /// Position of `key` within its row, if present.
     #[inline]
-    fn find_pos(&self, key: K) -> Option<(usize, u32)> {
-        let mut i = (key.index_hash() as usize) & self.idx_mask;
-        loop {
-            let e = &self.idx[i];
-            if e.gen != self.gen {
-                return None;
-            }
-            if e.key == key {
-                return Some((i, e.slot));
-            }
-            i = (i + 1) & self.idx_mask;
-        }
+    fn find(&self, set: usize, key: u64) -> Option<usize> {
+        debug_assert!(key != EMPTY, "the empty sentinel is not a key");
+        self.keys[self.row(set)].iter().position(|&k| k == key)
     }
 
+    /// Move way `i` of `set`'s row to the front.
     #[inline]
-    fn index_insert(&mut self, key: K, slot: u32) {
-        let mut i = (key.index_hash() as usize) & self.idx_mask;
-        while self.idx[i].gen == self.gen {
-            debug_assert!(self.idx[i].key != key, "duplicate index insert");
-            i = (i + 1) & self.idx_mask;
-        }
-        self.idx[i] = IdxEntry {
-            key,
-            slot,
-            gen: self.gen,
-        };
+    fn promote(&mut self, set: usize, i: usize) {
+        let start = self.heads[set];
+        self.keys[start..=start + i].rotate_right(1);
+        self.vals[start..=start + i].rotate_right(1);
     }
 
-    /// Backward-shift deletion: close the hole at `hole` by sliding
-    /// later cluster members back toward their ideal positions, so
-    /// probe chains never need tombstones.
-    fn index_remove_at(&mut self, mut hole: usize) {
-        let mask = self.idx_mask;
-        let mut i = (hole + 1) & mask;
-        loop {
-            let e = self.idx[i];
-            if e.gen != self.gen {
-                break;
-            }
-            let ideal = (e.key.index_hash() as usize) & mask;
-            // `e` may move back into the hole only if doing so does not
-            // jump it before its ideal position (circular distances).
-            if i.wrapping_sub(ideal) & mask >= i.wrapping_sub(hole) & mask {
-                self.idx[hole] = e;
-                hole = i;
-            }
-            i = (i + 1) & mask;
-        }
-        self.idx[hole].gen = self.gen.wrapping_sub(1);
-    }
-
-    /// Move `slot` to the front (MRU end) of its set's LRU list.
+    /// Look up `key` in `set`, moving it to the front on a hit.
     #[inline]
-    fn touch(&mut self, slot: u32) {
-        let set = (slot / self.assoc) as usize;
-        if self.head[set] == slot {
-            return;
-        }
-        let s = slot as usize;
-        let (p, n) = (self.prev[s], self.next[s]);
-        // Detach: `slot` is not the head, so `p` is a real slot.
-        self.next[p as usize] = n;
-        if n != NIL {
-            self.prev[n as usize] = p;
-        } else {
-            self.tail[set] = p;
-        }
-        // Re-link at the front.
-        let h = self.head[set];
-        self.prev[s] = NIL;
-        self.next[s] = h;
-        self.prev[h as usize] = slot;
-        self.head[set] = slot;
+    pub fn get(&mut self, set: usize, key: u64) -> Option<V> {
+        let i = self.find(set, key)?;
+        self.promote(set, i);
+        Some(self.vals[self.heads[set]])
     }
 
-    /// Look up `key`, refreshing its LRU position on a hit.
+    /// Look up `key` in `set` without touching LRU order.
     #[inline]
-    pub fn get(&mut self, key: K) -> Option<V> {
-        let slot = self.find_slot(key)?;
-        self.touch(slot);
-        Some(self.vals[slot as usize])
+    #[must_use]
+    pub fn peek(&self, set: usize, key: u64) -> Option<V> {
+        self.find(set, key).map(|i| self.vals[self.heads[set] + i])
     }
 
-    /// Look up `key` without touching LRU state.
+    /// Insert (or refresh) `key` in `set`. A refresh updates the value
+    /// and moves the way to the front; a full row evicts its LRU way
+    /// and returns it.
     #[inline]
-    pub fn peek(&self, key: K) -> Option<V> {
-        self.find_slot(key).map(|s| self.vals[s as usize])
-    }
-
-    /// Insert (or refresh) `key` in `set`. On a refresh the value is
-    /// updated in place; a full set evicts the LRU entry and returns it.
-    pub fn insert(&mut self, set: usize, key: K, val: V) -> Option<(K, V)> {
-        if let Some(slot) = self.find_slot(key) {
-            self.vals[slot as usize] = val;
-            self.touch(slot);
+    pub fn insert(&mut self, set: usize, key: u64, val: V) -> Option<(u64, V)> {
+        if let Some(i) = self.find(set, key) {
+            self.promote(set, i);
+            self.vals[self.heads[set]] = val;
             return None;
         }
-        let (slot, victim) = if self.lens[set] < self.assoc {
-            self.lens[set] += 1;
-            let s = if self.free[set] != NIL {
-                let s = self.free[set];
-                self.free[set] = self.next[s as usize];
-                s
-            } else {
-                let s = set as u32 * self.assoc + self.fill[set];
-                self.fill[set] += 1;
-                s
-            };
-            (s, None)
-        } else {
-            // Evict the LRU entry: detach the tail.
-            let s = self.tail[set];
-            let p = self.prev[s as usize];
-            self.tail[set] = p;
-            if p != NIL {
-                self.next[p as usize] = NIL;
-            } else {
-                self.head[set] = NIL;
-            }
-            let vk = self.keys[s as usize];
-            let vv = self.vals[s as usize];
-            let (pos, _) = self.find_pos(vk).expect("victim is indexed");
-            self.index_remove_at(pos);
-            (s, Some((vk, vv)))
-        };
-        let s = slot as usize;
-        self.keys[s] = key;
-        self.vals[s] = val;
-        let h = self.head[set];
-        self.prev[s] = NIL;
-        self.next[s] = h;
-        if h != NIL {
-            self.prev[h as usize] = slot;
-        } else {
-            self.tail[set] = slot;
-        }
-        self.head[set] = slot;
-        self.index_insert(key, slot);
-        victim
+        self.fill(set, key, val)
     }
 
-    /// Remove `key`. Returns true if it was present.
-    pub fn remove(&mut self, key: K) -> bool {
-        let Some((pos, slot)) = self.find_pos(key) else {
+    /// Insert `key`, which the caller knows is not in `set`, skipping
+    /// the existence scan. Returns the evicted LRU way of a full row.
+    #[inline]
+    pub fn fill(&mut self, set: usize, key: u64, val: V) -> Option<(u64, V)> {
+        debug_assert!(self.find(set, key).is_none(), "fill of a present key");
+        let (w, base) = (self.ways, 2 * set * self.ways);
+        if self.heads[set] == base {
+            // No word left before the row: move it to the back half.
+            self.keys.copy_within(base..base + w, base + w);
+            self.vals.copy_within(base..base + w, base + w);
+            self.keys[base..base + w].fill(EMPTY);
+            self.heads[set] = base + w;
+        }
+        self.heads[set] -= 1;
+        let h = self.heads[set];
+        let victim = std::mem::replace(&mut self.keys[h + w], EMPTY);
+        let victim_val = self.vals[h + w];
+        self.keys[h] = key;
+        self.vals[h] = val;
+        (victim != EMPTY).then_some((victim, victim_val))
+    }
+
+    /// Remove `key` from `set`, keeping the survivors' order. Returns
+    /// true if it was present.
+    #[inline]
+    pub fn remove(&mut self, set: usize, key: u64) -> bool {
+        let Some(i) = self.find(set, key) else {
             return false;
         };
-        self.index_remove_at(pos);
-        let set = (slot / self.assoc) as usize;
-        let s = slot as usize;
-        let (p, n) = (self.prev[s], self.next[s]);
-        if p != NIL {
-            self.next[p as usize] = n;
-        } else {
-            self.head[set] = n;
-        }
-        if n != NIL {
-            self.prev[n as usize] = p;
-        } else {
-            self.tail[set] = p;
-        }
-        self.lens[set] -= 1;
-        self.next[s] = self.free[set];
-        self.free[set] = slot;
+        let row = self.row(set);
+        self.keys[row.start + i..row.end].rotate_left(1);
+        self.vals[row.start + i..row.end].rotate_left(1);
+        self.keys[row.end - 1] = EMPTY;
         true
     }
 
-    /// Drop every entry. The index is invalidated by a generation bump
-    /// (epoch invalidation) — O(sets), not O(index capacity).
+    /// Empty every row.
     pub fn clear(&mut self) {
-        if self.gen == u32::MAX {
-            // One full sweep every 2^32 - 1 clears keeps stale
-            // generations from ever aliasing the current one.
-            for e in &mut self.idx {
-                e.gen = 0;
-            }
-            self.gen = 1;
-        } else {
-            self.gen += 1;
-        }
-        self.head.fill(NIL);
-        self.tail.fill(NIL);
-        self.lens.fill(0);
-        self.fill.fill(0);
-        self.free.fill(NIL);
+        self.keys.fill(EMPTY);
     }
 
-    /// Live entries across all sets.
+    /// Live entries across all rows.
     #[must_use]
     pub fn occupancy(&self) -> usize {
-        self.lens.iter().map(|&l| l as usize).sum()
+        self.keys.iter().filter(|&&k| k != EMPTY).count()
+    }
+
+    /// Every live `(key, value)`, row by row, MRU first.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, V)> + '_ {
+        self.keys
+            .iter()
+            .zip(&self.vals)
+            .filter(|(&k, _)| k != EMPTY)
+            .map(|(&k, &v)| (k, v))
     }
 }
 
-impl<K, V> std::fmt::Debug for IndexedSets<K, V> {
+impl<V: Copy + Default> std::fmt::Debug for LruRows<V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("IndexedSets")
-            .field("sets", &self.head.len())
-            .field("assoc", &self.assoc)
-            .field(
-                "occupancy",
-                &self.lens.iter().map(|&l| l as u64).sum::<u64>(),
-            )
+        f.debug_struct("LruRows")
+            .field("sets", &self.heads.len())
+            .field("ways", &self.ways)
+            .field("occupancy", &self.occupancy())
             .finish()
     }
 }
@@ -348,102 +172,78 @@ impl<K, V> std::fmt::Debug for IndexedSets<K, V> {
 mod tests {
     use super::*;
 
-    impl IndexKey for u64 {
-        fn index_hash(self) -> u64 {
-            mix64(self)
-        }
+    fn rows() -> LruRows<u32> {
+        LruRows::new(2, 2)
     }
 
-    fn sets() -> IndexedSets<u64, u32> {
-        IndexedSets::new(2, 2)
+    /// Keys of `set`'s row, MRU first, empty ways included.
+    fn row_keys(s: &LruRows<u32>, set: usize) -> Vec<u64> {
+        s.keys[s.row(set)].to_vec()
     }
 
     #[test]
     fn insert_get_peek() {
-        let mut s = sets();
+        let mut s = rows();
         assert_eq!(s.insert(0, 10, 1), None);
-        assert_eq!(s.get(10), Some(1));
-        assert_eq!(s.peek(10), Some(1));
-        assert_eq!(s.get(11), None);
+        assert_eq!(s.get(0, 10), Some(1));
+        assert_eq!(s.peek(0, 10), Some(1));
+        assert_eq!(s.get(0, 11), None);
+        assert_eq!(s.peek(1, 10), None, "rows are independent");
         assert_eq!(s.occupancy(), 1);
     }
 
     #[test]
     fn refresh_updates_value_without_evicting() {
-        let mut s = sets();
+        let mut s = rows();
         s.insert(0, 10, 1);
         s.insert(0, 12, 2);
         assert_eq!(s.insert(0, 10, 9), None);
-        assert_eq!(s.peek(10), Some(9));
+        assert_eq!(s.peek(0, 10), Some(9));
         assert_eq!(s.occupancy(), 2);
+        // The refresh made 10 the MRU way, so 12 is the victim.
+        assert_eq!(s.fill(0, 14, 3), Some((12, 2)));
     }
 
     #[test]
-    fn full_set_evicts_lru_tail() {
-        let mut s = sets();
+    fn full_row_evicts_lru_way() {
+        let mut s = rows();
         s.insert(0, 10, 1);
         s.insert(0, 12, 2);
-        s.get(10); // 12 becomes LRU
+        s.get(0, 10); // 12 becomes LRU
         assert_eq!(s.insert(0, 14, 3), Some((12, 2)));
-        assert_eq!(s.peek(10), Some(1));
-        assert_eq!(s.peek(12), None);
-        assert_eq!(s.peek(14), Some(3));
+        assert_eq!(s.peek(0, 10), Some(1));
+        assert_eq!(s.peek(0, 12), None);
+        assert_eq!(s.peek(0, 14), Some(3));
     }
 
     #[test]
-    fn remove_frees_the_slot_for_reuse() {
-        let mut s = sets();
-        s.insert(0, 10, 1);
-        s.insert(0, 12, 2);
-        assert!(s.remove(10));
-        assert!(!s.remove(10));
-        assert_eq!(s.occupancy(), 1);
-        assert_eq!(s.insert(0, 14, 3), None, "freed slot, no eviction");
-        assert_eq!(s.peek(12), Some(2));
-        assert_eq!(s.peek(14), Some(3));
+    fn remove_keeps_order_with_empties_at_the_tail() {
+        let mut s: LruRows<u32> = LruRows::new(1, 4);
+        for k in [10, 11, 12, 13] {
+            s.fill(0, k, k as u32);
+        }
+        // MRU-first row: 13 12 11 10.
+        assert!(s.remove(0, 12));
+        assert!(!s.remove(0, 12));
+        assert_eq!(row_keys(&s, 0), [13, 11, 10, EMPTY], "hole at the tail");
+        assert_eq!(s.occupancy(), 3);
+        // The empty tail way is reused before any live way is evicted,
+        // and the survivors' LRU order decides the next victim.
+        assert_eq!(s.fill(0, 14, 14), None);
+        assert_eq!(s.fill(0, 15, 15), Some((10, 10)));
+        assert_eq!(s.peek(0, 11), Some(11));
     }
 
     #[test]
-    fn clear_is_a_generation_bump() {
-        let mut s = sets();
+    fn clear_empties_every_row() {
+        let mut s = rows();
         s.insert(0, 10, 1);
         s.insert(1, 11, 2);
         s.clear();
         assert_eq!(s.occupancy(), 0);
-        assert_eq!(s.peek(10), None);
-        assert_eq!(s.peek(11), None);
-        s.insert(0, 10, 7);
-        assert_eq!(s.get(10), Some(7));
-    }
-
-    #[test]
-    fn backward_shift_keeps_probe_chains_intact() {
-        // Force a cluster: with a 16-slot index many sequential keys
-        // collide; deleting from the middle must not orphan later keys.
-        let mut s: IndexedSets<u64, u32> = IndexedSets::new(1, 8);
-        for k in 0..8u64 {
-            s.insert(0, k, k as u32);
-        }
-        let mut removed = Vec::new();
-        for k in [3u64, 0, 5] {
-            assert!(s.remove(k));
-            removed.push(k);
-            for other in 0..8u64 {
-                let want = (!removed.contains(&other)).then_some(other as u32);
-                assert_eq!(s.peek(other), want, "after removing {k}, key {other}");
-            }
-        }
-    }
-
-    #[test]
-    fn many_generations_stay_sound() {
-        let mut s = sets();
-        for round in 0..100u64 {
-            s.insert(0, round * 2, round as u32);
-            s.insert(1, round * 2 + 1, round as u32);
-            assert_eq!(s.peek(round * 2), Some(round as u32));
-            s.clear();
-            assert_eq!(s.peek(round * 2), None);
-        }
+        assert_eq!(s.peek(0, 10), None);
+        assert_eq!(s.peek(1, 11), None);
+        assert_eq!(s.insert(0, 10, 7), None);
+        assert_eq!(s.get(0, 10), Some(7));
     }
 }

@@ -14,8 +14,8 @@
 //!
 //! The module split mirrors the hardware:
 //! * [`types`] — virtual pages, chunks (16 pages / 64 KB), frames,
-//! * [`assoc`] — the indexed set-associative LRU store backing the
-//!   TLBs and the page-walk cache (hit-path fast lane),
+//! * [`assoc`] — flat MRU-first LRU rows backing the TLBs, the
+//!   page-walk cache and the GPU data-cache L2,
 //! * [`tlb`] — a generic set-associative LRU TLB,
 //! * [`page_table`] — the radix page table holding residency state,
 //! * [`walk_cache`] — the shared page-walk cache,

@@ -25,7 +25,8 @@
 //! Each resident page additionally carries a **TLB presence mask** (one
 //! bit per TLB in the hierarchy, maintained by `TranslationPath`), so an
 //! eviction's shootdown visits only the TLBs that actually hold the
-//! page instead of scanning every way of every SM's L1.
+//! page, and a translation scans only the TLBs whose bit is set,
+//! instead of scanning every way of every SM's L1.
 
 use crate::types::{Frame, VirtPage};
 use sim_core::FxHashMap;
@@ -56,7 +57,7 @@ pub enum Residency {
 ///
 /// The prefix is the VPN shifted so that two pages mapped by the same
 /// node at that level produce the same `NodeId`.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NodeId {
     /// 4 = root's children ... 2 = the node holding leaf PTE pointers.
     pub level: u32,
@@ -249,6 +250,17 @@ impl PageTable {
         } else {
             self.spill.get(&page).map_or(0, |e| e.tlb_mask)
         }
+    }
+
+    /// Every page with a nonzero TLB presence mask, with its mask.
+    pub(crate) fn tlb_masks(&self) -> impl Iterator<Item = (VirtPage, u64)> + '_ {
+        let flat = self
+            .masks
+            .iter()
+            .enumerate()
+            .map(|(i, &m)| (VirtPage(i as u64), m));
+        let spill = self.spill.iter().map(|(&p, e)| (p, e.tlb_mask));
+        flat.chain(spill).filter(|&(_, m)| m != 0)
     }
 
     /// Record that the TLB with bit index `bit` now holds `page`. No-op

@@ -8,27 +8,19 @@
 //! memory must shoot the translation down from every TLB, which the
 //! `uvm` driver does through [`Tlb::invalidate`].
 //!
-//! Probes and replacement run on [`IndexedSets`]: an open-addressed
-//! key → slot index plus per-set intrusive LRU lists, so a lookup is a
-//! couple of index probes instead of a scan over every filled way and
-//! the replacement victim is the list tail instead of a min-stamp scan.
-//! For the fully-associative 128-entry L1 that turns up to three
-//! 128-way scans per access (miss probe, insert existence check, victim
-//! search) into O(1) work. Replacement behaviour is exactly the seed's
-//! true-LRU — `legacy::ScanTlb` keeps the scan implementation alive and
-//! a model test drives both through random op streams to prove every
-//! hit, miss and victim choice identical.
+//! Ways live in [`LruRows`]: each set is one contiguous row of page
+//! numbers kept most-recently-used first, so a probe is one row scan and
+//! the replacement victim is the row's last way. That order is exactly
+//! the seed's min-stamp true LRU — `legacy::ScanTlb` keeps the scan
+//! implementation alive and a model test drives both through random op
+//! streams to prove every hit, miss and victim choice identical. The
+//! 128-way L1 is scanned only when the page's TLB presence mask says
+//! the L1 may hold it; `TranslationPath` counts every other probe as a
+//! miss without touching the row.
 
-use crate::assoc::{mix64, IndexKey, IndexedSets};
+use crate::assoc::LruRows;
 use crate::types::{Frame, VirtPage};
 use sim_core::stats::Counter;
-
-impl IndexKey for VirtPage {
-    #[inline]
-    fn index_hash(self) -> u64 {
-        mix64(self.0)
-    }
-}
 
 /// TLB geometry and timing.
 #[derive(Debug, Clone, Copy)]
@@ -69,7 +61,7 @@ impl TlbConfig {
 #[derive(Debug)]
 pub struct Tlb {
     cfg: TlbConfig,
-    sets: IndexedSets<VirtPage, Frame>,
+    sets: LruRows<Frame>,
     n_sets: usize,
     /// Lookup hits.
     pub hits: Counter,
@@ -95,7 +87,7 @@ impl Tlb {
         let n_sets = cfg.entries / cfg.associativity;
         Tlb {
             cfg,
-            sets: IndexedSets::new(n_sets, cfg.associativity),
+            sets: LruRows::new(n_sets, cfg.associativity),
             n_sets,
             hits: Counter::default(),
             misses: Counter::default(),
@@ -111,9 +103,21 @@ impl Tlb {
     /// Returns the cached frame on a hit.
     #[inline]
     pub fn lookup(&mut self, page: VirtPage) -> Option<Frame> {
-        if let Some(frame) = self.sets.get(page) {
+        if let Some(frame) = self.sets.get(self.set_index(page), page.0) {
             self.hits.inc();
             Some(frame)
+        } else {
+            self.misses.inc();
+            None
+        }
+    }
+
+    /// [`lookup`](Tlb::lookup) for a caller that knows whether `page`
+    /// may be present: `false` counts the miss without scanning.
+    #[inline]
+    pub(crate) fn lookup_if(&mut self, may_hold: bool, page: VirtPage) -> Option<Frame> {
+        if may_hold {
+            self.lookup(page)
         } else {
             self.misses.inc();
             None
@@ -124,25 +128,40 @@ impl Tlb {
     /// by coherence assertions in the `gpu` crate).
     #[must_use]
     pub fn probe(&self, page: VirtPage) -> Option<Frame> {
-        self.sets.peek(page)
+        self.sets.peek(self.set_index(page), page.0)
     }
 
     /// Install (or refresh) a translation, evicting the set's LRU way if
     /// the set is full. Returns the victim translation, if any.
     #[inline]
     pub fn insert(&mut self, page: VirtPage, frame: Frame) -> Option<(VirtPage, Frame)> {
-        self.sets.insert(self.set_index(page), page, frame)
+        self.sets
+            .insert(self.set_index(page), page.0, frame)
+            .map(|(p, f)| (VirtPage(p), f))
+    }
+
+    /// [`insert`](Tlb::insert) of a page the caller knows is absent (its
+    /// lookup just missed): skips the existence scan.
+    #[inline]
+    pub(crate) fn fill(&mut self, page: VirtPage, frame: Frame) -> Option<(VirtPage, Frame)> {
+        self.sets
+            .fill(self.set_index(page), page.0, frame)
+            .map(|(p, f)| (VirtPage(p), f))
     }
 
     /// Shoot down the translation for `page`. Returns true if present.
     pub fn invalidate(&mut self, page: VirtPage) -> bool {
-        self.sets.remove(page)
+        self.sets.remove(self.set_index(page), page.0)
     }
 
-    /// Drop every translation (generation bump — the index is not
-    /// walked).
+    /// Drop every translation.
     pub fn flush(&mut self) {
         self.sets.clear();
+    }
+
+    /// Every cached translation (no LRU update).
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (VirtPage, Frame)> + '_ {
+        self.sets.iter().map(|(p, f)| (VirtPage(p), f))
     }
 
     /// Hit latency from the config.
@@ -435,21 +454,6 @@ mod tests {
             t.insert(VirtPage(i), Frame(i as u32));
         }
         assert!(t.occupancy() <= 4);
-    }
-
-    #[test]
-    fn victim_slot_reuse_keeps_set_consistent() {
-        // Replacement writes the new way into the victim's slot; every
-        // surviving way must remain probeable afterwards.
-        let mut t = tiny();
-        t.insert(VirtPage(0), Frame(0));
-        t.insert(VirtPage(2), Frame(2));
-        t.lookup(VirtPage(2)); // page 0 becomes LRU
-        let victim = t.insert(VirtPage(4), Frame(4));
-        assert_eq!(victim, Some((VirtPage(0), Frame(0))));
-        assert_eq!(t.probe(VirtPage(2)), Some(Frame(2)));
-        assert_eq!(t.probe(VirtPage(4)), Some(Frame(4)));
-        assert_eq!(t.occupancy(), 2);
     }
 
     /// Model-based equivalence with the seed's scan implementation:

@@ -10,6 +10,13 @@
 //! page table itself, and exposes the two operations the rest of the
 //! simulator needs: [`translate`](TranslationPath::translate) on the GPU
 //! side and map/unmap/invalidate on the driver side.
+//!
+//! Each resident page carries a TLB presence mask naming exactly the
+//! TLBs that hold it (bit *i* = SM *i*'s L1, bit 63 = the L2). The mask
+//! answers both directions: a shootdown visits only the holders, and a
+//! translation scans a TLB's row only when the page's bit for it is
+//! set — a clear bit is a miss without a probe. Hierarchies of more
+//! than 63 SMs have no masks and scan every TLB.
 
 use crate::page_table::{PageTable, Residency};
 use crate::tlb::{Tlb, TlbConfig};
@@ -17,6 +24,7 @@ use crate::types::{Frame, SmId, VirtPage};
 use crate::walk_cache::WalkCache;
 use crate::walker::{Walker, WalkerConfig};
 use sim_core::time::Cycle;
+use sim_core::FxHashMap;
 
 /// Shape of the whole translation hierarchy.
 #[derive(Debug, Clone, Copy)]
@@ -81,7 +89,7 @@ pub struct TranslationTiming {
 
 /// TLB-presence-mask bit reserved for the shared L2 TLB; bits `0..63`
 /// identify per-SM L1 TLBs. Hierarchies with more than 63 SMs fall back
-/// to scanning every TLB on shootdown.
+/// to scanning every TLB on probe and shootdown.
 const L2_MASK_BIT: u32 = 63;
 
 /// The full translation hierarchy.
@@ -110,11 +118,12 @@ impl TranslationPath {
         }
     }
 
-    /// Install `page` in SM `sm`'s L1 TLB, keeping presence masks in sync
-    /// for both the installed page and any capacity victim.
+    /// Install `page`, whose probe just missed, in SM `sm`'s L1 TLB,
+    /// keeping presence masks in sync for both the installed page and
+    /// any capacity victim.
     #[inline]
     fn l1_fill(&mut self, sm: SmId, page: VirtPage, frame: Frame) {
-        let victim = self.l1[sm.idx()].insert(page, frame);
+        let victim = self.l1[sm.idx()].fill(page, frame);
         if self.use_masks {
             self.page_table.tlb_note_insert(page, sm.idx() as u32);
             if let Some((vp, _)) = victim {
@@ -123,11 +132,12 @@ impl TranslationPath {
         }
     }
 
-    /// Install `page` in the shared L2 TLB, keeping presence masks in
-    /// sync for both the installed page and any capacity victim.
+    /// Install `page`, whose probe just missed, in the shared L2 TLB,
+    /// keeping presence masks in sync for both the installed page and
+    /// any capacity victim.
     #[inline]
     fn l2_fill(&mut self, page: VirtPage, frame: Frame) {
-        let victim = self.l2.insert(page, frame);
+        let victim = self.l2.fill(page, frame);
         if self.use_masks {
             self.page_table.tlb_note_insert(page, L2_MASK_BIT);
             if let Some((vp, _)) = victim {
@@ -163,10 +173,18 @@ impl TranslationPath {
         page: VirtPage,
         now: Cycle,
     ) -> (TranslationOutcome, TranslationTiming) {
+        // A clear mask bit is a known miss; without masks every TLB may
+        // hold the page.
+        let (in_l1, in_l2) = if self.use_masks {
+            let mask = self.page_table.tlb_mask(page);
+            ((mask >> sm.idx()) & 1 != 0, (mask >> L2_MASK_BIT) & 1 != 0)
+        } else {
+            (true, true)
+        };
         let l1 = &mut self.l1[sm.idx()];
         let l1_latency = l1.hit_latency();
         let after_l1 = now.after(l1_latency);
-        if let Some(frame) = l1.lookup(page) {
+        if let Some(frame) = l1.lookup_if(in_l1, page) {
             return (
                 TranslationOutcome::Hit {
                     frame,
@@ -182,7 +200,7 @@ impl TranslationPath {
         }
         let l2_latency = self.l2.hit_latency();
         let after_l2 = after_l1.after(l2_latency);
-        if let Some(frame) = self.l2.lookup(page) {
+        if let Some(frame) = self.l2.lookup_if(in_l2, page) {
             self.l1_fill(sm, page, frame);
             return (
                 TranslationOutcome::Hit {
@@ -260,25 +278,34 @@ impl TranslationPath {
         self.page_table.mark_touched(page);
     }
 
-    /// Does `page`'s TLB bookkeeping match the TLBs themselves? A
-    /// non-resident page must be cached nowhere; a resident page's
-    /// presence mask must name exactly the TLBs holding it. Probes
-    /// every TLB without touching replacement state — a checking aid,
-    /// not a hot-path call.
+    /// Do the presence masks match the TLBs, in full? Every cached
+    /// translation must be of a resident page at the cached frame and,
+    /// where masks are kept, each mask bit must match exactly one TLB
+    /// entry — so a missing bit, a stray bit and a TLB holding a page
+    /// twice all fail. Costs
+    /// O(TLB entries + mapped pages): a checking aid for batch
+    /// boundaries, not a hot-path call.
     #[must_use]
-    pub fn tlb_consistent(&self, page: VirtPage) -> bool {
-        if !self.page_table.is_resident(page) {
-            return self.l2.probe(page).is_none()
-                && self.l1.iter().all(|t| t.probe(page).is_none());
+    pub fn masks_consistent(&self) -> bool {
+        let pt = &self.page_table;
+        // Bits not yet matched to a TLB entry, per page.
+        let mut unmatched: FxHashMap<VirtPage, u64> = pt.tlb_masks().collect();
+        let l1s = self.l1.iter().enumerate().map(|(sm, t)| (sm as u32, t));
+        for (bit, tlb) in l1s.chain([(L2_MASK_BIT, &self.l2)]) {
+            for (page, frame) in tlb.entries() {
+                if pt.residency(page) != Residency::Resident(frame) {
+                    return false;
+                }
+                if !self.use_masks {
+                    continue;
+                }
+                match unmatched.get_mut(&page) {
+                    Some(m) if (*m >> bit) & 1 != 0 => *m &= !(1 << bit),
+                    _ => return false,
+                }
+            }
         }
-        if !self.use_masks {
-            return true;
-        }
-        let mut held = u64::from(self.l2.probe(page).is_some()) << L2_MASK_BIT;
-        for (sm, l1) in self.l1.iter().enumerate() {
-            held |= u64::from(l1.probe(page).is_some()) << sm;
-        }
-        held == self.page_table.tlb_mask(page)
+        unmatched.values().all(|&m| m == 0)
     }
 
     /// Immutable view of the page table.
@@ -327,6 +354,10 @@ pub struct TranslationStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page_table::legacy::MapPageTable;
+    use crate::tlb::legacy::ScanTlb;
+    use crate::walk_cache::legacy::ScanWalkCache;
+    use std::cmp::Reverse;
 
     fn path() -> TranslationPath {
         TranslationPath::new(&TranslationConfig::default())
@@ -500,69 +531,221 @@ mod tests {
     }
 
     #[test]
-    fn presence_masks_track_tlb_contents_exactly() {
-        // Random translate/map/unmap churn with capacity pressure in
-        // every TLB: afterwards, each resident page's mask must name
-        // exactly the TLBs that hold it, and shootdowns driven by the
-        // mask must leave no stale translation behind.
-        let mut p = TranslationPath::new(&TranslationConfig {
-            num_sms: 4,
-            l1: TlbConfig {
-                entries: 8,
-                associativity: 8,
-                hit_latency: 1,
-            },
-            l2: TlbConfig {
-                entries: 16,
-                associativity: 4,
-                hit_latency: 10,
-            },
-            ..TranslationConfig::default()
-        });
-        let mut x: u64 = 0xABCD_EF01_2345_6789;
-        let mut resident: Vec<VirtPage> = Vec::new();
-        let mut next_frame = 0u32;
-        let mut now = 0u64;
-        for _ in 0..3000 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            now += 1_000;
-            let page = VirtPage(x % 64);
-            match x % 4 {
-                0 if !p.page_table.is_resident(page) => {
-                    p.map(page, Frame(next_frame), false);
-                    next_frame += 1;
-                    resident.push(page);
-                }
-                1 if !resident.is_empty() => {
-                    let victim = resident.swap_remove((x / 7) as usize % resident.len());
-                    p.unmap_and_invalidate(victim);
-                    assert!(p.tlb_consistent(victim), "stale entry for {victim:?}");
-                }
-                _ => {
-                    let sm = SmId((x / 13) as u16 % 4);
-                    let _ = p.translate(sm, page, Cycle(now));
-                }
+    fn masks_consistency_catches_drift() {
+        let mut p = path();
+        p.map(VirtPage(3), Frame(0), true);
+        p.map(VirtPage(4), Frame(1), true);
+        let _ = p.translate(SmId(1), VirtPage(3), Cycle::ZERO);
+        assert!(p.masks_consistent());
+        // A stray bit: no TLB entry behind it.
+        p.page_table.tlb_note_insert(VirtPage(4), 2);
+        assert!(!p.masks_consistent());
+        p.page_table.tlb_note_remove(VirtPage(4), 2);
+        assert!(p.masks_consistent());
+        // A missing bit: SM 1's L1 holds page 3 but the mask forgot it.
+        p.page_table.tlb_note_remove(VirtPage(3), 1);
+        assert!(!p.masks_consistent());
+        p.page_table.tlb_note_insert(VirtPage(3), 1);
+        assert!(p.masks_consistent());
+        // A translation cached for a page no longer mapped.
+        p.page_table.unmap(VirtPage(3));
+        assert!(!p.masks_consistent());
+    }
+
+    /// The seed's translation path, assembled from the scan oracles:
+    /// scan L1s, a scan L2, the scan PWC, the hash-map page table and
+    /// the walker's slot-heap latency arithmetic. Every probe scans.
+    struct ScanPath {
+        cfg: TranslationConfig,
+        l1: Vec<ScanTlb>,
+        l2: ScanTlb,
+        pwc: ScanWalkCache,
+        pt: MapPageTable,
+        slots: std::collections::BinaryHeap<Reverse<Cycle>>,
+        walks: u64,
+        faulting_walks: u64,
+    }
+
+    impl ScanPath {
+        fn new(cfg: &TranslationConfig) -> Self {
+            ScanPath {
+                cfg: *cfg,
+                l1: (0..cfg.num_sms).map(|_| ScanTlb::new(cfg.l1)).collect(),
+                l2: ScanTlb::new(cfg.l2),
+                pwc: ScanWalkCache::new(1024, 16, 10),
+                pt: MapPageTable::new(),
+                slots: (0..cfg.walker.concurrency)
+                    .map(|_| Reverse(Cycle::ZERO))
+                    .collect(),
+                walks: 0,
+                faulting_walks: 0,
             }
         }
-        for &page in &resident {
-            assert!(p.tlb_consistent(page), "mask drift for {page:?}");
+
+        fn translate(
+            &mut self,
+            sm: SmId,
+            page: VirtPage,
+            now: Cycle,
+        ) -> (TranslationOutcome, TranslationTiming) {
+            use crate::page_table::{node_for, LEVELS};
+            let l1_done = now.after(self.cfg.l1.hit_latency);
+            let l2_done = l1_done.after(self.cfg.l2.hit_latency);
+            let hit = |frame, ready_at: Cycle| {
+                let timing = TranslationTiming {
+                    l1_done,
+                    l2_done: ready_at,
+                    walk_started: ready_at,
+                    walk_done: ready_at,
+                };
+                (TranslationOutcome::Hit { frame, ready_at }, timing)
+            };
+            if let Some(frame) = self.l1[sm.idx()].lookup(page) {
+                return hit(frame, l1_done);
+            }
+            if let Some(frame) = self.l2.lookup(page) {
+                self.l1[sm.idx()].insert(page, frame);
+                return hit(frame, l2_done);
+            }
+            self.walks += 1;
+            let cached = (2..=LEVELS).find(|&level| self.pwc.lookup(node_for(page, level)));
+            let refs = cached.map_or(u64::from(LEVELS), |level| u64::from(level) - 1);
+            for level in 2..=LEVELS {
+                self.pwc.insert(node_for(page, level));
+            }
+            let Reverse(free_at) = self.slots.pop().expect("walker has slots");
+            let walk_started = free_at.max(l2_done);
+            let service = self.pwc.hit_latency() + refs * self.cfg.walker.memory_ref_latency;
+            let walk_done = walk_started.after(service);
+            self.slots.push(Reverse(walk_done));
+            let timing = TranslationTiming {
+                l1_done,
+                l2_done,
+                walk_started,
+                walk_done,
+            };
+            let Residency::Resident(frame) = self.pt.residency(page) else {
+                self.faulting_walks += 1;
+                return (TranslationOutcome::Fault { at: walk_done }, timing);
+            };
+            self.l2.insert(page, frame);
+            self.l1[sm.idx()].insert(page, frame);
+            let ready_at = walk_done;
+            (TranslationOutcome::Hit { frame, ready_at }, timing)
+        }
+
+        fn unmap_and_invalidate(&mut self, page: VirtPage) -> (Frame, bool) {
+            for l1 in &mut self.l1 {
+                l1.invalidate(page);
+            }
+            self.l2.invalidate(page);
+            self.pt.unmap(page)
+        }
+
+        fn stats(&self) -> TranslationStats {
+            TranslationStats {
+                l1_hits: self.l1.iter().map(|t| t.hits.get()).sum(),
+                l1_misses: self.l1.iter().map(|t| t.misses.get()).sum(),
+                l2_hits: self.l2.hits.get(),
+                l2_misses: self.l2.misses.get(),
+                pwc_hits: self.pwc.hits.get(),
+                pwc_misses: self.pwc.misses.get(),
+                walks: self.walks,
+                faulting_walks: self.faulting_walks,
+            }
         }
     }
 
+    /// Model-based equivalence of the whole path with the scan oracle:
+    /// random translate / map / touch / unmap streams with capacity
+    /// pressure in every TLB and the PWC, at 4 SMs (mask-gated probes)
+    /// and at 64 SMs (no masks, every probe scans). Every outcome,
+    /// stage timing and counter must agree.
     #[test]
-    fn tlb_consistency_catches_drift() {
-        let mut p = path();
-        p.map(VirtPage(3), Frame(0), true);
-        let _ = p.translate(SmId(1), VirtPage(3), Cycle::ZERO);
-        assert!(p.tlb_consistent(VirtPage(3)));
-        // A mask bit with no TLB behind it is drift.
-        p.page_table.tlb_note_insert(VirtPage(3), 5);
-        assert!(!p.tlb_consistent(VirtPage(3)));
-        // So is a translation cached for a page no longer mapped.
-        p.page_table.unmap(VirtPage(3));
-        assert!(!p.tlb_consistent(VirtPage(3)));
+    fn translation_path_matches_scan_oracle_path() {
+        use crate::page_table::FLAT_LIMIT;
+        for num_sms in [4, 64] {
+            let cfg = TranslationConfig {
+                num_sms,
+                l1: TlbConfig {
+                    entries: 8,
+                    associativity: 8,
+                    hit_latency: 1,
+                },
+                l2: TlbConfig {
+                    entries: 16,
+                    associativity: 4,
+                    hit_latency: 10,
+                },
+                walker: WalkerConfig {
+                    concurrency: 4,
+                    memory_ref_latency: 150,
+                },
+            };
+            let mut fast = TranslationPath::new(&cfg);
+            assert_eq!(fast.use_masks, num_sms < 64);
+            let mut slow = ScanPath::new(&cfg);
+            let mut resident: Vec<VirtPage> = Vec::new();
+            let (mut x, mut now, mut next_frame) = (0x5DEE_CE66_D1CE_4E5B ^ num_sms as u64, 0, 0);
+            for step in 0..60_000u64 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                now += (x >> 50) % 400;
+                let r = x >> 24;
+                // Mostly a small hot range (L1/L2 hits and victims),
+                // sometimes pages past the flat page-table window, and
+                // for walks alone far pages that fault and churn the PWC.
+                let page = match r % 8 {
+                    0 => VirtPage(FLAT_LIMIT + (r >> 3) % 8 * 4096),
+                    1..=3 => VirtPage((r >> 3) % 12),
+                    _ => VirtPage((r >> 3) % 96),
+                };
+                match x % 16 {
+                    0 | 1 if !slow.pt.is_resident(page) => {
+                        fast.map(page, Frame(next_frame), x & 32 != 0);
+                        slow.pt.map(page, Frame(next_frame), x & 32 != 0);
+                        next_frame += 1;
+                        resident.push(page);
+                    }
+                    2 if !resident.is_empty() => {
+                        let victim = resident.swap_remove(r as usize % resident.len());
+                        assert_eq!(
+                            fast.unmap_and_invalidate(victim),
+                            slow.unmap_and_invalidate(victim),
+                            "unmap({victim:?}) at step {step}"
+                        );
+                        // The mask-driven shootdown left nothing stale.
+                        assert!(fast.masks_consistent(), "unmap at step {step}");
+                    }
+                    3 => {
+                        fast.mark_touched(page);
+                        slow.pt.mark_touched(page);
+                    }
+                    op => {
+                        let page = if op == 4 {
+                            VirtPage(4096 + (r >> 3) % (1 << 21))
+                        } else {
+                            page
+                        };
+                        // Half the accesses come from two SMs, so L1s
+                        // hit even with 64 of them.
+                        let sm =
+                            SmId(((x >> 40) % if x & 64 != 0 { 2 } else { num_sms as u64 }) as u16);
+                        assert_eq!(
+                            fast.translate_timed(sm, page, Cycle(now)),
+                            slow.translate(sm, page, Cycle(now)),
+                            "translate({sm:?}, {page:?}) at step {step}"
+                        );
+                    }
+                }
+                assert_eq!(fast.stats(), slow.stats(), "stats at step {step}");
+            }
+            let s = fast.stats();
+            let counts = [s.l1_hits, s.l2_hits, s.pwc_hits, s.faulting_walks];
+            assert!(counts.iter().all(|&n| n > 1000), "{num_sms} SMs: {s:?}");
+            assert!(fast.masks_consistent());
+        }
     }
 
     #[test]

@@ -5,30 +5,30 @@
 //! the memory references for levels ≥ *k*. With 8-byte entries, 8 KB
 //! gives 1024 entries in 64 sets of 16 ways.
 //!
-//! Like [`crate::tlb::Tlb`], probes run on [`IndexedSets`] instead of a
-//! per-set scan. The PWC sits on the hot path of every L2-TLB miss —
-//! each walk costs one lookup plus up to three inserts, each of which
-//! used to scan a 16-way set. Replacement stays exact true LRU
-//! (bit-identical to the seed's min-stamp scan; see the equivalence
-//! test against `legacy::ScanWalkCache`).
+//! Like [`crate::tlb::Tlb`], the ways live in [`LruRows`]: each set is
+//! one 16-word row of packed node ids kept most-recently-used first, so
+//! a probe scans 128 contiguous bytes and the victim is the row's last
+//! way. Replacement stays exact true LRU (bit-identical to the seed's
+//! min-stamp scan; see the equivalence test against
+//! `legacy::ScanWalkCache`).
 
-use crate::assoc::{mix64, IndexKey, IndexedSets};
+use crate::assoc::LruRows;
 use crate::page_table::NodeId;
 use sim_core::stats::Counter;
 
-impl IndexKey for NodeId {
-    #[inline]
-    fn index_hash(self) -> u64 {
-        // Fold level into the prefix above any realistic VPN bits so
-        // different levels of the same prefix never alias in the index.
-        mix64(self.prefix ^ (u64::from(self.level) << 56))
-    }
+/// Row key of `node`: the level above the prefix bits. A prefix is a
+/// VPN shifted right by at least 9 bits, so it stays below bit 56 and
+/// the packing is injective.
+#[inline]
+fn key(node: NodeId) -> u64 {
+    debug_assert!(node.prefix < 1 << 56);
+    (u64::from(node.level) << 56) | node.prefix
 }
 
 /// Set-associative cache over [`NodeId`]s with true-LRU replacement.
 #[derive(Debug)]
 pub struct WalkCache {
-    sets: IndexedSets<NodeId, ()>,
+    sets: LruRows<()>,
     n_sets: usize,
     hit_latency: u64,
     /// Probe hits.
@@ -53,7 +53,7 @@ impl WalkCache {
         assert!(entries > 0 && assoc > 0 && entries.is_multiple_of(assoc));
         let n_sets = entries / assoc;
         WalkCache {
-            sets: IndexedSets::new(n_sets, assoc),
+            sets: LruRows::new(n_sets, assoc),
             n_sets,
             hit_latency,
             hits: Counter::default(),
@@ -71,7 +71,7 @@ impl WalkCache {
     /// Probe for `node`, updating LRU and counters.
     #[inline]
     pub fn lookup(&mut self, node: NodeId) -> bool {
-        if self.sets.get(node).is_some() {
+        if self.sets.get(self.set_index(node), key(node)).is_some() {
             self.hits.inc();
             true
         } else {
@@ -83,7 +83,7 @@ impl WalkCache {
     /// Fill `node` after a walk fetched it from memory.
     #[inline]
     pub fn insert(&mut self, node: NodeId) {
-        self.sets.insert(self.set_index(node), node, ());
+        self.sets.insert(self.set_index(node), key(node), ());
     }
 
     /// Hit latency in cycles.

@@ -25,9 +25,9 @@
 //!   miss rotates the LRU or an empty tail way to the front), which is
 //!   exactly the seed's min-stamp true LRU. Invalidating a page is one
 //!   scan of `sms × 6` words instead of one hash probe per SM;
-//! * the L2 is a [`PageCache`] on the indexed set-associative store
-//!   shared with the TLBs ([`gmmu::assoc::IndexedSets`]): O(1) probes
-//!   and O(1) true-LRU replacement over its 48 sets × 16 ways.
+//! * the L2 is a [`PageCache`] on the flat MRU-first rows shared with
+//!   the TLBs ([`gmmu::assoc::LruRows`]): a probe scans one 16-way row
+//!   of 128 contiguous bytes, and the victim is the row's last way.
 //!
 //! The seed's scan implementation is preserved below as
 //! [`legacy::ScanPageCache`], and model-based tests drive both layouts
@@ -36,7 +36,7 @@
 //! depend on every latency this model returns).
 
 use crate::dram::{Dram, DramConfig};
-use gmmu::assoc::IndexedSets;
+use gmmu::assoc::LruRows;
 use gmmu::types::VirtPage;
 use sim_core::stats::Counter;
 use sim_core::time::Cycle;
@@ -44,7 +44,7 @@ use sim_core::time::Cycle;
 /// Set-associative presence cache over pages with LRU replacement.
 #[derive(Debug)]
 pub struct PageCache {
-    sets: IndexedSets<VirtPage, ()>,
+    sets: LruRows<()>,
     n_sets: usize,
     /// Hits.
     pub hits: Counter,
@@ -62,34 +62,39 @@ impl PageCache {
         assert!(entries > 0 && assoc > 0 && entries.is_multiple_of(assoc));
         let n_sets = entries / assoc;
         PageCache {
-            sets: IndexedSets::new(n_sets, assoc),
+            sets: LruRows::new(n_sets, assoc),
             n_sets,
             hits: Counter::default(),
             misses: Counter::default(),
         }
     }
 
+    #[inline]
+    fn set_index(&self, page: VirtPage) -> usize {
+        (page.0 % self.n_sets as u64) as usize
+    }
+
     /// Access `page`: returns true on a hit; a miss allocates.
     pub fn access(&mut self, page: VirtPage) -> bool {
-        if self.sets.get(page).is_some() {
+        let set = self.set_index(page);
+        if self.sets.get(set, page.0).is_some() {
             self.hits.inc();
             return true;
         }
         self.misses.inc();
-        let set = (page.0 % self.n_sets as u64) as usize;
-        self.sets.insert(set, page, ());
+        self.sets.fill(set, page.0, ());
         false
     }
 
     /// Drop `page` (device-memory eviction invalidates cached data).
     pub fn invalidate(&mut self, page: VirtPage) {
-        self.sets.remove(page);
+        self.sets.remove(self.set_index(page), page.0);
     }
 
     /// Whether `page` is cached (no LRU update).
     #[must_use]
     pub fn contains(&self, page: VirtPage) -> bool {
-        self.sets.peek(page).is_some()
+        self.sets.peek(self.set_index(page), page.0).is_some()
     }
 }
 
@@ -222,7 +227,7 @@ impl DataHierarchy {
 }
 
 /// The seed's scan-based presence cache, kept verbatim as the
-/// equivalence oracle for the indexed implementation.
+/// equivalence oracle for the row implementations.
 #[cfg(test)]
 pub mod legacy {
     use super::{Counter, VirtPage};

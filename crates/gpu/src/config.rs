@@ -98,11 +98,27 @@ impl GpuConfig {
         self.sms * self.warps_per_sm
     }
 
-    /// Validate the configuration (injection knobs and link bandwidth).
+    /// Validate the configuration: SM and lane counts, link bandwidth
+    /// and injection knobs. Every SM needs its own L1 TLB, so `sms` may
+    /// not exceed `translation.num_sms`.
     ///
     /// # Errors
     /// Returns the first [`ConfigError`] found.
     pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.sms == 0 {
+            return Err(ConfigError::Zero { field: "sms" });
+        }
+        if self.warps_per_sm == 0 {
+            return Err(ConfigError::Zero {
+                field: "warps_per_sm",
+            });
+        }
+        sim_core::error::require_in_range(
+            "sms",
+            self.sms as f64,
+            1.0,
+            self.translation.num_sms as f64,
+        )?;
         sim_core::error::require_positive("pcie_gb_per_s", self.pcie_gb_per_s)?;
         self.injection.validate()
     }
@@ -145,5 +161,49 @@ mod tests {
             ..GpuConfig::default()
         };
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_more_sms_than_l1_tlbs() {
+        let c = GpuConfig {
+            sms: 29,
+            ..GpuConfig::default()
+        };
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::OutOfRange {
+                field: "sms",
+                value: 29.0,
+                min: 1.0,
+                max: 28.0,
+            })
+        );
+        // Fewer SMs than L1 TLBs is fine: the spare TLBs stay idle.
+        for sms in [2, 4, 28] {
+            let c = GpuConfig {
+                sms,
+                ..GpuConfig::default()
+            };
+            assert_eq!(c.validate(), Ok(()), "{sms} SMs");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_zero_sms_and_lanes() {
+        let c = GpuConfig {
+            sms: 0,
+            ..GpuConfig::default()
+        };
+        assert_eq!(c.validate(), Err(ConfigError::Zero { field: "sms" }));
+        let c = GpuConfig {
+            warps_per_sm: 0,
+            ..GpuConfig::default()
+        };
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::Zero {
+                field: "warps_per_sm"
+            })
+        );
     }
 }

@@ -283,9 +283,11 @@ impl Observer for FireCounts {
 ///
 /// * the frame pool and the page table agree (capacity − free frames =
 ///   resident pages);
-/// * every page this batch migrated or evicted has TLB bookkeeping that
-///   matches the TLBs — presence masks name exactly the TLBs holding
-///   it, and a non-resident page is cached nowhere;
+/// * every TLB presence mask matches the TLBs, in full
+///   ([`TranslationPath::masks_consistent`]): every cached translation
+///   is of a resident page at its frame, and each mask bit names
+///   exactly one TLB entry. The masks decide TLB probe results, so a
+///   missing bit would silently duplicate an entry;
 /// * no page this batch evicted is still held by a data cache;
 /// * no lane waits on two pages at once, and every page with waiters
 ///   is either pending dispatch or has a completion queued;
@@ -325,12 +327,8 @@ impl Invariants {
                 pt.resident_count()
             ));
         }
-        for &page in batch.migrated.iter().chain(&batch.evicted) {
-            if !ctx.xlat().tlb_consistent(page) {
-                return Err(format!(
-                    "TLB bookkeeping of {page:?} disagrees with the TLBs"
-                ));
-            }
+        if !ctx.xlat().masks_consistent() {
+            return Err("TLB presence masks disagree with the TLBs".into());
         }
         if let Some(page) = batch.evicted.iter().find(|&&p| ctx.caches().holds(p)) {
             return Err(format!("evicted {page:?} is still in a data cache"));
