@@ -5,12 +5,13 @@
 //! `vals: Vec<V>`. Each set owns two row widths of words; its row is the
 //! `ways` words from the set's head, most recently used first. A hit
 //! rotates its way to the front and a remove rotates the ways behind it
-//! left, keeping the survivors' order. A fill steps the head back one
-//! word, so the last way (the LRU victim, or an empty way) drops off
-//! the end and no other way moves; once the head reaches the start of
-//! the set's words, the row is copied to the back half, one copy per
-//! `ways` fills. Empty ways hold [`EMPTY`] and always sit at a row's
-//! tail, so a probe is one scan of one contiguous row.
+//! left, keeping the survivors' order; `remove_where` drops any number
+//! of keys in one pass over the row with the same result. A fill steps
+//! the head back one word, so the last way (the LRU victim, or an empty
+//! way) drops off the end and no other way moves; once the head reaches
+//! the start of the set's words, the row is copied to the back half,
+//! one copy per `ways` fills. Empty ways hold [`EMPTY`] and always sit
+//! at a row's tail, so a probe is one scan of one contiguous row.
 //!
 //! The seed's structures stamped an entry with a strictly increasing
 //! tick on every hit and insert and evicted the minimum-stamp way.
@@ -137,6 +138,26 @@ impl<V: Copy + Default> LruRows<V> {
         true
     }
 
+    /// Remove every key of `set` that `pred` selects in one pass over
+    /// the row: survivors move up in order and the freed ways become
+    /// empty tail ways — exactly the row that [`remove`](LruRows::remove)
+    /// of each selected key would leave. Returns how many were removed.
+    pub fn remove_where(&mut self, set: usize, mut pred: impl FnMut(u64) -> bool) -> usize {
+        let row = self.row(set);
+        let mut kept = row.start;
+        let mut live = row.start;
+        while live < row.end && self.keys[live] != EMPTY {
+            if !pred(self.keys[live]) {
+                self.keys[kept] = self.keys[live];
+                self.vals[kept] = self.vals[live];
+                kept += 1;
+            }
+            live += 1;
+        }
+        self.keys[kept..live].fill(EMPTY);
+        live - kept
+    }
+
     /// Empty every row.
     pub fn clear(&mut self) {
         self.keys.fill(EMPTY);
@@ -149,7 +170,7 @@ impl<V: Copy + Default> LruRows<V> {
     }
 
     /// Every live `(key, value)`, row by row, MRU first.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, V)> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (u64, V)> + '_ {
         self.keys
             .iter()
             .zip(&self.vals)
@@ -232,6 +253,57 @@ mod tests {
         assert_eq!(s.fill(0, 14, 14), None);
         assert_eq!(s.fill(0, 15, 15), Some((10, 10)));
         assert_eq!(s.peek(0, 11), Some(11));
+    }
+
+    /// `remove_where` must leave every row exactly as removing each
+    /// selected key with `remove` would: same survivors, same order,
+    /// empties at the tail, and so the same later victims.
+    #[test]
+    fn remove_where_matches_repeated_remove() {
+        let mut x: u64 = 0x2545_F491_4F6C_DD1D;
+        let mut step = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for (n_sets, ways) in [(1, 8), (3, 4), (2, 1)] {
+            let mut bulk: LruRows<u32> = LruRows::new(n_sets, ways);
+            let mut single = bulk.clone();
+            for op in 0..100_000u32 {
+                let r = step();
+                let set = (r >> 40) as usize % n_sets;
+                let key = (r >> 8) % 24;
+                if r.is_multiple_of(8) {
+                    // Drop every key of one 4-key group from the row.
+                    let group = key / 4;
+                    let want: Vec<u64> = single.keys[single.row(set)]
+                        .iter()
+                        .copied()
+                        .filter(|&k| k != EMPTY && k / 4 == group)
+                        .collect();
+                    for &k in &want {
+                        assert!(single.remove(set, k));
+                    }
+                    let got = bulk.remove_where(set, |k| k / 4 == group);
+                    assert_eq!(got, want.len(), "op {op}: removed count");
+                } else {
+                    assert_eq!(
+                        bulk.insert(set, key, op),
+                        single.insert(set, key, op),
+                        "op {op}: victim"
+                    );
+                }
+                assert_eq!(bulk.keys[bulk.row(set)], single.keys[single.row(set)]);
+                for i in 0..ways {
+                    let (b, s) = (bulk.heads[set] + i, single.heads[set] + i);
+                    if bulk.keys[b] != EMPTY {
+                        assert_eq!(bulk.vals[b], single.vals[s], "op {op}: value moved");
+                    }
+                }
+            }
+            assert_eq!(bulk.occupancy(), single.occupancy());
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! miss without touching the row.
 
 use crate::assoc::LruRows;
-use crate::types::{Frame, VirtPage};
+use crate::types::{ChunkId, Frame, VirtPage, PAGES_PER_CHUNK};
 use sim_core::stats::Counter;
 
 /// TLB geometry and timing.
@@ -152,6 +152,22 @@ impl Tlb {
     /// Shoot down the translation for `page`. Returns true if present.
     pub fn invalidate(&mut self, page: VirtPage) -> bool {
         self.sets.remove(self.set_index(page), page.0)
+    }
+
+    /// Shoot down every translation of `chunk`'s pages in one pass per
+    /// distinct set — a single row for a fully associative TLB — keeping
+    /// the survivors' LRU order. Leaves the same TLB as
+    /// [`invalidate`](Tlb::invalidate) of each page. Returns how many
+    /// translations were dropped.
+    pub fn invalidate_chunk(&mut self, chunk: ChunkId) -> usize {
+        let first = self.set_index(chunk.first_page());
+        (0..self.n_sets.min(PAGES_PER_CHUNK as usize))
+            .map(|i| {
+                let set = (first + i) % self.n_sets;
+                self.sets
+                    .remove_where(set, |p| p / PAGES_PER_CHUNK == chunk.0)
+            })
+            .sum()
     }
 
     /// Drop every translation.
@@ -392,6 +408,47 @@ mod tests {
         assert!(t.invalidate(VirtPage(5)));
         assert!(!t.invalidate(VirtPage(5)));
         assert_eq!(t.lookup(VirtPage(5)), None);
+    }
+
+    /// A chunk shootdown leaves the TLB exactly as shooting down each of
+    /// its pages would, in fully and set-associative geometries: same
+    /// dropped count, and the same hits and victims afterwards.
+    #[test]
+    fn invalidate_chunk_matches_per_page_invalidate() {
+        for (entries, associativity) in [(16, 16), (32, 4), (64, 2)] {
+            let cfg = TlbConfig {
+                entries,
+                associativity,
+                hit_latency: 1,
+            };
+            let (mut bulk, mut single) = (Tlb::new(cfg), Tlb::new(cfg));
+            let mut x: u64 = 0xA076_1D64_78BD_642F ^ entries as u64;
+            for step in 0..100_000u64 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let page = VirtPage(x % 96);
+                if (x >> 8).is_multiple_of(8) {
+                    let chunk = page.chunk();
+                    let dropped = chunk.pages().filter(|&p| single.invalidate(p)).count();
+                    assert_eq!(bulk.invalidate_chunk(chunk), dropped, "step {step}");
+                } else if (x >> 8).is_multiple_of(2) {
+                    assert_eq!(bulk.lookup(page), single.lookup(page), "step {step}");
+                } else {
+                    let frame = Frame((x >> 16) as u32);
+                    assert_eq!(
+                        bulk.insert(page, frame),
+                        single.insert(page, frame),
+                        "step {step}"
+                    );
+                }
+                assert_eq!(bulk.occupancy(), single.occupancy(), "step {step}");
+            }
+            assert!(
+                bulk.hits.get() > 1000,
+                "{entries}/{associativity} never hit"
+            );
+        }
     }
 
     #[test]

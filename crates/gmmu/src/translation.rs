@@ -12,15 +12,20 @@
 //! side and map/unmap/invalidate on the driver side.
 //!
 //! Each resident page carries a TLB presence mask naming exactly the
-//! TLBs that hold it (bit *i* = SM *i*'s L1, bit 63 = the L2). The mask
-//! answers both directions: a shootdown visits only the holders, and a
-//! translation scans a TLB's row only when the page's bit for it is
-//! set — a clear bit is a miss without a probe. Hierarchies of more
-//! than 63 SMs have no masks and scan every TLB.
+//! TLBs that hold it (bit *i* = SM *i*'s L1, bit 63 = the L2), so a
+//! hierarchy has at most [`MAX_SMS`] SMs. The mask answers both
+//! directions: a shootdown visits only the holders, and a translation
+//! scans a TLB's row only when the page's bit for it is set — a clear
+//! bit is a miss without a probe.
+//!
+//! Evictions are chunk-granular, so the driver shoots a whole chunk down
+//! at once ([`unmap_chunk`](TranslationPath::unmap_chunk)): an L1 that
+//! holds several of the chunk's pages drops them all in one pass over
+//! its row, and every other holder drops its one page as before.
 
 use crate::page_table::{PageTable, Residency};
 use crate::tlb::{Tlb, TlbConfig};
-use crate::types::{Frame, SmId, VirtPage};
+use crate::types::{ChunkId, Frame, SmId, VirtPage};
 use crate::walk_cache::WalkCache;
 use crate::walker::{Walker, WalkerConfig};
 use sim_core::time::Cycle;
@@ -88,9 +93,27 @@ pub struct TranslationTiming {
 }
 
 /// TLB-presence-mask bit reserved for the shared L2 TLB; bits `0..63`
-/// identify per-SM L1 TLBs. Hierarchies with more than 63 SMs fall back
-/// to scanning every TLB on probe and shootdown.
+/// identify per-SM L1 TLBs.
 const L2_MASK_BIT: u32 = 63;
+
+/// Most SMs a hierarchy may have: one presence-mask bit per L1 TLB,
+/// with the top bit kept for the L2.
+pub const MAX_SMS: usize = L2_MASK_BIT as usize;
+
+/// How TLB shootdowns did their work. Checking aid only: no result or
+/// fingerprint depends on it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ShootdownCounts {
+    /// Pages unmapped.
+    pub pages: u64,
+    /// Single-page TLB removes (one row scan each).
+    pub page_removes: u64,
+    /// Chunk passes: one L1 row pass dropping several pages of a chunk.
+    pub chunk_passes: u64,
+    /// Translations the chunk passes dropped — the single-page removes
+    /// they replaced.
+    pub chunk_pass_removes: u64,
+}
 
 /// The full translation hierarchy.
 #[derive(Debug)]
@@ -100,21 +123,29 @@ pub struct TranslationPath {
     pwc: WalkCache,
     walker: Walker,
     page_table: PageTable,
-    /// Whether per-page TLB presence masks are in use (num_sms ≤ 63).
-    use_masks: bool,
+    shootdowns: ShootdownCounts,
 }
 
 impl TranslationPath {
     /// Build the hierarchy from `cfg`.
+    ///
+    /// # Panics
+    /// Panics if `cfg.num_sms` exceeds [`MAX_SMS`] (`GpuConfig::validate`
+    /// rejects such a configuration with a typed error first).
     #[must_use]
     pub fn new(cfg: &TranslationConfig) -> Self {
+        assert!(
+            cfg.num_sms <= MAX_SMS,
+            "{} SMs: presence masks cover at most {MAX_SMS}",
+            cfg.num_sms
+        );
         TranslationPath {
             l1: (0..cfg.num_sms).map(|_| Tlb::new(cfg.l1)).collect(),
             l2: Tlb::new(cfg.l2),
             pwc: WalkCache::table1_default(),
             walker: Walker::new(cfg.walker),
             page_table: PageTable::new(),
-            use_masks: cfg.num_sms as u32 <= L2_MASK_BIT,
+            shootdowns: ShootdownCounts::default(),
         }
     }
 
@@ -124,11 +155,9 @@ impl TranslationPath {
     #[inline]
     fn l1_fill(&mut self, sm: SmId, page: VirtPage, frame: Frame) {
         let victim = self.l1[sm.idx()].fill(page, frame);
-        if self.use_masks {
-            self.page_table.tlb_note_insert(page, sm.idx() as u32);
-            if let Some((vp, _)) = victim {
-                self.page_table.tlb_note_remove(vp, sm.idx() as u32);
-            }
+        self.page_table.tlb_note_insert(page, sm.idx() as u32);
+        if let Some((vp, _)) = victim {
+            self.page_table.tlb_note_remove(vp, sm.idx() as u32);
         }
     }
 
@@ -138,11 +167,9 @@ impl TranslationPath {
     #[inline]
     fn l2_fill(&mut self, page: VirtPage, frame: Frame) {
         let victim = self.l2.fill(page, frame);
-        if self.use_masks {
-            self.page_table.tlb_note_insert(page, L2_MASK_BIT);
-            if let Some((vp, _)) = victim {
-                self.page_table.tlb_note_remove(vp, L2_MASK_BIT);
-            }
+        self.page_table.tlb_note_insert(page, L2_MASK_BIT);
+        if let Some((vp, _)) = victim {
+            self.page_table.tlb_note_remove(vp, L2_MASK_BIT);
         }
     }
 
@@ -173,14 +200,9 @@ impl TranslationPath {
         page: VirtPage,
         now: Cycle,
     ) -> (TranslationOutcome, TranslationTiming) {
-        // A clear mask bit is a known miss; without masks every TLB may
-        // hold the page.
-        let (in_l1, in_l2) = if self.use_masks {
-            let mask = self.page_table.tlb_mask(page);
-            ((mask >> sm.idx()) & 1 != 0, (mask >> L2_MASK_BIT) & 1 != 0)
-        } else {
-            (true, true)
-        };
+        // A clear mask bit is a known miss.
+        let mask = self.page_table.tlb_mask(page);
+        let (in_l1, in_l2) = ((mask >> sm.idx()) & 1 != 0, (mask >> L2_MASK_BIT) & 1 != 0);
         let l1 = &mut self.l1[sm.idx()];
         let l1_latency = l1.hit_latency();
         let after_l1 = now.after(l1_latency);
@@ -249,28 +271,80 @@ impl TranslationPath {
     /// freed frame and the hardware access bit (touched).
     ///
     /// The page's presence mask names exactly the TLBs holding it, so
-    /// the shootdown visits only those (usually zero — most evicted
-    /// pages are cold) instead of scanning every way of every L1.
+    /// the shootdown visits only those instead of scanning every way of
+    /// every L1. The driver evicts whole chunks through
+    /// [`unmap_chunk`](TranslationPath::unmap_chunk); this single-page
+    /// form stays for callers that unmap one page.
+    ///
+    /// # Panics
+    /// Panics if `page` is not mapped.
     pub fn unmap_and_invalidate(&mut self, page: VirtPage) -> (Frame, bool) {
-        if self.use_masks {
-            let mut mask = self.page_table.tlb_mask(page);
-            while mask != 0 {
-                let bit = mask.trailing_zeros();
-                mask &= mask - 1;
-                let hit = if bit == L2_MASK_BIT {
-                    self.l2.invalidate(page)
-                } else {
-                    self.l1[bit as usize].invalidate(page)
-                };
-                debug_assert!(hit, "presence mask bit {bit} set but page not in TLB");
-            }
-        } else {
-            for l1 in &mut self.l1 {
-                l1.invalidate(page);
-            }
-            self.l2.invalidate(page);
-        }
+        self.shoot_down(page, self.page_table.tlb_mask(page));
+        self.shootdowns.pages += 1;
         self.page_table.unmap(page)
+    }
+
+    /// Drop `page` from each TLB named by `mask`, one row scan each.
+    #[inline]
+    fn shoot_down(&mut self, page: VirtPage, mut mask: u64) {
+        self.shootdowns.page_removes += u64::from(mask.count_ones());
+        while mask != 0 {
+            let bit = mask.trailing_zeros();
+            mask &= mask - 1;
+            let hit = if bit == L2_MASK_BIT {
+                self.l2.invalidate(page)
+            } else {
+                self.l1[bit as usize].invalidate(page)
+            };
+            debug_assert!(hit, "presence mask bit {bit} set but page not in TLB");
+        }
+    }
+
+    /// Driver side: unmap every resident page of `chunk` and shoot each
+    /// down from every TLB, calling `each(page, frame, touched)` per
+    /// unmapped page in address order. Leaves every TLB, mask and page
+    /// entry exactly as [`unmap_and_invalidate`] of each resident page
+    /// would.
+    ///
+    /// The chunk's presence masks name the L1 TLBs holding two or more
+    /// of its pages; each of those drops them all in one pass over its
+    /// row ([`Tlb::invalidate_chunk`]). The L2 and an L1 holding a
+    /// single page keep the per-page remove, so a chunk shootdown never
+    /// scans more rows than the per-page one.
+    ///
+    /// [`unmap_and_invalidate`]: TranslationPath::unmap_and_invalidate
+    pub fn unmap_chunk(&mut self, chunk: ChunkId, mut each: impl FnMut(VirtPage, Frame, bool)) {
+        // L1 bits seen on one page, and on two or more.
+        let (mut once, mut multi) = (0u64, 0u64);
+        for page in chunk.pages() {
+            let l1s = self.page_table.tlb_mask(page) & !(1 << L2_MASK_BIT);
+            multi |= once & l1s;
+            once |= l1s;
+        }
+        let mut passes = multi;
+        while passes != 0 {
+            let bit = passes.trailing_zeros();
+            passes &= passes - 1;
+            let dropped = self.l1[bit as usize].invalidate_chunk(chunk);
+            debug_assert!(dropped >= 2, "L1 {bit} held {dropped} of {chunk:?}");
+            self.shootdowns.chunk_passes += 1;
+            self.shootdowns.chunk_pass_removes += dropped as u64;
+        }
+        for page in chunk.pages() {
+            if !self.page_table.is_resident(page) {
+                continue;
+            }
+            self.shoot_down(page, self.page_table.tlb_mask(page) & !multi);
+            self.shootdowns.pages += 1;
+            let (frame, touched) = self.page_table.unmap(page);
+            each(page, frame, touched);
+        }
+    }
+
+    /// How the shootdowns so far did their work.
+    #[must_use]
+    pub fn shootdown_counts(&self) -> ShootdownCounts {
+        self.shootdowns
     }
 
     /// Record an SM access to a resident page (sets the PTE access bit).
@@ -279,10 +353,9 @@ impl TranslationPath {
     }
 
     /// Do the presence masks match the TLBs, in full? Every cached
-    /// translation must be of a resident page at the cached frame and,
-    /// where masks are kept, each mask bit must match exactly one TLB
-    /// entry — so a missing bit, a stray bit and a TLB holding a page
-    /// twice all fail. Costs
+    /// translation must be of a resident page at the cached frame and
+    /// each mask bit must match exactly one TLB entry — so a missing
+    /// bit, a stray bit and a TLB holding a page twice all fail. Costs
     /// O(TLB entries + mapped pages): a checking aid for batch
     /// boundaries, not a hot-path call.
     #[must_use]
@@ -295,9 +368,6 @@ impl TranslationPath {
             for (page, frame) in tlb.entries() {
                 if pt.residency(page) != Residency::Resident(frame) {
                     return false;
-                }
-                if !self.use_masks {
-                    continue;
                 }
                 match unmatched.get_mut(&page) {
                     Some(m) if (*m >> bit) & 1 != 0 => *m &= !(1 << bit),
@@ -658,13 +728,13 @@ mod tests {
 
     /// Model-based equivalence of the whole path with the scan oracle:
     /// random translate / map / touch / unmap streams with capacity
-    /// pressure in every TLB and the PWC, at 4 SMs (mask-gated probes)
-    /// and at 64 SMs (no masks, every probe scans). Every outcome,
-    /// stage timing and counter must agree.
+    /// pressure in every TLB and the PWC, at 4 SMs and at 63 SMs — the
+    /// largest hierarchy, whose last L1 owns presence-mask bit 62.
+    /// Every outcome, stage timing and counter must agree.
     #[test]
     fn translation_path_matches_scan_oracle_path() {
         use crate::page_table::FLAT_LIMIT;
-        for num_sms in [4, 64] {
+        for num_sms in [4, MAX_SMS] {
             let cfg = TranslationConfig {
                 num_sms,
                 l1: TlbConfig {
@@ -683,7 +753,6 @@ mod tests {
                 },
             };
             let mut fast = TranslationPath::new(&cfg);
-            assert_eq!(fast.use_masks, num_sms < 64);
             let mut slow = ScanPath::new(&cfg);
             let mut resident: Vec<VirtPage> = Vec::new();
             let (mut x, mut now, mut next_frame) = (0x5DEE_CE66_D1CE_4E5B ^ num_sms as u64, 0, 0);
@@ -729,7 +798,7 @@ mod tests {
                             page
                         };
                         // Half the accesses come from two SMs, so L1s
-                        // hit even with 64 of them.
+                        // hit even with 63 of them.
                         let sm =
                             SmId(((x >> 40) % if x & 64 != 0 { 2 } else { num_sms as u64 }) as u16);
                         assert_eq!(
@@ -744,7 +813,103 @@ mod tests {
             let s = fast.stats();
             let counts = [s.l1_hits, s.l2_hits, s.pwc_hits, s.faulting_walks];
             assert!(counts.iter().all(|&n| n > 1000), "{num_sms} SMs: {s:?}");
+            let last = &fast.l1[num_sms - 1];
+            assert!(last.hits.get() > 0, "L1 {} never hit", num_sms - 1);
             assert!(fast.masks_consistent());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "presence masks cover at most 63")]
+    fn more_sms_than_mask_bits_panics() {
+        let _ = TranslationPath::new(&TranslationConfig {
+            num_sms: MAX_SMS + 1,
+            ..TranslationConfig::default()
+        });
+    }
+
+    /// A chunk shootdown must be indistinguishable from unmapping the
+    /// chunk's resident pages one by one: twin paths run the same random
+    /// translate / map / touch stream, and at each chunk eviction one
+    /// calls `unmap_chunk` and the other `unmap_and_invalidate` per
+    /// resident page. Every callback, later outcome and stage timing,
+    /// the stats and the presence masks must agree, with chunks held
+    /// several times over by the same L1s so the row passes fire.
+    #[test]
+    fn unmap_chunk_matches_per_page_unmap() {
+        for num_sms in [4, 28] {
+            let cfg = TranslationConfig {
+                num_sms,
+                l1: TlbConfig {
+                    entries: 32,
+                    associativity: 32,
+                    hit_latency: 1,
+                },
+                l2: TlbConfig {
+                    entries: 64,
+                    associativity: 4,
+                    hit_latency: 10,
+                },
+                ..TranslationConfig::default()
+            };
+            let mut bulk = TranslationPath::new(&cfg);
+            let mut single = TranslationPath::new(&cfg);
+            let (mut x, mut now, mut next_frame) = (0x9E6C_63D0_676A_9A99 ^ num_sms as u64, 0, 0);
+            for step in 0..40_000u64 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                now += (x >> 50) % 300;
+                let r = x >> 24;
+                // Eight chunks: dense enough that an L1 holds several
+                // pages of one chunk, sparse enough to keep faulting.
+                let page = VirtPage((r >> 3) % 128);
+                match x % 32 {
+                    0..=5 if !single.page_table().is_resident(page) => {
+                        bulk.map(page, Frame(next_frame), x & 32 != 0);
+                        single.map(page, Frame(next_frame), x & 32 != 0);
+                        next_frame += 1;
+                    }
+                    6 => {
+                        let chunk = page.chunk();
+                        let mut got = Vec::new();
+                        bulk.unmap_chunk(chunk, |p, f, t| got.push((p, f, t)));
+                        let mut want = Vec::new();
+                        for p in chunk.pages() {
+                            if single.page_table().is_resident(p) {
+                                let (f, t) = single.unmap_and_invalidate(p);
+                                want.push((p, f, t));
+                            }
+                        }
+                        assert_eq!(got, want, "unmap_chunk({chunk:?}) at step {step}");
+                        assert!(bulk.masks_consistent(), "step {step}");
+                    }
+                    7 => {
+                        bulk.mark_touched(page);
+                        single.mark_touched(page);
+                    }
+                    _ => {
+                        let sm =
+                            SmId(((x >> 40) % if x & 64 != 0 { 2 } else { num_sms as u64 }) as u16);
+                        assert_eq!(
+                            bulk.translate_timed(sm, page, Cycle(now)),
+                            single.translate_timed(sm, page, Cycle(now)),
+                            "translate({sm:?}, {page:?}) at step {step}"
+                        );
+                    }
+                }
+                assert_eq!(bulk.stats(), single.stats(), "stats at step {step}");
+            }
+            assert!(bulk.masks_consistent() && single.masks_consistent());
+            let (b, s) = (bulk.shootdown_counts(), single.shootdown_counts());
+            assert_eq!(b.pages, s.pages);
+            assert_eq!(b.page_removes + b.chunk_pass_removes, s.page_removes);
+            assert!(
+                b.chunk_passes > 100,
+                "{num_sms} SMs: row passes never fired: {b:?}"
+            );
+            assert!(b.chunk_pass_removes >= 2 * b.chunk_passes);
+            assert!(bulk.stats().l1_hits > 1000, "{num_sms} SMs never hit an L1");
         }
     }
 

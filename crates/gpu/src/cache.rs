@@ -21,13 +21,23 @@
 //! * the per-SM L1s are one flat `L1Bank`: a single `Vec<u64>` of
 //!   page numbers laid out set-major, so an SM's 6-way set row is 48
 //!   contiguous bytes and the same set of *every* SM is one contiguous
-//!   run. Rows are kept MRU-first (a hit moves its way to the front, a
-//!   miss rotates the LRU or an empty tail way to the front), which is
-//!   exactly the seed's min-stamp true LRU. Invalidating a page is one
-//!   scan of `sms × 6` words instead of one hash probe per SM;
+//!   `sms × 6`-word span. Rows are kept MRU-first (a hit moves its way
+//!   to the front, a miss rotates the LRU or an empty tail way to the
+//!   front), which is exactly the seed's min-stamp true LRU;
 //! * the L2 is a [`PageCache`] on the flat MRU-first rows shared with
 //!   the TLBs ([`gmmu::assoc::LruRows`]): a probe scans one 16-way row
 //!   of 128 contiguous bytes, and the victim is the row's last way.
+//!
+//! The driver evicts whole chunks, so a fault batch's evicted pages are
+//! invalidated together ([`DataHierarchy::invalidate_evicted`]): one
+//! pass over each L1-bank set span that holds an evicted page — at most
+//! two — drops every page of an evicted chunk from every SM's row,
+//! keeping the survivors' order. That is exact because the caches only
+//! hold resident pages and an eviction unmaps every resident page of its
+//! chunk, so a cached page of an evicted chunk is always one of the
+//! batch's evicted pages (`gpu::Invariants` checks the first half at
+//! every batch). The L2 stays per page: each page of a chunk sits in its
+//! own 16-way row.
 //!
 //! The seed's scan implementation is preserved below as
 //! [`legacy::ScanPageCache`], and model-based tests drive both layouts
@@ -37,7 +47,7 @@
 
 use crate::dram::{Dram, DramConfig};
 use gmmu::assoc::LruRows;
-use gmmu::types::VirtPage;
+use gmmu::types::{VirtPage, PAGES_PER_CHUNK};
 use sim_core::stats::Counter;
 use sim_core::time::Cycle;
 
@@ -96,6 +106,11 @@ impl PageCache {
     pub fn contains(&self, page: VirtPage) -> bool {
         self.sets.peek(self.set_index(page), page.0).is_some()
     }
+
+    /// Every cached page (no LRU update).
+    pub fn pages(&self) -> impl Iterator<Item = VirtPage> + '_ {
+        self.sets.iter().map(|(p, ())| VirtPage(p))
+    }
 }
 
 /// Table I's per-SM L1: 48 KB = 12 pages, as this many sets…
@@ -153,6 +168,30 @@ impl L1Bank {
         }
     }
 
+    /// Drop every page of the sorted `chunks` from each SM's row of set
+    /// `set` in one pass over its span, keeping the survivors' order.
+    fn invalidate_chunks(&mut self, set: usize, chunks: &[u64]) {
+        let (lo, hi) = (chunks[0], chunks[chunks.len() - 1]);
+        let gone = |p: u64| {
+            let c = p / PAGES_PER_CHUNK;
+            (lo..=hi).contains(&c) && chunks.binary_search(&c).is_ok()
+        };
+        let span = self.sms * L1_WAYS;
+        for row in self.ways[set * span..][..span].chunks_exact_mut(L1_WAYS) {
+            // Empty ways sit at the tail, so whether one is kept or
+            // dropped, the row ends in the same empties.
+            let mut kept = 0;
+            for i in 0..L1_WAYS {
+                let p = row[i];
+                if !gone(p) {
+                    row[kept] = p;
+                    kept += 1;
+                }
+            }
+            row[kept..].fill(EMPTY);
+        }
+    }
+
     /// Drop `page` from every SM's row, keeping the survivors' order.
     #[inline]
     fn invalidate(&mut self, page: VirtPage) {
@@ -169,6 +208,25 @@ impl L1Bank {
     fn holds(&self, page: VirtPage) -> bool {
         self.ways[self.set_span(page)].contains(&page.0)
     }
+
+    /// Every page some SM holds, once per holder (no LRU update).
+    fn pages(&self) -> impl Iterator<Item = VirtPage> + '_ {
+        self.ways
+            .iter()
+            .filter(|&&p| p != EMPTY)
+            .map(|&p| VirtPage(p))
+    }
+}
+
+/// How data-cache invalidation did its work. Checking aid only: no
+/// result or fingerprint depends on it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct InvalidationCounts {
+    /// Evicted pages invalidated.
+    pub pages: u64,
+    /// Passes over an L1-bank set span (`sms × 6` words): one per page
+    /// on the per-page path, at most two per batch on the chunk path.
+    pub span_passes: u64,
 }
 
 /// The two-level data-cache hierarchy backed by the GDDR5 channel
@@ -180,6 +238,10 @@ pub struct DataHierarchy {
     dram: Dram,
     l1_hit: u64,
     l2_hit: u64,
+    /// Scratch: the sorted, deduplicated chunks of the batch being
+    /// invalidated.
+    chunks: Vec<u64>,
+    invalidations: InvalidationCounts,
 }
 
 impl DataHierarchy {
@@ -192,6 +254,8 @@ impl DataHierarchy {
             dram: Dram::new(DramConfig::default()),
             l1_hit: 4,
             l2_hit: 30,
+            chunks: Vec::new(),
+            invalidations: InvalidationCounts::default(),
         }
     }
 
@@ -216,6 +280,54 @@ impl DataHierarchy {
     pub fn invalidate(&mut self, page: VirtPage) {
         self.l1.invalidate(page);
         self.l2.invalidate(page);
+        self.invalidations.pages += 1;
+        self.invalidations.span_passes += 1;
+    }
+
+    /// Invalidate a fault batch's evicted pages everywhere. Leaves every
+    /// cache exactly as [`invalidate`](DataHierarchy::invalidate) of each
+    /// page would, provided the caches hold only resident pages and
+    /// `pages` lists every page the batch unmapped, as the driver's
+    /// whole-chunk evictions do: each L1-bank set span holding an evicted
+    /// page is then swept once for every page of the batch's chunks.
+    pub fn invalidate_evicted(&mut self, pages: &[VirtPage]) {
+        let [first, rest @ ..] = pages else {
+            return;
+        };
+        if rest.is_empty() {
+            self.invalidate(*first);
+            return;
+        }
+        self.chunks.clear();
+        self.chunks
+            .extend(pages.iter().map(|p| p.0 / PAGES_PER_CHUNK));
+        self.chunks.sort_unstable();
+        self.chunks.dedup();
+        let sets = pages
+            .iter()
+            .fold(0u32, |m, p| m | 1 << (p.0 % L1_SETS as u64));
+        for set in 0..L1_SETS {
+            if sets & 1 << set != 0 {
+                self.l1.invalidate_chunks(set, &self.chunks);
+                self.invalidations.span_passes += 1;
+            }
+        }
+        for &page in pages {
+            self.l2.invalidate(page);
+        }
+        self.invalidations.pages += pages.len() as u64;
+    }
+
+    /// How invalidation so far did its work.
+    #[must_use]
+    pub fn invalidation_counts(&self) -> InvalidationCounts {
+        self.invalidations
+    }
+
+    /// Every page an L1 or the L2 holds; a page several SMs hold comes
+    /// once per holder. Read-only: no LRU state or counter changes.
+    pub fn pages(&self) -> impl Iterator<Item = VirtPage> + '_ {
+        self.l1.pages().chain(self.l2.pages())
     }
 
     /// Whether any L1 or the L2 holds `page`. Read-only: no LRU state
@@ -457,6 +569,99 @@ mod tests {
             }
             assert_eq!(h.dram_stats(), (dram.row_hits.get(), dram.row_misses.get()));
         }
+    }
+
+    /// Chunk-granular invalidation against per-page invalidation on twin
+    /// hierarchies. Pages become resident on first access (the fault
+    /// migrates them) and a batch evicts every resident page of one to
+    /// three chunks — sometimes re-mapping half of a chunk it just
+    /// evicted and evicting that chunk again, and sometimes a chunk of a
+    /// sparse region holding a single page. Rows, every later latency
+    /// and the DRAM statistics must agree.
+    #[test]
+    fn invalidate_evicted_matches_per_page_invalidate() {
+        /// Unmap every resident page of `chunk`, listing it in `batch`.
+        fn evict(resident: &mut [bool], chunk: u64, batch: &mut Vec<VirtPage>) {
+            for p in chunk * PAGES_PER_CHUNK..(chunk + 1) * PAGES_PER_CHUNK {
+                if std::mem::take(&mut resident[p as usize]) {
+                    batch.push(VirtPage(p));
+                }
+            }
+        }
+        const CHUNKS: u64 = 96;
+        /// Chunks from here on are sparse: only their first page is used.
+        const SPARSE: u64 = 64;
+        for sms in [1, 4, 28] {
+            let mut step = xorshift(0xD1B5_4A32_D192_ED03 ^ sms as u64);
+            let mut bulk = DataHierarchy::new(sms);
+            let mut single = DataHierarchy::new(sms);
+            let mut resident = vec![false; (CHUNKS * PAGES_PER_CHUNK) as usize];
+            let mut batch = Vec::new();
+            let (mut now, mut one_page, mut multi_chunk, mut remapped) = (0, 0, 0, 0);
+            for op in 0..150_000u64 {
+                let r = step();
+                if r.is_multiple_of(24) {
+                    batch.clear();
+                    let n = 1 + (r >> 8) % 3;
+                    for k in 0..n {
+                        let chunk = (r >> (12 + 10 * k)) % CHUNKS;
+                        evict(&mut resident, chunk, &mut batch);
+                        if (r >> 50).is_multiple_of(4) {
+                            remapped += 1;
+                            let first = chunk * PAGES_PER_CHUNK;
+                            for p in (first..first + PAGES_PER_CHUNK).step_by(2) {
+                                resident[p as usize] = true;
+                            }
+                            if (r >> 56).is_multiple_of(2) {
+                                evict(&mut resident, chunk, &mut batch);
+                            }
+                        }
+                    }
+                    bulk.invalidate_evicted(&batch);
+                    for &p in &batch {
+                        single.invalidate(p);
+                    }
+                    one_page += u64::from(batch.len() == 1);
+                    let first = batch.first().map(|p| p.chunk());
+                    multi_chunk += u64::from(batch.iter().any(|p| Some(p.chunk()) != first));
+                    assert!(bulk.pages().eq(single.pages()), "op {op}: rows differ");
+                    assert!(bulk.pages().all(|p| resident[p.0 as usize]));
+                    continue;
+                }
+                let chunk = (r >> 8) % CHUNKS;
+                let offset = if chunk < SPARSE {
+                    (r >> 16) % PAGES_PER_CHUNK
+                } else {
+                    0
+                };
+                let page = VirtPage(chunk * PAGES_PER_CHUNK + offset);
+                resident[page.0 as usize] = true;
+                now += (r >> 48) % 64;
+                let sm = (r >> 32) as usize % sms;
+                assert_eq!(
+                    bulk.access(sm, page, Cycle(now)),
+                    single.access(sm, page, Cycle(now)),
+                    "op {op}: {sms} SMs, {page:?}"
+                );
+            }
+            assert_eq!(bulk.dram_stats(), single.dram_stats());
+            let (b, s) = (bulk.invalidation_counts(), single.invalidation_counts());
+            assert_eq!(b.pages, s.pages);
+            assert!(b.span_passes < s.span_passes / 4, "{b:?} vs {s:?}");
+            for (what, n) in [("one-page", one_page), ("multi-chunk", multi_chunk)] {
+                assert!(n > 100, "{sms} SMs: {n} {what} batches");
+            }
+            assert!(remapped > 100, "{sms} SMs: {remapped} re-mapped chunks");
+        }
+    }
+
+    #[test]
+    fn empty_batch_does_nothing() {
+        let mut h = DataHierarchy::new(2);
+        h.access(0, VirtPage(3), Cycle::ZERO);
+        h.invalidate_evicted(&[]);
+        assert_eq!(h.invalidation_counts(), InvalidationCounts::default());
+        assert!(h.holds(VirtPage(3)));
     }
 
     #[test]

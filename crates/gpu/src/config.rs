@@ -1,6 +1,6 @@
 //! Whole-system configuration (Table I defaults).
 
-use gmmu::translation::TranslationConfig;
+use gmmu::translation::{TranslationConfig, MAX_SMS};
 use sim_core::error::ConfigError;
 use sim_core::fault::InjectionConfig;
 use telemetry::TraceConfig;
@@ -100,7 +100,9 @@ impl GpuConfig {
 
     /// Validate the configuration: SM and lane counts, link bandwidth
     /// and injection knobs. Every SM needs its own L1 TLB, so `sms` may
-    /// not exceed `translation.num_sms`.
+    /// not exceed `translation.num_sms`, and each L1 TLB needs its own
+    /// presence-mask bit, so `translation.num_sms` may not exceed
+    /// [`MAX_SMS`] (63).
     ///
     /// # Errors
     /// Returns the first [`ConfigError`] found.
@@ -113,6 +115,12 @@ impl GpuConfig {
                 field: "warps_per_sm",
             });
         }
+        sim_core::error::require_in_range(
+            "translation.num_sms",
+            self.translation.num_sms as f64,
+            1.0,
+            MAX_SMS as f64,
+        )?;
         sim_core::error::require_in_range(
             "sms",
             self.sms as f64,
@@ -186,6 +194,27 @@ mod tests {
             };
             assert_eq!(c.validate(), Ok(()), "{sms} SMs");
         }
+    }
+
+    #[test]
+    fn validate_rejects_more_l1_tlbs_than_mask_bits() {
+        let with = |num_sms| GpuConfig {
+            translation: TranslationConfig {
+                num_sms,
+                ..TranslationConfig::default()
+            },
+            ..GpuConfig::default()
+        };
+        assert_eq!(with(63).validate(), Ok(()));
+        assert_eq!(
+            with(64).validate(),
+            Err(ConfigError::OutOfRange {
+                field: "translation.num_sms",
+                value: 64.0,
+                min: 1.0,
+                max: 63.0,
+            })
+        );
     }
 
     #[test]

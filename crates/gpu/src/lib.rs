@@ -11,7 +11,8 @@
 //! * [`sim`] — [`simulate`], [`simulate_with`], [`RunResult`] and
 //!   [`Outcome`],
 //! * [`observe`] — the event loop's [`Observer`] hooks and the stock
-//!   observers ([`Timeline`], [`Invariants`], [`FireCounts`]).
+//!   observers ([`Timeline`], [`Invariants`], [`FireCounts`],
+//!   [`EvictionPasses`]).
 
 pub mod cache;
 pub mod config;
@@ -22,5 +23,7 @@ mod spans;
 pub mod waiters;
 
 pub use config::GpuConfig;
-pub use observe::{FireCounts, Invariants, NoObserver, Observer, Timeline, TimelinePoint};
+pub use observe::{
+    EvictionPasses, FireCounts, Invariants, NoObserver, Observer, Timeline, TimelinePoint,
+};
 pub use sim::{simulate, simulate_accesses, simulate_with, Outcome, RunResult};

@@ -15,15 +15,17 @@
 //! * [`Timeline`] — one [`TimelinePoint`] per dispatched batch;
 //! * [`Invariants`] — cross-structure consistency checks at every batch
 //!   boundary;
-//! * [`FireCounts`] — how often the fast lane's run-ahead fires.
+//! * [`FireCounts`] — how often the fast lane's run-ahead fires;
+//! * [`EvictionPasses`] — how often chunk-granular eviction replaced
+//!   per-page TLB removes and data-cache scans.
 //!
 //! The fault-lifecycle span builder is one more observer, switched on by
 //! `GpuConfig::trace` (see `crate::spans`). A pair `(A, B)` of observers
 //! is itself an observer that calls `A` then `B`.
 
-use crate::cache::DataHierarchy;
+use crate::cache::{DataHierarchy, InvalidationCounts};
 use crate::waiters::WaiterTable;
-use gmmu::translation::{TranslationPath, TranslationTiming};
+use gmmu::translation::{ShootdownCounts, TranslationPath, TranslationTiming};
 use gmmu::types::VirtPage;
 use sim_core::time::Cycle;
 use sim_core::{FxHashMap, FxHashSet};
@@ -279,6 +281,25 @@ impl Observer for FireCounts {
     }
 }
 
+/// How chunk-granular eviction did its work: the translation path's
+/// shootdown counts and the data caches' invalidation counts, as of the
+/// last dispatched batch (the only place either changes). Like
+/// [`FireCounts`], no result or fingerprint sees them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EvictionPasses {
+    /// TLB chunk row passes against single-page removes.
+    pub shootdown: ShootdownCounts,
+    /// L1-bank span passes against evicted pages.
+    pub invalidation: InvalidationCounts,
+}
+
+impl Observer for EvictionPasses {
+    fn batch_dispatched(&mut self, ctx: Ctx<'_>, _: Cycle, _: &BatchResult) {
+        self.shootdown = ctx.xlat().shootdown_counts();
+        self.invalidation = ctx.caches().invalidation_counts();
+    }
+}
+
 /// Cross-structure consistency checks at every batch boundary:
 ///
 /// * the frame pool and the page table agree (capacity − free frames =
@@ -288,7 +309,9 @@ impl Observer for FireCounts {
 ///   is of a resident page at its frame, and each mask bit names
 ///   exactly one TLB entry. The masks decide TLB probe results, so a
 ///   missing bit would silently duplicate an entry;
-/// * no page this batch evicted is still held by a data cache;
+/// * no page this batch evicted is still held by a data cache, and
+///   every page an L1 or the L2 holds is resident — the fact that makes
+///   the data caches' chunk-granular invalidation exact;
 /// * no lane waits on two pages at once, and every page with waiters
 ///   is either pending dispatch or has a completion queued;
 /// * batches dispatch in non-decreasing time.
@@ -332,6 +355,9 @@ impl Invariants {
         }
         if let Some(page) = batch.evicted.iter().find(|&&p| ctx.caches().holds(p)) {
             return Err(format!("evicted {page:?} is still in a data cache"));
+        }
+        if let Some(page) = ctx.caches().pages().find(|&p| !pt.is_resident(p)) {
+            return Err(format!("{page:?} is in a data cache but not resident"));
         }
         if dispatch.0 < self.last_dispatch {
             return Err(format!(

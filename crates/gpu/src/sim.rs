@@ -204,9 +204,7 @@ impl Machine {
         // Overflow tail (injected queue-depth limit): re-queue for the
         // next batch.
         self.pending.extend_from_slice(&r.deferred);
-        for &p in &r.evicted {
-            self.caches.invalidate(p);
-        }
+        self.caches.invalidate_evicted(&r.evicted);
         for &(page, t) in &r.completions {
             self.q.push(t, Event::PageReady(page));
         }
@@ -556,7 +554,7 @@ fn compute_cycles(cfg: &GpuConfig, step: AccessStep, rng: &mut Xoshiro256ss) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observe::{FireCounts, Invariants, Timeline};
+    use crate::observe::{EvictionPasses, FireCounts, Invariants, Timeline};
     use cppe::presets::PolicyPreset;
 
     fn seq_stream(pages: u64, passes: u32, compute: u32) -> Vec<AccessStep> {
@@ -778,6 +776,22 @@ mod tests {
         assert!(on.run_ahead > 0 && on.streaks > 0);
         assert!(on.run_ahead >= on.streaks && on.longest_streak <= MAX_STREAK);
         assert_eq!(counts[1], FireCounts::default());
+    }
+
+    #[test]
+    fn eviction_passes_count_chunk_work() {
+        let streams = items(&[seq_stream(512, 3, 50), seq_stream(512, 3, 70)]);
+        let mut passes = EvictionPasses::default();
+        let engine = PolicyPreset::Cppe.build(3);
+        let r = simulate_with(&tiny_cfg(), engine, &streams, 128, 512, &mut passes);
+        let (sd, inv) = (passes.shootdown, passes.invalidation);
+        assert_eq!(sd.pages, r.engine.pages_evicted);
+        assert_eq!(inv.pages, r.engine.pages_evicted);
+        assert!(
+            inv.span_passes > 0 && inv.span_passes < inv.pages,
+            "{inv:?}"
+        );
+        assert!(sd.chunk_passes > 0 && sd.chunk_pass_removes >= 2 * sd.chunk_passes);
     }
 
     #[test]

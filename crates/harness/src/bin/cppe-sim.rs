@@ -11,7 +11,7 @@
 //! hpe-nopf lru-nopf tree
 
 use cppe::presets::PolicyPreset;
-use gpu::{simulate_with, FireCounts, GpuConfig};
+use gpu::{simulate_with, EvictionPasses, FireCounts, GpuConfig};
 use workloads::registry;
 
 fn parse_policy(name: &str) -> Option<PolicyPreset> {
@@ -127,9 +127,10 @@ fn main() {
     let pages = spec.pages(args.scale);
     let capacity = (((pages as f64 * args.rate) as u64).max(32) / 16 * 16) as u32;
     let engine = args.policy.build(args.seed);
-    let mut fired = FireCounts::default();
+    let mut fired = (FireCounts::default(), EvictionPasses::default());
     let t0 = std::time::Instant::now();
     let r = simulate_with(&gpu, engine, &streams, capacity, pages, &mut fired);
+    let (fired, passes) = fired;
     let wall = t0.elapsed();
 
     println!(
@@ -168,6 +169,15 @@ fn main() {
     println!(
         "fast lane         {} of {} accesses ran ahead inline ({} streaks, longest {})",
         fired.run_ahead, r.accesses, fired.streaks, fired.longest_streak
+    );
+    let (sd, inv) = (passes.shootdown, passes.invalidation);
+    println!(
+        "tlb shootdown     {} chunk row passes dropped {} entries; {} single-page removes",
+        sd.chunk_passes, sd.chunk_pass_removes, sd.page_removes
+    );
+    println!(
+        "cache invalidate  {} L1-bank span passes for {} evicted pages",
+        inv.span_passes, inv.pages
     );
     println!(
         "pcie              {} B in, {} B out",

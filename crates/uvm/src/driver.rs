@@ -507,17 +507,15 @@ impl UvmDriver {
         }
         let mut touch = TouchVec::empty();
         let mut resident = 0u32;
-        for page in victim.pages() {
-            if xlat.page_table().is_resident(page) {
-                let (frame, touched) = xlat.unmap_and_invalidate(page);
-                self.frames.release(frame);
-                if touched {
-                    touch.set(page.index_in_chunk());
-                }
-                evicted.push(page);
-                resident += 1;
+        let frames = &mut self.frames;
+        xlat.unmap_chunk(victim, |page, frame, touched| {
+            frames.release(frame);
+            if touched {
+                touch.set(page.index_in_chunk());
             }
-        }
+            evicted.push(page);
+            resident += 1;
+        });
         // Evicted pages travel back over the device→host lane. We treat
         // every page as dirty: unified-memory migration moves data, and
         // the paper's thrashing metric is eviction traffic.
