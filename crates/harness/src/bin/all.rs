@@ -1,8 +1,13 @@
 //! Regenerates every table and figure in one go. Usage:
 //! `cargo run --release -p harness --bin all [--quick] [--scale X] [--threads N]`
+//!
+//! Exits non-zero if any report failed to save, so a stale committed
+//! copy under `results/` cannot pass for a fresh one.
+use std::process::ExitCode;
+
 type Runner = fn(&harness::ExpConfig, usize) -> String;
 
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (cfg, threads) = harness::experiments::cli_config(&args);
     let experiments: Vec<(&str, Runner)> = vec![
@@ -23,14 +28,24 @@ fn main() {
         ("timeline", harness::experiments::timeline::run),
         ("stability", harness::experiments::stability::run),
     ];
+    let mut failed_saves = 0;
     for (name, run) in experiments {
         let t0 = std::time::Instant::now();
         let report = run(&cfg, threads);
         println!("{report}");
         println!("{}", "=".repeat(72));
         eprintln!("[{name}] {:.1?}", t0.elapsed());
-        if let Ok(path) = harness::report::save(&format!("{name}.txt"), &report) {
-            eprintln!("[{name}] saved to {}", path.display());
+        match harness::report::save(&format!("{name}.txt"), &report) {
+            Ok(path) => eprintln!("[{name}] saved to {}", path.display()),
+            Err(e) => {
+                eprintln!("[{name}] ERROR: saving {name}.txt failed: {e}");
+                failed_saves += 1;
+            }
         }
     }
+    if failed_saves > 0 {
+        eprintln!("[all] {failed_saves} report(s) failed to save");
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
 }

@@ -6,10 +6,8 @@
 //! `BENCH_profile.json` / `BENCH_audit.json` must carry their expected
 //! schema markers with at least one profiled/audited workload. Monitor
 //! snapshot dumps (`*monitor.json`) are schema- and
-//! accounting-checked, flight-recorder dossiers (`*flightrec.json`)
-//! structurally validated (including their embedded monitor series),
-//! and `*.jsonl` ledgers (bench history, orchestrator journals)
-//! checked line by line. CI runs this after the traced
+//! accounting-checked, and `*.jsonl` ledgers (bench history) checked
+//! line by line. CI runs this after the traced
 //! smoke/timeline/profile/audit runs; exits non-zero on the first
 //! malformed artifact.
 //!
@@ -24,9 +22,6 @@ fn validate_json_artifact(name: &str, body: &str) -> Result<String, String> {
         // monitor::validate_doc parses and checks schema, metric kinds
         // and the retained+dropped=sampled accounting itself.
         return telemetry::monitor::validate_doc(body);
-    }
-    if name.ends_with("flightrec.json") {
-        return telemetry::flightrec::validate_doc(body);
     }
     telemetry::json::validate(body)?;
     if name.ends_with("trace.json") {

@@ -5,9 +5,8 @@
 //! experiment index); the library provides the shared machinery:
 //!
 //! * [`runner`] — one (workload × policy × rate) cell,
-//! * [`sweep`] — the parallel sweep executor,
-//! * [`orchestrator`] — the crash-safe sweep service (leased work
-//!   queue, persistent result store, checkpoint/resume, chaos),
+//! * [`sweep`] — the parallel sweep executor (an atomic job cursor
+//!   with per-cell panic containment),
 //! * [`report`] — text/CSV table rendering,
 //! * [`history`] — the cross-run bench-history ledger behind `trend`,
 //! * [`opt`] — the offline Belady chunk-fault bound,
@@ -18,7 +17,6 @@ pub mod experiments;
 pub mod history;
 pub mod opt;
 pub mod oracle;
-pub mod orchestrator;
 pub mod report;
 pub mod runner;
 pub mod sweep;

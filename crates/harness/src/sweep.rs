@@ -1,20 +1,19 @@
 //! Parallel sweep executor.
 //!
 //! The evaluation matrix (23 workloads × policies × 2 rates) is
-//! embarrassingly parallel. Since the orchestrator PR this is a thin
-//! front-end over [`crate::orchestrator`]: jobs become fingerprinted
-//! cells, workers hold leases (so a panicking cell is retried and then
-//! recorded as failed instead of aborting the whole sweep), and results
-//! come back keyed by `(workload, policy-label, rate)` for
-//! deterministic assembly. The experiment binaries keep their
-//! fire-and-forget in-memory view; the `orchestrate` binary adds the
-//! persistent store and `--resume` on the same machinery.
+//! embarrassingly parallel: scoped workers pull job indices from one
+//! atomic cursor until the list runs out. Each cell runs under
+//! `catch_unwind`, so a panicking cell is recorded as a
+//! [`gpu::Outcome::Crashed`] result instead of aborting the sweep.
+//! Results come back keyed by `(workload, policy-label, rate)` for
+//! deterministic assembly regardless of completion order.
 
-use crate::orchestrator::{orchestrate_with, CellSpec, OrchestratorConfig};
-use crate::runner::ExpConfig;
+use crate::runner::{run_cell, ExpConfig};
 use cppe::presets::PolicyPreset;
 use gpu::RunResult;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use workloads::WorkloadSpec;
 
 /// Key identifying one cell: `(workload abbr, policy label, rate in %)`.
@@ -41,107 +40,71 @@ impl Job {
             (self.rate * 100.0).round() as u32,
         )
     }
-
-    /// Lift this job into an orchestrator cell under `cfg`'s
-    /// seed/scale.
-    #[must_use]
-    pub fn to_cell(&self, cfg: &ExpConfig) -> CellSpec {
-        CellSpec {
-            spec: self.spec.clone(),
-            preset: self.preset,
-            rate: self.rate,
-            seed: cfg.seed,
-            scale: cfg.scale,
-        }
-    }
 }
 
 /// Run all jobs, using up to `threads` workers (0 = available
 /// parallelism). Results are keyed deterministically regardless of
 /// completion order.
 ///
-/// A cell whose execution panics no longer takes the sweep down: the
-/// panic is contained, the cell retried (the queue's bounded-retry
-/// budget), and on exhaustion recorded as a [`gpu::Outcome::Crashed`]
-/// result carrying the panic message — reports render it as a crashed
-/// cell like any simulator-detected livelock.
+/// A cell whose execution panics does not take the sweep down: it is
+/// recorded as a [`gpu::Outcome::Crashed`] result carrying the panic
+/// message, and reports render it as a crashed cell like any
+/// simulator-detected livelock.
 #[must_use]
 pub fn run_sweep(jobs: Vec<Job>, cfg: &ExpConfig, threads: usize) -> BTreeMap<CellKey, RunResult> {
-    let exp = *cfg;
-    run_sweep_with(jobs, cfg, threads, move |job| job.to_cell(&exp).run(&exp))
+    run_sweep_with(jobs, threads, |job| {
+        run_cell(&job.spec, job.preset, job.rate, cfg)
+    })
 }
 
 /// [`run_sweep`] with an injected per-job executor — the
 /// panic-containment tests substitute a deliberately crashing
-/// "simulator" here.
+/// "simulator" here. Jobs sharing a [`Job::key`] run once.
 #[must_use]
-pub fn run_sweep_with<F>(
-    jobs: Vec<Job>,
-    cfg: &ExpConfig,
-    threads: usize,
-    exec: F,
-) -> BTreeMap<CellKey, RunResult>
+pub fn run_sweep_with<F>(jobs: Vec<Job>, threads: usize, exec: F) -> BTreeMap<CellKey, RunResult>
 where
     F: Fn(&Job) -> RunResult + Sync,
 {
-    let cells: Vec<CellSpec> = jobs.iter().map(|j| j.to_cell(cfg)).collect();
-    let mut ocfg = OrchestratorConfig::new(*cfg);
-    ocfg.threads = threads;
-    // Long-running experiment binaries get the ops plane via env:
-    // CPPE_FLIGHT_PATH arms the crash flight recorder (default path
-    // under results/ when set empty), CPPE_STATUS_PORT starts a
-    // /metrics + /status server on 127.0.0.1 for the sweep's duration.
-    if let Ok(p) = std::env::var("CPPE_FLIGHT_PATH") {
-        ocfg.flight = Some(if p.is_empty() {
-            std::path::PathBuf::from("results").join("flightrec.json")
-        } else {
-            std::path::PathBuf::from(p)
-        });
+    let mut seen = HashSet::new();
+    let jobs: Vec<(CellKey, Job)> = jobs
+        .into_iter()
+        .map(|job| (job.key(), job))
+        .filter(|(key, _)| seen.insert(key.clone()))
+        .collect();
+    let threads = if threads == 0 {
+        std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get)
+    } else {
+        threads
     }
-    let _server = match std::env::var("CPPE_STATUS_PORT") {
-        Ok(port) => {
-            let plane = std::sync::Arc::new(crate::orchestrator::OpsPlane::new());
-            ocfg.ops = Some(plane.clone());
-            match telemetry::StatusServer::start(&format!("127.0.0.1:{port}"), plane) {
-                Ok(server) => {
-                    eprintln!("[sweep] status server on http://{}", server.local_addr());
-                    Some(server)
-                }
-                Err(e) => {
-                    eprintln!("[sweep] WARNING: status server failed to start: {e}");
-                    None
-                }
-            }
-        }
-        Err(_) => None,
-    };
-    let mut out = orchestrate_with(cells, None, &ocfg, |cell| {
-        let job = Job {
-            spec: cell.spec.clone(),
-            preset: cell.preset,
-            rate: cell.rate,
-        };
-        exec(&job)
-    });
+    .min(jobs.len().max(1));
 
-    let mut results = BTreeMap::new();
-    for entry in out.entries.values() {
-        let key = (entry.app.clone(), entry.policy.clone(), entry.rate_pct);
-        let result = match out.full.remove(&entry.fp) {
-            Some(r) => r,
-            // Terminal worker failure (panic/lease exhaustion): a
-            // synthesized crashed result so the cell still shows up.
-            None => RunResult::failed(
-                entry
-                    .record
-                    .error
-                    .clone()
-                    .unwrap_or_else(|| "worker failed".to_string()),
-            ),
-        };
-        results.insert(key, result);
-    }
-    results
+    let cursor = AtomicUsize::new(0);
+    let worker = || {
+        let mut done = Vec::new();
+        while let Some((key, job)) = jobs.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+            let result = catch_unwind(AssertUnwindSafe(|| exec(job)))
+                .unwrap_or_else(|payload| RunResult::failed(panic_message(&*payload)));
+            done.push((key.clone(), result));
+        }
+        done
+    };
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("sweep worker contains its panics"))
+            .collect()
+    })
+}
+
+/// Render a caught panic payload as `panic: <message>`.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    let msg = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("(non-string payload)");
+    format!("panic: {msg}")
 }
 
 /// Convenience: cross `specs × presets × rates` into jobs.
@@ -165,7 +128,6 @@ pub fn cross(specs: &[WorkloadSpec], presets: &[PolicyPreset], rates: &[f64]) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_cell;
     use gpu::Outcome;
     use workloads::registry;
 
@@ -204,7 +166,7 @@ mod tests {
 
     #[test]
     fn thread_count_does_not_change_results() {
-        // Leases hand out cells in racy claim order; the assembled
+        // The cursor hands out cells in racy claim order; the assembled
         // result map must not depend on it. Run the same small matrix
         // single-threaded and with 8 workers and compare every cell's
         // observable counters.
@@ -242,9 +204,9 @@ mod tests {
 
     #[test]
     fn panicking_cell_yields_failed_result_not_aborted_sweep() {
-        // Regression: pre-orchestrator, one panicking cell unwound a
-        // scoped worker and aborted the whole sweep. Now the panic is
-        // contained, retried to exhaustion, and surfaced as a Crashed
+        // Regression: one panicking cell once unwound a scoped worker
+        // and aborted the whole sweep. The panic is contained, the cell
+        // runs exactly once (no retries), and it surfaces as a Crashed
         // cell while every other cell completes normally.
         let specs = vec![
             registry::by_abbr("STN").unwrap(),
@@ -252,19 +214,50 @@ mod tests {
         ];
         let jobs = cross(&specs, &[PolicyPreset::Baseline], &[0.5]);
         let cfg = ExpConfig::quick();
-        let results = run_sweep_with(jobs, &cfg, 2, |job| {
-            assert!(job.spec.abbr != "MRQ", "deliberate test panic: MRQ cell");
+        let mrq_calls = AtomicUsize::new(0);
+        let results = run_sweep_with(jobs, 2, |job| {
+            if job.spec.abbr == "MRQ" {
+                mrq_calls.fetch_add(1, Ordering::Relaxed);
+                panic!("deliberate test panic: MRQ cell");
+            }
             run_cell(&job.spec, job.preset, job.rate, &cfg)
         });
         assert_eq!(results.len(), 2, "every cell must be present");
+        assert_eq!(
+            mrq_calls.load(Ordering::Relaxed),
+            1,
+            "a panicking cell runs once"
+        );
         let crashed = &results[&("MRQ".into(), "baseline".into(), 50)];
         assert_eq!(crashed.outcome, Outcome::Crashed);
         assert!(
-            crashed.error.as_deref().unwrap_or("").contains("panic"),
+            crashed
+                .error
+                .as_deref()
+                .unwrap_or("")
+                .contains("panic: deliberate test panic"),
             "failure must carry the panic message, got {:?}",
             crashed.error
         );
         let ok = &results[&("STN".into(), "baseline".into(), 50)];
         assert_eq!(ok.outcome, Outcome::Completed);
+    }
+
+    #[test]
+    fn duplicate_jobs_run_once() {
+        let spec = registry::by_abbr("STN").unwrap();
+        let mut jobs = cross(&[spec], &[PolicyPreset::Baseline], &[0.5, 0.75]);
+        jobs.extend(jobs.clone());
+        let calls = AtomicUsize::new(0);
+        let results = run_sweep_with(jobs, 3, |job| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            let mut r = RunResult::failed("stub");
+            r.outcome = Outcome::Completed;
+            r.cycles = job.key().2.into();
+            r
+        });
+        assert_eq!(calls.load(Ordering::Relaxed), 2, "one run per distinct key");
+        assert_eq!(results.len(), 2);
+        assert_eq!(results[&("STN".into(), "baseline".into(), 75)].cycles, 75);
     }
 }

@@ -22,16 +22,12 @@
 //!   by the chaos/robustness experiments (link degradation, transient
 //!   DMA failures, latency spikes, fault-queue overflow),
 //! * [`error`] — typed configuration/substrate errors ([`ConfigError`],
-//!   [`SimError`]) backing the fallible `try_new` constructors,
-//! * [`fingerprint`] — stable FNV-1a config fingerprints identifying
-//!   experiment cells across process restarts (the orchestrator's
-//!   resume/dedupe key).
+//!   [`SimError`]) backing the fallible `try_new` constructors.
 
 pub mod bitvec;
 pub mod error;
 pub mod events;
 pub mod fault;
-pub mod fingerprint;
 pub mod hash;
 pub mod rng;
 pub mod stats;
@@ -41,7 +37,6 @@ pub use bitvec::{BitVec, TouchVec};
 pub use error::{ConfigError, SimError};
 pub use events::EventQueue;
 pub use fault::{FaultInjector, InjectionConfig, InjectionStats};
-pub use fingerprint::Fingerprint;
 pub use hash::{FxHashMap, FxHashSet};
 pub use rng::{SplitMix64, Xoshiro256ss};
 pub use stats::{Counter, Histogram, StatSet};

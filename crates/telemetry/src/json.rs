@@ -5,8 +5,8 @@
 //! [`validate`] is a strict syntax check used by tests and the
 //! `validate-trace` binary to guarantee every emitted document is
 //! well-formed; [`parse`] returns the document as a [`Value`] tree —
-//! the orchestrator's result store uses it to read its JSONL journal
-//! and snapshot back on `--resume`.
+//! the monitor-dump validator and the bench-history ledger read
+//! documents back through it.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -112,12 +112,6 @@ impl Value {
             Value::Arr(v) => Some(v),
             _ => None,
         }
-    }
-
-    /// True for `null`.
-    #[must_use]
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
     }
 }
 
@@ -391,7 +385,7 @@ mod tests {
         assert_eq!(arr[0].as_u64(), Some(1));
         assert!((arr[1].as_f64().unwrap() - 2.5).abs() < 1e-12);
         assert!((arr[2].as_f64().unwrap() + 300.0).abs() < 1e-12);
-        assert!(v.get("b").unwrap().get("c").unwrap().is_null());
+        assert_eq!(v.get("b").unwrap().get("c"), Some(&Value::Null));
         assert_eq!(v.get("d").unwrap().as_bool(), Some(true));
         assert_eq!(v.get("missing"), None);
     }

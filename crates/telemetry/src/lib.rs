@@ -34,18 +34,9 @@
 //! * [`export`] — the exporters: wide per-epoch timeline CSV, JSON run
 //!   summary, Chrome trace-event JSON loadable in Perfetto, and the
 //!   crash-safe [`export::write_atomic`] file writer,
-//! * [`orch`] — [`OrchMetrics`], the sweep-orchestrator counters
-//!   (leases issued/expired, cells resumed/deduped, journal bytes),
 //! * [`monitor`] — [`Monitor`]: the periodic in-run snapshot sampler
 //!   walking the registry on cycle/wall cadence into a bounded ring of
-//!   [`MonitorSnapshot`]s (the live view the status server and flight
-//!   recorder read),
-//! * [`expose`] — [`StatusServer`]: a std-only `/metrics` (Prometheus
-//!   text exposition) + `/status` (JSON) + `/healthz` server for
-//!   long-running sweeps, plus the exposition renderer itself,
-//! * [`flightrec`] — [`FlightRecorder`]: breadcrumbs, open spans and
-//!   the last monitor snapshots dumped as an atomic-rename JSON dossier
-//!   when a run dies (chaos kill, contained panic).
+//!   [`MonitorSnapshot`]s (the `--monitor` series).
 //!
 //! ## Overhead guarantee
 //!
@@ -60,13 +51,10 @@ pub mod csv;
 pub mod decision;
 pub mod event;
 pub mod export;
-pub mod expose;
-pub mod flightrec;
 pub mod json;
 pub mod ledger;
 pub mod metrics;
 pub mod monitor;
-pub mod orch;
 pub mod ring;
 pub mod span;
 pub mod tracer;
@@ -76,12 +64,9 @@ pub use csv::CsvWriter;
 pub use decision::{DecisionEvent, DecisionKind, DecisionRecord, DecisionRing};
 pub use event::{EventRecord, InjectedFaultKind, TraceEvent};
 pub use export::TraceFormat;
-pub use expose::{OpsSource, StatusServer};
-pub use flightrec::FlightRecorder;
 pub use ledger::{PageLedger, PageLife};
 pub use metrics::{EpochRow, EpochSeries, MetricKind, MetricsRegistry};
-pub use monitor::{saturating_millis, Monitor, MonitorSeries, MonitorSnapshot};
-pub use orch::OrchMetrics;
+pub use monitor::{Monitor, MonitorSeries, MonitorSnapshot};
 pub use ring::TraceRing;
 pub use span::{SpanId, SpanRecord, SpanRecorder, SpanStage};
 pub use tracer::{RunTelemetry, TraceConfig, Tracer};

@@ -5,9 +5,8 @@
 //! [`Monitor`] is the live-view counterpart: on a fixed cadence
 //! (simulated cycles, wall-clock ticks, or both) it copies the current
 //! registry totals into a bounded drop-oldest ring of
-//! [`MonitorSnapshot`]s. A status server can render the ring mid-run,
-//! and the crash flight recorder dumps it post-mortem — the "last N
-//! seconds of vitals" a black-box recorder keeps.
+//! [`MonitorSnapshot`]s, which `timeline --monitor` exports as a
+//! `*_monitor.json` document ([`monitor_json`]).
 //!
 //! Ring conventions match [`crate::ring::TraceRing`]: bounded, oldest
 //! snapshots dropped first, drops counted (surfaced as
@@ -33,7 +32,7 @@ pub const MONITOR_SCHEMA: &str = "cppe-monitor-v1";
 /// feed monotonicity checks in validators — saturate instead of wrap
 /// so even absurd clock readings can never produce a *smaller* value.
 #[must_use]
-pub fn saturating_millis(d: Duration) -> u64 {
+fn saturating_millis(d: Duration) -> u64 {
     u64::try_from(d.as_millis()).unwrap_or(u64::MAX)
 }
 
@@ -66,8 +65,7 @@ pub struct MonitorSeries {
     pub dropped: u64,
 }
 
-/// The sampler. Owned by the tracer when `TraceConfig::monitor` is on;
-/// the orchestrator's ops plane owns one directly (wall ticks only).
+/// The sampler. Owned by the tracer when `TraceConfig::monitor` is on.
 #[derive(Debug)]
 pub struct Monitor {
     /// Minimum simulated cycles between samples (`u64::MAX` disables
@@ -133,7 +131,7 @@ impl Monitor {
     }
 
     /// Sample unconditionally (cadence state still advances).
-    pub fn force_sample(&mut self, cycle: u64, registry: &MetricsRegistry) {
+    fn force_sample(&mut self, cycle: u64, registry: &MetricsRegistry) {
         // Registration is append-only, so the known schema is always a
         // prefix of the registry's — extend with the new tail.
         for (name, kind, _) in registry.iter().skip(self.schema.len()) {
@@ -157,18 +155,6 @@ impl Monitor {
             self.dropped += 1;
         }
         self.buf.push_back(snap);
-    }
-
-    /// Clone the series sampled so far (the live `/status` and flight
-    /// recorder view; the run is still going).
-    #[must_use]
-    pub fn series(&self) -> MonitorSeries {
-        MonitorSeries {
-            schema: self.schema.clone(),
-            snapshots: self.buf.iter().cloned().collect(),
-            sampled: self.sampled,
-            dropped: self.dropped,
-        }
     }
 
     /// Consume into the finished series.
