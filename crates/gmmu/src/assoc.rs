@@ -4,11 +4,13 @@
 //! [`LruRows`] keeps two parallel arrays, `keys: Vec<u64>` and
 //! `vals: Vec<V>`. Each set owns two row widths of words; its row is the
 //! `ways` words from the set's head, most recently used first. A hit
-//! rotates its way to the front and a remove rotates the ways behind it
-//! left, keeping the survivors' order; `remove_where` drops any number
-//! of keys in one pass over the row with the same result. A fill steps
-//! the head back one word, so the last way (the LRU victim, or an empty
-//! way) drops off the end and no other way moves; once the head reaches
+//! shifts the ways in front of it back one word and stores itself at
+//! the front, and a remove shifts the ways behind it forward one word,
+//! keeping the survivors' order (each is one `copy_within` per array);
+//! `remove_where` drops any number of keys in one pass over the row
+//! with the same result. A fill steps the head back one word, so the
+//! last way (the LRU victim, or an empty way) drops off the end and no
+//! other way moves; once the head reaches
 //! the start of the set's words, the row is copied to the back half,
 //! one copy per `ways` fills. Empty ways hold [`EMPTY`] and always sit
 //! at a row's tail, so a probe is one scan of one contiguous row.
@@ -66,12 +68,19 @@ impl<V: Copy + Default> LruRows<V> {
         self.keys[self.row(set)].iter().position(|&k| k == key)
     }
 
-    /// Move way `i` of `set`'s row to the front.
+    /// Move way `i` of `set`'s row to the front; the ways before it
+    /// shift back one word.
     #[inline]
     fn promote(&mut self, set: usize, i: usize) {
-        let start = self.heads[set];
-        self.keys[start..=start + i].rotate_right(1);
-        self.vals[start..=start + i].rotate_right(1);
+        if i == 0 {
+            return;
+        }
+        let h = self.heads[set];
+        let (key, val) = (self.keys[h + i], self.vals[h + i]);
+        self.keys.copy_within(h..h + i, h + 1);
+        self.vals.copy_within(h..h + i, h + 1);
+        self.keys[h] = key;
+        self.vals[h] = val;
     }
 
     /// Look up `key` in `set`, moving it to the front on a hit.
@@ -132,8 +141,9 @@ impl<V: Copy + Default> LruRows<V> {
             return false;
         };
         let row = self.row(set);
-        self.keys[row.start + i..row.end].rotate_left(1);
-        self.vals[row.start + i..row.end].rotate_left(1);
+        let at = row.start + i;
+        self.keys.copy_within(at + 1..row.end, at);
+        self.vals.copy_within(at + 1..row.end, at);
         self.keys[row.end - 1] = EMPTY;
         true
     }
@@ -156,6 +166,12 @@ impl<V: Copy + Default> LruRows<V> {
         }
         self.keys[kept..live].fill(EMPTY);
         live - kept
+    }
+
+    /// Keys of `set`'s row, MRU first, empty ways included.
+    #[cfg(test)]
+    pub(crate) fn row_keys(&self, set: usize) -> &[u64] {
+        &self.keys[self.row(set)]
     }
 
     /// Empty every row.
@@ -195,11 +211,6 @@ mod tests {
 
     fn rows() -> LruRows<u32> {
         LruRows::new(2, 2)
-    }
-
-    /// Keys of `set`'s row, MRU first, empty ways included.
-    fn row_keys(s: &LruRows<u32>, set: usize) -> Vec<u64> {
-        s.keys[s.row(set)].to_vec()
     }
 
     #[test]
@@ -246,7 +257,7 @@ mod tests {
         // MRU-first row: 13 12 11 10.
         assert!(s.remove(0, 12));
         assert!(!s.remove(0, 12));
-        assert_eq!(row_keys(&s, 0), [13, 11, 10, EMPTY], "hole at the tail");
+        assert_eq!(s.row_keys(0), [13, 11, 10, EMPTY], "hole at the tail");
         assert_eq!(s.occupancy(), 3);
         // The empty tail way is reused before any live way is evicted,
         // and the survivors' LRU order decides the next victim.

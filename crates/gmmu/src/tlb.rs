@@ -20,6 +20,7 @@
 
 use crate::assoc::LruRows;
 use crate::types::{ChunkId, Frame, VirtPage, PAGES_PER_CHUNK};
+use sim_core::error::ConfigError;
 use sim_core::stats::Counter;
 
 /// TLB geometry and timing.
@@ -55,6 +56,36 @@ impl TlbConfig {
             hit_latency: 10,
         }
     }
+
+    /// Check the geometry [`Tlb::new`] needs: nonzero entries and ways,
+    /// entries a multiple of ways, and a power-of-two set count. Errors
+    /// name the fields `names = [entries, associativity, set count]`.
+    pub(crate) fn validate(&self, names: [&'static str; 3]) -> Result<(), ConfigError> {
+        let [entries, associativity, sets] = names;
+        if self.entries == 0 {
+            return Err(ConfigError::Zero { field: entries });
+        }
+        if self.associativity == 0 {
+            return Err(ConfigError::Zero {
+                field: associativity,
+            });
+        }
+        if !self.entries.is_multiple_of(self.associativity) {
+            return Err(ConfigError::NotMultiple {
+                field: entries,
+                value: self.entries,
+                of: self.associativity,
+            });
+        }
+        let n_sets = self.entries / self.associativity;
+        if !n_sets.is_power_of_two() {
+            return Err(ConfigError::NotPowerOfTwo {
+                field: sets,
+                value: n_sets,
+            });
+        }
+        Ok(())
+    }
 }
 
 /// A set-associative TLB with true-LRU replacement.
@@ -62,7 +93,8 @@ impl TlbConfig {
 pub struct Tlb {
     cfg: TlbConfig,
     sets: LruRows<Frame>,
-    n_sets: usize,
+    /// Set count − 1 (the set count is a power of two).
+    set_mask: u64,
     /// Lookup hits.
     pub hits: Counter,
     /// Lookup misses.
@@ -73,8 +105,10 @@ impl Tlb {
     /// Build a TLB from `cfg`.
     ///
     /// # Panics
-    /// Panics if the geometry is degenerate (zero entries, or entries not
-    /// divisible by associativity).
+    /// Panics if the geometry is degenerate (zero entries, entries not
+    /// divisible by associativity, or a set count that is not a power of
+    /// two); `GpuConfig::validate` rejects such a geometry with a typed
+    /// error first.
     #[must_use]
     pub fn new(cfg: TlbConfig) -> Self {
         assert!(cfg.entries > 0 && cfg.associativity > 0);
@@ -85,10 +119,11 @@ impl Tlb {
             cfg.associativity
         );
         let n_sets = cfg.entries / cfg.associativity;
+        assert!(n_sets.is_power_of_two(), "{n_sets} TLB sets");
         Tlb {
             cfg,
             sets: LruRows::new(n_sets, cfg.associativity),
-            n_sets,
+            set_mask: n_sets as u64 - 1,
             hits: Counter::default(),
             misses: Counter::default(),
         }
@@ -96,7 +131,7 @@ impl Tlb {
 
     #[inline]
     fn set_index(&self, page: VirtPage) -> usize {
-        (page.0 % self.n_sets as u64) as usize
+        (page.0 & self.set_mask) as usize
     }
 
     /// Look up `page`, updating LRU state and hit/miss counters.
@@ -161,9 +196,10 @@ impl Tlb {
     /// translations were dropped.
     pub fn invalidate_chunk(&mut self, chunk: ChunkId) -> usize {
         let first = self.set_index(chunk.first_page());
-        (0..self.n_sets.min(PAGES_PER_CHUNK as usize))
+        let n_sets = self.set_mask as usize + 1;
+        (0..n_sets.min(PAGES_PER_CHUNK as usize))
             .map(|i| {
-                let set = (first + i) % self.n_sets;
+                let set = (first + i) & self.set_mask as usize;
                 self.sets
                     .remove_where(set, |p| p / PAGES_PER_CHUNK == chunk.0)
             })
@@ -500,6 +536,16 @@ mod tests {
         let _ = Tlb::new(TlbConfig {
             entries: 10,
             associativity: 3,
+            hit_latency: 1,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "3 TLB sets")]
+    fn non_power_of_two_set_count_panics() {
+        let _ = Tlb::new(TlbConfig {
+            entries: 48,
+            associativity: 16,
             hit_latency: 1,
         });
     }

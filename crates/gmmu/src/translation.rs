@@ -28,6 +28,7 @@ use crate::tlb::{Tlb, TlbConfig};
 use crate::types::{ChunkId, Frame, SmId, VirtPage};
 use crate::walk_cache::WalkCache;
 use crate::walker::{Walker, WalkerConfig};
+use sim_core::error::ConfigError;
 use sim_core::time::Cycle;
 use sim_core::FxHashMap;
 
@@ -52,6 +53,39 @@ impl Default for TranslationConfig {
             l2: TlbConfig::l2_default(),
             walker: WalkerConfig::default(),
         }
+    }
+}
+
+impl TranslationConfig {
+    /// Check everything [`TranslationPath::new`] would panic on: at most
+    /// [`MAX_SMS`] L1 TLBs, a geometry each TLB can be built with (see
+    /// [`TlbConfig`]) and at least one walk slot.
+    ///
+    /// # Errors
+    /// Returns the first [`ConfigError`] found.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        sim_core::error::require_in_range(
+            "translation.num_sms",
+            self.num_sms as f64,
+            1.0,
+            MAX_SMS as f64,
+        )?;
+        self.l1.validate([
+            "translation.l1.entries",
+            "translation.l1.associativity",
+            "translation.l1 set count",
+        ])?;
+        self.l2.validate([
+            "translation.l2.entries",
+            "translation.l2.associativity",
+            "translation.l2 set count",
+        ])?;
+        if self.walker.concurrency == 0 {
+            return Err(ConfigError::Zero {
+                field: "translation.walker.concurrency",
+            });
+        }
+        Ok(())
     }
 }
 
@@ -130,8 +164,8 @@ impl TranslationPath {
     /// Build the hierarchy from `cfg`.
     ///
     /// # Panics
-    /// Panics if `cfg.num_sms` exceeds [`MAX_SMS`] (`GpuConfig::validate`
-    /// rejects such a configuration with a typed error first).
+    /// Panics on a configuration [`TranslationConfig::validate`] rejects,
+    /// such as more than [`MAX_SMS`] SMs.
     #[must_use]
     pub fn new(cfg: &TranslationConfig) -> Self {
         assert!(
@@ -530,6 +564,34 @@ mod tests {
             last.0 >= first.0 + 2 * 410,
             "no queueing observed: {outs:?}"
         );
+    }
+
+    /// A walk makes one memory reference per PWC miss plus one: a hit
+    /// at level k misses k − 2 levels and leaves k − 1 references, and a
+    /// full miss misses 3 and makes 4. So the stats alone give the
+    /// memory references — the sum of every walk's service time, less
+    /// its PWC probe, over the reference latency.
+    #[test]
+    fn walk_memory_refs_are_pwc_misses_plus_walks() {
+        let mut p = path();
+        let (mut x, mut refs) = (0x2F0A_96C1_3B5D_E847_u64, 0);
+        for step in 0..20_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let page = VirtPage((x >> 8) % (1 << 24));
+            if x % 4 == 0 && !p.page_table().is_resident(page) {
+                p.map(page, Frame(step as u32), true);
+            }
+            let walks = p.stats().walks;
+            let (_, t) = p.translate_timed(SmId((x >> 40) as u16 % 28), page, Cycle(step * 50));
+            if p.stats().walks > walks {
+                refs += (t.walk_done.0 - t.walk_started.0 - 10) / 150;
+            }
+        }
+        let s = p.stats();
+        assert_eq!(refs, s.pwc_misses + s.walks, "{s:?}");
+        assert!(s.pwc_hits > 1000 && s.pwc_misses > 1000, "{s:?}");
     }
 
     #[test]

@@ -11,9 +11,18 @@
 //! way. Replacement stays exact true LRU (bit-identical to the seed's
 //! min-stamp scan; see the equivalence test against
 //! `legacy::ScanWalkCache`).
+//!
+//! A walk touches the cache once, through [`WalkCache::walk`]: it probes
+//! levels 2, 3, 4 up to the first hit and then fills the walked path,
+//! making the same LRU and counter changes as a [`lookup`] per probed
+//! level followed by an [`insert`] per level, with fewer row scans.
+//!
+//! [`lookup`]: WalkCache::lookup
+//! [`insert`]: WalkCache::insert
 
 use crate::assoc::LruRows;
-use crate::page_table::NodeId;
+use crate::page_table::{node_for, NodeId, LEVELS};
+use crate::types::VirtPage;
 use sim_core::stats::Counter;
 
 /// Row key of `node`: the level above the prefix bits. A prefix is a
@@ -29,7 +38,8 @@ fn key(node: NodeId) -> u64 {
 #[derive(Debug)]
 pub struct WalkCache {
     sets: LruRows<()>,
-    n_sets: usize,
+    /// Set count − 1 (the set count is a power of two).
+    set_mask: u64,
     hit_latency: u64,
     /// Probe hits.
     pub hits: Counter,
@@ -47,25 +57,69 @@ impl WalkCache {
     /// Build a PWC with `entries` total entries and `assoc` ways.
     ///
     /// # Panics
-    /// Panics on degenerate geometry.
+    /// Panics on degenerate geometry, or if the set count is not a power
+    /// of two.
     #[must_use]
     pub fn new(entries: usize, assoc: usize, hit_latency: u64) -> Self {
         assert!(entries > 0 && assoc > 0 && entries.is_multiple_of(assoc));
         let n_sets = entries / assoc;
+        assert!(n_sets.is_power_of_two(), "{n_sets} PWC sets");
         WalkCache {
             sets: LruRows::new(n_sets, assoc),
-            n_sets,
+            set_mask: n_sets as u64 - 1,
             hit_latency,
             hits: Counter::default(),
             misses: Counter::default(),
         }
     }
 
+    /// The set is the low bits of the node's prefix, whatever its level
+    /// (the seed's `(prefix ^ level << 61) % sets` for any power-of-two
+    /// set count up to 2^61). So levels collide systematically: below
+    /// 2^18 pages the level-3 and level-4 nodes have prefix 0 and share
+    /// set 0 with level-2 node 0 (`pwc_set_mapping_is_pinned`). Changing
+    /// the mapping would change every fingerprint.
     #[inline]
     fn set_index(&self, node: NodeId) -> usize {
-        // Mix level into the index so different levels of the same prefix
-        // do not collide systematically.
-        ((node.prefix ^ (u64::from(node.level) << 61)) % self.n_sets as u64) as usize
+        (node.prefix & self.set_mask) as usize
+    }
+
+    /// One page walk's pass: probe the nodes on `page`'s path from level
+    /// 2 up to the first hit, then bring every level into the cache.
+    /// Returns the hit level, or `LEVELS + 1` on a full miss, so the
+    /// walk leaves `level - 1` memory references either way.
+    ///
+    /// Same rows and counters as `lookup` per probed level then `insert`
+    /// for levels 2..=4, because:
+    /// * a level that missed is still absent (only other keys were
+    ///   filled since its probe), so it is `fill`ed without a scan;
+    /// * the hit node is still at the front of its row unless a lower
+    ///   level's fill landed in its set, so only then is it re-inserted;
+    /// * levels above the hit were never probed and take a full insert.
+    pub fn walk(&mut self, page: VirtPage) -> u32 {
+        let mut hit = LEVELS + 1;
+        for level in 2..=LEVELS {
+            let node = node_for(page, level);
+            if self.sets.get(self.set_index(node), key(node)).is_some() {
+                self.hits.inc();
+                hit = level;
+                break;
+            }
+            self.misses.inc();
+        }
+        let hit_set = (hit <= LEVELS).then(|| self.set_index(node_for(page, hit)));
+        let mut hit_moved = false;
+        for level in 2..hit {
+            let node = node_for(page, level);
+            let set = self.set_index(node);
+            hit_moved |= Some(set) == hit_set;
+            self.sets.fill(set, key(node), ());
+        }
+        let first_insert = if hit_moved { hit } else { hit + 1 };
+        for level in first_insert..=LEVELS {
+            self.insert(node_for(page, level));
+        }
+        hit
     }
 
     /// Probe for `node`, updating LRU and counters.
@@ -244,6 +298,85 @@ mod tests {
         let l3 = node_for(VirtPage(0), 3);
         pwc.insert(l2);
         assert!(!pwc.lookup(l3), "level-3 node must not hit on level-2 fill");
+    }
+
+    /// Pin the set mapping: the level never reaches the index, so on
+    /// the 64-set default the upper levels of every page below 2^18
+    /// share set 0 with level-2 node 0.
+    #[test]
+    fn pwc_set_mapping_is_pinned() {
+        let pwc = WalkCache::table1_default();
+        let set = |page, level| pwc.set_index(node_for(VirtPage(page), level));
+        for page in [0, 1, 511, 4096, (1 << 18) - 1] {
+            assert_eq!(set(page, 3), set(0, 2), "page {page} level 3");
+            assert_eq!(set(page, 4), set(0, 2), "page {page} level 4");
+        }
+        assert_eq!(set(0, 2), 0);
+        assert_eq!(set(512, 2), 1);
+        assert_eq!(set(63 << 9, 2), 63);
+        assert_eq!(set(64 << 9, 2), 0, "level-2 prefixes wrap at 64 sets");
+        assert_eq!(set(1 << 18, 3), 1, "level 3 leaves set 0 at 2^18 pages");
+        assert_eq!(set(1 << 27, 4), 1, "level 4 leaves set 0 at 2^27 pages");
+        let seed = |node: NodeId| ((node.prefix ^ (u64::from(node.level) << 61)) % 64) as usize;
+        for page in (0..1u64 << 30).step_by(7919 << 5) {
+            for level in 2..=LEVELS {
+                let node = node_for(VirtPage(page), level);
+                assert_eq!(pwc.set_index(node), seed(node), "{node:?}");
+            }
+        }
+    }
+
+    /// Keys of every row, MRU first, empties included.
+    fn rows(pwc: &WalkCache) -> Vec<&[u64]> {
+        (0..=pwc.set_mask as usize)
+            .map(|set| pwc.sets.row_keys(set))
+            .collect()
+    }
+
+    /// `walk` must leave every row, in MRU order, and both counters as
+    /// the probe loop plus three inserts it replaced. Small geometries
+    /// make a path's levels share sets and evict each other: one set of
+    /// 2 ways (a hit node is always pushed back by the lower fills),
+    /// 4 sets of 3 ways and 4 sets of 16.
+    #[test]
+    fn walk_matches_lookup_then_insert() {
+        // Walks that hit at each level, and hits a lower fill pushed back.
+        let (mut at_level, mut shared) = ([0u64; LEVELS as usize + 2], 0);
+        for (entries, ways) in [(2, 2), (12, 3), (64, 16)] {
+            let mut one = WalkCache::new(entries, ways, 10);
+            let mut twin = WalkCache::new(entries, ways, 10);
+            let (mut x, mut page) = (0x94D0_49BB_1331_11EB ^ entries as u64, VirtPage(0));
+            for step in 0..50_000u64 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                // Half the walks stay under the last level-2 node; the
+                // rest pick one of 256 level-2 nodes under 4 level-3
+                // nodes under 2 level-4 nodes.
+                page = if x & 1 == 0 {
+                    VirtPage((page.0 & !511) | ((x >> 1) % 512))
+                } else {
+                    VirtPage(((x >> 40) % 2) << 27 | ((x >> 30) % 2) << 18 | ((x >> 20) % 64) << 9)
+                };
+                let cached = (2..=LEVELS).find(|&l| twin.lookup(node_for(page, l)));
+                for level in 2..=LEVELS {
+                    twin.insert(node_for(page, level));
+                }
+                let hit = one.walk(page);
+                assert_eq!(hit, cached.unwrap_or(LEVELS + 1), "step {step}");
+                assert_eq!(rows(&one), rows(&twin), "{entries}/{ways} step {step}");
+                assert_eq!(
+                    (one.hits.get(), one.misses.get()),
+                    (twin.hits.get(), twin.misses.get()),
+                    "step {step}"
+                );
+                at_level[hit as usize] += 1;
+                let set = |level| one.set_index(node_for(page, level));
+                shared += u64::from(hit <= LEVELS && (2..hit).any(|l| set(l) == set(hit)));
+            }
+        }
+        assert!(at_level[2..].iter().all(|&n| n > 1000), "{at_level:?}");
+        assert!(shared > 1000, "{shared} hits pushed back by a lower fill");
     }
 
     /// Random walk-shaped op streams through both implementations must

@@ -5,18 +5,23 @@
 //! are busy queues behind the earliest-finishing slot (this is what makes
 //! fault storms expensive even before the 20 µs far-fault cost).
 //!
-//! Walk latency model: one page-walk-cache probe, then one memory
-//! reference per level that the PWC could not skip. A PWC hit on the
-//! level-*k* node skips the references for levels > *k* and leaves
-//! *k − 1* references (down to and including the leaf PTE).
+//! Walk latency model: one page-walk-cache pass
+//! ([`WalkCache::walk`]), then one memory reference per level that the
+//! PWC could not skip. A PWC hit on the level-*k* node skips the
+//! references for levels > *k* and leaves *k − 1* references (down to
+//! and including the leaf PTE), so a walk makes exactly one more memory
+//! reference than it has PWC misses.
+//!
+//! Slot free times live in a `SlotRing`: a ring kept in ascending
+//! order, so the earliest-free slot is the front and a completion time
+//! is inserted by shifting from the back. Walks mostly complete in issue
+//! order, so the insert is usually a single store.
 
-use crate::page_table::{node_for, PageTable, Residency, LEVELS};
+use crate::page_table::{PageTable, Residency};
 use crate::types::VirtPage;
 use crate::walk_cache::WalkCache;
 use sim_core::stats::Counter;
 use sim_core::time::Cycle;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Walker timing/shape parameters.
 #[derive(Debug, Clone, Copy)]
@@ -50,18 +55,59 @@ pub struct WalkOutcome {
     pub residency: Residency,
 }
 
+/// Free times of the walk slots, ascending from `head` around the ring.
+///
+/// Only the multiset of free times is observable — a walk starts at
+/// `max(earliest, now)` and frees its slot at completion — so taking
+/// the front and inserting the completion in order behaves exactly as
+/// a min-heap of free times, for any sequence of issue times.
+#[derive(Debug)]
+struct SlotRing {
+    free: Vec<Cycle>,
+    head: usize,
+}
+
+impl SlotRing {
+    fn new(slots: usize) -> Self {
+        SlotRing {
+            free: vec![Cycle::ZERO; slots],
+            head: 0,
+        }
+    }
+
+    /// Occupy the earliest-free slot for a walk issued at `now` that
+    /// takes `service` cycles. Returns its start and completion times.
+    #[inline]
+    fn issue(&mut self, now: Cycle, service: u64) -> (Cycle, Cycle) {
+        let n = self.free.len();
+        let start = self.free[self.head].max(now);
+        let done = start.after(service);
+        // The front leaves; its word becomes the back. Shift later free
+        // times back one word until `done` is in order.
+        let mut back = self.head;
+        self.head = if back + 1 == n { 0 } else { back + 1 };
+        while back != self.head {
+            let prev = if back == 0 { n - 1 } else { back - 1 };
+            if self.free[prev] <= done {
+                break;
+            }
+            self.free[back] = self.free[prev];
+            back = prev;
+        }
+        self.free[back] = done;
+        (start, done)
+    }
+}
+
 /// The shared walker.
 #[derive(Debug)]
 pub struct Walker {
-    cfg: WalkerConfig,
-    /// Min-heap of slot-free times.
-    slots: BinaryHeap<Reverse<Cycle>>,
+    memory_ref_latency: u64,
+    slots: SlotRing,
     /// Total walks issued.
     pub walks: Counter,
     /// Walks that found the page non-resident (→ far fault).
     pub faulting_walks: Counter,
-    /// Sum of memory references performed (PWC-miss levels).
-    pub memory_refs: Counter,
 }
 
 impl Walker {
@@ -72,23 +118,18 @@ impl Walker {
     #[must_use]
     pub fn new(cfg: WalkerConfig) -> Self {
         assert!(cfg.concurrency > 0, "walker needs at least one slot");
-        let mut slots = BinaryHeap::with_capacity(cfg.concurrency);
-        for _ in 0..cfg.concurrency {
-            slots.push(Reverse(Cycle::ZERO));
-        }
         Walker {
-            cfg,
-            slots,
+            memory_ref_latency: cfg.memory_ref_latency,
+            slots: SlotRing::new(cfg.concurrency),
             walks: Counter::default(),
             faulting_walks: Counter::default(),
-            memory_refs: Counter::default(),
         }
     }
 
     /// Issue a walk for `page` at time `now`.
     ///
-    /// Probes (and on completion fills) the PWC, reads residency from the
-    /// page table, and accounts slot contention.
+    /// Makes one PWC pass (probe, then fill the walked path), reads
+    /// residency from the page table, and accounts slot contention.
     pub fn walk(
         &mut self,
         page: VirtPage,
@@ -97,45 +138,19 @@ impl Walker {
         pt: &PageTable,
     ) -> WalkOutcome {
         self.walks.inc();
-
-        // Find the lowest (closest-to-leaf) cached node. A hit at level k
-        // leaves k-1 memory references; a full miss costs LEVELS refs.
-        let mut refs = LEVELS as u64;
-        let mut probe_latency = 0;
-        for level in 2..=LEVELS {
-            probe_latency = pwc.hit_latency();
-            if pwc.lookup(node_for(page, level)) {
-                refs = u64::from(level) - 1;
-                break;
-            }
-        }
-        // The walk brings every upper-level node on the path into the PWC.
-        for level in 2..=LEVELS {
-            pwc.insert(node_for(page, level));
-        }
-        self.memory_refs.add(refs);
-
-        let service = probe_latency + refs * self.cfg.memory_ref_latency;
-        let Reverse(free_at) = self.slots.pop().expect("walker has slots");
-        let start = free_at.max(now);
-        let complete_at = start.after(service);
-        self.slots.push(Reverse(complete_at));
+        let refs = u64::from(pwc.walk(page) - 1);
+        let service = pwc.hit_latency() + refs * self.memory_ref_latency;
+        let (started_at, complete_at) = self.slots.issue(now, service);
 
         let residency = pt.residency(page);
         if residency == Residency::NotResident {
             self.faulting_walks.inc();
         }
         WalkOutcome {
-            started_at: start,
+            started_at,
             complete_at,
             residency,
         }
-    }
-
-    /// Earliest time a new walk could start (for diagnostics).
-    #[must_use]
-    pub fn earliest_slot(&self) -> Cycle {
-        self.slots.peek().map_or(Cycle::ZERO, |Reverse(c)| *c)
     }
 }
 
@@ -215,12 +230,44 @@ mod tests {
         assert_eq!(max, Cycle(10 + 4 * 100));
     }
 
+    /// The ring must hand out the same start times as the min-heap of
+    /// free times it replaced, for any issue order: issue times jump
+    /// back and forth and walks take 1–4 references, so completions
+    /// leave issue order and the insert shifts across the wrap.
     #[test]
-    fn memory_ref_counter_accumulates() {
-        let (mut w, mut pwc, pt) = setup();
-        w.walk(VirtPage(0), Cycle::ZERO, &mut pwc, &pt); // 4 refs
-        w.walk(VirtPage(1), Cycle::ZERO, &mut pwc, &pt); // 1 ref
-        assert_eq!(w.memory_refs.get(), 5);
+    fn slot_ring_matches_heap_oracle() {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        for slots in [1, 2, 64] {
+            let mut ring = SlotRing::new(slots);
+            let mut heap: BinaryHeap<Reverse<Cycle>> =
+                (0..slots).map(|_| Reverse(Cycle::ZERO)).collect();
+            let (mut x, mut base) = (0xA076_1D64_78BD_642F_u64 ^ slots as u64, 0u64);
+            for step in 0..100_000u64 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                // A drifting base with issue times up to 2000 cycles
+                // either side of it.
+                base += (x >> 54) % 64;
+                let now = Cycle((base + (x >> 20) % 4000).saturating_sub(2000));
+                let service = 10 + (1 + (x >> 8) % 4) * 150;
+                let Reverse(free_at) = heap.pop().expect("heap has slots");
+                let start = free_at.max(now);
+                heap.push(Reverse(start.after(service)));
+                assert_eq!(
+                    ring.issue(now, service),
+                    (start, start.after(service)),
+                    "{slots} slots, step {step}"
+                );
+            }
+            let mut want: Vec<Cycle> = heap.into_iter().map(|Reverse(c)| c).collect();
+            want.sort_unstable();
+            let got: Vec<Cycle> = (0..slots)
+                .map(|i| ring.free[(ring.head + i) % slots])
+                .collect();
+            assert_eq!(got, want, "{slots} slots: final free times");
+        }
     }
 
     #[test]

@@ -22,8 +22,9 @@
 //!   page numbers laid out set-major, so an SM's 6-way set row is 48
 //!   contiguous bytes and the same set of *every* SM is one contiguous
 //!   `sms × 6`-word span. Rows are kept MRU-first (a hit moves its way
-//!   to the front, a miss rotates the LRU or an empty tail way to the
-//!   front), which is exactly the seed's min-stamp true LRU;
+//!   to the front, a miss drops the LRU or an empty tail way and stores
+//!   the page at the front, the ways between shifting back one word),
+//!   which is exactly the seed's min-stamp true LRU;
 //! * the L2 is a [`PageCache`] on the flat MRU-first rows shared with
 //!   the TLBs ([`gmmu::assoc::LruRows`]): a probe scans one 16-way row
 //!   of 128 contiguous bytes, and the victim is the row's last way.
@@ -158,14 +159,12 @@ impl L1Bank {
         debug_assert!(sm < self.sms && page.0 != EMPTY);
         let start = self.set_span(page).start + sm * L1_WAYS;
         let row = &mut self.ways[start..start + L1_WAYS];
-        if let Some(i) = row.iter().position(|&p| p == page.0) {
-            row[..=i].rotate_right(1);
-            true
-        } else {
-            row.rotate_right(1);
-            row[0] = page.0;
-            false
-        }
+        // A hit moves its way to the front; a miss moves the last (LRU
+        // or empty) way there. Either way the ways before it shift back.
+        let hit = row.iter().position(|&p| p == page.0);
+        row.copy_within(..hit.unwrap_or(L1_WAYS - 1), 1);
+        row[0] = page.0;
+        hit.is_some()
     }
 
     /// Drop every page of the sorted `chunks` from each SM's row of set
@@ -198,7 +197,7 @@ impl L1Bank {
         let span = self.set_span(page);
         for row in self.ways[span].chunks_exact_mut(L1_WAYS) {
             if let Some(i) = row.iter().position(|&p| p == page.0) {
-                row[i..].rotate_left(1);
+                row.copy_within(i + 1.., i);
                 row[L1_WAYS - 1] = EMPTY;
             }
         }

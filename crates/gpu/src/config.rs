@@ -1,6 +1,6 @@
 //! Whole-system configuration (Table I defaults).
 
-use gmmu::translation::{TranslationConfig, MAX_SMS};
+use gmmu::translation::TranslationConfig;
 use sim_core::error::ConfigError;
 use sim_core::fault::InjectionConfig;
 use telemetry::TraceConfig;
@@ -98,11 +98,13 @@ impl GpuConfig {
         self.sms * self.warps_per_sm
     }
 
-    /// Validate the configuration: SM and lane counts, link bandwidth
-    /// and injection knobs. Every SM needs its own L1 TLB, so `sms` may
-    /// not exceed `translation.num_sms`, and each L1 TLB needs its own
-    /// presence-mask bit, so `translation.num_sms` may not exceed
-    /// [`MAX_SMS`] (63).
+    /// Validate the configuration: SM and lane counts, the translation
+    /// hierarchy's shape ([`TranslationConfig::validate`]: TLB
+    /// geometry, walk slots, and at most
+    /// [`MAX_SMS`](gmmu::translation::MAX_SMS) = 63 L1 TLBs, one
+    /// presence-mask bit each), link bandwidth and injection knobs.
+    /// Every SM needs its own L1 TLB, so `sms` may not exceed
+    /// `translation.num_sms`.
     ///
     /// # Errors
     /// Returns the first [`ConfigError`] found.
@@ -115,12 +117,7 @@ impl GpuConfig {
                 field: "warps_per_sm",
             });
         }
-        sim_core::error::require_in_range(
-            "translation.num_sms",
-            self.translation.num_sms as f64,
-            1.0,
-            MAX_SMS as f64,
-        )?;
+        self.translation.validate()?;
         sim_core::error::require_in_range(
             "sms",
             self.sms as f64,
@@ -215,6 +212,75 @@ mod tests {
                 max: 63.0,
             })
         );
+    }
+
+    /// Each geometry that would panic in `Tlb::new` or `Walker::new`
+    /// is a typed error instead.
+    #[test]
+    fn validate_rejects_unbuildable_translation_geometry() {
+        use gmmu::tlb::TlbConfig;
+        use gmmu::walker::WalkerConfig;
+        let with = |l1: TlbConfig, l2: TlbConfig, concurrency| GpuConfig {
+            translation: TranslationConfig {
+                l1,
+                l2,
+                walker: WalkerConfig {
+                    concurrency,
+                    ..WalkerConfig::default()
+                },
+                ..TranslationConfig::default()
+            },
+            ..GpuConfig::default()
+        };
+        let (l1, l2) = (TlbConfig::l1_default(), TlbConfig::l2_default());
+        let zero = |field| Err(ConfigError::Zero { field });
+        assert_eq!(
+            with(l1, l2, 0).validate(),
+            zero("translation.walker.concurrency")
+        );
+        let l1_no_ways = TlbConfig {
+            associativity: 0,
+            ..l1
+        };
+        assert_eq!(
+            with(l1_no_ways, l2, 64).validate(),
+            zero("translation.l1.associativity")
+        );
+        let l2_empty = TlbConfig { entries: 0, ..l2 };
+        assert_eq!(
+            with(l1, l2_empty, 64).validate(),
+            zero("translation.l2.entries")
+        );
+        let l2_ragged = TlbConfig { entries: 500, ..l2 };
+        assert_eq!(
+            with(l1, l2_ragged, 64).validate(),
+            Err(ConfigError::NotMultiple {
+                field: "translation.l2.entries",
+                value: 500,
+                of: 16,
+            })
+        );
+        let l1_three_sets = TlbConfig {
+            entries: 24,
+            associativity: 8,
+            ..l1
+        };
+        assert_eq!(
+            with(l1_three_sets, l2, 64).validate(),
+            Err(ConfigError::NotPowerOfTwo {
+                field: "translation.l1 set count",
+                value: 3,
+            })
+        );
+        // Other power-of-two shapes are fine, and build.
+        let l2_small = TlbConfig {
+            entries: 64,
+            associativity: 4,
+            ..l2
+        };
+        let ok = with(l1, l2_small, 1);
+        assert_eq!(ok.validate(), Ok(()));
+        let _ = gmmu::translation::TranslationPath::new(&ok.translation);
     }
 
     #[test]

@@ -34,6 +34,22 @@ pub enum ConfigError {
         /// Field name.
         field: &'static str,
     },
+    /// The named integer field must be a multiple of `of`.
+    NotMultiple {
+        /// Field name.
+        field: &'static str,
+        /// The rejected value.
+        value: usize,
+        /// The required divisor.
+        of: usize,
+    },
+    /// The named integer quantity must be a power of two.
+    NotPowerOfTwo {
+        /// Field (or derived quantity) name.
+        field: &'static str,
+        /// The rejected value.
+        value: usize,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -49,6 +65,12 @@ impl fmt::Display for ConfigError {
                 max,
             } => write!(f, "{field} must be in [{min}, {max}], got {value}"),
             ConfigError::Zero { field } => write!(f, "{field} must be nonzero"),
+            ConfigError::NotMultiple { field, value, of } => {
+                write!(f, "{field} must be a multiple of {of}, got {value}")
+            }
+            ConfigError::NotPowerOfTwo { field, value } => {
+                write!(f, "{field} must be a power of two, got {value}")
+            }
         }
     }
 }
@@ -133,6 +155,17 @@ mod tests {
         assert!(ConfigError::Zero { field: "capacity" }
             .to_string()
             .contains("nonzero"));
+        let e = ConfigError::NotMultiple {
+            field: "entries",
+            value: 500,
+            of: 16,
+        };
+        assert_eq!(e.to_string(), "entries must be a multiple of 16, got 500");
+        let e = ConfigError::NotPowerOfTwo {
+            field: "sets",
+            value: 3,
+        };
+        assert_eq!(e.to_string(), "sets must be a power of two, got 3");
     }
 
     #[test]
