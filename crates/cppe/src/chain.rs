@@ -13,9 +13,21 @@
 //! O(1) chunk-id index, so every operation the policies perform —
 //! insert, move-to-tail, remove, and bounded scans from either end of
 //! the *old* partition — is cheap and allocation-free in steady state.
+//!
+//! Beside the list sits an *order index* that answers "the n-th chunk
+//! from the LRU end" (Random and Reserved-LRU victims) without walking
+//! the list. Every linked node holds a slot number `seq`; slots rise
+//! from the LRU end to the MRU end, so comparing two `seq`s compares
+//! chain positions. A bitmap marks the live slots: linking at the tail
+//! takes the slot past the highest one handed out, linking at the head
+//! the slot below the lowest, and unlinking clears a bit. When an end
+//! runs out of slots the list is re-slotted densely into a fresh range
+//! with room on both sides, so upkeep stays O(1) amortized. Finding the
+//! n-th chunk is then a popcount scan over the bitmap.
 
 use gmmu::types::ChunkId;
 use sim_core::{FxHashMap, FxHashSet};
+use std::cell::Cell;
 
 const NIL: u32 = u32::MAX;
 
@@ -30,6 +42,23 @@ struct Node {
     /// HPE's per-chunk touch counter ("records the number of touches to
     /// the chunk"). MHPE ignores this field — that is the point of MHPE.
     counter: u32,
+    /// Order-index slot while linked (fills the struct's padding).
+    seq: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Node>() == 32);
+
+/// How the order index did its work. No simulated result reads these.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IndexCounts {
+    /// Re-slots forced by a tail link finding no slot left.
+    pub tail_reslots: u64,
+    /// Re-slots forced by a head link finding no slot left.
+    pub head_reslots: u64,
+    /// [`ChunkChain::nth_from_lru`] calls on a non-empty chain.
+    pub selections: u64,
+    /// Fixed-point rounds beyond each selection's first.
+    pub extra_rounds: u64,
 }
 
 /// Which partition a chunk falls in, given the current interval.
@@ -74,7 +103,7 @@ pub fn partition_of(last_ref: u64, current: u64) -> Partition {
 /// assert_eq!(chain.select_mru_old(1, 2, &none), Some(ChunkId(2)));
 /// assert_eq!(chain.select_lru_old(2, &none), Some(ChunkId(0)));
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ChunkChain {
     nodes: Vec<Node>,
     free: Vec<u32>,
@@ -82,6 +111,22 @@ pub struct ChunkChain {
     tail: u32,
     index: FxHashMap<ChunkId, u32>,
     len: usize,
+    /// Order index: the node in each slot (meaningful where `live` is set).
+    slots: Vec<u32>,
+    /// One bit per slot: is a linked node in it?
+    live: Vec<u64>,
+    /// Lowest slot handed out since the last re-slot; every linked
+    /// node's `seq` lies in `lo..hi`.
+    lo: u32,
+    /// One past the highest slot handed out since the last re-slot.
+    hi: u32,
+    counts: Cell<IndexCounts>,
+}
+
+impl Default for ChunkChain {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl ChunkChain {
@@ -95,6 +140,11 @@ impl ChunkChain {
             tail: NIL,
             index: FxHashMap::default(),
             len: 0,
+            slots: Vec::new(),
+            live: Vec::new(),
+            lo: 0,
+            hi: 0,
+            counts: Cell::new(IndexCounts::default()),
         }
     }
 
@@ -127,10 +177,11 @@ impl ChunkChain {
     }
 
     fn unlink(&mut self, i: u32) {
-        let (prev, next) = {
+        let (prev, next, seq) = {
             let n = &self.nodes[i as usize];
-            (n.prev, n.next)
+            (n.prev, n.next, n.seq)
         };
+        self.live[seq as usize / 64] &= !(1 << (seq % 64));
         if prev == NIL {
             self.head = next;
         } else {
@@ -143,7 +194,42 @@ impl ChunkChain {
         }
     }
 
+    /// Put node `i` in slot `seq` of the order index.
+    fn occupy(&mut self, i: u32, seq: u32) {
+        self.nodes[i as usize].seq = seq;
+        self.slots[seq as usize] = i;
+        self.live[seq as usize / 64] |= 1 << (seq % 64);
+    }
+
+    /// Re-slot the linked nodes densely into
+    /// `next_power_of_two(4 · (len + 2))` slots starting a quarter of the
+    /// way in, leaving at least `len + 2` free slots at each end. Called
+    /// when an end runs out, at most once per `len + 2` links: O(1)
+    /// amortized.
+    #[cold]
+    fn reslot(&mut self) {
+        let size = (4 * (self.len + 2)).next_power_of_two();
+        self.slots.clear();
+        self.slots.resize(size, NIL);
+        self.live.clear();
+        self.live.resize(size.div_ceil(64), 0);
+        self.lo = (size / 4) as u32;
+        self.hi = self.lo;
+        let mut cur = self.head;
+        while cur != NIL {
+            self.occupy(cur, self.hi);
+            self.hi += 1;
+            cur = self.nodes[cur as usize].next;
+        }
+    }
+
     fn link_tail(&mut self, i: u32) {
+        if self.hi as usize == self.slots.len() {
+            self.reslot();
+            self.counts.get_mut().tail_reslots += 1;
+        }
+        self.occupy(i, self.hi);
+        self.hi += 1;
         self.nodes[i as usize].prev = self.tail;
         self.nodes[i as usize].next = NIL;
         if self.tail == NIL {
@@ -154,7 +240,23 @@ impl ChunkChain {
         self.tail = i;
     }
 
+    /// Move linked node `i` to the tail. The tail stays where it is and
+    /// keeps its slot, so HPE's touch right after a migration costs no
+    /// slot.
+    fn move_to_tail(&mut self, i: u32) {
+        if i != self.tail {
+            self.unlink(i);
+            self.link_tail(i);
+        }
+    }
+
     fn link_head(&mut self, i: u32) {
+        if self.lo == 0 {
+            self.reslot();
+            self.counts.get_mut().head_reslots += 1;
+        }
+        self.lo -= 1;
+        self.occupy(i, self.lo);
         self.nodes[i as usize].next = self.head;
         self.nodes[i as usize].prev = NIL;
         if self.head == NIL {
@@ -169,9 +271,8 @@ impl ChunkChain {
     /// move it to the tail and refresh its interval instead.
     pub fn insert_tail(&mut self, chunk: ChunkId, interval: u64) {
         if let Some(&i) = self.index.get(&chunk) {
-            self.unlink(i);
             self.nodes[i as usize].last_ref_interval = interval;
-            self.link_tail(i);
+            self.move_to_tail(i);
             return;
         }
         let i = self.alloc(Node {
@@ -180,6 +281,7 @@ impl ChunkChain {
             next: NIL,
             last_ref_interval: interval,
             counter: 0,
+            seq: 0,
         });
         self.link_tail(i);
         self.index.insert(chunk, i);
@@ -201,6 +303,7 @@ impl ChunkChain {
             next: NIL,
             last_ref_interval: interval,
             counter: 0,
+            seq: 0,
         });
         self.link_head(i);
         self.index.insert(chunk, i);
@@ -221,13 +324,10 @@ impl ChunkChain {
     /// HPE: record a touch — bump the counter and move to MRU.
     pub fn touch(&mut self, chunk: ChunkId, interval: u64, touches: u32) {
         if let Some(&i) = self.index.get(&chunk) {
-            self.unlink(i);
-            {
-                let n = &mut self.nodes[i as usize];
-                n.last_ref_interval = interval;
-                n.counter = n.counter.saturating_add(touches);
-            }
-            self.link_tail(i);
+            let n = &mut self.nodes[i as usize];
+            n.last_ref_interval = interval;
+            n.counter = n.counter.saturating_add(touches);
+            self.move_to_tail(i);
         }
     }
 
@@ -320,16 +420,99 @@ impl ChunkChain {
     /// The `pos`-th non-excluded chunk from the head (LRU end); `pos = 0`
     /// is the first eligible chunk. Used by Reserved-LRU and Random.
     /// Saturates to the last eligible chunk.
+    ///
+    /// Answered from the order index, not by walking the list. With
+    /// `rank` the 0-based position from the LRU end and `f(t) = pos +
+    /// |{excluded chunks of rank ≤ t}|`, a rank `t` with `f(t) = t` has
+    /// exactly `pos + 1` eligible chunks at or before it, so the least
+    /// such `t` is the answer (were it excluded, `t − 1` would be a
+    /// smaller fixed point). `f` is monotone and `f(t) ≥ pos`, so
+    /// iterating `t ← f(t)` from `t = pos` climbs to that least fixed
+    /// point, or past the MRU end when fewer than `pos + 1` chunks are
+    /// eligible. Each round costs one popcount scan and one index
+    /// lookup per excluded chunk; a round beyond the first needs an
+    /// excluded chunk at or before the candidate.
     #[must_use]
     pub fn nth_from_lru(&self, pos: usize, exclude: &FxHashSet<ChunkId>) -> Option<ChunkId> {
-        let mut last = None;
-        for (i, chunk) in self.iter_lru().filter(|c| !exclude.contains(c)).enumerate() {
-            last = Some(chunk);
-            if i == pos {
-                return last;
-            }
+        if self.len == 0 {
+            return None;
         }
-        last
+        let mut counts = self.counts.get();
+        counts.selections += 1;
+        let mut t = pos;
+        let found = loop {
+            if t >= self.len {
+                break self.iter_mru().find(|c| !exclude.contains(c));
+            }
+            let s = self.select(t);
+            let before = exclude
+                .iter()
+                .filter(|c| {
+                    self.index
+                        .get(c)
+                        .is_some_and(|&i| self.nodes[i as usize].seq <= s)
+                })
+                .count();
+            if pos + before == t {
+                break Some(self.nodes[self.slots[s as usize] as usize].chunk);
+            }
+            t = pos + before;
+            counts.extra_rounds += 1;
+        };
+        self.counts.set(counts);
+        found
+    }
+
+    /// Slot of the chunk of rank `k` (0-based from the LRU end); needs
+    /// `k < len`. The head holds the lowest live slot, so the scan
+    /// starts at its word.
+    fn select(&self, mut k: usize) -> u32 {
+        let mut w = self.nodes[self.head as usize].seq as usize / 64;
+        loop {
+            let mut bits = self.live[w];
+            let n = bits.count_ones() as usize;
+            if k < n {
+                for _ in 0..k {
+                    bits &= bits - 1;
+                }
+                return (w * 64) as u32 + bits.trailing_zeros();
+            }
+            k -= n;
+            w += 1;
+        }
+    }
+
+    /// Does the order index agree with the list? Every linked node's
+    /// slot names it and has its bit set, slots strictly rise from the
+    /// LRU end to the MRU end within `lo..hi`, and exactly `len` bits
+    /// are set.
+    #[must_use]
+    pub fn order_consistent(&self) -> bool {
+        let mut prev_seq = None;
+        let mut linked = 0;
+        let mut cur = self.head;
+        while cur != NIL {
+            let seq = self.nodes[cur as usize].seq;
+            if prev_seq.is_some_and(|p| p >= seq)
+                || seq < self.lo
+                || seq >= self.hi
+                || self.slots[seq as usize] != cur
+                || self.live[seq as usize / 64] & 1 << (seq % 64) == 0
+            {
+                return false;
+            }
+            prev_seq = Some(seq);
+            linked += 1;
+            cur = self.nodes[cur as usize].next;
+        }
+        let bits: u32 = self.live.iter().map(|w| w.count_ones()).sum();
+        linked == self.len && bits as usize == self.len
+    }
+
+    /// How the order index did its work so far.
+    #[must_use]
+    pub fn index_counts(&self) -> IndexCounts {
+        self.counts.get()
     }
 
     /// Iterate `(chunk, last_ref_interval)` LRU→MRU.
@@ -452,8 +635,24 @@ impl Iterator for IntervalIter<'_> {
 }
 
 #[cfg(test)]
+impl ChunkChain {
+    /// The list walk `nth_from_lru` replaced, kept as its oracle.
+    fn nth_from_lru_walk(&self, pos: usize, exclude: &FxHashSet<ChunkId>) -> Option<ChunkId> {
+        let mut last = None;
+        for (i, chunk) in self.iter_lru().filter(|c| !exclude.contains(c)).enumerate() {
+            last = Some(chunk);
+            if i == pos {
+                return last;
+            }
+        }
+        last
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use sim_core::rng::Xoshiro256ss;
 
     fn ids(it: impl Iterator<Item = ChunkId>) -> Vec<u64> {
         it.map(|c| c.0).collect()
@@ -650,5 +849,59 @@ mod tests {
         ch.insert_tail(ChunkId(1), 4);
         ch.insert_tail(ChunkId(2), 5);
         assert_eq!(ch.old_len(5), 1);
+    }
+
+    #[test]
+    fn nth_from_lru_matches_the_walk() {
+        let mut rng = Xoshiro256ss::new(19);
+        let mut ch = ChunkChain::new();
+        for round in 0..4000u64 {
+            let c = ChunkId(rng.gen_range(96));
+            match rng.gen_range(8) {
+                0..=2 => ch.insert_tail(c, round),
+                3 => ch.insert_head(c, round),
+                4 | 5 => {
+                    ch.remove(c);
+                }
+                _ => ch.touch(c, round, 1),
+            }
+            assert!(ch.order_consistent(), "round {round}");
+            let exclude: FxHashSet<ChunkId> = (0..rng.gen_range(12))
+                .map(|_| ChunkId(rng.gen_range(100)))
+                .collect();
+            for _ in 0..4 {
+                let pos = rng.gen_range(ch.len() as u64 + 4) as usize;
+                assert_eq!(
+                    ch.nth_from_lru(pos, &exclude),
+                    ch.nth_from_lru_walk(pos, &exclude),
+                    "round {round}, pos {pos}"
+                );
+            }
+        }
+        let counts = ch.index_counts();
+        assert!(counts.tail_reslots > 0 && counts.head_reslots > 0);
+        assert!(counts.extra_rounds > 0);
+    }
+
+    #[test]
+    fn reslot_keeps_order_and_room() {
+        let mut ch = ChunkChain::new();
+        for i in 0..50 {
+            ch.insert_head(ChunkId(i), 0);
+        }
+        for i in 50..100 {
+            ch.insert_tail(ChunkId(i), 0);
+        }
+        assert!(ch.order_consistent());
+        let expect: Vec<u64> = (0..50).rev().chain(50..100).collect();
+        assert_eq!(ids(ch.iter_lru()), expect);
+        for (k, &c) in expect.iter().enumerate() {
+            assert_eq!(ch.nth_from_lru(k, &FxHashSet::default()), Some(ChunkId(c)));
+        }
+        // A re-slot leaves at least len + 2 free slots at each end.
+        ch.reslot();
+        assert!(ch.lo as usize >= ch.len() + 2);
+        assert!(ch.slots.len() - ch.hi as usize >= ch.len() + 2);
+        assert!(ch.order_consistent());
     }
 }

@@ -32,6 +32,22 @@ impl EvictPolicy for RandomPolicy {
         "random"
     }
 
+    /// Draws `pos` uniformly from `0..chain.len() − |exclude|` and
+    /// returns the pos-th non-excluded chunk from the LRU end.
+    ///
+    /// Known quirk, kept because fixing it changes results: `exclude`
+    /// is the fault batch's whole pinned set, which also holds planned
+    /// chunks that are not in the chain yet, so the draw range falls
+    /// short of the eligible count by `|exclude \ chain|`.
+    /// * The MRU-most `|exclude \ chain|` eligible chunks are never
+    ///   drawn (about one chunk per call in the Fig. 9 sweep).
+    /// * When `|exclude| ≥ chain.len()` this returns `None` even if
+    ///   eligible chunks exist; `PolicyEngine::select_victim` then
+    ///   retries with no pins and may evict a pinned chunk. This follows
+    ///   from the code; no run has been seen to do it.
+    ///
+    /// Counting only the excluded chunks in the chain fixes both, and
+    /// needs new reference fingerprints.
     fn select_victim(
         &mut self,
         chain: &ChunkChain,

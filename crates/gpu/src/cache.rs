@@ -297,9 +297,14 @@ impl DataHierarchy {
             self.invalidate(*first);
             return;
         }
+        // A victim's pages are consecutive: push each run's chunk once.
         self.chunks.clear();
-        self.chunks
-            .extend(pages.iter().map(|p| p.0 / PAGES_PER_CHUNK));
+        for p in pages {
+            let chunk = p.0 / PAGES_PER_CHUNK;
+            if self.chunks.last() != Some(&chunk) {
+                self.chunks.push(chunk);
+            }
+        }
         self.chunks.sort_unstable();
         self.chunks.dedup();
         let sets = pages

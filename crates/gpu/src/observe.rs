@@ -17,7 +17,8 @@
 //!   boundary;
 //! * [`FireCounts`] — how often the fast lane's run-ahead fires;
 //! * [`EvictionPasses`] — how often chunk-granular eviction replaced
-//!   per-page TLB removes and data-cache scans.
+//!   per-page TLB removes and data-cache scans, and how the chunk
+//!   chain's order index answered positional victim selections.
 //!
 //! The fault-lifecycle span builder is one more observer, switched on by
 //! `GpuConfig::trace` (see `crate::spans`). A pair `(A, B)` of observers
@@ -25,6 +26,7 @@
 
 use crate::cache::{DataHierarchy, InvalidationCounts};
 use crate::waiters::WaiterTable;
+use cppe::chain::IndexCounts;
 use gmmu::translation::{ShootdownCounts, TranslationPath, TranslationTiming};
 use gmmu::types::VirtPage;
 use sim_core::time::Cycle;
@@ -281,22 +283,26 @@ impl Observer for FireCounts {
     }
 }
 
-/// How chunk-granular eviction did its work: the translation path's
-/// shootdown counts and the data caches' invalidation counts, as of the
-/// last dispatched batch (the only place either changes). Like
-/// [`FireCounts`], no result or fingerprint sees them.
+/// How eviction did its work: the translation path's shootdown counts,
+/// the data caches' invalidation counts and the chunk chain's order
+/// index counts, as of the last dispatched batch (the only place any of
+/// them changes). Like [`FireCounts`], no result or fingerprint sees
+/// them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvictionPasses {
     /// TLB chunk row passes against single-page removes.
     pub shootdown: ShootdownCounts,
     /// L1-bank span passes against evicted pages.
     pub invalidation: InvalidationCounts,
+    /// Positional victim selections and re-slots of the chain's index.
+    pub victim_index: IndexCounts,
 }
 
 impl Observer for EvictionPasses {
     fn batch_dispatched(&mut self, ctx: Ctx<'_>, _: Cycle, _: &BatchResult) {
         self.shootdown = ctx.xlat().shootdown_counts();
         self.invalidation = ctx.caches().invalidation_counts();
+        self.victim_index = ctx.driver().engine().chain().index_counts();
     }
 }
 
@@ -309,6 +315,11 @@ impl Observer for EvictionPasses {
 ///   is of a resident page at its frame, and each mask bit names
 ///   exactly one TLB entry. The masks decide TLB probe results, so a
 ///   missing bit would silently duplicate an entry;
+/// * the eviction policy's chunk chain is exactly the set of chunks
+///   holding a resident page: each chain chunk holds one, and their
+///   resident pages add up to the page table's resident count; and its
+///   order index agrees with its list
+///   ([`ChunkChain::order_consistent`](cppe::ChunkChain::order_consistent));
 /// * no page this batch evicted is still held by a data cache, and
 ///   every page an L1 or the L2 holds is resident — the fact that makes
 ///   the data caches' chunk-granular invalidation exact;
@@ -349,6 +360,26 @@ impl Invariants {
                 "{held} frames allocated but {} pages resident",
                 pt.resident_count()
             ));
+        }
+        let chain = ctx.driver().engine().chain();
+        let mut chained = 0;
+        for chunk in chain.iter_lru() {
+            let held = chunk.pages().filter(|&p| pt.is_resident(p)).count();
+            if held == 0 {
+                return Err(format!(
+                    "{chunk:?} is in the chain but holds no resident page"
+                ));
+            }
+            chained += held;
+        }
+        if chained != pt.resident_count() {
+            return Err(format!(
+                "chain chunks hold {chained} resident pages but {} are resident",
+                pt.resident_count()
+            ));
+        }
+        if !chain.order_consistent() {
+            return Err("the chunk chain's order index disagrees with its list".into());
         }
         if !ctx.xlat().masks_consistent() {
             return Err("TLB presence masks disagree with the TLBs".into());

@@ -179,6 +179,11 @@ fn main() {
         "cache invalidate  {} L1-bank span passes for {} evicted pages",
         inv.span_passes, inv.pages
     );
+    let vi = passes.victim_index;
+    println!(
+        "victim index      {} positional selections ({} extra rounds); re-slots {} tail, {} head",
+        vi.selections, vi.extra_rounds, vi.tail_reslots, vi.head_reslots
+    );
     println!(
         "pcie              {} B in, {} B out",
         r.bytes_h2d, r.bytes_d2h

@@ -723,8 +723,14 @@ impl UvmDriver {
                     planned,
                 });
 
+            // A chunk's planned pages are consecutive: pin it once.
+            let mut last = None;
             for &p in &plan {
-                pinned.insert(p.chunk());
+                let chunk = p.chunk();
+                if last != Some(chunk) {
+                    pinned.insert(chunk);
+                    last = Some(chunk);
+                }
             }
 
             // Make room.

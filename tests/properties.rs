@@ -1,6 +1,7 @@
 //! Property-based tests (proptest) on the core data structures and the
 //! workload generators — cross-crate invariants that unit tests cannot
-//! pin down exhaustively.
+//! pin down exhaustively. The chunk-chain properties run std-only in
+//! `tests/chain_model.rs`.
 //!
 //! Gated behind the non-default `ext-tests` feature: proptest must come
 //! from crates.io, and the default test suite has to pass with no
@@ -8,102 +9,15 @@
 //! proptest dev-dependency (see the root Cargo.toml).
 #![cfg(feature = "ext-tests")]
 
-use cppe::chain::ChunkChain;
 use cppe::evicted_buffer::EvictedBuffer;
 use cppe::prefetch::pattern::{DeletionScheme, PatternBuffer, ProbeResult};
 use gmmu::tlb::{Tlb, TlbConfig};
 use gmmu::types::{ChunkId, Frame, VirtPage};
 use proptest::prelude::*;
 use sim_core::{FxHashSet, TouchVec};
-use std::collections::VecDeque;
 use workloads::registry;
 
-#[derive(Debug, Clone)]
-enum ChainOp {
-    InsertTail(u64, u64),
-    InsertHead(u64, u64),
-    Remove(u64),
-    Touch(u64, u64),
-}
-
-fn chain_op() -> impl Strategy<Value = ChainOp> {
-    prop_oneof![
-        (0u64..64, 0u64..16).prop_map(|(c, i)| ChainOp::InsertTail(c, i)),
-        (0u64..64, 0u64..16).prop_map(|(c, i)| ChainOp::InsertHead(c, i)),
-        (0u64..64).prop_map(ChainOp::Remove),
-        (0u64..64, 0u64..16).prop_map(|(c, i)| ChainOp::Touch(c, i)),
-    ]
-}
-
 proptest! {
-    /// The slab-backed chunk chain behaves exactly like a reference
-    /// VecDeque model under arbitrary operation sequences.
-    #[test]
-    fn chain_matches_reference_model(ops in proptest::collection::vec(chain_op(), 1..200)) {
-        let mut chain = ChunkChain::new();
-        // Model: front = LRU, back = MRU.
-        let mut model: VecDeque<u64> = VecDeque::new();
-        for op in ops {
-            match op {
-                ChainOp::InsertTail(c, i) => {
-                    chain.insert_tail(ChunkId(c), i);
-                    model.retain(|&x| x != c);
-                    model.push_back(c);
-                }
-                ChainOp::InsertHead(c, i) => {
-                    chain.insert_head(ChunkId(c), i);
-                    model.retain(|&x| x != c);
-                    model.push_front(c);
-                }
-                ChainOp::Remove(c) => {
-                    let was = chain.remove(ChunkId(c));
-                    let had = model.contains(&c);
-                    prop_assert_eq!(was, had);
-                    model.retain(|&x| x != c);
-                }
-                ChainOp::Touch(c, i) => {
-                    chain.touch(ChunkId(c), i, 1);
-                    if model.contains(&c) {
-                        model.retain(|&x| x != c);
-                        model.push_back(c);
-                    }
-                }
-            }
-            prop_assert_eq!(chain.len(), model.len());
-        }
-        let order: Vec<u64> = chain.iter_lru().map(|c| c.0).collect();
-        let expect: Vec<u64> = model.into_iter().collect();
-        prop_assert_eq!(order, expect);
-    }
-
-    /// Victim selection never returns an excluded or absent chunk, and
-    /// returns Some whenever an eligible chunk exists.
-    #[test]
-    fn chain_selection_respects_exclusion(
-        chunks in proptest::collection::btree_set(0u64..64, 0..32),
-        excluded in proptest::collection::btree_set(0u64..64, 0..32),
-        fd in 0usize..12,
-        interval in 0u64..8,
-    ) {
-        let mut chain = ChunkChain::new();
-        for (i, &c) in chunks.iter().enumerate() {
-            chain.insert_tail(ChunkId(c), (i % 4) as u64);
-        }
-        let ex: FxHashSet<ChunkId> = excluded.iter().map(|&c| ChunkId(c)).collect();
-        let eligible = chunks.iter().any(|c| !excluded.contains(c));
-        for victim in [
-            chain.select_mru_old(fd, interval, &ex),
-            chain.select_lru_old(interval, &ex),
-            chain.nth_from_lru(fd, &ex),
-        ] {
-            prop_assert_eq!(victim.is_some(), eligible);
-            if let Some(v) = victim {
-                prop_assert!(chunks.contains(&v.0));
-                prop_assert!(!excluded.contains(&v.0));
-            }
-        }
-    }
-
     /// A TLB never exceeds capacity, and a probe after insert hits until
     /// the entry is invalidated.
     #[test]
