@@ -1,12 +1,14 @@
 //! Flat true-LRU rows — the set-associative store behind the TLBs, the
 //! page-walk cache and the GPU data-cache L2.
 //!
-//! [`LruRows`] keeps two parallel arrays, `keys: Vec<u64>` and
-//! `vals: Vec<V>`. Each set owns two row widths of words; its row is the
-//! `ways` words from the set's head, most recently used first. A hit
-//! shifts the ways in front of it back one word and stores itself at
-//! the front, and a remove shifts the ways behind it forward one word,
-//! keeping the survivors' order (each is one `copy_within` per array);
+//! [`LruRows`] is a presence store: one array of keys and no values.
+//! Every user only asks whether a key is present (a TLB hit's frame is
+//! read from the page table, see `translation.rs`), so a probe touches
+//! key words alone. Each set owns two row widths of words; its row is
+//! the `ways` words from the set's head, most recently used first. A
+//! hit shifts the ways in front of it back one word and stores itself
+//! at the front, and a remove shifts the ways behind it forward one
+//! word, keeping the survivors' order (each is one `copy_within`);
 //! `remove_where` drops any number of keys in one pass over the row
 //! with the same result. A fill steps the head back one word, so the
 //! last way (the LRU victim, or an empty way) drops off the end and no
@@ -27,18 +29,17 @@
 /// stay below it.
 pub const EMPTY: u64 = u64::MAX;
 
-/// `n_sets` rows of `ways` keys and values, each row MRU-first.
+/// `n_sets` rows of `ways` keys, each row MRU-first.
 #[derive(Clone)]
-pub struct LruRows<V> {
+pub struct LruRows {
     ways: usize,
     /// Two row widths per set; words outside the live rows are empty.
     keys: Vec<u64>,
-    vals: Vec<V>,
     /// Index of each set's front (most recently used) way.
     heads: Vec<usize>,
 }
 
-impl<V: Copy + Default> LruRows<V> {
+impl LruRows {
     /// Build `n_sets × ways` empty ways.
     ///
     /// # Panics
@@ -49,7 +50,6 @@ impl<V: Copy + Default> LruRows<V> {
         LruRows {
             ways,
             keys: vec![EMPTY; n_sets * 2 * ways],
-            vals: vec![V::default(); n_sets * 2 * ways],
             heads: (0..n_sets).map(|s| (2 * s + 1) * ways).collect(),
         }
     }
@@ -76,61 +76,57 @@ impl<V: Copy + Default> LruRows<V> {
             return;
         }
         let h = self.heads[set];
-        let (key, val) = (self.keys[h + i], self.vals[h + i]);
+        let key = self.keys[h + i];
         self.keys.copy_within(h..h + i, h + 1);
-        self.vals.copy_within(h..h + i, h + 1);
         self.keys[h] = key;
-        self.vals[h] = val;
     }
 
-    /// Look up `key` in `set`, moving it to the front on a hit.
+    /// Look up `key` in `set`, moving it to the front on a hit. Returns
+    /// whether it was present.
     #[inline]
-    pub fn get(&mut self, set: usize, key: u64) -> Option<V> {
-        let i = self.find(set, key)?;
+    pub fn get(&mut self, set: usize, key: u64) -> bool {
+        let Some(i) = self.find(set, key) else {
+            return false;
+        };
         self.promote(set, i);
-        Some(self.vals[self.heads[set]])
+        true
     }
 
-    /// Look up `key` in `set` without touching LRU order.
+    /// Whether `key` is in `set`, without touching LRU order.
     #[inline]
     #[must_use]
-    pub fn peek(&self, set: usize, key: u64) -> Option<V> {
-        self.find(set, key).map(|i| self.vals[self.heads[set] + i])
+    pub fn peek(&self, set: usize, key: u64) -> bool {
+        self.find(set, key).is_some()
     }
 
-    /// Insert (or refresh) `key` in `set`. A refresh updates the value
-    /// and moves the way to the front; a full row evicts its LRU way
-    /// and returns it.
+    /// Insert (or refresh) `key` in `set`. A refresh moves the way to
+    /// the front; a full row evicts its LRU key and returns it.
     #[inline]
-    pub fn insert(&mut self, set: usize, key: u64, val: V) -> Option<(u64, V)> {
+    pub fn insert(&mut self, set: usize, key: u64) -> Option<u64> {
         if let Some(i) = self.find(set, key) {
             self.promote(set, i);
-            self.vals[self.heads[set]] = val;
             return None;
         }
-        self.fill(set, key, val)
+        self.fill(set, key)
     }
 
     /// Insert `key`, which the caller knows is not in `set`, skipping
-    /// the existence scan. Returns the evicted LRU way of a full row.
+    /// the existence scan. Returns the evicted LRU key of a full row.
     #[inline]
-    pub fn fill(&mut self, set: usize, key: u64, val: V) -> Option<(u64, V)> {
+    pub fn fill(&mut self, set: usize, key: u64) -> Option<u64> {
         debug_assert!(self.find(set, key).is_none(), "fill of a present key");
         let (w, base) = (self.ways, 2 * set * self.ways);
         if self.heads[set] == base {
             // No word left before the row: move it to the back half.
             self.keys.copy_within(base..base + w, base + w);
-            self.vals.copy_within(base..base + w, base + w);
             self.keys[base..base + w].fill(EMPTY);
             self.heads[set] = base + w;
         }
         self.heads[set] -= 1;
         let h = self.heads[set];
         let victim = std::mem::replace(&mut self.keys[h + w], EMPTY);
-        let victim_val = self.vals[h + w];
         self.keys[h] = key;
-        self.vals[h] = val;
-        (victim != EMPTY).then_some((victim, victim_val))
+        (victim != EMPTY).then_some(victim)
     }
 
     /// Remove `key` from `set`, keeping the survivors' order. Returns
@@ -143,7 +139,6 @@ impl<V: Copy + Default> LruRows<V> {
         let row = self.row(set);
         let at = row.start + i;
         self.keys.copy_within(at + 1..row.end, at);
-        self.vals.copy_within(at + 1..row.end, at);
         self.keys[row.end - 1] = EMPTY;
         true
     }
@@ -159,7 +154,6 @@ impl<V: Copy + Default> LruRows<V> {
         while live < row.end && self.keys[live] != EMPTY {
             if !pred(self.keys[live]) {
                 self.keys[kept] = self.keys[live];
-                self.vals[kept] = self.vals[live];
                 kept += 1;
             }
             live += 1;
@@ -185,17 +179,13 @@ impl<V: Copy + Default> LruRows<V> {
         self.keys.iter().filter(|&&k| k != EMPTY).count()
     }
 
-    /// Every live `(key, value)`, row by row, MRU first.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, V)> + '_ {
-        self.keys
-            .iter()
-            .zip(&self.vals)
-            .filter(|(&k, _)| k != EMPTY)
-            .map(|(&k, &v)| (k, v))
+    /// Every live key, row by row, MRU first.
+    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        self.keys.iter().copied().filter(|&k| k != EMPTY)
     }
 }
 
-impl<V: Copy + Default> std::fmt::Debug for LruRows<V> {
+impl std::fmt::Debug for LruRows {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LruRows")
             .field("sets", &self.heads.len())
@@ -209,50 +199,49 @@ impl<V: Copy + Default> std::fmt::Debug for LruRows<V> {
 mod tests {
     use super::*;
 
-    fn rows() -> LruRows<u32> {
+    fn rows() -> LruRows {
         LruRows::new(2, 2)
     }
 
     #[test]
     fn insert_get_peek() {
         let mut s = rows();
-        assert_eq!(s.insert(0, 10, 1), None);
-        assert_eq!(s.get(0, 10), Some(1));
-        assert_eq!(s.peek(0, 10), Some(1));
-        assert_eq!(s.get(0, 11), None);
-        assert_eq!(s.peek(1, 10), None, "rows are independent");
+        assert_eq!(s.insert(0, 10), None);
+        assert!(s.get(0, 10));
+        assert!(s.peek(0, 10));
+        assert!(!s.get(0, 11));
+        assert!(!s.peek(1, 10), "rows are independent");
         assert_eq!(s.occupancy(), 1);
     }
 
     #[test]
-    fn refresh_updates_value_without_evicting() {
+    fn refresh_promotes_without_evicting() {
         let mut s = rows();
-        s.insert(0, 10, 1);
-        s.insert(0, 12, 2);
-        assert_eq!(s.insert(0, 10, 9), None);
-        assert_eq!(s.peek(0, 10), Some(9));
+        s.insert(0, 10);
+        s.insert(0, 12);
+        assert_eq!(s.insert(0, 10), None);
         assert_eq!(s.occupancy(), 2);
         // The refresh made 10 the MRU way, so 12 is the victim.
-        assert_eq!(s.fill(0, 14, 3), Some((12, 2)));
+        assert_eq!(s.fill(0, 14), Some(12));
     }
 
     #[test]
     fn full_row_evicts_lru_way() {
         let mut s = rows();
-        s.insert(0, 10, 1);
-        s.insert(0, 12, 2);
+        s.insert(0, 10);
+        s.insert(0, 12);
         s.get(0, 10); // 12 becomes LRU
-        assert_eq!(s.insert(0, 14, 3), Some((12, 2)));
-        assert_eq!(s.peek(0, 10), Some(1));
-        assert_eq!(s.peek(0, 12), None);
-        assert_eq!(s.peek(0, 14), Some(3));
+        assert_eq!(s.insert(0, 14), Some(12));
+        assert!(s.peek(0, 10));
+        assert!(!s.peek(0, 12));
+        assert!(s.peek(0, 14));
     }
 
     #[test]
     fn remove_keeps_order_with_empties_at_the_tail() {
-        let mut s: LruRows<u32> = LruRows::new(1, 4);
+        let mut s = LruRows::new(1, 4);
         for k in [10, 11, 12, 13] {
-            s.fill(0, k, k as u32);
+            s.fill(0, k);
         }
         // MRU-first row: 13 12 11 10.
         assert!(s.remove(0, 12));
@@ -261,9 +250,9 @@ mod tests {
         assert_eq!(s.occupancy(), 3);
         // The empty tail way is reused before any live way is evicted,
         // and the survivors' LRU order decides the next victim.
-        assert_eq!(s.fill(0, 14, 14), None);
-        assert_eq!(s.fill(0, 15, 15), Some((10, 10)));
-        assert_eq!(s.peek(0, 11), Some(11));
+        assert_eq!(s.fill(0, 14), None);
+        assert_eq!(s.fill(0, 15), Some(10));
+        assert!(s.peek(0, 11));
     }
 
     /// `remove_where` must leave every row exactly as removing each
@@ -279,7 +268,7 @@ mod tests {
             x
         };
         for (n_sets, ways) in [(1, 8), (3, 4), (2, 1)] {
-            let mut bulk: LruRows<u32> = LruRows::new(n_sets, ways);
+            let mut bulk = LruRows::new(n_sets, ways);
             let mut single = bulk.clone();
             for op in 0..100_000u32 {
                 let r = step();
@@ -300,18 +289,12 @@ mod tests {
                     assert_eq!(got, want.len(), "op {op}: removed count");
                 } else {
                     assert_eq!(
-                        bulk.insert(set, key, op),
-                        single.insert(set, key, op),
+                        bulk.insert(set, key),
+                        single.insert(set, key),
                         "op {op}: victim"
                     );
                 }
                 assert_eq!(bulk.keys[bulk.row(set)], single.keys[single.row(set)]);
-                for i in 0..ways {
-                    let (b, s) = (bulk.heads[set] + i, single.heads[set] + i);
-                    if bulk.keys[b] != EMPTY {
-                        assert_eq!(bulk.vals[b], single.vals[s], "op {op}: value moved");
-                    }
-                }
             }
             assert_eq!(bulk.occupancy(), single.occupancy());
         }
@@ -320,13 +303,13 @@ mod tests {
     #[test]
     fn clear_empties_every_row() {
         let mut s = rows();
-        s.insert(0, 10, 1);
-        s.insert(1, 11, 2);
+        s.insert(0, 10);
+        s.insert(1, 11);
         s.clear();
         assert_eq!(s.occupancy(), 0);
-        assert_eq!(s.peek(0, 10), None);
-        assert_eq!(s.peek(1, 11), None);
-        assert_eq!(s.insert(0, 10, 7), None);
-        assert_eq!(s.get(0, 10), Some(7));
+        assert!(!s.peek(0, 10));
+        assert!(!s.peek(1, 11));
+        assert_eq!(s.insert(0, 10), None);
+        assert!(s.get(0, 10));
     }
 }

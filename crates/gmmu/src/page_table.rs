@@ -132,6 +132,19 @@ impl PageTable {
         }
     }
 
+    /// Frame of `page`, which a TLB holds and so is resident: the TLB
+    /// hit path's frame read, without [`residency`](PageTable::residency)'s
+    /// not-resident branch.
+    #[inline]
+    pub(crate) fn tlb_frame(&self, page: VirtPage) -> Frame {
+        debug_assert!(self.is_resident(page), "TLB holds a non-resident page");
+        if page.0 < FLAT_LIMIT {
+            Frame(self.slots[page.0 as usize] as u32)
+        } else {
+            self.spill[&page].frame
+        }
+    }
+
     /// True if `page` is resident.
     #[inline]
     #[must_use]

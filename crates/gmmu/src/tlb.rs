@@ -4,22 +4,27 @@
 //! * per-SM private L1 TLB — 128 entries, 1-cycle hit latency,
 //! * shared L2 TLB — 512 entries, 16-way, 10-cycle hit latency.
 //!
-//! Entries map a [`VirtPage`] to its [`Frame`]. Evicting a page from GPU
-//! memory must shoot the translation down from every TLB, which the
-//! `uvm` driver does through [`Tlb::invalidate`].
+//! A TLB row records which [`VirtPage`]s it holds, not their frames: a
+//! lookup answers hit or miss, and a capacity victim comes back as a
+//! page. `TranslationPath` reads a hit's frame from the page table,
+//! which is exact because a resident page's frame never changes and
+//! unmapping a page shoots it down from every TLB first. Evicting a page
+//! from GPU memory goes through [`Tlb::invalidate`] or
+//! [`Tlb::invalidate_chunk`].
 //!
 //! Ways live in [`LruRows`]: each set is one contiguous row of page
 //! numbers kept most-recently-used first, so a probe is one row scan and
 //! the replacement victim is the row's last way. That order is exactly
-//! the seed's min-stamp true LRU — `legacy::ScanTlb` keeps the scan
-//! implementation alive and a model test drives both through random op
-//! streams to prove every hit, miss and victim choice identical. The
-//! 128-way L1 is scanned only when the page's TLB presence mask says
-//! the L1 may hold it; `TranslationPath` counts every other probe as a
-//! miss without touching the row.
+//! the seed's min-stamp true LRU — `legacy::ScanTlb` keeps the
+//! frame-caching scan implementation alive and a model test drives both
+//! through random op streams to prove every hit, miss and victim choice
+//! identical, and every frame the scan TLB returns equal to the one a
+//! page table would give. The 128-way L1 is scanned only when the page's
+//! TLB presence mask says the L1 may hold it; `TranslationPath` counts
+//! every other probe as a miss without touching the row.
 
 use crate::assoc::LruRows;
-use crate::types::{ChunkId, Frame, VirtPage, PAGES_PER_CHUNK};
+use crate::types::{ChunkId, VirtPage, PAGES_PER_CHUNK};
 use sim_core::error::ConfigError;
 use sim_core::stats::Counter;
 
@@ -88,11 +93,11 @@ impl TlbConfig {
     }
 }
 
-/// A set-associative TLB with true-LRU replacement.
+/// A set-associative presence TLB with true-LRU replacement.
 #[derive(Debug)]
 pub struct Tlb {
     cfg: TlbConfig,
-    sets: LruRows<Frame>,
+    sets: LruRows,
     /// Set count − 1 (the set count is a power of two).
     set_mask: u64,
     /// Lookup hits.
@@ -135,53 +140,49 @@ impl Tlb {
     }
 
     /// Look up `page`, updating LRU state and hit/miss counters.
-    /// Returns the cached frame on a hit.
+    /// Returns whether the TLB holds it.
     #[inline]
-    pub fn lookup(&mut self, page: VirtPage) -> Option<Frame> {
-        if let Some(frame) = self.sets.get(self.set_index(page), page.0) {
+    pub fn lookup(&mut self, page: VirtPage) -> bool {
+        let hit = self.sets.get(self.set_index(page), page.0);
+        if hit {
             self.hits.inc();
-            Some(frame)
         } else {
             self.misses.inc();
-            None
         }
+        hit
     }
 
     /// [`lookup`](Tlb::lookup) for a caller that knows whether `page`
     /// may be present: `false` counts the miss without scanning.
     #[inline]
-    pub(crate) fn lookup_if(&mut self, may_hold: bool, page: VirtPage) -> Option<Frame> {
+    pub(crate) fn lookup_if(&mut self, may_hold: bool, page: VirtPage) -> bool {
         if may_hold {
             self.lookup(page)
         } else {
             self.misses.inc();
-            None
+            false
         }
     }
 
-    /// Peek without touching LRU state or counters (used by tests and
-    /// by coherence assertions in the `gpu` crate).
+    /// Whether the TLB holds `page`, without touching LRU state or
+    /// counters (used by tests and coherence checks).
     #[must_use]
-    pub fn probe(&self, page: VirtPage) -> Option<Frame> {
+    pub fn probe(&self, page: VirtPage) -> bool {
         self.sets.peek(self.set_index(page), page.0)
     }
 
-    /// Install (or refresh) a translation, evicting the set's LRU way if
-    /// the set is full. Returns the victim translation, if any.
+    /// Install (or refresh) `page`, evicting the set's LRU way if the
+    /// set is full. Returns the victim page, if any.
     #[inline]
-    pub fn insert(&mut self, page: VirtPage, frame: Frame) -> Option<(VirtPage, Frame)> {
-        self.sets
-            .insert(self.set_index(page), page.0, frame)
-            .map(|(p, f)| (VirtPage(p), f))
+    pub fn insert(&mut self, page: VirtPage) -> Option<VirtPage> {
+        self.sets.insert(self.set_index(page), page.0).map(VirtPage)
     }
 
     /// [`insert`](Tlb::insert) of a page the caller knows is absent (its
     /// lookup just missed): skips the existence scan.
     #[inline]
-    pub(crate) fn fill(&mut self, page: VirtPage, frame: Frame) -> Option<(VirtPage, Frame)> {
-        self.sets
-            .fill(self.set_index(page), page.0, frame)
-            .map(|(p, f)| (VirtPage(p), f))
+    pub(crate) fn fill(&mut self, page: VirtPage) -> Option<VirtPage> {
+        self.sets.fill(self.set_index(page), page.0).map(VirtPage)
     }
 
     /// Shoot down the translation for `page`. Returns true if present.
@@ -211,9 +212,9 @@ impl Tlb {
         self.sets.clear();
     }
 
-    /// Every cached translation (no LRU update).
-    pub(crate) fn entries(&self) -> impl Iterator<Item = (VirtPage, Frame)> + '_ {
-        self.sets.iter().map(|(p, f)| (VirtPage(p), f))
+    /// Every cached page (no LRU update).
+    pub(crate) fn pages(&self) -> impl Iterator<Item = VirtPage> + '_ {
+        self.sets.iter().map(VirtPage)
     }
 
     /// Hit latency from the config.
@@ -393,6 +394,7 @@ pub mod legacy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::Frame;
 
     fn tiny() -> Tlb {
         // 4 entries, 2-way → 2 sets.
@@ -406,9 +408,9 @@ mod tests {
     #[test]
     fn miss_then_hit() {
         let mut t = tiny();
-        assert_eq!(t.lookup(VirtPage(0)), None);
-        t.insert(VirtPage(0), Frame(9));
-        assert_eq!(t.lookup(VirtPage(0)), Some(Frame(9)));
+        assert!(!t.lookup(VirtPage(0)));
+        t.insert(VirtPage(0));
+        assert!(t.lookup(VirtPage(0)));
         assert_eq!(t.hits.get(), 1);
         assert_eq!(t.misses.get(), 1);
     }
@@ -417,33 +419,34 @@ mod tests {
     fn lru_eviction_within_set() {
         let mut t = tiny();
         // Pages 0, 2, 4 all map to set 0 (page % 2 == 0).
-        t.insert(VirtPage(0), Frame(0));
-        t.insert(VirtPage(2), Frame(2));
+        t.insert(VirtPage(0));
+        t.insert(VirtPage(2));
         t.lookup(VirtPage(0)); // make page 2 the LRU way
-        let victim = t.insert(VirtPage(4), Frame(4));
-        assert_eq!(victim, Some((VirtPage(2), Frame(2))));
-        assert!(t.probe(VirtPage(0)).is_some());
-        assert!(t.probe(VirtPage(2)).is_none());
-        assert!(t.probe(VirtPage(4)).is_some());
+        assert_eq!(t.insert(VirtPage(4)), Some(VirtPage(2)));
+        assert!(t.probe(VirtPage(0)));
+        assert!(!t.probe(VirtPage(2)));
+        assert!(t.probe(VirtPage(4)));
     }
 
     #[test]
     fn insert_refresh_does_not_evict() {
         let mut t = tiny();
-        t.insert(VirtPage(0), Frame(0));
-        t.insert(VirtPage(2), Frame(2));
-        assert_eq!(t.insert(VirtPage(0), Frame(7)), None);
-        assert_eq!(t.probe(VirtPage(0)), Some(Frame(7)));
+        t.insert(VirtPage(0));
+        t.insert(VirtPage(2));
+        assert_eq!(t.insert(VirtPage(0)), None);
+        assert!(t.probe(VirtPage(0)));
         assert_eq!(t.occupancy(), 2);
+        // The refresh made page 0 the MRU way.
+        assert_eq!(t.insert(VirtPage(4)), Some(VirtPage(2)));
     }
 
     #[test]
     fn invalidate_removes() {
         let mut t = tiny();
-        t.insert(VirtPage(5), Frame(1));
+        t.insert(VirtPage(5));
         assert!(t.invalidate(VirtPage(5)));
         assert!(!t.invalidate(VirtPage(5)));
-        assert_eq!(t.lookup(VirtPage(5)), None);
+        assert!(!t.lookup(VirtPage(5)));
     }
 
     /// A chunk shootdown leaves the TLB exactly as shooting down each of
@@ -471,12 +474,7 @@ mod tests {
                 } else if (x >> 8).is_multiple_of(2) {
                     assert_eq!(bulk.lookup(page), single.lookup(page), "step {step}");
                 } else {
-                    let frame = Frame((x >> 16) as u32);
-                    assert_eq!(
-                        bulk.insert(page, frame),
-                        single.insert(page, frame),
-                        "step {step}"
-                    );
+                    assert_eq!(bulk.insert(page), single.insert(page), "step {step}");
                 }
                 assert_eq!(bulk.occupancy(), single.occupancy(), "step {step}");
             }
@@ -491,13 +489,13 @@ mod tests {
     fn flush_clears_everything() {
         let mut t = tiny();
         for i in 0..4 {
-            t.insert(VirtPage(i), Frame(i as u32));
+            t.insert(VirtPage(i));
         }
         assert_eq!(t.occupancy(), 4);
         t.flush();
         assert_eq!(t.occupancy(), 0);
         for i in 0..4 {
-            assert_eq!(t.probe(VirtPage(i)), None);
+            assert!(!t.probe(VirtPage(i)));
         }
     }
 
@@ -505,17 +503,17 @@ mod tests {
     fn sets_are_independent() {
         let mut t = tiny();
         // Fill set 0 beyond capacity; set 1 entries must survive.
-        t.insert(VirtPage(1), Frame(100)); // set 1
+        t.insert(VirtPage(1)); // set 1
         for i in 0..10u64 {
-            t.insert(VirtPage(i * 2), Frame(i as u32)); // set 0
+            t.insert(VirtPage(i * 2)); // set 0
         }
-        assert_eq!(t.probe(VirtPage(1)), Some(Frame(100)));
+        assert!(t.probe(VirtPage(1)));
     }
 
     #[test]
     fn probe_does_not_count() {
         let mut t = tiny();
-        t.insert(VirtPage(0), Frame(0));
+        t.insert(VirtPage(0));
         let _ = t.probe(VirtPage(0));
         let _ = t.probe(VirtPage(1));
         assert_eq!(t.hits.get(), 0);
@@ -554,17 +552,24 @@ mod tests {
     fn capacity_never_exceeded() {
         let mut t = tiny();
         for i in 0..100u64 {
-            t.insert(VirtPage(i), Frame(i as u32));
+            t.insert(VirtPage(i));
         }
         assert!(t.occupancy() <= 4);
     }
 
-    /// Model-based equivalence with the seed's scan implementation:
-    /// millions of random lookup/insert/invalidate/flush ops over both
-    /// the fully-associative L1 geometry and the 16-way L2 geometry
-    /// must agree on every result, victim and counter. This is the
-    /// local half of the bit-identity contract (the golden fingerprints
-    /// in `tests/perf_identity.rs` are the end-to-end half).
+    /// Model-based equivalence with the seed's frame-caching scan
+    /// implementation: random lookup/insert/invalidate/flush ops over
+    /// both the fully-associative L1 geometry and the 16-way L2
+    /// geometry must agree on every hit, victim page and counter.
+    ///
+    /// A page-table model gives each page its current frame and moves a
+    /// page to a new frame only after shooting it down, as unmap and
+    /// re-map do. Every frame the scan TLB returns on a hit, and every
+    /// victim frame it returns, must be the model's current frame: the
+    /// page table answers exactly what a frame-caching TLB would, so a
+    /// presence-only row loses nothing. This is the local half of the
+    /// bit-identity contract (the golden fingerprints in
+    /// `tests/perf_identity.rs` are the end-to-end half).
     #[test]
     fn indexed_tlb_matches_scan_tlb_on_random_ops() {
         for cfg in [
@@ -581,26 +586,36 @@ mod tests {
         ] {
             let mut new = Tlb::new(cfg);
             let mut old = legacy::ScanTlb::new(cfg);
+            // ~3× capacity → constant churn.
+            let mut frames: Vec<Frame> = (0..48).map(Frame).collect();
+            let mut next_frame = 48;
             let mut x: u64 = 0x1357_9BDF_2468_ACE0 ^ cfg.associativity as u64;
             for step in 0..200_000u64 {
                 x ^= x << 13;
                 x ^= x >> 7;
                 x ^= x << 17;
-                let page = VirtPage(x % 48); // ~3× capacity → constant churn
+                let page = VirtPage(x % 48);
+                let frame = frames[page.0 as usize];
                 match (x >> 8) % 16 {
                     0..=5 => {
+                        let got = old.lookup(page);
                         assert_eq!(
                             new.lookup(page),
-                            old.lookup(page),
+                            got.is_some(),
                             "lookup({page:?}) at step {step}"
                         );
+                        assert!(got.is_none_or(|f| f == frame), "stale frame at {step}");
                     }
                     6..=11 => {
+                        let victim = old.insert(page, frame);
                         assert_eq!(
-                            new.insert(page, Frame((x >> 16) as u32)),
-                            old.insert(page, Frame((x >> 16) as u32)),
+                            new.insert(page),
+                            victim.map(|(p, _)| p),
                             "insert({page:?}) victim at step {step}"
                         );
+                        if let Some((p, f)) = victim {
+                            assert_eq!(f, frames[p.0 as usize], "victim frame at {step}");
+                        }
                     }
                     12 | 13 => {
                         assert_eq!(
@@ -608,9 +623,12 @@ mod tests {
                             old.invalidate(page),
                             "invalidate({page:?}) at step {step}"
                         );
+                        // Shot down everywhere, so the page may move.
+                        frames[page.0 as usize] = Frame(next_frame);
+                        next_frame += 1;
                     }
                     14 => {
-                        assert_eq!(new.probe(page), old.probe(page));
+                        assert_eq!(new.probe(page), old.probe(page).is_some());
                     }
                     _ => {
                         if (x >> 24).is_multiple_of(64) {

@@ -18,6 +18,14 @@
 //! scans a TLB's row only when the page's bit for it is set — a clear
 //! bit is a miss without a probe.
 //!
+//! TLB rows hold pages, not frames. A TLB hit reads its frame from the
+//! page table, which is exact: TLBs only ever hold resident pages, a
+//! resident page's frame is fixed from map to unmap, and an unmap shoots
+//! the page down from every TLB before its frame can be reused. So the
+//! table's frame is always the one a frame-caching TLB would return
+//! (`translation_path_matches_scan_oracle_path` checks this against the
+//! frame-caching `legacy::ScanTlb`).
+//!
 //! Evictions are chunk-granular, so the driver shoots a whole chunk down
 //! at once ([`unmap_chunk`](TranslationPath::unmap_chunk)): an L1 that
 //! holds several of the chunk's pages drops them all in one pass over
@@ -187,10 +195,10 @@ impl TranslationPath {
     /// keeping presence masks in sync for both the installed page and
     /// any capacity victim.
     #[inline]
-    fn l1_fill(&mut self, sm: SmId, page: VirtPage, frame: Frame) {
-        let victim = self.l1[sm.idx()].fill(page, frame);
+    fn l1_fill(&mut self, sm: SmId, page: VirtPage) {
+        let victim = self.l1[sm.idx()].fill(page);
         self.page_table.tlb_note_insert(page, sm.idx() as u32);
-        if let Some((vp, _)) = victim {
+        if let Some(vp) = victim {
             self.page_table.tlb_note_remove(vp, sm.idx() as u32);
         }
     }
@@ -199,10 +207,10 @@ impl TranslationPath {
     /// keeping presence masks in sync for both the installed page and
     /// any capacity victim.
     #[inline]
-    fn l2_fill(&mut self, page: VirtPage, frame: Frame) {
-        let victim = self.l2.fill(page, frame);
+    fn l2_fill(&mut self, page: VirtPage) {
+        let victim = self.l2.fill(page);
         self.page_table.tlb_note_insert(page, L2_MASK_BIT);
-        if let Some((vp, _)) = victim {
+        if let Some(vp) = victim {
             self.page_table.tlb_note_remove(vp, L2_MASK_BIT);
         }
     }
@@ -226,8 +234,12 @@ impl TranslationPath {
     /// from the same arithmetic that produces the outcome — requesting
     /// it cannot change a run.
     ///
+    /// A TLB hit's frame is read from the page table (the module docs
+    /// say why that is exact).
+    ///
     /// # Panics
     /// Panics if `sm` is out of range.
+    #[inline]
     pub fn translate_timed(
         &mut self,
         sm: SmId,
@@ -240,10 +252,10 @@ impl TranslationPath {
         let l1 = &mut self.l1[sm.idx()];
         let l1_latency = l1.hit_latency();
         let after_l1 = now.after(l1_latency);
-        if let Some(frame) = l1.lookup_if(in_l1, page) {
+        if l1.lookup_if(in_l1, page) {
             return (
                 TranslationOutcome::Hit {
-                    frame,
+                    frame: self.page_table.tlb_frame(page),
                     ready_at: after_l1,
                 },
                 TranslationTiming {
@@ -256,11 +268,11 @@ impl TranslationPath {
         }
         let l2_latency = self.l2.hit_latency();
         let after_l2 = after_l1.after(l2_latency);
-        if let Some(frame) = self.l2.lookup_if(in_l2, page) {
-            self.l1_fill(sm, page, frame);
+        if self.l2.lookup_if(in_l2, page) {
+            self.l1_fill(sm, page);
             return (
                 TranslationOutcome::Hit {
-                    frame,
+                    frame: self.page_table.tlb_frame(page),
                     ready_at: after_l2,
                 },
                 TranslationTiming {
@@ -282,8 +294,8 @@ impl TranslationPath {
         };
         let outcome = match out.residency {
             Residency::Resident(frame) => {
-                self.l2_fill(page, frame);
-                self.l1_fill(sm, page, frame);
+                self.l2_fill(page);
+                self.l1_fill(sm, page);
                 TranslationOutcome::Hit {
                     frame,
                     ready_at: out.complete_at,
@@ -387,9 +399,10 @@ impl TranslationPath {
     }
 
     /// Do the presence masks match the TLBs, in full? Every cached
-    /// translation must be of a resident page at the cached frame and
-    /// each mask bit must match exactly one TLB entry — so a missing
-    /// bit, a stray bit and a TLB holding a page twice all fail. Costs
+    /// translation must be of a resident page and each mask bit must
+    /// match exactly one TLB entry — so a missing bit, a stray bit and a
+    /// TLB holding a page twice all fail. (TLB rows hold no frames: a
+    /// hit reads its frame from the page table.) Costs
     /// O(TLB entries + mapped pages): a checking aid for batch
     /// boundaries, not a hot-path call.
     #[must_use]
@@ -399,8 +412,8 @@ impl TranslationPath {
         let mut unmatched: FxHashMap<VirtPage, u64> = pt.tlb_masks().collect();
         let l1s = self.l1.iter().enumerate().map(|(sm, t)| (sm as u32, t));
         for (bit, tlb) in l1s.chain([(L2_MASK_BIT, &self.l2)]) {
-            for (page, frame) in tlb.entries() {
-                if pt.residency(page) != Residency::Resident(frame) {
+            for page in tlb.pages() {
+                if !pt.is_resident(page) {
                     return false;
                 }
                 match unmatched.get_mut(&page) {
@@ -792,7 +805,12 @@ mod tests {
     /// random translate / map / touch / unmap streams with capacity
     /// pressure in every TLB and the PWC, at 4 SMs and at 63 SMs — the
     /// largest hierarchy, whose last L1 owns presence-mask bit 62.
-    /// Every outcome, stage timing and counter must agree.
+    /// Every outcome, stage timing and counter must agree. The oracle's
+    /// TLBs cache frames and return them on a hit, so equal outcomes
+    /// mean the path's hit frame, read from the page table, is the one
+    /// a frame-caching TLB returns — also for pages unmapped and
+    /// re-mapped at a new frame, which the stream does thousands of
+    /// times.
     #[test]
     fn translation_path_matches_scan_oracle_path() {
         use crate::page_table::FLAT_LIMIT;
@@ -817,6 +835,8 @@ mod tests {
             let mut fast = TranslationPath::new(&cfg);
             let mut slow = ScanPath::new(&cfg);
             let mut resident: Vec<VirtPage> = Vec::new();
+            let mut unmapped = sim_core::FxHashSet::default();
+            let mut remapped = 0;
             let (mut x, mut now, mut next_frame) = (0x5DEE_CE66_D1CE_4E5B ^ num_sms as u64, 0, 0);
             for step in 0..60_000u64 {
                 x ^= x << 13;
@@ -834,6 +854,7 @@ mod tests {
                 };
                 match x % 16 {
                     0 | 1 if !slow.pt.is_resident(page) => {
+                        remapped += u64::from(unmapped.contains(&page));
                         fast.map(page, Frame(next_frame), x & 32 != 0);
                         slow.pt.map(page, Frame(next_frame), x & 32 != 0);
                         next_frame += 1;
@@ -841,6 +862,7 @@ mod tests {
                     }
                     2 if !resident.is_empty() => {
                         let victim = resident.swap_remove(r as usize % resident.len());
+                        unmapped.insert(victim);
                         assert_eq!(
                             fast.unmap_and_invalidate(victim),
                             slow.unmap_and_invalidate(victim),
@@ -873,6 +895,7 @@ mod tests {
                 assert_eq!(fast.stats(), slow.stats(), "stats at step {step}");
             }
             let s = fast.stats();
+            assert!(remapped > 1000, "{num_sms} SMs: {remapped} re-mapped pages");
             let counts = [s.l1_hits, s.l2_hits, s.pwc_hits, s.faulting_walks];
             assert!(counts.iter().all(|&n| n > 1000), "{num_sms} SMs: {s:?}");
             let last = &fast.l1[num_sms - 1];

@@ -37,7 +37,7 @@ fn key(node: NodeId) -> u64 {
 /// Set-associative cache over [`NodeId`]s with true-LRU replacement.
 #[derive(Debug)]
 pub struct WalkCache {
-    sets: LruRows<()>,
+    sets: LruRows,
     /// Set count − 1 (the set count is a power of two).
     set_mask: u64,
     hit_latency: u64,
@@ -96,11 +96,12 @@ impl WalkCache {
     /// * the hit node is still at the front of its row unless a lower
     ///   level's fill landed in its set, so only then is it re-inserted;
     /// * levels above the hit were never probed and take a full insert.
+    #[inline]
     pub fn walk(&mut self, page: VirtPage) -> u32 {
         let mut hit = LEVELS + 1;
         for level in 2..=LEVELS {
             let node = node_for(page, level);
-            if self.sets.get(self.set_index(node), key(node)).is_some() {
+            if self.sets.get(self.set_index(node), key(node)) {
                 self.hits.inc();
                 hit = level;
                 break;
@@ -113,7 +114,7 @@ impl WalkCache {
             let node = node_for(page, level);
             let set = self.set_index(node);
             hit_moved |= Some(set) == hit_set;
-            self.sets.fill(set, key(node), ());
+            self.sets.fill(set, key(node));
         }
         let first_insert = if hit_moved { hit } else { hit + 1 };
         for level in first_insert..=LEVELS {
@@ -125,7 +126,7 @@ impl WalkCache {
     /// Probe for `node`, updating LRU and counters.
     #[inline]
     pub fn lookup(&mut self, node: NodeId) -> bool {
-        if self.sets.get(self.set_index(node), key(node)).is_some() {
+        if self.sets.get(self.set_index(node), key(node)) {
             self.hits.inc();
             true
         } else {
@@ -137,7 +138,7 @@ impl WalkCache {
     /// Fill `node` after a walk fetched it from memory.
     #[inline]
     pub fn insert(&mut self, node: NodeId) {
-        self.sets.insert(self.set_index(node), key(node), ());
+        self.sets.insert(self.set_index(node), key(node));
     }
 
     /// Hit latency in cycles.

@@ -130,6 +130,7 @@ impl Walker {
     ///
     /// Makes one PWC pass (probe, then fill the walked path), reads
     /// residency from the page table, and accounts slot contention.
+    #[inline]
     pub fn walk(
         &mut self,
         page: VirtPage,

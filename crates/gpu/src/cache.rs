@@ -6,8 +6,10 @@
 //!
 //! * per-SM L1 (Table I: 48 KB → 12 pages, 2 sets × 6 ways) — hit: 4
 //!   cycles,
-//! * shared L2 (Table I: 3 MB → 768 pages, 16 ways) — hit: 30 cycles,
-//! * GDDR5 miss — 200 cycles.
+//! * shared L2 (Table I: 3 MB → 768 pages, 48 sets × 16 ways) — hit:
+//!   30 more cycles,
+//! * GDDR5 on an L2 miss — [`Dram`]: 124 cycles on a row hit, 224 on a
+//!   row miss, plus any channel queueing.
 //!
 //! This is intentionally coarse (the policies under study never see
 //! cache state), but it makes compute-side latency locality-dependent
@@ -27,7 +29,10 @@
 //!   which is exactly the seed's min-stamp true LRU;
 //! * the L2 is a [`PageCache`] on the flat MRU-first rows shared with
 //!   the TLBs ([`gmmu::assoc::LruRows`]): a probe scans one 16-way row
-//!   of 128 contiguous bytes, and the victim is the row's last way.
+//!   of 128 contiguous bytes, and the victim is the row's last way. Its
+//!   48 × 16 geometry is a pair of const parameters, so the set index is
+//!   a remainder by a constant (a multiply, not a `div`), and the hit
+//!   latencies are constants too.
 //!
 //! The driver evicts whole chunks, so a fault batch's evicted pages are
 //! invalidated together ([`DataHierarchy::invalidate_evicted`]): one
@@ -40,77 +45,82 @@
 //! every batch). The L2 stays per page: each page of a chunk sits in its
 //! own 16-way row.
 //!
-//! The seed's scan implementation is preserved below as
-//! [`legacy::ScanPageCache`], and model-based tests drive both layouts
+//! The seed's scan implementation is preserved as the test-only
+//! `legacy::ScanPageCache`, and model-based tests drive both layouts
 //! against it through random op streams — hit/miss results, victim
 //! choices and counters must agree exactly (the golden fingerprints
 //! depend on every latency this model returns).
 
-use crate::dram::{Dram, DramConfig};
+use crate::dram::Dram;
 use gmmu::assoc::LruRows;
 use gmmu::types::{VirtPage, PAGES_PER_CHUNK};
 use sim_core::stats::Counter;
 use sim_core::time::Cycle;
 
-/// Set-associative presence cache over pages with LRU replacement.
+/// Set-associative presence cache over pages with LRU replacement:
+/// `SETS` rows of `WAYS` ways. The geometry is a type parameter, so the
+/// set index of Table I's 48-set L2 is a remainder by a constant.
 #[derive(Debug)]
-pub struct PageCache {
-    sets: LruRows<()>,
-    n_sets: usize,
+pub struct PageCache<const SETS: usize, const WAYS: usize> {
+    sets: LruRows,
     /// Hits.
     pub hits: Counter,
     /// Misses (which allocate).
     pub misses: Counter,
 }
 
-impl PageCache {
-    /// `entries` total page slots, `assoc` ways.
+impl<const SETS: usize, const WAYS: usize> Default for PageCache<SETS, WAYS> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<const SETS: usize, const WAYS: usize> PageCache<SETS, WAYS> {
+    /// `SETS × WAYS` empty page slots.
     ///
     /// # Panics
-    /// Panics on degenerate geometry.
+    /// Panics on zero sets or zero ways.
     #[must_use]
-    pub fn new(entries: usize, assoc: usize) -> Self {
-        assert!(entries > 0 && assoc > 0 && entries.is_multiple_of(assoc));
-        let n_sets = entries / assoc;
+    pub fn new() -> Self {
         PageCache {
-            sets: LruRows::new(n_sets, assoc),
-            n_sets,
+            sets: LruRows::new(SETS, WAYS),
             hits: Counter::default(),
             misses: Counter::default(),
         }
     }
 
     #[inline]
-    fn set_index(&self, page: VirtPage) -> usize {
-        (page.0 % self.n_sets as u64) as usize
+    fn set_index(page: VirtPage) -> usize {
+        (page.0 % SETS as u64) as usize
     }
 
     /// Access `page`: returns true on a hit; a miss allocates.
+    #[inline]
     pub fn access(&mut self, page: VirtPage) -> bool {
-        let set = self.set_index(page);
-        if self.sets.get(set, page.0).is_some() {
+        let set = Self::set_index(page);
+        if self.sets.get(set, page.0) {
             self.hits.inc();
             return true;
         }
         self.misses.inc();
-        self.sets.fill(set, page.0, ());
+        self.sets.fill(set, page.0);
         false
     }
 
     /// Drop `page` (device-memory eviction invalidates cached data).
     pub fn invalidate(&mut self, page: VirtPage) {
-        self.sets.remove(self.set_index(page), page.0);
+        self.sets.remove(Self::set_index(page), page.0);
     }
 
     /// Whether `page` is cached (no LRU update).
     #[must_use]
     pub fn contains(&self, page: VirtPage) -> bool {
-        self.sets.peek(self.set_index(page), page.0).is_some()
+        self.sets.peek(Self::set_index(page), page.0)
     }
 
     /// Every cached page (no LRU update).
     pub fn pages(&self) -> impl Iterator<Item = VirtPage> + '_ {
-        self.sets.iter().map(|(p, ())| VirtPage(p))
+        self.sets.iter().map(VirtPage)
     }
 }
 
@@ -118,10 +128,15 @@ impl PageCache {
 const L1_SETS: usize = 2;
 /// …of this many ways.
 const L1_WAYS: usize = 6;
-/// Table I's shared L2: 3 MB = 768 pages…
-const L2_PAGES: usize = 768;
-/// …16-way set-associative.
+/// Table I's shared L2: 3 MB = 768 pages, 16-way set-associative, so
+/// this many sets…
+const L2_SETS: usize = 768 / L2_WAYS;
+/// …of this many ways.
 const L2_WAYS: usize = 16;
+/// L1 hit latency, cycles.
+const L1_HIT: u64 = 4;
+/// Extra latency of an L2 hit after the L1 miss, cycles.
+const L2_HIT: u64 = 30;
 /// Marks an empty L1 way; empty ways always sit at a row's tail.
 const EMPTY: u64 = u64::MAX;
 
@@ -233,10 +248,8 @@ pub struct InvalidationCounts {
 #[derive(Debug)]
 pub struct DataHierarchy {
     l1: L1Bank,
-    l2: PageCache,
+    l2: PageCache<L2_SETS, L2_WAYS>,
     dram: Dram,
-    l1_hit: u64,
-    l2_hit: u64,
     /// Scratch: the sorted, deduplicated chunks of the batch being
     /// invalidated.
     chunks: Vec<u64>,
@@ -249,23 +262,22 @@ impl DataHierarchy {
     pub fn new(sms: usize) -> Self {
         DataHierarchy {
             l1: L1Bank::new(sms),
-            l2: PageCache::new(L2_PAGES, L2_WAYS),
-            dram: Dram::new(DramConfig::default()),
-            l1_hit: 4,
-            l2_hit: 30,
+            l2: PageCache::new(),
+            dram: Dram::new(),
             chunks: Vec::new(),
             invalidations: InvalidationCounts::default(),
         }
     }
 
     /// Latency of a data access from SM `sm` to `page` at time `now`.
+    #[inline]
     pub fn access(&mut self, sm: usize, page: VirtPage, now: Cycle) -> u64 {
         if self.l1.access(sm, page) {
-            self.l1_hit
+            L1_HIT
         } else if self.l2.access(page) {
-            self.l1_hit + self.l2_hit
+            L1_HIT + L2_HIT
         } else {
-            self.l1_hit + self.l2_hit + self.dram.access(page, now)
+            L1_HIT + L2_HIT + self.dram.access(page, now)
         }
     }
 
@@ -419,7 +431,7 @@ mod tests {
 
     #[test]
     fn miss_then_hit() {
-        let mut c = PageCache::new(4, 2);
+        let mut c = PageCache::<2, 2>::new();
         assert!(!c.access(VirtPage(0)));
         assert!(c.access(VirtPage(0)));
         assert_eq!(c.hits.get(), 1);
@@ -428,7 +440,7 @@ mod tests {
 
     #[test]
     fn lru_within_set() {
-        let mut c = PageCache::new(2, 2); // one set
+        let mut c = PageCache::<1, 2>::new();
         c.access(VirtPage(0));
         c.access(VirtPage(1));
         c.access(VirtPage(0)); // 1 is LRU
@@ -439,7 +451,7 @@ mod tests {
 
     #[test]
     fn invalidate_forces_miss() {
-        let mut c = PageCache::new(4, 2);
+        let mut c = PageCache::<2, 2>::new();
         c.access(VirtPage(3));
         c.invalidate(VirtPage(3));
         assert!(!c.access(VirtPage(3)));
@@ -467,30 +479,35 @@ mod tests {
         assert_eq!(h.access(0, VirtPage(7), Cycle(20_000)), 4 + 30 + 60 + 64);
     }
 
+    /// Model-based equivalence: both implementations must agree on
+    /// every hit/miss result and on the counters — the victim choice is
+    /// observable through later hits/misses, so a long random stream
+    /// over a page range larger than capacity exercises it.
+    fn matches_scan_cache<const SETS: usize, const WAYS: usize>() {
+        let mut step = xorshift(0x1234_5678_9ABC_DEF0);
+        let entries = SETS * WAYS;
+        let mut fast = PageCache::<SETS, WAYS>::new();
+        let mut slow = legacy::ScanPageCache::new(entries, WAYS);
+        for op in 0..200_000u64 {
+            let r = step();
+            let page = VirtPage(r % (entries as u64 * 3));
+            if r.is_multiple_of(13) {
+                fast.invalidate(page);
+                slow.invalidate(page);
+            } else {
+                let (f, s) = (fast.access(page), slow.access(page));
+                assert_eq!(f, s, "op {op}: {SETS}x{WAYS} diverged on {page:?}");
+            }
+        }
+        assert_eq!(fast.hits.get(), slow.hits.get());
+        assert_eq!(fast.misses.get(), slow.misses.get());
+    }
+
     #[test]
     fn indexed_cache_matches_scan_cache_on_random_ops() {
-        // Model-based equivalence: both implementations must agree on
-        // every hit/miss result and on the counters — the victim choice
-        // is observable through later hits/misses, so a long random
-        // stream over a page range larger than capacity exercises it.
-        let mut step = xorshift(0x1234_5678_9ABC_DEF0);
-        for (entries, assoc) in [(12, 6), (768, 16), (4, 4)] {
-            let mut fast = PageCache::new(entries, assoc);
-            let mut slow = legacy::ScanPageCache::new(entries, assoc);
-            for op in 0..200_000u64 {
-                let r = step();
-                let page = VirtPage(r % (entries as u64 * 3));
-                if r.is_multiple_of(13) {
-                    fast.invalidate(page);
-                    slow.invalidate(page);
-                } else {
-                    let (f, s) = (fast.access(page), slow.access(page));
-                    assert_eq!(f, s, "op {op}: {entries}/{assoc} diverged on {page:?}");
-                }
-            }
-            assert_eq!(fast.hits.get(), slow.hits.get());
-            assert_eq!(fast.misses.get(), slow.misses.get());
-        }
+        matches_scan_cache::<2, 6>();
+        matches_scan_cache::<L2_SETS, L2_WAYS>();
+        matches_scan_cache::<1, 4>();
     }
 
     /// xorshift64 stream for the model-based tests.
@@ -535,16 +552,16 @@ mod tests {
     #[test]
     fn hierarchy_matches_scan_oracle_hierarchy() {
         // Latencies of the whole hierarchy against the seed's layout: one
-        // scan cache per SM, a scan L2 and the same DRAM model.
+        // scan cache per SM, a scan L2 and the nested-`Vec` DRAM model.
         for sms in [1, 4, 28] {
             let mut step = xorshift(0xC0FF_EE00_D15E_A5E5 ^ sms as u64);
             let mut h = DataHierarchy::new(sms);
             let mut l1: Vec<_> = (0..sms)
                 .map(|_| legacy::ScanPageCache::new(L1_SETS * L1_WAYS, L1_WAYS))
                 .collect();
-            let mut l2 = legacy::ScanPageCache::new(L2_PAGES, L2_WAYS);
-            let mut dram = Dram::new(DramConfig::default());
-            let pages = (L2_PAGES * 2) as u64;
+            let mut l2 = legacy::ScanPageCache::new(L2_SETS * L2_WAYS, L2_WAYS);
+            let mut dram = crate::dram::legacy::VecDram::default();
+            let pages = (L2_SETS * L2_WAYS * 2) as u64;
             let mut now = 0u64;
             for op in 0..200_000u64 {
                 let r = step();

@@ -14,86 +14,68 @@
 //!   channel for the burst time of the data moved, so channel queueing
 //!   appears under load.
 //!
-//! The defaults keep the aggregate bandwidth at Table I's 528 GB/s:
-//! 44 GB/s per channel.
+//! The geometry and timings are Table I constants, not configuration:
+//! 12 channels × 4 banks, 2 pages per row, 60/160-cycle row hit/miss
+//! and a 64-cycle burst, which keeps the aggregate bandwidth at
+//! Table I's 528 GB/s (44 GB/s per channel). With constant divisors a
+//! channel and bank index compile to multiplies, and the open rows and
+//! channel busy times sit in two flat arrays. `legacy::VecDram` keeps
+//! the earlier nested-`Vec` model with runtime geometry, and a model
+//! test holds the two to equal latencies and row-buffer counters.
 
 use gmmu::types::VirtPage;
 use sim_core::stats::Counter;
 use sim_core::time::Cycle;
 
-/// DRAM geometry/timing.
-#[derive(Debug, Clone, Copy)]
-pub struct DramConfig {
-    /// Memory channels (Table I: 12).
-    pub channels: usize,
-    /// Banks per channel (row-buffer state per bank).
-    pub banks_per_channel: usize,
-    /// Pages per row buffer (GDDR5 rows are 1-2 KB per device; across a
-    /// x32 channel a "row" serves a few KB — we use 2 pages).
-    pub pages_per_row: u64,
-    /// Latency of an access that hits the open row (CAS), cycles.
-    pub row_hit_latency: u64,
-    /// Latency of an access that must activate a new row
-    /// (precharge + activate + CAS), cycles.
-    pub row_miss_latency: u64,
-    /// Channel occupancy per access, cycles. At page granularity one
-    /// access stands for the line fills of one page visit; 64 cycles
-    /// ≈ 1.4 GHz / 44 GB/s for a 2 KB half-page burst.
-    pub burst_cycles: u64,
-}
+/// Memory channels (Table I: 12).
+const CHANNELS: usize = 12;
+/// Banks per channel, each with its own open row.
+const BANKS_PER_CHANNEL: usize = 4;
+/// Pages per row buffer (GDDR5 rows are 1-2 KB per device; across a
+/// x32 channel a "row" serves a few KB — we use 2 pages).
+const PAGES_PER_ROW: u64 = 2;
+/// Latency of an access that hits the open row (CAS), cycles.
+const ROW_HIT_LATENCY: u64 = 60;
+/// Latency of an access that must activate a new row
+/// (precharge + activate + CAS), cycles.
+const ROW_MISS_LATENCY: u64 = 160;
+/// Channel occupancy per access, cycles. At page granularity one access
+/// stands for the line fills of one page visit; 64 cycles ≈ 1.4 GHz /
+/// 44 GB/s for a 2 KB half-page burst.
+const BURST_CYCLES: u64 = 64;
 
-impl Default for DramConfig {
-    fn default() -> Self {
-        DramConfig {
-            channels: 12,
-            banks_per_channel: 4,
-            pages_per_row: 2,
-            row_hit_latency: 60,
-            row_miss_latency: 160,
-            burst_cycles: 64,
-        }
-    }
-}
+/// Marks a bank with no open row. Never a row number: rows are pages
+/// over [`PAGES_PER_ROW`].
+const NO_ROW: u64 = u64::MAX;
 
-#[derive(Debug, Clone, Copy)]
-struct Bank {
-    open_row: Option<u64>,
-}
-
-#[derive(Debug)]
-struct Channel {
-    banks: Vec<Bank>,
-    busy_until: Cycle,
-}
-
-/// The device-memory model.
+/// The device-memory model: Table I's fixed geometry in two flat
+/// arrays, so an access is a constant-divisor index and two loads.
 #[derive(Debug)]
 pub struct Dram {
-    cfg: DramConfig,
-    channels: Vec<Channel>,
+    /// Open row of bank `bank` of channel `ch` at `ch * BANKS_PER_CHANNEL
+    /// + bank`; [`NO_ROW`] when the bank has none open.
+    open_rows: [u64; CHANNELS * BANKS_PER_CHANNEL],
+    /// When each channel's last burst ends.
+    busy_until: [Cycle; CHANNELS],
     /// Row-buffer hits.
     pub row_hits: Counter,
     /// Row-buffer misses (activations).
     pub row_misses: Counter,
 }
 
+impl Default for Dram {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl Dram {
-    /// Build from `cfg`.
-    ///
-    /// # Panics
-    /// Panics on a zero-channel/zero-bank geometry.
+    /// Every bank closed, every channel idle.
     #[must_use]
-    pub fn new(cfg: DramConfig) -> Self {
-        assert!(cfg.channels > 0 && cfg.banks_per_channel > 0);
-        assert!(cfg.pages_per_row > 0);
+    pub fn new() -> Self {
         Dram {
-            channels: (0..cfg.channels)
-                .map(|_| Channel {
-                    banks: vec![Bank { open_row: None }; cfg.banks_per_channel],
-                    busy_until: Cycle::ZERO,
-                })
-                .collect(),
-            cfg,
+            open_rows: [NO_ROW; CHANNELS * BANKS_PER_CHANNEL],
+            busy_until: [Cycle::ZERO; CHANNELS],
             row_hits: Counter::default(),
             row_misses: Counter::default(),
         }
@@ -101,28 +83,101 @@ impl Dram {
 
     /// Access `page` at time `now`; returns the access latency in
     /// cycles (queueing + row-buffer + burst).
+    #[inline]
     pub fn access(&mut self, page: VirtPage, now: Cycle) -> u64 {
-        let row = page.0 / self.cfg.pages_per_row;
-        let ch_idx = (row % self.channels.len() as u64) as usize;
-        let bank_idx =
-            ((row / self.channels.len() as u64) % self.cfg.banks_per_channel as u64) as usize;
-        let ch = &mut self.channels[ch_idx];
-        let bank = &mut ch.banks[bank_idx];
-
-        let service = if bank.open_row == Some(row) {
+        let row = page.0 / PAGES_PER_ROW;
+        let ch = (row % CHANNELS as u64) as usize;
+        let bank = ((row / CHANNELS as u64) % BANKS_PER_CHANNEL as u64) as usize;
+        let open = &mut self.open_rows[ch * BANKS_PER_CHANNEL + bank];
+        let service = if *open == row {
             self.row_hits.inc();
-            self.cfg.row_hit_latency
+            ROW_HIT_LATENCY
         } else {
             self.row_misses.inc();
-            bank.open_row = Some(row);
-            self.cfg.row_miss_latency
+            *open = row;
+            ROW_MISS_LATENCY
         };
-        let start = ch.busy_until.max(now);
-        let done = start.after(service + self.cfg.burst_cycles);
+        let busy = &mut self.busy_until[ch];
+        let start = (*busy).max(now);
         // The channel is occupied for the burst; the latency the SM sees
         // includes any queueing behind earlier bursts.
-        ch.busy_until = start.after(self.cfg.burst_cycles);
-        done.since(now)
+        *busy = start.after(BURST_CYCLES);
+        start.after(service + BURST_CYCLES).since(now)
+    }
+}
+
+/// The nested-`Vec` channel model with runtime geometry that [`Dram`]
+/// replaced, kept as the equivalence oracle for its model test.
+#[cfg(test)]
+pub mod legacy {
+    use super::{
+        Counter, Cycle, VirtPage, BANKS_PER_CHANNEL, BURST_CYCLES, CHANNELS, PAGES_PER_ROW,
+        ROW_HIT_LATENCY, ROW_MISS_LATENCY,
+    };
+
+    #[derive(Debug, Clone, Copy)]
+    struct Bank {
+        open_row: Option<u64>,
+    }
+
+    #[derive(Debug)]
+    struct Channel {
+        banks: Vec<Bank>,
+        busy_until: Cycle,
+    }
+
+    /// Per-channel bank vectors, geometry read at every access.
+    #[derive(Debug)]
+    pub struct VecDram {
+        channels: Vec<Channel>,
+        banks_per_channel: usize,
+        pages_per_row: u64,
+        /// Row-buffer hits.
+        pub row_hits: Counter,
+        /// Row-buffer misses (activations).
+        pub row_misses: Counter,
+    }
+
+    impl Default for VecDram {
+        /// Table I's geometry and timing.
+        fn default() -> Self {
+            VecDram {
+                channels: (0..CHANNELS)
+                    .map(|_| Channel {
+                        banks: vec![Bank { open_row: None }; BANKS_PER_CHANNEL],
+                        busy_until: Cycle::ZERO,
+                    })
+                    .collect(),
+                banks_per_channel: BANKS_PER_CHANNEL,
+                pages_per_row: PAGES_PER_ROW,
+                row_hits: Counter::default(),
+                row_misses: Counter::default(),
+            }
+        }
+    }
+
+    impl VecDram {
+        /// Access `page` at time `now`; returns the access latency.
+        pub fn access(&mut self, page: VirtPage, now: Cycle) -> u64 {
+            let row = page.0 / self.pages_per_row;
+            let ch_idx = (row % self.channels.len() as u64) as usize;
+            let bank_idx =
+                ((row / self.channels.len() as u64) % self.banks_per_channel as u64) as usize;
+            let ch = &mut self.channels[ch_idx];
+            let bank = &mut ch.banks[bank_idx];
+            let service = if bank.open_row == Some(row) {
+                self.row_hits.inc();
+                ROW_HIT_LATENCY
+            } else {
+                self.row_misses.inc();
+                bank.open_row = Some(row);
+                ROW_MISS_LATENCY
+            };
+            let start = ch.busy_until.max(now);
+            let done = start.after(service + BURST_CYCLES);
+            ch.busy_until = start.after(BURST_CYCLES);
+            done.since(now)
+        }
     }
 }
 
@@ -131,7 +186,7 @@ mod tests {
     use super::*;
 
     fn dram() -> Dram {
-        Dram::new(DramConfig::default())
+        Dram::new()
     }
 
     #[test]
@@ -155,10 +210,9 @@ mod tests {
     #[test]
     fn different_row_same_bank_misses() {
         let mut d = dram();
-        let cfg = DramConfig::default();
         d.access(VirtPage(0), Cycle::ZERO);
         // Next row on the same bank: row jumps by channels*banks.
-        let stride = cfg.pages_per_row * (cfg.channels * cfg.banks_per_channel) as u64;
+        let stride = PAGES_PER_ROW * (CHANNELS * BANKS_PER_CHANNEL) as u64;
         let lat = d.access(VirtPage(stride), Cycle(10_000));
         assert_eq!(lat, 160 + 64);
         assert_eq!(d.row_misses.get(), 2);
@@ -177,15 +231,14 @@ mod tests {
     #[test]
     fn same_channel_queues() {
         let mut d = dram();
-        let cfg = DramConfig::default();
-        let stride = cfg.pages_per_row * cfg.channels as u64; // same channel, next bank
+        let stride = PAGES_PER_ROW * CHANNELS as u64; // same channel, next bank
         let a = d.access(VirtPage(0), Cycle::ZERO);
         let b = d.access(VirtPage(stride), Cycle::ZERO);
         assert!(
             b > a,
             "second access queues behind the first burst: {b} vs {a}"
         );
-        assert_eq!(b - a, cfg.burst_cycles);
+        assert_eq!(b - a, BURST_CYCLES);
     }
 
     #[test]
@@ -208,5 +261,39 @@ mod tests {
         // 2 pages per row → every other access hits.
         assert_eq!(d.row_hits.get(), 128);
         assert_eq!(d.row_misses.get(), 128);
+    }
+
+    /// The constant-geometry model against the nested-`Vec` one: random
+    /// pages at non-decreasing times, skewed so rows both stay open and
+    /// get displaced and channels both idle and queue. Every latency and
+    /// both row-buffer counters must agree.
+    #[test]
+    fn flat_dram_matches_vec_dram() {
+        let mut x: u64 = 0x8C2F_61D4_3E95_B07A;
+        let (mut flat, mut nested) = (Dram::new(), legacy::VecDram::default());
+        let mut now = 0u64;
+        for step in 0..300_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let page = VirtPage(match x % 4 {
+                0 => (x >> 8) % 16,
+                1 | 2 => (x >> 8) % 400,
+                _ => (x >> 8) % (1 << 30),
+            });
+            now += match (x >> 40) % 8 {
+                0..=4 => 0,
+                5 | 6 => (x >> 48) % 64,
+                _ => (x >> 48) % 4096,
+            };
+            assert_eq!(
+                flat.access(page, Cycle(now)),
+                nested.access(page, Cycle(now)),
+                "step {step}: {page:?} at {now}"
+            );
+        }
+        assert_eq!(flat.row_hits.get(), nested.row_hits.get());
+        assert_eq!(flat.row_misses.get(), nested.row_misses.get());
+        assert!(flat.row_hits.get() > 10_000 && flat.row_misses.get() > 10_000);
     }
 }

@@ -1,8 +1,8 @@
 //! Plain-text table / CSV emitters for the experiment binaries.
 //!
-//! CSV rendering delegates to `telemetry`'s schema-checked
-//! [`CsvWriter`], so every CSV the workspace emits shares one escaping
-//! implementation.
+//! CSV rendering delegates to the schema-checked
+//! [`telemetry::CsvWriter`], so every CSV the workspace emits shares one
+//! escaping implementation.
 
 /// A simple aligned text table.
 #[derive(Debug, Default)]

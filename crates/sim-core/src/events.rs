@@ -16,7 +16,7 @@
 //! long DMA tails look far into the future. The queue exploits that split
 //! with two tiers:
 //!
-//! * a **near ring** of [`RING`] per-cycle buckets covering the window
+//! * a **near ring** of `RING` (2048) per-cycle buckets covering the window
 //!   `[now, now + RING)`, indexed by `at & (RING - 1)` with a bitmap for
 //!   O(words) next-bucket scans, and
 //! * a **far heap** ([`BinaryHeap`]) for events at `now + RING` or later.

@@ -13,16 +13,16 @@
 //! outcome, every counter block, byte totals, the per-batch timeline,
 //! and — for traced runs — the typed event/span/decision streams.
 //!
-//! The always-on tests below use fixed xorshift streams so the default
-//! suite needs no registry access; the `ext-tests` module at the bottom
-//! adds proptest-generated stream shapes on top (same convention as
-//! `tests/properties.rs`).
+//! The tests below use fixed xorshift streams, and
+//! `arbitrary_streams_agree` adds seeded random stream shapes on top.
+//! All are std-only, so they run in the default test suite.
 
 use cppe::engine::PolicyEngine;
 use cppe::presets::PolicyPreset;
 use gmmu::types::VirtPage;
 use gpu::{GpuConfig, RunResult, Timeline};
 use harness::{capacity_pages, ExpConfig};
+use sim_core::rng::Xoshiro256ss;
 use telemetry::TraceConfig;
 use workloads::registry;
 use workloads::types::{AccessStep, LaneItem};
@@ -323,40 +323,39 @@ fn traced_runs_agree() {
     );
 }
 
-/// proptest-generated stream shapes on top of the fixed-seed suite.
-/// Same gating convention as `tests/properties.rs`: proptest comes from
-/// crates.io, so these only build with `--features ext-tests` (after
-/// restoring the proptest dev-dependency in the root Cargo.toml).
-#[cfg(feature = "ext-tests")]
-mod prop {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-
-        /// Arbitrary lane counts, stream shapes, footprints and
-        /// capacities: the two paths never diverge.
-        #[test]
-        fn arbitrary_streams_agree(
-            seed in any::<u64>(),
-            lanes in 1usize..6,
-            rounds in 1usize..4,
-            per_round in 1usize..120,
-            footprint in 16u64..512,
-            cap_chunks in 2u64..12,
-            cppe in any::<bool>(),
-        ) {
-            let preset = if cppe { PolicyPreset::Cppe } else { PolicyPreset::Baseline };
-            let capacity = (cap_chunks * gmmu::types::PAGES_PER_CHUNK) as u32;
-            let streams = random_streams(seed | 1, lanes, rounds, per_round, footprint);
-            let mut results = Vec::new();
-            for fast_lane in [true, false] {
-                let cfg = gpu_cfg(fast_lane);
-                let engine = preset.build(seed ^ 0x9E37_79B9_7F4A_7C15);
-                results.push(run(&cfg, engine, &streams, capacity, footprint));
-            }
-            prop_assert_eq!(&results[0], &results[1]);
+/// Seeded random stream shapes on top of the fixed-seed cases above:
+/// arbitrary lane counts, round shapes, footprints, capacities and
+/// presets — the two paths never diverge. A failure names the case's
+/// seed and what it drew.
+#[test]
+fn arbitrary_streams_agree() {
+    for seed in 0..24u64 {
+        let mut rng = Xoshiro256ss::new(seed);
+        let stream_seed = rng.next_u64();
+        let lanes = 1 + rng.gen_range(5) as usize;
+        let rounds = 1 + rng.gen_range(3) as usize;
+        let per_round = 1 + rng.gen_range(119) as usize;
+        let footprint = 16 + rng.gen_range(496);
+        let cap_chunks = 2 + rng.gen_range(10);
+        let preset = if rng.gen_bool(0.5) {
+            PolicyPreset::Cppe
+        } else {
+            PolicyPreset::Baseline
+        };
+        let capacity = (cap_chunks * gmmu::types::PAGES_PER_CHUNK) as u32;
+        let streams = random_streams(stream_seed | 1, lanes, rounds, per_round, footprint);
+        let mut results = Vec::new();
+        for fast_lane in [true, false] {
+            let cfg = gpu_cfg(fast_lane);
+            let engine = preset.build(stream_seed ^ 0x9E37_79B9_7F4A_7C15);
+            results.push(run(&cfg, engine, &streams, capacity, footprint));
         }
+        assert_eq!(
+            results[0],
+            results[1],
+            "seed {seed}: {lanes} lanes, {rounds}x{per_round}, footprint {footprint}, \
+             {cap_chunks} chunks, {}",
+            preset.label()
+        );
     }
 }

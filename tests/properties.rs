@@ -1,94 +1,133 @@
-//! Property-based tests (proptest) on the core data structures and the
-//! workload generators — cross-crate invariants that unit tests cannot
-//! pin down exhaustively. The chunk-chain properties run std-only in
+//! Seeded property tests on the core data structures and the workload
+//! generators — cross-crate invariants that unit tests cannot pin down
+//! exhaustively. The chunk-chain properties live in
 //! `tests/chain_model.rs`.
 //!
-//! Gated behind the non-default `ext-tests` feature: proptest must come
-//! from crates.io, and the default test suite has to pass with no
-//! registry access. Enabling the feature also requires restoring the
-//! proptest dev-dependency (see the root Cargo.toml).
-#![cfg(feature = "ext-tests")]
+//! Each property draws its cases from `sim_core`'s xoshiro RNG, one
+//! seed per case, and a failure names the seed and the step, which is
+//! the shortest failing prefix of that case's stream. Std-only, so the
+//! properties run in the default test suite.
 
 use cppe::evicted_buffer::EvictedBuffer;
 use cppe::prefetch::pattern::{DeletionScheme, PatternBuffer, ProbeResult};
 use gmmu::tlb::{Tlb, TlbConfig};
-use gmmu::types::{ChunkId, Frame, VirtPage};
-use proptest::prelude::*;
+use gmmu::types::{ChunkId, VirtPage};
+use sim_core::rng::Xoshiro256ss;
 use sim_core::{FxHashSet, TouchVec};
 use workloads::registry;
 
-proptest! {
-    /// A TLB never exceeds capacity, and a probe after insert hits until
-    /// the entry is invalidated.
-    #[test]
-    fn tlb_capacity_and_membership(pages in proptest::collection::vec(0u64..1024, 1..300)) {
-        let mut tlb = Tlb::new(TlbConfig { entries: 16, associativity: 4, hit_latency: 1 });
-        for &p in &pages {
-            tlb.insert(VirtPage(p), Frame(p as u32));
-            prop_assert!(tlb.occupancy() <= 16);
-            prop_assert_eq!(tlb.probe(VirtPage(p)), Some(Frame(p as u32)));
-        }
-        for &p in &pages {
-            tlb.invalidate(VirtPage(p));
-            prop_assert!(tlb.probe(VirtPage(p)).is_none());
-        }
-        prop_assert_eq!(tlb.occupancy(), 0);
-    }
+/// Cases per property.
+const SEEDS: u64 = 256;
 
-    /// The evicted-chunk buffer never grows beyond its capacity and
-    /// take() is linear-time consistent with membership.
-    #[test]
-    fn evicted_buffer_bounded(ops in proptest::collection::vec((0u64..32, any::<bool>()), 1..200)) {
+/// A TLB never exceeds capacity, holds a page from its insert until the
+/// page is evicted or invalidated, and names as a capacity victim only a
+/// page it held, which it then no longer holds.
+#[test]
+fn tlb_capacity_and_membership() {
+    for seed in 0..SEEDS {
+        let mut rng = Xoshiro256ss::new(seed);
+        let mut tlb = Tlb::new(TlbConfig {
+            entries: 16,
+            associativity: 4,
+            hit_latency: 1,
+        });
+        let mut held = FxHashSet::default();
+        let pages: Vec<u64> = (0..1 + rng.gen_range(299))
+            .map(|_| rng.gen_range(1024))
+            .collect();
+        for (step, &p) in pages.iter().enumerate() {
+            let at = format!("seed {seed}, step {step} (insert {p})");
+            if let Some(victim) = tlb.insert(VirtPage(p)) {
+                assert!(held.remove(&victim.0), "{at}: victim {victim:?} not held");
+                assert!(!tlb.probe(victim), "{at}: victim {victim:?} still held");
+            }
+            held.insert(p);
+            assert!(tlb.occupancy() <= 16, "{at}: over capacity");
+            assert_eq!(tlb.occupancy(), held.len(), "{at}: occupancy");
+            assert!(tlb.probe(VirtPage(p)), "{at}: inserted page missing");
+        }
+        for (step, &p) in pages.iter().enumerate() {
+            assert_eq!(
+                tlb.invalidate(VirtPage(p)),
+                held.remove(&p),
+                "seed {seed}, step {step} (invalidate {p})"
+            );
+            assert!(!tlb.probe(VirtPage(p)), "seed {seed}, step {step}");
+        }
+        assert_eq!(tlb.occupancy(), 0, "seed {seed}");
+    }
+}
+
+/// The evicted-chunk buffer never grows beyond its capacity, and `take`
+/// agrees with membership.
+#[test]
+fn evicted_buffer_bounded() {
+    for seed in 0..SEEDS {
+        let mut rng = Xoshiro256ss::new(seed);
         let mut buf = EvictedBuffer::new(8);
-        for (c, take) in ops {
+        for step in 0..1 + rng.gen_range(199) {
+            let (c, take) = (ChunkId(rng.gen_range(32)), rng.gen_bool(0.5));
+            let at = format!("seed {seed}, step {step}");
             if take {
-                let had = buf.contains(ChunkId(c));
-                prop_assert_eq!(buf.take(ChunkId(c)), had);
-                prop_assert!(!buf.contains(ChunkId(c)));
+                let had = buf.contains(c);
+                assert_eq!(buf.take(c), had, "{at}: take({c:?})");
+                assert!(!buf.contains(c), "{at}: {c:?} survived take");
             } else {
-                buf.push(ChunkId(c));
-                prop_assert!(buf.contains(ChunkId(c)));
+                buf.push(c);
+                assert!(buf.contains(c), "{at}: pushed {c:?} missing");
             }
-            prop_assert!(buf.len() <= 8);
+            assert!(buf.len() <= 8, "{at}: {} entries", buf.len());
         }
     }
+}
 
-    /// Pattern buffer: a recorded sparse pattern always matches faults
-    /// on its touched pages, and a Scheme-1 mismatch always deletes.
-    #[test]
-    fn pattern_buffer_probe_semantics(bits in 0u16..u16::MAX, page_idx in 0usize..16) {
-        let touch = TouchVec::from_bits(bits);
-        let mut buf = PatternBuffer::new();
-        buf.record(ChunkId(3), touch);
-        let recorded = touch.untouch_level() >= 8;
-        prop_assert_eq!(buf.contains(ChunkId(3)), recorded);
-        let result = buf.probe(ChunkId(3).page(page_idx), DeletionScheme::Scheme1);
-        match result {
-            ProbeResult::Miss => prop_assert!(!recorded),
-            ProbeResult::Match(p) => {
-                prop_assert!(recorded);
-                prop_assert!(p.get(page_idx));
-                prop_assert!(buf.contains(ChunkId(3)));
-            }
-            ProbeResult::Mismatch { deleted } => {
-                prop_assert!(recorded);
-                prop_assert!(!touch.get(page_idx));
-                prop_assert!(deleted);
-                prop_assert!(!buf.contains(ChunkId(3)));
+/// Pattern buffer: a recorded sparse pattern always matches faults on
+/// its touched pages, and a Scheme-1 mismatch always deletes.
+#[test]
+fn pattern_buffer_probe_semantics() {
+    let mut rng = Xoshiro256ss::new(0);
+    // The empty and the fullest pattern, then random ones.
+    let cases = [0, u16::MAX - 1]
+        .into_iter()
+        .chain((0..4 * SEEDS).map(|_| rng.gen_range(u64::from(u16::MAX)) as u16));
+    for (case, bits) in cases.enumerate() {
+        for page_idx in 0..16 {
+            let at = format!("case {case} (bits {bits:#06x}, page {page_idx})");
+            let touch = TouchVec::from_bits(bits);
+            let mut buf = PatternBuffer::new();
+            buf.record(ChunkId(3), touch);
+            let recorded = touch.untouch_level() >= 8;
+            assert_eq!(buf.contains(ChunkId(3)), recorded, "{at}");
+            match buf.probe(ChunkId(3).page(page_idx), DeletionScheme::Scheme1) {
+                ProbeResult::Miss => assert!(!recorded, "{at}: recorded but missed"),
+                ProbeResult::Match(p) => {
+                    assert!(recorded, "{at}: matched an unrecorded chunk");
+                    assert!(p.get(page_idx), "{at}: matched an untouched page");
+                    assert!(buf.contains(ChunkId(3)), "{at}: match deleted");
+                }
+                ProbeResult::Mismatch { deleted } => {
+                    assert!(recorded, "{at}: mismatched an unrecorded chunk");
+                    assert!(!touch.get(page_idx), "{at}: touched page mismatched");
+                    assert!(deleted, "{at}: Scheme-1 mismatch kept the pattern");
+                    assert!(!buf.contains(ChunkId(3)), "{at}: pattern survived");
+                }
             }
         }
     }
+}
 
-    /// Every workload's lane streams stay inside the footprint and
-    /// cover it (union of pages touched across lanes is non-trivial),
-    /// at any lane count and scale.
-    #[test]
-    fn workload_streams_in_bounds(
-        idx in 0usize..23,
-        lanes in 1usize..40,
-        scale in prop_oneof![Just(0.25), Just(0.5)],
-    ) {
-        let spec = &registry::all()[idx];
+/// Every workload's lane streams stay inside the footprint and cover a
+/// substantial part of it, with the same barrier count on every lane,
+/// at random lane counts and both reduced scales.
+#[test]
+fn workload_streams_in_bounds() {
+    let specs = registry::all();
+    for seed in 0..2 * specs.len() as u64 {
+        let mut rng = Xoshiro256ss::new(seed);
+        let spec = &specs[seed as usize % specs.len()];
+        let lanes = 1 + rng.gen_range(39) as usize;
+        let scale = if rng.gen_bool(0.5) { 0.25 } else { 0.5 };
+        let at = format!("seed {seed} ({}, {lanes} lanes, scale {scale})", spec.abbr);
         let pages = spec.pages(scale);
         let mut seen = FxHashSet::default();
         let mut barriers_per_lane = Vec::new();
@@ -97,8 +136,7 @@ proptest! {
             for item in spec.lane_items(lane, lanes, scale) {
                 match item {
                     workloads::LaneItem::Access(a) => {
-                        prop_assert!(a.page.0 < pages,
-                            "{}: page {} outside footprint {}", spec.abbr, a.page.0, pages);
+                        assert!(a.page.0 < pages, "{at}: page {} outside {pages}", a.page.0);
                         seen.insert(a.page.0);
                     }
                     workloads::LaneItem::Barrier => barriers += 1,
@@ -107,9 +145,14 @@ proptest! {
             barriers_per_lane.push(barriers);
         }
         // Uniform barrier structure (no deadlock).
-        prop_assert!(barriers_per_lane.windows(2).all(|w| w[0] == w[1]));
-        // The generators cover a substantial part of the footprint.
-        prop_assert!(seen.len() as u64 >= pages / 4,
-            "{}: only {} of {} pages touched", spec.abbr, seen.len(), pages);
+        assert!(
+            barriers_per_lane.windows(2).all(|w| w[0] == w[1]),
+            "{at}: barriers per lane {barriers_per_lane:?}"
+        );
+        assert!(
+            seen.len() as u64 >= pages / 4,
+            "{at}: only {} of {pages} pages touched",
+            seen.len()
+        );
     }
 }
