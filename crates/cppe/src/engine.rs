@@ -16,6 +16,7 @@
 
 use crate::chain::ChunkChain;
 use crate::evict::{EvictPolicy, InsertAt};
+use crate::pins::PinSet;
 use crate::prefetch::{PrefetchCtx, Prefetcher};
 use gmmu::page_table::PageTable;
 use gmmu::types::{ChunkId, VirtPage};
@@ -89,6 +90,9 @@ pub struct PolicyEngine {
     /// Aux-buffer high-water marks carried across a policy fallback.
     evicted_buffer_carry: usize,
     pattern_buffer_carry: usize,
+    /// Reused by [`PolicyEngine::select_victim`] to hold a hashed pin
+    /// set's chunks.
+    loaded_pins: PinSet,
     /// Chain length when memory first filled (overhead analysis).
     pub chain_len_at_full: usize,
     /// Aggregate counters.
@@ -113,6 +117,7 @@ impl PolicyEngine {
             wrong_evictions_carry: 0,
             evicted_buffer_carry: 0,
             pattern_buffer_carry: 0,
+            loaded_pins: PinSet::new(),
             chain_len_at_full: 0,
             stats: EngineStats::default(),
         }
@@ -194,17 +199,30 @@ impl PolicyEngine {
         plan
     }
 
-    /// Select a victim chunk (memory must be full). `exclude` holds the
-    /// chunks pinned by the in-flight fault batch; if exclusion makes
-    /// selection impossible the pinned set is ignored (better a pinned
-    /// victim than an unservable fault).
-    pub fn select_victim(&mut self, exclude: &FxHashSet<ChunkId>) -> Option<ChunkId> {
+    /// Select a victim chunk (memory must be full). `pins` holds the
+    /// chunks pinned by the in-flight fault batch; if the pins make
+    /// selection impossible they are ignored (better a pinned victim
+    /// than an unservable fault).
+    pub fn select_victim_pinned(&mut self, pins: &PinSet) -> Option<ChunkId> {
         self.evict
-            .select_victim(&self.chain, self.interval, exclude)
+            .select_victim(&self.chain, self.interval, pins)
             .or_else(|| {
                 self.evict
-                    .select_victim(&self.chain, self.interval, &FxHashSet::default())
+                    .select_victim(&self.chain, self.interval, &PinSet::new())
             })
+    }
+
+    /// [`PolicyEngine::select_victim_pinned`] for pins kept in a hash
+    /// set: loads them into a reused [`PinSet`] first, so a call also
+    /// pays that conversion. The driver calls the [`PinSet`] form; this
+    /// one serves callers that keep a hashed pin set, such as the
+    /// host-speed benchmark's policy replay.
+    pub fn select_victim(&mut self, pinned: &FxHashSet<ChunkId>) -> Option<ChunkId> {
+        let mut pins = std::mem::take(&mut self.loaded_pins);
+        pins.load(pinned.iter().copied());
+        let victim = self.select_victim_pinned(&pins);
+        self.loaded_pins = pins;
+        victim
     }
 
     /// Stable name of the active eviction policy (decision provenance).
@@ -228,22 +246,19 @@ impl PolicyEngine {
 
     /// Non-mutating preview of the eviction policy's candidate window —
     /// the chunks the next [`PolicyEngine::select_victim`] call will
-    /// consider, capped at `limit`. Mirrors `select_victim`'s pinned-set
-    /// relaxation: if exclusion empties the window, the pinned set is
-    /// ignored. Recorded by the decision audit layer; never called on
-    /// the hot path when auditing is off.
+    /// consider, capped at `limit`. Mirrors `select_victim_pinned`'s
+    /// relaxation: if the pins empty the window, they are ignored.
+    /// Recorded by the decision audit layer; never called on the hot
+    /// path when auditing is off.
     #[must_use]
-    pub fn victim_candidates(&self, exclude: &FxHashSet<ChunkId>, limit: usize) -> Vec<ChunkId> {
+    pub fn victim_candidates(&self, pins: &PinSet, limit: usize) -> Vec<ChunkId> {
         let cands = self
             .evict
-            .candidate_set(&self.chain, self.interval, exclude, limit);
-        if cands.is_empty() && !exclude.is_empty() {
-            return self.evict.candidate_set(
-                &self.chain,
-                self.interval,
-                &FxHashSet::default(),
-                limit,
-            );
+            .candidate_set(&self.chain, self.interval, pins, limit);
+        if cands.is_empty() && !pins.is_empty() {
+            return self
+                .evict
+                .candidate_set(&self.chain, self.interval, &PinSet::new(), limit);
         }
         cands
     }
@@ -554,9 +569,9 @@ mod tests {
             e.note_migrated(ChunkId(i), 16, true);
         }
         e.note_memory_full();
-        assert_eq!(e.select_victim(&FxHashSet::default()), Some(ChunkId(0)));
+        assert_eq!(e.select_victim_pinned(&PinSet::new()), Some(ChunkId(0)));
         e.note_evicted(ChunkId(0), TouchVec::full(), 16);
-        assert_eq!(e.select_victim(&FxHashSet::default()), Some(ChunkId(1)));
+        assert_eq!(e.select_victim_pinned(&PinSet::new()), Some(ChunkId(1)));
     }
 
     #[test]
@@ -649,7 +664,7 @@ mod tests {
         assert!(post.evicted_buffer_max >= pre.evicted_buffer_max);
         assert!(post.pattern_buffer_max >= pre.pattern_buffer_max);
         // Chain survives the swap: LRU can still pick a victim.
-        assert!(e.select_victim(&FxHashSet::default()).is_some());
+        assert!(e.select_victim_pinned(&PinSet::new()).is_some());
         // Memory-full latched → the fallback prefetcher plans only the
         // faulted page, killing the wasteful traffic.
         let pt = PageTable::new();
@@ -678,7 +693,7 @@ mod tests {
         assert_eq!(e.wrong_evictions(), 1, "continuous through restore");
         assert!(!e.restore_policies(), "nothing left to restore");
         // The re-armed policies still work against the surviving chain.
-        assert!(e.select_victim(&FxHashSet::default()).is_some());
+        assert!(e.select_victim_pinned(&PinSet::new()).is_some());
     }
 
     #[test]
@@ -705,8 +720,8 @@ mod tests {
                     e.note_migrated(ChunkId(i), 16, true);
                 }
                 e.note_memory_full();
-                let cands = preview.then(|| e.victim_candidates(&FxHashSet::default(), 8));
-                let v = e.select_victim(&FxHashSet::default());
+                let cands = preview.then(|| e.victim_candidates(&PinSet::new(), 8));
+                let v = e.select_victim_pinned(&PinSet::new());
                 (cands, v)
             };
             let (_, cold) = drive(false);
@@ -730,7 +745,7 @@ mod tests {
             e.note_migrated(ChunkId(i), 16, true);
         }
         e.note_memory_full();
-        let mut pin = FxHashSet::default();
+        let mut pin = PinSet::new();
         for i in 0..3 {
             pin.insert(ChunkId(i));
         }
@@ -738,8 +753,11 @@ mod tests {
         // set, and the preview must report the same relaxed window.
         let cands = e.victim_candidates(&pin, 8);
         assert_eq!(cands.len(), 3);
-        assert_eq!(e.select_victim(&pin), Some(ChunkId(0)));
+        assert_eq!(e.select_victim_pinned(&pin), Some(ChunkId(0)));
         assert!(cands.contains(&ChunkId(0)));
+        // The hashed-set adapter selects the same victim.
+        let hashed: FxHashSet<ChunkId> = pin.iter().collect();
+        assert_eq!(e.select_victim(&hashed), Some(ChunkId(0)));
     }
 
     #[test]
@@ -760,7 +778,7 @@ mod tests {
         // Fresh chunk ids (100..) churned in per episode.
         for (next, cycle) in (100u64..).zip(0..4) {
             // One wrong eviction on whichever pair is active.
-            let victim = e.select_victim(&FxHashSet::default()).unwrap();
+            let victim = e.select_victim_pinned(&PinSet::new()).unwrap();
             e.note_evicted(victim, TouchVec::full(), 16);
             e.note_fault(victim.first_page());
             e.note_migrated(victim, 16, true);
@@ -777,7 +795,7 @@ mod tests {
             // An evict/refault episode while degraded: the plain-LRU
             // fallback keeps no wrong-eviction buffer, so the count must
             // hold steady — neither lost nor double-counted later.
-            let victim = e.select_victim(&FxHashSet::default()).unwrap();
+            let victim = e.select_victim_pinned(&PinSet::new()).unwrap();
             e.note_evicted(victim, TouchVec::full(), 16);
             e.note_fault(victim.first_page());
             e.note_migrated(victim, 16, true);

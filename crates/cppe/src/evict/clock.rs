@@ -10,14 +10,23 @@
 
 use super::EvictPolicy;
 use crate::chain::ChunkChain;
+use crate::pins::PinSet;
 use gmmu::types::{ChunkId, VirtPage};
-use sim_core::{FxHashMap, FxHashSet};
+
+/// A chunk CLOCK has never tracked (or has forgotten on eviction): a
+/// fault does not set its bit, and a sweep reads it as clear.
+const UNTRACKED: u8 = 0;
+/// Tracked, reference bit clear.
+const CLEAR: u8 = 1;
+/// Tracked, reference bit set.
+const SET: u8 = 2;
 
 /// CLOCK over resident chunks.
 #[derive(Debug, Default)]
 pub struct ClockPolicy {
-    /// Reference bits; chunks absent from the map are treated as clear.
-    refs: FxHashMap<ChunkId, bool>,
+    /// Reference state per chunk id: [`UNTRACKED`], [`CLEAR`] or [`SET`].
+    /// Grown on demand; ids past the end are untracked.
+    refs: Vec<u8>,
     /// Circular order (we reuse the chain's LRU→MRU order and keep our
     /// own hand position as an index into that order).
     hand: usize,
@@ -29,6 +38,15 @@ impl ClockPolicy {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// `chunk`'s state, growing the table to cover it.
+    fn state_mut(&mut self, chunk: ChunkId) -> &mut u8 {
+        let i = chunk.0 as usize;
+        if i >= self.refs.len() {
+            self.refs.resize(i + 1, UNTRACKED);
+        }
+        &mut self.refs[i]
+    }
 }
 
 impl EvictPolicy for ClockPolicy {
@@ -37,14 +55,16 @@ impl EvictPolicy for ClockPolicy {
     }
 
     fn on_migrate(&mut self, _chain: &mut ChunkChain, chunk: ChunkId, _pages: u32, _interval: u64) {
-        self.refs.insert(chunk, true);
+        *self.state_mut(chunk) = SET;
     }
 
     fn on_fault(&mut self, page: VirtPage) {
         // A fault near a resident chunk re-references it (the chunk the
         // page belongs to may be partially resident).
-        if let Some(bit) = self.refs.get_mut(&page.chunk()) {
-            *bit = true;
+        if let Some(state) = self.refs.get_mut(page.chunk().0 as usize) {
+            if *state != UNTRACKED {
+                *state = SET;
+            }
         }
     }
 
@@ -52,7 +72,7 @@ impl EvictPolicy for ClockPolicy {
         &mut self,
         chain: &ChunkChain,
         _interval: u64,
-        exclude: &FxHashSet<ChunkId>,
+        pins: &PinSet,
     ) -> Option<ChunkId> {
         let order: Vec<ChunkId> = chain.iter_lru().collect();
         if order.is_empty() {
@@ -68,24 +88,26 @@ impl EvictPolicy for ClockPolicy {
             let chunk = order[idx];
             self.hand = (self.hand + 1) % n;
             swept += 1;
-            if exclude.contains(&chunk) {
+            if pins.contains(chunk) {
                 continue;
             }
-            let bit = self.refs.entry(chunk).or_insert(false);
-            if *bit {
-                *bit = false;
-            } else {
+            // A set bit buys a second chance; an untracked chunk becomes
+            // tracked, as its bit is read.
+            let state = self.state_mut(chunk);
+            let second_chance = *state == SET;
+            *state = CLEAR;
+            if !second_chance {
                 return Some(chunk);
             }
         }
-        order.into_iter().find(|c| !exclude.contains(c))
+        order.into_iter().find(|&c| !pins.contains(c))
     }
 
     fn candidate_set(
         &self,
         chain: &ChunkChain,
         _interval: u64,
-        exclude: &FxHashSet<ChunkId>,
+        pins: &PinSet,
         limit: usize,
     ) -> Vec<ChunkId> {
         // The inspection window of the next sweep: chunks in circular
@@ -98,13 +120,15 @@ impl EvictPolicy for ClockPolicy {
         let n = order.len();
         (0..n)
             .map(|i| order[(self.hand + i) % n])
-            .filter(|c| !exclude.contains(c))
+            .filter(|&c| !pins.contains(c))
             .take(limit)
             .collect()
     }
 
     fn on_evict(&mut self, chunk: ChunkId, _untouch: u32) {
-        self.refs.remove(&chunk);
+        if let Some(state) = self.refs.get_mut(chunk.0 as usize) {
+            *state = UNTRACKED;
+        }
     }
 }
 
@@ -132,7 +156,7 @@ mod tests {
         let mut p = ClockPolicy::new();
         migrate_all(&mut p, &mut ch, 3);
         // All bits set → first sweep clears 0,1,2 then returns 0.
-        let v = p.select_victim(&ch, 0, &FxHashSet::default());
+        let v = p.select_victim(&ch, 0, &PinSet::new());
         assert_eq!(v, Some(ChunkId(0)));
     }
 
@@ -141,10 +165,10 @@ mod tests {
         let mut ch = chain_of(3);
         let mut p = ClockPolicy::new();
         migrate_all(&mut p, &mut ch, 3);
-        let _ = p.select_victim(&ch, 0, &FxHashSet::default()); // clears all, picks 0
-                                                                // Re-reference chunk 1 via a fault on one of its pages.
+        let _ = p.select_victim(&ch, 0, &PinSet::new()); // clears all, picks 0
+                                                         // Re-reference chunk 1 via a fault on one of its pages.
         p.on_fault(ChunkId(1).first_page());
-        let v = p.select_victim(&ch, 0, &FxHashSet::default());
+        let v = p.select_victim(&ch, 0, &PinSet::new());
         // Hand continues from position 1: chunk 1 has its bit set again
         // (second chance), chunk 2's bit is clear → victim 2.
         assert_eq!(v, Some(ChunkId(2)));
@@ -155,7 +179,7 @@ mod tests {
         let mut ch = chain_of(2);
         let mut p = ClockPolicy::new();
         migrate_all(&mut p, &mut ch, 2);
-        let mut ex = FxHashSet::default();
+        let mut ex = PinSet::new();
         ex.insert(ChunkId(0));
         let v = p.select_victim(&ch, 0, &ex);
         assert_eq!(v, Some(ChunkId(1)));
@@ -164,10 +188,7 @@ mod tests {
     #[test]
     fn empty_chain_gives_none() {
         let mut p = ClockPolicy::new();
-        assert_eq!(
-            p.select_victim(&ChunkChain::new(), 0, &FxHashSet::default()),
-            None
-        );
+        assert_eq!(p.select_victim(&ChunkChain::new(), 0, &PinSet::new()), None);
     }
 
     #[test]
@@ -176,6 +197,9 @@ mod tests {
         let mut p = ClockPolicy::new();
         migrate_all(&mut p, &mut ch, 2);
         p.on_evict(ChunkId(0), 0);
-        assert!(!p.refs.contains_key(&ChunkId(0)));
+        assert_eq!(p.refs[0], UNTRACKED);
+        // An untracked chunk's bit stays clear on a fault.
+        p.on_fault(ChunkId(0).first_page());
+        assert_eq!(p.refs[0], UNTRACKED);
     }
 }

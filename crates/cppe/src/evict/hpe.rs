@@ -25,8 +25,8 @@
 use super::EvictPolicy;
 use crate::chain::ChunkChain;
 use crate::evicted_buffer::EvictedBuffer;
+use crate::pins::PinSet;
 use gmmu::types::{ChunkId, VirtPage, PAGES_PER_CHUNK};
-use sim_core::FxHashSet;
 
 /// Application class HPE infers from chunk counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,15 +111,10 @@ impl HpePolicy {
     /// old chunks, then return the first *qualified* chunk (counter ≥
     /// chunk size). Falls back to the plain MRU-old selection when no
     /// chunk qualifies.
-    fn select_mru_c(
-        &self,
-        chain: &ChunkChain,
-        interval: u64,
-        exclude: &FxHashSet<ChunkId>,
-    ) -> Option<ChunkId> {
+    fn select_mru_c(&self, chain: &ChunkChain, interval: u64, pins: &PinSet) -> Option<ChunkId> {
         let mut skipped = 0usize;
         for e in chain.iter_mru_entries() {
-            if exclude.contains(&e.chunk) {
+            if pins.contains(e.chunk) {
                 continue;
             }
             let old = crate::chain::partition_of(e.last_ref_interval, interval)
@@ -135,7 +130,7 @@ impl HpePolicy {
                 return Some(e.chunk);
             }
         }
-        chain.select_mru_old(self.start_skip, interval, exclude)
+        chain.select_mru_old(self.start_skip, interval, pins)
     }
 }
 
@@ -180,11 +175,11 @@ impl EvictPolicy for HpePolicy {
         &mut self,
         chain: &ChunkChain,
         interval: u64,
-        exclude: &FxHashSet<ChunkId>,
+        pins: &PinSet,
     ) -> Option<ChunkId> {
         match self.strategy {
-            HpeStrategy::MruC => self.select_mru_c(chain, interval, exclude),
-            HpeStrategy::Lru => chain.select_lru_old(interval, exclude),
+            HpeStrategy::MruC => self.select_mru_c(chain, interval, pins),
+            HpeStrategy::Lru => chain.select_lru_old(interval, pins),
         }
     }
 
@@ -192,7 +187,7 @@ impl EvictPolicy for HpePolicy {
         &self,
         chain: &ChunkChain,
         interval: u64,
-        exclude: &FxHashSet<ChunkId>,
+        pins: &PinSet,
         limit: usize,
     ) -> Vec<ChunkId> {
         match self.strategy {
@@ -204,7 +199,7 @@ impl EvictPolicy for HpePolicy {
                 let mut qualified = Vec::new();
                 let mut fallback = Vec::new();
                 for e in chain.iter_mru_entries() {
-                    if exclude.contains(&e.chunk) {
+                    if pins.contains(e.chunk) {
                         continue;
                     }
                     let old = crate::chain::partition_of(e.last_ref_interval, interval)
@@ -237,7 +232,7 @@ impl EvictPolicy for HpePolicy {
                 let win: Vec<ChunkId> = chain
                     .iter_lru_entries()
                     .filter(|e| {
-                        !exclude.contains(&e.chunk)
+                        !pins.contains(e.chunk)
                             && crate::chain::partition_of(e.last_ref_interval, interval)
                                 == crate::chain::Partition::Old
                     })
@@ -247,7 +242,7 @@ impl EvictPolicy for HpePolicy {
                 if win.is_empty() {
                     chain
                         .iter_lru()
-                        .filter(|c| !exclude.contains(c))
+                        .filter(|&c| !pins.contains(c))
                         .take(limit)
                         .collect()
                 } else {
@@ -362,10 +357,7 @@ mod tests {
         p.strategy = HpeStrategy::MruC;
         // MRU-most old chunk is 4 (counter 3, unqualified); first
         // qualified walking MRU→LRU is 3.
-        assert_eq!(
-            p.select_victim(&ch, 2, &FxHashSet::default()),
-            Some(ChunkId(3))
-        );
+        assert_eq!(p.select_victim(&ch, 2, &PinSet::new()), Some(ChunkId(3)));
     }
 
     #[test]
@@ -374,10 +366,7 @@ mod tests {
         let ch = chain_with_counters(&[3; 5]);
         p.on_memory_full(&ch);
         p.strategy = HpeStrategy::MruC;
-        assert_eq!(
-            p.select_victim(&ch, 2, &FxHashSet::default()),
-            Some(ChunkId(4))
-        );
+        assert_eq!(p.select_victim(&ch, 2, &PinSet::new()), Some(ChunkId(4)));
     }
 
     #[test]

@@ -8,8 +8,8 @@
 
 use super::EvictPolicy;
 use crate::chain::ChunkChain;
+use crate::pins::PinSet;
 use gmmu::types::ChunkId;
-use sim_core::FxHashSet;
 
 /// Migration-order LRU over chunks.
 #[derive(Debug, Default)]
@@ -32,22 +32,22 @@ impl EvictPolicy for LruPolicy {
         &mut self,
         chain: &ChunkChain,
         _interval: u64,
-        exclude: &FxHashSet<ChunkId>,
+        pins: &PinSet,
     ) -> Option<ChunkId> {
-        chain.iter_lru().find(|c| !exclude.contains(c))
+        chain.iter_lru().find(|&c| !pins.contains(c))
     }
 
     fn candidate_set(
         &self,
         chain: &ChunkChain,
         _interval: u64,
-        exclude: &FxHashSet<ChunkId>,
+        pins: &PinSet,
         limit: usize,
     ) -> Vec<ChunkId> {
         // The LRU-first prefix is exactly the window LRU draws from.
         chain
             .iter_lru()
-            .filter(|c| !exclude.contains(c))
+            .filter(|&c| !pins.contains(c))
             .take(limit)
             .collect()
     }
@@ -64,10 +64,7 @@ mod tests {
         ch.insert_tail(ChunkId(10), 0);
         ch.insert_tail(ChunkId(11), 0);
         ch.insert_tail(ChunkId(12), 1);
-        assert_eq!(
-            p.select_victim(&ch, 1, &FxHashSet::default()),
-            Some(ChunkId(10))
-        );
+        assert_eq!(p.select_victim(&ch, 1, &PinSet::new()), Some(ChunkId(10)));
     }
 
     #[test]
@@ -77,19 +74,13 @@ mod tests {
         ch.insert_tail(ChunkId(1), 0);
         ch.insert_tail(ChunkId(2), 0);
         ch.insert_tail(ChunkId(1), 1); // chunk 1 re-migrated
-        assert_eq!(
-            p.select_victim(&ch, 1, &FxHashSet::default()),
-            Some(ChunkId(2))
-        );
+        assert_eq!(p.select_victim(&ch, 1, &PinSet::new()), Some(ChunkId(2)));
     }
 
     #[test]
     fn empty_chain_gives_none() {
         let mut p = LruPolicy::new();
-        assert_eq!(
-            p.select_victim(&ChunkChain::new(), 0, &FxHashSet::default()),
-            None
-        );
+        assert_eq!(p.select_victim(&ChunkChain::new(), 0, &PinSet::new()), None);
     }
 
     #[test]
@@ -105,9 +96,6 @@ mod tests {
         // Next access is chunk 4; capacity forces one eviction. LRU
         // evicts chunk 0 — precisely the chunk the cyclic pattern
         // revisits after 4.
-        assert_eq!(
-            p.select_victim(&ch, 0, &FxHashSet::default()),
-            Some(ChunkId(0))
-        );
+        assert_eq!(p.select_victim(&ch, 0, &PinSet::new()), Some(ChunkId(0)));
     }
 }

@@ -21,8 +21,9 @@
 use super::{EvictPolicy, InsertAt, MhpeTrace};
 use crate::chain::ChunkChain;
 use crate::evicted_buffer::{mhpe_buffer_len, EvictedBuffer};
+use crate::pins::PinSet;
 use gmmu::types::{ChunkId, VirtPage};
-use sim_core::FxHashSet;
+use sim_core::BitVec;
 
 /// Eviction strategy MHPE is currently using.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,8 +111,9 @@ pub struct MhpePolicy {
     /// W: wrong evictions in the current interval.
     w: u32,
     buffer: Option<EvictedBuffer>,
-    /// Chunks that must re-enter the chain at the head.
-    wrong_marks: FxHashSet<ChunkId>,
+    /// Chunks that must re-enter the chain at the head, one bit per
+    /// chunk id.
+    wrong_marks: BitVec,
     total_wrong: u64,
     /// Per-interval U1 history (drives Tables III and IV).
     pub interval_untouch: Vec<u32>,
@@ -142,7 +144,7 @@ impl MhpePolicy {
             u2: 0,
             w: 0,
             buffer: None,
-            wrong_marks: FxHashSet::default(),
+            wrong_marks: BitVec::default(),
             total_wrong: 0,
             interval_untouch: Vec::new(),
             fd_trace: Vec::new(),
@@ -198,13 +200,13 @@ impl EvictPolicy for MhpePolicy {
             if buf.take(chunk) {
                 self.w += 1;
                 self.total_wrong += 1;
-                self.wrong_marks.insert(chunk);
+                self.wrong_marks.set(chunk.0 as usize, true);
             }
         }
     }
 
     fn insert_position(&mut self, chunk: ChunkId) -> InsertAt {
-        if self.wrong_marks.remove(&chunk) {
+        if self.wrong_marks.take(chunk.0 as usize) {
             InsertAt::Head
         } else {
             InsertAt::Tail
@@ -215,11 +217,11 @@ impl EvictPolicy for MhpePolicy {
         &mut self,
         chain: &ChunkChain,
         interval: u64,
-        exclude: &FxHashSet<ChunkId>,
+        pins: &PinSet,
     ) -> Option<ChunkId> {
         match self.strategy {
-            Strategy::Mru => chain.select_mru_old(self.forward_distance, interval, exclude),
-            Strategy::Lru => chain.select_lru_old(interval, exclude),
+            Strategy::Mru => chain.select_mru_old(self.forward_distance, interval, pins),
+            Strategy::Lru => chain.select_lru_old(interval, pins),
         }
     }
 
@@ -227,7 +229,7 @@ impl EvictPolicy for MhpePolicy {
         &self,
         chain: &ChunkChain,
         interval: u64,
-        exclude: &FxHashSet<ChunkId>,
+        pins: &PinSet,
         limit: usize,
     ) -> Vec<ChunkId> {
         // The old-partition window the active strategy draws from: MRU
@@ -238,7 +240,7 @@ impl EvictPolicy for MhpePolicy {
             Strategy::Mru => chain
                 .iter_mru_entries()
                 .filter(|e| {
-                    !exclude.contains(&e.chunk)
+                    !pins.contains(e.chunk)
                         && crate::chain::partition_of(e.last_ref_interval, interval)
                             == crate::chain::Partition::Old
                 })
@@ -249,7 +251,7 @@ impl EvictPolicy for MhpePolicy {
             Strategy::Lru => chain
                 .iter_lru_entries()
                 .filter(|e| {
-                    !exclude.contains(&e.chunk)
+                    !pins.contains(e.chunk)
                         && crate::chain::partition_of(e.last_ref_interval, interval)
                             == crate::chain::Partition::Old
                 })
@@ -260,7 +262,7 @@ impl EvictPolicy for MhpePolicy {
         if win.is_empty() {
             chain
                 .iter_lru()
-                .filter(|c| !exclude.contains(c))
+                .filter(|&c| !pins.contains(c))
                 .take(limit)
                 .collect()
         } else {
@@ -376,10 +378,7 @@ mod tests {
         p.on_memory_full(&ch); // fd = 3
         assert_eq!(p.forward_distance(), 3);
         // MRU-most old chunk is 299; skip 3 → 296.
-        assert_eq!(
-            p.select_victim(&ch, 2, &FxHashSet::default()),
-            Some(ChunkId(296))
-        );
+        assert_eq!(p.select_victim(&ch, 2, &PinSet::new()), Some(ChunkId(296)));
     }
 
     #[test]
@@ -544,10 +543,7 @@ mod tests {
             p.on_evict(ChunkId(i), 16);
         }
         p.on_interval(1); // switch to LRU
-        assert_eq!(
-            p.select_victim(&ch, 5, &FxHashSet::default()),
-            Some(ChunkId(0))
-        );
+        assert_eq!(p.select_victim(&ch, 5, &PinSet::new()), Some(ChunkId(0)));
     }
 
     #[test]

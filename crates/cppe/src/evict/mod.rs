@@ -27,8 +27,8 @@ pub mod reserved_lru;
 pub mod rrip;
 
 use crate::chain::ChunkChain;
+use crate::pins::PinSet;
 use gmmu::types::{ChunkId, VirtPage};
-use sim_core::FxHashSet;
 
 /// Where a newly migrated chunk enters the chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,14 +108,14 @@ pub trait EvictPolicy: Send {
         let _ = (chain, chunk, pages, interval);
     }
 
-    /// Select the next victim chunk, never one of the `exclude`d chunks
-    /// (their migration is in flight in the current fault batch — the
-    /// driver pins them). Called only when memory is full.
+    /// Select the next victim chunk, never one of the `pins` (their
+    /// migration is in flight in the current fault batch — the driver
+    /// pins them). Called only when memory is full.
     fn select_victim(
         &mut self,
         chain: &ChunkChain,
         interval: u64,
-        exclude: &FxHashSet<ChunkId>,
+        pins: &PinSet,
     ) -> Option<ChunkId>;
 
     /// Non-mutating preview of the candidate window the next
@@ -132,13 +132,13 @@ pub trait EvictPolicy: Send {
         &self,
         chain: &ChunkChain,
         interval: u64,
-        exclude: &FxHashSet<ChunkId>,
+        pins: &PinSet,
         limit: usize,
     ) -> Vec<ChunkId> {
         let _ = interval;
         chain
             .iter_lru()
-            .filter(|c| !exclude.contains(c))
+            .filter(|&c| !pins.contains(c))
             .take(limit)
             .collect()
     }

@@ -15,8 +15,8 @@
 
 use super::EvictPolicy;
 use crate::chain::ChunkChain;
+use crate::pins::PinSet;
 use gmmu::types::ChunkId;
-use sim_core::FxHashSet;
 
 /// LRU with the bottom `percent`% of the chain protected from eviction.
 #[derive(Debug)]
@@ -57,20 +57,20 @@ impl EvictPolicy for ReservedLruPolicy {
         &mut self,
         chain: &ChunkChain,
         _interval: u64,
-        exclude: &FxHashSet<ChunkId>,
+        pins: &PinSet,
     ) -> Option<ChunkId> {
         if chain.is_empty() {
             return None;
         }
         let skip = self.reserved_count(chain.len()).min(chain.len() - 1);
-        chain.nth_from_lru(skip, exclude)
+        chain.nth_from_lru(skip, pins)
     }
 
     fn candidate_set(
         &self,
         chain: &ChunkChain,
         _interval: u64,
-        exclude: &FxHashSet<ChunkId>,
+        pins: &PinSet,
         limit: usize,
     ) -> Vec<ChunkId> {
         // Everything past the reserved LRU-most region, in LRU order —
@@ -82,7 +82,7 @@ impl EvictPolicy for ReservedLruPolicy {
         let skip = self.reserved_count(chain.len()).min(chain.len() - 1);
         chain
             .iter_lru()
-            .filter(|c| !exclude.contains(c))
+            .filter(|&c| !pins.contains(c))
             .skip(skip)
             .take(limit)
             .collect()
@@ -106,20 +106,14 @@ mod tests {
         let mut p = ReservedLruPolicy::new(20);
         let ch = chain(10);
         // 20% of 10 = 2 chunks protected; victim is position 2.
-        assert_eq!(
-            p.select_victim(&ch, 0, &FxHashSet::default()),
-            Some(ChunkId(2))
-        );
+        assert_eq!(p.select_victim(&ch, 0, &PinSet::new()), Some(ChunkId(2)));
     }
 
     #[test]
     fn zero_percent_degenerates_to_lru() {
         let mut p = ReservedLruPolicy::new(0);
         let ch = chain(10);
-        assert_eq!(
-            p.select_victim(&ch, 0, &FxHashSet::default()),
-            Some(ChunkId(0))
-        );
+        assert_eq!(p.select_victim(&ch, 0, &PinSet::new()), Some(ChunkId(0)));
     }
 
     #[test]
@@ -134,29 +128,20 @@ mod tests {
         let mut p = ReservedLruPolicy::new(100);
         let ch = chain(4);
         // Reserving everything still must yield a victim (the MRU chunk).
-        assert_eq!(
-            p.select_victim(&ch, 0, &FxHashSet::default()),
-            Some(ChunkId(3))
-        );
+        assert_eq!(p.select_victim(&ch, 0, &PinSet::new()), Some(ChunkId(3)));
     }
 
     #[test]
     fn single_chunk_chain() {
         let mut p = ReservedLruPolicy::new(20);
         let ch = chain(1);
-        assert_eq!(
-            p.select_victim(&ch, 0, &FxHashSet::default()),
-            Some(ChunkId(0))
-        );
+        assert_eq!(p.select_victim(&ch, 0, &PinSet::new()), Some(ChunkId(0)));
     }
 
     #[test]
     fn empty_chain_gives_none() {
         let mut p = ReservedLruPolicy::new(20);
-        assert_eq!(
-            p.select_victim(&ChunkChain::new(), 0, &FxHashSet::default()),
-            None
-        );
+        assert_eq!(p.select_victim(&ChunkChain::new(), 0, &PinSet::new()), None);
     }
 
     #[test]

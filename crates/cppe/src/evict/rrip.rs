@@ -10,16 +10,23 @@
 
 use super::EvictPolicy;
 use crate::chain::ChunkChain;
+use crate::pins::PinSet;
 use gmmu::types::{ChunkId, VirtPage};
-use sim_core::{FxHashMap, FxHashSet};
 
 /// Maximum RRPV (2-bit RRIP, as in the paper's reference).
 pub const MAX_RRPV: u8 = 3;
 
+/// Marks a chunk SRRIP has no RRPV for. A sweep reads it as
+/// [`MAX_RRPV`], but it is not the same state: a fault promotes only a
+/// chunk that has an RRPV, and a migration inserts an absent chunk at
+/// the long interval.
+const ABSENT: u8 = u8::MAX;
+
 /// Chunk-granularity SRRIP.
 #[derive(Debug, Default)]
 pub struct SrripPolicy {
-    rrpv: FxHashMap<ChunkId, u8>,
+    /// RRPV per chunk id, [`ABSENT`] where none; grown on demand.
+    rrpv: Vec<u8>,
 }
 
 impl SrripPolicy {
@@ -32,7 +39,24 @@ impl SrripPolicy {
     /// Current RRPV of a chunk (tests/diagnostics).
     #[must_use]
     pub fn rrpv(&self, chunk: ChunkId) -> Option<u8> {
-        self.rrpv.get(&chunk).copied()
+        self.rrpv
+            .get(chunk.0 as usize)
+            .copied()
+            .filter(|&v| v != ABSENT)
+    }
+
+    /// The RRPV a sweep reads: absent chunks count as [`MAX_RRPV`].
+    fn sweep_rrpv(&self, chunk: ChunkId) -> u8 {
+        self.rrpv(chunk).unwrap_or(MAX_RRPV)
+    }
+
+    /// `chunk`'s slot, growing the table to cover it.
+    fn slot_mut(&mut self, chunk: ChunkId) -> &mut u8 {
+        let i = chunk.0 as usize;
+        if i >= self.rrpv.len() {
+            self.rrpv.resize(i + 1, ABSENT);
+        }
+        &mut self.rrpv[i]
     }
 }
 
@@ -44,15 +68,19 @@ impl EvictPolicy for SrripPolicy {
     fn on_migrate(&mut self, _chain: &mut ChunkChain, chunk: ChunkId, _pages: u32, _interval: u64) {
         // Re-migration counts as a re-reference; fresh chunks insert at
         // the long interval.
-        let e = self.rrpv.entry(chunk).or_insert(MAX_RRPV - 1);
-        if *e != MAX_RRPV - 1 {
-            *e = 0;
+        let v = self.slot_mut(chunk);
+        if *v == ABSENT {
+            *v = MAX_RRPV - 1;
+        } else if *v != MAX_RRPV - 1 {
+            *v = 0;
         }
     }
 
     fn on_fault(&mut self, page: VirtPage) {
-        if let Some(v) = self.rrpv.get_mut(&page.chunk()) {
-            *v = 0;
+        if let Some(v) = self.rrpv.get_mut(page.chunk().0 as usize) {
+            if *v != ABSENT {
+                *v = 0;
+            }
         }
     }
 
@@ -60,23 +88,24 @@ impl EvictPolicy for SrripPolicy {
         &mut self,
         chain: &ChunkChain,
         _interval: u64,
-        exclude: &FxHashSet<ChunkId>,
+        pins: &PinSet,
     ) -> Option<ChunkId> {
-        let candidates: Vec<ChunkId> = chain.iter_lru().filter(|c| !exclude.contains(c)).collect();
+        let candidates: Vec<ChunkId> = chain.iter_lru().filter(|&c| !pins.contains(c)).collect();
         if candidates.is_empty() {
             return None;
         }
         loop {
             // Oldest (LRU-most) chunk at MAX_RRPV wins; otherwise age.
-            if let Some(&victim) = candidates
-                .iter()
-                .find(|c| self.rrpv.get(c).copied().unwrap_or(MAX_RRPV) >= MAX_RRPV)
-            {
+            if let Some(&victim) = candidates.iter().find(|&&c| self.sweep_rrpv(c) >= MAX_RRPV) {
                 return Some(victim);
             }
-            for c in &candidates {
-                let v = self.rrpv.entry(*c).or_insert(MAX_RRPV);
-                *v = v.saturating_add(1).min(MAX_RRPV);
+            for &c in &candidates {
+                let v = self.slot_mut(c);
+                *v = if *v == ABSENT {
+                    MAX_RRPV
+                } else {
+                    v.saturating_add(1).min(MAX_RRPV)
+                };
             }
         }
     }
@@ -85,29 +114,27 @@ impl EvictPolicy for SrripPolicy {
         &self,
         chain: &ChunkChain,
         _interval: u64,
-        exclude: &FxHashSet<ChunkId>,
+        pins: &PinSet,
         limit: usize,
     ) -> Vec<ChunkId> {
         // The chunks at the currently highest RRPV — the set the next
         // selection resolves to after its (state-mutating) aging rounds,
         // computed here without aging anything.
-        let candidates: Vec<ChunkId> = chain.iter_lru().filter(|c| !exclude.contains(c)).collect();
-        let Some(worst) = candidates
-            .iter()
-            .map(|c| self.rrpv.get(c).copied().unwrap_or(MAX_RRPV))
-            .max()
-        else {
+        let candidates: Vec<ChunkId> = chain.iter_lru().filter(|&c| !pins.contains(c)).collect();
+        let Some(worst) = candidates.iter().map(|&c| self.sweep_rrpv(c)).max() else {
             return Vec::new();
         };
         candidates
             .into_iter()
-            .filter(|c| self.rrpv.get(c).copied().unwrap_or(MAX_RRPV) == worst)
+            .filter(|&c| self.sweep_rrpv(c) == worst)
             .take(limit)
             .collect()
     }
 
     fn on_evict(&mut self, chunk: ChunkId, _untouch: u32) {
-        self.rrpv.remove(&chunk);
+        if let Some(v) = self.rrpv.get_mut(chunk.0 as usize) {
+            *v = ABSENT;
+        }
     }
 }
 
@@ -136,7 +163,7 @@ mod tests {
         let (mut p, ch) = setup(3);
         // Nobody at MAX yet → one aging round promotes all to MAX, the
         // LRU-most (0) wins.
-        let v = p.select_victim(&ch, 0, &FxHashSet::default());
+        let v = p.select_victim(&ch, 0, &PinSet::new());
         assert_eq!(v, Some(ChunkId(0)));
     }
 
@@ -144,7 +171,7 @@ mod tests {
     fn re_referenced_chunk_survives_longer() {
         let (mut p, ch) = setup(3);
         p.on_fault(ChunkId(0).first_page()); // RRPV 0
-        let v = p.select_victim(&ch, 0, &FxHashSet::default());
+        let v = p.select_victim(&ch, 0, &PinSet::new());
         // 1 and 2 reach MAX after one aging round; 0 is at 1.
         assert_eq!(v, Some(ChunkId(1)));
     }
@@ -152,7 +179,7 @@ mod tests {
     #[test]
     fn respects_exclusion_and_empty() {
         let (mut p, ch) = setup(2);
-        let mut ex = FxHashSet::default();
+        let mut ex = PinSet::new();
         ex.insert(ChunkId(0));
         assert_eq!(p.select_victim(&ch, 0, &ex), Some(ChunkId(1)));
         ex.insert(ChunkId(1));

@@ -7,16 +7,21 @@
 //! `max(8, 8 * (chain_len / 64))` entries, so applications with similar
 //! footprints get similar buffers, with a floor of two intervals' worth
 //! of evictions.
+//!
+//! The buffer probe runs on every demand fault, so membership is one bit
+//! per chunk id (ids are dense, below footprint ÷ 16) beside the FIFO
+//! order: a probe is one load, with no hashing.
 
 use gmmu::types::ChunkId;
-use sim_core::FxHashSet;
+use sim_core::BitVec;
 use std::collections::VecDeque;
 
 /// Bounded FIFO of recently evicted chunks with O(1) membership tests.
 #[derive(Debug)]
 pub struct EvictedBuffer {
     order: VecDeque<ChunkId>,
-    members: FxHashSet<ChunkId>,
+    /// Bit `c` is set while chunk `c` is in `order`.
+    members: BitVec,
     capacity: usize,
     /// High-water mark, reported by the overhead analysis (§VI-C).
     pub max_len: usize,
@@ -38,7 +43,7 @@ impl EvictedBuffer {
         assert!(capacity > 0, "evicted buffer needs capacity");
         EvictedBuffer {
             order: VecDeque::with_capacity(capacity),
-            members: FxHashSet::default(),
+            members: BitVec::default(),
             capacity,
             max_len: 0,
         }
@@ -46,7 +51,7 @@ impl EvictedBuffer {
 
     /// Record an eviction, dropping the oldest record when full.
     pub fn push(&mut self, chunk: ChunkId) {
-        if self.members.contains(&chunk) {
+        if self.contains(chunk) {
             // Re-evicted while still recorded: refresh its position.
             self.order.retain(|&c| c != chunk);
             self.order.push_back(chunk);
@@ -54,11 +59,11 @@ impl EvictedBuffer {
         }
         if self.order.len() == self.capacity {
             if let Some(old) = self.order.pop_front() {
-                self.members.remove(&old);
+                self.members.set(old.0 as usize, false);
             }
         }
         self.order.push_back(chunk);
-        self.members.insert(chunk);
+        self.members.set(chunk.0 as usize, true);
         self.max_len = self.max_len.max(self.order.len());
     }
 
@@ -66,7 +71,7 @@ impl EvictedBuffer {
     /// record is consumed (the chunk is about to be re-migrated, and a
     /// single wrong eviction must not be counted once per page).
     pub fn take(&mut self, chunk: ChunkId) -> bool {
-        if self.members.remove(&chunk) {
+        if self.members.take(chunk.0 as usize) {
             self.order.retain(|&c| c != chunk);
             true
         } else {
@@ -77,7 +82,7 @@ impl EvictedBuffer {
     /// Non-consuming membership test.
     #[must_use]
     pub fn contains(&self, chunk: ChunkId) -> bool {
-        self.members.contains(&chunk)
+        self.members.get(chunk.0 as usize)
     }
 
     /// Current length.

@@ -12,6 +12,8 @@
 //!   paper's **access pattern-aware prefetcher** (§IV-C) with its
 //!   pattern buffer and the Scheme-1/Scheme-2 deletion policies,
 //! * [`evicted_buffer`] — the wrong-eviction detection buffer,
+//! * [`pins`] — [`PinSet`], the fault batch's pinned chunks, which no
+//!   policy may evict,
 //! * [`engine`] — [`PolicyEngine`], the driver-side coordinator that
 //!   makes eviction prefetch-aware and prefetch eviction-aware,
 //! * [`presets`] — the named policy combinations used in every figure.
@@ -20,6 +22,7 @@
 //!
 //! ```
 //! use cppe::presets::PolicyPreset;
+//! use cppe::PinSet;
 //! use gmmu::page_table::PageTable;
 //! use gmmu::types::{ChunkId, VirtPage};
 //! use sim_core::TouchVec;
@@ -37,7 +40,7 @@
 //! // Once memory fills, MHPE picks victims and the prefetcher learns
 //! // the evicted chunk's touch pattern.
 //! engine.note_memory_full();
-//! let victim = engine.select_victim(&Default::default()).unwrap();
+//! let victim = engine.select_victim_pinned(&PinSet::new()).unwrap();
 //! assert_eq!(victim, ChunkId(0));
 //! engine.note_evicted(victim, TouchVec::full(), 16);
 //! ```
@@ -46,6 +49,7 @@ pub mod chain;
 pub mod engine;
 pub mod evict;
 pub mod evicted_buffer;
+pub mod pins;
 pub mod prefetch;
 pub mod presets;
 
@@ -53,5 +57,6 @@ pub use chain::{ChainEntry, ChunkChain, Partition};
 pub use engine::{EngineStats, OverheadSnapshot, PolicyEngine, INTERVAL_PAGES};
 pub use evict::{EvictPolicy, InsertAt};
 pub use evicted_buffer::EvictedBuffer;
+pub use pins::{PinCounts, PinSet};
 pub use prefetch::{PrefetchCtx, Prefetcher};
 pub use presets::PolicyPreset;

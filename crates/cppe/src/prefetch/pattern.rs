@@ -17,7 +17,7 @@
 use super::{non_resident_pages_into, PrefetchCtx, Prefetcher};
 use gmmu::page_table::PageTable;
 use gmmu::types::{ChunkId, VirtPage};
-use sim_core::{FxHashMap, TouchVec};
+use sim_core::TouchVec;
 
 /// Pattern deletion schemes (§IV-C).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,6 +36,10 @@ struct PatternEntry {
 }
 
 /// The pattern buffer: chunk-id tagged touch patterns.
+///
+/// Every demand fault probes it, so entries sit in a table indexed by
+/// chunk id (ids are dense, below footprint ÷ 16), grown on demand, and
+/// a counter of live entries stands in for a map's length.
 ///
 /// ```
 /// use cppe::prefetch::pattern::{DeletionScheme, PatternBuffer, ProbeResult};
@@ -57,7 +61,10 @@ struct PatternEntry {
 /// ```
 #[derive(Debug, Default)]
 pub struct PatternBuffer {
-    map: FxHashMap<ChunkId, PatternEntry>,
+    /// Entry per chunk id; `None` where no pattern is recorded.
+    entries: Vec<Option<PatternEntry>>,
+    /// `Some` entries in `entries`.
+    live: usize,
     /// High-water mark (overhead analysis, §VI-C).
     pub max_len: usize,
     /// Patterns recorded.
@@ -102,24 +109,40 @@ impl PatternBuffer {
     /// the prefetcher under-fetch dense phases forever.
     pub fn record(&mut self, chunk: ChunkId, touch: TouchVec) {
         if touch.untouch_level() < RECORD_THRESHOLD {
-            self.map.remove(&chunk);
+            self.remove(chunk);
             return;
         }
-        self.map.insert(
-            chunk,
-            PatternEntry {
-                pattern: touch,
-                probed: false,
-            },
-        );
+        let i = chunk.0 as usize;
+        if i >= self.entries.len() {
+            self.entries.resize(i + 1, None);
+        }
+        let entry = PatternEntry {
+            pattern: touch,
+            probed: false,
+        };
+        if self.entries[i].replace(entry).is_none() {
+            self.live += 1;
+        }
         self.recorded += 1;
-        self.max_len = self.max_len.max(self.map.len());
+        self.max_len = self.max_len.max(self.live);
+    }
+
+    fn remove(&mut self, chunk: ChunkId) {
+        if let Some(slot) = self.entries.get_mut(chunk.0 as usize) {
+            if slot.take().is_some() {
+                self.live -= 1;
+            }
+        }
     }
 
     /// Fault-time probe for `fault`'s chunk under `scheme`.
     pub fn probe(&mut self, fault: VirtPage, scheme: DeletionScheme) -> ProbeResult {
         let chunk = fault.chunk();
-        let Some(entry) = self.map.get_mut(&chunk) else {
+        let Some(entry) = self
+            .entries
+            .get_mut(chunk.0 as usize)
+            .and_then(Option::as_mut)
+        else {
             return ProbeResult::Miss;
         };
         let first = !entry.probed;
@@ -132,7 +155,7 @@ impl PatternBuffer {
                 DeletionScheme::Scheme2 => first,
             };
             if delete {
-                self.map.remove(&chunk);
+                self.remove(chunk);
                 self.deleted += 1;
             }
             ProbeResult::Mismatch { deleted: delete }
@@ -142,19 +165,21 @@ impl PatternBuffer {
     /// Current number of recorded patterns.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.live
     }
 
     /// True when no patterns are recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.live == 0
     }
 
     /// Does the buffer hold a pattern for `chunk`?
     #[must_use]
     pub fn contains(&self, chunk: ChunkId) -> bool {
-        self.map.contains_key(&chunk)
+        self.entries
+            .get(chunk.0 as usize)
+            .is_some_and(Option::is_some)
     }
 }
 
@@ -393,6 +418,26 @@ mod tests {
         assert_eq!(p.pattern_buffer_max_len(), 2);
         assert_eq!(p.buffer().deleted, 1);
         assert_eq!(p.buffer().recorded, 2);
+    }
+
+    #[test]
+    fn re_recording_and_removal_keep_the_count_exact() {
+        // Only new entries count, so `len` and the high-water mark (the
+        // §VI-C overhead) match a map's.
+        let mut b = PatternBuffer::new();
+        b.record(ChunkId(3), stride2_pattern());
+        b.record(ChunkId(3), stride2_pattern());
+        assert_eq!((b.len(), b.max_len, b.recorded), (1, 1, 2));
+        b.record(ChunkId(900), stride2_pattern()); // far past the table
+        assert_eq!((b.len(), b.max_len), (2, 2));
+        b.record(ChunkId(3), TouchVec::full()); // dense: removes
+        b.record(ChunkId(4), TouchVec::full()); // dense, absent: no-op
+        assert_eq!((b.len(), b.max_len), (1, 2));
+        assert!(!b.contains(ChunkId(3)) && b.contains(ChunkId(900)));
+        assert_eq!(
+            b.probe(ChunkId(5000).page(0), DeletionScheme::Scheme1),
+            ProbeResult::Miss
+        );
     }
 
     #[test]

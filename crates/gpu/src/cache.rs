@@ -35,15 +35,18 @@
 //!   latencies are constants too.
 //!
 //! The driver evicts whole chunks, so a fault batch's evicted pages are
-//! invalidated together ([`DataHierarchy::invalidate_evicted`]): one
+//! invalidated together ([`DataHierarchy::invalidate_evicted`]): the
+//! batch's chunks are marked in a bitmap indexed by chunk id, and one
 //! pass over each L1-bank set span that holds an evicted page — at most
-//! two — drops every page of an evicted chunk from every SM's row,
-//! keeping the survivors' order. That is exact because the caches only
-//! hold resident pages and an eviction unmaps every resident page of its
-//! chunk, so a cached page of an evicted chunk is always one of the
-//! batch's evicted pages (`gpu::Invariants` checks the first half at
-//! every batch). The L2 stays per page: each page of a chunk sits in its
-//! own 16-way row.
+//! two — drops every page of a marked chunk from every SM's row,
+//! keeping the survivors' order, at one bit test per way. That is exact
+//! because the caches only hold resident pages and an eviction unmaps
+//! every resident page of its chunk, so a cached page of an evicted
+//! chunk is always one of the batch's evicted pages (`gpu::Invariants`
+//! checks the first half at every batch). The L2 stays per page, since
+//! each page of a chunk sits in its own 16-way row, but it counts its
+//! cached pages per chunk and skips the row probe for a chunk with none
+//! cached.
 //!
 //! The seed's scan implementation is preserved as the test-only
 //! `legacy::ScanPageCache`, and model-based tests drive both layouts
@@ -56,13 +59,21 @@ use gmmu::assoc::LruRows;
 use gmmu::types::{VirtPage, PAGES_PER_CHUNK};
 use sim_core::stats::Counter;
 use sim_core::time::Cycle;
+use sim_core::BitVec;
 
 /// Set-associative presence cache over pages with LRU replacement:
 /// `SETS` rows of `WAYS` ways. The geometry is a type parameter, so the
 /// set index of Table I's 48-set L2 is a remainder by a constant.
+///
+/// Beside the rows it counts the cached pages of each chunk, so an
+/// invalidation of a page whose chunk has none cached skips the row
+/// probe: most evicted chunks have not been touched for longer than
+/// the cache holds a page.
 #[derive(Debug)]
 pub struct PageCache<const SETS: usize, const WAYS: usize> {
     sets: LruRows,
+    /// Cached pages per chunk id; ids past the end have none.
+    chunk_pages: Vec<u8>,
     /// Hits.
     pub hits: Counter,
     /// Misses (which allocate).
@@ -84,6 +95,7 @@ impl<const SETS: usize, const WAYS: usize> PageCache<SETS, WAYS> {
     pub fn new() -> Self {
         PageCache {
             sets: LruRows::new(SETS, WAYS),
+            chunk_pages: Vec::new(),
             hits: Counter::default(),
             misses: Counter::default(),
         }
@@ -103,13 +115,32 @@ impl<const SETS: usize, const WAYS: usize> PageCache<SETS, WAYS> {
             return true;
         }
         self.misses.inc();
-        self.sets.fill(set, page.0);
+        if let Some(victim) = self.sets.fill(set, page.0) {
+            self.chunk_pages[(victim / PAGES_PER_CHUNK) as usize] -= 1;
+        }
+        let chunk = page.chunk().0 as usize;
+        if chunk >= self.chunk_pages.len() {
+            self.grow(chunk);
+        }
+        self.chunk_pages[chunk] += 1;
         false
     }
 
+    #[cold]
+    fn grow(&mut self, chunk: usize) {
+        self.chunk_pages.resize(chunk + 1, 0);
+    }
+
     /// Drop `page` (device-memory eviction invalidates cached data).
+    /// Probes the row only when `page`'s chunk has a page cached.
+    #[inline]
     pub fn invalidate(&mut self, page: VirtPage) {
-        self.sets.remove(Self::set_index(page), page.0);
+        let chunk = page.chunk().0 as usize;
+        if self.chunk_pages.get(chunk).is_some_and(|&n| n > 0)
+            && self.sets.remove(Self::set_index(page), page.0)
+        {
+            self.chunk_pages[chunk] -= 1;
+        }
     }
 
     /// Whether `page` is cached (no LRU update).
@@ -182,14 +213,13 @@ impl L1Bank {
         hit.is_some()
     }
 
-    /// Drop every page of the sorted `chunks` from each SM's row of set
-    /// `set` in one pass over its span, keeping the survivors' order.
-    fn invalidate_chunks(&mut self, set: usize, chunks: &[u64]) {
-        let (lo, hi) = (chunks[0], chunks[chunks.len() - 1]);
-        let gone = |p: u64| {
-            let c = p / PAGES_PER_CHUNK;
-            (lo..=hi).contains(&c) && chunks.binary_search(&c).is_ok()
-        };
+    /// Drop every page of the chunks marked in `gone` from each SM's
+    /// row of set `set` in one pass over its span, keeping the
+    /// survivors' order.
+    fn invalidate_chunks(&mut self, set: usize, gone: &BitVec) {
+        // An empty way's chunk lies past any marked one, so it reads as
+        // kept.
+        let gone = |p: u64| gone.get((p / PAGES_PER_CHUNK) as usize);
         let span = self.sms * L1_WAYS;
         for row in self.ways[set * span..][..span].chunks_exact_mut(L1_WAYS) {
             // Empty ways sit at the tail, so whether one is kept or
@@ -250,9 +280,9 @@ pub struct DataHierarchy {
     l1: L1Bank,
     l2: PageCache<L2_SETS, L2_WAYS>,
     dram: Dram,
-    /// Scratch: the sorted, deduplicated chunks of the batch being
-    /// invalidated.
-    chunks: Vec<u64>,
+    /// Scratch: one bit per chunk id, set for the chunks of the batch
+    /// being invalidated and cleared again after it.
+    gone: BitVec,
     invalidations: InvalidationCounts,
 }
 
@@ -264,7 +294,7 @@ impl DataHierarchy {
             l1: L1Bank::new(sms),
             l2: PageCache::new(),
             dram: Dram::new(),
-            chunks: Vec::new(),
+            gone: BitVec::default(),
             invalidations: InvalidationCounts::default(),
         }
     }
@@ -309,26 +339,19 @@ impl DataHierarchy {
             self.invalidate(*first);
             return;
         }
-        // A victim's pages are consecutive: push each run's chunk once.
-        self.chunks.clear();
+        let mut sets = 0u32;
         for p in pages {
-            let chunk = p.0 / PAGES_PER_CHUNK;
-            if self.chunks.last() != Some(&chunk) {
-                self.chunks.push(chunk);
-            }
+            self.gone.set(p.chunk().0 as usize, true);
+            sets |= 1 << (p.0 % L1_SETS as u64);
         }
-        self.chunks.sort_unstable();
-        self.chunks.dedup();
-        let sets = pages
-            .iter()
-            .fold(0u32, |m, p| m | 1 << (p.0 % L1_SETS as u64));
         for set in 0..L1_SETS {
             if sets & 1 << set != 0 {
-                self.l1.invalidate_chunks(set, &self.chunks);
+                self.l1.invalidate_chunks(set, &self.gone);
                 self.invalidations.span_passes += 1;
             }
         }
         for &page in pages {
+            self.gone.set(page.chunk().0 as usize, false);
             self.l2.invalidate(page);
         }
         self.invalidations.pages += pages.len() as u64;
@@ -498,9 +521,22 @@ mod tests {
                 let (f, s) = (fast.access(page), slow.access(page));
                 assert_eq!(f, s, "op {op}: {SETS}x{WAYS} diverged on {page:?}");
             }
+            if op % 1000 == 0 {
+                assert_chunk_counts(&fast);
+            }
         }
         assert_eq!(fast.hits.get(), slow.hits.get());
         assert_eq!(fast.misses.get(), slow.misses.get());
+        assert_chunk_counts(&fast);
+    }
+
+    /// The per-chunk counts equal a recount of the cached pages.
+    fn assert_chunk_counts<const SETS: usize, const WAYS: usize>(c: &PageCache<SETS, WAYS>) {
+        let mut want = vec![0u8; c.chunk_pages.len()];
+        for p in c.pages() {
+            want[p.chunk().0 as usize] += 1;
+        }
+        assert_eq!(c.chunk_pages, want, "{SETS}x{WAYS}: chunk counts");
     }
 
     #[test]

@@ -17,8 +17,10 @@
 //!   boundary;
 //! * [`FireCounts`] — how often the fast lane's run-ahead fires;
 //! * [`EvictionPasses`] — how often chunk-granular eviction replaced
-//!   per-page TLB removes and data-cache scans, and how the chunk
-//!   chain's order index answered positional victim selections.
+//!   per-page TLB removes and data-cache scans, how the chunk chain's
+//!   order index answered positional victim selections, and how the
+//!   driver's dense pin set and the chain's dense chunk-id index did
+//!   their work.
 //!
 //! The fault-lifecycle span builder is one more observer, switched on by
 //! `GpuConfig::trace` (see `crate::spans`). A pair `(A, B)` of observers
@@ -27,6 +29,7 @@
 use crate::cache::{DataHierarchy, InvalidationCounts};
 use crate::waiters::WaiterTable;
 use cppe::chain::IndexCounts;
+use cppe::pins::PinCounts;
 use gmmu::translation::{ShootdownCounts, TranslationPath, TranslationTiming};
 use gmmu::types::VirtPage;
 use sim_core::time::Cycle;
@@ -284,18 +287,22 @@ impl Observer for FireCounts {
 }
 
 /// How eviction did its work: the translation path's shootdown counts,
-/// the data caches' invalidation counts and the chunk chain's order
-/// index counts, as of the last dispatched batch (the only place any of
-/// them changes). Like [`FireCounts`], no result or fingerprint sees
-/// them.
+/// the data caches' invalidation counts, the chunk chain's index counts
+/// and the driver's pin-set counts, as of the last dispatched batch
+/// (the only place any of them changes). Like [`FireCounts`], no result
+/// or fingerprint sees them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvictionPasses {
     /// TLB chunk row passes against single-page removes.
     pub shootdown: ShootdownCounts,
     /// L1-bank span passes against evicted pages.
     pub invalidation: InvalidationCounts,
-    /// Positional victim selections and re-slots of the chain's index.
+    /// Positional victim selections, re-slots of the chain's order
+    /// index and the length its dense chunk-id index grew to.
     pub victim_index: IndexCounts,
+    /// Pins, pin-set clears and epoch wraps, and the length the pin
+    /// stamps grew to.
+    pub pins: PinCounts,
 }
 
 impl Observer for EvictionPasses {
@@ -303,6 +310,7 @@ impl Observer for EvictionPasses {
         self.shootdown = ctx.xlat().shootdown_counts();
         self.invalidation = ctx.caches().invalidation_counts();
         self.victim_index = ctx.driver().engine().chain().index_counts();
+        self.pins = ctx.driver().pin_counts();
     }
 }
 
@@ -318,8 +326,10 @@ impl Observer for EvictionPasses {
 /// * the eviction policy's chunk chain is exactly the set of chunks
 ///   holding a resident page: each chain chunk holds one, and their
 ///   resident pages add up to the page table's resident count; and its
-///   order index agrees with its list
-///   ([`ChunkChain::order_consistent`](cppe::ChunkChain::order_consistent));
+///   order index and dense chunk-id index agree with its list — every
+///   non-`NIL` index entry names the linked node of that chunk, and
+///   there are exactly as many entries as chain chunks
+///   ([`ChunkChain::indexes_consistent`](cppe::ChunkChain::indexes_consistent));
 /// * no page this batch evicted is still held by a data cache, and
 ///   every page an L1 or the L2 holds is resident — the fact that makes
 ///   the data caches' chunk-granular invalidation exact;
@@ -378,8 +388,8 @@ impl Invariants {
                 pt.resident_count()
             ));
         }
-        if !chain.order_consistent() {
-            return Err("the chunk chain's order index disagrees with its list".into());
+        if !chain.indexes_consistent() {
+            return Err("the chunk chain's order or chunk-id index disagrees with its list".into());
         }
         if !ctx.xlat().masks_consistent() {
             return Err("TLB presence masks disagree with the TLBs".into());

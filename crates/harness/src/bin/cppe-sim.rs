@@ -184,6 +184,12 @@ fn main() {
         "victim index      {} positional selections ({} extra rounds); re-slots {} tail, {} head",
         vi.selections, vi.extra_rounds, vi.tail_reslots, vi.head_reslots
     );
+    let pins = passes.pins;
+    println!(
+        "dense chunk state {} pins in {} pin-set clears ({} epoch wraps); \
+         pin stamps grown to {} chunks, chain index to {}",
+        pins.inserted, pins.clears, pins.epoch_wraps, pins.stamped_chunks, vi.indexed_chunks
+    );
     println!(
         "pcie              {} B in, {} B out",
         r.bytes_h2d, r.bytes_d2h

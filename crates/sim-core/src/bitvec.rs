@@ -3,8 +3,9 @@
 //! [`TouchVec`] is the 16-bit per-chunk touch vector from the paper
 //! (§IV-B: "a bit vector is initialized for the chunk ... records touches
 //! to individual pages in a chunk"; §VI-C sizes it at 16 bits for the
-//! 16-page chunk). [`BitVec`] is a growable variant used by residency
-//! tracking and the page table.
+//! 16-page chunk). [`BitVec`] is a growable bit set over dense indices:
+//! the policies' per-chunk marks and the data caches' evicted-chunk
+//! batch.
 
 /// Fixed 16-bit touch vector for one chunk (bit *i* ⇔ page *i* touched).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -81,7 +82,10 @@ impl TouchVec {
     }
 }
 
-/// Growable bit vector (u64-word backed).
+/// Growable bit vector (u64-word backed): a dense set over small
+/// indices such as chunk ids. Bits past [`BitVec::len`] read as clear,
+/// and setting one grows the vector, so a caller never sizes it up
+/// front.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BitVec {
     words: Vec<u64>,
@@ -98,7 +102,8 @@ impl BitVec {
         }
     }
 
-    /// Number of bits.
+    /// Number of bits: one past the highest bit ever set, or the
+    /// [`BitVec::zeros`] length if that is larger.
     #[must_use]
     pub fn len(&self) -> usize {
         self.len
@@ -110,30 +115,44 @@ impl BitVec {
         self.len == 0
     }
 
-    /// Set bit `i` to `v`.
-    ///
-    /// # Panics
-    /// Panics if `i >= len`.
+    /// Set bit `i` to `v`, growing the vector when a bit past the end
+    /// is set.
     #[inline]
     pub fn set(&mut self, i: usize, v: bool) {
-        assert!(i < self.len, "bit index {i} out of range {}", self.len);
         let (w, b) = (i / 64, i % 64);
         if v {
+            if i >= self.len {
+                self.grow(i);
+            }
             self.words[w] |= 1 << b;
-        } else {
-            self.words[w] &= !(1 << b);
+        } else if let Some(word) = self.words.get_mut(w) {
+            *word &= !(1 << b);
         }
     }
 
-    /// Read bit `i`.
-    ///
-    /// # Panics
-    /// Panics if `i >= len`.
+    #[cold]
+    fn grow(&mut self, i: usize) {
+        self.len = i + 1;
+        if self.words.len() < self.len.div_ceil(64) {
+            self.words.resize(self.len.div_ceil(64), 0);
+        }
+    }
+
+    /// Read bit `i` (clear past the end).
     #[inline]
     #[must_use]
     pub fn get(&self, i: usize) -> bool {
-        assert!(i < self.len, "bit index {i} out of range {}", self.len);
-        self.words[i / 64] & (1 << (i % 64)) != 0
+        self.words
+            .get(i / 64)
+            .is_some_and(|w| w & (1 << (i % 64)) != 0)
+    }
+
+    /// Clear bit `i`; returns whether it was set.
+    #[inline]
+    pub fn take(&mut self, i: usize) -> bool {
+        let was = self.get(i);
+        self.set(i, false);
+        was
     }
 
     /// Number of set bits.
@@ -142,7 +161,7 @@ impl BitVec {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Clear all bits.
+    /// Clear all bits (the length stays).
     pub fn clear(&mut self) {
         self.words.fill(0);
     }
@@ -213,15 +232,23 @@ mod tests {
     }
 
     #[test]
+    fn bitvec_grows_on_set_and_reads_clear_past_the_end() {
+        let mut b = BitVec::default();
+        assert!(!b.get(1000) && !b.take(1000));
+        b.set(1000, false);
+        assert_eq!(b.len(), 0, "clearing never grows");
+        b.set(1000, true);
+        assert_eq!(b.len(), 1001);
+        assert!(b.get(1000) && !b.get(999));
+        assert!(b.take(1000) && !b.take(1000));
+        assert_eq!(b.count_ones(), 0);
+        assert_eq!(b.len(), 1001, "the length is a high-water mark");
+    }
+
+    #[test]
     fn bitvec_empty() {
         let b = BitVec::zeros(0);
         assert!(b.is_empty());
         assert_eq!(b.count_ones(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn bitvec_oob_panics() {
-        let _ = BitVec::zeros(10).get(10);
     }
 }

@@ -41,12 +41,14 @@ use crate::error::UvmError;
 use crate::frames::FrameAllocator;
 use crate::pcie::PcieLink;
 use cppe::engine::PolicyEngine;
+use cppe::pins::{PinCounts, PinSet};
+use gmmu::page_table::FLAT_LIMIT;
 use gmmu::translation::TranslationPath;
 use gmmu::types::{VirtPage, PAGES_PER_CHUNK};
 use sim_core::error::{require_positive, ConfigError};
 use sim_core::fault::{FaultInjector, InjectionStats};
 use sim_core::time::Cycle;
-use sim_core::{FxHashSet, TouchVec};
+use sim_core::TouchVec;
 use telemetry::{
     DecisionEvent, DecisionKind, InjectedFaultKind, MetricKind, RunTelemetry, SpanId, SpanStage,
     TraceEvent, Tracer,
@@ -322,7 +324,7 @@ pub struct UvmDriver {
     scratch_completions: Vec<(VirtPage, Cycle)>,
     scratch_deferred: Vec<VirtPage>,
     /// Reusable per-batch pinned-chunk set.
-    pinned_buf: FxHashSet<gmmu::types::ChunkId>,
+    pinned_buf: PinSet,
     /// Reusable per-fault prefetch-plan buffer.
     plan_buf: Vec<VirtPage>,
     /// Driver-level counters.
@@ -387,7 +389,7 @@ impl UvmDriver {
             scratch_evicted: Vec::new(),
             scratch_completions: Vec::new(),
             scratch_deferred: Vec::new(),
-            pinned_buf: FxHashSet::default(),
+            pinned_buf: PinSet::new(),
             plan_buf: Vec::new(),
             stats: DriverStats::default(),
         })
@@ -397,6 +399,12 @@ impl UvmDriver {
     #[must_use]
     pub fn engine(&self) -> &PolicyEngine {
         &self.engine
+    }
+
+    /// How the per-batch pin set did its work so far.
+    #[must_use]
+    pub fn pin_counts(&self) -> PinCounts {
+        self.pinned_buf.counts()
     }
 
     /// Mutable engine access (harness-side policy introspection).
@@ -478,7 +486,7 @@ impl UvmDriver {
         &mut self,
         xlat: &mut TranslationPath,
         evicted: &mut Vec<VirtPage>,
-        pinned: &FxHashSet<gmmu::types::ChunkId>,
+        pinned: &PinSet,
     ) -> bool {
         self.engine.note_memory_full();
         // Audit provenance: preview the candidate window *before*
@@ -489,7 +497,7 @@ impl UvmDriver {
             .tracer
             .audit_enabled()
             .then(|| self.engine.victim_candidates(pinned, AUDIT_CANDIDATES));
-        let Some(victim) = self.engine.select_victim(pinned) else {
+        let Some(victim) = self.engine.select_victim_pinned(pinned) else {
             return false;
         };
         if let Some(cands) = candidates {
@@ -556,12 +564,19 @@ impl UvmDriver {
     /// Returns [`UvmError::FramesExhausted`] if the frame pool runs dry
     /// mid-plan — an internal accounting breach the eviction loop is
     /// supposed to make impossible, reported instead of panicking.
+    /// Returns [`UvmError::PageOutOfRange`], before changing any state,
+    /// if a fault lies at or past [`FLAT_LIMIT`]: the policy state is
+    /// indexed by chunk id, so such a page would size every table to
+    /// its chunk.
     pub fn service_batch(
         &mut self,
         faults: &[VirtPage],
         now: Cycle,
         xlat: &mut TranslationPath,
     ) -> Result<BatchResult, UvmError> {
+        if let Some(&page) = faults.iter().find(|p| p.0 >= FLAT_LIMIT) {
+            return Err(UvmError::PageOutOfRange { page });
+        }
         let batch_seq = self.stats.batches;
         self.stats.batches += 1;
         self.service_start = now;
@@ -1034,6 +1049,23 @@ mod tests {
         assert!(xlat.page_table().is_touched(VirtPage(5)));
         assert!(!xlat.page_table().is_touched(VirtPage(0)));
         assert!(!r.crashed);
+    }
+
+    #[test]
+    fn fault_past_the_flat_page_range_is_an_error() {
+        let (mut d, mut xlat) = setup(256, PolicyPreset::Baseline);
+        let far = VirtPage(FLAT_LIMIT);
+        let e = d
+            .service_batch(&[VirtPage(5), far], Cycle::ZERO, &mut xlat)
+            .unwrap_err();
+        assert_eq!(e, UvmError::PageOutOfRange { page: far });
+        // Nothing was serviced: the whole batch can be retried without
+        // the far page.
+        assert_eq!(d.stats.batches, 0);
+        assert!(!xlat.page_table().is_resident(VirtPage(5)));
+        let last = VirtPage(FLAT_LIMIT - 1);
+        assert!(d.service_batch(&[last], Cycle::ZERO, &mut xlat).is_ok());
+        assert!(xlat.page_table().is_resident(last));
     }
 
     #[test]

@@ -23,6 +23,13 @@ pub enum UvmError {
         /// Frames actually free.
         free: u32,
     },
+    /// A fault on a page at or past `gmmu::page_table::FLAT_LIMIT`
+    /// (16 GiB of 4 KB pages). The policy state is indexed by chunk id,
+    /// so the driver serves only the flat page range.
+    PageOutOfRange {
+        /// The first such page of the batch.
+        page: VirtPage,
+    },
     /// A page migration could not be completed (bounded retries spent);
     /// carried in diagnostics, the fault itself is replayed later.
     MigrationAborted {
@@ -40,6 +47,12 @@ impl fmt::Display for UvmError {
             UvmError::FramesExhausted { requested, free } => write!(
                 f,
                 "frame pool exhausted mid-plan: {requested} pages requested, {free} free"
+            ),
+            UvmError::PageOutOfRange { page } => write!(
+                f,
+                "fault on page {} past the {}-page range the driver serves",
+                page.0,
+                gmmu::page_table::FLAT_LIMIT
             ),
             UvmError::MigrationAborted { page, attempts } => write!(
                 f,

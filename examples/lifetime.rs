@@ -12,8 +12,8 @@
 //! ```
 
 use cppe::chain::ChunkChain;
+use cppe::pins::PinSet;
 use gmmu::types::ChunkId;
-use sim_core::FxHashSet;
 
 fn main() {
     // Eight chunks C1..C8 prefetched in order; interval length is 64
@@ -25,7 +25,7 @@ fn main() {
         chain.insert_tail(ChunkId(i), (i - 1) / 4);
     }
     let now = 2; // current interval
-    let none = FxHashSet::default();
+    let none = PinSet::new();
 
     let lru = chain.select_lru_old(now, &none).unwrap();
     println!(
