@@ -242,7 +242,9 @@ impl ChunkChain {
         self.lo = (size / 4) as u32;
         self.hi = self.lo;
         let mut cur = self.head;
+        let mut steps = Steps::default();
         while cur != NIL {
+            steps.step(self.len);
             self.occupy(cur, self.hi);
             self.hi += 1;
             cur = self.nodes[cur as usize].next;
@@ -371,22 +373,24 @@ impl ChunkChain {
             .map(|i| self.nodes[i as usize].last_ref_interval)
     }
 
-    /// Iterate chunks from the head (LRU end) towards the tail.
-    pub fn iter_lru(&self) -> ChainIter<'_> {
-        ChainIter {
+    /// Walk the linked nodes from the head (`forward`) or the tail.
+    fn walk(&self, forward: bool) -> Walk<'_> {
+        Walk {
             chain: self,
-            cur: self.head,
-            forward: true,
+            cur: if forward { self.head } else { self.tail },
+            forward,
+            steps: Steps::default(),
         }
     }
 
+    /// Iterate chunks from the head (LRU end) towards the tail.
+    pub fn iter_lru(&self) -> impl Iterator<Item = ChunkId> + '_ {
+        self.walk(true).map(|n| n.chunk)
+    }
+
     /// Iterate chunks from the tail (MRU end) towards the head.
-    pub fn iter_mru(&self) -> ChainIter<'_> {
-        ChainIter {
-            chain: self,
-            cur: self.tail,
-            forward: false,
-        }
+    pub fn iter_mru(&self) -> impl Iterator<Item = ChunkId> + '_ {
+        self.walk(false).map(|n| n.chunk)
     }
 
     /// Victim search used by MRU-family strategies: walk from the MRU end
@@ -528,6 +532,9 @@ impl ChunkChain {
             }
             prev_seq = Some(seq);
             linked += 1;
+            if linked > self.len {
+                return false;
+            }
             cur = n.next;
         }
         let bits: u32 = self.live.iter().map(|w| w.count_ones()).sum();
@@ -560,39 +567,23 @@ impl ChunkChain {
 
     /// Iterate `(chunk, last_ref_interval)` LRU→MRU.
     pub fn iter_lru_with_interval(&self) -> impl Iterator<Item = (ChunkId, u64)> + '_ {
-        IntervalIter {
-            chain: self,
-            cur: self.head,
-            forward: true,
-        }
+        self.walk(true).map(|n| (n.chunk, n.last_ref_interval))
     }
 
     /// Iterate `(chunk, last_ref_interval)` MRU→LRU.
     pub fn iter_mru_with_interval(&self) -> impl Iterator<Item = (ChunkId, u64)> + '_ {
-        IntervalIter {
-            chain: self,
-            cur: self.tail,
-            forward: false,
-        }
+        self.walk(false).map(|n| (n.chunk, n.last_ref_interval))
     }
 
     /// Iterate full [`ChainEntry`] records MRU→LRU (HPE's MRU-C search
     /// needs the counters).
     pub fn iter_mru_entries(&self) -> impl Iterator<Item = ChainEntry> + '_ {
-        EntryIter {
-            chain: self,
-            cur: self.tail,
-            forward: false,
-        }
+        self.walk(false).map(Node::entry)
     }
 
     /// Iterate full [`ChainEntry`] records LRU→MRU.
     pub fn iter_lru_entries(&self) -> impl Iterator<Item = ChainEntry> + '_ {
-        EntryIter {
-            chain: self,
-            cur: self.head,
-            forward: true,
-        }
+        self.walk(true).map(Node::entry)
     }
 
     /// Count of old-partition chunks (diagnostics / tests).
@@ -604,23 +595,46 @@ impl ChunkChain {
     }
 }
 
-/// Iterator over chunk ids in chain order.
-pub struct ChainIter<'a> {
+/// Step counter for list walks: in debug builds a walk longer than
+/// `len()` panics, so a corrupted (cyclic) chain fails at once instead
+/// of spinning. Zero-sized and inert in release builds.
+#[derive(Default)]
+struct Steps(#[cfg(debug_assertions)] usize);
+
+impl Steps {
+    #[inline(always)]
+    fn step(&mut self, len: usize) {
+        #[cfg(debug_assertions)]
+        {
+            self.0 += 1;
+            debug_assert!(
+                self.0 <= len,
+                "chunk chain walk passed len() = {len}: corrupted list"
+            );
+        }
+        let _ = len; // read only by the debug-build check
+    }
+}
+
+/// Walk over the linked nodes in chain order.
+struct Walk<'a> {
     chain: &'a ChunkChain,
     cur: u32,
     forward: bool,
+    steps: Steps,
 }
 
-impl Iterator for ChainIter<'_> {
-    type Item = ChunkId;
+impl<'a> Iterator for Walk<'a> {
+    type Item = &'a Node;
 
-    fn next(&mut self) -> Option<ChunkId> {
+    fn next(&mut self) -> Option<&'a Node> {
         if self.cur == NIL {
             return None;
         }
+        self.steps.step(self.chain.len);
         let n = &self.chain.nodes[self.cur as usize];
         self.cur = if self.forward { n.next } else { n.prev };
-        Some(n.chunk)
+        Some(n)
     }
 }
 
@@ -635,45 +649,13 @@ pub struct ChainEntry {
     pub counter: u32,
 }
 
-struct EntryIter<'a> {
-    chain: &'a ChunkChain,
-    cur: u32,
-    forward: bool,
-}
-
-impl Iterator for EntryIter<'_> {
-    type Item = ChainEntry;
-
-    fn next(&mut self) -> Option<ChainEntry> {
-        if self.cur == NIL {
-            return None;
+impl Node {
+    fn entry(&self) -> ChainEntry {
+        ChainEntry {
+            chunk: self.chunk,
+            last_ref_interval: self.last_ref_interval,
+            counter: self.counter,
         }
-        let n = &self.chain.nodes[self.cur as usize];
-        self.cur = if self.forward { n.next } else { n.prev };
-        Some(ChainEntry {
-            chunk: n.chunk,
-            last_ref_interval: n.last_ref_interval,
-            counter: n.counter,
-        })
-    }
-}
-
-struct IntervalIter<'a> {
-    chain: &'a ChunkChain,
-    cur: u32,
-    forward: bool,
-}
-
-impl Iterator for IntervalIter<'_> {
-    type Item = (ChunkId, u64);
-
-    fn next(&mut self) -> Option<(ChunkId, u64)> {
-        if self.cur == NIL {
-            return None;
-        }
-        let n = &self.chain.nodes[self.cur as usize];
-        self.cur = if self.forward { n.next } else { n.prev };
-        Some((n.chunk, n.last_ref_interval))
     }
 }
 
@@ -700,6 +682,19 @@ mod tests {
 
     fn ids(it: impl Iterator<Item = ChunkId>) -> Vec<u64> {
         it.map(|c| c.0).collect()
+    }
+
+    #[test]
+    #[should_panic(expected = "corrupted list")]
+    #[cfg(debug_assertions)] // the step count compiles out in release
+    fn cyclic_chain_panics_in_debug() {
+        let mut c = ChunkChain::new();
+        for i in 0..3 {
+            c.insert_tail(ChunkId(i), 0);
+        }
+        let (head, tail) = (c.head, c.tail);
+        c.nodes[tail as usize].next = head;
+        let _ = c.iter_lru().count();
     }
 
     #[test]

@@ -45,8 +45,13 @@ pub enum PolicyPreset {
     LruNoPf,
     /// LRU + tree-neighbourhood prefetcher (extension/ablation).
     LruTree,
-    /// MHPE with a pinned forward distance (sensitivity, §IV-B).
+    /// LRU + pattern-aware prefetcher (ablation: prefetcher alone).
+    LruPattern,
+    /// MHPE with a pinned forward distance and switching disabled, so
+    /// it stays on MRU (forward-distance sensitivity, §IV-B).
     MhpeFixedFd(usize),
+    /// MHPE with a custom T1 and T2 disabled (threshold sensitivity).
+    MhpeT1(u32),
     /// MHPE with a custom T3 limit (sensitivity, §VI-A).
     MhpeT3(usize),
     /// MHPE pinned to MRU with switching disabled (Tables III/IV data
@@ -76,7 +81,9 @@ impl PolicyPreset {
             PolicyPreset::HpeNoPf => "hpe-nopf".into(),
             PolicyPreset::LruNoPf => "lru-nopf".into(),
             PolicyPreset::LruTree => "lru-tree".into(),
+            PolicyPreset::LruPattern => "lru-pattern".into(),
             PolicyPreset::MhpeFixedFd(fd) => format!("mhpe-fd{fd}"),
+            PolicyPreset::MhpeT1(t1) => format!("mhpe-t1-{t1}"),
             PolicyPreset::MhpeT3(t3) => format!("mhpe-t3-{t3}"),
             PolicyPreset::MhpeNoSwitch => "mhpe-noswitch".into(),
             PolicyPreset::Clock => "clock".into(),
@@ -135,9 +142,24 @@ impl PolicyPreset {
                 Box::new(LruPolicy::new()),
                 Box::new(TreeNeighborhoodPrefetcher::new()),
             ),
+            PolicyPreset::LruPattern => PolicyEngine::new(
+                Box::new(LruPolicy::new()),
+                Box::new(PatternAwarePrefetcher::new()),
+            ),
             PolicyPreset::MhpeFixedFd(fd) => PolicyEngine::new(
                 Box::new(MhpePolicy::with_config(MhpeConfig {
                     fixed_fd: Some(*fd),
+                    disable_switch: true,
+                    ..MhpeConfig::default()
+                })),
+                Box::new(PatternAwarePrefetcher::new()),
+            ),
+            // T2 is disabled to isolate T1: with the paper's T2 in
+            // place, the cumulative check compensates for a mis-set T1.
+            PolicyPreset::MhpeT1(t1) => PolicyEngine::new(
+                Box::new(MhpePolicy::with_config(MhpeConfig {
+                    t1: *t1,
+                    t2: u32::MAX,
                     ..MhpeConfig::default()
                 })),
                 Box::new(PatternAwarePrefetcher::new()),
@@ -187,7 +209,9 @@ mod tests {
             PolicyPreset::HpeNoPf,
             PolicyPreset::LruNoPf,
             PolicyPreset::LruTree,
+            PolicyPreset::LruPattern,
             PolicyPreset::MhpeFixedFd(5),
+            PolicyPreset::MhpeT1(24),
             PolicyPreset::MhpeT3(24),
             PolicyPreset::MhpeNoSwitch,
             PolicyPreset::Clock,
@@ -217,6 +241,7 @@ mod tests {
     #[test]
     fn parameterized_labels() {
         assert_eq!(PolicyPreset::MhpeFixedFd(7).label(), "mhpe-fd7");
+        assert_eq!(PolicyPreset::MhpeT1(40).label(), "mhpe-t1-40");
         assert_eq!(PolicyPreset::MhpeT3(28).label(), "mhpe-t3-28");
     }
 }

@@ -3,7 +3,5 @@
 //! (always runs with decision auditing on; writes the per-page lifetime
 //! CSVs and the `BENCH_audit.json` oracle-regret baseline).
 fn main() {
-    harness::experiments::binary_main("audit", |cfg, threads| {
-        harness::experiments::audit::run(cfg, threads)
-    });
+    harness::experiments::binary_main(harness::experiments::audit::EXPERIMENT);
 }

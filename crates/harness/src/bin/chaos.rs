@@ -1,7 +1,5 @@
 //! Extension: resilience under deterministic fault injection. Usage:
 //! `cargo run --release -p harness --bin chaos [--quick] [--scale X]`
 fn main() {
-    harness::experiments::binary_main("chaos", |cfg, threads| {
-        harness::experiments::chaos::run(cfg, threads)
-    });
+    harness::experiments::binary_main(harness::experiments::chaos::EXPERIMENT);
 }

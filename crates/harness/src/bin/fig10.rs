@@ -1,7 +1,5 @@
 //! Regenerates the paper's fig10 artifact. Usage:
 //! `cargo run --release -p harness --bin fig10 [--quick] [--scale X] [--threads N]`
 fn main() {
-    harness::experiments::binary_main("fig10", |cfg, threads| {
-        harness::experiments::fig10::run(cfg, threads)
-    });
+    harness::experiments::binary_main(harness::experiments::fig10::EXPERIMENT);
 }

@@ -1,7 +1,5 @@
 //! Regenerates the paper's fig3 artifact. Usage:
 //! `cargo run --release -p harness --bin fig3 [--quick] [--scale X] [--threads N]`
 fn main() {
-    harness::experiments::binary_main("fig3", |cfg, threads| {
-        harness::experiments::fig3::run(cfg, threads)
-    });
+    harness::experiments::binary_main(harness::experiments::fig3::EXPERIMENT);
 }

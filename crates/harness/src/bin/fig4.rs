@@ -1,7 +1,5 @@
 //! Regenerates the paper's fig4 artifact. Usage:
 //! `cargo run --release -p harness --bin fig4 [--quick] [--scale X] [--threads N]`
 fn main() {
-    harness::experiments::binary_main("fig4", |cfg, threads| {
-        harness::experiments::fig4::run(cfg, threads)
-    });
+    harness::experiments::binary_main(harness::experiments::fig4::EXPERIMENT);
 }

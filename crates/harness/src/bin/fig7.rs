@@ -1,7 +1,5 @@
 //! Regenerates the paper's fig7 artifact. Usage:
 //! `cargo run --release -p harness --bin fig7 [--quick] [--scale X] [--threads N]`
 fn main() {
-    harness::experiments::binary_main("fig7", |cfg, threads| {
-        harness::experiments::fig7::run(cfg, threads)
-    });
+    harness::experiments::binary_main(harness::experiments::fig7::EXPERIMENT);
 }

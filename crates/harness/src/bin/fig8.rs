@@ -1,7 +1,5 @@
 //! Regenerates the paper's fig8 artifact. Usage:
 //! `cargo run --release -p harness --bin fig8 [--quick] [--scale X] [--threads N]`
 fn main() {
-    harness::experiments::binary_main("fig8", |cfg, threads| {
-        harness::experiments::fig8::run(cfg, threads)
-    });
+    harness::experiments::binary_main(harness::experiments::fig8::EXPERIMENT);
 }

@@ -1,7 +1,5 @@
 //! Regenerates the paper's fig9 artifact. Usage:
 //! `cargo run --release -p harness --bin fig9 [--quick] [--scale X] [--threads N]`
 fn main() {
-    harness::experiments::binary_main("fig9", |cfg, threads| {
-        harness::experiments::fig9::run(cfg, threads)
-    });
+    harness::experiments::binary_main(harness::experiments::fig9::EXPERIMENT);
 }

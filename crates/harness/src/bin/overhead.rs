@@ -1,7 +1,5 @@
 //! Regenerates the paper's overhead artifact. Usage:
 //! `cargo run --release -p harness --bin overhead [--quick] [--scale X] [--threads N]`
 fn main() {
-    harness::experiments::binary_main("overhead", |cfg, threads| {
-        harness::experiments::overhead::run(cfg, threads)
-    });
+    harness::experiments::binary_main(harness::experiments::overhead::EXPERIMENT);
 }

@@ -1,28 +1,13 @@
-use cppe::evict::mhpe::{MhpeConfig, MhpePolicy};
-use cppe::prefetch::pattern::PatternAwarePrefetcher;
-use cppe::PolicyEngine;
-use gpu::simulate;
-use harness::ExpConfig;
-use workloads::registry;
+//! Forward-distance probe: SRD at 50 % under pinned-MRU MHPE with
+//! forward distance 1 and 8, full scale, one summary line each. Usage:
+//! `cargo run --release -p harness --bin probe`
+use cppe::presets::PolicyPreset;
+use harness::{Cell, ExpConfig};
 
 fn main() {
     let cfg = ExpConfig::default();
-    let spec = registry::by_abbr("SRD").unwrap();
     for fd in [1usize, 8] {
-        let lanes = cfg.gpu.lanes();
-        let streams: Vec<_> = (0..lanes)
-            .map(|l| spec.lane_items(l, lanes, cfg.scale))
-            .collect();
-        let engine = PolicyEngine::new(
-            Box::new(MhpePolicy::with_config(MhpeConfig {
-                fixed_fd: Some(fd),
-                disable_switch: true,
-                ..MhpeConfig::default()
-            })),
-            Box::new(PatternAwarePrefetcher::new()),
-        );
-        let capacity = harness::capacity_pages(&spec, 0.5, cfg.scale);
-        let r = simulate(&cfg.gpu, engine, &streams, capacity, spec.pages(cfg.scale));
+        let r = Cell::app("SRD", PolicyPreset::MhpeFixedFd(fd), 0.5, &cfg).run();
         println!("fd={fd} outcome={:?} cycles={} faults={} evict={} wrong={} total_untouch={} batches={} coalesced={}",
             r.outcome, r.cycles, r.engine.faults, r.engine.chunk_evictions, r.wrong_evictions,
             r.engine.total_untouch, r.driver.batches, r.driver.coalesced_faults);

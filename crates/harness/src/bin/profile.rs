@@ -3,7 +3,5 @@
 //! (always traces with span recording on; writes the per-stage latency
 //! report plus the `BENCH_profile.json` perf-regression export).
 fn main() {
-    harness::experiments::binary_main("profile", |cfg, threads| {
-        harness::experiments::profile::run(cfg, threads)
-    });
+    harness::experiments::binary_main(harness::experiments::profile::EXPERIMENT);
 }

@@ -1,7 +1,5 @@
 //! Regenerates the paper's table3 artifact. Usage:
 //! `cargo run --release -p harness --bin table3 [--quick] [--scale X] [--threads N]`
 fn main() {
-    harness::experiments::binary_main("table3", |cfg, threads| {
-        harness::experiments::table3::run(cfg, threads)
-    });
+    harness::experiments::binary_main(harness::experiments::table3::EXPERIMENT);
 }

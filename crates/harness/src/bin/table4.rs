@@ -1,7 +1,5 @@
 //! Regenerates the paper's table4 artifact. Usage:
 //! `cargo run --release -p harness --bin table4 [--quick] [--scale X] [--threads N]`
 fn main() {
-    harness::experiments::binary_main("table4", |cfg, threads| {
-        harness::experiments::table4::run(cfg, threads)
-    });
+    harness::experiments::binary_main(harness::experiments::table4::EXPERIMENT);
 }

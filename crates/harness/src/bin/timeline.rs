@@ -3,7 +3,5 @@
 //! [--trace-format csv|json|chrome|all]` (the timeline always traces;
 //! the format flag selects which artifacts land in `results/`).
 fn main() {
-    harness::experiments::binary_main("timeline", |cfg, threads| {
-        harness::experiments::timeline::run(cfg, threads)
-    });
+    harness::experiments::binary_main(harness::experiments::timeline::EXPERIMENT);
 }

@@ -8,60 +8,35 @@
 //! prefetch, plus LRU+tree, on one app per pattern type, 50 %
 //! oversubscription, all normalized to the baseline (LRU+naive).
 
+use crate::plan::{apps, cross, Experiment, Results};
 use crate::report::{fmt_speedup, Table};
-use crate::runner::{geomean, speedup, ExpConfig};
-use crate::sweep::{cross, run_sweep};
-use cppe::evict::lru::LruPolicy;
-use cppe::evict::mhpe::MhpePolicy;
-use cppe::prefetch::pattern::PatternAwarePrefetcher;
-use cppe::prefetch::sequential::SequentialLocalPrefetcher;
+use crate::runner::{geomean, speedup, Cell, ExpConfig};
 use cppe::presets::PolicyPreset;
-use cppe::PolicyEngine;
-use gpu::simulate;
-use workloads::registry;
 
 /// One representative app per pattern type.
 pub const APPS: [&str; 6] = ["2DC", "KMN", "NW", "SRD", "HIS", "B+T"];
 
-/// LRU + pattern-aware prefetcher (the combination no preset covers:
-/// prefetcher ablated in isolation).
-fn lru_pattern_engine() -> PolicyEngine {
-    PolicyEngine::new(
-        Box::new(LruPolicy::new()),
-        Box::new(PatternAwarePrefetcher::new()),
-    )
+/// The report's columns, in order, each normalized to the baseline.
+pub const POLICIES: [PolicyPreset; 6] = [
+    PolicyPreset::MhpeOnly,
+    PolicyPreset::LruPattern,
+    PolicyPreset::Cppe,
+    PolicyPreset::LruTree,
+    PolicyPreset::Clock,
+    PolicyPreset::Srrip,
+];
+
+/// The ablation as a plan entry.
+pub const EXPERIMENT: Experiment = Experiment::new("ablation", cells, render);
+
+/// Each app under the baseline and every column's policy at 50 %.
+fn cells(cfg: &ExpConfig) -> Vec<Cell> {
+    let mut all = vec![PolicyPreset::Baseline];
+    all.extend_from_slice(&POLICIES);
+    cross(&apps(&APPS), &all, &[0.5], cfg)
 }
 
-/// MHPE + naive — via preset; MHPE+pattern = CPPE — via preset.
-fn mhpe_naive_engine() -> PolicyEngine {
-    PolicyEngine::new(
-        Box::new(MhpePolicy::new()),
-        Box::new(SequentialLocalPrefetcher::naive()),
-    )
-}
-
-/// Run and render.
-#[must_use]
-pub fn run(cfg: &ExpConfig, threads: usize) -> String {
-    let specs: Vec<_> = APPS
-        .iter()
-        .map(|a| registry::by_abbr(a).expect("known app"))
-        .collect();
-    // Preset-covered cells via the sweep; custom combos run inline.
-    let jobs = cross(
-        &specs,
-        &[
-            PolicyPreset::Baseline,
-            PolicyPreset::MhpeOnly,
-            PolicyPreset::Cppe,
-            PolicyPreset::LruTree,
-            PolicyPreset::Clock,
-            PolicyPreset::Srrip,
-        ],
-        &[0.5],
-    );
-    let results = run_sweep(jobs, cfg, threads);
-
+fn render(cfg: &ExpConfig, results: &Results) -> String {
     let mut table = Table::new(&[
         "app",
         "mhpe+naive",
@@ -72,43 +47,13 @@ pub fn run(cfg: &ExpConfig, threads: usize) -> String {
         "srrip",
     ]);
     let mut cols: Vec<Vec<Option<f64>>> = vec![Vec::new(); 6];
-    for spec in &specs {
-        let base = &results[&(spec.abbr.to_string(), "baseline".into(), 50)];
-        let mhpe = &results[&(spec.abbr.to_string(), "mhpe-naive-pf".into(), 50)];
-        let cppe = &results[&(spec.abbr.to_string(), "cppe".into(), 50)];
-        let tree = &results[&(spec.abbr.to_string(), "lru-tree".into(), 50)];
-        let clock = &results[&(spec.abbr.to_string(), "clock".into(), 50)];
-        let srrip = &results[&(spec.abbr.to_string(), "srrip".into(), 50)];
-
-        // LRU + pattern-aware is not a preset; run it directly.
-        let lanes = cfg.gpu.lanes();
-        let streams: Vec<_> = (0..lanes)
-            .map(|l| spec.lane_items(l, lanes, cfg.scale))
-            .collect();
-        let capacity = crate::runner::capacity_pages(spec, 0.5, cfg.scale);
-        let lru_pat = simulate(
-            &cfg.gpu,
-            lru_pattern_engine(),
-            &streams,
-            capacity,
-            spec.pages(cfg.scale),
-        );
-        // Sanity path for the second custom engine constructor (kept in
-        // sync with the preset used above).
-        debug_assert_eq!(mhpe_naive_engine().name(), "mhpe+seq-local");
-
-        let cells = [
-            speedup(base, mhpe),
-            speedup(base, &lru_pat),
-            speedup(base, cppe),
-            speedup(base, tree),
-            speedup(base, clock),
-            speedup(base, srrip),
-        ];
-        let mut row = vec![spec.abbr.to_string()];
-        for (i, s) in cells.iter().enumerate() {
-            cols[i].push(*s);
-            row.push(fmt_speedup(*s));
+    for app in APPS {
+        let base = results.cell(app, PolicyPreset::Baseline, 0.5, cfg);
+        let mut row = vec![app.to_string()];
+        for (i, &preset) in POLICIES.iter().enumerate() {
+            let s = speedup(base, results.cell(app, preset, 0.5, cfg));
+            cols[i].push(s);
+            row.push(fmt_speedup(s));
         }
         table.row(row);
     }
@@ -138,7 +83,7 @@ mod tests {
     #[test]
     fn ablation_separates_the_mechanisms() {
         let cfg = ExpConfig::quick();
-        let report = run(&cfg, 0);
+        let report = EXPERIMENT.run(&cfg, 0);
         for app in APPS {
             assert!(report.contains(app));
         }

@@ -14,15 +14,15 @@
 //!   times, so re-running at the same scale is byte-reproducible.
 
 use crate::oracle::OracleReport;
+use crate::plan::{Experiment, Results};
 use crate::report::{loss_section, save, Table};
-use crate::runner::{capacity_pages, ExpConfig};
+use crate::runner::{Cell, ExpConfig};
 use cppe::presets::PolicyPreset;
 use gmmu::types::PAGES_PER_CHUNK;
-use gpu::{simulate, RunResult};
+use gpu::RunResult;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use telemetry::{json, PageLedger};
-use workloads::registry;
 
 /// Pattern-diverse subset (regular / irregular / mixed), matching the
 /// profile and chaos suites so the baselines are comparable.
@@ -36,59 +36,63 @@ pub const SCHEMA: &str = "cppe-audit-v1";
 /// exact only for a lossless stream).
 const AUDIT_RING: usize = 1 << 20;
 
+/// Audit as a plan entry.
+pub const EXPERIMENT: Experiment = Experiment::new("audit", cells, render);
+
 /// One audited workload: the run, its replayed ledger and the oracle
 /// scorecard.
 #[derive(Debug)]
-pub struct AuditedRun {
+pub struct AuditedRun<'a> {
     /// Workload abbreviation.
     pub app: &'static str,
     /// The audited simulation result.
-    pub result: RunResult,
+    pub result: &'a RunResult,
     /// Per-page lifetimes replayed from the recorded streams.
     pub ledger: PageLedger,
     /// Regret against the offline Belady oracle.
     pub oracle: OracleReport,
 }
 
-/// Run one workload under CPPE at 50 % oversubscription with decision
-/// auditing on and replay its telemetry into ledger + oracle.
+/// One workload under CPPE at 50 % oversubscription with decision
+/// auditing on.
 ///
 /// # Panics
 /// Panics on an unknown app abbreviation.
 #[must_use]
-pub fn run_audited(cfg: &ExpConfig, abbr: &'static str) -> AuditedRun {
-    let spec = registry::by_abbr(abbr).expect("known app");
-    let gpu = gpu::GpuConfig {
-        trace: telemetry::TraceConfig {
-            ring_capacity: AUDIT_RING,
-            span_capacity: AUDIT_RING,
-            decision_capacity: AUDIT_RING,
-            ..telemetry::TraceConfig::audited()
-        },
-        ..cfg.gpu
+pub fn audited(cfg: &ExpConfig, abbr: &str) -> Cell {
+    let mut cell = Cell::app(abbr, PolicyPreset::Cppe, 0.5, cfg);
+    cell.gpu.trace = telemetry::TraceConfig {
+        ring_capacity: AUDIT_RING,
+        span_capacity: AUDIT_RING,
+        decision_capacity: AUDIT_RING,
+        ..telemetry::TraceConfig::audited()
     };
-    let lanes = gpu.lanes();
-    let streams: Vec<_> = (0..lanes)
-        .map(|l| spec.lane_items(l, lanes, cfg.scale))
-        .collect();
-    let capacity = capacity_pages(&spec, 0.5, cfg.scale);
-    let result = simulate(
-        &gpu,
-        PolicyPreset::Cppe.build(cfg.seed),
-        &streams,
-        capacity,
-        spec.pages(cfg.scale),
-    );
-    let t = result.telemetry.as_ref().expect("audit runs are traced");
-    let ledger = PageLedger::from_telemetry(t, PAGES_PER_CHUNK);
-    let accesses = crate::opt::linearize(&streams);
-    let capacity_chunks = (u64::from(capacity) / PAGES_PER_CHUNK) as usize;
-    let oracle = OracleReport::compare(t, &ledger, &accesses, capacity_chunks);
-    AuditedRun {
-        app: abbr,
-        result,
-        ledger,
-        oracle,
+    cell
+}
+
+/// Every [`APPS`] workload, audited.
+fn cells(cfg: &ExpConfig) -> Vec<Cell> {
+    APPS.iter().map(|a| audited(cfg, a)).collect()
+}
+
+impl<'a> AuditedRun<'a> {
+    /// Replay `cell`'s audited `result` into ledger + oracle.
+    ///
+    /// # Panics
+    /// Panics when the run was not traced.
+    #[must_use]
+    pub fn new(cell: &Cell, result: &'a RunResult) -> Self {
+        let t = result.telemetry.as_ref().expect("audit runs are traced");
+        let ledger = PageLedger::from_telemetry(t, PAGES_PER_CHUNK);
+        let accesses = crate::opt::linearize(&cell.streams());
+        let capacity_chunks = (u64::from(cell.capacity()) / PAGES_PER_CHUNK) as usize;
+        let oracle = OracleReport::compare(t, &ledger, &accesses, capacity_chunks);
+        AuditedRun {
+            app: cell.spec.abbr,
+            result,
+            ledger,
+            oracle,
+        }
     }
 }
 
@@ -105,6 +109,21 @@ pub fn provenance_counts(
             .or_insert(0) += 1;
     }
     counts
+}
+
+/// [`provenance_counts`] rendered as a `kind/policy/origin/count` table.
+#[must_use]
+pub fn provenance_table(decisions: &[telemetry::DecisionRecord]) -> String {
+    let mut prov = Table::new(&["kind", "policy", "origin", "count"]);
+    for ((kind, policy, origin), count) in provenance_counts(decisions) {
+        prov.row(vec![
+            kind.to_string(),
+            policy.to_string(),
+            origin.to_string(),
+            count.to_string(),
+        ]);
+    }
+    prov.render()
 }
 
 fn fmt_frac(v: f64) -> String {
@@ -129,7 +148,7 @@ pub fn audit_json(runs: &[AuditedRun]) -> String {
         if i > 0 {
             s.push(',');
         }
-        let r = &a.result;
+        let r = a.result;
         let t = r.telemetry.as_ref().expect("audit runs are traced");
         let outcome = format!("{:?}", r.outcome).to_lowercase();
         let _ = write!(
@@ -215,12 +234,15 @@ pub fn audit_json(runs: &[AuditedRun]) -> String {
     s
 }
 
-/// Run and render. Saves the per-app lifetime CSVs and
+/// Render the report. Saves the per-app lifetime CSVs and
 /// `BENCH_audit.json` under `results/`, mirroring the JSON at the repo
 /// root for regret-baseline diffing in CI.
-#[must_use]
-pub fn run(cfg: &ExpConfig, _threads: usize) -> String {
-    let runs: Vec<AuditedRun> = APPS.iter().map(|a| run_audited(cfg, a)).collect();
+fn render(cfg: &ExpConfig, results: &Results) -> String {
+    let cells = cells(cfg);
+    let runs: Vec<AuditedRun> = cells
+        .iter()
+        .map(|c| AuditedRun::new(c, results.get(c)))
+        .collect();
     let doc = audit_json(&runs);
     let _ = save("BENCH_audit.json", &doc);
     let _ = telemetry::export::write_atomic(std::path::Path::new("BENCH_audit.json"), &doc);
@@ -288,16 +310,7 @@ pub fn run(cfg: &ExpConfig, _threads: usize) -> String {
             a.ledger.max_thrash().map_or(0, |(_, n)| n),
         );
         out.push_str(&loss_section(t));
-        let mut prov = Table::new(&["kind", "policy", "origin", "count"]);
-        for ((kind, policy, origin), count) in provenance_counts(&t.decisions) {
-            prov.row(vec![
-                kind.to_string(),
-                policy.to_string(),
-                origin.to_string(),
-                count.to_string(),
-            ]);
-        }
-        out.push_str(&prov.render());
+        out.push_str(&provenance_table(&t.decisions));
     }
 
     out.push_str(
@@ -323,27 +336,21 @@ mod tests {
         }
     }
 
+    /// An audited quick-scale cell and its run.
+    fn run_audited(app: &str) -> (Cell, RunResult) {
+        let cell = audited(&quick_cfg(), app);
+        let r = cell.run();
+        (cell, r)
+    }
+
     #[test]
     fn audited_run_is_bit_identical_to_untraced_run() {
         // The audit layer must be observational: the simulated outcome
         // of an audited run locks to the plain run, bit for bit.
-        let cfg = quick_cfg();
-        let audited = run_audited(&cfg, "STN");
+        let (_, a) = run_audited("STN");
         let spec = registry::by_abbr("STN").unwrap();
-        let lanes = cfg.gpu.lanes();
-        let streams: Vec<_> = (0..lanes)
-            .map(|l| spec.lane_items(l, lanes, cfg.scale))
-            .collect();
-        let capacity = capacity_pages(&spec, 0.5, cfg.scale);
-        let plain = gpu::simulate(
-            &cfg.gpu,
-            PolicyPreset::Cppe.build(cfg.seed),
-            &streams,
-            capacity,
-            spec.pages(cfg.scale),
-        );
+        let plain = crate::runner::run_cell(&spec, PolicyPreset::Cppe, 0.5, &quick_cfg());
         assert!(plain.telemetry.is_none(), "reference run is untraced");
-        let a = &audited.result;
         assert_eq!(a.outcome, plain.outcome);
         assert_eq!(a.cycles, plain.cycles);
         assert_eq!(a.accesses, plain.accesses);
@@ -357,7 +364,8 @@ mod tests {
     #[test]
     fn audit_invariants_hold_on_real_runs() {
         for app in APPS {
-            let a = run_audited(&quick_cfg(), app);
+            let (cell, r) = run_audited(app);
+            let a = AuditedRun::new(&cell, &r);
             let t = a.result.telemetry.as_ref().unwrap();
             assert_eq!(t.dropped_decisions, 0, "{app}: ring sized losslessly");
             assert!(!t.decisions.is_empty(), "{app}: decisions recorded");
@@ -381,7 +389,8 @@ mod tests {
 
     #[test]
     fn audit_json_has_schema_and_regret_sections() {
-        let runs = vec![run_audited(&quick_cfg(), "STN")];
+        let (cell, r) = run_audited("STN");
+        let runs = vec![AuditedRun::new(&cell, &r)];
         let doc = audit_json(&runs);
         json::validate(&doc).expect("well-formed JSON");
         assert!(doc.starts_with("{\"schema\":\"cppe-audit-v1\""));
@@ -398,16 +407,17 @@ mod tests {
 
     #[test]
     fn audit_json_is_deterministic() {
-        let cfg = quick_cfg();
-        let a = audit_json(&[run_audited(&cfg, "STN")]);
-        let b = audit_json(&[run_audited(&cfg, "STN")]);
+        let (cell_a, ra) = run_audited("STN");
+        let (cell_b, rb) = run_audited("STN");
+        let a = audit_json(&[AuditedRun::new(&cell_a, &ra)]);
+        let b = audit_json(&[AuditedRun::new(&cell_b, &rb)]);
         assert_eq!(a, b, "same config → byte-identical baseline");
     }
 
     #[test]
     fn lifetime_csv_round_trips_the_shared_parser() {
-        let a = run_audited(&quick_cfg(), "STN");
-        let csv = a.ledger.lifetime_csv();
+        let (cell, r) = run_audited("STN");
+        let csv = AuditedRun::new(&cell, &r).ledger.lifetime_csv();
         telemetry::csv::validate(&csv).expect("well-formed CSV");
         assert!(csv.starts_with("page,chunk,first_seen_cycle"));
         assert!(csv.lines().count() > 1, "pages recorded");
@@ -415,7 +425,7 @@ mod tests {
 
     #[test]
     fn report_contains_provenance_and_regret() {
-        let report = run(&quick_cfg(), 0);
+        let report = EXPERIMENT.run(&quick_cfg(), 0);
         assert!(report.contains("cppe-audit-v1"));
         assert!(report.contains("regret p95"));
         assert!(report.contains("eviction"));

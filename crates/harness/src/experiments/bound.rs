@@ -7,31 +7,33 @@
 //! to the bound — the fault-count view of Fig. 8.
 
 use crate::opt::{linearize, opt_chunk_faults};
+use crate::plan::{apps, cross, Experiment, Results};
 use crate::report::Table;
-use crate::runner::{capacity_pages, run_cell, ExpConfig};
+use crate::runner::{Cell, ExpConfig};
 use cppe::presets::PolicyPreset;
 use gmmu::types::PAGES_PER_CHUNK;
-use workloads::registry;
 
 /// Apps shown (one per type, plus the severe thrashers).
 pub const APPS: [&str; 7] = ["2DC", "KMN", "NW", "SRD", "HSD", "HIS", "B+T"];
 
-/// Run and render.
-#[must_use]
-pub fn run(cfg: &ExpConfig, _threads: usize) -> String {
+/// The OPT bound as a plan entry.
+pub const EXPERIMENT: Experiment = Experiment::new("bound", cells, render);
+
+/// Each app under the baseline and CPPE at 50 %.
+fn cells(cfg: &ExpConfig) -> Vec<Cell> {
+    let presets = [PolicyPreset::Baseline, PolicyPreset::Cppe];
+    cross(&apps(&APPS), &presets, &[0.5], cfg)
+}
+
+fn render(cfg: &ExpConfig, results: &Results) -> String {
     let mut table = Table::new(&["app", "opt-faults", "baseline/opt", "cppe/opt"]);
     for abbr in APPS {
-        let spec = registry::by_abbr(abbr).expect("known app");
-        let lanes = cfg.gpu.lanes();
-        let streams: Vec<_> = (0..lanes)
-            .map(|l| spec.lane_items(l, lanes, cfg.scale))
-            .collect();
-        let capacity_chunks =
-            (capacity_pages(&spec, 0.5, cfg.scale) as u64 / PAGES_PER_CHUNK) as usize;
-        let opt = opt_chunk_faults(&linearize(&streams), capacity_chunks).max(1);
+        let base_cell = Cell::app(abbr, PolicyPreset::Baseline, 0.5, cfg);
+        let capacity_chunks = (u64::from(base_cell.capacity()) / PAGES_PER_CHUNK) as usize;
+        let opt = opt_chunk_faults(&linearize(&base_cell.streams()), capacity_chunks).max(1);
 
-        let base = run_cell(&spec, PolicyPreset::Baseline, 0.5, cfg);
-        let cppe = run_cell(&spec, PolicyPreset::Cppe, 0.5, cfg);
+        let base = results.get(&base_cell);
+        let cppe = results.cell(abbr, PolicyPreset::Cppe, 0.5, cfg);
         let ratio = |r: &gpu::RunResult| {
             if r.completed() {
                 format!("{:.2}", r.driver.faults_serviced as f64 / opt as f64)
@@ -42,8 +44,8 @@ pub fn run(cfg: &ExpConfig, _threads: usize) -> String {
         table.row(vec![
             abbr.to_string(),
             opt.to_string(),
-            ratio(&base),
-            ratio(&cppe),
+            ratio(base),
+            ratio(cppe),
         ]);
     }
     format!(
@@ -64,7 +66,7 @@ mod tests {
     #[test]
     fn policies_never_beat_the_whole_chunk_bound_on_dense_apps() {
         let cfg = ExpConfig::quick();
-        let report = run(&cfg, 0);
+        let report = EXPERIMENT.run(&cfg, 0);
         // 2DC is dense streaming: baseline faults == compulsory == OPT.
         let line = report.lines().find(|l| l.starts_with("2DC")).unwrap();
         let cells: Vec<&str> = line.split_whitespace().collect();

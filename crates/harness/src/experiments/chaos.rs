@@ -8,13 +8,14 @@
 //! baseline run thrash-crashes (Fig. 4's failure mode) survives in
 //! degraded mode by shedding prefetch aggressiveness.
 
+use crate::experiments::audit::AuditedRun;
+use crate::plan::{Experiment, Results};
 use crate::report::{save, Table};
-use crate::runner::{capacity_pages, ExpConfig};
+use crate::runner::{Cell, ExpConfig};
 use cppe::presets::PolicyPreset;
-use gpu::{simulate, GpuConfig, Outcome, RunResult};
+use gpu::Outcome;
 use sim_core::fault::InjectionConfig;
 use uvm::driver::ResilienceConfig;
-use workloads::registry;
 
 /// Pattern-diverse subset (regular / irregular / mixed).
 pub const APPS: [&str; 3] = ["2DC", "KMN", "SRD"];
@@ -38,28 +39,50 @@ pub fn scenarios(seed: u64) -> Vec<(&'static str, InjectionConfig)> {
     ]
 }
 
-/// Run one cell under an injection scenario.
+/// Chaos as a plan entry.
+pub const EXPERIMENT: Experiment = Experiment::new("chaos", cells, render);
+
+/// One cell at 50 % under an injection scenario (driver resilience as
+/// in `cfg`).
 #[must_use]
-pub fn run_injected(
-    abbr: &str,
-    preset: PolicyPreset,
-    cfg: &ExpConfig,
-    injection: InjectionConfig,
-    resilience: ResilienceConfig,
-) -> RunResult {
-    let spec = registry::by_abbr(abbr).expect("known app");
-    let gpu = GpuConfig {
-        injection,
-        resilience,
-        ..cfg.gpu
-    };
-    let lanes = gpu.lanes();
-    let streams: Vec<_> = (0..lanes)
-        .map(|l| spec.lane_items(l, lanes, cfg.scale))
-        .collect();
-    let capacity = capacity_pages(&spec, 0.5, cfg.scale);
-    let engine = preset.build(cfg.seed ^ spec.seed);
-    simulate(&gpu, engine, &streams, capacity, spec.pages(cfg.scale))
+pub fn injected(abbr: &str, preset: PolicyPreset, cfg: &ExpConfig, inj: InjectionConfig) -> Cell {
+    let mut cell = Cell::app(abbr, preset, 0.5, cfg);
+    cell.gpu.injection = inj;
+    cell
+}
+
+/// The MVT baseline ladder cells: plain driver, degraded mode, and
+/// degraded mode with recovery after 64 quiet batches. Decision
+/// auditing is on: the ladder runs audit decisions when traced (audit
+/// is inert while tracing is off), so every shed-mode call carries its
+/// rung and fallback-policy provenance.
+fn ladder(cfg: &ExpConfig) -> [Cell; 3] {
+    let mut cfg = *cfg;
+    cfg.gpu.trace.audit = true;
+    let off = InjectionConfig::disabled();
+    [
+        ResilienceConfig::default(),
+        ResilienceConfig::degraded(),
+        ResilienceConfig::degraded_with_recovery(64),
+    ]
+    .map(|resilience| {
+        cfg.gpu.resilience = resilience;
+        injected("MVT", PolicyPreset::Baseline, &cfg, off)
+    })
+}
+
+/// Every app × policy under every scenario, then the ladder cells.
+fn cells(cfg: &ExpConfig) -> Vec<Cell> {
+    let mut cells = Vec::new();
+    for abbr in APPS {
+        for preset in PRESETS {
+            for (_, injection) in scenarios(cfg.seed) {
+                cells.push(injected(abbr, preset, cfg, injection));
+            }
+        }
+    }
+    cells.extend(ladder(cfg));
+    cells
 }
 
 fn outcome_tag(o: Outcome) -> &'static str {
@@ -71,9 +94,8 @@ fn outcome_tag(o: Outcome) -> &'static str {
     }
 }
 
-/// Run and render.
-#[must_use]
-pub fn run(cfg: &ExpConfig, _threads: usize) -> String {
+/// Render the report (and, when traced, save the ladder run's exports).
+fn render(cfg: &ExpConfig, results: &Results) -> String {
     let mut cols = vec!["app".to_string(), "policy".to_string()];
     for (name, _) in scenarios(cfg.seed) {
         cols.push(name.to_string());
@@ -102,7 +124,7 @@ pub fn run(cfg: &ExpConfig, _threads: usize) -> String {
             let mut clean_cycles = None;
             let mut combined = None;
             for (_, injection) in scenarios(cfg.seed) {
-                let r = run_injected(abbr, preset, cfg, injection, ResilienceConfig::default());
+                let r = results.get(&injected(abbr, preset, cfg, injection));
                 let cell = if !r.survived() || r.cycles == 0 {
                     format!("X{}", outcome_tag(r.outcome))
                 } else if let Some(clean) = clean_cycles {
@@ -139,38 +161,13 @@ pub fn run(cfg: &ExpConfig, _threads: usize) -> String {
 
     // Degradation-ladder demonstration: MVT's baseline run dies of
     // thrash (Fig. 4); in degraded mode the ladder sheds prefetch and
-    // the run finishes. The ladder runs audit decisions when traced
-    // (audit is inert while tracing is off), so every shed-mode call
-    // carries its rung and fallback-policy provenance.
-    let lcfg = {
-        let mut c = *cfg;
-        c.gpu.trace.audit = true;
-        c
-    };
-    let plain = run_injected(
-        "MVT",
-        PolicyPreset::Baseline,
-        &lcfg,
-        InjectionConfig::disabled(),
-        ResilienceConfig::default(),
-    );
-    let laddered = run_injected(
-        "MVT",
-        PolicyPreset::Baseline,
-        &lcfg,
-        InjectionConfig::disabled(),
-        ResilienceConfig::degraded(),
-    );
-    // Recovery rung: same ladder, but after a quiet period with no
+    // the run finishes. With recovery, after a quiet period with no
     // thrash-detector trips the driver re-arms the shed aggressiveness
     // one rung at a time.
-    let recovered = run_injected(
-        "MVT",
-        PolicyPreset::Baseline,
-        &lcfg,
-        InjectionConfig::disabled(),
-        ResilienceConfig::degraded_with_recovery(64),
-    );
+    let [plain_cell, laddered_cell, recovered_cell] = ladder(cfg);
+    let plain = results.get(&plain_cell);
+    let laddered = results.get(&laddered_cell);
+    let recovered = results.get(&recovered_cell);
     let ladder = format!(
         "MVT @ 50% (baseline policy): plain driver → {:?}; degraded mode →\n\
          {:?} in {} cycles (throttle sheds: {}, policy fallbacks: {});\n\
@@ -218,20 +215,7 @@ pub fn run(cfg: &ExpConfig, _threads: usize) -> String {
                     count.to_string(),
                 ]);
             }
-            let spec = registry::by_abbr("MVT").expect("known app");
-            let lanes = cfg.gpu.lanes();
-            let streams: Vec<_> = (0..lanes)
-                .map(|l| spec.lane_items(l, lanes, cfg.scale))
-                .collect();
-            let capacity = capacity_pages(&spec, 0.5, cfg.scale);
-            let ledger = telemetry::PageLedger::from_telemetry(t, gmmu::types::PAGES_PER_CHUNK);
-            let accesses = crate::opt::linearize(&streams);
-            let oracle = crate::oracle::OracleReport::compare(
-                t,
-                &ledger,
-                &accesses,
-                (u64::from(capacity) / gmmu::types::PAGES_PER_CHUNK) as usize,
-            );
+            let oracle = AuditedRun::new(&recovered_cell, recovered).oracle;
             banner.push_str(&format!(
                 "\nDecision provenance across the ladder (recovered run),\n\
                  by policy and rung:\n\n{}\n\
@@ -294,26 +278,15 @@ mod tests {
             scale: 0.25,
             ..ExpConfig::quick()
         };
-        let injected = run_injected(
+        let injected = injected(
             "STN",
             PolicyPreset::Baseline,
             &cfg,
             InjectionConfig::disabled(),
-            ResilienceConfig::default(),
-        );
-        let spec = registry::by_abbr("STN").unwrap();
-        let lanes = cfg.gpu.lanes();
-        let streams: Vec<_> = (0..lanes)
-            .map(|l| spec.lane_items(l, lanes, cfg.scale))
-            .collect();
-        let capacity = capacity_pages(&spec, 0.5, cfg.scale);
-        let plain = simulate(
-            &cfg.gpu,
-            PolicyPreset::Baseline.build(cfg.seed ^ spec.seed),
-            &streams,
-            capacity,
-            spec.pages(cfg.scale),
-        );
+        )
+        .run();
+        let spec = workloads::registry::by_abbr("STN").unwrap();
+        let plain = crate::runner::run_cell(&spec, PolicyPreset::Baseline, 0.5, &cfg);
         assert_eq!(injected.cycles, plain.cycles);
         assert_eq!(injected.engine.pages_migrated, plain.engine.pages_migrated);
     }
@@ -328,13 +301,14 @@ mod tests {
             ..ExpConfig::quick()
         };
         cfg.gpu.trace = telemetry::TraceConfig::audited();
-        let r = run_injected(
+        cfg.gpu.resilience = ResilienceConfig::degraded();
+        let r = injected(
             "MVT",
             PolicyPreset::Baseline,
             &cfg,
             InjectionConfig::disabled(),
-            ResilienceConfig::degraded(),
-        );
+        )
+        .run();
         let t = r.telemetry.as_ref().expect("traced");
         assert!(!t.decisions.is_empty());
         assert!(
@@ -349,20 +323,20 @@ mod tests {
             scale: 0.25,
             ..ExpConfig::quick()
         };
-        let clean = run_injected(
+        let clean = injected(
             "STN",
             PolicyPreset::Baseline,
             &cfg,
             InjectionConfig::disabled(),
-            ResilienceConfig::default(),
-        );
-        let hurt = run_injected(
+        )
+        .run();
+        let hurt = injected(
             "STN",
             PolicyPreset::Baseline,
             &cfg,
             InjectionConfig::combined(cfg.seed),
-            ResilienceConfig::default(),
-        );
+        )
+        .run();
         assert!(clean.survived());
         assert!(hurt.survived(), "injection must not kill the run");
         assert!(

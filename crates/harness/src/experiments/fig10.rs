@@ -8,35 +8,34 @@
 //! apps, wins for the severe thrashers, and CPPE beats disabling for
 //! everything except SAD.
 
+use crate::plan::{apps, cross, Experiment, Results};
 use crate::report::{fmt_speedup, Table};
-use crate::runner::{speedup, ExpConfig, RATES};
-use crate::sweep::{cross, run_sweep};
+use crate::runner::{speedup, Cell, ExpConfig, RATES};
 use cppe::presets::PolicyPreset;
 use gpu::Outcome;
-use workloads::registry;
 
 /// The thrash-prone set shown in the figure (Fig. 4 qualifiers plus the
 /// streaming contrast apps the paper discusses in §VI-B).
 pub const APPS: [&str; 8] = ["SAD", "NW", "MVT", "BIC", "SRD", "HSD", "HYB", "2DC"];
 
-/// Run and render.
-#[must_use]
-pub fn run(cfg: &ExpConfig, threads: usize) -> String {
-    let specs: Vec<_> = APPS
-        .iter()
-        .map(|a| registry::by_abbr(a).expect("known app"))
-        .collect();
-    let jobs = cross(
-        &specs,
+/// Fig. 10 as a plan entry.
+pub const EXPERIMENT: Experiment = Experiment::new("fig10", cells, render);
+
+/// Each app under the baseline, disable-on-full and CPPE, at both rates.
+fn cells(cfg: &ExpConfig) -> Vec<Cell> {
+    cross(
+        &apps(&APPS),
         &[
             PolicyPreset::Baseline,
             PolicyPreset::DisablePfOnFull,
             PolicyPreset::Cppe,
         ],
         &RATES,
-    );
-    let results = run_sweep(jobs, cfg, threads);
+        cfg,
+    )
+}
 
+fn render(cfg: &ExpConfig, results: &Results) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "Fig. 10 — disabling prefetch when memory fills vs baseline vs CPPE,\n\
@@ -44,12 +43,12 @@ pub fn run(cfg: &ExpConfig, threads: usize) -> String {
          disable-on-full instead, as in the paper)\n\n",
         cfg.scale
     ));
-    for rate in [75u32, 50u32] {
+    for rate in RATES {
         let mut table = Table::new(&["app", "nopf-on-full", "cppe", "normalizer"]);
         for app in APPS {
-            let base = &results[&(app.to_string(), "baseline".into(), rate)];
-            let nopf = &results[&(app.to_string(), "nopf-on-full".into(), rate)];
-            let cppe = &results[&(app.to_string(), "cppe".into(), rate)];
+            let base = results.cell(app, PolicyPreset::Baseline, rate, cfg);
+            let nopf = results.cell(app, PolicyPreset::DisablePfOnFull, rate, cfg);
+            let cppe = results.cell(app, PolicyPreset::Cppe, rate, cfg);
             if base.outcome == Outcome::Crashed {
                 table.row(vec![
                     app.to_string(),
@@ -66,7 +65,7 @@ pub fn run(cfg: &ExpConfig, threads: usize) -> String {
                 ]);
             }
         }
-        out.push_str(&format!("-- {rate}% oversubscription --\n"));
+        out.push_str(&format!("-- {}% oversubscription --\n", rate * 100.0));
         out.push_str(&table.render());
         out.push('\n');
     }
@@ -85,7 +84,7 @@ mod tests {
     #[test]
     fn disabling_prefetch_hurts_streaming() {
         let cfg = ExpConfig::quick();
-        let report = run(&cfg, 0);
+        let report = EXPERIMENT.run(&cfg, 0);
         assert!(report.contains("2DC"));
         // 2DC's nopf-on-full speedup must be well below 1.
         let line = report

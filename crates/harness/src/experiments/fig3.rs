@@ -8,11 +8,10 @@
 //! (≤ ~11 % in the paper, sometimes below Random) and it *hurts*
 //! B+T/HYB.
 
+use crate::plan::{apps, cross, Experiment, Results};
 use crate::report::{fmt_speedup, Table};
-use crate::runner::{geomean, speedup, ExpConfig};
-use crate::sweep::{cross, run_sweep};
+use crate::runner::{geomean, speedup, Cell, ExpConfig};
 use cppe::presets::PolicyPreset;
-use workloads::registry;
 
 /// Apps shown in Fig. 3.
 pub const APPS: [&str; 6] = ["SRD", "HSD", "MRQ", "STN", "B+T", "HYB"];
@@ -25,24 +24,22 @@ pub const POLICIES: [PolicyPreset; 4] = [
     PolicyPreset::ReservedLru20,
 ];
 
-/// Run the experiment and render the report.
-#[must_use]
-pub fn run(cfg: &ExpConfig, threads: usize) -> String {
-    let specs: Vec<_> = APPS
-        .iter()
-        .map(|a| registry::by_abbr(a).expect("known app"))
-        .collect();
-    let jobs = cross(&specs, &POLICIES, &[0.5]);
-    let results = run_sweep(jobs, cfg, threads);
+/// Fig. 3 as a plan entry.
+pub const EXPERIMENT: Experiment = Experiment::new("fig3", cells, render);
 
+/// Every app under every policy at 50 %.
+fn cells(cfg: &ExpConfig) -> Vec<Cell> {
+    cross(&apps(&APPS), &POLICIES, &[0.5], cfg)
+}
+
+fn render(cfg: &ExpConfig, results: &Results) -> String {
     let mut table = Table::new(&["app", "random", "lru-10%", "lru-20%"]);
     let mut cols: Vec<Vec<Option<f64>>> = vec![Vec::new(); 3];
     for app in APPS {
-        let base = &results[&(app.to_string(), "baseline".into(), 50)];
+        let base = results.cell(app, PolicyPreset::Baseline, 0.5, cfg);
         let mut row = vec![app.to_string()];
-        for (i, label) in ["random", "lru-10%", "lru-20%"].iter().enumerate() {
-            let r = &results[&(app.to_string(), (*label).to_string(), 50)];
-            let s = speedup(base, r);
+        for (i, &preset) in POLICIES[1..].iter().enumerate() {
+            let s = speedup(base, results.cell(app, preset, 0.5, cfg));
             cols[i].push(s);
             row.push(fmt_speedup(s));
         }
@@ -71,7 +68,7 @@ mod tests {
     #[test]
     fn report_contains_all_apps_and_average() {
         let cfg = ExpConfig::quick();
-        let report = run(&cfg, 0);
+        let report = EXPERIMENT.run(&cfg, 0);
         for app in APPS {
             assert!(report.contains(app), "missing {app}");
         }

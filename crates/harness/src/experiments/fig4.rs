@@ -7,9 +7,9 @@
 //! apps whose ratio exceeds 1.2, notes *SAD* and *NW* near an order of
 //! magnitude, and marks *MVT*/*BIC* as crashed.
 
+use crate::plan::{cross, Experiment, Results};
 use crate::report::Table;
-use crate::runner::ExpConfig;
-use crate::sweep::{cross, run_sweep};
+use crate::runner::{Cell, ExpConfig};
 use cppe::presets::PolicyPreset;
 use gpu::Outcome;
 use workloads::registry;
@@ -17,22 +17,23 @@ use workloads::registry;
 /// Ratio above which an app appears in the figure.
 pub const REPORT_THRESHOLD: f64 = 1.2;
 
-/// Run the experiment and render the report.
-#[must_use]
-pub fn run(cfg: &ExpConfig, threads: usize) -> String {
+/// Fig. 4 as a plan entry.
+pub const EXPERIMENT: Experiment = Experiment::new("fig4", cells, render);
+
+/// Every app, prefetch-always vs prefetch-off-when-full, at 50 %.
+fn cells(cfg: &ExpConfig) -> Vec<Cell> {
+    let presets = [PolicyPreset::Baseline, PolicyPreset::DisablePfOnFull];
+    cross(&registry::all(), &presets, &[0.5], cfg)
+}
+
+fn render(cfg: &ExpConfig, results: &Results) -> String {
     let specs = registry::all();
-    let jobs = cross(
-        &specs,
-        &[PolicyPreset::Baseline, PolicyPreset::DisablePfOnFull],
-        &[0.5],
-    );
-    let results = run_sweep(jobs, cfg, threads);
 
     let mut table = Table::new(&["app", "evictions(pf-always)", "evictions(pf-off)", "ratio"]);
     let mut shown = 0;
     for spec in &specs {
-        let base = &results[&(spec.abbr.to_string(), "baseline".into(), 50)];
-        let off = &results[&(spec.abbr.to_string(), "nopf-on-full".into(), 50)];
+        let base = results.cell(spec.abbr, PolicyPreset::Baseline, 0.5, cfg);
+        let off = results.cell(spec.abbr, PolicyPreset::DisablePfOnFull, 0.5, cfg);
         if base.outcome == Outcome::Crashed {
             table.row(vec![
                 spec.abbr.to_string(),
@@ -73,7 +74,7 @@ mod tests {
     #[test]
     fn mvt_and_bic_crash_in_baseline() {
         let cfg = ExpConfig::quick();
-        let report = run(&cfg, 0);
+        let report = EXPERIMENT.run(&cfg, 0);
         // The crash rows must appear.
         assert!(report.contains("MVT"));
         assert!(report.contains("BIC"));

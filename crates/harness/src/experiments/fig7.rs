@@ -6,37 +6,32 @@
 //! Scheme-1 wins for slowly-populating apps (BFS, HWL); Scheme-2 ahead
 //! on average (~3 % / ~7 % in the paper), making it CPPE's default.
 
+use crate::plan::{apps, cross, Experiment, Results};
 use crate::report::{fmt_speedup, Table};
-use crate::runner::{geomean, speedup, ExpConfig, RATES};
-use crate::sweep::{cross, run_sweep};
+use crate::runner::{geomean, speedup, Cell, ExpConfig, RATES};
 use cppe::presets::PolicyPreset;
-use workloads::registry;
 
 /// Apps shown in Fig. 7.
 pub const APPS: [&str; 9] = ["MVT", "SPV", "B+T", "BIC", "SAD", "BFS", "NW", "HWL", "HIS"];
 
-/// Run and render.
-#[must_use]
-pub fn run(cfg: &ExpConfig, threads: usize) -> String {
-    let specs: Vec<_> = APPS
-        .iter()
-        .map(|a| registry::by_abbr(a).expect("known app"))
-        .collect();
-    let jobs = cross(
-        &specs,
-        &[PolicyPreset::CppeScheme1, PolicyPreset::Cppe],
-        &RATES,
-    );
-    let results = run_sweep(jobs, cfg, threads);
+/// Fig. 7 as a plan entry.
+pub const EXPERIMENT: Experiment = Experiment::new("fig7", cells, render);
 
+/// Each app under both deletion schemes at both rates.
+fn cells(cfg: &ExpConfig) -> Vec<Cell> {
+    let presets = [PolicyPreset::CppeScheme1, PolicyPreset::Cppe];
+    cross(&apps(&APPS), &presets, &RATES, cfg)
+}
+
+fn render(cfg: &ExpConfig, results: &Results) -> String {
     let mut table = Table::new(&["app", "s2/s1 @75%", "s2/s1 @50%"]);
     let mut col75 = Vec::new();
     let mut col50 = Vec::new();
     for app in APPS {
         let mut row = vec![app.to_string()];
-        for (rate, col) in [(75u32, &mut col75), (50u32, &mut col50)] {
-            let s1 = &results[&(app.to_string(), "cppe-s1".into(), rate)];
-            let s2 = &results[&(app.to_string(), "cppe".into(), rate)];
+        for (rate, col) in [(RATES[0], &mut col75), (RATES[1], &mut col50)] {
+            let s1 = results.cell(app, PolicyPreset::CppeScheme1, rate, cfg);
+            let s2 = results.cell(app, PolicyPreset::Cppe, rate, cfg);
             let s = speedup(s1, s2);
             col.push(s);
             row.push(fmt_speedup(s));
@@ -67,7 +62,7 @@ mod tests {
     #[test]
     fn report_covers_fig7_apps() {
         let cfg = ExpConfig::quick();
-        let report = run(&cfg, 0);
+        let report = EXPERIMENT.run(&cfg, 0);
         for app in APPS {
             assert!(report.contains(app));
         }

@@ -8,9 +8,9 @@
 //! omitted because they crashed in the baseline"); with CPPE they run
 //! to completion.
 
+use crate::plan::{cross, Experiment, Results};
 use crate::report::{fmt_speedup, Table};
-use crate::runner::{geomean, speedup, ExpConfig, RATES};
-use crate::sweep::{cross, run_sweep};
+use crate::runner::{geomean, speedup, Cell, ExpConfig, RATES};
 use cppe::presets::PolicyPreset;
 use workloads::registry;
 
@@ -18,32 +18,31 @@ use workloads::registry;
 #[must_use]
 pub fn collect(
     cfg: &ExpConfig,
-    threads: usize,
+    results: &Results,
 ) -> Vec<(String, &'static str, Option<f64>, Option<f64>)> {
-    let specs = registry::all();
-    let jobs = cross(
-        &specs,
-        &[PolicyPreset::Baseline, PolicyPreset::Cppe],
-        &RATES,
-    );
-    let results = run_sweep(jobs, cfg, threads);
-    specs
+    registry::all()
         .iter()
         .map(|spec| {
-            let s = |rate: u32| {
-                let base = &results[&(spec.abbr.to_string(), "baseline".into(), rate)];
-                let cppe = &results[&(spec.abbr.to_string(), "cppe".into(), rate)];
-                speedup(base, cppe)
-            };
-            (spec.abbr.to_string(), spec.pattern.roman(), s(75), s(50))
+            let [s75, s50] = RATES.map(|rate| {
+                let base = results.cell(spec.abbr, PolicyPreset::Baseline, rate, cfg);
+                speedup(base, results.cell(spec.abbr, PolicyPreset::Cppe, rate, cfg))
+            });
+            (spec.abbr.to_string(), spec.pattern.roman(), s75, s50)
         })
         .collect()
 }
 
-/// Run and render.
-#[must_use]
-pub fn run(cfg: &ExpConfig, threads: usize) -> String {
-    let rows = collect(cfg, threads);
+/// Fig. 8 as a plan entry.
+pub const EXPERIMENT: Experiment = Experiment::new("fig8", cells, render);
+
+/// Every app, baseline vs CPPE, at both rates.
+fn cells(cfg: &ExpConfig) -> Vec<Cell> {
+    let presets = [PolicyPreset::Baseline, PolicyPreset::Cppe];
+    cross(&registry::all(), &presets, &RATES, cfg)
+}
+
+fn render(cfg: &ExpConfig, results: &Results) -> String {
+    let rows = collect(cfg, results);
     let mut table = Table::new(&["app", "type", "75%", "50%"]);
     let mut col75 = Vec::new();
     let mut col50 = Vec::new();
@@ -84,11 +83,16 @@ pub fn run(cfg: &ExpConfig, threads: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::run_plan;
+
+    fn rows() -> Vec<(String, &'static str, Option<f64>, Option<f64>)> {
+        let cfg = ExpConfig::quick();
+        collect(&cfg, &run_plan(&[EXPERIMENT], &cfg, 0))
+    }
 
     #[test]
     fn cppe_wins_on_average_and_never_tanks() {
-        let cfg = ExpConfig::quick();
-        let rows = collect(&cfg, 0);
+        let rows = rows();
         let all: Vec<Option<f64>> = rows.iter().flat_map(|(_, _, a, b)| [*a, *b]).collect();
         let avg = geomean(&all).expect("some completed runs");
         assert!(avg > 1.05, "CPPE average speedup {avg:.3} should exceed 1");
@@ -104,8 +108,7 @@ mod tests {
 
     #[test]
     fn mvt_bic_crash_in_baseline_complete_with_cppe() {
-        let cfg = ExpConfig::quick();
-        let rows = collect(&cfg, 0);
+        let rows = rows();
         for target in ["MVT", "BIC"] {
             let (_, _, s75, s50) = rows.iter().find(|r| r.0 == target).unwrap();
             assert!(
@@ -117,8 +120,7 @@ mod tests {
 
     #[test]
     fn type4_shows_large_wins() {
-        let cfg = ExpConfig::quick();
-        let rows = collect(&cfg, 0);
+        let rows = rows();
         let srd = rows.iter().find(|r| r.0 == "SRD").unwrap();
         assert!(srd.2.unwrap_or(0.0) > 1.3, "SRD @75% should win big");
         assert!(srd.3.unwrap_or(0.0) > 1.2, "SRD @50% should win");

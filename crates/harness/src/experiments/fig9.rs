@@ -7,9 +7,9 @@
 //! under 50 % oversubscription (paper: −27 % average for LRU-10 %), and
 //! CPPE is better than or similar to everything across all types.
 
+use crate::plan::{cross, Experiment, Results};
 use crate::report::{fmt_speedup, Table};
-use crate::runner::{geomean, speedup, ExpConfig, RATES};
-use crate::sweep::{cross, run_sweep};
+use crate::runner::{geomean, speedup, Cell, ExpConfig, RATES};
 use cppe::presets::PolicyPreset;
 use workloads::{registry, PatternType};
 
@@ -21,22 +21,24 @@ pub const POLICIES: [PolicyPreset; 4] = [
     PolicyPreset::Cppe,
 ];
 
-/// Run and render.
-#[must_use]
-pub fn run(cfg: &ExpConfig, threads: usize) -> String {
-    let specs = registry::all();
+/// Fig. 9 as a plan entry.
+pub const EXPERIMENT: Experiment = Experiment::new("fig9", cells, render);
+
+/// Every app under the baseline and each compared policy, at both rates.
+fn cells(cfg: &ExpConfig) -> Vec<Cell> {
     let mut all = vec![PolicyPreset::Baseline];
     all.extend_from_slice(&POLICIES);
-    let jobs = cross(&specs, &all, &RATES);
-    let results = run_sweep(jobs, cfg, threads);
+    cross(&registry::all(), &all, &RATES, cfg)
+}
 
+fn render(cfg: &ExpConfig, results: &Results) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "Fig. 9 — speedup over the baseline, grouped by access-pattern type\n\
          (geomean within each type), scale={}\n\n",
         cfg.scale
     ));
-    for rate in [75u32, 50u32] {
+    for rate in RATES {
         let mut table = Table::new(&["type", "random", "lru-10%", "lru-20%", "cppe"]);
         for ty in PatternType::all() {
             let members = registry::by_type(ty);
@@ -45,16 +47,15 @@ pub fn run(cfg: &ExpConfig, threads: usize) -> String {
                 let speeds: Vec<Option<f64>> = members
                     .iter()
                     .map(|w| {
-                        let base = &results[&(w.abbr.to_string(), "baseline".into(), rate)];
-                        let r = &results[&(w.abbr.to_string(), preset.label(), rate)];
-                        speedup(base, r)
+                        let base = results.cell(w.abbr, PolicyPreset::Baseline, rate, cfg);
+                        speedup(base, results.cell(w.abbr, preset, rate, cfg))
                     })
                     .collect();
                 row.push(fmt_speedup(geomean(&speeds)));
             }
             table.row(row);
         }
-        out.push_str(&format!("-- {rate}% oversubscription --\n"));
+        out.push_str(&format!("-- {}% oversubscription --\n", rate * 100.0));
         out.push_str(&table.render());
         out.push('\n');
     }
@@ -73,7 +74,7 @@ mod tests {
     #[test]
     fn report_has_both_rates_and_all_types() {
         let cfg = ExpConfig::quick();
-        let report = run(&cfg, 0);
+        let report = EXPERIMENT.run(&cfg, 0);
         assert!(report.contains("75% oversubscription"));
         assert!(report.contains("50% oversubscription"));
         for ty in PatternType::all() {

@@ -1,9 +1,12 @@
 //! One module per paper artifact.
 //!
-//! Every module exposes `run(cfg, threads) -> String`: a self-contained
-//! text report with the same rows/series as the paper's table or figure.
-//! The `src/bin/*` binaries are thin wrappers that print the report and
-//! save it under `results/`.
+//! Every module exposes an [`Experiment`] (`EXPERIMENT`): its `cells`
+//! declare every simulator run the report reads, and its `render` turns
+//! the plan's results into a self-contained text report with the same
+//! rows/series as the paper's table or figure; [`Experiment::run`] is
+//! the one-experiment plan. The `src/bin/*` binaries are thin wrappers
+//! that print the report and save it under `results/`; `all` runs the
+//! union of [`ALL`]'s cells, each distinct cell once.
 //!
 //! | Module | Paper artifact |
 //! |---|---|
@@ -47,7 +50,28 @@ pub mod table3;
 pub mod table4;
 pub mod timeline;
 
+use crate::plan::{run_plan, Experiment};
 use crate::runner::ExpConfig;
+
+/// The reports `all` regenerates, in output order.
+pub const ALL: [Experiment; 16] = [
+    fig3::EXPERIMENT,
+    fig4::EXPERIMENT,
+    table3::EXPERIMENT,
+    table4::EXPERIMENT,
+    sens::EXPERIMENT,
+    fig7::EXPERIMENT,
+    fig8::EXPERIMENT,
+    fig9::EXPERIMENT,
+    fig10::EXPERIMENT,
+    overhead::EXPERIMENT,
+    motivation::EXPERIMENT,
+    ablation::EXPERIMENT,
+    sens2::EXPERIMENT,
+    bound::EXPERIMENT,
+    timeline::EXPERIMENT,
+    stability::EXPERIMENT,
+];
 
 /// Parse the common binary CLI:
 /// `[--quick] [--scale X] [--threads N] [--trace] [--trace-format F]
@@ -102,18 +126,45 @@ pub fn cli_config(args: &[String]) -> (ExpConfig, usize) {
     (cfg, threads)
 }
 
-/// Standard binary main body: run the experiment, print, save.
-pub fn binary_main(name: &str, run: impl Fn(&ExpConfig, usize) -> String) {
+/// Run the plan of `experiments` from the command line: run the union
+/// of their cells once, then print each report (separated by a rule
+/// when there are several) and save it as `results/<name>.txt`.
+/// Progress goes to stderr as `[plan]`/`[name]` lines. Returns the
+/// number of reports that failed to save.
+#[must_use]
+pub fn plan_main(experiments: &[Experiment]) -> usize {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (cfg, threads) = cli_config(&args);
     let t0 = std::time::Instant::now();
-    let report = run(&cfg, threads);
-    println!("{report}");
-    eprintln!("[{name}] completed in {:.1?}", t0.elapsed());
-    match crate::report::save(&format!("{name}.txt"), &report) {
-        Ok(path) => eprintln!("[{name}] saved to {}", path.display()),
-        Err(e) => eprintln!("[{name}] could not save results: {e}"),
+    let results = run_plan(experiments, &cfg, threads);
+    eprintln!(
+        "[plan] {} cells declared, {} run in {:.1?}",
+        results.declared(),
+        results.runs(),
+        t0.elapsed()
+    );
+    let mut failed_saves = 0;
+    for exp in experiments {
+        let name = exp.name;
+        let report = (exp.render)(&cfg, &results);
+        println!("{report}");
+        if experiments.len() > 1 {
+            println!("{}", "=".repeat(72));
+        }
+        match crate::report::save(&format!("{name}.txt"), &report) {
+            Ok(path) => eprintln!("[{name}] saved to {}", path.display()),
+            Err(e) => {
+                eprintln!("[{name}] ERROR: saving {name}.txt failed: {e}");
+                failed_saves += 1;
+            }
+        }
     }
+    failed_saves
+}
+
+/// Standard binary main body: run one experiment, print, save.
+pub fn binary_main(experiment: Experiment) {
+    let _ = plan_main(&[experiment]);
 }
 
 #[cfg(test)]

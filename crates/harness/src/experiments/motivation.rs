@@ -7,18 +7,33 @@
 //! experiment runs HPE in both settings, plus LRU and CPPE for
 //! reference, on a thrashing and an irregular app.
 
+use crate::plan::{apps, cross, Experiment, Results};
 use crate::report::{fmt_speedup, Table};
-use crate::runner::{run_cell, speedup, ExpConfig};
+use crate::runner::{speedup, Cell, ExpConfig};
 use cppe::presets::PolicyPreset;
-use workloads::registry;
 
 /// Apps contrasted: a Type IV thrasher (HPE's home turf) and a sparse
 /// Type VI app (where misclassification hurts).
 pub const APPS: [&str; 2] = ["SRD", "B+T"];
 
-/// Run and render.
-#[must_use]
-pub fn run(cfg: &ExpConfig, _threads: usize) -> String {
+/// HPE and LRU with and without prefetch, plus CPPE.
+pub const POLICIES: [PolicyPreset; 5] = [
+    PolicyPreset::LruNoPf,
+    PolicyPreset::HpeNoPf,
+    PolicyPreset::Baseline,
+    PolicyPreset::HpeNaive,
+    PolicyPreset::Cppe,
+];
+
+/// §III Inefficiency 1 as a plan entry.
+pub const EXPERIMENT: Experiment = Experiment::new("motivation", cells, render);
+
+/// Each app under every policy at 50 %.
+fn cells(cfg: &ExpConfig) -> Vec<Cell> {
+    cross(&apps(&APPS), &POLICIES, &[0.5], cfg)
+}
+
+fn render(cfg: &ExpConfig, results: &Results) -> String {
     let mut table = Table::new(&[
         "app",
         "hpe-nopf/lru-nopf",
@@ -26,17 +41,13 @@ pub fn run(cfg: &ExpConfig, _threads: usize) -> String {
         "cppe/baseline",
     ]);
     for app in APPS {
-        let spec = registry::by_abbr(app).expect("known app");
-        let lru_nopf = run_cell(&spec, PolicyPreset::LruNoPf, 0.5, cfg);
-        let hpe_nopf = run_cell(&spec, PolicyPreset::HpeNoPf, 0.5, cfg);
-        let baseline = run_cell(&spec, PolicyPreset::Baseline, 0.5, cfg);
-        let hpe_pf = run_cell(&spec, PolicyPreset::HpeNaive, 0.5, cfg);
-        let cppe = run_cell(&spec, PolicyPreset::Cppe, 0.5, cfg);
+        let [lru_nopf, hpe_nopf, baseline, hpe_pf, cppe] =
+            POLICIES.map(|p| results.cell(app, p, 0.5, cfg));
         table.row(vec![
             app.to_string(),
-            fmt_speedup(speedup(&lru_nopf, &hpe_nopf)),
-            fmt_speedup(speedup(&baseline, &hpe_pf)),
-            fmt_speedup(speedup(&baseline, &cppe)),
+            fmt_speedup(speedup(lru_nopf, hpe_nopf)),
+            fmt_speedup(speedup(baseline, hpe_pf)),
+            fmt_speedup(speedup(baseline, cppe)),
         ]);
     }
     format!(

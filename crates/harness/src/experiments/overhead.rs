@@ -8,30 +8,34 @@
 //! pattern buffer at 37.2 %/88.7 % of the chain length for the apps
 //! that use it.
 
+use crate::plan::{cross, Experiment, Results};
 use crate::report::Table;
-use crate::runner::{ExpConfig, RATES};
-use crate::sweep::{cross, run_sweep};
+use crate::runner::{Cell, ExpConfig, RATES};
 use cppe::presets::PolicyPreset;
 use workloads::registry;
 
-/// Run and render.
-#[must_use]
-pub fn run(cfg: &ExpConfig, threads: usize) -> String {
+/// §VI-C as a plan entry.
+pub const EXPERIMENT: Experiment = Experiment::new("overhead", cells, render);
+
+/// Every app under CPPE at both rates.
+fn cells(cfg: &ExpConfig) -> Vec<Cell> {
+    cross(&registry::all(), &[PolicyPreset::Cppe], &RATES, cfg)
+}
+
+fn render(cfg: &ExpConfig, results: &Results) -> String {
     let specs = registry::all();
-    let jobs = cross(&specs, &[PolicyPreset::Cppe], &RATES);
-    let results = run_sweep(jobs, cfg, threads);
 
     let mut out = String::new();
     out.push_str(&format!(
         "§VI-C — CPPE structure overhead (12 B per entry), scale={}\n\n",
         cfg.scale
     ));
-    for rate in [75u32, 50u32] {
+    for rate in RATES {
         let mut table = Table::new(&["app", "chain", "evict-buf", "pattern-buf", "entries", "KB"]);
         let mut tot_entries = 0usize;
         let mut pattern_frac = Vec::new();
         for spec in &specs {
-            let r = &results[&(spec.abbr.to_string(), "cppe".into(), rate)];
+            let r = results.cell(spec.abbr, PolicyPreset::Cppe, rate, cfg);
             let o = r.overhead;
             let entries = o.total_entries();
             tot_entries += entries;
@@ -53,7 +57,7 @@ pub fn run(cfg: &ExpConfig, threads: usize) -> String {
         } else {
             pattern_frac.iter().sum::<f64>() / pattern_frac.len() as f64
         };
-        out.push_str(&format!("-- {rate}% oversubscription --\n"));
+        out.push_str(&format!("-- {}% oversubscription --\n", rate * 100.0));
         out.push_str(&table.render());
         out.push_str(&format!(
             "average entries: {avg_entries} ({:.1} KB); pattern buffer at\n\
@@ -78,7 +82,7 @@ mod tests {
     #[test]
     fn overhead_is_kilobytes_not_megabytes() {
         let cfg = ExpConfig::quick();
-        let report = run(&cfg, 0);
+        let report = EXPERIMENT.run(&cfg, 0);
         assert!(report.contains("average entries"));
         // Sanity: every KB cell in the table is small (< 1 MB).
         for line in report.lines() {

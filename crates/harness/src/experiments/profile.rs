@@ -11,13 +11,13 @@
 //! each contended resource (walker slots, driver fault queue, PCIe
 //! retry path).
 
+use crate::plan::{Experiment, Results};
 use crate::report::{save, Table};
-use crate::runner::{capacity_pages, ExpConfig};
+use crate::runner::{Cell, ExpConfig};
 use cppe::presets::PolicyPreset;
-use gpu::{simulate, RunResult};
+use gpu::RunResult;
 use std::fmt::Write as _;
 use telemetry::{json, LatencyAttribution};
-use workloads::registry;
 
 /// Pattern-diverse subset (regular / irregular / mixed), matching the
 /// chaos suite so the two baselines are comparable.
@@ -30,50 +30,51 @@ pub const SCHEMA: &str = "cppe-profile-v1";
 /// the full distribution stays available via `region_count`.
 const TOP_REGIONS: usize = 16;
 
+/// Profile as a plan entry.
+pub const EXPERIMENT: Experiment = Experiment::new("profile", cells, render);
+
 /// One profiled workload: the traced run and its folded span
 /// attribution.
 #[derive(Debug)]
-pub struct ProfiledRun {
+pub struct ProfiledRun<'a> {
     /// Workload abbreviation.
     pub app: &'static str,
     /// The traced simulation result.
-    pub result: RunResult,
+    pub result: &'a RunResult,
     /// Per-stage / per-resource / per-SM / per-region attribution.
     pub attribution: LatencyAttribution,
 }
 
-/// Run one workload under CPPE at 50 % oversubscription with span
+/// One workload under CPPE at 50 % oversubscription with span
 /// recording on (a span ring large enough that quick/default scales
-/// profile losslessly) and fold its spans.
+/// profile losslessly).
 #[must_use]
-pub fn run_profiled(cfg: &ExpConfig, abbr: &'static str) -> ProfiledRun {
-    let spec = registry::by_abbr(abbr).expect("known app");
-    let gpu = gpu::GpuConfig {
-        trace: telemetry::TraceConfig {
-            span_capacity: 1 << 20,
-            ..telemetry::TraceConfig::on()
-        },
-        ..cfg.gpu
+pub fn profiled(cfg: &ExpConfig, abbr: &str) -> Cell {
+    let mut cell = Cell::app(abbr, PolicyPreset::Cppe, 0.5, cfg);
+    cell.gpu.trace = telemetry::TraceConfig {
+        span_capacity: 1 << 20,
+        ..telemetry::TraceConfig::on()
     };
-    let lanes = gpu.lanes();
-    let streams: Vec<_> = (0..lanes)
-        .map(|l| spec.lane_items(l, lanes, cfg.scale))
-        .collect();
-    let capacity = capacity_pages(&spec, 0.5, cfg.scale);
-    let result = simulate(
-        &gpu,
-        PolicyPreset::Cppe.build(cfg.seed),
-        &streams,
-        capacity,
-        spec.pages(cfg.scale),
-    );
+    cell
+}
+
+/// Fold a profiled run's spans.
+///
+/// # Panics
+/// Panics when the run was not traced.
+#[must_use]
+pub fn fold<'a>(app: &'static str, result: &'a RunResult) -> ProfiledRun<'a> {
     let t = result.telemetry.as_ref().expect("profile runs are traced");
-    let attribution = LatencyAttribution::from_spans(&t.spans);
     ProfiledRun {
-        app: abbr,
+        app,
         result,
-        attribution,
+        attribution: LatencyAttribution::from_spans(&t.spans),
     }
+}
+
+/// Every [`APPS`] workload, profiled.
+fn cells(cfg: &ExpConfig) -> Vec<Cell> {
+    APPS.iter().map(|a| profiled(cfg, a)).collect()
 }
 
 /// Per-stage latency table (cycles): count, mean and the tail quantiles.
@@ -117,7 +118,7 @@ pub fn profile_json(runs: &[ProfiledRun]) -> String {
         if i > 0 {
             s.push(',');
         }
-        let r = &p.result;
+        let r = p.result;
         let t = r.telemetry.as_ref().expect("profile runs are traced");
         let outcome = format!("{:?}", r.outcome).to_lowercase();
         let _ = write!(
@@ -202,11 +203,13 @@ pub fn profile_json(runs: &[ProfiledRun]) -> String {
     s
 }
 
-/// Run and render. Saves `BENCH_profile.json` under `results/` and
+/// Render the report. Saves `BENCH_profile.json` under `results/` and
 /// mirrors it at the repo root for perf-regression diffing in CI.
-#[must_use]
-pub fn run(cfg: &ExpConfig, _threads: usize) -> String {
-    let runs: Vec<ProfiledRun> = APPS.iter().map(|a| run_profiled(cfg, a)).collect();
+fn render(cfg: &ExpConfig, results: &Results) -> String {
+    let runs: Vec<ProfiledRun> = APPS
+        .iter()
+        .map(|a| fold(a, results.get(&profiled(cfg, a))))
+        .collect();
     let doc = profile_json(&runs);
     let _ = save("BENCH_profile.json", &doc);
     let _ = telemetry::export::write_atomic(std::path::Path::new("BENCH_profile.json"), &doc);
@@ -218,7 +221,7 @@ pub fn run(cfg: &ExpConfig, _threads: usize) -> String {
         cfg.scale
     );
     for p in &runs {
-        let r = &p.result;
+        let r = p.result;
         let t = r.telemetry.as_ref().expect("profile runs are traced");
         let _ = write!(
             out,
@@ -268,7 +271,8 @@ mod tests {
 
     #[test]
     fn profiled_run_records_complete_span_trees() {
-        let p = run_profiled(&quick_cfg(), "STN");
+        let r = profiled(&quick_cfg(), "STN").run();
+        let p = fold("STN", &r);
         let t = p.result.telemetry.as_ref().unwrap();
         assert!(!t.spans.is_empty(), "span recording was on");
         assert_eq!(t.dropped_spans, 0, "profile ring sized for losslessness");
@@ -282,7 +286,8 @@ mod tests {
 
     #[test]
     fn profile_json_has_schema_and_stage_quantiles() {
-        let runs = vec![run_profiled(&quick_cfg(), "STN")];
+        let r = profiled(&quick_cfg(), "STN").run();
+        let runs = vec![fold("STN", &r)];
         let doc = profile_json(&runs);
         json::validate(&doc).expect("well-formed JSON");
         assert!(doc.starts_with("{\"schema\":\"cppe-profile-v1\""));
@@ -295,7 +300,8 @@ mod tests {
 
     #[test]
     fn stage_table_lists_lifecycle_stages() {
-        let p = run_profiled(&quick_cfg(), "STN");
+        let r = profiled(&quick_cfg(), "STN").run();
+        let p = fold("STN", &r);
         let rendered = stage_table(&p.attribution).render();
         assert!(rendered.contains("fault_total"));
         assert!(rendered.contains("batch_service"));

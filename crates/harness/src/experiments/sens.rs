@@ -8,14 +8,10 @@
 //!   adjusting apps (SRD, HSD, MRQ): average speedup over the baseline.
 //!   The paper selects T3 = 32.
 
+use crate::plan::{apps, cross, Experiment, Results};
 use crate::report::{fmt_speedup, Table};
-use crate::runner::{geomean, run_cell, speedup, ExpConfig};
-use cppe::evict::mhpe::{MhpeConfig, MhpePolicy};
-use cppe::prefetch::pattern::PatternAwarePrefetcher;
+use crate::runner::{geomean, speedup, Cell, ExpConfig};
 use cppe::presets::PolicyPreset;
-use cppe::PolicyEngine;
-use gpu::simulate;
-use workloads::registry;
 
 /// Apps used for the forward-distance sweep: two MRU-favouring regular
 /// apps and two high-untouch irregular apps.
@@ -25,39 +21,36 @@ pub const FD_APPS: [&str; 4] = ["SRD", "HSD", "B+T", "NW"];
 /// keep adjusting at runtime).
 pub const T3_APPS: [&str; 3] = ["SRD", "HSD", "MRQ"];
 
-/// One cell of the forward-distance sweep.
-#[derive(Debug, Clone)]
-pub struct FdCell {
-    /// Workload abbreviation.
-    pub app: String,
-    /// Mean per-interval untouch level (whole run).
-    pub untouch: f64,
-    /// Wrong evictions per 100 chunk evictions.
-    pub wrong_per_100: f64,
+/// Forward distances swept.
+pub const FDS: std::ops::RangeInclusive<usize> = 1..=10;
+
+/// T3 limits swept.
+pub const T3S: [usize; 7] = [16, 20, 24, 28, 32, 36, 40];
+
+/// Sensitivity studies as a plan entry.
+pub const EXPERIMENT: Experiment = Experiment::new("sens", cells, render);
+
+/// The pinned-MRU forward-distance cells, then the T3 sweep's cells
+/// with their baselines, all at 50 %.
+fn cells(cfg: &ExpConfig) -> Vec<Cell> {
+    let fds: Vec<_> = FDS.map(PolicyPreset::MhpeFixedFd).collect();
+    let mut t3s = vec![PolicyPreset::Baseline];
+    t3s.extend(T3S.map(PolicyPreset::MhpeT3));
+    let mut cells = cross(&apps(&FD_APPS), &fds, &[0.5], cfg);
+    cells.extend(cross(&apps(&T3_APPS), &t3s, &[0.5], cfg));
+    cells
 }
 
-/// Forward-distance sweep: returns rows `(fd, per-app cells)`.
+/// Forward-distance sweep: rows `(fd, per-app (mean per-interval
+/// untouch level, wrong evictions per 100 chunk evictions))`, apps in
+/// [`FD_APPS`] order.
 #[must_use]
-pub fn fd_sweep(cfg: &ExpConfig) -> Vec<(usize, Vec<FdCell>)> {
+pub fn fd_sweep(cfg: &ExpConfig, results: &Results) -> Vec<(usize, Vec<(f64, f64)>)> {
     let mut rows = Vec::new();
-    for fd in 1..=10usize {
+    for fd in FDS {
         let mut cells = Vec::new();
         for app in FD_APPS {
-            let spec = registry::by_abbr(app).expect("known app");
-            let lanes = cfg.gpu.lanes();
-            let streams: Vec<_> = (0..lanes)
-                .map(|l| spec.lane_items(l, lanes, cfg.scale))
-                .collect();
-            let engine = PolicyEngine::new(
-                Box::new(MhpePolicy::with_config(MhpeConfig {
-                    fixed_fd: Some(fd),
-                    disable_switch: true,
-                    ..MhpeConfig::default()
-                })),
-                Box::new(PatternAwarePrefetcher::new()),
-            );
-            let capacity = crate::runner::capacity_pages(&spec, 0.5, cfg.scale);
-            let r = simulate(&cfg.gpu, engine, &streams, capacity, spec.pages(cfg.scale));
+            let r = results.cell(app, PolicyPreset::MhpeFixedFd(fd), 0.5, cfg);
             let untouch = r.mhpe.as_ref().map_or(0.0, |t| {
                 if t.interval_untouch.is_empty() {
                     0.0
@@ -68,11 +61,7 @@ pub fn fd_sweep(cfg: &ExpConfig) -> Vec<(usize, Vec<FdCell>)> {
             });
             let wrong_per_100 =
                 100.0 * r.wrong_evictions as f64 / r.engine.chunk_evictions.max(1) as f64;
-            cells.push(FdCell {
-                app: app.to_string(),
-                untouch,
-                wrong_per_100,
-            });
+            cells.push((untouch, wrong_per_100));
         }
         rows.push((fd, cells));
     }
@@ -81,24 +70,23 @@ pub fn fd_sweep(cfg: &ExpConfig) -> Vec<(usize, Vec<FdCell>)> {
 
 /// T3 sweep: `(t3, geomean speedup over baseline across T3_APPS)`.
 #[must_use]
-pub fn t3_sweep(cfg: &ExpConfig) -> Vec<(usize, Option<f64>)> {
-    let mut rows = Vec::new();
-    for t3 in (16..=40).step_by(4) {
-        let mut speeds = Vec::new();
-        for app in T3_APPS {
-            let spec = registry::by_abbr(app).expect("known app");
-            let base = run_cell(&spec, PolicyPreset::Baseline, 0.5, cfg);
-            let t3run = run_cell(&spec, PolicyPreset::MhpeT3(t3), 0.5, cfg);
-            speeds.push(speedup(&base, &t3run));
-        }
-        rows.push((t3, geomean(&speeds)));
-    }
-    rows
+pub fn t3_sweep(cfg: &ExpConfig, results: &Results) -> Vec<(usize, Option<f64>)> {
+    T3S.iter()
+        .map(|&t3| {
+            let speeds: Vec<_> = T3_APPS
+                .iter()
+                .map(|app| {
+                    let base = results.cell(app, PolicyPreset::Baseline, 0.5, cfg);
+                    speedup(base, results.cell(app, PolicyPreset::MhpeT3(t3), 0.5, cfg))
+                })
+                .collect();
+            (t3, geomean(&speeds))
+        })
+        .collect()
 }
 
-/// Run both sweeps and render.
-#[must_use]
-pub fn run(cfg: &ExpConfig, _threads: usize) -> String {
+/// Render both sweeps.
+fn render(cfg: &ExpConfig, results: &Results) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "Sensitivity studies (§IV-B / §VI-A), 50% oversubscription, scale={}\n\n\
@@ -112,11 +100,11 @@ pub fn run(cfg: &ExpConfig, _threads: usize) -> String {
     }
     let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
     let mut table = Table::new(&header_refs);
-    for (fd, cells) in fd_sweep(cfg) {
+    for (fd, cells) in fd_sweep(cfg, results) {
         let mut row = vec![fd.to_string()];
-        for cell in cells {
-            row.push(format!("{:.1}", cell.untouch));
-            row.push(format!("{:.1}", cell.wrong_per_100));
+        for (untouch, wrong_per_100) in cells {
+            row.push(format!("{untouch:.1}"));
+            row.push(format!("{wrong_per_100:.1}"));
         }
         table.row(row);
     }
@@ -124,7 +112,7 @@ pub fn run(cfg: &ExpConfig, _threads: usize) -> String {
 
     out.push_str("\n-- T3 limit sweep (CPPE, geomean speedup over baseline on SRD/HSD/MRQ) --\n");
     let mut table = Table::new(&["t3", "speedup"]);
-    let sweep = t3_sweep(cfg);
+    let sweep = t3_sweep(cfg, results);
     let best = sweep
         .iter()
         .max_by(|a, b| {
@@ -148,11 +136,12 @@ pub fn run(cfg: &ExpConfig, _threads: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::run_plan;
 
     #[test]
     fn fd_sweep_produces_ten_rows() {
         let cfg = ExpConfig::quick();
-        let rows = fd_sweep(&cfg);
+        let rows = fd_sweep(&cfg, &run_plan(&[EXPERIMENT], &cfg, 0));
         assert_eq!(rows.len(), 10);
         assert_eq!(rows[0].0, 1);
         assert_eq!(rows[9].0, 10);
@@ -162,7 +151,7 @@ mod tests {
     #[test]
     fn t3_sweep_covers_paper_range() {
         let cfg = ExpConfig::quick();
-        let rows = t3_sweep(&cfg);
+        let rows = t3_sweep(&cfg, &run_plan(&[EXPERIMENT], &cfg, 0));
         let t3s: Vec<usize> = rows.iter().map(|(t, _)| *t).collect();
         assert_eq!(t3s, vec![16, 20, 24, 28, 32, 36, 40]);
     }

@@ -11,15 +11,10 @@
 //!   grows with fault cost (fewer faults matter more), a robustness
 //!   check on the headline result.
 
+use crate::plan::{apps, cross, Experiment, Results};
 use crate::report::{fmt_speedup, Table};
-use crate::runner::{capacity_pages, geomean, speedup, ExpConfig};
-use cppe::evict::mhpe::{MhpeConfig, MhpePolicy};
-use cppe::prefetch::pattern::PatternAwarePrefetcher;
-use cppe::prefetch::sequential::SequentialLocalPrefetcher;
+use crate::runner::{geomean, speedup, Cell, ExpConfig};
 use cppe::presets::PolicyPreset;
-use cppe::PolicyEngine;
-use gpu::{simulate, GpuConfig};
-use workloads::registry;
 
 /// One representative app per pattern type.
 pub const APPS: [&str; 6] = ["2DC", "KMN", "NW", "SRD", "HIS", "B+T"];
@@ -30,87 +25,65 @@ pub const T1_VALUES: [u32; 5] = [16, 24, 32, 40, 48];
 /// Far-fault base latencies swept, in µs (paper: 20).
 pub const FAULT_US: [u64; 4] = [10, 20, 30, 45];
 
-fn run_with(cfg: &ExpConfig, abbr: &str, engine: PolicyEngine, gpu: &GpuConfig) -> gpu::RunResult {
-    let spec = registry::by_abbr(abbr).expect("known app");
-    let lanes = gpu.lanes();
-    let streams: Vec<_> = (0..lanes)
-        .map(|l| spec.lane_items(l, lanes, cfg.scale))
+/// Extended sensitivity as a plan entry.
+pub const EXPERIMENT: Experiment = Experiment::new("sens2", cells, render);
+
+/// `cfg` with a far-fault base latency of `us` microseconds.
+fn at_fault_cost(cfg: &ExpConfig, us: u64) -> ExpConfig {
+    let mut cfg = *cfg;
+    cfg.gpu.fault_base_cycles = us * 1400;
+    cfg
+}
+
+/// Geomean speedup of `preset` over the baseline across [`APPS`] at
+/// 50 %.
+fn over_baseline(cfg: &ExpConfig, results: &Results, preset: PolicyPreset) -> Option<f64> {
+    let speeds: Vec<_> = APPS
+        .iter()
+        .map(|app| {
+            let base = results.cell(app, PolicyPreset::Baseline, 0.5, cfg);
+            speedup(base, results.cell(app, preset, 0.5, cfg))
+        })
         .collect();
-    let capacity = capacity_pages(&spec, 0.5, cfg.scale);
-    simulate(gpu, engine, &streams, capacity, spec.pages(cfg.scale))
+    geomean(&speeds)
+}
+
+/// The T1 sweep and the disable-on-full reference, then CPPE at each
+/// fault cost; every policy with its baseline, at 50 %.
+fn cells(cfg: &ExpConfig) -> Vec<Cell> {
+    let specs = apps(&APPS);
+    let mut presets = vec![PolicyPreset::Baseline, PolicyPreset::DisablePfOnFull];
+    presets.extend(T1_VALUES.map(PolicyPreset::MhpeT1));
+    let mut cells = cross(&specs, &presets, &[0.5], cfg);
+    for us in FAULT_US {
+        let presets = [PolicyPreset::Baseline, PolicyPreset::Cppe];
+        cells.extend(cross(&specs, &presets, &[0.5], &at_fault_cost(cfg, us)));
+    }
+    cells
 }
 
 /// T1/T2 sweep rows: `(t1, geomean speedup over baseline)`.
 #[must_use]
-pub fn t1_sweep(cfg: &ExpConfig) -> Vec<(u32, Option<f64>)> {
-    let mut rows = Vec::new();
-    for t1 in T1_VALUES {
-        let mut speeds = Vec::new();
-        for abbr in APPS {
-            let base = run_with(cfg, abbr, PolicyPreset::Baseline.build(cfg.seed), &cfg.gpu);
-            let engine = PolicyEngine::new(
-                // T2 is disabled here to isolate T1's effect — with the
-                // paper's T2 in place, the cumulative check compensates
-                // for a mis-set T1 and the sweep flattens.
-                Box::new(MhpePolicy::with_config(MhpeConfig {
-                    t1,
-                    t2: u32::MAX,
-                    ..MhpeConfig::default()
-                })),
-                Box::new(PatternAwarePrefetcher::new()),
-            );
-            let run = run_with(cfg, abbr, engine, &cfg.gpu);
-            speeds.push(speedup(&base, &run));
-        }
-        rows.push((t1, geomean(&speeds)));
-    }
-    rows
+pub fn t1_sweep(cfg: &ExpConfig, results: &Results) -> Vec<(u32, Option<f64>)> {
+    T1_VALUES
+        .iter()
+        .map(|&t1| (t1, over_baseline(cfg, results, PolicyPreset::MhpeT1(t1))))
+        .collect()
 }
 
 /// Fault-cost sweep rows: `(µs, geomean CPPE speedup over baseline)`.
 #[must_use]
-pub fn fault_cost_sweep(cfg: &ExpConfig) -> Vec<(u64, Option<f64>)> {
-    let mut rows = Vec::new();
-    for us in FAULT_US {
-        let gpu = GpuConfig {
-            fault_base_cycles: us * 1400,
-            ..cfg.gpu
-        };
-        let mut speeds = Vec::new();
-        for abbr in APPS {
-            let base = run_with(cfg, abbr, PolicyPreset::Baseline.build(cfg.seed), &gpu);
-            let engine = PolicyEngine::new(
-                Box::new(MhpePolicy::new()),
-                Box::new(PatternAwarePrefetcher::new()),
-            );
-            let run = run_with(cfg, abbr, engine, &gpu);
-            speeds.push(speedup(&base, &run));
-        }
-        rows.push((us, geomean(&speeds)));
-    }
-    rows
+pub fn fault_cost_sweep(cfg: &ExpConfig, results: &Results) -> Vec<(u64, Option<f64>)> {
+    FAULT_US
+        .iter()
+        .map(|&us| {
+            let cfg = at_fault_cost(cfg, us);
+            (us, over_baseline(&cfg, results, PolicyPreset::Cppe))
+        })
+        .collect()
 }
 
-/// A no-prefetch sanity column used in the report footer: geomean cost
-/// of disabling prefetch entirely at the paper's fault latency.
-#[must_use]
-pub fn nopf_reference(cfg: &ExpConfig) -> Option<f64> {
-    let mut speeds = Vec::new();
-    for abbr in APPS {
-        let base = run_with(cfg, abbr, PolicyPreset::Baseline.build(cfg.seed), &cfg.gpu);
-        let engine = PolicyEngine::new(
-            Box::new(cppe::evict::lru::LruPolicy::new()),
-            Box::new(SequentialLocalPrefetcher::disable_on_full()),
-        );
-        let run = run_with(cfg, abbr, engine, &cfg.gpu);
-        speeds.push(speedup(&base, &run));
-    }
-    geomean(&speeds)
-}
-
-/// Run and render.
-#[must_use]
-pub fn run(cfg: &ExpConfig, _threads: usize) -> String {
+fn render(cfg: &ExpConfig, results: &Results) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "Extended sensitivity (beyond §VI-A), 50% oversubscription, scale={}\n\n\
@@ -118,7 +91,7 @@ pub fn run(cfg: &ExpConfig, _threads: usize) -> String {
         cfg.scale
     ));
     let mut table = Table::new(&["t1", "speedup"]);
-    for (t1, s) in t1_sweep(cfg) {
+    for (t1, s) in t1_sweep(cfg, results) {
         let marker = if t1 == 32 { " (paper)" } else { "" };
         table.row(vec![format!("{t1}{marker}"), fmt_speedup(s)]);
     }
@@ -126,7 +99,7 @@ pub fn run(cfg: &ExpConfig, _threads: usize) -> String {
 
     out.push_str("\n-- Far-fault base latency sweep: geomean CPPE speedup --\n");
     let mut table = Table::new(&["fault-us", "speedup"]);
-    for (us, s) in fault_cost_sweep(cfg) {
+    for (us, s) in fault_cost_sweep(cfg, results) {
         let marker = if us == 20 { " (paper)" } else { "" };
         table.row(vec![format!("{us}{marker}"), fmt_speedup(s)]);
     }
@@ -135,7 +108,7 @@ pub fn run(cfg: &ExpConfig, _threads: usize) -> String {
         "\n(disable-on-full reference at 20us: {})\n\
          Expected: the paper's T1=32 sits at or near the sweep optimum, and\n\
          CPPE's advantage is robust (or grows) as faults get more expensive.\n",
-        fmt_speedup(nopf_reference(cfg))
+        fmt_speedup(over_baseline(cfg, results, PolicyPreset::DisablePfOnFull))
     ));
     out
 }
@@ -143,13 +116,18 @@ pub fn run(cfg: &ExpConfig, _threads: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::run_plan;
 
     #[test]
     fn sweeps_cover_declared_ranges() {
         let cfg = ExpConfig::quick();
-        let t1s: Vec<u32> = t1_sweep(&cfg).iter().map(|(t, _)| *t).collect();
+        let results = run_plan(&[EXPERIMENT], &cfg, 0);
+        let t1s: Vec<u32> = t1_sweep(&cfg, &results).iter().map(|(t, _)| *t).collect();
         assert_eq!(t1s, T1_VALUES.to_vec());
-        let uss: Vec<u64> = fault_cost_sweep(&cfg).iter().map(|(u, _)| *u).collect();
+        let uss: Vec<u64> = fault_cost_sweep(&cfg, &results)
+            .iter()
+            .map(|(u, _)| *u)
+            .collect();
         assert_eq!(uss, FAULT_US.to_vec());
     }
 }

@@ -6,11 +6,10 @@
 //! seeds and reports the spread of CPPE's speedup — if the reproduction
 //! only held for one lucky seed it would show here.
 
+use crate::plan::{apps, cross, Experiment, Results};
 use crate::report::Table;
-use crate::runner::{capacity_pages, speedup, ExpConfig};
+use crate::runner::{speedup, Cell, ExpConfig};
 use cppe::presets::PolicyPreset;
-use gpu::{simulate, GpuConfig};
-use workloads::registry;
 
 /// Headline subset: one app per pattern type.
 pub const APPS: [&str; 6] = ["2DC", "KMN", "NW", "SRD", "HIS", "B+T"];
@@ -18,49 +17,45 @@ pub const APPS: [&str; 6] = ["2DC", "KMN", "NW", "SRD", "HIS", "B+T"];
 /// Jitter seeds exercised.
 pub const SEEDS: [u64; 5] = [1, 2, 3, 5, 8];
 
-/// Per-app speedups across seeds.
-#[must_use]
-pub fn collect(cfg: &ExpConfig) -> Vec<(String, Vec<Option<f64>>)> {
-    let mut rows = Vec::new();
-    for abbr in APPS {
-        let spec = registry::by_abbr(abbr).expect("known app");
-        let mut speeds = Vec::new();
-        for &seed in &SEEDS {
-            let gpu = GpuConfig {
-                jitter_seed: seed,
-                ..cfg.gpu
-            };
-            let lanes = gpu.lanes();
-            let streams: Vec<_> = (0..lanes)
-                .map(|l| spec.lane_items(l, lanes, cfg.scale))
-                .collect();
-            let capacity = capacity_pages(&spec, 0.5, cfg.scale);
-            let pages = spec.pages(cfg.scale);
-            let base = simulate(
-                &gpu,
-                PolicyPreset::Baseline.build(cfg.seed),
-                &streams,
-                capacity,
-                pages,
-            );
-            let cppe = simulate(
-                &gpu,
-                PolicyPreset::Cppe.build(cfg.seed),
-                &streams,
-                capacity,
-                pages,
-            );
-            speeds.push(speedup(&base, &cppe));
-        }
-        rows.push((abbr.to_string(), speeds));
-    }
-    rows
+/// Stability as a plan entry.
+pub const EXPERIMENT: Experiment = Experiment::new("stability", cells, render);
+
+/// `cfg` with SM-timing jitter seed `seed`.
+fn with_jitter(cfg: &ExpConfig, seed: u64) -> ExpConfig {
+    let mut cfg = *cfg;
+    cfg.gpu.jitter_seed = seed;
+    cfg
 }
 
-/// Run and render.
+/// Baseline and CPPE at 50 % under every jitter seed.
+fn cells(cfg: &ExpConfig) -> Vec<Cell> {
+    let presets = [PolicyPreset::Baseline, PolicyPreset::Cppe];
+    SEEDS
+        .iter()
+        .flat_map(|&seed| cross(&apps(&APPS), &presets, &[0.5], &with_jitter(cfg, seed)))
+        .collect()
+}
+
+/// Per-app speedups across seeds.
 #[must_use]
-pub fn run(cfg: &ExpConfig, _threads: usize) -> String {
-    let rows = collect(cfg);
+pub fn collect(cfg: &ExpConfig, results: &Results) -> Vec<(String, Vec<Option<f64>>)> {
+    APPS.iter()
+        .map(|app| {
+            let speeds = SEEDS
+                .iter()
+                .map(|&seed| {
+                    let cfg = with_jitter(cfg, seed);
+                    let base = results.cell(app, PolicyPreset::Baseline, 0.5, &cfg);
+                    speedup(base, results.cell(app, PolicyPreset::Cppe, 0.5, &cfg))
+                })
+                .collect();
+            (app.to_string(), speeds)
+        })
+        .collect()
+}
+
+fn render(cfg: &ExpConfig, results: &Results) -> String {
+    let rows = collect(cfg, results);
     let mut table = Table::new(&["app", "min", "mean", "max", "spread%"]);
     for (app, speeds) in &rows {
         let vals: Vec<f64> = speeds.iter().flatten().copied().collect();
@@ -99,11 +94,12 @@ pub fn run(cfg: &ExpConfig, _threads: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::run_plan;
 
     #[test]
     fn speedups_do_not_flip_sign_across_seeds() {
         let cfg = ExpConfig::quick();
-        for (app, speeds) in collect(&cfg) {
+        for (app, speeds) in collect(&cfg, &run_plan(&[EXPERIMENT], &cfg, 0)) {
             let vals: Vec<f64> = speeds.iter().flatten().copied().collect();
             assert!(!vals.is_empty(), "{app} produced no completed runs");
             let min = vals.iter().cloned().fold(f64::INFINITY, f64::min);

@@ -6,43 +6,59 @@
 //! report the maximum — at 75 % and 50 % oversubscription, sorted
 //! descending by the 75 % value as in the paper.
 
+use crate::plan::{cross, Experiment, Results};
 use crate::report::Table;
-use crate::runner::ExpConfig;
-use crate::sweep::{cross, run_sweep};
+use crate::runner::{Cell, ExpConfig, RATES};
+use cppe::evict::MhpeTrace;
 use cppe::presets::PolicyPreset;
 use workloads::registry;
 
-/// Collect `(app, max-untouch@75, max-untouch@50)` for all apps.
+/// Table III as a plan entry.
+pub const EXPERIMENT: Experiment = Experiment::new("table3", cells, render);
+
+/// Every app under pinned-MRU MHPE at both rates (Table IV reads the
+/// same cells).
+fn cells(cfg: &ExpConfig) -> Vec<Cell> {
+    cross(&registry::all(), &[PolicyPreset::MhpeNoSwitch], &RATES, cfg)
+}
+
+/// `(app, stat@75, stat@50)` for every app, sorted descending by the
+/// larger of the two.
 #[must_use]
-pub fn collect(cfg: &ExpConfig, threads: usize) -> Vec<(String, u32, u32)> {
-    let specs = registry::all();
-    let jobs = cross(&specs, &[PolicyPreset::MhpeNoSwitch], &[0.75, 0.5]);
-    let results = run_sweep(jobs, cfg, threads);
-    let mut rows = Vec::new();
-    for spec in &specs {
-        let get = |rate: u32| {
-            results[&(spec.abbr.to_string(), "mhpe-noswitch".into(), rate)]
-                .mhpe
-                .as_ref()
-                .map_or(0, cppe::evict::MhpeTrace::max_untouch_first4)
-        };
-        rows.push((spec.abbr.to_string(), get(75), get(50)));
-    }
+pub fn collect(
+    cfg: &ExpConfig,
+    results: &Results,
+    stat: fn(&MhpeTrace) -> u32,
+) -> Vec<(String, u32, u32)> {
+    let mut rows: Vec<_> = registry::all()
+        .iter()
+        .map(|spec| {
+            let get = |rate| {
+                let r = results.cell(spec.abbr, PolicyPreset::MhpeNoSwitch, rate, cfg);
+                r.mhpe.as_ref().map_or(0, stat)
+            };
+            (spec.abbr.to_string(), get(RATES[0]), get(RATES[1]))
+        })
+        .collect();
     rows.sort_by_key(|r| std::cmp::Reverse(r.1.max(r.2)));
     rows
 }
 
-/// Run and render.
+/// The table body: one row per app, skipping apps at 0 at both rates
+/// (the paper omits them).
 #[must_use]
-pub fn run(cfg: &ExpConfig, threads: usize) -> String {
-    let rows = collect(cfg, threads);
+pub fn table(rows: &[(String, u32, u32)]) -> String {
     let mut table = Table::new(&["app", "75%", "50%"]);
-    for (app, hi, lo) in &rows {
-        if *hi == 0 && *lo == 0 {
-            continue; // the paper omits apps with max untouch level 0
+    for (app, hi, lo) in rows {
+        if *hi != 0 || *lo != 0 {
+            table.row(vec![app.clone(), hi.to_string(), lo.to_string()]);
         }
-        table.row(vec![app.clone(), hi.to_string(), lo.to_string()]);
     }
+    table.render()
+}
+
+fn render(cfg: &ExpConfig, results: &Results) -> String {
+    let rows = collect(cfg, results, MhpeTrace::max_untouch_first4);
     format!(
         "Table III — maximum per-interval untouch level in the first four\n\
          intervals (MHPE pinned to MRU), scale={}\n\
@@ -50,18 +66,24 @@ pub fn run(cfg: &ExpConfig, threads: usize) -> String {
          Paper shape: wide range (0..60); B+T/HIS/BFS/HYB/MVT/NW high;\n\
          SRD/HSD/LEU low (these favour MRU and must stay below T1=32).\n",
         cfg.scale,
-        table.render()
+        table(&rows)
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::run_plan;
+
+    fn rows() -> Vec<(String, u32, u32)> {
+        let cfg = ExpConfig::quick();
+        let results = run_plan(&[EXPERIMENT], &cfg, 0);
+        collect(&cfg, &results, MhpeTrace::max_untouch_first4)
+    }
 
     #[test]
     fn type4_thrashers_stay_below_t1() {
-        let cfg = ExpConfig::quick();
-        let rows = collect(&cfg, 0);
+        let rows = rows();
         for (app, hi, lo) in &rows {
             if app == "SRD" || app == "HSD" {
                 assert!(
@@ -74,8 +96,7 @@ mod tests {
 
     #[test]
     fn sparse_apps_exceed_t1() {
-        let cfg = ExpConfig::quick();
-        let rows = collect(&cfg, 0);
+        let rows = rows();
         let find = |a: &str| rows.iter().find(|r| r.0 == a).map(|r| (r.1, r.2)).unwrap();
         let (bt75, bt50) = find("B+T");
         assert!(

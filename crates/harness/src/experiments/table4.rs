@@ -3,57 +3,32 @@
 //! §VI-A: the T2 threshold derivation. Apps whose Table III maximum
 //! exceeds T1 (32) are removed (they already switch via T1); for the
 //! rest, report the *total* untouch level over the first four
-//! intervals at both rates.
+//! intervals at both rates. It reads Table III's cells.
 
-use crate::experiments::table3;
-use crate::report::Table;
+use crate::experiments::table3::{self, collect, table};
+use crate::plan::{Experiment, Results};
 use crate::runner::ExpConfig;
-use crate::sweep::{cross, run_sweep};
-use cppe::presets::PolicyPreset;
-use workloads::registry;
+use cppe::evict::MhpeTrace;
 
-/// Collect `(app, total@75, total@50)` for apps below the T1 cut.
+/// Table IV as a plan entry.
+pub const EXPERIMENT: Experiment = Experiment::new("table4", table3::EXPERIMENT.cells, render);
+
+/// `(app, total@75, total@50)` for apps whose Table III maximum stays
+/// below T1 at both rates.
 #[must_use]
-pub fn collect(cfg: &ExpConfig, threads: usize) -> Vec<(String, u32, u32)> {
+pub fn totals(cfg: &ExpConfig, results: &Results) -> Vec<(String, u32, u32)> {
     let t1 = 32;
-    let maxes = table3::collect(cfg, threads);
-    let keep: Vec<String> = maxes
-        .iter()
-        .filter(|(_, hi, lo)| *hi < t1 && *lo < t1)
-        .map(|(a, _, _)| a.clone())
-        .collect();
-
-    let specs: Vec<_> = registry::all()
-        .into_iter()
-        .filter(|w| keep.contains(&w.abbr.to_string()))
-        .collect();
-    let jobs = cross(&specs, &[PolicyPreset::MhpeNoSwitch], &[0.75, 0.5]);
-    let results = run_sweep(jobs, cfg, threads);
-    let mut rows = Vec::new();
-    for spec in &specs {
-        let get = |rate: u32| {
-            results[&(spec.abbr.to_string(), "mhpe-noswitch".into(), rate)]
-                .mhpe
-                .as_ref()
-                .map_or(0, cppe::evict::MhpeTrace::total_untouch_first4)
-        };
-        rows.push((spec.abbr.to_string(), get(75), get(50)));
-    }
-    rows.sort_by_key(|r| std::cmp::Reverse(r.1.max(r.2)));
+    let maxes = collect(cfg, results, MhpeTrace::max_untouch_first4);
+    let mut rows = collect(cfg, results, MhpeTrace::total_untouch_first4);
+    rows.retain(|(app, _, _)| {
+        maxes
+            .iter()
+            .any(|(a, hi, lo)| a == app && *hi < t1 && *lo < t1)
+    });
     rows
 }
 
-/// Run and render.
-#[must_use]
-pub fn run(cfg: &ExpConfig, threads: usize) -> String {
-    let rows = collect(cfg, threads);
-    let mut table = Table::new(&["app", "75%", "50%"]);
-    for (app, hi, lo) in &rows {
-        if *hi == 0 && *lo == 0 {
-            continue;
-        }
-        table.row(vec![app.clone(), hi.to_string(), lo.to_string()]);
-    }
+fn render(cfg: &ExpConfig, results: &Results) -> String {
     format!(
         "Table IV — total untouch level over the first four intervals\n\
          (apps whose Table III maximum exceeded T1=32 removed), scale={}\n\n{}\n\
@@ -61,18 +36,19 @@ pub fn run(cfg: &ExpConfig, threads: usize) -> String {
          the medium-untouch apps (switch to LRU at interval 4) from the\n\
          MRU-favouring apps (HSD, LEU, SRD).\n",
         cfg.scale,
-        table.render()
+        table(&totals(cfg, results))
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::run_plan;
 
     #[test]
     fn mru_favouring_apps_stay_below_t2() {
         let cfg = ExpConfig::quick();
-        let rows = collect(&cfg, 0);
+        let rows = totals(&cfg, &run_plan(&[EXPERIMENT], &cfg, 0));
         for (app, hi, lo) in &rows {
             if app == "SRD" {
                 assert!(

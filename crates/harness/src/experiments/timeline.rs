@@ -9,49 +9,45 @@
 //! wide per-batch series is saved as CSV under `results/` (plus JSON
 //! summary / Chrome trace when `--trace-format` asks).
 
+use crate::experiments::audit::{provenance_table, AuditedRun};
+use crate::plan::{Experiment, Results};
 use crate::report::{loss_section, save, Table};
-use crate::runner::{capacity_pages, ExpConfig};
+use crate::runner::{Cell, ExpConfig};
 use cppe::presets::PolicyPreset;
-use gmmu::types::PAGES_PER_CHUNK;
-use gpu::{simulate, RunResult};
+use gpu::RunResult;
 use std::fmt::Write as _;
 use telemetry::export;
-use workloads::registry;
 
 /// Default workload for the timeline (a Type IV thrasher).
 pub const DEFAULT_APP: &str = "HSD";
 
-/// Run one telemetry-instrumented cell (tracer forced on, with
+/// Timeline as a plan entry.
+pub const EXPERIMENT: Experiment = Experiment::new("timeline", cells, render);
+
+/// One telemetry-instrumented cell at 50 % (tracer forced on, with
 /// decision auditing so the provenance/regret section has a stream to
 /// replay).
 #[must_use]
-pub fn run_instrumented(cfg: &ExpConfig, abbr: &str, preset: PolicyPreset) -> RunResult {
-    let spec = registry::by_abbr(abbr).expect("known app");
-    let gpu = gpu::GpuConfig {
-        // Audited tracer, carrying over the caller's monitor knobs so
-        // `--monitor` yields a snapshot time-series alongside the
-        // decision stream.
-        trace: telemetry::TraceConfig {
-            monitor: cfg.gpu.trace.monitor,
-            monitor_cadence: cfg.gpu.trace.monitor_cadence,
-            monitor_wall_ms: cfg.gpu.trace.monitor_wall_ms,
-            monitor_capacity: cfg.gpu.trace.monitor_capacity,
-            ..telemetry::TraceConfig::audited()
-        },
-        ..cfg.gpu
+pub fn instrumented(cfg: &ExpConfig, abbr: &str, preset: PolicyPreset) -> Cell {
+    let mut cell = Cell::app(abbr, preset, 0.5, cfg);
+    // Audited tracer, carrying over the caller's monitor knobs so
+    // `--monitor` yields a snapshot time-series alongside the decision
+    // stream.
+    cell.gpu.trace = telemetry::TraceConfig {
+        monitor: cfg.gpu.trace.monitor,
+        monitor_cadence: cfg.gpu.trace.monitor_cadence,
+        monitor_wall_ms: cfg.gpu.trace.monitor_wall_ms,
+        monitor_capacity: cfg.gpu.trace.monitor_capacity,
+        ..telemetry::TraceConfig::audited()
     };
-    let lanes = gpu.lanes();
-    let streams: Vec<_> = (0..lanes)
-        .map(|l| spec.lane_items(l, lanes, cfg.scale))
-        .collect();
-    let capacity = capacity_pages(&spec, 0.5, cfg.scale);
-    simulate(
-        &gpu,
-        preset.build(cfg.seed),
-        &streams,
-        capacity,
-        spec.pages(cfg.scale),
-    )
+    cell
+}
+
+/// The baseline and CPPE, instrumented, on [`DEFAULT_APP`].
+fn cells(cfg: &ExpConfig) -> Vec<Cell> {
+    [PolicyPreset::Baseline, PolicyPreset::Cppe]
+        .map(|p| instrumented(cfg, DEFAULT_APP, p))
+        .to_vec()
 }
 
 /// Wide per-epoch CSV of a traced run (every registered metric: the
@@ -70,14 +66,14 @@ fn outcome_str(r: &RunResult) -> String {
     format!("{:?}", r.outcome).to_lowercase()
 }
 
-/// Run and render.
-#[must_use]
-pub fn run(cfg: &ExpConfig, _threads: usize) -> String {
+/// Render the report and save the per-run exports under `results/`.
+fn render(cfg: &ExpConfig, results: &Results) -> String {
     let app = DEFAULT_APP;
-    let base = run_instrumented(cfg, app, PolicyPreset::Baseline);
-    let cppe = run_instrumented(cfg, app, PolicyPreset::Cppe);
+    let cppe_cell = instrumented(cfg, app, PolicyPreset::Cppe);
+    let base = results.get(&instrumented(cfg, app, PolicyPreset::Baseline));
+    let cppe = results.get(&cppe_cell);
 
-    for (label, r) in [("baseline", &base), ("cppe", &cppe)] {
+    for (label, r) in [("baseline", base), ("cppe", cppe)] {
         if cfg.trace_format.wants_csv() {
             let _ = save(&format!("timeline_{app}_{label}.csv"), &to_csv(r));
         }
@@ -112,8 +108,8 @@ pub fn run(cfg: &ExpConfig, _threads: usize) -> String {
         let frac = f64::from(decile) / 10.0;
         table.row(vec![
             format!("{}0%", decile),
-            at(&base, frac).to_string(),
-            at(&cppe, frac).to_string(),
+            at(base, frac).to_string(),
+            at(cppe, frac).to_string(),
         ]);
     }
 
@@ -129,7 +125,7 @@ pub fn run(cfg: &ExpConfig, _threads: usize) -> String {
     // per-stage latency distributions. A lossy ring gets a warning so a
     // truncated distribution never reads as a complete one.
     let mut stages = String::new();
-    for (label, r) in [("baseline", &base), ("cppe", &cppe)] {
+    for (label, r) in [("baseline", base), ("cppe", cppe)] {
         let t = r.telemetry.as_ref().expect("timeline runs are traced");
         stages.push_str(&loss_section(t));
         let attr = telemetry::LatencyAttribution::from_spans(&t.spans);
@@ -146,32 +142,8 @@ pub fn run(cfg: &ExpConfig, _threads: usize) -> String {
     {
         let t = cppe.telemetry.as_ref().expect("timeline runs are traced");
         audit_sec.push_str(&loss_section(t));
-        let mut prov = Table::new(&["kind", "policy", "origin", "count"]);
-        for ((kind, policy, origin), count) in
-            crate::experiments::audit::provenance_counts(&t.decisions)
-        {
-            prov.row(vec![
-                kind.to_string(),
-                policy.to_string(),
-                origin.to_string(),
-                count.to_string(),
-            ]);
-        }
-        audit_sec.push_str(&prov.render());
-        let spec = registry::by_abbr(app).expect("known app");
-        let lanes = cfg.gpu.lanes();
-        let streams: Vec<_> = (0..lanes)
-            .map(|l| spec.lane_items(l, lanes, cfg.scale))
-            .collect();
-        let capacity = capacity_pages(&spec, 0.5, cfg.scale);
-        let ledger = telemetry::PageLedger::from_telemetry(t, PAGES_PER_CHUNK);
-        let accesses = crate::opt::linearize(&streams);
-        let oracle = crate::oracle::OracleReport::compare(
-            t,
-            &ledger,
-            &accesses,
-            (u64::from(capacity) / PAGES_PER_CHUNK) as usize,
-        );
+        audit_sec.push_str(&provenance_table(&t.decisions));
+        let oracle = AuditedRun::new(&cppe_cell, cppe).oracle;
         let _ = write!(
             audit_sec,
             "\nOracle regret (cppe): {} of {} chunk migrations avoidable;\n\
@@ -215,7 +187,7 @@ mod tests {
     #[test]
     fn timeline_csv_has_one_row_per_batch() {
         let cfg = ExpConfig::quick();
-        let r = run_instrumented(&cfg, "STN", PolicyPreset::Baseline);
+        let r = instrumented(&cfg, "STN", PolicyPreset::Baseline).run();
         let csv = to_csv(&r);
         assert_eq!(csv.lines().count() as u64, 1 + r.driver.batches);
         assert!(csv.starts_with("epoch,cycle,cppe.faults"));
@@ -225,7 +197,7 @@ mod tests {
     #[test]
     fn report_contains_decile_and_driver_rows() {
         let cfg = ExpConfig::quick();
-        let report = run(&cfg, 0);
+        let report = EXPERIMENT.run(&cfg, 0);
         assert!(report.contains("100%"));
         assert!(report.contains("baseline evictions"));
         assert!(report.contains("driver.retries"));
@@ -241,7 +213,7 @@ mod tests {
     fn monitor_flag_yields_valid_snapshot_series() {
         let mut cfg = ExpConfig::quick();
         cfg.gpu.trace.monitor = true;
-        let r = run_instrumented(&cfg, "STN", PolicyPreset::Cppe);
+        let r = instrumented(&cfg, "STN", PolicyPreset::Cppe).run();
         let t = r.telemetry.as_ref().expect("traced");
         assert!(t.monitor.sampled > 0, "sampler must fire at least once");
         let doc = telemetry::monitor::monitor_json(&t.monitor);
@@ -251,7 +223,7 @@ mod tests {
     #[test]
     fn instrumented_runs_record_decisions() {
         let cfg = ExpConfig::quick();
-        let r = run_instrumented(&cfg, "STN", PolicyPreset::Cppe);
+        let r = instrumented(&cfg, "STN", PolicyPreset::Cppe).run();
         let t = r.telemetry.as_ref().expect("traced");
         assert!(!t.decisions.is_empty(), "auditing is on for timelines");
     }

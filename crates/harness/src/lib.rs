@@ -4,9 +4,9 @@
 //! `src/bin/*` binary reproduces one artifact (see DESIGN.md's
 //! experiment index); the library provides the shared machinery:
 //!
-//! * [`runner`] — one (workload × policy × rate) cell,
-//! * [`sweep`] — the parallel sweep executor (an atomic job cursor
-//!   with per-cell panic containment),
+//! * [`runner`] — one (workload × policy × rate) cell as data,
+//! * [`plan`] — experiments as declared cells, run once each on an
+//!   atomic job cursor with per-cell panic containment,
 //! * [`report`] — text/CSV table rendering,
 //! * [`history`] — the cross-run bench-history ledger behind `trend`,
 //! * [`opt`] — the offline Belady chunk-fault bound,
@@ -17,9 +17,9 @@ pub mod experiments;
 pub mod history;
 pub mod opt;
 pub mod oracle;
+pub mod plan;
 pub mod report;
 pub mod runner;
-pub mod sweep;
 
-pub use runner::{capacity_pages, geomean, run_cell, speedup, ExpConfig, RATES};
-pub use sweep::{cross, run_sweep, Job};
+pub use plan::{cross, run_plan, Experiment, Results};
+pub use runner::{capacity_pages, geomean, run_cell, speedup, Cell, CellKey, ExpConfig, RATES};

@@ -79,17 +79,6 @@ impl Table {
         }
         out
     }
-
-    /// Render as CSV (escaped and schema-checked by the shared
-    /// `telemetry` writer).
-    #[must_use]
-    pub fn to_csv(&self) -> String {
-        let mut w = telemetry::CsvWriter::new(&self.header);
-        for row in &self.rows {
-            w.row(row);
-        }
-        w.finish()
-    }
 }
 
 /// Format an optional speedup: "1.56" or "X" (crashed / not completed).
@@ -144,15 +133,6 @@ mod tests {
     fn row_width_checked() {
         let mut t = Table::new(&["a", "b"]);
         t.row(vec!["only-one".into()]);
-    }
-
-    #[test]
-    fn csv_escaping() {
-        let mut t = Table::new(&["a", "b"]);
-        t.row(vec!["x,y".into(), "plain".into()]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"x,y\",plain"));
-        telemetry::csv::validate(&csv).expect("round-trips through the shared parser");
     }
 
     #[test]

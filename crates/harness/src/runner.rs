@@ -1,4 +1,6 @@
-//! Experiment runner: one (workload × policy × oversubscription) cell.
+//! Experiment runner: one (workload × policy × oversubscription) cell,
+//! as data ([`Cell`]); [`Cell::run`] is the one place the harness calls
+//! `gpu::simulate`.
 //!
 //! §VI methodology: "We first used an unlimited memory capacity to
 //! determine the total memory footprint of each application. Next, we
@@ -11,7 +13,7 @@ use cppe::presets::PolicyPreset;
 use gmmu::types::PAGES_PER_CHUNK;
 use gpu::{simulate, GpuConfig, RunResult};
 use telemetry::TraceFormat;
-use workloads::WorkloadSpec;
+use workloads::{registry, LaneItem, WorkloadSpec};
 
 /// The two oversubscription rates of the evaluation.
 pub const RATES: [f64; 2] = [0.75, 0.50];
@@ -73,6 +75,95 @@ pub fn capacity_pages(spec: &WorkloadSpec, rate: f64, scale: f64) -> u32 {
     (chunks * PAGES_PER_CHUNK) as u32
 }
 
+/// One run of the simulator, as data: workload, policy, capacity
+/// rate, the seed passed to [`PolicyPreset::build`], GPU model and
+/// footprint scale.
+#[derive(Clone)]
+pub struct Cell {
+    /// Workload to run.
+    pub spec: WorkloadSpec,
+    /// Policy preset.
+    pub preset: PolicyPreset,
+    /// Oversubscription rate (fraction of footprint that fits).
+    pub rate: f64,
+    /// Seed handed to [`PolicyPreset::build`].
+    pub seed: u64,
+    /// GPU model, including tracing, injection and resilience.
+    pub gpu: GpuConfig,
+    /// Footprint scale.
+    pub scale: f64,
+}
+
+/// Exact identity of a [`Cell`] (see [`Cell::key`]).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct CellKey(String);
+
+impl Cell {
+    /// The standard cell: `cfg`'s GPU and scale, seed `cfg.seed ^
+    /// spec.seed`.
+    #[must_use]
+    pub fn new(spec: &WorkloadSpec, preset: PolicyPreset, rate: f64, cfg: &ExpConfig) -> Cell {
+        Cell {
+            spec: spec.clone(),
+            preset,
+            rate,
+            seed: cfg.seed ^ spec.seed,
+            gpu: cfg.gpu,
+            scale: cfg.scale,
+        }
+    }
+
+    /// [`Cell::new`] for a registry workload (panics on an unknown
+    /// abbreviation).
+    #[must_use]
+    pub fn app(abbr: &str, preset: PolicyPreset, rate: f64, cfg: &ExpConfig) -> Cell {
+        let spec = registry::by_abbr(abbr).expect("known app");
+        Cell::new(&spec, preset, rate, cfg)
+    }
+
+    /// The cell's exact identity: two cells with equal keys run the
+    /// same simulation. The spec is keyed by its fields (the phase
+    /// builder by address), the rate and scale by their bits, and the
+    /// GPU model by its `Debug` text, which lists every field and prints
+    /// each `f64` as its shortest round-trip decimal, so equal text
+    /// means equal bits.
+    #[must_use]
+    pub fn key(&self) -> CellKey {
+        let s = &self.spec;
+        let spec = (s.abbr, s.footprint_mb.to_bits(), s.seed, s.build as usize);
+        let bits = (self.rate.to_bits(), self.scale.to_bits());
+        let (preset, seed, gpu) = (self.preset, self.seed, &self.gpu);
+        CellKey(format!("{spec:?} {preset:?} {bits:?} {seed} {gpu:?}"))
+    }
+
+    /// Per-lane access streams at the cell's scale.
+    #[must_use]
+    pub fn streams(&self) -> Vec<Vec<LaneItem>> {
+        let lanes = self.gpu.lanes();
+        (0..lanes)
+            .map(|l| self.spec.lane_items(l, lanes, self.scale))
+            .collect()
+    }
+
+    /// GPU memory capacity in pages ([`capacity_pages`]).
+    #[must_use]
+    pub fn capacity(&self) -> u32 {
+        capacity_pages(&self.spec, self.rate, self.scale)
+    }
+
+    /// Simulate the cell.
+    #[must_use]
+    pub fn run(&self) -> RunResult {
+        simulate(
+            &self.gpu,
+            self.preset.build(self.seed),
+            &self.streams(),
+            self.capacity(),
+            self.spec.pages(self.scale),
+        )
+    }
+}
+
 /// Run one cell of the evaluation matrix.
 #[must_use]
 pub fn run_cell(
@@ -81,13 +172,7 @@ pub fn run_cell(
     rate: f64,
     cfg: &ExpConfig,
 ) -> RunResult {
-    let lanes = cfg.gpu.lanes();
-    let streams: Vec<_> = (0..lanes)
-        .map(|l| spec.lane_items(l, lanes, cfg.scale))
-        .collect();
-    let capacity = capacity_pages(spec, rate, cfg.scale);
-    let engine = preset.build(cfg.seed ^ spec.seed);
-    simulate(&cfg.gpu, engine, &streams, capacity, spec.pages(cfg.scale))
+    Cell::new(spec, preset, rate, cfg).run()
 }
 
 /// Speedup of `policy` over `base` (cycles ratio). `None` when either

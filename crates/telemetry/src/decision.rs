@@ -6,11 +6,9 @@
 //! which degradation-ladder rung it was made under, and the candidate
 //! window (eviction) or planned page set (prefetch) it chose from.
 //! Decision events carry `Vec` payloads, so they live in their own
-//! non-`Copy` ring instead of widening [`crate::event::TraceEvent`] —
+//! ring instead of widening [`crate::event::TraceEvent`] —
 //! the existing exporters never see them and stay bit-identical when
 //! auditing is off.
-
-use std::collections::VecDeque;
 
 /// Which kind of policy decision was recorded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,123 +63,13 @@ pub struct DecisionRecord {
     pub event: DecisionEvent,
 }
 
-/// Drop-oldest bounded buffer of [`DecisionRecord`]s (the non-`Copy`
-/// sibling of [`crate::ring::TraceRing`]).
-#[derive(Debug, Clone)]
-pub struct DecisionRing {
-    buf: VecDeque<DecisionRecord>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl DecisionRing {
-    /// Ring holding at most `capacity` decisions (capacity 0 keeps
-    /// nothing and counts everything as dropped).
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        DecisionRing {
-            buf: VecDeque::with_capacity(capacity.min(4096)),
-            capacity,
-            dropped: 0,
-        }
-    }
-
-    /// Record a decision, evicting the oldest if the ring is full.
-    pub fn push(&mut self, rec: DecisionRecord) {
-        if self.capacity == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back(rec);
-    }
-
-    /// Decisions currently held.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Is the ring empty?
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Decisions dropped because the ring was full.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Iterate held decisions, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &DecisionRecord> {
-        self.buf.iter()
-    }
-
-    /// Drain into a `Vec`, oldest first.
-    #[must_use]
-    pub fn into_vec(self) -> Vec<DecisionRecord> {
-        self.buf.into()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn rec(cycle: u64) -> DecisionRecord {
-        DecisionRecord {
-            cycle,
-            event: DecisionEvent {
-                kind: DecisionKind::Eviction,
-                policy: "lru",
-                origin: "capacity",
-                rung: 0,
-                chosen: cycle,
-                pages: vec![cycle, cycle + 1],
-            },
-        }
-    }
 
     #[test]
     fn kind_names_are_stable() {
         assert_eq!(DecisionKind::Eviction.name(), "eviction");
         assert_eq!(DecisionKind::Prefetch.name(), "prefetch");
-    }
-
-    #[test]
-    fn overflow_drops_oldest_without_panicking() {
-        let mut r = DecisionRing::new(3);
-        for i in 0..10 {
-            r.push(rec(i));
-        }
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.dropped(), 7);
-        let cycles: Vec<u64> = r.iter().map(|d| d.cycle).collect();
-        assert_eq!(cycles, vec![7, 8, 9], "newest survive");
-    }
-
-    #[test]
-    fn zero_capacity_counts_only() {
-        let mut r = DecisionRing::new(0);
-        r.push(rec(1));
-        assert!(r.is_empty());
-        assert_eq!(r.dropped(), 1);
-    }
-
-    #[test]
-    fn into_vec_preserves_order_and_payloads() {
-        let mut r = DecisionRing::new(8);
-        for i in 0..4 {
-            r.push(rec(i));
-        }
-        let v = r.into_vec();
-        assert_eq!(v.len(), 4);
-        assert!(v.windows(2).all(|w| w[0].cycle <= w[1].cycle));
-        assert_eq!(v[2].event.pages, vec![2, 3]);
     }
 }

@@ -8,8 +8,9 @@
 //! * [`event`] — the typed [`TraceEvent`] taxonomy (far-fault
 //!   lifecycle, migration DMA start/retry/abort, evictions, prefetch
 //!   decisions, thrash-ladder rung transitions, injected faults),
-//! * [`ring`] — the bounded [`TraceRing`] event buffer (drop-oldest,
-//!   never panics, counts drops),
+//! * [`ring`] — [`BoundedRing`], the drop-oldest buffer behind the
+//!   event, decision, span and monitor rings (never panics, counts
+//!   drops),
 //! * [`metrics`] — [`MetricsRegistry`]: counters/gauges/histograms
 //!   under stable dotted names, absorbing [`sim_core::StatSet`], with
 //!   an epoch sampler that snapshots totals at fault-batch granularity
@@ -61,12 +62,12 @@ pub mod tracer;
 
 pub use attr::{AttributedTotal, LatencyAttribution, QueueServiceSplit, StageSummary};
 pub use csv::CsvWriter;
-pub use decision::{DecisionEvent, DecisionKind, DecisionRecord, DecisionRing};
+pub use decision::{DecisionEvent, DecisionKind, DecisionRecord};
 pub use event::{EventRecord, InjectedFaultKind, TraceEvent};
 pub use export::TraceFormat;
 pub use ledger::{PageLedger, PageLife};
 pub use metrics::{EpochRow, EpochSeries, MetricKind, MetricsRegistry};
 pub use monitor::{Monitor, MonitorSeries, MonitorSnapshot};
-pub use ring::TraceRing;
+pub use ring::BoundedRing;
 pub use span::{SpanId, SpanRecord, SpanRecorder, SpanStage};
 pub use tracer::{RunTelemetry, TraceConfig, Tracer};

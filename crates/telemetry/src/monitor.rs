@@ -8,7 +8,7 @@
 //! [`MonitorSnapshot`]s, which `timeline --monitor` exports as a
 //! `*_monitor.json` document ([`monitor_json`]).
 //!
-//! Ring conventions match [`crate::ring::TraceRing`]: bounded, oldest
+//! The snapshot buffer is a [`crate::ring::BoundedRing`]: bounded, oldest
 //! snapshots dropped first, drops counted (surfaced as
 //! `telemetry.monitor.dropped`, registered only when the monitor is on
 //! so non-monitored schemas never grow), capacity 0 counts without
@@ -17,7 +17,7 @@
 
 use crate::json;
 use crate::metrics::{MetricKind, MetricsRegistry};
-use std::collections::VecDeque;
+use crate::ring::BoundedRing;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
@@ -73,11 +73,9 @@ pub struct Monitor {
     cadence: u64,
     /// Wall-clock tick forcing a sample (`None` disables).
     wall_tick: Option<Duration>,
-    capacity: usize,
     schema: Vec<(String, MetricKind)>,
-    buf: VecDeque<MonitorSnapshot>,
+    buf: BoundedRing<MonitorSnapshot>,
     sampled: u64,
-    dropped: u64,
     last_cycle: Option<u64>,
     started: Instant,
     last_wall: Instant,
@@ -92,11 +90,9 @@ impl Monitor {
         Monitor {
             cadence,
             wall_tick: (wall_tick_ms > 0).then(|| Duration::from_millis(wall_tick_ms)),
-            capacity,
             schema: Vec::new(),
-            buf: VecDeque::with_capacity(capacity.min(4096)),
+            buf: BoundedRing::new(capacity),
             sampled: 0,
-            dropped: 0,
             last_cycle: None,
             started: now,
             last_wall: now,
@@ -106,7 +102,7 @@ impl Monitor {
     /// Snapshots evicted so far.
     #[must_use]
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.buf.dropped()
     }
 
     /// Samples taken so far (retained + dropped).
@@ -146,15 +142,7 @@ impl Monitor {
         self.sampled += 1;
         self.last_cycle = Some(cycle);
         self.last_wall = Instant::now();
-        if self.capacity == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back(snap);
+        self.buf.push(snap);
     }
 
     /// Consume into the finished series.
@@ -162,9 +150,9 @@ impl Monitor {
     pub fn into_series(self) -> MonitorSeries {
         MonitorSeries {
             schema: self.schema,
-            snapshots: self.buf.into(),
+            dropped: self.buf.dropped(),
+            snapshots: self.buf.into_vec(),
             sampled: self.sampled,
-            dropped: self.dropped,
         }
     }
 }
@@ -358,30 +346,21 @@ mod tests {
     }
 
     #[test]
-    fn ring_drops_oldest_and_counts() {
-        let mut m = Monitor::new(0, 0, 2);
+    fn ring_drops_count_toward_sampled() {
+        // Drop-oldest itself is `BoundedRing`'s; here only the wiring:
+        // every sample is either retained or counted as dropped.
         let r = registry();
-        for c in 0..5 {
-            m.maybe_sample(c, &r);
+        for (capacity, first_seq) in [(2, Some(3)), (0, None)] {
+            let mut m = Monitor::new(0, 0, capacity);
+            for c in 0..5 {
+                m.maybe_sample(c, &r);
+            }
+            assert_eq!(m.dropped(), 5 - capacity as u64);
+            let s = m.into_series();
+            assert_eq!(s.sampled, 5);
+            assert_eq!(s.snapshots.len(), capacity);
+            assert_eq!(s.snapshots.first().map(|x| x.seq), first_seq);
         }
-        assert_eq!(m.dropped(), 3);
-        let s = m.into_series();
-        assert_eq!(s.sampled, 5);
-        assert_eq!(s.snapshots.len(), 2);
-        assert_eq!(s.snapshots[0].seq, 3, "oldest dropped first");
-    }
-
-    #[test]
-    fn capacity_zero_counts_without_storing() {
-        let mut m = Monitor::new(0, 0, 0);
-        let r = registry();
-        for c in 0..3 {
-            m.maybe_sample(c, &r);
-        }
-        let s = m.into_series();
-        assert!(s.snapshots.is_empty());
-        assert_eq!(s.dropped, 3);
-        assert_eq!(s.sampled, 3);
     }
 
     #[test]

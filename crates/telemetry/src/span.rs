@@ -16,8 +16,8 @@
 //! counted, so the exported set is always balanced: every recorded span
 //! has both endpoints.
 
+use crate::ring::BoundedRing;
 use sim_core::FxHashMap;
-use std::collections::VecDeque;
 
 /// Opaque span handle. `SpanId::NONE` (0) means "no span" — the parent
 /// of a root span, or the result of opening a span on a disabled
@@ -198,9 +198,7 @@ impl SpanRecord {
 /// plus the table of currently-open ones.
 #[derive(Debug, Default)]
 pub struct SpanRecorder {
-    closed: VecDeque<SpanRecord>,
-    capacity: usize,
-    dropped: u64,
+    closed: BoundedRing<SpanRecord>,
     open: FxHashMap<u64, SpanRecord>,
     next_id: u64,
 }
@@ -211,24 +209,10 @@ impl SpanRecorder {
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         SpanRecorder {
-            closed: VecDeque::with_capacity(capacity.min(4096)),
-            capacity,
-            dropped: 0,
+            closed: BoundedRing::new(capacity),
             open: FxHashMap::default(),
             next_id: 1,
         }
-    }
-
-    fn push_closed(&mut self, rec: SpanRecord) {
-        if self.capacity == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.closed.len() == self.capacity {
-            self.closed.pop_front();
-            self.dropped += 1;
-        }
-        self.closed.push_back(rec);
     }
 
     /// Open a span at `start`; close it later with [`SpanRecorder::close`].
@@ -268,7 +252,7 @@ impl SpanRecorder {
             return false;
         };
         rec.end = end.max(rec.start);
-        self.push_closed(rec);
+        self.closed.push(rec);
         true
     }
 
@@ -286,7 +270,7 @@ impl SpanRecorder {
     ) -> SpanId {
         let id = SpanId(self.next_id);
         self.next_id += 1;
-        self.push_closed(SpanRecord {
+        self.closed.push(SpanRecord {
             id: id.0,
             parent: parent.0,
             stage,
@@ -302,7 +286,7 @@ impl SpanRecorder {
     /// Closed spans dropped by the ring.
     #[must_use]
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.closed.dropped()
     }
 
     /// Spans currently open.
@@ -330,7 +314,8 @@ impl SpanRecorder {
     #[must_use]
     pub fn finish(self) -> (Vec<SpanRecord>, u64, u64) {
         let discarded = self.open.len() as u64;
-        (self.closed.into(), self.dropped, discarded)
+        let dropped = self.closed.dropped();
+        (self.closed.into_vec(), dropped, discarded)
     }
 }
 
@@ -372,19 +357,6 @@ mod tests {
     }
 
     #[test]
-    fn overflow_drops_oldest_closed_spans() {
-        let mut r = SpanRecorder::new(2);
-        for i in 0..5u64 {
-            r.complete(SpanStage::PageWalk, i, i + 10, SpanId::NONE, 0, 0, i);
-        }
-        assert_eq!(r.len(), 2);
-        assert_eq!(r.dropped(), 3);
-        let (spans, dropped, _) = r.finish();
-        assert_eq!(dropped, 3);
-        assert_eq!(spans[0].page, 3, "newest survive");
-    }
-
-    #[test]
     fn unclosed_spans_are_discarded_and_counted() {
         let mut r = SpanRecorder::new(8);
         let _ = r.open(SpanStage::Replay, 1, SpanId::NONE, 0, 0, 9);
@@ -402,14 +374,6 @@ mod tests {
         r.close(s, 40);
         let (spans, _, _) = r.finish();
         assert_eq!(spans[0].duration(), 0, "end clamps to start");
-    }
-
-    #[test]
-    fn zero_capacity_counts_only() {
-        let mut r = SpanRecorder::new(0);
-        r.complete(SpanStage::HostService, 0, 5, SpanId::NONE, 0, 0, 0);
-        assert!(r.is_empty());
-        assert_eq!(r.dropped(), 1);
     }
 
     #[test]

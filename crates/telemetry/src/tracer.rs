@@ -11,11 +11,11 @@
 //! whose end is not yet known, `span` records one whose endpoints are.
 //! All three are no-ops (returning [`SpanId::NONE`]) when disabled.
 
-use crate::decision::{DecisionEvent, DecisionRecord, DecisionRing};
+use crate::decision::{DecisionEvent, DecisionRecord};
 use crate::event::{EventRecord, TraceEvent};
 use crate::metrics::{EpochSeries, MetricKind, MetricsRegistry};
 use crate::monitor::{Monitor, MonitorSeries};
-use crate::ring::TraceRing;
+use crate::ring::BoundedRing;
 use crate::span::{SpanId, SpanRecord, SpanRecorder, SpanStage};
 use sim_core::stats::Histogram;
 use std::collections::BTreeMap;
@@ -103,11 +103,11 @@ impl TraceConfig {
 
 #[derive(Debug)]
 struct TracerInner {
-    ring: TraceRing,
+    ring: BoundedRing<EventRecord>,
     registry: MetricsRegistry,
     spans: SpanRecorder,
     /// Present only when `TraceConfig::audit` was set.
-    decisions: Option<DecisionRing>,
+    decisions: Option<BoundedRing<DecisionRecord>>,
     /// Present only when `TraceConfig::monitor` was set.
     monitor: Option<Monitor>,
 }
@@ -133,10 +133,10 @@ impl Tracer {
         }
         Tracer {
             inner: Some(Box::new(TracerInner {
-                ring: TraceRing::new(cfg.ring_capacity),
+                ring: BoundedRing::new(cfg.ring_capacity),
                 registry: MetricsRegistry::new(),
                 spans: SpanRecorder::new(cfg.span_capacity),
-                decisions: cfg.audit.then(|| DecisionRing::new(cfg.decision_capacity)),
+                decisions: cfg.audit.then(|| BoundedRing::new(cfg.decision_capacity)),
                 monitor: cfg.monitor.then(|| {
                     Monitor::new(
                         cfg.monitor_cadence,

@@ -17,9 +17,9 @@ use gpu::{simulate_with, GpuConfig, Invariants, Outcome, RunResult};
 use sim_core::rng::Xoshiro256ss;
 use workloads::{AccessStep, LaneItem, Phase};
 
-/// Every preset without a parameter, plus the two parameterised MHPE
+/// Every preset without a parameter, plus the three parameterised MHPE
 /// variants at one setting each.
-const PRESETS: [PolicyPreset; 17] = [
+const PRESETS: [PolicyPreset; 19] = [
     PolicyPreset::Baseline,
     PolicyPreset::Random,
     PolicyPreset::ReservedLru10,
@@ -32,7 +32,9 @@ const PRESETS: [PolicyPreset; 17] = [
     PolicyPreset::HpeNoPf,
     PolicyPreset::LruNoPf,
     PolicyPreset::LruTree,
+    PolicyPreset::LruPattern,
     PolicyPreset::MhpeFixedFd(2),
+    PolicyPreset::MhpeT1(8),
     PolicyPreset::MhpeT3(4),
     PolicyPreset::MhpeNoSwitch,
     PolicyPreset::Clock,
