@@ -1,7 +1,7 @@
-//! Extension: policy-decision audit. Usage:
+//! Extension: stage latencies and policy-decision audit. Usage:
 //! `cargo run --release -p harness --bin audit [--quick] [--scale X]`
-//! (always runs with decision auditing on; writes the per-page lifetime
-//! CSVs and the `BENCH_audit.json` oracle-regret baseline).
-fn main() {
-    harness::experiments::binary_main(harness::experiments::audit::EXPERIMENT);
+//! (always records spans and decisions; writes `results/audit.txt`,
+//! the `results/audit.json` run record and the per-page lifetime CSVs).
+fn main() -> std::process::ExitCode {
+    harness::experiments::plan_main(&[harness::experiments::audit::EXPERIMENT])
 }

@@ -1,5 +1,5 @@
 //! Extension: resilience under deterministic fault injection. Usage:
 //! `cargo run --release -p harness --bin chaos [--quick] [--scale X]`
-fn main() {
-    harness::experiments::binary_main(harness::experiments::chaos::EXPERIMENT);
+fn main() -> std::process::ExitCode {
+    harness::experiments::plan_main(&[harness::experiments::chaos::EXPERIMENT])
 }

@@ -1,5 +1,5 @@
 //! Regenerates the paper's fig10 artifact. Usage:
 //! `cargo run --release -p harness --bin fig10 [--quick] [--scale X] [--threads N]`
-fn main() {
-    harness::experiments::binary_main(harness::experiments::fig10::EXPERIMENT);
+fn main() -> std::process::ExitCode {
+    harness::experiments::plan_main(&[harness::experiments::fig10::EXPERIMENT])
 }

@@ -1,5 +1,5 @@
 //! Regenerates the paper's overhead artifact. Usage:
 //! `cargo run --release -p harness --bin overhead [--quick] [--scale X] [--threads N]`
-fn main() {
-    harness::experiments::binary_main(harness::experiments::overhead::EXPERIMENT);
+fn main() -> std::process::ExitCode {
+    harness::experiments::plan_main(&[harness::experiments::overhead::EXPERIMENT])
 }

@@ -2,15 +2,20 @@
 //!
 //! Usage: `smoke [WORKLOAD] [SCALE] [--trace] [--trace-format F]`.
 //! With tracing on, the CPPE run at 50% oversubscription additionally
-//! exports `results/smoke_timeline.csv`, `results/smoke_summary.json`
-//! and `results/smoke_trace.json` according to the format selection.
+//! exports `results/smoke_timeline.csv`, the `results/smoke.json` run
+//! record and `results/smoke_trace.json` according to the format
+//! selection. Exits non-zero if an export fails to save.
 
 use cppe::presets::PolicyPreset;
-use harness::{run_cell, ExpConfig};
+use harness::record::{document, RunRecord};
+use harness::report::{save, RESULTS_DIR};
+use harness::{Cell, ExpConfig};
+use std::path::Path;
+use std::process::ExitCode;
 use telemetry::{export, TraceFormat};
 use workloads::registry;
 
-fn main() {
+fn main() -> ExitCode {
     let mut which = "STN".to_string();
     let mut scale = 0.5f64;
     let mut positional = 0;
@@ -50,6 +55,7 @@ fn main() {
     cfg.trace_format = format;
 
     let w = registry::by_abbr(&which).expect("unknown workload");
+    let mut files = Vec::new();
     for preset in [
         PolicyPreset::Baseline,
         PolicyPreset::Cppe,
@@ -57,7 +63,8 @@ fn main() {
     ] {
         for rate in [0.75, 0.5] {
             let t0 = std::time::Instant::now();
-            let r = run_cell(&w, preset, rate, &cfg);
+            let cell = Cell::new(&w, preset, rate, &cfg);
+            let r = cell.run();
             let frac = r.engine.total_untouch as f64 / r.engine.pages_evicted.max(1) as f64;
             let vol = r.engine.pages_evicted as f64 / w.pages(cfg.scale) as f64;
             println!(
@@ -68,26 +75,33 @@ fn main() {
             if trace && preset == PolicyPreset::Cppe && rate == 0.5 {
                 let t = r.telemetry.as_ref().expect("traced run has telemetry");
                 if format.wants_csv() {
-                    save("smoke_timeline.csv", &export::timeline_csv(&t.series));
+                    files.push(("smoke_timeline.csv", export::timeline_csv(&t.series)));
                 }
                 if format.wants_json() {
-                    let outcome = format!("{:?}", r.outcome).to_lowercase();
-                    save(
-                        "smoke_summary.json",
-                        &export::run_summary_json(&outcome, r.cycles, t),
-                    );
+                    let name = format!("{} {}", w.abbr, preset.label());
+                    let record = document(&[RunRecord::new(name, &cell, &r)]);
+                    files.push(("smoke.json", record));
                 }
                 if format.wants_chrome() {
-                    save("smoke_trace.json", &export::chrome_trace_json(t));
+                    files.push(("smoke_trace.json", export::chrome_trace_json(t)));
                 }
             }
         }
     }
-}
 
-fn save(name: &str, content: &str) {
-    match harness::report::save(name, content) {
-        Ok(path) => eprintln!("[smoke] saved {}", path.display()),
-        Err(e) => eprintln!("[smoke] could not save {name}: {e}"),
+    let mut failed = false;
+    for (name, content) in files {
+        match save(Path::new(RESULTS_DIR), name, &content) {
+            Ok(path) => eprintln!("[smoke] saved {}", path.display()),
+            Err(e) => {
+                eprintln!("[smoke] ERROR: could not save {name}: {e}");
+                failed = true;
+            }
+        }
+    }
+    if failed {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
     }
 }

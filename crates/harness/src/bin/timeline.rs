@@ -2,6 +2,6 @@
 //! `cargo run --release -p harness --bin timeline [--quick] [--scale X]
 //! [--trace-format csv|json|chrome|all]` (the timeline always traces;
 //! the format flag selects which artifacts land in `results/`).
-fn main() {
-    harness::experiments::binary_main(harness::experiments::timeline::EXPERIMENT);
+fn main() -> std::process::ExitCode {
+    harness::experiments::plan_main(&[harness::experiments::timeline::EXPERIMENT])
 }

@@ -9,7 +9,7 @@
 //! oversubscription, all normalized to the baseline (LRU+naive).
 
 use crate::plan::{apps, cross, Experiment, Results};
-use crate::report::{fmt_speedup, Table};
+use crate::report::{fmt_speedup, Report, Table};
 use crate::runner::{geomean, speedup, Cell, ExpConfig};
 use cppe::presets::PolicyPreset;
 
@@ -36,7 +36,7 @@ fn cells(cfg: &ExpConfig) -> Vec<Cell> {
     cross(&apps(&APPS), &all, &[0.5], cfg)
 }
 
-fn render(cfg: &ExpConfig, results: &Results) -> String {
+fn render(cfg: &ExpConfig, results: &Results) -> Report {
     let mut table = Table::new(&[
         "app",
         "mhpe+naive",
@@ -74,6 +74,7 @@ fn render(cfg: &ExpConfig, results: &Results) -> String {
         cfg.scale,
         table.render()
     )
+    .into()
 }
 
 #[cfg(test)]
@@ -83,7 +84,7 @@ mod tests {
     #[test]
     fn ablation_separates_the_mechanisms() {
         let cfg = ExpConfig::quick();
-        let report = EXPERIMENT.run(&cfg, 0);
+        let report = EXPERIMENT.run(&cfg, 0).text;
         for app in APPS {
             assert!(report.contains(app));
         }

@@ -8,7 +8,7 @@
 
 use crate::opt::{linearize, opt_chunk_faults};
 use crate::plan::{apps, cross, Experiment, Results};
-use crate::report::Table;
+use crate::report::{Report, Table};
 use crate::runner::{Cell, ExpConfig};
 use cppe::presets::PolicyPreset;
 use gmmu::types::PAGES_PER_CHUNK;
@@ -25,7 +25,7 @@ fn cells(cfg: &ExpConfig) -> Vec<Cell> {
     cross(&apps(&APPS), &presets, &[0.5], cfg)
 }
 
-fn render(cfg: &ExpConfig, results: &Results) -> String {
+fn render(cfg: &ExpConfig, results: &Results) -> Report {
     let mut table = Table::new(&["app", "opt-faults", "baseline/opt", "cppe/opt"]);
     for abbr in APPS {
         let base_cell = Cell::app(abbr, PolicyPreset::Baseline, 0.5, cfg);
@@ -57,6 +57,7 @@ fn render(cfg: &ExpConfig, results: &Results) -> String {
         cfg.scale,
         table.render()
     )
+    .into()
 }
 
 #[cfg(test)]
@@ -66,7 +67,7 @@ mod tests {
     #[test]
     fn policies_never_beat_the_whole_chunk_bound_on_dense_apps() {
         let cfg = ExpConfig::quick();
-        let report = EXPERIMENT.run(&cfg, 0);
+        let report = EXPERIMENT.run(&cfg, 0).text;
         // 2DC is dense streaming: baseline faults == compulsory == OPT.
         let line = report.lines().find(|l| l.starts_with("2DC")).unwrap();
         let cells: Vec<&str> = line.split_whitespace().collect();

@@ -8,9 +8,9 @@
 //! baseline run thrash-crashes (Fig. 4's failure mode) survives in
 //! degraded mode by shedding prefetch aggressiveness.
 
-use crate::experiments::audit::AuditedRun;
 use crate::plan::{Experiment, Results};
-use crate::report::{save, Table};
+use crate::record::{document, RunRecord};
+use crate::report::{Report, Table};
 use crate::runner::{Cell, ExpConfig};
 use cppe::presets::PolicyPreset;
 use gpu::Outcome;
@@ -94,8 +94,9 @@ fn outcome_tag(o: Outcome) -> &'static str {
     }
 }
 
-/// Render the report (and, when traced, save the ladder run's exports).
-fn render(cfg: &ExpConfig, results: &Results) -> String {
+/// Render the report (with the ladder run's exports as side files when
+/// traced).
+fn render(cfg: &ExpConfig, results: &Results) -> Report {
     let mut cols = vec!["app".to_string(), "policy".to_string()];
     for (name, _) in scenarios(cfg.seed) {
         cols.push(name.to_string());
@@ -193,6 +194,7 @@ fn render(cfg: &ExpConfig, results: &Results) -> String {
     // which ladder rung, plus the run's regret against the Belady
     // oracle.
     let mut banner = String::new();
+    let mut files = Vec::new();
     if cfg.gpu.trace.enabled {
         if let Some(t) = &recovered.telemetry {
             let loss = crate::report::loss_section(t);
@@ -215,7 +217,12 @@ fn render(cfg: &ExpConfig, results: &Results) -> String {
                     count.to_string(),
                 ]);
             }
-            let oracle = AuditedRun::new(&recovered_cell, recovered).oracle;
+            let record = RunRecord::new("MVT ladder", &recovered_cell, recovered);
+            let oracle = &record
+                .audit
+                .as_ref()
+                .expect("ladder runs record decisions")
+                .oracle;
             banner.push_str(&format!(
                 "\nDecision provenance across the ladder (recovered run),\n\
                  by policy and rung:\n\n{}\n\
@@ -228,28 +235,24 @@ fn render(cfg: &ExpConfig, results: &Results) -> String {
                 oracle.regret.quantile(0.95),
             ));
             if cfg.trace_format.wants_chrome() {
-                let _ = save(
-                    "chaos_mvt_ladder_trace.json",
-                    &telemetry::export::chrome_trace_json(t),
-                );
+                files.push((
+                    "chaos_mvt_ladder_trace.json".to_string(),
+                    telemetry::export::chrome_trace_json(t),
+                ));
             }
             if cfg.trace_format.wants_json() {
-                let outcome = format!("{:?}", recovered.outcome).to_lowercase();
-                let _ = save(
-                    "chaos_mvt_ladder_summary.json",
-                    &telemetry::export::run_summary_json(&outcome, recovered.cycles, t),
-                );
+                files.push(("chaos.json".to_string(), document(&[record])));
             }
             if cfg.trace_format.wants_csv() {
-                let _ = save(
-                    "chaos_mvt_ladder_timeline.csv",
-                    &telemetry::export::timeline_csv(&t.series),
-                );
+                files.push((
+                    "chaos_mvt_ladder_timeline.csv".to_string(),
+                    telemetry::export::timeline_csv(&t.series),
+                ));
             }
         }
     }
 
-    format!(
+    let text = format!(
         "Chaos (extension) — run time under deterministic fault injection,\n\
          relative to each policy's clean run; 50% oversubscription,\n\
          scale={}, injection seed={:#x}\n\n{}\n\
@@ -263,7 +266,8 @@ fn render(cfg: &ExpConfig, results: &Results) -> String {
         drv.render(),
         ladder,
         banner
-    )
+    );
+    Report { text, files }
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 //! everything except SAD.
 
 use crate::plan::{apps, cross, Experiment, Results};
-use crate::report::{fmt_speedup, Table};
+use crate::report::{fmt_speedup, Report, Table};
 use crate::runner::{speedup, Cell, ExpConfig, RATES};
 use cppe::presets::PolicyPreset;
 use gpu::Outcome;
@@ -35,7 +35,7 @@ fn cells(cfg: &ExpConfig) -> Vec<Cell> {
     )
 }
 
-fn render(cfg: &ExpConfig, results: &Results) -> String {
+fn render(cfg: &ExpConfig, results: &Results) -> Report {
     let mut out = String::new();
     out.push_str(&format!(
         "Fig. 10 — disabling prefetch when memory fills vs baseline vs CPPE,\n\
@@ -74,7 +74,7 @@ fn render(cfg: &ExpConfig, results: &Results) -> String {
          (up to ~85%), wins only for severe thrashers (SAD@50%, NW, MVT,\n\
          BIC); CPPE beats disabling everywhere except SAD.\n",
     );
-    out
+    out.into()
 }
 
 #[cfg(test)]
@@ -84,7 +84,7 @@ mod tests {
     #[test]
     fn disabling_prefetch_hurts_streaming() {
         let cfg = ExpConfig::quick();
-        let report = EXPERIMENT.run(&cfg, 0);
+        let report = EXPERIMENT.run(&cfg, 0).text;
         assert!(report.contains("2DC"));
         // 2DC's nopf-on-full speedup must be well below 1.
         let line = report

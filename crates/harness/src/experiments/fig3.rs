@@ -9,7 +9,7 @@
 //! B+T/HYB.
 
 use crate::plan::{apps, cross, Experiment, Results};
-use crate::report::{fmt_speedup, Table};
+use crate::report::{fmt_speedup, Report, Table};
 use crate::runner::{geomean, speedup, Cell, ExpConfig};
 use cppe::presets::PolicyPreset;
 
@@ -32,7 +32,7 @@ fn cells(cfg: &ExpConfig) -> Vec<Cell> {
     cross(&apps(&APPS), &POLICIES, &[0.5], cfg)
 }
 
-fn render(cfg: &ExpConfig, results: &Results) -> String {
+fn render(cfg: &ExpConfig, results: &Results) -> Report {
     let mut table = Table::new(&["app", "random", "lru-10%", "lru-20%"]);
     let mut cols: Vec<Vec<Option<f64>>> = vec![Vec::new(); 3];
     for app in APPS {
@@ -59,6 +59,7 @@ fn render(cfg: &ExpConfig, results: &Results) -> String {
         cfg.scale,
         table.render()
     )
+    .into()
 }
 
 #[cfg(test)]
@@ -68,7 +69,7 @@ mod tests {
     #[test]
     fn report_contains_all_apps_and_average() {
         let cfg = ExpConfig::quick();
-        let report = EXPERIMENT.run(&cfg, 0);
+        let report = EXPERIMENT.run(&cfg, 0).text;
         for app in APPS {
             assert!(report.contains(app), "missing {app}");
         }

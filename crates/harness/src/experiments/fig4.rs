@@ -8,7 +8,7 @@
 //! magnitude, and marks *MVT*/*BIC* as crashed.
 
 use crate::plan::{cross, Experiment, Results};
-use crate::report::Table;
+use crate::report::{Report, Table};
 use crate::runner::{Cell, ExpConfig};
 use cppe::presets::PolicyPreset;
 use gpu::Outcome;
@@ -26,7 +26,7 @@ fn cells(cfg: &ExpConfig) -> Vec<Cell> {
     cross(&registry::all(), &presets, &[0.5], cfg)
 }
 
-fn render(cfg: &ExpConfig, results: &Results) -> String {
+fn render(cfg: &ExpConfig, results: &Results) -> Report {
     let specs = registry::all();
 
     let mut table = Table::new(&["app", "evictions(pf-always)", "evictions(pf-off)", "ratio"]);
@@ -65,6 +65,7 @@ fn render(cfg: &ExpConfig, results: &Results) -> String {
         cfg.scale,
         table.render()
     )
+    .into()
 }
 
 #[cfg(test)]
@@ -74,7 +75,7 @@ mod tests {
     #[test]
     fn mvt_and_bic_crash_in_baseline() {
         let cfg = ExpConfig::quick();
-        let report = EXPERIMENT.run(&cfg, 0);
+        let report = EXPERIMENT.run(&cfg, 0).text;
         // The crash rows must appear.
         assert!(report.contains("MVT"));
         assert!(report.contains("BIC"));

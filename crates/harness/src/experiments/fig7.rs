@@ -7,7 +7,7 @@
 //! on average (~3 % / ~7 % in the paper), making it CPPE's default.
 
 use crate::plan::{apps, cross, Experiment, Results};
-use crate::report::{fmt_speedup, Table};
+use crate::report::{fmt_speedup, Report, Table};
 use crate::runner::{geomean, speedup, Cell, ExpConfig, RATES};
 use cppe::presets::PolicyPreset;
 
@@ -23,7 +23,7 @@ fn cells(cfg: &ExpConfig) -> Vec<Cell> {
     cross(&apps(&APPS), &presets, &RATES, cfg)
 }
 
-fn render(cfg: &ExpConfig, results: &Results) -> String {
+fn render(cfg: &ExpConfig, results: &Results) -> Report {
     let mut table = Table::new(&["app", "s2/s1 @75%", "s2/s1 @50%"]);
     let mut col75 = Vec::new();
     let mut col50 = Vec::new();
@@ -53,6 +53,7 @@ fn render(cfg: &ExpConfig, results: &Results) -> String {
         cfg.scale,
         table.render()
     )
+    .into()
 }
 
 #[cfg(test)]
@@ -62,7 +63,7 @@ mod tests {
     #[test]
     fn report_covers_fig7_apps() {
         let cfg = ExpConfig::quick();
-        let report = EXPERIMENT.run(&cfg, 0);
+        let report = EXPERIMENT.run(&cfg, 0).text;
         for app in APPS {
             assert!(report.contains(app));
         }

@@ -9,7 +9,7 @@
 //! to completion.
 
 use crate::plan::{cross, Experiment, Results};
-use crate::report::{fmt_speedup, Table};
+use crate::report::{fmt_speedup, Report, Table};
 use crate::runner::{geomean, speedup, Cell, ExpConfig, RATES};
 use cppe::presets::PolicyPreset;
 use workloads::registry;
@@ -41,7 +41,7 @@ fn cells(cfg: &ExpConfig) -> Vec<Cell> {
     cross(&registry::all(), &presets, &RATES, cfg)
 }
 
-fn render(cfg: &ExpConfig, results: &Results) -> String {
+fn render(cfg: &ExpConfig, results: &Results) -> Report {
     let rows = collect(cfg, results);
     let mut table = Table::new(&["app", "type", "75%", "50%"]);
     let mut col75 = Vec::new();
@@ -78,6 +78,7 @@ fn render(cfg: &ExpConfig, results: &Results) -> String {
         cfg.scale,
         table.render()
     )
+    .into()
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! CPPE is better than or similar to everything across all types.
 
 use crate::plan::{cross, Experiment, Results};
-use crate::report::{fmt_speedup, Table};
+use crate::report::{fmt_speedup, Report, Table};
 use crate::runner::{geomean, speedup, Cell, ExpConfig, RATES};
 use cppe::presets::PolicyPreset;
 use workloads::{registry, PatternType};
@@ -31,7 +31,7 @@ fn cells(cfg: &ExpConfig) -> Vec<Cell> {
     cross(&registry::all(), &all, &RATES, cfg)
 }
 
-fn render(cfg: &ExpConfig, results: &Results) -> String {
+fn render(cfg: &ExpConfig, results: &Results) -> Report {
     let mut out = String::new();
     out.push_str(&format!(
         "Fig. 9 — speedup over the baseline, grouped by access-pattern type\n\
@@ -64,7 +64,7 @@ fn render(cfg: &ExpConfig, results: &Results) -> String {
          (and Random on some apps); LRU-10% hurts Type VI at 50% (-27% avg);\n\
          CPPE is better than or similar to every policy on every type.\n",
     );
-    out
+    out.into()
 }
 
 #[cfg(test)]
@@ -74,7 +74,7 @@ mod tests {
     #[test]
     fn report_has_both_rates_and_all_types() {
         let cfg = ExpConfig::quick();
-        let report = EXPERIMENT.run(&cfg, 0);
+        let report = EXPERIMENT.run(&cfg, 0).text;
         assert!(report.contains("75% oversubscription"));
         assert!(report.contains("50% oversubscription"));
         for ty in PatternType::all() {

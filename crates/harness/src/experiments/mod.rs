@@ -3,10 +3,12 @@
 //! Every module exposes an [`Experiment`] (`EXPERIMENT`): its `cells`
 //! declare every simulator run the report reads, and its `render` turns
 //! the plan's results into a self-contained text report with the same
-//! rows/series as the paper's table or figure; [`Experiment::run`] is
-//! the one-experiment plan. The `src/bin/*` binaries are thin wrappers
-//! that print the report and save it under `results/`; `all` runs the
-//! union of [`ALL`]'s cells, each distinct cell once.
+//! rows/series as the paper's table or figure, plus any side files it
+//! exports; [`Experiment::run`] is the one-experiment plan. The
+//! `src/bin/*` binaries are thin wrappers around [`plan_main`], which
+//! prints each report and saves it and its side files under
+//! `results/`; `all` runs the union of [`ALL`]'s cells, each distinct
+//! cell once.
 //!
 //! | Module | Paper artifact |
 //! |---|---|
@@ -27,8 +29,7 @@
 //! | [`timeline`] | extension: thrash dynamics over run time (CSV) |
 //! | [`stability`] | extension: jitter-seed robustness of Fig. 8 |
 //! | [`chaos`] | extension: slowdown under deterministic fault injection |
-//! | [`profile`] | extension: fault-lifecycle latency profile (BENCH_profile.json) |
-//! | [`audit`] | extension: decision provenance, page-lifetime ledger and Belady regret (BENCH_audit.json) |
+//! | [`audit`] | extension: stage latencies, decision provenance, page-lifetime ledger and Belady regret (run record `audit.json`) |
 
 pub mod ablation;
 pub mod audit;
@@ -42,7 +43,6 @@ pub mod fig8;
 pub mod fig9;
 pub mod motivation;
 pub mod overhead;
-pub mod profile;
 pub mod sens;
 pub mod sens2;
 pub mod stability;
@@ -51,7 +51,9 @@ pub mod table4;
 pub mod timeline;
 
 use crate::plan::{run_plan, Experiment};
+use crate::report::{save_report, RESULTS_DIR};
 use crate::runner::ExpConfig;
+use std::process::ExitCode;
 
 /// The reports `all` regenerates, in output order.
 pub const ALL: [Experiment; 16] = [
@@ -74,13 +76,9 @@ pub const ALL: [Experiment; 16] = [
 ];
 
 /// Parse the common binary CLI:
-/// `[--quick] [--scale X] [--threads N] [--trace] [--trace-format F]
-/// [--monitor]`.
+/// `[--quick] [--scale X] [--threads N] [--trace] [--trace-format F]`.
 /// Returns the config and thread count. `--trace-format` implies
 /// `--trace`; `F` is one of `csv`, `json`, `chrome`, `all`.
-/// `--monitor` implies `--trace` and arms the periodic snapshot
-/// sampler (experiments that export artifacts then also write a
-/// `*_monitor.json` time-series).
 ///
 /// # Panics
 /// Panics on unknown or malformed arguments.
@@ -107,10 +105,6 @@ pub fn cli_config(args: &[String]) -> (ExpConfig, usize) {
                     .expect("--threads needs a number");
             }
             "--trace" => cfg.gpu.trace.enabled = true,
-            "--monitor" => {
-                cfg.gpu.trace.enabled = true;
-                cfg.gpu.trace.monitor = true;
-            }
             "--trace-format" => {
                 i += 1;
                 cfg.trace_format = args
@@ -128,11 +122,12 @@ pub fn cli_config(args: &[String]) -> (ExpConfig, usize) {
 
 /// Run the plan of `experiments` from the command line: run the union
 /// of their cells once, then print each report (separated by a rule
-/// when there are several) and save it as `results/<name>.txt`.
-/// Progress goes to stderr as `[plan]`/`[name]` lines. Returns the
-/// number of reports that failed to save.
+/// when there are several) and save it as `results/<name>.txt` beside
+/// its side files. Progress goes to stderr as `[plan]`/`[name]` lines.
+/// Fails when any file failed to save, so a stale committed copy under
+/// `results/` cannot pass for a fresh one.
 #[must_use]
-pub fn plan_main(experiments: &[Experiment]) -> usize {
+pub fn plan_main(experiments: &[Experiment]) -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (cfg, threads) = cli_config(&args);
     let t0 = std::time::Instant::now();
@@ -143,28 +138,20 @@ pub fn plan_main(experiments: &[Experiment]) -> usize {
         results.runs(),
         t0.elapsed()
     );
-    let mut failed_saves = 0;
+    let mut failed = 0;
     for exp in experiments {
-        let name = exp.name;
         let report = (exp.render)(&cfg, &results);
-        println!("{report}");
+        println!("{}", report.text);
         if experiments.len() > 1 {
             println!("{}", "=".repeat(72));
         }
-        match crate::report::save(&format!("{name}.txt"), &report) {
-            Ok(path) => eprintln!("[{name}] saved to {}", path.display()),
-            Err(e) => {
-                eprintln!("[{name}] ERROR: saving {name}.txt failed: {e}");
-                failed_saves += 1;
-            }
-        }
+        failed += save_report(std::path::Path::new(RESULTS_DIR), exp.name, &report);
     }
-    failed_saves
-}
-
-/// Standard binary main body: run one experiment, print, save.
-pub fn binary_main(experiment: Experiment) {
-    let _ = plan_main(&[experiment]);
+    if failed > 0 {
+        eprintln!("[plan] {failed} file(s) failed to save");
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! reference, on a thrashing and an irregular app.
 
 use crate::plan::{apps, cross, Experiment, Results};
-use crate::report::{fmt_speedup, Table};
+use crate::report::{fmt_speedup, Report, Table};
 use crate::runner::{speedup, Cell, ExpConfig};
 use cppe::presets::PolicyPreset;
 
@@ -33,7 +33,7 @@ fn cells(cfg: &ExpConfig) -> Vec<Cell> {
     cross(&apps(&APPS), &POLICIES, &[0.5], cfg)
 }
 
-fn render(cfg: &ExpConfig, results: &Results) -> String {
+fn render(cfg: &ExpConfig, results: &Results) -> Report {
     let mut table = Table::new(&[
         "app",
         "hpe-nopf/lru-nopf",
@@ -61,6 +61,7 @@ fn render(cfg: &ExpConfig, results: &Results) -> String {
         cfg.scale,
         table.render()
     )
+    .into()
 }
 
 #[cfg(test)]

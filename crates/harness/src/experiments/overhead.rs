@@ -9,7 +9,7 @@
 //! that use it.
 
 use crate::plan::{cross, Experiment, Results};
-use crate::report::Table;
+use crate::report::{Report, Table};
 use crate::runner::{Cell, ExpConfig, RATES};
 use cppe::presets::PolicyPreset;
 use workloads::registry;
@@ -22,7 +22,7 @@ fn cells(cfg: &ExpConfig) -> Vec<Cell> {
     cross(&registry::all(), &[PolicyPreset::Cppe], &RATES, cfg)
 }
 
-fn render(cfg: &ExpConfig, results: &Results) -> String {
+fn render(cfg: &ExpConfig, results: &Results) -> Report {
     let specs = registry::all();
 
     let mut out = String::new();
@@ -72,7 +72,7 @@ fn render(cfg: &ExpConfig, results: &Results) -> String {
          buffer 37.2%/88.7% of chain length. Storage lives in CPU memory —\n\
          negligible either way.\n",
     );
-    out
+    out.into()
 }
 
 #[cfg(test)]
@@ -82,7 +82,7 @@ mod tests {
     #[test]
     fn overhead_is_kilobytes_not_megabytes() {
         let cfg = ExpConfig::quick();
-        let report = EXPERIMENT.run(&cfg, 0);
+        let report = EXPERIMENT.run(&cfg, 0).text;
         assert!(report.contains("average entries"));
         // Sanity: every KB cell in the table is small (< 1 MB).
         for line in report.lines() {

@@ -9,7 +9,7 @@
 //!   The paper selects T3 = 32.
 
 use crate::plan::{apps, cross, Experiment, Results};
-use crate::report::{fmt_speedup, Table};
+use crate::report::{fmt_speedup, Report, Table};
 use crate::runner::{geomean, speedup, Cell, ExpConfig};
 use cppe::presets::PolicyPreset;
 
@@ -86,7 +86,7 @@ pub fn t3_sweep(cfg: &ExpConfig, results: &Results) -> Vec<(usize, Option<f64>)>
 }
 
 /// Render both sweeps.
-fn render(cfg: &ExpConfig, results: &Results) -> String {
+fn render(cfg: &ExpConfig, results: &Results) -> Report {
     let mut out = String::new();
     out.push_str(&format!(
         "Sensitivity studies (§IV-B / §VI-A), 50% oversubscription, scale={}\n\n\
@@ -130,7 +130,7 @@ fn render(cfg: &ExpConfig, results: &Results) -> String {
          Paper shape: regular apps' untouch level drops sharply by fd=2;\n\
          irregular apps stay high until ~8 — motivating the 2..=8 range.\n",
     ));
-    out
+    out.into()
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 //!   check on the headline result.
 
 use crate::plan::{apps, cross, Experiment, Results};
-use crate::report::{fmt_speedup, Table};
+use crate::report::{fmt_speedup, Report, Table};
 use crate::runner::{geomean, speedup, Cell, ExpConfig};
 use cppe::presets::PolicyPreset;
 
@@ -83,7 +83,7 @@ pub fn fault_cost_sweep(cfg: &ExpConfig, results: &Results) -> Vec<(u64, Option<
         .collect()
 }
 
-fn render(cfg: &ExpConfig, results: &Results) -> String {
+fn render(cfg: &ExpConfig, results: &Results) -> Report {
     let mut out = String::new();
     out.push_str(&format!(
         "Extended sensitivity (beyond §VI-A), 50% oversubscription, scale={}\n\n\
@@ -110,7 +110,7 @@ fn render(cfg: &ExpConfig, results: &Results) -> String {
          CPPE's advantage is robust (or grows) as faults get more expensive.\n",
         fmt_speedup(over_baseline(cfg, results, PolicyPreset::DisablePfOnFull))
     ));
-    out
+    out.into()
 }
 
 #[cfg(test)]

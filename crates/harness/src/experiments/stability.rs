@@ -7,7 +7,7 @@
 //! only held for one lucky seed it would show here.
 
 use crate::plan::{apps, cross, Experiment, Results};
-use crate::report::Table;
+use crate::report::{Report, Table};
 use crate::runner::{speedup, Cell, ExpConfig};
 use cppe::presets::PolicyPreset;
 
@@ -54,7 +54,7 @@ pub fn collect(cfg: &ExpConfig, results: &Results) -> Vec<(String, Vec<Option<f6
         .collect()
 }
 
-fn render(cfg: &ExpConfig, results: &Results) -> String {
+fn render(cfg: &ExpConfig, results: &Results) -> Report {
     let rows = collect(cfg, results);
     let mut table = Table::new(&["app", "min", "mean", "max", "spread%"]);
     for (app, speeds) in &rows {
@@ -89,6 +89,7 @@ fn render(cfg: &ExpConfig, results: &Results) -> String {
         cfg.scale,
         table.render()
     )
+    .into()
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! descending by the 75 % value as in the paper.
 
 use crate::plan::{cross, Experiment, Results};
-use crate::report::Table;
+use crate::report::{Report, Table};
 use crate::runner::{Cell, ExpConfig, RATES};
 use cppe::evict::MhpeTrace;
 use cppe::presets::PolicyPreset;
@@ -57,7 +57,7 @@ pub fn table(rows: &[(String, u32, u32)]) -> String {
     table.render()
 }
 
-fn render(cfg: &ExpConfig, results: &Results) -> String {
+fn render(cfg: &ExpConfig, results: &Results) -> Report {
     let rows = collect(cfg, results, MhpeTrace::max_untouch_first4);
     format!(
         "Table III — maximum per-interval untouch level in the first four\n\
@@ -68,6 +68,7 @@ fn render(cfg: &ExpConfig, results: &Results) -> String {
         cfg.scale,
         table(&rows)
     )
+    .into()
 }
 
 #[cfg(test)]

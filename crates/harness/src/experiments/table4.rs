@@ -7,6 +7,7 @@
 
 use crate::experiments::table3::{self, collect, table};
 use crate::plan::{Experiment, Results};
+use crate::report::Report;
 use crate::runner::ExpConfig;
 use cppe::evict::MhpeTrace;
 
@@ -28,7 +29,7 @@ pub fn totals(cfg: &ExpConfig, results: &Results) -> Vec<(String, u32, u32)> {
     rows
 }
 
-fn render(cfg: &ExpConfig, results: &Results) -> String {
+fn render(cfg: &ExpConfig, results: &Results) -> Report {
     format!(
         "Table IV — total untouch level over the first four intervals\n\
          (apps whose Table III maximum exceeded T1=32 removed), scale={}\n\n{}\n\
@@ -38,6 +39,7 @@ fn render(cfg: &ExpConfig, results: &Results) -> String {
         cfg.scale,
         table(&totals(cfg, results))
     )
+    .into()
 }
 
 #[cfg(test)]

@@ -6,12 +6,13 @@
 //! summarizes in one number. The report shows a decile summary, the
 //! driver resilience counters, the stage-latency tables and the CPPE
 //! run's decision provenance with its Belady-oracle regret; the full
-//! wide per-batch series is saved as CSV under `results/` (plus JSON
-//! summary / Chrome trace when `--trace-format` asks).
+//! wide per-batch series is saved as CSV under `results/` (plus the
+//! run record / Chrome traces when `--trace-format` asks).
 
-use crate::experiments::audit::{provenance_table, AuditedRun};
+use crate::experiments::audit::{provenance_table, stage_table};
 use crate::plan::{Experiment, Results};
-use crate::report::{loss_section, save, Table};
+use crate::record::{document, RunRecord};
+use crate::report::{loss_section, Report, Table};
 use crate::runner::{Cell, ExpConfig};
 use cppe::presets::PolicyPreset;
 use gpu::RunResult;
@@ -30,16 +31,7 @@ pub const EXPERIMENT: Experiment = Experiment::new("timeline", cells, render);
 #[must_use]
 pub fn instrumented(cfg: &ExpConfig, abbr: &str, preset: PolicyPreset) -> Cell {
     let mut cell = Cell::app(abbr, preset, 0.5, cfg);
-    // Audited tracer, carrying over the caller's monitor knobs so
-    // `--monitor` yields a snapshot time-series alongside the decision
-    // stream.
-    cell.gpu.trace = telemetry::TraceConfig {
-        monitor: cfg.gpu.trace.monitor,
-        monitor_cadence: cfg.gpu.trace.monitor_cadence,
-        monitor_wall_ms: cfg.gpu.trace.monitor_wall_ms,
-        monitor_capacity: cfg.gpu.trace.monitor_capacity,
-        ..telemetry::TraceConfig::audited()
-    };
+    cell.gpu.trace = telemetry::TraceConfig::audited();
     cell
 }
 
@@ -62,38 +54,34 @@ pub fn to_csv(r: &RunResult) -> String {
     export::timeline_csv(&t.series)
 }
 
-fn outcome_str(r: &RunResult) -> String {
-    format!("{:?}", r.outcome).to_lowercase()
-}
-
-/// Render the report and save the per-run exports under `results/`.
-fn render(cfg: &ExpConfig, results: &Results) -> String {
+/// Render the report with the per-run exports as side files.
+fn render(cfg: &ExpConfig, results: &Results) -> Report {
     let app = DEFAULT_APP;
-    let cppe_cell = instrumented(cfg, app, PolicyPreset::Cppe);
-    let base = results.get(&instrumented(cfg, app, PolicyPreset::Baseline));
-    let cppe = results.get(&cppe_cell);
+    let runs = [PolicyPreset::Baseline, PolicyPreset::Cppe].map(|preset| {
+        let cell = instrumented(cfg, app, preset);
+        RunRecord::new(
+            format!("{app} {}", preset.label()),
+            &cell,
+            results.get(&cell),
+        )
+    });
+    let [base, cppe] = [runs[0].result, runs[1].result];
 
+    let mut files = Vec::new();
     for (label, r) in [("baseline", base), ("cppe", cppe)] {
         if cfg.trace_format.wants_csv() {
-            let _ = save(&format!("timeline_{app}_{label}.csv"), &to_csv(r));
-        }
-        let t = r.telemetry.as_ref().expect("timeline runs are traced");
-        if cfg.trace_format.wants_json() {
-            let j = export::run_summary_json(&outcome_str(r), r.cycles, t);
-            let _ = save(&format!("timeline_{app}_{label}_summary.json"), &j);
+            files.push((format!("timeline_{app}_{label}.csv"), to_csv(r)));
         }
         if cfg.trace_format.wants_chrome() {
-            let _ = save(
-                &format!("timeline_{app}_{label}_trace.json"),
-                &export::chrome_trace_json(t),
-            );
+            let t = r.telemetry.as_ref().expect("timeline runs are traced");
+            files.push((
+                format!("timeline_{app}_{label}_trace.json"),
+                export::chrome_trace_json(t),
+            ));
         }
-        if t.monitor.sampled > 0 {
-            let _ = save(
-                &format!("timeline_{app}_{label}_monitor.json"),
-                &telemetry::monitor::monitor_json(&t.monitor),
-            );
-        }
+    }
+    if cfg.trace_format.wants_json() {
+        files.push(("timeline.json".to_string(), document(&runs)));
     }
 
     // Decile summary: cumulative evictions at each tenth of the run,
@@ -125,12 +113,16 @@ fn render(cfg: &ExpConfig, results: &Results) -> String {
     // per-stage latency distributions. A lossy ring gets a warning so a
     // truncated distribution never reads as a complete one.
     let mut stages = String::new();
-    for (label, r) in [("baseline", base), ("cppe", cppe)] {
-        let t = r.telemetry.as_ref().expect("timeline runs are traced");
+    for (label, run) in [("baseline", &runs[0]), ("cppe", &runs[1])] {
+        let t = run
+            .result
+            .telemetry
+            .as_ref()
+            .expect("timeline runs are traced");
         stages.push_str(&loss_section(t));
-        let attr = telemetry::LatencyAttribution::from_spans(&t.spans);
+        let attr = run.stages.as_ref().expect("timeline runs record spans");
         stages.push_str(&format!("{label}:\n"));
-        stages.push_str(&crate::experiments::profile::stage_table(&attr).render());
+        stages.push_str(&stage_table(attr).render());
         stages.push('\n');
     }
 
@@ -143,7 +135,11 @@ fn render(cfg: &ExpConfig, results: &Results) -> String {
         let t = cppe.telemetry.as_ref().expect("timeline runs are traced");
         audit_sec.push_str(&loss_section(t));
         audit_sec.push_str(&provenance_table(&t.decisions));
-        let oracle = AuditedRun::new(&cppe_cell, cppe).oracle;
+        let oracle = &runs[1]
+            .audit
+            .as_ref()
+            .expect("timeline runs record decisions")
+            .oracle;
         let _ = write!(
             audit_sec,
             "\nOracle regret (cppe): {} of {} chunk migrations avoidable;\n\
@@ -162,7 +158,7 @@ fn render(cfg: &ExpConfig, results: &Results) -> String {
         );
     }
 
-    format!(
+    let text = format!(
         "Timeline (extension) — cumulative evicted pages over run time for\n\
          {app} at 50% oversubscription, scale={} (full per-batch series in\n\
          results/timeline_{app}_*.csv)\n\n{}\n\
@@ -177,7 +173,8 @@ fn render(cfg: &ExpConfig, results: &Results) -> String {
         drv.render(),
         stages,
         audit_sec
-    )
+    );
+    Report { text, files }
 }
 
 #[cfg(test)]
@@ -197,7 +194,7 @@ mod tests {
     #[test]
     fn report_contains_decile_and_driver_rows() {
         let cfg = ExpConfig::quick();
-        let report = EXPERIMENT.run(&cfg, 0);
+        let report = EXPERIMENT.run(&cfg, 0).text;
         assert!(report.contains("100%"));
         assert!(report.contains("baseline evictions"));
         assert!(report.contains("driver.retries"));
@@ -210,14 +207,28 @@ mod tests {
     }
 
     #[test]
-    fn monitor_flag_yields_valid_snapshot_series() {
-        let mut cfg = ExpConfig::quick();
-        cfg.gpu.trace.monitor = true;
-        let r = instrumented(&cfg, "STN", PolicyPreset::Cppe).run();
-        let t = r.telemetry.as_ref().expect("traced");
-        assert!(t.monitor.sampled > 0, "sampler must fire at least once");
-        let doc = telemetry::monitor::monitor_json(&t.monitor);
-        telemetry::monitor::validate_doc(&doc).expect("valid monitor document");
+    fn json_format_adds_a_valid_two_run_record() {
+        let cfg = ExpConfig {
+            scale: 0.25,
+            trace_format: telemetry::TraceFormat::All,
+            ..ExpConfig::quick()
+        };
+        let report = EXPERIMENT.run(&cfg, 0);
+        let names: Vec<&str> = report.files.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "timeline_HSD_baseline.csv",
+                "timeline_HSD_baseline_trace.json",
+                "timeline_HSD_cppe.csv",
+                "timeline_HSD_cppe_trace.json",
+                "timeline.json"
+            ]
+        );
+        let record = &report.files[4].1;
+        let verdict = crate::record::validate(record).expect("valid run record");
+        assert!(verdict.contains("2 runs"), "{verdict}");
+        assert!(record.contains("\"name\":\"HSD baseline\""));
     }
 
     #[test]

@@ -7,17 +7,17 @@
 //! * [`runner`] — one (workload × policy × rate) cell as data,
 //! * [`plan`] — experiments as declared cells, run once each on an
 //!   atomic job cursor with per-cell panic containment,
-//! * [`report`] — text/CSV table rendering,
-//! * [`history`] — the cross-run bench-history ledger behind `trend`,
+//! * [`report`] — text table rendering and the report saver,
+//! * [`record`] — the one JSON run record every export writes,
 //! * [`opt`] — the offline Belady chunk-fault bound,
 //! * [`oracle`] — the decision-audit comparator against that bound,
 //! * [`experiments`] — one module per paper artifact.
 
 pub mod experiments;
-pub mod history;
 pub mod opt;
 pub mod oracle;
 pub mod plan;
+pub mod record;
 pub mod report;
 pub mod runner;
 

@@ -1,9 +1,11 @@
 //! The cell plan: an [`Experiment`] declares its runs as [`Cell`]s and
-//! renders from their [`Results`]. A plan runs the union of its
-//! experiments' cells, each distinct [`CellKey`] once, on scoped
-//! workers pulling from one atomic cursor; a panicking cell becomes a
-//! [`gpu::Outcome::Crashed`] result instead of aborting the plan.
+//! renders a [`Report`] from their [`Results`]. A plan runs the union
+//! of its experiments' cells, each distinct [`CellKey`] once, on
+//! scoped workers pulling from one atomic cursor; a panicking cell
+//! becomes a [`gpu::Outcome::Crashed`] result instead of aborting the
+//! plan.
 
+use crate::report::Report;
 use crate::runner::{Cell, CellKey, ExpConfig};
 use cppe::presets::PolicyPreset;
 use gpu::RunResult;
@@ -19,8 +21,9 @@ pub struct Experiment {
     pub name: &'static str,
     /// Every cell [`Experiment::render`] looks up.
     pub cells: fn(&ExpConfig) -> Vec<Cell>,
-    /// Render the report from the plan's results.
-    pub render: fn(&ExpConfig, &Results) -> String,
+    /// Render the report, with any side files it exports, from the
+    /// plan's results.
+    pub render: fn(&ExpConfig, &Results) -> Report,
 }
 
 impl Experiment {
@@ -29,7 +32,7 @@ impl Experiment {
     pub const fn new(
         name: &'static str,
         cells: fn(&ExpConfig) -> Vec<Cell>,
-        render: fn(&ExpConfig, &Results) -> String,
+        render: fn(&ExpConfig, &Results) -> Report,
     ) -> Self {
         Experiment {
             name,
@@ -40,7 +43,7 @@ impl Experiment {
 
     /// Run this experiment alone (a one-experiment plan) and render it.
     #[must_use]
-    pub fn run(&self, cfg: &ExpConfig, threads: usize) -> String {
+    pub fn run(&self, cfg: &ExpConfig, threads: usize) -> Report {
         (self.render)(cfg, &run_plan(&[*self], cfg, threads))
     }
 }

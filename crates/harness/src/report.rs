@@ -1,8 +1,11 @@
-//! Plain-text table / CSV emitters for the experiment binaries.
+//! Plain-text tables for the experiment binaries, the rendered
+//! [`Report`] (text plus side files) and the saver that writes it.
 //!
 //! CSV rendering delegates to the schema-checked
 //! [`telemetry::CsvWriter`], so every CSV the workspace emits shares one
 //! escaping implementation.
+
+use std::path::{Path, PathBuf};
 
 /// A simple aligned text table.
 #[derive(Debug, Default)]
@@ -92,23 +95,65 @@ pub fn fmt_speedup(s: Option<f64>) -> String {
 
 /// Shared ring-drop warning section: the telemetry loss banner followed
 /// by a newline, or the empty string for a lossless trace. Every report
-/// renderer (timeline, chaos, profile, audit) goes through this one
-/// helper so a truncated artifact is flagged identically everywhere.
+/// renderer (timeline, chaos, audit) goes through this one helper so a
+/// truncated artifact is flagged identically everywhere.
 #[must_use]
 pub fn loss_section(t: &telemetry::RunTelemetry) -> String {
     telemetry::export::loss_banner(t).map_or_else(String::new, |b| format!("{b}\n"))
 }
 
-/// Write `content` under `results/<name>` (best-effort; the text is
-/// always also printed by the binaries). Written via tmp-file + atomic
-/// rename so a killed binary leaves either the previous artifact or
-/// the new one — never a torn half-file a CI diff would misread.
-pub fn save(name: &str, content: &str) -> std::io::Result<std::path::PathBuf> {
-    let dir = std::path::Path::new("results");
+/// Directory the binaries save their reports under.
+pub const RESULTS_DIR: &str = "results";
+
+/// A rendered report: its text and the side files it exports.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Report {
+    /// The report text, printed and saved as `<name>.txt`.
+    pub text: String,
+    /// Side files as `(file name, contents)`, saved beside the text.
+    pub files: Vec<(String, String)>,
+}
+
+impl From<String> for Report {
+    fn from(text: String) -> Self {
+        Report {
+            text,
+            files: Vec::new(),
+        }
+    }
+}
+
+/// Write `content` as `dir/<name>`, creating `dir` if needed. Written
+/// via tmp-file + atomic rename so a killed binary leaves either the
+/// previous artifact or the new one — never a torn half-file a CI diff
+/// would misread.
+///
+/// # Errors
+/// Propagates the I/O error.
+pub fn save(dir: &Path, name: &str, content: &str) -> std::io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
     let path = dir.join(name);
     telemetry::export::write_atomic(&path, content)?;
     Ok(path)
+}
+
+/// Save `report` under `dir`: its text as `<name>.txt`, then every side
+/// file. Each file logs one `[name]` line to stderr. Returns how many
+/// files failed to save.
+#[must_use]
+pub fn save_report(dir: &Path, name: &str, report: &Report) -> usize {
+    let text = (format!("{name}.txt"), report.text.clone());
+    let mut failed = 0;
+    for (file, content) in std::iter::once(&text).chain(&report.files) {
+        match save(dir, file, content) {
+            Ok(path) => eprintln!("[{name}] saved to {}", path.display()),
+            Err(e) => {
+                eprintln!("[{name}] ERROR: saving {file} failed: {e}");
+                failed += 1;
+            }
+        }
+    }
+    failed
 }
 
 #[cfg(test)]
@@ -139,6 +184,30 @@ mod tests {
     fn speedup_formatting() {
         assert_eq!(fmt_speedup(Some(1.564)), "1.56");
         assert_eq!(fmt_speedup(None), "X");
+    }
+
+    #[test]
+    fn save_failures_are_counted() {
+        let dir = std::env::temp_dir().join(format!("cppe-save-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("plain-file");
+        std::fs::write(&file, "").unwrap();
+        let text = Report::from("report\n".to_string());
+        // A directory below a regular file cannot be created.
+        assert_eq!(save_report(&file.join("results"), "fig", &text), 1);
+        let with_side = Report {
+            files: vec![("fig.json".into(), "{}".into())],
+            ..text.clone()
+        };
+        assert_eq!(save_report(&file.join("results"), "fig", &with_side), 2);
+        let ok = dir.join("results");
+        assert_eq!(save_report(&ok, "fig", &with_side), 0);
+        assert_eq!(
+            std::fs::read_to_string(ok.join("fig.txt")).unwrap(),
+            "report\n"
+        );
+        assert_eq!(std::fs::read_to_string(ok.join("fig.json")).unwrap(), "{}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! p99 / max, via [`sim_core::stats::Histogram`]), a queueing-vs-service
 //! decomposition per contended resource, and fault-time totals per SM
 //! and per page region — the three views the paper's 20 µs far-fault
-//! budget breaks down into. The harness renders these as report tables;
-//! the `profile` binary exports them as `BENCH_profile.json`.
+//! budget breaks down into. The harness renders these as report tables
+//! and exports them as the `stages` section of its run record.
 
 use crate::span::{SpanRecord, SpanStage};
 use sim_core::stats::Histogram;

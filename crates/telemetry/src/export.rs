@@ -1,10 +1,10 @@
-//! Exporters: timeline CSV, JSON run summary, Chrome trace-event JSON.
+//! Exporters: timeline CSV and Chrome trace-event JSON.
 //!
-//! Three views of one run's telemetry:
+//! Two views of one run's telemetry (the end-of-run JSON record is
+//! `harness::record`):
 //!
 //! * [`timeline_csv`] — one wide row per epoch (fault batch) with every
 //!   registered metric: counters as per-epoch deltas, gauges as levels.
-//! * [`run_summary_json`] — end-of-run totals as one JSON document.
 //! * [`chrome_trace_json`] — the event ring in Chrome trace-event
 //!   format; load it at `ui.perfetto.dev` or `chrome://tracing` to see
 //!   fault batches, DMA spans, evictions and ladder transitions on a
@@ -13,7 +13,7 @@
 use crate::csv::CsvWriter;
 use crate::event::TraceEvent;
 use crate::json;
-use crate::metrics::{EpochSeries, MetricKind};
+use crate::metrics::EpochSeries;
 use crate::span::{SpanRecord, SpanStage};
 use crate::tracer::RunTelemetry;
 use sim_core::time::GPU_CLOCK_GHZ;
@@ -26,7 +26,7 @@ pub enum TraceFormat {
     /// Per-epoch timeline CSV (the default for `--trace`).
     #[default]
     Csv,
-    /// JSON run summary.
+    /// JSON run record.
     Json,
     /// Chrome trace-event JSON.
     Chrome,
@@ -57,7 +57,7 @@ impl TraceFormat {
         matches!(self, TraceFormat::Csv | TraceFormat::All)
     }
 
-    /// Should the JSON summary be written?
+    /// Should the JSON run record be written?
     #[must_use]
     pub fn wants_json(self) -> bool {
         matches!(self, TraceFormat::Json | TraceFormat::All)
@@ -84,70 +84,6 @@ pub fn timeline_csv(series: &EpochSeries) -> String {
         w.row(&cells);
     }
     w.finish()
-}
-
-/// Render an end-of-run summary as one JSON document: outcome, total
-/// cycles, event accounting and the final total of every metric.
-#[must_use]
-pub fn run_summary_json(outcome: &str, cycles: u64, telemetry: &RunTelemetry) -> String {
-    let mut s = String::from("{");
-    let _ = write!(
-        s,
-        "\"outcome\":{},\"cycles\":{cycles},\"epochs\":{},",
-        json::string(outcome),
-        telemetry.series.rows.len()
-    );
-    let _ = write!(
-        s,
-        "\"events\":{{\"recorded\":{},\"dropped\":{}}},",
-        telemetry.events.len(),
-        telemetry.dropped_events
-    );
-    let _ = write!(
-        s,
-        "\"spans\":{{\"recorded\":{},\"dropped\":{},\"unclosed\":{}}},",
-        telemetry.spans.len(),
-        telemetry.dropped_spans,
-        telemetry.unclosed_spans
-    );
-    // Decision accounting appears only for audited runs, so summaries
-    // of non-audited runs stay byte-identical to earlier versions.
-    if !telemetry.decisions.is_empty() || telemetry.dropped_decisions > 0 {
-        let _ = write!(
-            s,
-            "\"decisions\":{{\"recorded\":{},\"dropped\":{}}},",
-            telemetry.decisions.len(),
-            telemetry.dropped_decisions
-        );
-    }
-    // Monitor accounting likewise appears only for monitored runs.
-    if telemetry.monitor.sampled > 0 || telemetry.monitor.dropped > 0 {
-        let _ = write!(
-            s,
-            "\"monitor\":{{\"sampled\":{},\"recorded\":{},\"dropped\":{}}},",
-            telemetry.monitor.sampled,
-            telemetry.monitor.snapshots.len(),
-            telemetry.monitor.dropped
-        );
-    }
-    s.push_str("\"metrics\":{");
-    for (i, (name, kind)) in telemetry.series.schema.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let value = telemetry.series.final_total(name);
-        let kind = match kind {
-            MetricKind::Counter => "counter",
-            MetricKind::Gauge => "gauge",
-        };
-        let _ = write!(
-            s,
-            "{}:{{\"kind\":\"{kind}\",\"value\":{value}}}",
-            json::string(name)
-        );
-    }
-    s.push_str("}}");
-    s
 }
 
 /// Cycle timestamp in Chrome-trace microseconds (the GPU clock defines
@@ -372,22 +308,15 @@ pub fn loss_banner(telemetry: &RunTelemetry) -> Option<String> {
             telemetry.dropped_decisions
         );
     }
-    if telemetry.monitor.dropped > 0 {
-        let _ = write!(
-            banner,
-            " ({} monitor snapshots also dropped; raise monitor_capacity)",
-            telemetry.monitor.dropped
-        );
-    }
     Some(banner)
 }
 
 /// Write `contents` to `path` crash-safely: the bytes land in a
 /// sibling `<name>.tmp` file first, are flushed to disk, and only then
-/// renamed over the destination. Readers (CI gates parsing `BENCH_*`
-/// baselines, `--resume` loading a snapshot) therefore see either the
-/// previous complete artifact or the new complete artifact — never a
-/// truncated hybrid from a run that was killed mid-write.
+/// renamed over the destination. A reader (a CI diff of the committed
+/// `results/` files) therefore sees either the previous complete
+/// artifact or the new complete artifact — never a truncated hybrid
+/// from a run that was killed mid-write.
 ///
 /// # Errors
 /// Propagates the underlying I/O error; on failure the destination is
@@ -409,7 +338,7 @@ pub fn write_atomic(path: &std::path::Path, contents: &str) -> std::io::Result<(
 mod tests {
     use super::*;
     use crate::event::EventRecord;
-    use crate::metrics::MetricsRegistry;
+    use crate::metrics::{MetricKind, MetricsRegistry};
 
     fn sample_telemetry() -> RunTelemetry {
         let mut r = MetricsRegistry::new();
@@ -490,16 +419,6 @@ mod tests {
     }
 
     #[test]
-    fn run_summary_is_valid_json_with_totals() {
-        let t = sample_telemetry();
-        let j = run_summary_json("completed", 70_000, &t);
-        json::validate(&j).unwrap();
-        assert!(j.contains("\"outcome\":\"completed\""));
-        assert!(j.contains("\"driver.batches\":{\"kind\":\"counter\",\"value\":2}"));
-        assert!(j.contains("\"mem.resident_pages\":{\"kind\":\"gauge\",\"value\":32}"));
-    }
-
-    #[test]
     fn chrome_trace_is_valid_and_has_spans() {
         let t = sample_telemetry();
         let j = chrome_trace_json(&t);
@@ -551,13 +470,7 @@ mod tests {
     }
 
     #[test]
-    fn run_summary_mentions_decisions_only_when_audited() {
-        let clean = sample_telemetry();
-        let j = run_summary_json("completed", 70_000, &clean);
-        assert!(
-            !j.contains("\"decisions\""),
-            "non-audited summaries keep their exact shape"
-        );
+    fn loss_banner_names_dropped_decisions() {
         let audited = RunTelemetry {
             decisions: vec![crate::decision::DecisionRecord {
                 cycle: 9,
@@ -573,48 +486,8 @@ mod tests {
             dropped_decisions: 2,
             ..sample_telemetry()
         };
-        let j = run_summary_json("completed", 70_000, &audited);
-        json::validate(&j).unwrap();
-        assert!(j.contains("\"decisions\":{\"recorded\":1,\"dropped\":2}"));
         let banner = loss_banner(&audited).expect("dropped decisions are loss");
         assert!(banner.contains("2 audited decisions"));
-    }
-
-    #[test]
-    fn run_summary_mentions_monitor_only_when_sampled() {
-        let clean = sample_telemetry();
-        let j = run_summary_json("completed", 70_000, &clean);
-        assert!(
-            !j.contains("\"monitor\""),
-            "non-monitored summaries keep their exact shape"
-        );
-        let monitored = RunTelemetry {
-            monitor: crate::monitor::MonitorSeries {
-                schema: vec![("driver.batches".into(), MetricKind::Counter)],
-                snapshots: vec![crate::monitor::MonitorSnapshot {
-                    seq: 2,
-                    cycle: 70_000,
-                    wall_ms: 1,
-                    totals: vec![2],
-                }],
-                sampled: 3,
-                dropped: 2,
-            },
-            ..sample_telemetry()
-        };
-        let j = run_summary_json("completed", 70_000, &monitored);
-        json::validate(&j).unwrap();
-        assert!(j.contains("\"monitor\":{\"sampled\":3,\"recorded\":1,\"dropped\":2}"));
-        let banner = loss_banner(&monitored).expect("dropped snapshots are loss");
-        assert!(banner.contains("2 monitor snapshots"));
-    }
-
-    #[test]
-    fn run_summary_counts_spans() {
-        let t = telemetry_with_spans();
-        let j = run_summary_json("completed", 30_000, &t);
-        json::validate(&j).unwrap();
-        assert!(j.contains("\"spans\":{\"recorded\":4,\"dropped\":0,\"unclosed\":0}"));
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! [`validate`] is a strict syntax check used by tests and the
 //! `validate-trace` binary to guarantee every emitted document is
 //! well-formed; [`parse`] returns the document as a [`Value`] tree —
-//! the monitor-dump validator and the bench-history ledger read
-//! documents back through it.
+//! the run-record validator reads documents back through it.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -83,24 +82,6 @@ impl Value {
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Value::Num(raw) => raw.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// The number as `f64`.
-    #[must_use]
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Num(raw) => raw.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// The boolean payload, if this is a boolean.
-    #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -383,10 +364,11 @@ mod tests {
         let v = parse("{\"a\":[1,2.5,-3e2],\"b\":{\"c\":null},\"d\":true}").unwrap();
         let arr = v.get("a").unwrap().as_array().unwrap();
         assert_eq!(arr[0].as_u64(), Some(1));
-        assert!((arr[1].as_f64().unwrap() - 2.5).abs() < 1e-12);
-        assert!((arr[2].as_f64().unwrap() + 300.0).abs() < 1e-12);
+        assert_eq!(arr[1], Value::Num("2.5".into()), "non-integers stay raw");
+        assert_eq!(arr[1].as_u64(), None);
+        assert_eq!(arr[2], Value::Num("-3e2".into()));
         assert_eq!(v.get("b").unwrap().get("c"), Some(&Value::Null));
-        assert_eq!(v.get("d").unwrap().as_bool(), Some(true));
+        assert_eq!(v.get("d"), Some(&Value::Bool(true)));
         assert_eq!(v.get("missing"), None);
     }
 
@@ -394,9 +376,8 @@ mod tests {
     fn u64_round_trips_exactly() {
         let doc = format!("{{\"n\":{}}}", u64::MAX);
         let v = parse(&doc).unwrap();
-        assert_eq!(v.get("n").unwrap().as_u64(), Some(u64::MAX));
         // f64 would have rounded this; the raw-text path must not.
-        assert_eq!(v.get("n").unwrap().as_f64(), Some(u64::MAX as f64));
+        assert_eq!(v.get("n").unwrap().as_u64(), Some(u64::MAX));
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //!   lifecycle, migration DMA start/retry/abort, evictions, prefetch
 //!   decisions, thrash-ladder rung transitions, injected faults),
 //! * [`ring`] — [`BoundedRing`], the drop-oldest buffer behind the
-//!   event, decision, span and monitor rings (never panics, counts
-//!   drops),
+//!   event, decision and span rings (never panics, counts drops),
 //! * [`metrics`] — [`MetricsRegistry`]: counters/gauges/histograms
 //!   under stable dotted names, absorbing [`sim_core::StatSet`], with
 //!   an epoch sampler that snapshots totals at fault-batch granularity
@@ -32,12 +31,10 @@
 //! * [`json`] — dependency-free JSON emission helpers and a validating
 //!   parser (used by the golden-schema tests and the CI artifact
 //!   check),
-//! * [`export`] — the exporters: wide per-epoch timeline CSV, JSON run
-//!   summary, Chrome trace-event JSON loadable in Perfetto, and the
-//!   crash-safe [`export::write_atomic`] file writer,
-//! * [`monitor`] — [`Monitor`]: the periodic in-run snapshot sampler
-//!   walking the registry on cycle/wall cadence into a bounded ring of
-//!   [`MonitorSnapshot`]s (the `--monitor` series).
+//! * [`export`] — the exporters: wide per-epoch timeline CSV, Chrome
+//!   trace-event JSON loadable in Perfetto, and the crash-safe
+//!   [`export::write_atomic`] file writer (the JSON run record, which
+//!   needs the harness's oracle, lives in `harness::record`).
 //!
 //! ## Overhead guarantee
 //!
@@ -55,7 +52,6 @@ pub mod export;
 pub mod json;
 pub mod ledger;
 pub mod metrics;
-pub mod monitor;
 pub mod ring;
 pub mod span;
 pub mod tracer;
@@ -67,7 +63,6 @@ pub use event::{EventRecord, InjectedFaultKind, TraceEvent};
 pub use export::TraceFormat;
 pub use ledger::{PageLedger, PageLife};
 pub use metrics::{EpochRow, EpochSeries, MetricKind, MetricsRegistry};
-pub use monitor::{Monitor, MonitorSeries, MonitorSnapshot};
 pub use ring::BoundedRing;
 pub use span::{SpanId, SpanRecord, SpanRecorder, SpanStage};
 pub use tracer::{RunTelemetry, TraceConfig, Tracer};

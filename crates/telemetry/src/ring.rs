@@ -1,7 +1,7 @@
 //! Bounded drop-oldest ring buffer.
 //!
-//! Long runs emit far more events, decisions, spans and monitor
-//! snapshots than anyone wants to keep; each is held in a ring that
+//! Long runs emit far more events, decisions and spans than anyone
+//! wants to keep; each is held in a ring that
 //! keeps the most recent `capacity` and counts what it dropped, so the
 //! exporters can say "…and 1 234 earlier events" instead of the process
 //! eating memory or panicking.

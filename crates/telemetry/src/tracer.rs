@@ -14,7 +14,6 @@
 use crate::decision::{DecisionEvent, DecisionRecord};
 use crate::event::{EventRecord, TraceEvent};
 use crate::metrics::{EpochSeries, MetricKind, MetricsRegistry};
-use crate::monitor::{Monitor, MonitorSeries};
 use crate::ring::BoundedRing;
 use crate::span::{SpanId, SpanRecord, SpanRecorder, SpanStage};
 use sim_core::stats::Histogram;
@@ -39,18 +38,6 @@ pub struct TraceConfig {
     pub audit: bool,
     /// Decision ring capacity (newest decisions win on overflow).
     pub decision_capacity: usize,
-    /// Periodic monitor sampling ([`crate::monitor`]). Off by default;
-    /// like `audit` it has no effect when `enabled` is false and leaves
-    /// every existing export bit-identical when off.
-    pub monitor: bool,
-    /// Minimum simulated cycles between monitor samples (`u64::MAX`
-    /// disables cycle-driven sampling).
-    pub monitor_cadence: u64,
-    /// Wall-clock milliseconds between forced monitor samples (0
-    /// disables wall-driven sampling).
-    pub monitor_wall_ms: u64,
-    /// Monitor ring capacity (newest snapshots win on overflow).
-    pub monitor_capacity: usize,
 }
 
 impl Default for TraceConfig {
@@ -61,10 +48,6 @@ impl Default for TraceConfig {
             span_capacity: 65_536,
             audit: false,
             decision_capacity: 65_536,
-            monitor: false,
-            monitor_cadence: 50_000,
-            monitor_wall_ms: 250,
-            monitor_capacity: 4_096,
         }
     }
 }
@@ -88,17 +71,6 @@ impl TraceConfig {
             ..TraceConfig::default()
         }
     }
-
-    /// Tracing *and* periodic monitor sampling on with the default
-    /// cadence and capacities.
-    #[must_use]
-    pub fn monitored() -> Self {
-        TraceConfig {
-            enabled: true,
-            monitor: true,
-            ..TraceConfig::default()
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -108,8 +80,6 @@ struct TracerInner {
     spans: SpanRecorder,
     /// Present only when `TraceConfig::audit` was set.
     decisions: Option<BoundedRing<DecisionRecord>>,
-    /// Present only when `TraceConfig::monitor` was set.
-    monitor: Option<Monitor>,
 }
 
 /// The recording handle. Cheap to hold, free when disabled.
@@ -137,13 +107,6 @@ impl Tracer {
                 registry: MetricsRegistry::new(),
                 spans: SpanRecorder::new(cfg.span_capacity),
                 decisions: cfg.audit.then(|| BoundedRing::new(cfg.decision_capacity)),
-                monitor: cfg.monitor.then(|| {
-                    Monitor::new(
-                        cfg.monitor_cadence,
-                        cfg.monitor_wall_ms,
-                        cfg.monitor_capacity,
-                    )
-                }),
             })),
         }
     }
@@ -160,13 +123,6 @@ impl Tracer {
     #[must_use]
     pub fn audit_enabled(&self) -> bool {
         self.inner.as_deref().is_some_and(|i| i.decisions.is_some())
-    }
-
-    /// Is monitor sampling on? (Implies [`Tracer::enabled`].)
-    #[inline]
-    #[must_use]
-    pub fn monitor_enabled(&self) -> bool {
-        self.inner.as_deref().is_some_and(|i| i.monitor.is_some())
     }
 
     /// Record an event at `cycle`. The payload closure only runs when
@@ -277,17 +233,6 @@ impl Tracer {
                     decisions.dropped(),
                 );
             }
-            // Same gating for the monitor: only monitored runs grow
-            // the schema. The monitor samples *after* its own loss
-            // counter lands, so snapshots carry it like any metric.
-            if let Some(monitor) = inner.monitor.as_mut() {
-                inner.registry.set(
-                    "telemetry.monitor.dropped",
-                    MetricKind::Counter,
-                    monitor.dropped(),
-                );
-                monitor.maybe_sample(cycle, &inner.registry);
-            }
             inner.registry.snapshot_epoch(cycle);
         }
     }
@@ -311,7 +256,6 @@ impl Tracer {
                 mut registry,
                 spans,
                 decisions,
-                monitor,
             } = *inner;
             let dropped = ring.dropped();
             let (spans, dropped_spans, unclosed_spans) = spans.finish();
@@ -325,7 +269,6 @@ impl Tracer {
                 }
                 None => (Vec::new(), 0),
             };
-            let monitor = monitor.map(Monitor::into_series).unwrap_or_default();
             let (series, hists) = registry.into_parts();
             RunTelemetry {
                 events: ring.into_vec(),
@@ -336,7 +279,6 @@ impl Tracer {
                 unclosed_spans,
                 decisions,
                 dropped_decisions,
-                monitor,
                 hists,
             }
         })
@@ -363,23 +305,16 @@ pub struct RunTelemetry {
     pub decisions: Vec<DecisionRecord>,
     /// Decisions dropped by the decision ring.
     pub dropped_decisions: u64,
-    /// The monitor's snapshot time series (empty when monitoring was
-    /// off).
-    pub monitor: MonitorSeries,
     /// Observed histograms by name — per-stage span latencies
     /// (`latency.<stage>`) plus anything the harness observed directly.
     pub hists: BTreeMap<String, Histogram>,
 }
 
 impl RunTelemetry {
-    /// Were any events, spans, decisions or monitor snapshots lost to
-    /// ring overflow?
+    /// Were any events, spans or decisions lost to ring overflow?
     #[must_use]
     pub fn lossy(&self) -> bool {
-        self.dropped_events > 0
-            || self.dropped_spans > 0
-            || self.dropped_decisions > 0
-            || self.monitor.dropped > 0
+        self.dropped_events > 0 || self.dropped_spans > 0 || self.dropped_decisions > 0
     }
 }
 
@@ -530,66 +465,5 @@ mod tests {
         assert!(r.lossy());
         assert_eq!(r.series.final_total("telemetry.decisions.dropped"), 3);
         assert_eq!(r.decisions[0].event.pages, vec![3, 4], "newest survive");
-    }
-
-    #[test]
-    fn tracing_without_monitor_records_no_snapshots() {
-        let mut t = Tracer::new(TraceConfig::on());
-        assert!(!t.monitor_enabled());
-        t.sample_epoch(10, [("x", MetricKind::Counter, 1)]);
-        let r = t.finish().unwrap();
-        assert!(r.monitor.snapshots.is_empty());
-        assert_eq!(r.monitor.sampled, 0);
-        assert!(
-            !r.series
-                .schema
-                .iter()
-                .any(|(n, _)| n == "telemetry.monitor.dropped"),
-            "non-monitored schema must not grow"
-        );
-    }
-
-    #[test]
-    fn monitored_tracer_samples_on_cadence() {
-        let mut t = Tracer::new(TraceConfig {
-            monitor_cadence: 100,
-            monitor_wall_ms: 0,
-            ..TraceConfig::monitored()
-        });
-        assert!(t.monitor_enabled());
-        for cycle in [10u64, 50, 120, 130, 250] {
-            t.sample_epoch(cycle, [("x", MetricKind::Counter, cycle)]);
-        }
-        let r = t.finish().unwrap();
-        assert_eq!(r.monitor.sampled, 3, "cycles 10, 120, 250");
-        assert_eq!(r.monitor.snapshots.len(), 3);
-        assert_eq!(r.series.final_total("telemetry.monitor.dropped"), 0);
-        assert!(!r.lossy());
-        // Snapshots carry registry totals, including the loss counter.
-        let idx = r.monitor.schema.iter().position(|(n, _)| n == "x").unwrap();
-        assert_eq!(r.monitor.snapshots[2].totals[idx], 250);
-        r.series.parity().unwrap();
-    }
-
-    #[test]
-    fn monitor_ring_overflow_is_counted_and_sampled() {
-        let mut t = Tracer::new(TraceConfig {
-            monitor_cadence: 0,
-            monitor_wall_ms: 0,
-            monitor_capacity: 2,
-            ..TraceConfig::monitored()
-        });
-        for cycle in 0..6u64 {
-            t.sample_epoch(cycle, [("x", MetricKind::Counter, cycle)]);
-        }
-        let r = t.finish().unwrap();
-        assert_eq!(r.monitor.sampled, 6);
-        assert_eq!(r.monitor.snapshots.len(), 2);
-        assert_eq!(r.monitor.dropped, 4);
-        assert!(r.lossy());
-        assert_eq!(r.monitor.snapshots[0].seq, 4, "oldest dropped first");
-        // The loss counter lands in the epoch series one epoch behind
-        // the drop itself (it is set before the sample that drops).
-        assert_eq!(r.series.final_total("telemetry.monitor.dropped"), 3);
     }
 }

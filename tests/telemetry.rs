@@ -5,14 +5,15 @@
 //!   itself — cycles, stats and transfer volumes match exactly.
 //! * Counter parity: per-epoch deltas in the sampled series sum back to
 //!   the end-of-run totals the simulator reports.
-//! * Golden schema: the timeline CSV header and Chrome trace shape are
-//!   frozen; exporters must not drift silently.
+//! * Golden schema: the timeline CSV header, the run record and the
+//!   Chrome trace shape are frozen; exporters must not drift silently.
 //! * Bounded ring: overflowing the event ring drops the oldest records
 //!   and keeps the newest, without panicking.
 
 use cppe::presets::PolicyPreset;
 use gpu::RunResult;
-use harness::{run_cell, ExpConfig};
+use harness::record::{self, RunRecord};
+use harness::{Cell, ExpConfig};
 use telemetry::{csv, json, TraceConfig};
 use workloads::registry;
 
@@ -33,14 +34,19 @@ mem.resident_pages,mem.free_frames,cppe.chain_len,cppe.prefetch_throttle,\
 driver.rung,\
 telemetry.ring.dropped,telemetry.spans.dropped";
 
-fn run_with(trace: TraceConfig) -> RunResult {
+/// STN under CPPE at 50 %, quarter scale, with `trace`.
+fn cell_with(trace: TraceConfig) -> Cell {
     let mut cfg = ExpConfig {
         scale: 0.25,
         ..ExpConfig::default()
     };
     cfg.gpu.trace = trace;
     let w = registry::by_abbr("STN").expect("known app");
-    run_cell(&w, PolicyPreset::Cppe, 0.5, &cfg)
+    Cell::new(&w, PolicyPreset::Cppe, 0.5, &cfg)
+}
+
+fn run_with(trace: TraceConfig) -> RunResult {
+    cell_with(trace).run()
 }
 
 #[test]
@@ -85,7 +91,8 @@ fn epoch_deltas_reconcile_with_run_totals() {
 
 #[test]
 fn golden_csv_and_chrome_trace_schema() {
-    let r = run_with(TraceConfig::on());
+    let cell = cell_with(TraceConfig::on());
+    let r = cell.run();
     let t = r.telemetry.as_ref().unwrap();
 
     let timeline = telemetry::export::timeline_csv(&t.series);
@@ -97,10 +104,11 @@ fn golden_csv_and_chrome_trace_schema() {
         "one row per fault batch"
     );
 
-    let summary = telemetry::export::run_summary_json("completed", r.cycles, t);
-    json::validate(&summary).expect("well-formed summary JSON");
-    assert!(summary.contains("\"outcome\":\"completed\""));
-    assert!(summary.contains("\"metrics\":{"));
+    let doc = record::document(&[RunRecord::new("STN", &cell, &r)]);
+    record::validate(&doc).expect("valid run record");
+    assert!(doc.starts_with("{\"schema\":\"cppe-run-v1\",\"runs\":[{\"name\":\"STN\""));
+    assert!(doc.contains("\"outcome\":\"completed\""));
+    assert!(doc.contains("\"metrics\":{\"cppe.faults\":{\"kind\":\"counter\""));
 
     let trace = telemetry::export::chrome_trace_json(t);
     json::validate(&trace).expect("well-formed Chrome trace JSON");
