@@ -60,8 +60,10 @@ pub struct GpuConfig {
     /// Hit-path fast lane: when a lane's translation hits and its next
     /// access is provably another hit with no event scheduled to fire
     /// first, execute a bounded streak of accesses inline instead of
-    /// round-tripping each one through the event queue. Bit-identical
-    /// by construction (the hazard check falls back to the
+    /// round-tripping each one through the event queue; and when a
+    /// page completion wakes lanes with nothing else queued at its
+    /// cycle, replay the first of them without queueing it (the inline
+    /// wake). Bit-identical by construction (each falls back to the
     /// one-event-per-access path whenever identity could be at risk);
     /// on by default. The flag exists so the equivalence property
     /// tests can drive both paths.

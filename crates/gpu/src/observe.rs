@@ -15,7 +15,8 @@
 //! * [`Timeline`] — one [`TimelinePoint`] per dispatched batch;
 //! * [`Invariants`] — cross-structure consistency checks at every batch
 //!   boundary;
-//! * [`FireCounts`] — how often the fast lane's run-ahead fires;
+//! * [`FireCounts`] — how often the fast lane's run-ahead and inline
+//!   wakes fire;
 //! * [`EvictionPasses`] — how often chunk-granular eviction replaced
 //!   per-page TLB removes and data-cache scans, how the chunk chain's
 //!   order index answered positional victim selections, and how the
@@ -140,6 +141,13 @@ pub trait Observer {
     /// wake order, possibly none) replay their access.
     #[inline]
     fn page_ready(&mut self, ctx: Ctx<'_>, page: VirtPage, now: Cycle, lanes: &[u32]) {}
+
+    /// Lane `lane`, the first of a [`page_ready`](Observer::page_ready)
+    /// call's lanes, replays at `now` without a queue round trip: no
+    /// other event was queued at `now`, so its wake would have been the
+    /// next pop anyway. Only the fast lane does this.
+    #[inline]
+    fn inline_wake(&mut self, ctx: Ctx<'_>, lane: u32, now: Cycle) {}
 }
 
 /// The observer that watches nothing.
@@ -189,6 +197,12 @@ impl<A: Observer, B: Observer> Observer for (A, B) {
         self.0.page_ready(ctx.reborrow(), page, now, lanes);
         self.1.page_ready(ctx, page, now, lanes);
     }
+
+    #[inline]
+    fn inline_wake(&mut self, mut ctx: Ctx<'_>, lane: u32, now: Cycle) {
+        self.0.inline_wake(ctx.reborrow(), lane, now);
+        self.1.inline_wake(ctx, lane, now);
+    }
 }
 
 impl<O: Observer + ?Sized> Observer for &mut O {
@@ -225,6 +239,11 @@ impl<O: Observer + ?Sized> Observer for &mut O {
     #[inline]
     fn page_ready(&mut self, ctx: Ctx<'_>, page: VirtPage, now: Cycle, lanes: &[u32]) {
         (**self).page_ready(ctx, page, now, lanes);
+    }
+
+    #[inline]
+    fn inline_wake(&mut self, ctx: Ctx<'_>, lane: u32, now: Cycle) {
+        (**self).inline_wake(ctx, lane, now);
     }
 }
 
@@ -263,8 +282,8 @@ impl Observer for Timeline {
     }
 }
 
-/// How often the fast lane's run-ahead fired during a run — the one
-/// loop mechanism `RunResult`'s counters cannot show.
+/// How often the fast lane's run-ahead and inline wakes fired during a
+/// run — the loop mechanisms `RunResult`'s counters cannot show.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FireCounts {
     /// Accesses the fast lane executed inline instead of via the queue.
@@ -273,6 +292,9 @@ pub struct FireCounts {
     pub streaks: u64,
     /// Longest streak, in inline accesses.
     pub longest_streak: u32,
+    /// Woken lanes that replayed their faulted access without a queue
+    /// round trip.
+    pub inline_wakes: u64,
 }
 
 impl Observer for FireCounts {
@@ -283,6 +305,11 @@ impl Observer for FireCounts {
             self.streaks += u64::from(streak == 1);
             self.longest_streak = self.longest_streak.max(streak);
         }
+    }
+
+    #[inline]
+    fn inline_wake(&mut self, _: Ctx<'_>, _: u32, _: Cycle) {
+        self.inline_wakes += 1;
     }
 }
 

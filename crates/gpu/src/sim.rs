@@ -103,12 +103,12 @@ impl RunResult {
         matches!(self.outcome, Outcome::Completed | Outcome::Degraded)
     }
 
-    /// A synthetic result for a cell whose *worker* failed — a panic
-    /// caught by the sweep executor, or a lease that expired past its
-    /// retry budget — as opposed to a simulation that ran and thrashed
-    /// to death. All counters are zero; `outcome` is [`Outcome::Crashed`]
-    /// and `error` carries the failure, so the cell shows up as an 'X'
-    /// in reports instead of silently vanishing from the result map.
+    /// A synthetic result for a cell whose run panicked — the harness's
+    /// plan runner catches the panic per cell — as opposed to a
+    /// simulation that ran and thrashed to death. All counters are
+    /// zero; `outcome` is [`Outcome::Crashed`] and `error` carries the
+    /// failure, so the cell shows up as an 'X' in reports instead of
+    /// silently vanishing from the result map.
     #[must_use]
     pub fn failed(error: impl Into<String>) -> RunResult {
         RunResult {
@@ -146,7 +146,7 @@ enum Event {
 /// Longest run of consecutive accesses one lane may execute inline
 /// before the fast lane forcibly round-trips through the event queue.
 /// Purely a fairness/bounds guard — the hazard check alone guarantees
-/// bit-identity — sized so a streak never starves the far heap's
+/// bit-identity — sized so a streak never starves the far tier's
 /// `drain_far` migration for long.
 const MAX_STREAK: u32 = 128;
 
@@ -280,12 +280,15 @@ pub fn simulate_accesses(
 /// `capacity_pages` sizes GPU memory (the oversubscription knob);
 /// `footprint_pages` calibrates crash detection.
 ///
+/// Lanes may carry different numbers of barriers: barrier `b` waits
+/// only for the lanes that reach a `b`-th barrier, so a lane that ends
+/// early holds no one up.
+///
 /// # Panics
-/// Panics if `streams` is longer than `cfg.lanes()`, if the
-/// configuration is invalid (pre-check with `GpuConfig::validate`), or
-/// if lanes carry inconsistent barrier structure that would deadlock (a
-/// lane ending before a barrier other lanes wait on). Service-path
-/// errors never panic: they end the run with `RunResult::error` set.
+/// Panics if `streams` is longer than `cfg.lanes()` or if the
+/// configuration is invalid (pre-check with `GpuConfig::validate`).
+/// Service-path errors never panic: they end the run with
+/// `RunResult::error` set.
 #[must_use]
 pub fn simulate(
     cfg: &GpuConfig,
@@ -383,6 +386,9 @@ fn run<O: Observer>(
     let mut end = Cycle::ZERO;
     // Reused scratch for same-cycle lane wakes (PageReady bulk push).
     let mut wake_buf: Vec<u32> = Vec::new();
+    // A woken lane whose `LaneReady` runs next without a queue round
+    // trip (the inline wake, see `Event::PageReady`).
+    let mut woken: Option<u32> = None;
 
     for (lane, s) in streams.iter().enumerate() {
         if !s.is_empty() {
@@ -391,8 +397,12 @@ fn run<O: Observer>(
     }
 
     let stop = 'main: loop {
-        let Some((now, ev)) = m.q.pop() else {
-            break None;
+        let (now, ev) = match woken.take() {
+            Some(lane) => (m.q.now(), Event::LaneReady(lane)),
+            None => match m.q.pop() {
+                Some(next) => next,
+                None => break None,
+            },
         };
         end = now;
         if now.0 > cfg.max_cycles {
@@ -486,7 +496,16 @@ fn run<O: Observer>(
                 wake_buf.clear();
                 m.waiting.take(page, |lane| wake_buf.push(lane));
                 obs.page_ready(m.ctx(), page, now, &wake_buf);
-                m.q.push_n(now, wake_buf.drain(..).map(Event::LaneReady));
+                // Inline wake: with nothing else queued at `now`, the
+                // first woken lane's `LaneReady` would be the next pop.
+                // Queue the others behind it and run it straight away.
+                let inline = cfg.fast_lane && !wake_buf.is_empty() && !m.q.pending_now();
+                let first = usize::from(inline);
+                m.q.push_n(now, wake_buf[first..].iter().map(|&l| Event::LaneReady(l)));
+                if inline {
+                    obs.inline_wake(m.ctx(), wake_buf[0], now);
+                    woken = Some(wake_buf[0]);
+                }
             }
             Event::DriverFree => {
                 m.driver_busy = false;
@@ -776,6 +795,74 @@ mod tests {
         assert!(on.run_ahead > 0 && on.streaks > 0);
         assert!(on.run_ahead >= on.streaks && on.longest_streak <= MAX_STREAK);
         assert_eq!(counts[1], FireCounts::default());
+    }
+
+    #[test]
+    fn fire_counts_see_inline_wakes() {
+        // Four lanes thrash on disjoint pages, so a batch carries the
+        // faults of the three lanes that faulted while the last one was
+        // serviced. All but a batch's last completion land on a cycle
+        // nothing else holds: the fast lane replays those wakes inline;
+        // without it none is.
+        let streams: Vec<Vec<LaneItem>> = (0..4u64)
+            .map(|l| {
+                seq_stream(256, 2, 50 + 10 * l as u32)
+                    .into_iter()
+                    .map(|a| {
+                        LaneItem::Access(AccessStep {
+                            page: VirtPage(a.page.0 + 256 * l),
+                            ..a
+                        })
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut counts = Vec::new();
+        for fast_lane in [true, false] {
+            let cfg = GpuConfig {
+                fast_lane,
+                ..tiny_cfg()
+            };
+            let mut fc = FireCounts::default();
+            let engine = PolicyPreset::Cppe.build(3);
+            let r = simulate_with(&cfg, engine, &streams, 128, 1024, &mut fc);
+            assert!(fc.inline_wakes <= r.engine.faults);
+            counts.push(fc.inline_wakes);
+        }
+        assert!(counts[0] > 0, "no inline wake fired");
+        assert_eq!(counts[1], 0);
+    }
+
+    #[test]
+    fn uneven_barrier_counts_complete() {
+        // Barrier `b` waits only for the lanes that reach a `b`-th
+        // barrier: lanes with 2, 1 and 0 barriers all finish.
+        let access = |p: u64| {
+            LaneItem::Access(AccessStep {
+                page: VirtPage(p),
+                compute: 20,
+            })
+        };
+        let streams = vec![
+            vec![
+                access(0),
+                LaneItem::Barrier,
+                access(1),
+                LaneItem::Barrier,
+                access(2),
+            ],
+            vec![access(16), LaneItem::Barrier, access(17)],
+            vec![access(32), access(33)],
+        ];
+        let r = simulate(
+            &tiny_cfg(),
+            PolicyPreset::Baseline.build(0),
+            &streams,
+            64,
+            48,
+        );
+        assert_eq!(r.outcome, Outcome::Completed);
+        assert_eq!(r.accesses, 7);
     }
 
     #[test]

@@ -167,8 +167,9 @@ fn main() {
     );
     println!("wrong evictions   {}", r.wrong_evictions);
     println!(
-        "fast lane         {} of {} accesses ran ahead inline ({} streaks, longest {})",
-        fired.run_ahead, r.accesses, fired.streaks, fired.longest_streak
+        "fast lane         {} of {} accesses ran ahead inline ({} streaks, longest {}); \
+         {} woken lanes replayed inline",
+        fired.run_ahead, r.accesses, fired.streaks, fired.longest_streak, fired.inline_wakes
     );
     let (sd, inv) = (passes.shootdown, passes.invalidation);
     println!(

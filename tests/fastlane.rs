@@ -1,8 +1,10 @@
 //! Fast-lane ⇄ legacy-path equivalence suite.
 //!
-//! `GpuConfig::fast_lane` gates the PR 10 hit-path fast lane (indexed
-//! TLB/PWC/data-cache probes feeding a bounded lane run-ahead streak
-//! with bulk event-queue pushes). The golden fingerprints in
+//! `GpuConfig::fast_lane` gates the hit-path fast lane (a bounded lane
+//! run-ahead streak with bulk event-queue pushes) and the inline wake (a
+//! lane woken by a page completion replays its access without a queue
+//! round trip when nothing else is queued at that cycle). The golden
+//! fingerprints in
 //! `tests/perf_identity.rs` lock the six paper cells, but the fast lane
 //! takes decisions on *arbitrary* streams — a hazard the paper
 //! workloads never produce (a shootdown landing mid-streak, a
@@ -13,16 +15,19 @@
 //! outcome, every counter block, byte totals, the per-batch timeline,
 //! and — for traced runs — the typed event/span/decision streams.
 //!
-//! The tests below use fixed xorshift streams, and
+//! The tests below use fixed xorshift streams and two fixed fault
+//! schedules that drive the inline wake's two branches, and
 //! `arbitrary_streams_agree` adds seeded random stream shapes on top.
 //! All are std-only, so they run in the default test suite.
 
 use cppe::engine::PolicyEngine;
 use cppe::presets::PolicyPreset;
 use gmmu::types::VirtPage;
-use gpu::{GpuConfig, RunResult, Timeline};
+use gpu::observe::Ctx;
+use gpu::{GpuConfig, Observer, RunResult, Timeline};
 use harness::{capacity_pages, ExpConfig};
 use sim_core::rng::Xoshiro256ss;
+use sim_core::time::Cycle;
 use telemetry::TraceConfig;
 use workloads::registry;
 use workloads::types::{AccessStep, LaneItem};
@@ -161,7 +166,7 @@ fn xorshift(state: &mut u64) -> u64 {
 /// Synthesize `lanes` random streams: `rounds` barrier-delimited rounds
 /// of `per_round` accesses each over `footprint` pages, with compute
 /// deltas spanning the streak-provable range (0) through long stalls.
-/// Every lane carries the same barrier count, as the engine requires.
+/// Every lane carries the same barrier count.
 fn random_streams(
     seed: u64,
     lanes: usize,
@@ -358,4 +363,158 @@ fn arbitrary_streams_agree() {
             preset.label()
         );
     }
+}
+
+/// What the wake path did: each page completion's cycle and woken
+/// lanes, each inline wake, and each fault's issue cycle.
+#[derive(Debug, Default)]
+struct Wakes {
+    ready: Vec<(u64, Vec<u32>)>,
+    inline: Vec<(u64, u32)>,
+    faults: Vec<(u64, u32)>,
+}
+
+impl Observer for Wakes {
+    fn fault_raised(
+        &mut self,
+        _: Ctx<'_>,
+        lane: u32,
+        _: VirtPage,
+        now: Cycle,
+        _: &gmmu::translation::TranslationTiming,
+        _: Cycle,
+    ) {
+        self.faults.push((now.0, lane));
+    }
+
+    fn page_ready(&mut self, _: Ctx<'_>, _: VirtPage, now: Cycle, lanes: &[u32]) {
+        if !lanes.is_empty() {
+            self.ready.push((now.0, lanes.to_vec()));
+        }
+    }
+
+    fn inline_wake(&mut self, _: Ctx<'_>, lane: u32, now: Cycle) {
+        self.inline.push((now.0, lane));
+    }
+}
+
+/// One access per `(page, compute)` pair, in order.
+fn accesses(pages: &[(u64, u32)]) -> Vec<LaneItem> {
+    pages
+        .iter()
+        .map(|&(p, compute)| {
+            LaneItem::Access(AccessStep {
+                page: VirtPage(p),
+                compute,
+            })
+        })
+        .collect()
+}
+
+/// Run `streams` through both paths (no compute jitter, ample memory),
+/// assert the fingerprints agree, and return the fast lane's wakes.
+fn wake_case(streams: &[Vec<LaneItem>]) -> Wakes {
+    let mut results = Vec::new();
+    let mut wakes = Wakes::default();
+    for fast_lane in [true, false] {
+        let cfg = GpuConfig {
+            compute_jitter: 0.0,
+            ..gpu_cfg(fast_lane)
+        };
+        let engine = PolicyPreset::Baseline.build(11);
+        let mut timeline = Timeline::default();
+        let mut watched = Wakes::default();
+        let r = gpu::simulate_with(
+            &cfg,
+            engine,
+            streams,
+            1024,
+            1024,
+            (&mut timeline, &mut watched),
+        );
+        results.push(fp(&r, &timeline));
+        if fast_lane {
+            wakes = watched;
+        } else {
+            assert!(
+                watched.inline.is_empty(),
+                "inline wake without the fast lane"
+            );
+        }
+    }
+    assert_eq!(results[0], results[1], "wake case diverged");
+    wakes
+}
+
+/// Lane 0's fault keeps the driver busy while lanes 1, 3, 4 and 5 fault
+/// on page 3 and lane 2 on page 200, so the next batch is
+/// `[3, 200, 3, 3, 3]`. Page 3's first completion lands a fault's
+/// service time ahead of the rest, alone in its cycle: lane 1 replays
+/// inline and lanes 3, 4 and 5 are queued behind it.
+#[test]
+fn four_waiters_on_one_page_wake_one_inline() {
+    let streams: Vec<_> = [100, 3, 200, 3, 3, 3]
+        .iter()
+        .map(|&p| accesses(&[(p, 10)]))
+        .collect();
+    let w = wake_case(&streams);
+    let (at, lanes) = w
+        .ready
+        .iter()
+        .find(|(_, lanes)| lanes.len() == 4)
+        .expect("page 3 woke its four waiters at once");
+    assert_eq!(lanes, &[1, 3, 4, 5]);
+    assert!(w.inline.contains(&(*at, 1)), "{w:?}");
+}
+
+/// Lanes 1, 2 and 3 fault on pages 3, 200 and 300 in one batch, so
+/// page 200 completes a fault's service time after page 3. Lane 1,
+/// woken by page 3, replays it and then spends exactly the compute that
+/// puts its next `LaneReady` on page 200's completion cycle: that
+/// completion must fall back to queueing its waiter, and lane 1's fault
+/// on page 400 issues at that cycle.
+#[test]
+fn page_ready_behind_a_same_cycle_lane_ready_falls_back() {
+    let streams = |compute: u32| {
+        vec![
+            accesses(&[(100, 10)]),
+            accesses(&[(3, compute), (400, 10)]),
+            accesses(&[(200, 10)]),
+            accesses(&[(300, 10)]),
+        ]
+    };
+    // Calibrate with zero compute: lane 1's second fault issues `gap`
+    // cycles before page 200 completes.
+    let probe = wake_case(&streams(0));
+    let ready_200 = |w: &Wakes| {
+        w.ready
+            .iter()
+            .find(|(_, lanes)| lanes == &[2])
+            .expect("page 200 woke lane 2")
+            .0
+    };
+    let second_fault = |w: &Wakes| {
+        w.faults
+            .iter()
+            .filter(|&&(_, lane)| lane == 1)
+            .nth(1)
+            .expect("lane 1 faulted on page 400")
+            .0
+    };
+    let gap = ready_200(&probe) - second_fault(&probe);
+    let w = wake_case(&streams(u32::try_from(gap).expect("gap fits u32")));
+    let at = ready_200(&w);
+    assert_eq!(
+        second_fault(&w),
+        at,
+        "lane 1 was not queued on page 200's cycle"
+    );
+    assert!(
+        !w.inline.iter().any(|&(t, _)| t == at),
+        "page 200's wake ran inline past a same-cycle LaneReady: {w:?}"
+    );
+    assert!(
+        w.inline.iter().any(|&(_, lane)| lane == 1),
+        "lane 1's wake on page 3 did not run inline: {w:?}"
+    );
 }

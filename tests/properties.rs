@@ -144,7 +144,7 @@ fn workload_streams_in_bounds() {
             }
             barriers_per_lane.push(barriers);
         }
-        // Uniform barrier structure (no deadlock).
+        // Uniform barrier structure: every lane sees every kernel launch.
         assert!(
             barriers_per_lane.windows(2).all(|w| w[0] == w[1]),
             "{at}: barriers per lane {barriers_per_lane:?}"
