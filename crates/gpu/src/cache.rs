@@ -34,18 +34,29 @@
 //!   a remainder by a constant (a multiply, not a `div`), and the hit
 //!   latencies are constants too.
 //!
+//! Both levels count their cached pages per chunk id (`ChunkCounts`,
+//! one `u16` per chunk: the L1 bank counts across every SM). A fill
+//! adds one for the page's chunk and takes one from the way it drops; a
+//! removal takes one. Invalidation reads the counts to skip work on
+//! chunks no cache holds, which is most of them: a victim chunk has
+//! usually not been touched for longer than a cache keeps a page.
+//!
 //! The driver evicts whole chunks, so a fault batch's evicted pages are
-//! invalidated together ([`DataHierarchy::invalidate_evicted`]): the
-//! batch's chunks are marked in a bitmap indexed by chunk id, and one
-//! pass over each L1-bank set span that holds an evicted page — at most
-//! two — drops every page of a marked chunk from every SM's row,
-//! keeping the survivors' order, at one bit test per way. That is exact
-//! because the caches only hold resident pages and an eviction unmaps
-//! every resident page of its chunk, so a cached page of an evicted
-//! chunk is always one of the batch's evicted pages (`gpu::Invariants`
-//! checks the first half at every batch). The L2 stays per page, since
-//! each page of a chunk sits in its own 16-way row, but it counts its
-//! cached pages per chunk and skips the row probe for a chunk with none
+//! invalidated together ([`DataHierarchy::invalidate_evicted`]). Only
+//! the batch's chunks that some L1 holds are marked, in a bitmap indexed
+//! by chunk id, and one pass over each L1-bank set span that holds an
+//! evicted page of a marked chunk — at most two — drops every page of a
+//! marked chunk from every SM's row, keeping the survivors' order, at
+//! one bit test per way. When no evicted chunk is held by an L1, which
+//! is most batches, no span is swept at all (the chunk gate;
+//! [`InvalidationCounts::spans_skipped`] counts the spans it saved).
+//! That is exact because the caches only hold resident pages and an
+//! eviction unmaps every resident page of its chunk, so a cached page of
+//! an evicted chunk is always one of the batch's evicted pages, and a
+//! chunk with no L1-held page has nothing to drop (`gpu::Invariants`
+//! checks the first half, and that the counts match the rows, at every
+//! batch). The L2 stays per page, since each page of a chunk sits in
+//! its own 16-way row, but it skips the row probe for a chunk with none
 //! cached.
 //!
 //! The seed's scan implementation is preserved as the test-only
@@ -72,8 +83,7 @@ use sim_core::BitVec;
 #[derive(Debug)]
 pub struct PageCache<const SETS: usize, const WAYS: usize> {
     sets: LruRows,
-    /// Cached pages per chunk id; ids past the end have none.
-    chunk_pages: Vec<u8>,
+    chunk_pages: ChunkCounts,
     /// Hits.
     pub hits: Counter,
     /// Misses (which allocate).
@@ -95,7 +105,7 @@ impl<const SETS: usize, const WAYS: usize> PageCache<SETS, WAYS> {
     pub fn new() -> Self {
         PageCache {
             sets: LruRows::new(SETS, WAYS),
-            chunk_pages: Vec::new(),
+            chunk_pages: ChunkCounts::default(),
             hits: Counter::default(),
             misses: Counter::default(),
         }
@@ -116,30 +126,18 @@ impl<const SETS: usize, const WAYS: usize> PageCache<SETS, WAYS> {
         }
         self.misses.inc();
         if let Some(victim) = self.sets.fill(set, page.0) {
-            self.chunk_pages[(victim / PAGES_PER_CHUNK) as usize] -= 1;
+            self.chunk_pages.remove(victim);
         }
-        let chunk = page.chunk().0 as usize;
-        if chunk >= self.chunk_pages.len() {
-            self.grow(chunk);
-        }
-        self.chunk_pages[chunk] += 1;
+        self.chunk_pages.add(page.0);
         false
-    }
-
-    #[cold]
-    fn grow(&mut self, chunk: usize) {
-        self.chunk_pages.resize(chunk + 1, 0);
     }
 
     /// Drop `page` (device-memory eviction invalidates cached data).
     /// Probes the row only when `page`'s chunk has a page cached.
     #[inline]
     pub fn invalidate(&mut self, page: VirtPage) {
-        let chunk = page.chunk().0 as usize;
-        if self.chunk_pages.get(chunk).is_some_and(|&n| n > 0)
-            && self.sets.remove(Self::set_index(page), page.0)
-        {
-            self.chunk_pages[chunk] -= 1;
+        if self.chunk_pages.any(page.0) && self.sets.remove(Self::set_index(page), page.0) {
+            self.chunk_pages.remove(page.0);
         }
     }
 
@@ -155,8 +153,60 @@ impl<const SETS: usize, const WAYS: usize> PageCache<SETS, WAYS> {
     }
 }
 
+/// Cached pages per chunk id, kept beside a cache's rows so that
+/// invalidation can skip a chunk with none cached. Ids past the end
+/// have none. A `u16` holds the most any cache here holds of one chunk:
+/// 16 pages in the L2, and 12 per SM in the L1 bank (756 at the 63-SM
+/// limit of `GpuConfig::validate`).
+#[derive(Debug, Default)]
+struct ChunkCounts(Vec<u16>);
+
+impl ChunkCounts {
+    /// One more cached page of `page`'s chunk.
+    #[inline]
+    fn add(&mut self, page: u64) {
+        let chunk = (page / PAGES_PER_CHUNK) as usize;
+        if chunk >= self.0.len() {
+            self.grow(chunk);
+        }
+        self.0[chunk] += 1;
+    }
+
+    #[cold]
+    fn grow(&mut self, chunk: usize) {
+        self.0.resize(chunk + 1, 0);
+    }
+
+    /// One fewer cached page of `page`'s chunk, which holds one.
+    #[inline]
+    fn remove(&mut self, page: u64) {
+        self.0[(page / PAGES_PER_CHUNK) as usize] -= 1;
+    }
+
+    /// Whether any page of `page`'s chunk is cached.
+    #[inline]
+    fn any(&self, page: u64) -> bool {
+        self.0
+            .get((page / PAGES_PER_CHUNK) as usize)
+            .is_some_and(|&n| n > 0)
+    }
+
+    /// Whether the counts are exactly those of `pages`, the cache's
+    /// contents, one entry per cached copy.
+    fn matches(&self, pages: impl Iterator<Item = VirtPage>) -> bool {
+        let mut want = vec![0u16; self.0.len()];
+        for p in pages {
+            match want.get_mut(p.chunk().0 as usize) {
+                Some(n) => *n += 1,
+                None => return false,
+            }
+        }
+        want == self.0
+    }
+}
+
 /// Table I's per-SM L1: 48 KB = 12 pages, as this many sets…
-const L1_SETS: usize = 2;
+pub(crate) const L1_SETS: usize = 2;
 /// …of this many ways.
 const L1_WAYS: usize = 6;
 /// Table I's shared L2: 3 MB = 768 pages, 16-way set-associative, so
@@ -180,6 +230,8 @@ const EMPTY: u64 = u64::MAX;
 struct L1Bank {
     sms: usize,
     ways: Vec<u64>,
+    /// Pages held per chunk, summed over every SM's rows.
+    chunk_pages: ChunkCounts,
 }
 
 impl L1Bank {
@@ -187,6 +239,7 @@ impl L1Bank {
         L1Bank {
             sms,
             ways: vec![EMPTY; L1_SETS * sms * L1_WAYS],
+            chunk_pages: ChunkCounts::default(),
         }
     }
 
@@ -208,6 +261,13 @@ impl L1Bank {
         // A hit moves its way to the front; a miss moves the last (LRU
         // or empty) way there. Either way the ways before it shift back.
         let hit = row.iter().position(|&p| p == page.0);
+        if hit.is_none() {
+            let dropped = row[L1_WAYS - 1];
+            if dropped != EMPTY {
+                self.chunk_pages.remove(dropped);
+            }
+            self.chunk_pages.add(page.0);
+        }
         row.copy_within(..hit.unwrap_or(L1_WAYS - 1), 1);
         row[0] = page.0;
         hit.is_some()
@@ -227,7 +287,9 @@ impl L1Bank {
             let mut kept = 0;
             for i in 0..L1_WAYS {
                 let p = row[i];
-                if !gone(p) {
+                if gone(p) {
+                    self.chunk_pages.remove(p);
+                } else {
                     row[kept] = p;
                     kept += 1;
                 }
@@ -237,15 +299,22 @@ impl L1Bank {
     }
 
     /// Drop `page` from every SM's row, keeping the survivors' order.
+    /// Returns false, without a pass over the span, when no SM holds a
+    /// page of `page`'s chunk.
     #[inline]
-    fn invalidate(&mut self, page: VirtPage) {
+    fn invalidate(&mut self, page: VirtPage) -> bool {
+        if !self.chunk_pages.any(page.0) {
+            return false;
+        }
         let span = self.set_span(page);
         for row in self.ways[span].chunks_exact_mut(L1_WAYS) {
             if let Some(i) = row.iter().position(|&p| p == page.0) {
                 row.copy_within(i + 1.., i);
                 row[L1_WAYS - 1] = EMPTY;
+                self.chunk_pages.remove(page.0);
             }
         }
+        true
     }
 
     /// Whether any SM holds `page` (no LRU update).
@@ -271,6 +340,12 @@ pub struct InvalidationCounts {
     /// Passes over an L1-bank set span (`sms × 6` words): one per page
     /// on the per-page path, at most two per batch on the chunk path.
     pub span_passes: u64,
+    /// Span passes the chunk gate skipped because no L1 held a page of
+    /// the evicted chunk: a per-page invalidation skipped whole, or a
+    /// batch's sweep skipped or narrowed. With `span_passes` it adds up
+    /// to one per per-page invalidation plus, per batch, the distinct
+    /// set spans of its evicted pages.
+    pub spans_skipped: u64,
 }
 
 /// The two-level data-cache hierarchy backed by the GDDR5 channel
@@ -319,10 +394,13 @@ impl DataHierarchy {
 
     /// Invalidate an evicted page everywhere.
     pub fn invalidate(&mut self, page: VirtPage) {
-        self.l1.invalidate(page);
+        if self.l1.invalidate(page) {
+            self.invalidations.span_passes += 1;
+        } else {
+            self.invalidations.spans_skipped += 1;
+        }
         self.l2.invalidate(page);
         self.invalidations.pages += 1;
-        self.invalidations.span_passes += 1;
     }
 
     /// Invalidate a fault batch's evicted pages everywhere. Leaves every
@@ -330,7 +408,8 @@ impl DataHierarchy {
     /// page would, provided the caches hold only resident pages and
     /// `pages` lists every page the batch unmapped, as the driver's
     /// whole-chunk evictions do: each L1-bank set span holding an evicted
-    /// page is then swept once for every page of the batch's chunks.
+    /// page of a chunk some L1 holds is then swept once for every page of
+    /// those chunks, and no span is swept when no L1 holds one.
     pub fn invalidate_evicted(&mut self, pages: &[VirtPage]) {
         let [first, rest @ ..] = pages else {
             return;
@@ -339,17 +418,24 @@ impl DataHierarchy {
             self.invalidate(*first);
             return;
         }
-        let mut sets = 0u32;
+        // Set spans the batch names, and those holding a page of an
+        // L1-held chunk: only the latter need a sweep.
+        let (mut named, mut sets) = (0u32, 0u32);
         for p in pages {
-            self.gone.set(p.chunk().0 as usize, true);
-            sets |= 1 << (p.0 % L1_SETS as u64);
+            let set = 1 << (p.0 % L1_SETS as u64);
+            named |= set;
+            if self.l1.chunk_pages.any(p.0) {
+                self.gone.set(p.chunk().0 as usize, true);
+                sets |= set;
+            }
         }
         for set in 0..L1_SETS {
             if sets & 1 << set != 0 {
                 self.l1.invalidate_chunks(set, &self.gone);
-                self.invalidations.span_passes += 1;
             }
         }
+        self.invalidations.span_passes += u64::from(sets.count_ones());
+        self.invalidations.spans_skipped += u64::from((named & !sets).count_ones());
         for &page in pages {
             self.gone.set(page.chunk().0 as usize, false);
             self.l2.invalidate(page);
@@ -367,6 +453,13 @@ impl DataHierarchy {
     /// once per holder. Read-only: no LRU state or counter changes.
     pub fn pages(&self) -> impl Iterator<Item = VirtPage> + '_ {
         self.l1.pages().chain(self.l2.pages())
+    }
+
+    /// Whether both levels' per-chunk page counts match their rows, so
+    /// the invalidation gates read true counts.
+    #[must_use]
+    pub fn chunk_counts_consistent(&self) -> bool {
+        self.l1.chunk_pages.matches(self.l1.pages()) && self.l2.chunk_pages.matches(self.l2.pages())
     }
 
     /// Whether any L1 or the L2 holds `page`. Read-only: no LRU state
@@ -532,11 +625,11 @@ mod tests {
 
     /// The per-chunk counts equal a recount of the cached pages.
     fn assert_chunk_counts<const SETS: usize, const WAYS: usize>(c: &PageCache<SETS, WAYS>) {
-        let mut want = vec![0u8; c.chunk_pages.len()];
-        for p in c.pages() {
-            want[p.chunk().0 as usize] += 1;
-        }
-        assert_eq!(c.chunk_pages, want, "{SETS}x{WAYS}: chunk counts");
+        assert!(
+            c.chunk_pages.matches(c.pages()),
+            "{SETS}x{WAYS}: chunk counts {:?}",
+            c.chunk_pages
+        );
     }
 
     #[test]
@@ -580,6 +673,9 @@ mod tests {
                     let sm = (r >> 40) as usize % sms;
                     let (f, s) = (bank.access(sm, page), oracle[sm].access(page));
                     assert_eq!(f, s, "op {op}: {sms} SMs diverged on SM {sm} {page:?}");
+                }
+                if op % 1000 == 0 {
+                    assert!(bank.chunk_pages.matches(bank.pages()), "op {op}: counts");
                 }
             }
         }
@@ -682,6 +778,7 @@ mod tests {
                     let first = batch.first().map(|p| p.chunk());
                     multi_chunk += u64::from(batch.iter().any(|p| Some(p.chunk()) != first));
                     assert!(bulk.pages().eq(single.pages()), "op {op}: rows differ");
+                    assert!(bulk.chunk_counts_consistent() && single.chunk_counts_consistent());
                     assert!(bulk.pages().all(|p| resident[p.0 as usize]));
                     continue;
                 }
@@ -704,7 +801,12 @@ mod tests {
             assert_eq!(bulk.dram_stats(), single.dram_stats());
             let (b, s) = (bulk.invalidation_counts(), single.invalidation_counts());
             assert_eq!(b.pages, s.pages);
-            assert!(b.span_passes < s.span_passes / 4, "{b:?} vs {s:?}");
+            // Passes before the chunk gate: one per page on the per-page
+            // path, at most two per batch on the chunk path.
+            let ungated = |c: InvalidationCounts| c.span_passes + c.spans_skipped;
+            assert_eq!(ungated(s), s.pages);
+            assert!(ungated(b) < ungated(s) / 4, "{b:?} vs {s:?}");
+            assert!(b.span_passes > 0 && b.spans_skipped > 0, "{b:?}");
             for (what, n) in [("one-page", one_page), ("multi-chunk", multi_chunk)] {
                 assert!(n > 100, "{sms} SMs: {n} {what} batches");
             }

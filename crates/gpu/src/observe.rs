@@ -322,7 +322,8 @@ impl Observer for FireCounts {
 pub struct EvictionPasses {
     /// TLB chunk row passes against single-page removes.
     pub shootdown: ShootdownCounts,
-    /// L1-bank span passes against evicted pages.
+    /// L1-bank span passes, and those the chunk gate skipped, against
+    /// evicted pages.
     pub invalidation: InvalidationCounts,
     /// Positional victim selections, re-slots of the chain's order
     /// index and the length its dense chunk-id index grew to.
@@ -359,7 +360,10 @@ impl Observer for EvictionPasses {
 ///   ([`ChunkChain::indexes_consistent`](cppe::ChunkChain::indexes_consistent));
 /// * no page this batch evicted is still held by a data cache, and
 ///   every page an L1 or the L2 holds is resident — the fact that makes
-///   the data caches' chunk-granular invalidation exact;
+///   the data caches' chunk-granular invalidation exact — and both
+///   levels' per-chunk page counts, which gate that invalidation, match
+///   their rows
+///   ([`DataHierarchy::chunk_counts_consistent`]);
 /// * no lane waits on two pages at once, and every page with waiters
 ///   is either pending dispatch or has a completion queued;
 /// * batches dispatch in non-decreasing time.
@@ -426,6 +430,9 @@ impl Invariants {
         }
         if let Some(page) = ctx.caches().pages().find(|&p| !pt.is_resident(p)) {
             return Err(format!("{page:?} is in a data cache but not resident"));
+        }
+        if !ctx.caches().chunk_counts_consistent() {
+            return Err("a data cache's per-chunk page counts disagree with its rows".into());
         }
         if dispatch.0 < self.last_dispatch {
             return Err(format!(

@@ -575,6 +575,7 @@ mod tests {
     use super::*;
     use crate::observe::{EvictionPasses, FireCounts, Invariants, Timeline};
     use cppe::presets::PolicyPreset;
+    use uvm::driver::BatchResult;
 
     fn seq_stream(pages: u64, passes: u32, compute: u32) -> Vec<AccessStep> {
         let mut s = Vec::new();
@@ -867,18 +868,37 @@ mod tests {
 
     #[test]
     fn eviction_passes_count_chunk_work() {
+        /// L1-bank set spans each batch's evicted pages name: the passes
+        /// an ungated sweep makes.
+        #[derive(Default)]
+        struct NamedSpans(u64);
+        impl Observer for NamedSpans {
+            fn batch_dispatched(&mut self, _: Ctx<'_>, _: Cycle, batch: &BatchResult) {
+                let sets = batch
+                    .evicted
+                    .iter()
+                    .fold(0u32, |s, p| s | 1 << (p.0 % crate::cache::L1_SETS as u64));
+                self.0 += u64::from(sets.count_ones());
+            }
+        }
+        // Two lanes sweeping apart on one SM: the L1 holds only their
+        // last few pages. CPPE evicts chunks the lanes left long ago, so
+        // its gate skips every sweep; Random also evicts chunks the
+        // lanes still hold, so some sweeps go through.
         let streams = items(&[seq_stream(512, 3, 50), seq_stream(512, 3, 70)]);
-        let mut passes = EvictionPasses::default();
-        let engine = PolicyPreset::Cppe.build(3);
-        let r = simulate_with(&tiny_cfg(), engine, &streams, 128, 512, &mut passes);
-        let (sd, inv) = (passes.shootdown, passes.invalidation);
-        assert_eq!(sd.pages, r.engine.pages_evicted);
-        assert_eq!(inv.pages, r.engine.pages_evicted);
-        assert!(
-            inv.span_passes > 0 && inv.span_passes < inv.pages,
-            "{inv:?}"
-        );
-        assert!(sd.chunk_passes > 0 && sd.chunk_pass_removes >= 2 * sd.chunk_passes);
+        for (preset, sweeps) in [(PolicyPreset::Cppe, false), (PolicyPreset::Random, true)] {
+            let mut obs = (EvictionPasses::default(), NamedSpans::default());
+            let engine = preset.build(3);
+            let r = simulate_with(&tiny_cfg(), engine, &streams, 128, 512, &mut obs);
+            let (sd, inv) = (obs.0.shootdown, obs.0.invalidation);
+            assert_eq!(sd.pages, r.engine.pages_evicted);
+            assert_eq!(inv.pages, r.engine.pages_evicted);
+            // Every span a batch names is either swept or skipped.
+            assert_eq!(inv.span_passes + inv.spans_skipped, obs.1 .0, "{inv:?}");
+            assert!(obs.1 .0 < inv.pages && inv.spans_skipped > 0, "{inv:?}");
+            assert!(sd.chunk_passes > 0 && sd.chunk_pass_removes >= 2 * sd.chunk_passes);
+            assert_eq!(inv.span_passes > 0, sweeps, "{preset:?}: {inv:?}");
+        }
     }
 
     #[test]

@@ -177,8 +177,8 @@ fn main() {
         sd.chunk_passes, sd.chunk_pass_removes, sd.page_removes
     );
     println!(
-        "cache invalidate  {} L1-bank span passes for {} evicted pages",
-        inv.span_passes, inv.pages
+        "cache invalidate  {} L1-bank span passes ({} skipped by the chunk gate) for {} evicted pages",
+        inv.span_passes, inv.spans_skipped, inv.pages
     );
     let vi = passes.victim_index;
     println!(

@@ -156,3 +156,41 @@ fn chunk_granular_eviction_keeps_whole_chunks_together() {
     let chunk = r.evicted[0].chunk();
     assert!(r.evicted.iter().all(|p| p.chunk() == chunk));
 }
+
+/// A fault on a page at or past `FLAT_LIMIT` ends the whole simulation
+/// with the driver's typed range error, after the faulting lanes parked
+/// on the page. Every lane touches page 5 first: lane 0's fault
+/// dispatches at once and maps it, so the other lanes hit it and then
+/// fault on the far page while the driver is busy. Their far faults wait,
+/// in the pending list and on one waiter run, for the next batch, which
+/// the driver refuses. The run's per-page state must not size itself by
+/// the far page's number.
+#[test]
+fn far_page_fault_ends_the_run_with_a_range_error() {
+    use gmmu::page_table::FLAT_LIMIT;
+    use gpu::{simulate, GpuConfig, Outcome};
+    use workloads::{AccessStep, LaneItem};
+
+    let cfg = GpuConfig {
+        sms: 2,
+        warps_per_sm: 2,
+        ..GpuConfig::default()
+    };
+    let access = |page| {
+        LaneItem::Access(AccessStep {
+            page: VirtPage(page),
+            compute: 10,
+        })
+    };
+    for far in [FLAT_LIMIT, 1 << 40, u64::MAX - 1] {
+        let streams = vec![vec![access(5), access(far)]; 3];
+        let r = simulate(&cfg, PolicyPreset::Baseline.build(0), &streams, 64, 16);
+        assert_eq!(r.outcome, Outcome::Crashed, "page {far}");
+        let e = r.error.expect("a range error ends the run");
+        let want = format!("fault on page {far} past the {FLAT_LIMIT}-page range");
+        assert!(e.contains(&want), "page {far}: {e}");
+        // It stops at the refused dispatch, the first batch's host
+        // completion, with lanes 1 and 2's hits on page 5 done.
+        assert_eq!((r.cycles, r.accesses), (28_621, 2), "page {far}");
+    }
+}
