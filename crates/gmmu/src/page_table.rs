@@ -306,7 +306,6 @@ impl PageTable {
 
 /// The pre-overhaul `FxHashMap`-backed page table, kept as the
 /// equivalence oracle for the flat table's model test.
-#[cfg(test)]
 pub mod legacy {
     use super::{Frame, FxHashMap, Residency, VirtPage};
 

@@ -231,9 +231,9 @@ impl Tlb {
 }
 
 /// The seed's scan-based TLB, kept as the equivalence oracle for the
-/// model test below. Same observable semantics as [`Tlb`]: true LRU by
-/// monotone use stamp.
-#[cfg(test)]
+/// model test below and for `legacy::ScanPath` in
+/// [`translation`](crate::translation). Same observable semantics as
+/// [`Tlb`]: true LRU by monotone use stamp.
 pub mod legacy {
     use super::TlbConfig;
     use crate::types::{Frame, VirtPage};

@@ -23,8 +23,8 @@
 //! resident page's frame is fixed from map to unmap, and an unmap shoots
 //! the page down from every TLB before its frame can be reused. So the
 //! table's frame is always the one a frame-caching TLB would return
-//! (`translation_path_matches_scan_oracle_path` checks this against the
-//! frame-caching `legacy::ScanTlb`).
+//! (`translation_path_matches_scan_oracle_path` checks this against
+//! [`legacy::ScanPath`], whose TLBs cache frames).
 //!
 //! Evictions are chunk-granular, so the driver shoots a whole chunk down
 //! at once ([`unmap_chunk`](TranslationPath::unmap_chunk)): an L1 that
@@ -468,13 +468,206 @@ pub struct TranslationStats {
     pub faulting_walks: u64,
 }
 
+/// What the UVM driver needs of a translation path: the residency it
+/// reads, and the maps and chunk shootdowns it performs.
+/// [`TranslationPath`] implements it for every run, and
+/// `legacy::ScanPath`, the scan-probed oracle, implements it for the
+/// reference simulator. The driver is generic over it and
+/// monomorphized, so the production path pays nothing for it.
+pub trait Mmu {
+    /// The page table: residency, frames and access bits.
+    fn page_table(&self) -> &PageTable;
+
+    /// Map `page` at `frame`, its access bit set to `touched`.
+    fn map(&mut self, page: VirtPage, frame: Frame, touched: bool);
+
+    /// Unmap every resident page of `chunk` and shoot each down from
+    /// every TLB, calling `each(page, frame, touched)` per unmapped page
+    /// in address order.
+    fn unmap_chunk(&mut self, chunk: ChunkId, each: impl FnMut(VirtPage, Frame, bool));
+}
+
+impl Mmu for TranslationPath {
+    #[inline]
+    fn page_table(&self) -> &PageTable {
+        TranslationPath::page_table(self)
+    }
+
+    #[inline]
+    fn map(&mut self, page: VirtPage, frame: Frame, touched: bool) {
+        TranslationPath::map(self, page, frame, touched);
+    }
+
+    #[inline]
+    fn unmap_chunk(&mut self, chunk: ChunkId, each: impl FnMut(VirtPage, Frame, bool)) {
+        TranslationPath::unmap_chunk(self, chunk, each);
+    }
+}
+
+/// The seed's translation path, kept as the oracle for
+/// [`TranslationPath`]'s model test and for the reference simulator
+/// (`gpu::reference`).
+pub mod legacy {
+    use super::{Mmu, TranslationConfig, TranslationOutcome, TranslationStats, TranslationTiming};
+    use crate::page_table::{node_for, PageTable, Residency, LEVELS};
+    use crate::tlb::legacy::ScanTlb;
+    use crate::types::{ChunkId, Frame, SmId, VirtPage};
+    use crate::walk_cache::legacy::ScanWalkCache;
+    use sim_core::time::Cycle;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// The translation path assembled from the scan oracles: scan L1s
+    /// and a scan L2 that cache frames, the scan PWC and the walker's
+    /// slot-heap latency arithmetic. Every probe scans. Residency lives
+    /// in the flat [`PageTable`], because the policies read one, but no
+    /// presence mask is ever set: a shootdown scans every TLB, one page
+    /// at a time.
+    #[derive(Debug)]
+    pub struct ScanPath {
+        cfg: TranslationConfig,
+        l1: Vec<ScanTlb>,
+        l2: ScanTlb,
+        pwc: ScanWalkCache,
+        pt: PageTable,
+        /// Walk-slot free times, earliest first.
+        slots: BinaryHeap<Reverse<Cycle>>,
+        walks: u64,
+        faulting_walks: u64,
+    }
+
+    impl ScanPath {
+        /// Build the path from `cfg`, with Table I's page-walk cache.
+        #[must_use]
+        pub fn new(cfg: &TranslationConfig) -> Self {
+            ScanPath {
+                cfg: *cfg,
+                l1: (0..cfg.num_sms).map(|_| ScanTlb::new(cfg.l1)).collect(),
+                l2: ScanTlb::new(cfg.l2),
+                pwc: ScanWalkCache::new(1024, 16, 10),
+                pt: PageTable::new(),
+                slots: (0..cfg.walker.concurrency)
+                    .map(|_| Reverse(Cycle::ZERO))
+                    .collect(),
+                walks: 0,
+                faulting_walks: 0,
+            }
+        }
+
+        /// Translate `page` for SM `sm` at `now`, with stage timings.
+        ///
+        /// # Panics
+        /// Panics if `sm` is out of range.
+        pub fn translate_timed(
+            &mut self,
+            sm: SmId,
+            page: VirtPage,
+            now: Cycle,
+        ) -> (TranslationOutcome, TranslationTiming) {
+            let l1_done = now.after(self.cfg.l1.hit_latency);
+            let l2_done = l1_done.after(self.cfg.l2.hit_latency);
+            let hit = |frame, ready_at: Cycle| {
+                let timing = TranslationTiming {
+                    l1_done,
+                    l2_done: ready_at,
+                    walk_started: ready_at,
+                    walk_done: ready_at,
+                };
+                (TranslationOutcome::Hit { frame, ready_at }, timing)
+            };
+            if let Some(frame) = self.l1[sm.idx()].lookup(page) {
+                return hit(frame, l1_done);
+            }
+            if let Some(frame) = self.l2.lookup(page) {
+                self.l1[sm.idx()].insert(page, frame);
+                return hit(frame, l2_done);
+            }
+            self.walks += 1;
+            let cached = (2..=LEVELS).find(|&level| self.pwc.lookup(node_for(page, level)));
+            let refs = cached.map_or(u64::from(LEVELS), |level| u64::from(level) - 1);
+            for level in 2..=LEVELS {
+                self.pwc.insert(node_for(page, level));
+            }
+            let Reverse(free_at) = self.slots.pop().expect("walker has slots");
+            let walk_started = free_at.max(l2_done);
+            let service = self.pwc.hit_latency() + refs * self.cfg.walker.memory_ref_latency;
+            let walk_done = walk_started.after(service);
+            self.slots.push(Reverse(walk_done));
+            let timing = TranslationTiming {
+                l1_done,
+                l2_done,
+                walk_started,
+                walk_done,
+            };
+            let Residency::Resident(frame) = self.pt.residency(page) else {
+                self.faulting_walks += 1;
+                return (TranslationOutcome::Fault { at: walk_done }, timing);
+            };
+            self.l2.insert(page, frame);
+            self.l1[sm.idx()].insert(page, frame);
+            let ready_at = walk_done;
+            (TranslationOutcome::Hit { frame, ready_at }, timing)
+        }
+
+        /// Unmap `page`, scanning every TLB for it. Returns the freed
+        /// frame and the access bit.
+        ///
+        /// # Panics
+        /// Panics if `page` is not mapped.
+        pub fn unmap_and_invalidate(&mut self, page: VirtPage) -> (Frame, bool) {
+            for l1 in &mut self.l1 {
+                l1.invalidate(page);
+            }
+            self.l2.invalidate(page);
+            self.pt.unmap(page)
+        }
+
+        /// Set the access bit of a resident page.
+        pub fn mark_touched(&mut self, page: VirtPage) {
+            self.pt.mark_touched(page);
+        }
+
+        /// TLB and walker counters.
+        #[must_use]
+        pub fn stats(&self) -> TranslationStats {
+            TranslationStats {
+                l1_hits: self.l1.iter().map(|t| t.hits.get()).sum(),
+                l1_misses: self.l1.iter().map(|t| t.misses.get()).sum(),
+                l2_hits: self.l2.hits.get(),
+                l2_misses: self.l2.misses.get(),
+                pwc_hits: self.pwc.hits.get(),
+                pwc_misses: self.pwc.misses.get(),
+                walks: self.walks,
+                faulting_walks: self.faulting_walks,
+            }
+        }
+    }
+
+    impl Mmu for ScanPath {
+        fn page_table(&self) -> &PageTable {
+            &self.pt
+        }
+
+        fn map(&mut self, page: VirtPage, frame: Frame, touched: bool) {
+            self.pt.map(page, frame, touched);
+        }
+
+        /// A per-page unmap of each resident page, in address order.
+        fn unmap_chunk(&mut self, chunk: ChunkId, mut each: impl FnMut(VirtPage, Frame, bool)) {
+            for page in chunk.pages() {
+                if self.pt.is_resident(page) {
+                    let (frame, touched) = self.unmap_and_invalidate(page);
+                    each(page, frame, touched);
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::legacy::ScanPath;
     use super::*;
-    use crate::page_table::legacy::MapPageTable;
-    use crate::tlb::legacy::ScanTlb;
-    use crate::walk_cache::legacy::ScanWalkCache;
-    use std::cmp::Reverse;
 
     fn path() -> TranslationPath {
         TranslationPath::new(&TranslationConfig::default())
@@ -697,110 +890,6 @@ mod tests {
         assert!(!p.masks_consistent());
     }
 
-    /// The seed's translation path, assembled from the scan oracles:
-    /// scan L1s, a scan L2, the scan PWC, the hash-map page table and
-    /// the walker's slot-heap latency arithmetic. Every probe scans.
-    struct ScanPath {
-        cfg: TranslationConfig,
-        l1: Vec<ScanTlb>,
-        l2: ScanTlb,
-        pwc: ScanWalkCache,
-        pt: MapPageTable,
-        slots: std::collections::BinaryHeap<Reverse<Cycle>>,
-        walks: u64,
-        faulting_walks: u64,
-    }
-
-    impl ScanPath {
-        fn new(cfg: &TranslationConfig) -> Self {
-            ScanPath {
-                cfg: *cfg,
-                l1: (0..cfg.num_sms).map(|_| ScanTlb::new(cfg.l1)).collect(),
-                l2: ScanTlb::new(cfg.l2),
-                pwc: ScanWalkCache::new(1024, 16, 10),
-                pt: MapPageTable::new(),
-                slots: (0..cfg.walker.concurrency)
-                    .map(|_| Reverse(Cycle::ZERO))
-                    .collect(),
-                walks: 0,
-                faulting_walks: 0,
-            }
-        }
-
-        fn translate(
-            &mut self,
-            sm: SmId,
-            page: VirtPage,
-            now: Cycle,
-        ) -> (TranslationOutcome, TranslationTiming) {
-            use crate::page_table::{node_for, LEVELS};
-            let l1_done = now.after(self.cfg.l1.hit_latency);
-            let l2_done = l1_done.after(self.cfg.l2.hit_latency);
-            let hit = |frame, ready_at: Cycle| {
-                let timing = TranslationTiming {
-                    l1_done,
-                    l2_done: ready_at,
-                    walk_started: ready_at,
-                    walk_done: ready_at,
-                };
-                (TranslationOutcome::Hit { frame, ready_at }, timing)
-            };
-            if let Some(frame) = self.l1[sm.idx()].lookup(page) {
-                return hit(frame, l1_done);
-            }
-            if let Some(frame) = self.l2.lookup(page) {
-                self.l1[sm.idx()].insert(page, frame);
-                return hit(frame, l2_done);
-            }
-            self.walks += 1;
-            let cached = (2..=LEVELS).find(|&level| self.pwc.lookup(node_for(page, level)));
-            let refs = cached.map_or(u64::from(LEVELS), |level| u64::from(level) - 1);
-            for level in 2..=LEVELS {
-                self.pwc.insert(node_for(page, level));
-            }
-            let Reverse(free_at) = self.slots.pop().expect("walker has slots");
-            let walk_started = free_at.max(l2_done);
-            let service = self.pwc.hit_latency() + refs * self.cfg.walker.memory_ref_latency;
-            let walk_done = walk_started.after(service);
-            self.slots.push(Reverse(walk_done));
-            let timing = TranslationTiming {
-                l1_done,
-                l2_done,
-                walk_started,
-                walk_done,
-            };
-            let Residency::Resident(frame) = self.pt.residency(page) else {
-                self.faulting_walks += 1;
-                return (TranslationOutcome::Fault { at: walk_done }, timing);
-            };
-            self.l2.insert(page, frame);
-            self.l1[sm.idx()].insert(page, frame);
-            let ready_at = walk_done;
-            (TranslationOutcome::Hit { frame, ready_at }, timing)
-        }
-
-        fn unmap_and_invalidate(&mut self, page: VirtPage) -> (Frame, bool) {
-            for l1 in &mut self.l1 {
-                l1.invalidate(page);
-            }
-            self.l2.invalidate(page);
-            self.pt.unmap(page)
-        }
-
-        fn stats(&self) -> TranslationStats {
-            TranslationStats {
-                l1_hits: self.l1.iter().map(|t| t.hits.get()).sum(),
-                l1_misses: self.l1.iter().map(|t| t.misses.get()).sum(),
-                l2_hits: self.l2.hits.get(),
-                l2_misses: self.l2.misses.get(),
-                pwc_hits: self.pwc.hits.get(),
-                pwc_misses: self.pwc.misses.get(),
-                walks: self.walks,
-                faulting_walks: self.faulting_walks,
-            }
-        }
-    }
-
     /// Model-based equivalence of the whole path with the scan oracle:
     /// random translate / map / touch / unmap streams with capacity
     /// pressure in every TLB and the PWC, at 4 SMs and at 63 SMs — the
@@ -853,10 +942,10 @@ mod tests {
                     _ => VirtPage((r >> 3) % 96),
                 };
                 match x % 16 {
-                    0 | 1 if !slow.pt.is_resident(page) => {
+                    0 | 1 if !slow.page_table().is_resident(page) => {
                         remapped += u64::from(unmapped.contains(&page));
                         fast.map(page, Frame(next_frame), x & 32 != 0);
-                        slow.pt.map(page, Frame(next_frame), x & 32 != 0);
+                        Mmu::map(&mut slow, page, Frame(next_frame), x & 32 != 0);
                         next_frame += 1;
                         resident.push(page);
                     }
@@ -873,7 +962,7 @@ mod tests {
                     }
                     3 => {
                         fast.mark_touched(page);
-                        slow.pt.mark_touched(page);
+                        slow.mark_touched(page);
                     }
                     op => {
                         let page = if op == 4 {
@@ -887,7 +976,7 @@ mod tests {
                             SmId(((x >> 40) % if x & 64 != 0 { 2 } else { num_sms as u64 }) as u16);
                         assert_eq!(
                             fast.translate_timed(sm, page, Cycle(now)),
-                            slow.translate(sm, page, Cycle(now)),
+                            slow.translate_timed(sm, page, Cycle(now)),
                             "translate({sm:?}, {page:?}) at step {step}"
                         );
                     }

@@ -149,8 +149,8 @@ impl WalkCache {
 }
 
 /// The seed's scan-based PWC, kept as the equivalence oracle for the
-/// model test below.
-#[cfg(test)]
+/// model test below and for `legacy::ScanPath` in
+/// [`translation`](crate::translation).
 pub mod legacy {
     use crate::page_table::NodeId;
     use sim_core::stats::Counter;

@@ -59,8 +59,9 @@
 //! its own 16-way row, but it skips the row probe for a chunk with none
 //! cached.
 //!
-//! The seed's scan implementation is preserved as the test-only
-//! `legacy::ScanPageCache`, and model-based tests drive both layouts
+//! The seed's scan implementation is preserved as
+//! [`legacy::ScanPageCache`] (the reference simulator's data caches,
+//! [`crate::reference`]), and model-based tests drive both layouts
 //! against it through random op streams — hit/miss results, victim
 //! choices and counters must agree exactly (the golden fingerprints
 //! depend on every latency this model returns).
@@ -208,16 +209,16 @@ impl ChunkCounts {
 /// Table I's per-SM L1: 48 KB = 12 pages, as this many sets…
 pub(crate) const L1_SETS: usize = 2;
 /// …of this many ways.
-const L1_WAYS: usize = 6;
+pub(crate) const L1_WAYS: usize = 6;
 /// Table I's shared L2: 3 MB = 768 pages, 16-way set-associative, so
 /// this many sets…
-const L2_SETS: usize = 768 / L2_WAYS;
+pub(crate) const L2_SETS: usize = 768 / L2_WAYS;
 /// …of this many ways.
-const L2_WAYS: usize = 16;
+pub(crate) const L2_WAYS: usize = 16;
 /// L1 hit latency, cycles.
-const L1_HIT: u64 = 4;
+pub(crate) const L1_HIT: u64 = 4;
 /// Extra latency of an L2 hit after the L1 miss, cycles.
-const L2_HIT: u64 = 30;
+pub(crate) const L2_HIT: u64 = 30;
 /// Marks an empty L1 way; empty ways always sit at a row's tail.
 const EMPTY: u64 = u64::MAX;
 
@@ -471,8 +472,8 @@ impl DataHierarchy {
 }
 
 /// The seed's scan-based presence cache, kept verbatim as the
-/// equivalence oracle for the row implementations.
-#[cfg(test)]
+/// equivalence oracle for the row implementations and the data caches
+/// of the reference simulator.
 pub mod legacy {
     use super::{Counter, VirtPage};
 

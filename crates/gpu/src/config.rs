@@ -57,17 +57,6 @@ pub struct GpuConfig {
     /// (eviction candidate windows, prefetch plan origins) for the
     /// audit experiment's ledger and oracle comparator.
     pub trace: TraceConfig,
-    /// Hit-path fast lane: when a lane's translation hits and its next
-    /// access is provably another hit with no event scheduled to fire
-    /// first, execute a bounded streak of accesses inline instead of
-    /// round-tripping each one through the event queue; and when a
-    /// page completion wakes lanes with nothing else queued at its
-    /// cycle, replay the first of them without queueing it (the inline
-    /// wake). Bit-identical by construction (each falls back to the
-    /// one-event-per-access path whenever identity could be at risk);
-    /// on by default. The flag exists so the equivalence property
-    /// tests can drive both paths.
-    pub fast_lane: bool,
 }
 
 impl Default for GpuConfig {
@@ -88,7 +77,6 @@ impl Default for GpuConfig {
             injection: InjectionConfig::disabled(),
             resilience: ResilienceConfig::default(),
             trace: TraceConfig::default(),
-            fast_lane: true,
         }
     }
 }
@@ -147,9 +135,6 @@ mod tests {
         assert!(!c.resilience.degraded_mode);
         assert!(!c.trace.enabled);
         assert!(!c.trace.audit, "decision auditing is opt-in");
-        // The fast lane is bit-identical to the legacy path, so it is
-        // on by default (opt-out, for the equivalence tests).
-        assert!(c.fast_lane);
         assert!(c.validate().is_ok());
     }
 

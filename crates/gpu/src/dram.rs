@@ -107,8 +107,8 @@ impl Dram {
 }
 
 /// The nested-`Vec` channel model with runtime geometry that [`Dram`]
-/// replaced, kept as the equivalence oracle for its model test.
-#[cfg(test)]
+/// replaced, kept as the equivalence oracle for its model test and the
+/// reference simulator's DRAM.
 pub mod legacy {
     use super::{
         Counter, Cycle, VirtPage, BANKS_PER_CHANNEL, BURST_CYCLES, CHANNELS, PAGES_PER_ROW,

@@ -12,12 +12,15 @@
 //!   [`Outcome`],
 //! * [`observe`] — the event loop's [`Observer`] hooks and the stock
 //!   observers ([`Timeline`], [`Invariants`], [`FireCounts`],
-//!   [`EvictionPasses`]).
+//!   [`EvictionPasses`]),
+//! * [`reference`](mod@reference) — the slow reference loop that [`simulate`] is
+//!   checked against, bit for bit.
 
 pub mod cache;
 pub mod config;
 pub mod dram;
 pub mod observe;
+pub mod reference;
 pub mod sim;
 mod spans;
 pub mod waiters;

@@ -469,8 +469,7 @@ fn run<O: Observer>(
                     //  * the streak is bounded.
                     let next = match stream.get(idx[l]) {
                         Some(&LaneItem::Access(n))
-                            if cfg.fast_lane
-                                && streak < MAX_STREAK
+                            if streak < MAX_STREAK
                                 && wake.0 <= cfg.max_cycles
                                 && m.xlat.page_table().is_resident(n.page)
                                 && m.q.peek_time().is_none_or(|t| t > wake) =>
@@ -499,7 +498,7 @@ fn run<O: Observer>(
                 // Inline wake: with nothing else queued at `now`, the
                 // first woken lane's `LaneReady` would be the next pop.
                 // Queue the others behind it and run it straight away.
-                let inline = cfg.fast_lane && !wake_buf.is_empty() && !m.q.pending_now();
+                let inline = !wake_buf.is_empty() && !m.q.pending_now();
                 let first = usize::from(inline);
                 m.q.push_n(now, wake_buf[first..].iter().map(|&l| Event::LaneReady(l)));
                 if inline {
@@ -775,27 +774,31 @@ mod tests {
         assert_eq!(last.faults, r.engine.faults);
     }
 
+    /// Run `streams` on `tiny_cfg` through this loop, with `obs`
+    /// attached, and through the reference loop; panic on a difference.
+    fn check_reference<O: Observer>(
+        engine: &dyn Fn() -> PolicyEngine,
+        streams: &[Vec<LaneItem>],
+        capacity: u32,
+        footprint: u64,
+        obs: O,
+    ) -> RunResult {
+        crate::reference::check(&tiny_cfg(), engine, streams, capacity, footprint, obs)
+            .unwrap_or_else(|d| panic!("{d}"))
+    }
+
     #[test]
     fn fire_counts_see_run_ahead() {
         // One lane, zero compute, everything resident after the first
-        // pass: the fast lane runs ahead; without it nothing does.
+        // pass: the lane runs ahead in bounded streaks, and the run
+        // equals the reference loop's.
         let streams = items(&[seq_stream(32, 4, 0)]);
-        let mut counts = Vec::new();
-        for fast_lane in [true, false] {
-            let cfg = GpuConfig {
-                fast_lane,
-                ..tiny_cfg()
-            };
-            let mut fc = FireCounts::default();
-            let engine = PolicyPreset::Baseline.build(0);
-            let r = simulate_with(&cfg, engine, &streams, 64, 32, &mut fc);
-            assert!(fc.run_ahead < r.accesses);
-            counts.push(fc);
-        }
-        let on = counts[0];
-        assert!(on.run_ahead > 0 && on.streaks > 0);
-        assert!(on.run_ahead >= on.streaks && on.longest_streak <= MAX_STREAK);
-        assert_eq!(counts[1], FireCounts::default());
+        let mut fc = FireCounts::default();
+        let engine = || PolicyPreset::Baseline.build(0);
+        let r = check_reference(&engine, &streams, 64, 32, &mut fc);
+        assert!(fc.run_ahead > 0 && fc.streaks > 0, "{fc:?}");
+        assert!(fc.run_ahead < r.accesses && fc.run_ahead >= fc.streaks);
+        assert!(fc.longest_streak <= MAX_STREAK, "{fc:?}");
     }
 
     #[test]
@@ -803,8 +806,8 @@ mod tests {
         // Four lanes thrash on disjoint pages, so a batch carries the
         // faults of the three lanes that faulted while the last one was
         // serviced. All but a batch's last completion land on a cycle
-        // nothing else holds: the fast lane replays those wakes inline;
-        // without it none is.
+        // nothing else holds: those wakes replay inline, and the run
+        // equals the reference loop's.
         let streams: Vec<Vec<LaneItem>> = (0..4u64)
             .map(|l| {
                 seq_stream(256, 2, 50 + 10 * l as u32)
@@ -818,20 +821,11 @@ mod tests {
                     .collect()
             })
             .collect();
-        let mut counts = Vec::new();
-        for fast_lane in [true, false] {
-            let cfg = GpuConfig {
-                fast_lane,
-                ..tiny_cfg()
-            };
-            let mut fc = FireCounts::default();
-            let engine = PolicyPreset::Cppe.build(3);
-            let r = simulate_with(&cfg, engine, &streams, 128, 1024, &mut fc);
-            assert!(fc.inline_wakes <= r.engine.faults);
-            counts.push(fc.inline_wakes);
-        }
-        assert!(counts[0] > 0, "no inline wake fired");
-        assert_eq!(counts[1], 0);
+        let mut fc = FireCounts::default();
+        let engine = || PolicyPreset::Cppe.build(3);
+        let r = check_reference(&engine, &streams, 128, 1024, &mut fc);
+        assert!(fc.inline_wakes > 0, "no inline wake fired");
+        assert!(fc.inline_wakes <= r.engine.faults);
     }
 
     #[test]

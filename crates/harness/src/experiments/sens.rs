@@ -85,6 +85,33 @@ pub fn t3_sweep(cfg: &ExpConfig, results: &Results) -> Vec<(usize, Option<f64>)>
         .collect()
 }
 
+/// The T3 values whose speedup shows as the sweep's best, as report
+/// text: one value, every tied value, or the range of a flat sweep.
+#[must_use]
+pub fn best_t3(sweep: &[(usize, Option<f64>)]) -> String {
+    let Some(best) = sweep.iter().filter_map(|s| s.1).reduce(f64::max) else {
+        return "none (no T3 cell completed)".into();
+    };
+    // Ties at the precision the table prints.
+    let shown = fmt_speedup(Some(best));
+    let tied: Vec<String> = sweep
+        .iter()
+        .filter(|s| fmt_speedup(s.1) == shown)
+        .map(|s| s.0.to_string())
+        .collect();
+    match tied.len() {
+        1 => format!("{} at {shown}x", tied[0]),
+        n if n == sweep.len() => {
+            format!(
+                "{}–{}, tied at {shown}x (the sweep is flat)",
+                tied[0],
+                tied[n - 1]
+            )
+        }
+        _ => format!("{}, tied at {shown}x", tied.join(", ")),
+    }
+}
+
 /// Render both sweeps.
 fn render(cfg: &ExpConfig, results: &Results) -> Report {
     let mut out = String::new();
@@ -113,22 +140,15 @@ fn render(cfg: &ExpConfig, results: &Results) -> Report {
     out.push_str("\n-- T3 limit sweep (CPPE, geomean speedup over baseline on SRD/HSD/MRQ) --\n");
     let mut table = Table::new(&["t3", "speedup"]);
     let sweep = t3_sweep(cfg, results);
-    let best = sweep
-        .iter()
-        .max_by(|a, b| {
-            a.1.unwrap_or(0.0)
-                .partial_cmp(&b.1.unwrap_or(0.0))
-                .expect("comparable")
-        })
-        .map(|(t3, _)| *t3);
     for (t3, s) in &sweep {
         table.row(vec![t3.to_string(), fmt_speedup(*s)]);
     }
     out.push_str(&table.render());
     out.push_str(&format!(
-        "\nBest T3 in this run: {best:?} (paper selects 32).\n\
+        "\nBest T3 in this run: {}; the paper selects 32.\n\
          Paper shape: regular apps' untouch level drops sharply by fd=2;\n\
          irregular apps stay high until ~8 — motivating the 2..=8 range.\n",
+        best_t3(&sweep)
     ));
     out.into()
 }
@@ -146,6 +166,26 @@ mod tests {
         assert_eq!(rows[0].0, 1);
         assert_eq!(rows[9].0, 10);
         assert!(rows.iter().all(|(_, cells)| cells.len() == FD_APPS.len()));
+    }
+
+    #[test]
+    fn best_t3_names_one_value_or_every_tie() {
+        let sweep = |s: &[f64]| -> Vec<(usize, Option<f64>)> {
+            T3S.iter().zip(s).map(|(&t, &s)| (t, Some(s))).collect()
+        };
+        let one = sweep(&[1.1, 1.2, 1.3, 1.25, 1.2, 1.1, 1.0]);
+        assert_eq!(best_t3(&one), "24 at 1.30x");
+        let flat = sweep(&[1.262, 1.258, 1.26, 1.26, 1.26, 1.26, 1.256]);
+        assert_eq!(best_t3(&flat), "16–40, tied at 1.26x (the sweep is flat)");
+        let run = sweep(&[1.0, 1.3, 1.3, 1.3, 1.2, 1.1, 1.0]);
+        assert_eq!(best_t3(&run), "20, 24, 28, tied at 1.30x");
+        let apart = sweep(&[1.3, 1.2, 1.3, 1.1, 1.1, 1.1, 1.3]);
+        assert_eq!(best_t3(&apart), "16, 24, 40, tied at 1.30x");
+        let mut crashed = sweep(&[1.0; 7]);
+        crashed.iter_mut().for_each(|c| c.1 = None);
+        assert_eq!(best_t3(&crashed), "none (no T3 cell completed)");
+        crashed[3].1 = Some(0.9);
+        assert_eq!(best_t3(&crashed), "28 at 0.90x");
     }
 
     #[test]

@@ -43,7 +43,7 @@ use crate::pcie::PcieLink;
 use cppe::engine::PolicyEngine;
 use cppe::pins::{PinCounts, PinSet};
 use gmmu::page_table::FLAT_LIMIT;
-use gmmu::translation::TranslationPath;
+use gmmu::translation::Mmu;
 use gmmu::types::{VirtPage, PAGES_PER_CHUNK};
 use sim_core::error::{require_positive, ConfigError};
 use sim_core::fault::{FaultInjector, InjectionStats};
@@ -184,6 +184,7 @@ impl ResilienceConfig {
 
 /// Exponential backoff before retry number `attempt` (1-based), bounded
 /// by the configured cap.
+#[inline]
 fn backoff_cycles(r: &ResilienceConfig, attempt: u32) -> u64 {
     let shift = attempt.saturating_sub(1).min(20);
     r.backoff_base_cycles
@@ -482,9 +483,9 @@ impl UvmDriver {
 
     /// Evict one policy-selected chunk, releasing its frames. Returns
     /// false when no victim is available (empty chain).
-    fn evict_one(
+    fn evict_one<M: Mmu>(
         &mut self,
-        xlat: &mut TranslationPath,
+        xlat: &mut M,
         evicted: &mut Vec<VirtPage>,
         pinned: &PinSet,
     ) -> bool {
@@ -560,6 +561,9 @@ impl UvmDriver {
     /// earlier fault of the same batch) are coalesced. Returns the batch
     /// completion time and the pages made resident.
     ///
+    /// `xlat` is any [`Mmu`]: the simulator passes its
+    /// `TranslationPath`, the reference simulator its scan path.
+    ///
     /// # Errors
     /// Returns [`UvmError::FramesExhausted`] if the frame pool runs dry
     /// mid-plan — an internal accounting breach the eviction loop is
@@ -568,11 +572,14 @@ impl UvmDriver {
     /// if a fault lies at or past [`FLAT_LIMIT`]: the policy state is
     /// indexed by chunk id, so such a page would size every table to
     /// its chunk.
-    pub fn service_batch(
+    // Generic, so it is compiled in the calling crate: the helpers it
+    // calls here and in `frames` and `pcie` carry `#[inline]` so they
+    // can still inline into it there.
+    pub fn service_batch<M: Mmu>(
         &mut self,
         faults: &[VirtPage],
         now: Cycle,
-        xlat: &mut TranslationPath,
+        xlat: &mut M,
     ) -> Result<BatchResult, UvmError> {
         if let Some(&page) = faults.iter().find(|p| p.0 >= FLAT_LIMIT) {
             return Err(UvmError::PageOutOfRange { page });
@@ -900,6 +907,7 @@ impl UvmDriver {
     /// Disabled when `crash_min_evicted_factor` is 0, when the footprint
     /// is 0 (nothing to thrash against), or effectively when
     /// `crash_untouch_fraction > 1.0` (untouch never exceeds evictions).
+    #[inline]
     fn check_thrash(&mut self, now: Cycle) {
         if self.cfg.crash_min_evicted_factor == 0 || self.cfg.footprint_pages == 0 {
             return;
@@ -948,6 +956,7 @@ impl UvmDriver {
     /// "originals re-armed but prefetch still throttled", then from the
     /// throttle to full aggressiveness — and give the detector a fresh
     /// baseline window. Disabled when the quiet period is 0.
+    #[inline]
     fn try_recover(&mut self, now: Cycle) {
         if self.rung == 0 || self.resilience.recovery_quiet_batches == 0 {
             return;
@@ -981,6 +990,7 @@ impl UvmDriver {
     /// tracing is off). One epoch per serviced batch: nothing mutates
     /// driver or engine counters outside `service_batch`, so batch
     /// granularity loses nothing.
+    #[inline]
     fn record_epoch(&mut self, now: Cycle) {
         if !self.tracer.enabled() {
             return;
@@ -1025,7 +1035,7 @@ impl UvmDriver {
 mod tests {
     use super::*;
     use cppe::presets::PolicyPreset;
-    use gmmu::translation::TranslationConfig;
+    use gmmu::translation::{TranslationConfig, TranslationPath};
 
     fn setup(capacity: u32, preset: PolicyPreset) -> (UvmDriver, TranslationPath) {
         let cfg = UvmConfig::table1(capacity, 1024);

@@ -80,6 +80,7 @@ impl FrameAllocator {
     ///
     /// # Panics
     /// Panics (debug builds) if `frame` was never handed out.
+    #[inline]
     pub fn release(&mut self, frame: Frame) {
         debug_assert!(frame.0 < self.next_unused, "released frame never allocated");
         debug_assert!(

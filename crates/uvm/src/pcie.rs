@@ -59,6 +59,7 @@ impl PcieLink {
 
     /// Host→device transfer under a bandwidth multiplier (fault
     /// injection: degraded-link windows run at `bw_factor < 1`).
+    #[inline]
     pub fn transfer_h2d_at(&mut self, pages: u64, now: Cycle, bw_factor: f64) -> Cycle {
         debug_assert!(bw_factor > 0.0 && bw_factor <= 1.0);
         let bytes = pages * PAGE_SIZE;
@@ -76,6 +77,7 @@ impl PcieLink {
     }
 
     /// Device→host transfer under a bandwidth multiplier.
+    #[inline]
     pub fn transfer_d2h_at(&mut self, pages: u64, now: Cycle, bw_factor: f64) -> Cycle {
         debug_assert!(bw_factor > 0.0 && bw_factor <= 1.0);
         let bytes = pages * PAGE_SIZE;

@@ -1,158 +1,82 @@
-//! Fast-lane ⇄ legacy-path equivalence suite.
+//! Production loop ⇄ reference simulator equivalence suite.
 //!
-//! `GpuConfig::fast_lane` gates the hit-path fast lane (a bounded lane
-//! run-ahead streak with bulk event-queue pushes) and the inline wake (a
-//! lane woken by a page completion replays its access without a queue
-//! round trip when nothing else is queued at that cycle). The golden
-//! fingerprints in
-//! `tests/perf_identity.rs` lock the six paper cells, but the fast lane
-//! takes decisions on *arbitrary* streams — a hazard the paper
-//! workloads never produce (a shootdown landing mid-streak, a
-//! same-cycle wake racing the streak head, a barrier right behind a
-//! provable hit) must also leave every observable bit unchanged. This
-//! suite drives the same simulations through both paths (`fast_lane:
-//! true` vs `false`) and asserts the *full* result fingerprint agrees:
-//! outcome, every counter block, byte totals, the per-batch timeline,
-//! and — for traced runs — the typed event/span/decision streams.
+//! `gpu::simulate` runs every access through its speed mechanisms: lane
+//! run-ahead (a bounded streak of provable hits executed inline), the
+//! inline wake (a lane woken by a page completion replays without a
+//! queue round trip when nothing else is queued at that cycle), the
+//! calendar queue's bulk pushes, page-indexed waiter runs, TLB presence
+//! masks and chunk-gated cache invalidation. `gpu::reference::simulate`
+//! is a separate, deliberately slow loop with none of them: one event
+//! per access on a binary heap, a hashed waiter map, scan TLBs and scan
+//! data caches, per-page shootdown and invalidation. The golden
+//! fingerprints in `tests/perf_identity.rs` lock six paper cells, but
+//! the mechanisms take decisions on *arbitrary* streams — a shootdown
+//! landing mid-streak, a same-cycle wake racing the streak head, a
+//! barrier right behind a provable hit — so this suite runs each case
+//! through both loops and asserts their `gpu::reference::Fingerprint`s
+//! agree: outcome, every counter block, byte totals, the batch
+//! timeline, and — for traced runs — the driver's event, epoch and
+//! decision streams.
 //!
-//! The tests below use fixed xorshift streams and two fixed fault
-//! schedules that drive the inline wake's two branches, and
+//! The tests below use fixed xorshift streams, paper cells, two fixed
+//! fault schedules that drive the inline wake's two branches, and the
+//! paths the loop takes off the happy path (injected faults, the
+//! degradation ladder, the timeout and the far-page range error);
 //! `arbitrary_streams_agree` adds seeded random stream shapes on top.
 //! All are std-only, so they run in the default test suite.
 
-use cppe::engine::PolicyEngine;
 use cppe::presets::PolicyPreset;
+use gmmu::page_table::FLAT_LIMIT;
 use gmmu::types::VirtPage;
 use gpu::observe::Ctx;
-use gpu::{GpuConfig, Observer, RunResult, Timeline};
+use gpu::{GpuConfig, NoObserver, Observer, Outcome, RunResult};
 use harness::{capacity_pages, ExpConfig};
+use sim_core::fault::InjectionConfig;
 use sim_core::rng::Xoshiro256ss;
 use sim_core::time::Cycle;
 use telemetry::TraceConfig;
+use uvm::driver::ResilienceConfig;
 use workloads::registry;
 use workloads::types::{AccessStep, LaneItem};
 
-fn fnv(h: &mut u64, v: u64) {
-    *h ^= v;
-    *h = h.wrapping_mul(0x0000_0100_0000_01B3);
-}
-
-fn fnv_str(h: &mut u64, s: &str) {
-    for b in s.as_bytes() {
-        fnv(h, u64::from(*b));
-    }
-}
-
-/// Everything a run observably computes, as comparable text. Compound
-/// stat blocks go in via their `Debug` form so a divergence prints the
-/// exact field; the timeline and telemetry streams (which can run to
-/// thousands of records) are FNV-folded after their lengths.
-#[derive(Debug, PartialEq, Eq)]
-struct Fp {
-    head: String,
-    timeline_len: usize,
-    timeline_hash: u64,
-    telemetry: Option<(usize, usize, usize, u64)>,
-}
-
-/// Simulate with a batch timeline attached and fingerprint the run.
-fn run(
+/// Run `streams` through both loops and panic with the first difference.
+fn agree<O: Observer>(
+    what: &str,
     cfg: &GpuConfig,
-    engine: PolicyEngine,
+    engine: &dyn Fn() -> cppe::engine::PolicyEngine,
     streams: &[Vec<LaneItem>],
     capacity: u32,
     footprint: u64,
-) -> Fp {
-    let mut timeline = Timeline::default();
-    let r = gpu::simulate_with(cfg, engine, streams, capacity, footprint, &mut timeline);
-    fp(&r, &timeline)
+    obs: O,
+) -> RunResult {
+    gpu::reference::check(cfg, engine, streams, capacity, footprint, obs)
+        .unwrap_or_else(|d| panic!("{what}: {d}"))
 }
 
-fn fp(r: &RunResult, timeline: &Timeline) -> Fp {
-    let head = format!(
-        "{:?} err={:?} cycles={} accesses={} {:?} {:?} {:?} h2d={} d2h={} wrong={} \
-         pbuf={} cap={} free={} resident={} {:?} mhpe={}",
-        r.outcome,
-        r.error,
-        r.cycles,
-        r.accesses,
-        r.engine,
-        r.driver,
-        r.translation,
-        r.bytes_h2d,
-        r.bytes_d2h,
-        r.wrong_evictions,
-        r.pattern_buffer_len,
-        r.frames_capacity,
-        r.frames_free,
-        r.resident_pages,
-        r.injection,
-        r.mhpe.is_some(),
-    );
-    let mut th: u64 = 0xCBF2_9CE4_8422_2325;
-    for p in &timeline.points {
-        fnv(&mut th, p.cycle);
-        fnv(&mut th, p.faults);
-        fnv(&mut th, p.pages_migrated);
-        fnv(&mut th, p.pages_evicted);
-        fnv(&mut th, p.resident_pages);
-    }
-    let telemetry = r.telemetry.as_ref().map(|t| {
-        let mut eh: u64 = 0xCBF2_9CE4_8422_2325;
-        for e in &t.events {
-            fnv_str(&mut eh, &format!("{e:?}"));
-        }
-        for s in &t.spans {
-            fnv_str(&mut eh, &format!("{s:?}"));
-        }
-        for d in &t.decisions {
-            fnv_str(&mut eh, &format!("{d:?}"));
-        }
-        fnv_str(&mut eh, &format!("{:?}", t.series));
-        fnv_str(&mut eh, &format!("{:?}", t.hists));
-        fnv(&mut eh, t.dropped_events);
-        fnv(&mut eh, t.dropped_spans);
-        fnv(&mut eh, t.unclosed_spans);
-        fnv(&mut eh, t.dropped_decisions);
-        (t.events.len(), t.spans.len(), t.decisions.len(), eh)
-    });
-    Fp {
-        head,
-        timeline_len: timeline.points.len(),
-        timeline_hash: th,
-        telemetry,
-    }
-}
-
-fn gpu_cfg(fast_lane: bool) -> GpuConfig {
-    GpuConfig {
-        fast_lane,
-        ..ExpConfig::default().gpu
-    }
-}
-
-/// Run one paper cell with the fast lane toggled.
-fn paper_cell(abbr: &str, preset: PolicyPreset, scale: f64, mutate: &dyn Fn(&mut GpuConfig)) {
+/// Run one paper cell at 50 % capacity through both loops.
+fn paper_cell(
+    abbr: &str,
+    preset: PolicyPreset,
+    scale: f64,
+    mutate: &dyn Fn(&mut GpuConfig),
+) -> RunResult {
     let spec = registry::by_abbr(abbr).expect("known app");
-    let capacity = capacity_pages(&spec, 0.5, scale);
-    let mut results = Vec::new();
-    for fast_lane in [true, false] {
-        let mut cfg = gpu_cfg(fast_lane);
-        mutate(&mut cfg);
-        let lanes = cfg.lanes();
-        let streams: Vec<_> = (0..lanes)
-            .map(|l| spec.lane_items(l, lanes, scale))
-            .collect();
-        let seed = ExpConfig::default().seed ^ spec.seed;
-        let engine = preset.build(seed);
-        results.push(run(&cfg, engine, &streams, capacity, spec.pages(scale)));
-    }
-    assert_eq!(
-        results[0],
-        results[1],
-        "{abbr}/{} diverged between fast-lane and legacy paths",
-        preset.label()
-    );
+    let mut cfg = ExpConfig::default().gpu;
+    mutate(&mut cfg);
+    let lanes = cfg.lanes();
+    let streams: Vec<_> = (0..lanes)
+        .map(|l| spec.lane_items(l, lanes, scale))
+        .collect();
+    let seed = ExpConfig::default().seed ^ spec.seed;
+    agree(
+        &format!("{abbr}/{}", preset.label()),
+        &cfg,
+        &|| preset.build(seed),
+        &streams,
+        capacity_pages(&spec, 0.5, scale),
+        spec.pages(scale),
+        NoObserver,
+    )
 }
 
 /// Deterministic xorshift64 stream.
@@ -182,7 +106,7 @@ fn random_streams(
                 for _ in 0..per_round {
                     let r = xorshift(&mut rng);
                     let page = VirtPage(r % footprint);
-                    // Mostly tight cadences (the fast lane's home turf),
+                    // Mostly tight cadences (run-ahead's home turf),
                     // with occasional long compute gaps that force the
                     // streak to yield to queued wakes.
                     let compute = match r % 11 {
@@ -199,7 +123,7 @@ fn random_streams(
         .collect()
 }
 
-/// Run a synthetic stream set through both paths and compare.
+/// Run a synthetic stream set through both loops.
 #[allow(clippy::too_many_arguments)]
 fn synthetic_cell(
     seed: u64,
@@ -210,25 +134,23 @@ fn synthetic_cell(
     footprint: u64,
     capacity: u32,
     mutate: &dyn Fn(&mut GpuConfig),
-) {
+) -> RunResult {
     let streams = random_streams(seed, lanes, rounds, per_round, footprint);
-    let mut results = Vec::new();
-    for fast_lane in [true, false] {
-        let mut cfg = gpu_cfg(fast_lane);
-        mutate(&mut cfg);
-        let engine = preset.build(seed ^ 0xD1B5_4A32_D192_ED03);
-        results.push(run(&cfg, engine, &streams, capacity, footprint));
-    }
-    assert_eq!(
-        results[0],
-        results[1],
-        "seed {seed:#x}/{} diverged between fast-lane and legacy paths",
-        preset.label()
-    );
+    let mut cfg = ExpConfig::default().gpu;
+    mutate(&mut cfg);
+    agree(
+        &format!("seed {seed:#x}/{}", preset.label()),
+        &cfg,
+        &|| preset.build(seed ^ 0xD1B5_4A32_D192_ED03),
+        &streams,
+        capacity,
+        footprint,
+        NoObserver,
+    )
 }
 
-/// The six golden cells (at reduced scale — the release-mode identity
-/// lock already covers 0.25) agree between the two paths.
+/// The six golden cells, at reduced scale (the release-mode identity
+/// lock already covers 0.25).
 #[test]
 fn paper_cells_agree() {
     for (abbr, scale) in [("STN", 0.25), ("KMN", 0.125), ("SRD", 0.125)] {
@@ -238,8 +160,26 @@ fn paper_cells_agree() {
     }
 }
 
+/// Each of the seven presets the reference tables name, on one
+/// reduced-scale paper cell.
+#[test]
+fn table_presets_agree() {
+    for preset in [
+        PolicyPreset::Baseline,
+        PolicyPreset::Random,
+        PolicyPreset::ReservedLru10,
+        PolicyPreset::ReservedLru20,
+        PolicyPreset::Cppe,
+        PolicyPreset::HpeNoPf,
+        PolicyPreset::DisablePfOnFull,
+    ] {
+        let r = paper_cell("SRD", preset, 0.0625, &|_| {});
+        assert!(r.engine.chunk_evictions > 0, "{}", preset.label());
+    }
+}
+
 /// Random oversubscribed streams — faults, evictions and shootdowns
-/// landing mid-streak — leave both paths bit-identical.
+/// landing mid-streak.
 #[test]
 fn random_streams_agree() {
     for (i, &seed) in [
@@ -265,26 +205,12 @@ fn random_streams_agree() {
 /// the streak head keeps losing residency to the pages it just proved.
 #[test]
 fn thrashing_capacity_agrees() {
-    synthetic_cell(
-        0x7777_1111_3333_9999,
-        PolicyPreset::Cppe,
-        4,
-        4,
-        120,
-        512,
-        32,
-        &|_| {},
-    );
-    synthetic_cell(
-        0x2222_8888_4444_6666,
-        PolicyPreset::Baseline,
-        4,
-        4,
-        120,
-        512,
-        32,
-        &|_| {},
-    );
+    for (seed, preset) in [
+        (0x7777_1111_3333_9999, PolicyPreset::Cppe),
+        (0x2222_8888_4444_6666, PolicyPreset::Baseline),
+    ] {
+        synthetic_cell(seed, preset, 4, 4, 120, 512, 32, &|_| {});
+    }
 }
 
 /// A single lane with zero-compute cadence maximizes streak length —
@@ -299,23 +225,22 @@ fn single_lane_long_streaks_agree() {
             })
         })
         .collect::<Vec<_>>()];
-    let mut results = Vec::new();
-    for fast_lane in [true, false] {
-        let cfg = gpu_cfg(fast_lane);
-        let engine = PolicyPreset::Cppe.build(7);
-        results.push(run(&cfg, engine, &streams, 64, 48));
-    }
-    assert_eq!(results[0], results[1]);
+    let cfg = ExpConfig::default().gpu;
+    let engine = || PolicyPreset::Cppe.build(7);
+    agree("long streaks", &cfg, &engine, &streams, 64, 48, NoObserver);
 }
 
-/// With tracing + decision auditing on, the typed event, span and
-/// decision streams (not just the counters) are identical — the fast
-/// lane must emit every record the round-trip path would, in the same
-/// order, at the same cycles.
+/// With tracing and decision auditing on, the driver's typed event,
+/// epoch and decision streams (not just the counters) are identical:
+/// the production loop must drive the driver to emit every record the
+/// reference loop does, in the same order, at the same cycles.
 #[test]
 fn traced_runs_agree() {
     let audited = |cfg: &mut GpuConfig| cfg.trace = TraceConfig::audited();
-    paper_cell("STN", PolicyPreset::Cppe, 0.25, &audited);
+    let r = paper_cell("STN", PolicyPreset::Cppe, 0.25, &audited);
+    let t = r.telemetry.expect("tracing was on");
+    assert!(!t.events.is_empty() && !t.decisions.is_empty());
+    assert_eq!(t.dropped_spans, 0, "span drops would skew the series");
     synthetic_cell(
         0x5151_6262_7373_8484,
         PolicyPreset::Cppe,
@@ -330,8 +255,7 @@ fn traced_runs_agree() {
 
 /// Seeded random stream shapes on top of the fixed-seed cases above:
 /// arbitrary lane counts, round shapes, footprints, capacities and
-/// presets — the two paths never diverge. A failure names the case's
-/// seed and what it drew.
+/// presets. A failure names the case's seed and what it drew.
 #[test]
 fn arbitrary_streams_agree() {
     for seed in 0..24u64 {
@@ -349,19 +273,93 @@ fn arbitrary_streams_agree() {
         };
         let capacity = (cap_chunks * gmmu::types::PAGES_PER_CHUNK) as u32;
         let streams = random_streams(stream_seed | 1, lanes, rounds, per_round, footprint);
-        let mut results = Vec::new();
-        for fast_lane in [true, false] {
-            let cfg = gpu_cfg(fast_lane);
-            let engine = preset.build(stream_seed ^ 0x9E37_79B9_7F4A_7C15);
-            results.push(run(&cfg, engine, &streams, capacity, footprint));
-        }
-        assert_eq!(
-            results[0],
-            results[1],
-            "seed {seed}: {lanes} lanes, {rounds}x{per_round}, footprint {footprint}, \
-             {cap_chunks} chunks, {}",
-            preset.label()
+        agree(
+            &format!(
+                "seed {seed}: {lanes} lanes, {rounds}x{per_round}, footprint {footprint}, \
+                 {cap_chunks} chunks, {}",
+                preset.label()
+            ),
+            &ExpConfig::default().gpu,
+            &|| preset.build(stream_seed ^ 0x9E37_79B9_7F4A_7C15),
+            &streams,
+            capacity,
+            footprint,
+            NoObserver,
         );
+    }
+}
+
+/// Injected DMA failures (with retries and, on a budget of one retry,
+/// aborted migrations) and far-fault latency spikes, on a paper cell
+/// and a thrashing stream.
+#[test]
+fn injected_chaos_agrees() {
+    let chaos = |cfg: &mut GpuConfig| {
+        cfg.injection = InjectionConfig {
+            transfer_failure_prob: 0.2,
+            ..InjectionConfig::latency_spikes(0x5EED)
+        };
+        cfg.resilience.max_transfer_retries = 1;
+    };
+    let r = paper_cell("KMN", PolicyPreset::Cppe, 0.125, &chaos);
+    assert!(r.driver.retries > 0 && r.driver.latency_spike_batches > 0);
+    let r = synthetic_cell(
+        0x3C3C_A5A5,
+        PolicyPreset::Baseline,
+        4,
+        3,
+        120,
+        512,
+        64,
+        &chaos,
+    );
+    assert!(r.driver.migrations_aborted > 0, "{:?}", r.driver);
+}
+
+/// The degradation ladder on Fig. 4's thrash-death cell: the baseline
+/// would crash MVT; degraded mode sheds prefetch instead.
+#[test]
+fn degraded_ladder_agrees() {
+    let r = paper_cell("MVT", PolicyPreset::Baseline, 0.25, &|cfg| {
+        cfg.warps_per_sm = 1;
+        cfg.resilience = ResilienceConfig::degraded();
+    });
+    assert_eq!(r.outcome, Outcome::Degraded);
+    assert!(r.driver.throttle_sheds >= 1, "{:?}", r.driver);
+}
+
+/// The `max_cycles` stop, mid-run.
+#[test]
+fn timeout_agrees() {
+    let r = synthetic_cell(
+        0x00DD_BA11,
+        PolicyPreset::Cppe,
+        4,
+        3,
+        120,
+        512,
+        64,
+        &|cfg| cfg.max_cycles = 400_000,
+    );
+    assert_eq!(r.outcome, Outcome::Timeout);
+}
+
+/// A fault past the flat page range ends both runs with the driver's
+/// typed range error, at the same cycle and with the same text (the
+/// case of `tests/driver_semantics.rs`).
+#[test]
+fn far_page_range_error_agrees() {
+    let cfg = GpuConfig {
+        sms: 2,
+        warps_per_sm: 2,
+        ..GpuConfig::default()
+    };
+    let streams = |far| vec![accesses(&[(5, 10), (far, 10)]); 3];
+    for far in [FLAT_LIMIT, 1 << 40, u64::MAX - 1] {
+        let engine = || PolicyPreset::Baseline.build(0);
+        let r = agree("far page", &cfg, &engine, &streams(far), 64, 16, NoObserver);
+        let want = format!("fault on page {far} past the {FLAT_LIMIT}-page range");
+        assert!(r.error.is_some_and(|e| e.contains(&want)), "page {far}");
     }
 }
 
@@ -411,38 +409,16 @@ fn accesses(pages: &[(u64, u32)]) -> Vec<LaneItem> {
         .collect()
 }
 
-/// Run `streams` through both paths (no compute jitter, ample memory),
-/// assert the fingerprints agree, and return the fast lane's wakes.
+/// Run `streams` through both loops (no compute jitter, ample memory)
+/// and return the production loop's wakes.
 fn wake_case(streams: &[Vec<LaneItem>]) -> Wakes {
-    let mut results = Vec::new();
+    let cfg = GpuConfig {
+        compute_jitter: 0.0,
+        ..ExpConfig::default().gpu
+    };
     let mut wakes = Wakes::default();
-    for fast_lane in [true, false] {
-        let cfg = GpuConfig {
-            compute_jitter: 0.0,
-            ..gpu_cfg(fast_lane)
-        };
-        let engine = PolicyPreset::Baseline.build(11);
-        let mut timeline = Timeline::default();
-        let mut watched = Wakes::default();
-        let r = gpu::simulate_with(
-            &cfg,
-            engine,
-            streams,
-            1024,
-            1024,
-            (&mut timeline, &mut watched),
-        );
-        results.push(fp(&r, &timeline));
-        if fast_lane {
-            wakes = watched;
-        } else {
-            assert!(
-                watched.inline.is_empty(),
-                "inline wake without the fast lane"
-            );
-        }
-    }
-    assert_eq!(results[0], results[1], "wake case diverged");
+    let engine = || PolicyPreset::Baseline.build(11);
+    agree("wake case", &cfg, &engine, streams, 1024, 1024, &mut wakes);
     wakes
 }
 

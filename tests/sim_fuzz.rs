@@ -4,7 +4,9 @@
 //! its accounting identities and pass every `gpu::Invariants` check —
 //! TLB presence masks against the TLBs, residency against the frame
 //! pool and the chunk chain, the data caches against residency, and
-//! waiters against pending faults — at every fault batch.
+//! waiters against pending faults — at every fault batch. Every case
+//! also runs through the reference simulator (`gpu::reference`), whose
+//! fingerprint must equal the production loop's bit for bit.
 //!
 //! Each case draws its workload from `sim_core`'s xoshiro RNG; a failure
 //! names the case's seed and what it drew. Std-only, so the fuzzing runs
@@ -13,7 +15,7 @@
 
 use cppe::presets::PolicyPreset;
 use gmmu::types::{VirtPage, PAGES_PER_CHUNK};
-use gpu::{simulate_with, GpuConfig, Invariants, Outcome, RunResult};
+use gpu::{GpuConfig, Invariants, Outcome, RunResult};
 use sim_core::rng::Xoshiro256ss;
 use workloads::{AccessStep, LaneItem, Phase};
 
@@ -145,8 +147,9 @@ impl Case {
         }
     }
 
-    /// Simulate with the invariant checker attached; panics naming
-    /// `seed` on a violation.
+    /// Simulate with the invariant checker attached, and through the
+    /// reference loop; panics naming `seed` on a violation or on any
+    /// difference between the two runs.
     fn run(&self, seed: u64, streams: &[Vec<LaneItem>], footprint: u64) -> RunResult {
         let cfg = GpuConfig {
             sms: self.lanes,
@@ -154,14 +157,15 @@ impl Case {
             ..GpuConfig::default()
         };
         let mut invariants = Invariants::default();
-        let r = simulate_with(
+        let r = gpu::reference::check(
             &cfg,
-            self.preset.build(5),
+            &|| self.preset.build(5),
             streams,
             (self.capacity_chunks * PAGES_PER_CHUNK) as u32,
             footprint,
             &mut invariants,
-        );
+        )
+        .unwrap_or_else(|d| panic!("seed {seed} ({self:?}): {d}"));
         if let Some(v) = &invariants.violation {
             panic!("seed {seed} ({self:?}): invariant violated: {v}");
         }
