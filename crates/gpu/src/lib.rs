@@ -9,7 +9,8 @@
 //! * [`cache`] — the L1/L2 data-cache latency model,
 //! * [`dram`] — the GDDR5 12-channel row-buffer model,
 //! * [`sim`] — [`simulate`], [`simulate_with`], [`RunResult`] and
-//!   [`Outcome`],
+//!   [`Outcome`], on the event loop's lane-indexed wake calendar
+//!   (its counted traffic is [`QueueCounts`]),
 //! * [`observe`] — the event loop's [`Observer`] hooks and the stock
 //!   observers ([`Timeline`], [`Invariants`], [`FireCounts`],
 //!   [`EvictionPasses`]),
@@ -17,6 +18,7 @@
 //!   checked against, bit for bit.
 
 pub mod cache;
+mod calendar;
 pub mod config;
 pub mod dram;
 pub mod observe;
@@ -25,6 +27,7 @@ pub mod sim;
 mod spans;
 pub mod waiters;
 
+pub use calendar::{KindCounts, QueueCounts};
 pub use config::GpuConfig;
 pub use observe::{
     EvictionPasses, FireCounts, Invariants, NoObserver, Observer, Timeline, TimelinePoint,

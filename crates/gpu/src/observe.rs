@@ -15,8 +15,8 @@
 //! * [`Timeline`] — one [`TimelinePoint`] per dispatched batch;
 //! * [`Invariants`] — cross-structure consistency checks at every batch
 //!   boundary;
-//! * [`FireCounts`] — how often the fast lane's run-ahead and inline
-//!   wakes fire;
+//! * [`FireCounts`] — the wake calendar's traffic per event kind, and
+//!   how often the inline wake fires;
 //! * [`EvictionPasses`] — how often chunk-granular eviction replaced
 //!   per-page TLB removes and data-cache scans, how the chunk chain's
 //!   order index answered positional victim selections, and how the
@@ -28,6 +28,7 @@
 //! is itself an observer that calls `A` then `B`.
 
 use crate::cache::{DataHierarchy, InvalidationCounts};
+use crate::calendar::QueueCounts;
 use crate::waiters::WaiterTable;
 use cppe::chain::IndexCounts;
 use cppe::pins::PinCounts;
@@ -100,19 +101,9 @@ impl<'a> Ctx<'a> {
 #[allow(unused_variables)]
 pub trait Observer {
     /// Lane `lane`'s translation of `page` hit; the access proceeds at
-    /// `ready_at`. `streak` is the access's position in the lane's
-    /// run-ahead streak: 0 for an access popped from the event queue,
-    /// 1, 2, … for accesses the fast lane executed inline behind it.
+    /// `ready_at`.
     #[inline]
-    fn access_hit(
-        &mut self,
-        ctx: Ctx<'_>,
-        lane: u32,
-        page: VirtPage,
-        ready_at: Cycle,
-        streak: u32,
-    ) {
-    }
+    fn access_hit(&mut self, ctx: Ctx<'_>, lane: u32, page: VirtPage, ready_at: Cycle) {}
 
     /// Lane `lane`, issuing at `now`, missed every TLB and the walk
     /// found `page` not resident at `at`; `timing` stamps each stage.
@@ -145,9 +136,14 @@ pub trait Observer {
     /// Lane `lane`, the first of a [`page_ready`](Observer::page_ready)
     /// call's lanes, replays at `now` without a queue round trip: no
     /// other event was queued at `now`, so its wake would have been the
-    /// next pop anyway. Only the fast lane does this.
+    /// next pop anyway.
     #[inline]
     fn inline_wake(&mut self, ctx: Ctx<'_>, lane: u32, now: Cycle) {}
+
+    /// The run ended, however it ended; `queue` is its traffic through
+    /// the wake calendar.
+    #[inline]
+    fn queue_traffic(&mut self, queue: &QueueCounts) {}
 }
 
 /// The observer that watches nothing.
@@ -158,17 +154,9 @@ impl Observer for NoObserver {}
 
 impl<A: Observer, B: Observer> Observer for (A, B) {
     #[inline]
-    fn access_hit(
-        &mut self,
-        mut ctx: Ctx<'_>,
-        lane: u32,
-        page: VirtPage,
-        ready_at: Cycle,
-        streak: u32,
-    ) {
-        self.0
-            .access_hit(ctx.reborrow(), lane, page, ready_at, streak);
-        self.1.access_hit(ctx, lane, page, ready_at, streak);
+    fn access_hit(&mut self, mut ctx: Ctx<'_>, lane: u32, page: VirtPage, ready_at: Cycle) {
+        self.0.access_hit(ctx.reborrow(), lane, page, ready_at);
+        self.1.access_hit(ctx, lane, page, ready_at);
     }
 
     #[inline]
@@ -203,19 +191,18 @@ impl<A: Observer, B: Observer> Observer for (A, B) {
         self.0.inline_wake(ctx.reborrow(), lane, now);
         self.1.inline_wake(ctx, lane, now);
     }
+
+    #[inline]
+    fn queue_traffic(&mut self, queue: &QueueCounts) {
+        self.0.queue_traffic(queue);
+        self.1.queue_traffic(queue);
+    }
 }
 
 impl<O: Observer + ?Sized> Observer for &mut O {
     #[inline]
-    fn access_hit(
-        &mut self,
-        ctx: Ctx<'_>,
-        lane: u32,
-        page: VirtPage,
-        ready_at: Cycle,
-        streak: u32,
-    ) {
-        (**self).access_hit(ctx, lane, page, ready_at, streak);
+    fn access_hit(&mut self, ctx: Ctx<'_>, lane: u32, page: VirtPage, ready_at: Cycle) {
+        (**self).access_hit(ctx, lane, page, ready_at);
     }
 
     #[inline]
@@ -244,6 +231,11 @@ impl<O: Observer + ?Sized> Observer for &mut O {
     #[inline]
     fn inline_wake(&mut self, ctx: Ctx<'_>, lane: u32, now: Cycle) {
         (**self).inline_wake(ctx, lane, now);
+    }
+
+    #[inline]
+    fn queue_traffic(&mut self, queue: &QueueCounts) {
+        (**self).queue_traffic(queue);
     }
 }
 
@@ -282,16 +274,13 @@ impl Observer for Timeline {
     }
 }
 
-/// How often the fast lane's run-ahead and inline wakes fired during a
-/// run — the loop mechanisms `RunResult`'s counters cannot show.
+/// What the event loop's own machinery did during a run — work
+/// `RunResult`'s counters cannot show: the wake calendar's counted
+/// traffic and the inline wakes that bypassed it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FireCounts {
-    /// Accesses the fast lane executed inline instead of via the queue.
-    pub run_ahead: u64,
-    /// Run-ahead streaks (queue pops followed by ≥ 1 inline access).
-    pub streaks: u64,
-    /// Longest streak, in inline accesses.
-    pub longest_streak: u32,
+    /// Pushes and pops per event kind, and cross-kind stamp compares.
+    pub queue: QueueCounts,
     /// Woken lanes that replayed their faulted access without a queue
     /// round trip.
     pub inline_wakes: u64,
@@ -299,17 +288,12 @@ pub struct FireCounts {
 
 impl Observer for FireCounts {
     #[inline]
-    fn access_hit(&mut self, _: Ctx<'_>, _: u32, _: VirtPage, _: Cycle, streak: u32) {
-        if streak > 0 {
-            self.run_ahead += 1;
-            self.streaks += u64::from(streak == 1);
-            self.longest_streak = self.longest_streak.max(streak);
-        }
-    }
-
-    #[inline]
     fn inline_wake(&mut self, _: Ctx<'_>, _: u32, _: Cycle) {
         self.inline_wakes += 1;
+    }
+
+    fn queue_traffic(&mut self, queue: &QueueCounts) {
+        self.queue = *queue;
     }
 }
 

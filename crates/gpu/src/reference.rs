@@ -9,8 +9,8 @@
 //! loop's speed mechanisms:
 //!
 //! * one event per access on a [`BinaryHeap`] keyed by (cycle, push
-//!   sequence), so events at one cycle pop in push order: no run-ahead,
-//!   no bulk push, and one queued `LaneReady` per woken lane (no inline
+//!   sequence), so events at one cycle pop in push order: no wake
+//!   calendar, and one queued `LaneReady` per woken lane (no inline
 //!   wake);
 //! * a hashed map of FIFO waiter queues, with no page-indexed runs;
 //! * `gmmu::translation::legacy::ScanPath`: scan TLBs that cache

@@ -11,10 +11,15 @@
 //! as one batch when the driver frees up — the natural batching that
 //! amortizes the 20 µs host round-trip and that prefetching multiplies.
 //!
+//! Events run on the lane-indexed wake calendar (`crate::calendar`):
+//! one access per lane wake, except that a lane woken by a page
+//! completion with nothing else due that cycle replays inline.
+//!
 //! [`simulate_with`] runs the same loop with an [`Observer`] attached at
 //! its hook points (see [`crate::observe`]).
 
 use crate::cache::DataHierarchy;
+use crate::calendar::{Event, WakeCalendar};
 use crate::config::GpuConfig;
 use crate::observe::{Ctx, NoObserver, Observer};
 use crate::spans::LaneSpans;
@@ -23,7 +28,6 @@ use cppe::engine::{EngineStats, OverheadSnapshot, PolicyEngine};
 use cppe::evict::MhpeTrace;
 use gmmu::translation::{TranslationOutcome, TranslationPath, TranslationStats};
 use gmmu::types::{SmId, VirtPage};
-use sim_core::events::EventQueue;
 use sim_core::fault::{FaultInjector, InjectionStats};
 use sim_core::rng::Xoshiro256ss;
 use sim_core::time::Cycle;
@@ -134,22 +138,6 @@ impl RunResult {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Event {
-    LaneReady(u32),
-    /// The migration for this faulted page completed; its waiters replay.
-    PageReady(VirtPage),
-    /// The host driver finished processing the current batch.
-    DriverFree,
-}
-
-/// Longest run of consecutive accesses one lane may execute inline
-/// before the fast lane forcibly round-trips through the event queue.
-/// Purely a fairness/bounds guard — the hazard check alone guarantees
-/// bit-identity — sized so a streak never starves the far tier's
-/// `drain_far` migration for long.
-const MAX_STREAK: u32 = 128;
-
 /// Why the event loop stopped early.
 enum Stop {
     /// Past `max_cycles`.
@@ -165,7 +153,7 @@ struct Machine {
     xlat: TranslationPath,
     driver: UvmDriver,
     caches: DataHierarchy,
-    q: EventQueue<Event>,
+    q: WakeCalendar,
     /// Lanes blocked on each in-flight faulted page.
     waiting: WaiterTable,
     /// Faults raised since the last dispatch.
@@ -206,9 +194,9 @@ impl Machine {
         self.pending.extend_from_slice(&r.deferred);
         self.caches.invalidate_evicted(&r.evicted);
         for &(page, t) in &r.completions {
-            self.q.push(t, Event::PageReady(page));
+            self.q.push_page(t, page);
         }
-        self.q.push(r.host_done, Event::DriverFree);
+        self.q.push_driver(r.host_done);
         obs.batch_dispatched(self.ctx(), at, &r);
         self.driver.recycle(r);
         Ok(())
@@ -371,7 +359,7 @@ fn run<O: Observer>(
         xlat: TranslationPath::new(&cfg.translation),
         driver,
         caches: DataHierarchy::new(cfg.sms),
-        q: EventQueue::new(),
+        q: WakeCalendar::new(streams.len()),
         waiting: WaiterTable::new(),
         pending: Vec::new(),
         batch_buf: Vec::new(),
@@ -384,7 +372,7 @@ fn run<O: Observer>(
     let mut idx = vec![0usize; streams.len()];
     let mut accesses = 0u64;
     let mut end = Cycle::ZERO;
-    // Reused scratch for same-cycle lane wakes (PageReady bulk push).
+    // Reused scratch for the lanes a `PageReady` wakes.
     let mut wake_buf: Vec<u32> = Vec::new();
     // A woken lane whose `LaneReady` runs next without a queue round
     // trip (the inline wake, see `Event::PageReady`).
@@ -392,11 +380,11 @@ fn run<O: Observer>(
 
     for (lane, s) in streams.iter().enumerate() {
         if !s.is_empty() {
-            m.q.push(Cycle::ZERO, Event::LaneReady(lane as u32));
+            m.q.push_lane(Cycle::ZERO, lane as u32);
         }
     }
 
-    let stop = 'main: loop {
+    let stop = loop {
         let (now, ev) = match woken.take() {
             Some(lane) => (m.q.now(), Event::LaneReady(lane)),
             None => match m.q.pop() {
@@ -411,87 +399,50 @@ fn run<O: Observer>(
         match ev {
             Event::LaneReady(lane) => {
                 let l = lane as usize;
-                let stream = &streams[l];
-                let mut step = match stream.get(idx[l]) {
+                let step = match streams[l].get(idx[l]) {
                     None => continue, // lane drained; no further events
                     Some(LaneItem::Barrier) => {
                         idx[l] += 1;
                         if let Some(lanes) = barriers.arrive(lane) {
                             // Kernel relaunch: everyone proceeds after the
-                            // launch overhead — all at the same cycle, so
-                            // one bulk push.
+                            // launch overhead, all at the same cycle.
                             let resume = now.after(cfg.launch_overhead_cycles);
-                            m.q.push_n(resume, lanes.drain(..).map(Event::LaneReady));
+                            for lane in lanes.drain(..) {
+                                m.q.push_lane(resume, lane);
+                            }
                         }
                         continue;
                     }
                     Some(&LaneItem::Access(step)) => step,
                 };
                 let sm = SmId((l / cfg.warps_per_sm) as u16);
-                // Hit-path fast lane. The first iteration handles the
-                // event just popped; afterwards, while the lane's next
-                // access is a provable hit and no other event can fire
-                // first, keep executing inline (run-ahead) instead of
-                // round-tripping each access through the queue.
-                let mut now = now;
-                let mut streak = 0u32;
-                loop {
-                    let (out, timing) = m.xlat.translate_timed(sm, step.page, now);
-                    let ready_at = match out {
-                        TranslationOutcome::Hit { ready_at, .. } => ready_at,
-                        TranslationOutcome::Fault { at } => {
-                            obs.fault_raised(m.ctx(), lane, step.page, now, &timing, at);
-                            m.pending.push(step.page);
-                            m.waiting.push(step.page, lane);
-                            if !m.driver_busy {
-                                if let Err(s) = m.dispatch(at, &mut obs) {
-                                    break 'main Some(s);
-                                }
+                let (out, timing) = m.xlat.translate_timed(sm, step.page, now);
+                let ready_at = match out {
+                    TranslationOutcome::Hit { ready_at, .. } => ready_at,
+                    TranslationOutcome::Fault { at } => {
+                        obs.fault_raised(m.ctx(), lane, step.page, now, &timing, at);
+                        m.pending.push(step.page);
+                        m.waiting.push(step.page, lane);
+                        if !m.driver_busy {
+                            if let Err(s) = m.dispatch(at, &mut obs) {
+                                break Some(s);
                             }
-                            break;
                         }
-                    };
-                    obs.access_hit(m.ctx(), lane, step.page, ready_at, streak);
-                    m.xlat.mark_touched(step.page);
-                    let dlat = m.caches.access(sm.idx(), step.page, now);
-                    idx[l] += 1;
-                    accesses += 1;
-                    let wake = ready_at.after(dlat + compute_cycles(cfg, step, &mut jitter[l]));
-                    // Run-ahead hazard check — all must hold, or we fall
-                    // back to the one-event-per-access round trip:
-                    //  * the next item is an access to a resident page
-                    //    (the walker faults exactly on non-residency, so
-                    //    this predicts a hit);
-                    //  * no pending event fires at or before `wake` (a
-                    //    same-cycle event queued earlier would pop first,
-                    //    hence strictly-greater);
-                    //  * `wake` respects the timeout guard;
-                    //  * the streak is bounded.
-                    let next = match stream.get(idx[l]) {
-                        Some(&LaneItem::Access(n))
-                            if streak < MAX_STREAK
-                                && wake.0 <= cfg.max_cycles
-                                && m.xlat.page_table().is_resident(n.page)
-                                && m.q.peek_time().is_none_or(|t| t > wake) =>
-                        {
-                            n
-                        }
-                        _ => {
-                            m.q.push(wake, Event::LaneReady(lane));
-                            break;
-                        }
-                    };
-                    end = wake;
-                    now = wake;
-                    streak += 1;
-                    step = next;
-                }
+                        continue;
+                    }
+                };
+                obs.access_hit(m.ctx(), lane, step.page, ready_at);
+                m.xlat.mark_touched(step.page);
+                let dlat = m.caches.access(sm.idx(), step.page, now);
+                idx[l] += 1;
+                accesses += 1;
+                let wake = ready_at.after(dlat + compute_cycles(cfg, step, &mut jitter[l]));
+                m.q.push_lane(wake, lane);
             }
             Event::PageReady(page) => {
                 // Lanes that faulted on this page replay now; lanes that
                 // faulted on sibling pages of the same chunk were given
-                // their own completions by the driver. The wakes are all
-                // same-cycle, so they collect into one bulk push.
+                // their own completions by the driver.
                 wake_buf.clear();
                 m.waiting.take(page, |lane| wake_buf.push(lane));
                 obs.page_ready(m.ctx(), page, now, &wake_buf);
@@ -499,8 +450,9 @@ fn run<O: Observer>(
                 // first woken lane's `LaneReady` would be the next pop.
                 // Queue the others behind it and run it straight away.
                 let inline = !wake_buf.is_empty() && !m.q.pending_now();
-                let first = usize::from(inline);
-                m.q.push_n(now, wake_buf[first..].iter().map(|&l| Event::LaneReady(l)));
+                for &lane in &wake_buf[usize::from(inline)..] {
+                    m.q.push_lane(now, lane);
+                }
                 if inline {
                     obs.inline_wake(m.ctx(), wake_buf[0], now);
                     woken = Some(wake_buf[0]);
@@ -520,6 +472,7 @@ fn run<O: Observer>(
         }
     };
 
+    obs.queue_traffic(&m.q.counts());
     let (outcome, error) = match stop {
         None if m.driver.degraded() => (Outcome::Degraded, None),
         None => (Outcome::Completed, None),
@@ -788,17 +741,31 @@ mod tests {
     }
 
     #[test]
-    fn fire_counts_see_run_ahead() {
-        // One lane, zero compute, everything resident after the first
-        // pass: the lane runs ahead in bounded streaks, and the run
-        // equals the reference loop's.
-        let streams = items(&[seq_stream(32, 4, 0)]);
-        let mut fc = FireCounts::default();
-        let engine = || PolicyPreset::Baseline.build(0);
-        let r = check_reference(&engine, &streams, 64, 32, &mut fc);
-        assert!(fc.run_ahead > 0 && fc.streaks > 0, "{fc:?}");
-        assert!(fc.run_ahead < r.accesses && fc.run_ahead >= fc.streaks);
-        assert!(fc.longest_streak <= MAX_STREAK, "{fc:?}");
+    fn fire_counts_count_the_queue_traffic() {
+        /// Page completions the driver handed back.
+        #[derive(Default)]
+        struct Completions(u64);
+        impl Observer for Completions {
+            fn batch_dispatched(&mut self, _: Ctx<'_>, _: Cycle, batch: &BatchResult) {
+                self.0 += batch.completions.len() as u64;
+            }
+        }
+        // Two thrashing lanes, one with computes past the ring window:
+        // near and far lane wakes, page completions and driver frees.
+        let streams = items(&[seq_stream(256, 2, 50), seq_stream(256, 2, 3_000)]);
+        let mut obs = (FireCounts::default(), Completions::default());
+        let engine = || PolicyPreset::Cppe.build(3);
+        let r = check_reference(&engine, &streams, 128, 512, &mut obs);
+        assert_eq!(r.outcome, Outcome::Completed);
+        let q = obs.0.queue;
+        // A completed run fires every event it scheduled: one
+        // `PageReady` per completion and one `DriverFree` per batch.
+        assert_eq!(q.pops, q.pushes);
+        assert_eq!(q.pushes.page, obs.1 .0);
+        assert_eq!(q.pushes.driver, r.driver.batches);
+        assert!(q.pushes.near_lane > 0 && q.pushes.far_lane > 0, "{q:?}");
+        // A page completion shares its batch's host-done cycle.
+        assert!(q.stamp_compares > 0, "{q:?}");
     }
 
     #[test]

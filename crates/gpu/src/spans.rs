@@ -54,19 +54,8 @@ impl LaneSpans {
 }
 
 impl Observer for LaneSpans {
-    fn access_hit(
-        &mut self,
-        mut ctx: Ctx<'_>,
-        lane: u32,
-        _: VirtPage,
-        ready_at: Cycle,
-        streak: u32,
-    ) {
-        // Replays wake through the queue, so only a streak head can be
-        // one.
-        if streak == 0 {
-            self.close_replay(&mut ctx, lane, ready_at);
-        }
+    fn access_hit(&mut self, mut ctx: Ctx<'_>, lane: u32, _: VirtPage, ready_at: Cycle) {
+        self.close_replay(&mut ctx, lane, ready_at);
     }
 
     fn fault_raised(

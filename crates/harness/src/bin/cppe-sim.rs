@@ -166,10 +166,21 @@ fn main() {
         r.engine.chunk_evictions, r.engine.pages_evicted, r.engine.total_untouch
     );
     println!("wrong evictions   {}", r.wrong_evictions);
+    let (pushes, pops) = (fired.queue.pushes, fired.queue.pops);
     println!(
-        "fast lane         {} of {} accesses ran ahead inline ({} streaks, longest {}); \
+        "event queue       pushes {} near lane, {} far lane, {} page, {} driver; \
+         pops {} near lane, {} far lane, {} page, {} driver; {} stamp compares; \
          {} woken lanes replayed inline",
-        fired.run_ahead, r.accesses, fired.streaks, fired.longest_streak, fired.inline_wakes
+        pushes.near_lane,
+        pushes.far_lane,
+        pushes.page,
+        pushes.driver,
+        pops.near_lane,
+        pops.far_lane,
+        pops.page,
+        pops.driver,
+        fired.queue.stamp_compares,
+        fired.inline_wakes
     );
     let (sd, inv) = (passes.shootdown, passes.invalidation);
     println!(

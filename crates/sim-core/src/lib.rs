@@ -8,7 +8,9 @@
 //! * [`time`] — the [`Cycle`] clock domain (1.4 GHz GPU core
 //!   clock per Table I of the paper) and ns↔cycle conversion helpers,
 //! * [`events`] — a deterministic [`EventQueue`] with
-//!   stable FIFO ordering among same-cycle events,
+//!   stable FIFO ordering among same-cycle events, and the calendar
+//!   ring's occupancy bitmap ([`events::RingBitmap`]) that the `gpu`
+//!   event loop's wake calendar shares with it,
 //! * [`stats`] — counters and histograms used for the paper's metrics
 //!   (page faults, evictions, untouch levels, ...),
 //! * [`rng`] — a small, seedable, reproducible PRNG

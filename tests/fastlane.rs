@@ -1,41 +1,44 @@
 //! Production loop ⇄ reference simulator equivalence suite.
 //!
-//! `gpu::simulate` runs every access through its speed mechanisms: lane
-//! run-ahead (a bounded streak of provable hits executed inline), the
-//! inline wake (a lane woken by a page completion replays without a
-//! queue round trip when nothing else is queued at that cycle), the
-//! calendar queue's bulk pushes, page-indexed waiter runs, TLB presence
-//! masks and chunk-gated cache invalidation. `gpu::reference::simulate`
-//! is a separate, deliberately slow loop with none of them: one event
-//! per access on a binary heap, a hashed waiter map, scan TLBs and scan
-//! data caches, per-page shootdown and invalidation. The golden
-//! fingerprints in `tests/perf_identity.rs` lock six paper cells, but
-//! the mechanisms take decisions on *arbitrary* streams — a shootdown
-//! landing mid-streak, a same-cycle wake racing the streak head, a
-//! barrier right behind a provable hit — so this suite runs each case
-//! through both loops and asserts their `gpu::reference::Fingerprint`s
-//! agree: outcome, every counter block, byte totals, the batch
-//! timeline, and — for traced runs — the driver's event, epoch and
-//! decision streams.
+//! `gpu::simulate` runs every access through its speed mechanisms: the
+//! lane-indexed wake calendar (a ring of lane-threaded buckets, one
+//! cycle-sorted far run and a driver slot, ordered across kinds by a
+//! global push stamp), the inline wake (a lane woken by a page
+//! completion replays without a queue round trip when nothing else is
+//! queued at that cycle), page-indexed waiter runs, TLB presence masks
+//! and chunk-gated cache invalidation. `gpu::reference::simulate` is a
+//! separate, deliberately slow loop with none of them: one event per
+//! access on a binary heap, a hashed waiter map, scan TLBs and scan data
+//! caches, per-page shootdown and invalidation. The golden fingerprints
+//! in `tests/perf_identity.rs` lock six paper cells, but the mechanisms
+//! take decisions on *arbitrary* streams — a lane wake tying a page
+//! completion or a driver free on one cycle, in either push order, a
+//! wake past the ring window, a barrier relaunch — so this suite runs
+//! each case through both loops and asserts their
+//! `gpu::reference::Fingerprint`s agree: outcome, every counter block,
+//! byte totals, the batch timeline, and — for traced runs — the
+//! driver's event, epoch and decision streams.
 //!
-//! The tests below use fixed xorshift streams, paper cells, two fixed
-//! fault schedules that drive the inline wake's two branches, and the
-//! paths the loop takes off the happy path (injected faults, the
-//! degradation ladder, the timeout and the far-page range error);
-//! `arbitrary_streams_agree` adds seeded random stream shapes on top.
-//! All are std-only, so they run in the default test suite.
+//! The tests below use fixed xorshift streams, paper cells (one at 112
+//! lanes), fixed fault schedules that drive the inline wake's two
+//! branches and land lane wakes on a `PageReady` or `DriverFree` cycle,
+//! far lane wakes, and the paths the loop takes off the happy path
+//! (injected faults, the degradation ladder, the timeout and the
+//! far-page range error); `arbitrary_streams_agree` adds seeded random
+//! stream shapes on top. All are std-only, so they run in the default
+//! test suite.
 
 use cppe::presets::PolicyPreset;
 use gmmu::page_table::FLAT_LIMIT;
 use gmmu::types::VirtPage;
 use gpu::observe::Ctx;
-use gpu::{GpuConfig, NoObserver, Observer, Outcome, RunResult};
+use gpu::{FireCounts, GpuConfig, NoObserver, Observer, Outcome, RunResult};
 use harness::{capacity_pages, ExpConfig};
 use sim_core::fault::InjectionConfig;
 use sim_core::rng::Xoshiro256ss;
 use sim_core::time::Cycle;
 use telemetry::TraceConfig;
-use uvm::driver::ResilienceConfig;
+use uvm::driver::{BatchResult, ResilienceConfig};
 use workloads::registry;
 use workloads::types::{AccessStep, LaneItem};
 
@@ -89,7 +92,7 @@ fn xorshift(state: &mut u64) -> u64 {
 
 /// Synthesize `lanes` random streams: `rounds` barrier-delimited rounds
 /// of `per_round` accesses each over `footprint` pages, with compute
-/// deltas spanning the streak-provable range (0) through long stalls.
+/// deltas from zero through stalls far past the ring window.
 /// Every lane carries the same barrier count.
 fn random_streams(
     seed: u64,
@@ -106,9 +109,9 @@ fn random_streams(
                 for _ in 0..per_round {
                     let r = xorshift(&mut rng);
                     let page = VirtPage(r % footprint);
-                    // Mostly tight cadences (run-ahead's home turf),
-                    // with occasional long compute gaps that force the
-                    // streak to yield to queued wakes.
+                    // Mostly tight cadences (ring wakes a few cycles
+                    // out), with occasional long compute gaps that land
+                    // in the far run.
                     let compute = match r % 11 {
                         0..=6 => (r >> 32) % 24,
                         7..=9 => 100 + (r >> 32) % 400,
@@ -179,7 +182,7 @@ fn table_presets_agree() {
 }
 
 /// Random oversubscribed streams — faults, evictions and shootdowns
-/// landing mid-streak.
+/// landing between a lane's back-to-back hits.
 #[test]
 fn random_streams_agree() {
     for (i, &seed) in [
@@ -202,7 +205,7 @@ fn random_streams_agree() {
 }
 
 /// A capacity so tight the whole footprint cycles through eviction —
-/// the streak head keeps losing residency to the pages it just proved.
+/// a lane keeps losing residency to the pages it just touched.
 #[test]
 fn thrashing_capacity_agrees() {
     for (seed, preset) in [
@@ -213,8 +216,9 @@ fn thrashing_capacity_agrees() {
     }
 }
 
-/// A single lane with zero-compute cadence maximizes streak length —
-/// the run-ahead bound (and its exit bookkeeping) must not drift.
+/// A single lane with zero-compute cadence: each wake lands a few
+/// cycles out, so one lane re-threads nearby ring buckets thousands of
+/// times.
 #[test]
 fn single_lane_long_streaks_agree() {
     let streams = vec![(0..2_000u64)
@@ -364,15 +368,26 @@ fn far_page_range_error_agrees() {
 }
 
 /// What the wake path did: each page completion's cycle and woken
-/// lanes, each inline wake, and each fault's issue cycle.
+/// lanes, each inline wake, each fault's issue cycle, each hit's ready
+/// cycle, and each batch's dispatch cycle and host-done cycle.
 #[derive(Debug, Default)]
 struct Wakes {
     ready: Vec<(u64, Vec<u32>)>,
     inline: Vec<(u64, u32)>,
     faults: Vec<(u64, u32)>,
+    hits: Vec<(u64, u32)>,
+    batches: Vec<(u64, u64)>,
 }
 
 impl Observer for Wakes {
+    fn access_hit(&mut self, _: Ctx<'_>, lane: u32, _: VirtPage, ready_at: Cycle) {
+        self.hits.push((ready_at.0, lane));
+    }
+
+    fn batch_dispatched(&mut self, _: Ctx<'_>, dispatch: Cycle, batch: &BatchResult) {
+        self.batches.push((dispatch.0, batch.host_done.0));
+    }
+
     fn fault_raised(
         &mut self,
         _: Ctx<'_>,
@@ -493,4 +508,183 @@ fn page_ready_behind_a_same_cycle_lane_ready_falls_back() {
         w.inline.iter().any(|&(_, lane)| lane == 1),
         "lane 1's wake on page 3 did not run inline: {w:?}"
     );
+}
+
+/// The cycle of `lane`'s last fault.
+fn last_fault(w: &Wakes, lane: u32) -> u64 {
+    w.faults
+        .iter()
+        .rev()
+        .find(|&&(_, l)| l == lane)
+        .expect("the lane faulted")
+        .0
+}
+
+/// The ready cycle of `lane`'s hit before its last fault: the access
+/// whose compute the fault's wake ended.
+fn hit_before_last_fault(w: &Wakes, lane: u32) -> u64 {
+    let fault = last_fault(w, lane);
+    w.hits
+        .iter()
+        .rev()
+        .find(|&&(t, l)| l == lane && t < fault)
+        .expect("the lane hit")
+        .0
+}
+
+/// The cycle page completion `lanes` woke its waiters at.
+fn ready_at(w: &Wakes, lanes: &[u32]) -> u64 {
+    w.ready
+        .iter()
+        .find(|(_, l)| l == lanes)
+        .unwrap_or_else(|| panic!("no completion woke {lanes:?}: {w:?}"))
+        .0
+}
+
+/// Land `lane`'s last wake on the cycle `target` names. `streams(c)`
+/// ends `lane` with an access of compute `c` and then a fault, and `c`
+/// must move nothing before that fault. A probe with so long a compute
+/// that the fault comes after the target gives the offset.
+fn land_on(
+    streams: &dyn Fn(u32) -> Vec<Vec<LaneItem>>,
+    lane: u32,
+    target: &dyn Fn(&Wakes) -> u64,
+) -> (u64, u32, Wakes) {
+    const PROBE: u64 = 1_000_000;
+    let probe = wake_case(&streams(PROBE as u32));
+    let at = target(&probe);
+    let compute = PROBE - (last_fault(&probe, lane) - at);
+    let compute = u32::try_from(compute).expect("compute fits u32");
+    let w = wake_case(&streams(compute));
+    assert_eq!(target(&w), at, "the compute moved the target");
+    assert_eq!(last_fault(&w, lane), at, "lane {lane} missed the target");
+    (at, compute, w)
+}
+
+/// Lane 0's fault dispatches page 100 alone; lanes 1, 2 and 3 fault on
+/// pages 3, 200 and 300 meanwhile and form the second batch. Lane
+/// `extra` (4) hits page 101, which the first batch mapped with its
+/// chunk, before the second batch is dispatched. `lane1` and `lane4`
+/// are those lanes' streams.
+fn two_batches(lane1: Vec<LaneItem>, lane4: Vec<LaneItem>) -> Vec<Vec<LaneItem>> {
+    vec![
+        accesses(&[(100, 10)]),
+        lane1,
+        accesses(&[(200, 10)]),
+        accesses(&[(300, 10)]),
+        lane4,
+    ]
+}
+
+/// The second batch: its dispatch and host-done cycles.
+fn second_batch(w: &Wakes) -> (u64, u64) {
+    w.batches[1]
+}
+
+/// A lane wake on the exact cycle of a `PageReady`, in both push
+/// orders. Page first: lane 1, woken by page 3, spends a compute short
+/// of the ring window that lands its wake on page 200's completion, so
+/// a ring wake ties a far completion pushed long before. Lane first:
+/// lane 4's hit, before the second batch exists, pushes a far wake onto
+/// page 200's completion cycle.
+#[test]
+fn lane_wake_on_a_page_ready_cycle_in_both_push_orders() {
+    let c200 = |w: &Wakes| ready_at(w, &[2]);
+    // Page first. Wait on page 3 until 1,500 cycles short of page 200.
+    let probe = wake_case(&two_batches(accesses(&[(3, 0), (3, 0), (400, 10)]), vec![]));
+    let wait = u32::try_from(c200(&probe) - ready_at(&probe, &[1]) - 1_500).expect("fits");
+    let lane1 = |c| two_batches(accesses(&[(3, wait), (3, c), (400, 10)]), vec![]);
+    let (at, compute, w) = land_on(&lane1, 1, &c200);
+    assert!(u64::from(compute) < 2_048, "a ring wake: {compute}");
+    assert!(
+        hit_before_last_fault(&w, 1) > second_batch(&w).0,
+        "page 200 was pushed first"
+    );
+    assert!(!w.inline.iter().any(|&(t, _)| t == at), "{w:?}");
+
+    // Lane first.
+    let lane4 = |c| two_batches(accesses(&[(3, 10)]), accesses(&[(101, c), (700, 10)]));
+    let (_, compute, w) = land_on(&lane4, 4, &c200);
+    assert!(u64::from(compute) >= 2_048, "a far wake: {compute}");
+    assert!(
+        hit_before_last_fault(&w, 4) < second_batch(&w).0,
+        "lane 4 was pushed first"
+    );
+}
+
+/// A lane wake on the exact cycle of a `DriverFree`, in both push
+/// orders: the second batch's host-done cycle, which its last
+/// completion (page 300) shares. Driver first: lane 1's ring wake,
+/// pushed after the batch. Lane first: lane 4's far wake, pushed before
+/// it.
+#[test]
+fn lane_wake_on_a_driver_free_cycle_in_both_push_orders() {
+    let host_done = |w: &Wakes| second_batch(w).1;
+    // Driver first.
+    let probe = wake_case(&two_batches(accesses(&[(3, 0), (3, 0), (400, 10)]), vec![]));
+    let wait = u32::try_from(host_done(&probe) - ready_at(&probe, &[1]) - 1_500).expect("fits");
+    let lane1 = |c| two_batches(accesses(&[(3, wait), (3, c), (400, 10)]), vec![]);
+    let (_, compute, w) = land_on(&lane1, 1, &host_done);
+    assert!(u64::from(compute) < 2_048, "a ring wake: {compute}");
+    assert!(
+        hit_before_last_fault(&w, 1) > second_batch(&w).0,
+        "the driver was pushed first"
+    );
+
+    // Lane first.
+    let lane4 = |c| two_batches(accesses(&[(3, 10)]), accesses(&[(101, c), (700, 10)]));
+    let (_, compute, w) = land_on(&lane4, 4, &host_done);
+    assert!(u64::from(compute) >= 2_048, "a far wake: {compute}");
+    assert!(
+        hit_before_last_fault(&w, 4) < second_batch(&w).0,
+        "lane 4 was pushed first"
+    );
+}
+
+/// Lane wakes 2,048 or more cycles ahead wait in the far run beside the
+/// page completions: from long computes, and from barrier relaunches
+/// (`launch_overhead_cycles`, 7,000, out).
+#[test]
+fn far_lane_wakes_agree() {
+    // Six lanes sweep their own 64 pages twice, drawing each compute
+    // from `computes`, with a barrier every `round` accesses.
+    let sweeps = |computes: &[u32], round: u64| -> Vec<Vec<LaneItem>> {
+        let mut rng = Xoshiro256ss::new(3);
+        (0..6u64)
+            .map(|lane| {
+                let mut items = Vec::new();
+                for i in 0..128 {
+                    let compute = computes[rng.gen_range(computes.len() as u64) as usize];
+                    let page = VirtPage(lane * 64 + i % 64);
+                    items.push(LaneItem::Access(AccessStep { page, compute }));
+                    if (i + 1) % round == 0 {
+                        items.push(LaneItem::Barrier);
+                    }
+                }
+                items
+            })
+            .collect()
+    };
+    let long = sweeps(&[0, 10, 2_047, 2_048, 2_049, 6_000, 40_000], u64::MAX);
+    let relaunches = sweeps(&[0, 10, 500], 32);
+    for (what, streams, far) in [("long computes", long, 6), ("relaunches", relaunches, 24)] {
+        let mut fc = FireCounts::default();
+        let engine = || PolicyPreset::Cppe.build(5);
+        let cfg = ExpConfig::default().gpu;
+        let r = agree(what, &cfg, &engine, &streams, 256, 384, &mut fc);
+        assert!(r.completed(), "{what}: {:?}", r.outcome);
+        let q = fc.queue;
+        assert!(q.pushes.far_lane >= far, "{what}: {q:?}");
+        assert_eq!(q.pops, q.pushes, "{what}: {q:?}");
+    }
+}
+
+/// 112 lanes (`warps_per_sm: 4`), the lane count of the `resident-112`
+/// benchmark, on a reduced-scale paper cell.
+#[test]
+fn lanes_112_agree() {
+    for preset in [PolicyPreset::Baseline, PolicyPreset::Cppe] {
+        let r = paper_cell("STN", preset, 0.125, &|cfg| cfg.warps_per_sm = 4);
+        assert!(r.accesses > 0);
+    }
 }

@@ -74,7 +74,10 @@ fn every_observer_combination_is_bit_identical() {
             );
             assert_eq!(timeline.points.len() as u64, r.driver.batches);
             assert_eq!(invariants.checks, r.driver.batches);
-            assert!(counts.run_ahead > 0 && counts.run_ahead < r.accesses);
+            assert_eq!(counts.queue.pops, counts.queue.pushes);
+            // Every hit schedules its lane's next wake.
+            let lane_pushes = counts.queue.pushes.near_lane + counts.queue.pushes.far_lane;
+            assert!(lane_pushes >= r.accesses);
             assert!(counts.inline_wakes > 0 && counts.inline_wakes <= r.engine.faults);
             timelines.push(timeline.points);
         }
