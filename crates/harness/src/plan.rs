@@ -12,6 +12,7 @@ use gpu::RunResult;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use telemetry::RunTelemetry;
 use workloads::{registry, WorkloadSpec};
 
 /// One report: the cells it reads and how it renders them.
@@ -64,6 +65,15 @@ impl Results {
         self.map
             .get(&cell.key())
             .expect("the plan declared this cell")
+    }
+
+    /// The telemetry `cell` recorded (`None` unless it was traced).
+    ///
+    /// # Panics
+    /// Panics when the plan did not declare `cell`.
+    #[must_use]
+    pub fn telemetry(&self, cell: &Cell) -> Option<&RunTelemetry> {
+        self.get(cell).telemetry.as_ref()
     }
 
     /// The result of [`Cell::app`]`(abbr, preset, rate, cfg)`.

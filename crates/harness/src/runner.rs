@@ -12,7 +12,7 @@
 use cppe::presets::PolicyPreset;
 use gmmu::types::PAGES_PER_CHUNK;
 use gpu::{simulate, GpuConfig, RunResult};
-use telemetry::TraceFormat;
+use telemetry::{TraceConfig, TraceFormat};
 use workloads::{registry, LaneItem, WorkloadSpec};
 
 /// The two oversubscription rates of the evaluation.
@@ -111,6 +111,17 @@ impl Cell {
             gpu: cfg.gpu,
             scale: cfg.scale,
         }
+    }
+
+    /// This cell traced with `trace`'s ring capacities and audit
+    /// setting.
+    #[must_use]
+    pub fn traced(mut self, trace: TraceConfig) -> Cell {
+        self.gpu.trace = TraceConfig {
+            enabled: true,
+            ..trace
+        };
+        self
     }
 
     /// [`Cell::new`] for a registry workload (panics on an unknown
