@@ -3,7 +3,6 @@
 use gmmu::translation::TranslationConfig;
 use sim_core::error::ConfigError;
 use sim_core::fault::InjectionConfig;
-use telemetry::TraceConfig;
 use uvm::driver::ResilienceConfig;
 
 /// Simulator configuration.
@@ -50,13 +49,6 @@ pub struct GpuConfig {
     /// degradation ladder (`degraded_mode`, off by default so the
     /// paper's crash figures are unchanged).
     pub resilience: ResilienceConfig,
-    /// Telemetry: typed event tracing plus a per-batch metrics epoch
-    /// sampler. Off by default — a disabled tracer records nothing,
-    /// allocates nothing and leaves runs bit-identical. Setting
-    /// `trace.audit` additionally records policy decision provenance
-    /// (eviction candidate windows, prefetch plan origins) for the
-    /// audit experiment's ledger and oracle comparator.
-    pub trace: TraceConfig,
 }
 
 impl Default for GpuConfig {
@@ -76,7 +68,6 @@ impl Default for GpuConfig {
             max_cycles: 200_000_000_000,
             injection: InjectionConfig::disabled(),
             resilience: ResilienceConfig::default(),
-            trace: TraceConfig::default(),
         }
     }
 }
@@ -130,11 +121,9 @@ mod tests {
         assert_eq!(c.fault_base_cycles, 28_000);
         assert_eq!(c.pcie_gb_per_s, 16.0);
         assert_eq!(c.lanes(), 112);
-        // Robustness and telemetry layers are inert by default.
+        // The robustness layers are inert by default.
         assert!(!c.injection.any_enabled());
         assert!(!c.resilience.degraded_mode);
-        assert!(!c.trace.enabled);
-        assert!(!c.trace.audit, "decision auditing is opt-in");
         assert!(c.validate().is_ok());
     }
 

@@ -11,9 +11,9 @@
 //! * [`sim`] — [`simulate`], [`simulate_with`], [`RunResult`] and
 //!   [`Outcome`], on the event loop's lane-indexed wake calendar
 //!   (its counted traffic is [`QueueCounts`]),
-//! * [`observe`] — the event loop's [`Observer`] hooks and the stock
-//!   observers ([`Timeline`], [`Invariants`], [`FireCounts`],
-//!   [`EvictionPasses`]),
+//! * [`observe`] — the event loop's [`Observer`] hooks (which include
+//!   the driver's [`DriverObserver`] hooks) and the stock observers
+//!   ([`Timeline`], [`Invariants`], [`FireCounts`], [`EvictionPasses`]),
 //! * [`reference`](mod@reference) — the slow reference loop that [`simulate`] is
 //!   checked against, bit for bit.
 
@@ -24,12 +24,12 @@ pub mod dram;
 pub mod observe;
 pub mod reference;
 pub mod sim;
-mod spans;
 pub mod waiters;
 
 pub use calendar::{KindCounts, QueueCounts};
 pub use config::GpuConfig;
 pub use observe::{
-    EvictionPasses, FireCounts, Invariants, NoObserver, Observer, Timeline, TimelinePoint,
+    DriverObserver, EvictionPasses, FireCounts, Invariants, NoObserver, Observer, Timeline,
+    TimelinePoint,
 };
 pub use sim::{simulate, simulate_accesses, simulate_with, Outcome, RunResult};

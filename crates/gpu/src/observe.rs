@@ -3,13 +3,18 @@
 //! [`simulate_with`](crate::simulate_with) is generic over an
 //! [`Observer`]: the loop calls one method per natural simulation event
 //! — an access hit, a far fault raised, a fault batch dispatched, a page
-//! landing — and knows nothing about what the observer does with it. Every method defaults to a no-op, so
-//! [`NoObserver`] monomorphizes to a loop with no hook code at all.
+//! landing — and knows nothing about what the observer does with it.
+//! An [`Observer`] is also a [`DriverObserver`]: the loop hands it to
+//! [`UvmDriver::service_batch_with`], so one observer sees both the
+//! loop and the driver's batch service. Every method defaults to a
+//! no-op, so [`NoObserver`] monomorphizes to a loop with no hook code
+//! at all.
 //!
 //! Observers watch; they never steer. A hook sees the simulator through
-//! a read-only [`Ctx`] whose one writable part is the run's telemetry
-//! tracer, so any observer combination leaves every simulated quantity
-//! bit-identical (`tests/observers.rs` checks this).
+//! a read-only [`Ctx`] (a driver hook sees the driver read-only), so any
+//! observer combination leaves every simulated quantity bit-identical
+//! (`tests/observers.rs` checks this). Telemetry recording is one such
+//! observer, kept outside the simulator crates (`harness::Tracing`).
 //!
 //! Observers here:
 //! * [`Timeline`] — one [`TimelinePoint`] per dispatched batch;
@@ -23,9 +28,8 @@
 //!   driver's dense pin set and the chain's dense chunk-id index did
 //!   their work.
 //!
-//! The fault-lifecycle span builder is one more observer, switched on by
-//! `GpuConfig::trace` (see `crate::spans`). A pair `(A, B)` of observers
-//! is itself an observer that calls `A` then `B`.
+//! A pair `(A, B)` of observers is itself an observer that calls `A`
+//! then `B`.
 
 use crate::cache::{DataHierarchy, InvalidationCounts};
 use crate::calendar::QueueCounts;
@@ -36,12 +40,13 @@ use gmmu::translation::{ShootdownCounts, TranslationPath, TranslationTiming};
 use gmmu::types::VirtPage;
 use sim_core::time::Cycle;
 use sim_core::{FxHashMap, FxHashSet};
-use telemetry::Tracer;
 use uvm::driver::{BatchResult, UvmDriver};
+pub use uvm::observe::{DriverObserver, NoObserver};
 
 /// What a hook may see of the simulator at the moment it fires.
+#[derive(Clone, Copy)]
 pub struct Ctx<'a> {
-    pub(crate) driver: &'a mut UvmDriver,
+    pub(crate) driver: &'a UvmDriver,
     pub(crate) xlat: &'a TranslationPath,
     pub(crate) caches: &'a DataHierarchy,
     pub(crate) waiting: &'a WaiterTable,
@@ -51,7 +56,7 @@ pub struct Ctx<'a> {
 impl<'a> Ctx<'a> {
     /// The UVM driver: policy engine, counters, frame pool.
     #[must_use]
-    pub fn driver(&self) -> &UvmDriver {
+    pub fn driver(&self) -> &'a UvmDriver {
         self.driver
     }
 
@@ -78,28 +83,12 @@ impl<'a> Ctx<'a> {
     pub fn pending(&self) -> &'a [VirtPage] {
         self.pending
     }
-
-    /// The run's tracer (disabled unless `GpuConfig::trace` is on).
-    /// Recording into it is the one write a hook may make.
-    pub fn tracer(&mut self) -> &mut Tracer {
-        self.driver.tracer_mut()
-    }
-
-    /// A shorter-lived copy, so one context can feed several hooks.
-    fn reborrow(&mut self) -> Ctx<'_> {
-        Ctx {
-            driver: self.driver,
-            xlat: self.xlat,
-            caches: self.caches,
-            waiting: self.waiting,
-            pending: self.pending,
-        }
-    }
 }
 
-/// Callbacks at the event loop's hook points. All default to no-ops.
+/// Callbacks at the event loop's hook points, on top of the driver's.
+/// All default to no-ops.
 #[allow(unused_variables)]
-pub trait Observer {
+pub trait Observer: DriverObserver {
     /// Lane `lane`'s translation of `page` hit; the access proceeds at
     /// `ready_at`.
     #[inline]
@@ -146,49 +135,44 @@ pub trait Observer {
     fn queue_traffic(&mut self, queue: &QueueCounts) {}
 }
 
-/// The observer that watches nothing.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoObserver;
-
 impl Observer for NoObserver {}
 
 impl<A: Observer, B: Observer> Observer for (A, B) {
     #[inline]
-    fn access_hit(&mut self, mut ctx: Ctx<'_>, lane: u32, page: VirtPage, ready_at: Cycle) {
-        self.0.access_hit(ctx.reborrow(), lane, page, ready_at);
+    fn access_hit(&mut self, ctx: Ctx<'_>, lane: u32, page: VirtPage, ready_at: Cycle) {
+        self.0.access_hit(ctx, lane, page, ready_at);
         self.1.access_hit(ctx, lane, page, ready_at);
     }
 
     #[inline]
     fn fault_raised(
         &mut self,
-        mut ctx: Ctx<'_>,
+        ctx: Ctx<'_>,
         lane: u32,
         page: VirtPage,
         now: Cycle,
         timing: &TranslationTiming,
         at: Cycle,
     ) {
-        self.0
-            .fault_raised(ctx.reborrow(), lane, page, now, timing, at);
+        self.0.fault_raised(ctx, lane, page, now, timing, at);
         self.1.fault_raised(ctx, lane, page, now, timing, at);
     }
 
     #[inline]
-    fn batch_dispatched(&mut self, mut ctx: Ctx<'_>, dispatch: Cycle, batch: &BatchResult) {
-        self.0.batch_dispatched(ctx.reborrow(), dispatch, batch);
+    fn batch_dispatched(&mut self, ctx: Ctx<'_>, dispatch: Cycle, batch: &BatchResult) {
+        self.0.batch_dispatched(ctx, dispatch, batch);
         self.1.batch_dispatched(ctx, dispatch, batch);
     }
 
     #[inline]
-    fn page_ready(&mut self, mut ctx: Ctx<'_>, page: VirtPage, now: Cycle, lanes: &[u32]) {
-        self.0.page_ready(ctx.reborrow(), page, now, lanes);
+    fn page_ready(&mut self, ctx: Ctx<'_>, page: VirtPage, now: Cycle, lanes: &[u32]) {
+        self.0.page_ready(ctx, page, now, lanes);
         self.1.page_ready(ctx, page, now, lanes);
     }
 
     #[inline]
-    fn inline_wake(&mut self, mut ctx: Ctx<'_>, lane: u32, now: Cycle) {
-        self.0.inline_wake(ctx.reborrow(), lane, now);
+    fn inline_wake(&mut self, ctx: Ctx<'_>, lane: u32, now: Cycle) {
+        self.0.inline_wake(ctx, lane, now);
         self.1.inline_wake(ctx, lane, now);
     }
 
@@ -261,6 +245,8 @@ pub struct Timeline {
     pub points: Vec<TimelinePoint>,
 }
 
+impl DriverObserver for Timeline {}
+
 impl Observer for Timeline {
     fn batch_dispatched(&mut self, ctx: Ctx<'_>, dispatch: Cycle, _batch: &BatchResult) {
         let st = ctx.driver().engine().stats;
@@ -285,6 +271,8 @@ pub struct FireCounts {
     /// round trip.
     pub inline_wakes: u64,
 }
+
+impl DriverObserver for FireCounts {}
 
 impl Observer for FireCounts {
     #[inline]
@@ -316,6 +304,8 @@ pub struct EvictionPasses {
     /// stamps grew to.
     pub pins: PinCounts,
 }
+
+impl DriverObserver for EvictionPasses {}
 
 impl Observer for EvictionPasses {
     fn batch_dispatched(&mut self, ctx: Ctx<'_>, _: Cycle, _: &BatchResult) {
@@ -442,6 +432,8 @@ impl Invariants {
         Ok(())
     }
 }
+
+impl DriverObserver for Invariants {}
 
 impl Observer for Invariants {
     fn batch_dispatched(&mut self, ctx: Ctx<'_>, dispatch: Cycle, batch: &BatchResult) {

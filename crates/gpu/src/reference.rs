@@ -4,9 +4,8 @@
 //!
 //! It models the same machine with the same [`UvmDriver`] and
 //! [`PolicyEngine`], barrier rule, compute-jitter draws, timeout rule
-//! and crash and error handling, the driver's tracer set from
-//! `GpuConfig::trace` as production sets it, and none of the production
-//! loop's speed mechanisms:
+//! and crash and error handling, and none of the production loop's
+//! speed mechanisms:
 //!
 //! * one event per access on a [`BinaryHeap`] keyed by (cycle, push
 //!   sequence), so events at one cycle pop in push order: no wake
@@ -21,9 +20,11 @@
 //!
 //! It shares no code with the production loop. [`check`] runs both on
 //! the same streams and compares their [`Fingerprint`]s; the production
-//! side's batch record comes from the [`BatchLog`] observer. Lane spans
-//! come from production's span observer alone, so a traced run's spans
-//! and the latency histograms folded from them are not compared.
+//! side's batch record comes from the [`BatchLog`] observer. Both loops
+//! attach a [`HookLog`] to the driver, so the fingerprints also hold
+//! every driver hook call in order — each cycle stamp, plan, candidate
+//! window and the counters behind each serviced batch: everything a
+//! tracing observer could record from the driver.
 
 use crate::cache::legacy::ScanPageCache;
 use crate::cache::{L1_HIT, L1_SETS, L1_WAYS, L2_HIT, L2_SETS, L2_WAYS};
@@ -42,6 +43,7 @@ use sim_core::FxHashMap;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use uvm::driver::{BatchResult, UvmConfig, UvmDriver};
+use uvm::observe::{DriverObserver, Hook, HookLog};
 use workloads::LaneItem;
 
 /// One serviced fault batch.
@@ -81,6 +83,8 @@ pub struct BatchLog {
     queued: Vec<VirtPage>,
 }
 
+impl DriverObserver for BatchLog {}
+
 impl Observer for BatchLog {
     fn fault_raised(
         &mut self,
@@ -101,6 +105,8 @@ impl Observer for BatchLog {
     }
 }
 
+impl Observer for HookLog {}
+
 /// Everything both loops observably compute, as comparable values.
 #[derive(Debug, PartialEq, Eq)]
 pub struct Fingerprint {
@@ -110,15 +116,14 @@ pub struct Fingerprint {
     pub head: String,
     /// The batch timeline.
     pub batches: Vec<Batch>,
-    /// When tracing was on: the driver's events, epoch series and
-    /// decisions, one line each, with the rings' drop counts.
-    pub telemetry: Option<Vec<String>>,
+    /// Every driver hook call, in order.
+    pub hooks: Vec<Hook>,
 }
 
 impl Fingerprint {
-    /// Fingerprint run `r` with its batch timeline.
+    /// Fingerprint run `r` with its batch timeline and driver hooks.
     #[must_use]
-    pub fn new(r: &RunResult, batches: Vec<Batch>) -> Self {
+    pub fn new(r: &RunResult, batches: Vec<Batch>, hooks: Vec<Hook>) -> Self {
         let head = format!(
             "{:?} error={:?} cycles={} accesses={}\nengine={:?}\ndriver={:?}\n\
              translation={:?}\ninjection={:?}\noverhead={:?}\nh2d={} d2h={} wrong={} \
@@ -141,20 +146,10 @@ impl Fingerprint {
             r.resident_pages,
             r.mhpe,
         );
-        let telemetry = r.telemetry.as_ref().map(|t| {
-            let mut lines: Vec<String> = t.events.iter().map(|e| format!("{e:?}")).collect();
-            lines.extend(t.decisions.iter().map(|d| format!("{d:?}")));
-            lines.push(format!("{:?}", t.series));
-            lines.push(format!(
-                "dropped events={} decisions={}",
-                t.dropped_events, t.dropped_decisions
-            ));
-            lines
-        });
         Fingerprint {
             head,
             batches,
-            telemetry,
+            hooks,
         }
     }
 
@@ -171,13 +166,8 @@ impl Fingerprint {
         if self.head != other.head {
             return Some(format!("{}\nvs\n{}", self.head, other.head));
         }
-        if let Some(d) = first("batch", &self.batches, &other.batches) {
-            return Some(d);
-        }
-        match (&self.telemetry, &other.telemetry) {
-            (Some(a), Some(b)) => first("telemetry line", a, b),
-            (a, b) => (a.is_some() != b.is_some()).then(|| "telemetry on one side only".into()),
-        }
+        first("batch", &self.batches, &other.batches)
+            .or_else(|| first("driver hook", &self.hooks, &other.hooks))
     }
 }
 
@@ -200,17 +190,19 @@ pub fn check<O: Observer>(
     obs: O,
 ) -> Result<RunResult, String> {
     let mut log = BatchLog::default();
+    let mut hooks = HookLog::default();
     let r = crate::simulate_with(
         cfg,
         engine(),
         streams,
         capacity_pages,
         footprint_pages,
-        (&mut log, obs),
+        ((&mut log, &mut hooks), obs),
     );
-    let (slow, batches) = simulate(cfg, engine(), streams, capacity_pages, footprint_pages);
-    let fast = Fingerprint::new(&r, log.batches);
-    match fast.diff(&Fingerprint::new(&slow, batches)) {
+    let (slow, batches, slow_hooks) =
+        simulate(cfg, engine(), streams, capacity_pages, footprint_pages);
+    let fast = Fingerprint::new(&r, log.batches, hooks.calls);
+    match fast.diff(&Fingerprint::new(&slow, batches, slow_hooks)) {
         Some(d) => Err(format!("production vs reference: {d}")),
         None => Ok(r),
     }
@@ -267,6 +259,7 @@ struct Machine {
     pending: Vec<VirtPage>,
     driver_busy: bool,
     batches: Vec<Batch>,
+    hooks: HookLog,
 }
 
 impl Machine {
@@ -280,7 +273,7 @@ impl Machine {
         let faults = std::mem::take(&mut self.pending);
         let r = self
             .driver
-            .service_batch(&faults, at, &mut self.xlat)
+            .service_batch_with(&faults, at, &mut self.xlat, &mut self.hooks)
             .map_err(|e| Stop::Error(e.to_string()))?;
         if r.crashed {
             return Err(Stop::Crashed(r.done_at));
@@ -300,7 +293,7 @@ impl Machine {
 
 /// Run `streams` through the reference loop: the same arguments and
 /// [`RunResult`] as [`simulate`](crate::simulate), plus the batch
-/// timeline.
+/// timeline and the driver's hook calls.
 ///
 /// # Panics
 /// As [`simulate`](crate::simulate).
@@ -311,9 +304,9 @@ pub fn simulate(
     streams: &[Vec<LaneItem>],
     capacity_pages: u32,
     footprint_pages: u64,
-) -> (RunResult, Vec<Batch>) {
+) -> (RunResult, Vec<Batch>, Vec<Hook>) {
     assert!(streams.len() <= cfg.lanes(), "more streams than lanes");
-    let mut driver = UvmDriver::with_injection(
+    let driver = UvmDriver::with_injection(
         UvmConfig {
             capacity_pages,
             fault_base_cycles: cfg.fault_base_cycles,
@@ -328,7 +321,6 @@ pub fn simulate(
         cfg.resilience,
     )
     .expect("invalid GPU/UVM configuration");
-    driver.set_tracer(telemetry::Tracer::new(cfg.trace));
     let mut m = Machine {
         xlat: ScanPath::new(&cfg.translation),
         driver,
@@ -345,6 +337,7 @@ pub fn simulate(
         pending: Vec::new(),
         driver_busy: false,
         batches: Vec::new(),
+        hooks: HookLog::default(),
     };
     // Barrier `b` releases once every lane with more than `b` barriers
     // has arrived at it.
@@ -448,7 +441,6 @@ pub fn simulate(
         }
         Some(Stop::Error(e)) => (Outcome::Crashed, Some(e)),
     };
-    let telemetry = m.driver.take_telemetry();
     let mhpe = m.driver.engine_mut().evict_policy_mut().mhpe_trace();
     let engine = m.driver.engine();
     let r = RunResult {
@@ -469,7 +461,6 @@ pub fn simulate(
         resident_pages: m.xlat.page_table().resident_count() as u64,
         injection: m.driver.injector_stats(),
         error,
-        telemetry,
     };
-    (r, m.batches)
+    (r, m.batches, m.hooks.calls)
 }

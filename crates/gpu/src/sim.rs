@@ -22,7 +22,6 @@ use crate::cache::DataHierarchy;
 use crate::calendar::{Event, WakeCalendar};
 use crate::config::GpuConfig;
 use crate::observe::{Ctx, NoObserver, Observer};
-use crate::spans::LaneSpans;
 use crate::waiters::WaiterTable;
 use cppe::engine::{EngineStats, OverheadSnapshot, PolicyEngine};
 use cppe::evict::MhpeTrace;
@@ -89,9 +88,6 @@ pub struct RunResult {
     /// Service-path error that ended the run, if any (the run is
     /// reported as crashed rather than panicking the process).
     pub error: Option<String>,
-    /// Recorded telemetry: typed event trace plus the per-batch metrics
-    /// epoch series. `None` unless `GpuConfig::trace` enabled it.
-    pub telemetry: Option<telemetry::RunTelemetry>,
 }
 
 impl RunResult {
@@ -133,7 +129,6 @@ impl RunResult {
             resident_pages: 0,
             injection: InjectionStats::default(),
             error: Some(error.into()),
-            telemetry: None,
         }
     }
 }
@@ -166,9 +161,9 @@ struct Machine {
 
 impl Machine {
     #[inline]
-    fn ctx(&mut self) -> Ctx<'_> {
+    fn ctx(&self) -> Ctx<'_> {
         Ctx {
-            driver: &mut self.driver,
+            driver: &self.driver,
             xlat: &self.xlat,
             caches: &self.caches,
             waiting: &self.waiting,
@@ -176,14 +171,14 @@ impl Machine {
         }
     }
 
-    /// Dispatch the pending faults to the host driver as one batch and
-    /// queue its completions.
+    /// Dispatch the pending faults to the host driver as one batch,
+    /// with `obs` watching the driver, and queue its completions.
     fn dispatch<O: Observer>(&mut self, at: Cycle, obs: &mut O) -> Result<(), Stop> {
         self.driver_busy = true;
         std::mem::swap(&mut self.pending, &mut self.batch_buf);
         let r = self
             .driver
-            .service_batch(&self.batch_buf, at, &mut self.xlat)
+            .service_batch_with(&self.batch_buf, at, &mut self.xlat, &mut *obs)
             .map_err(|e| Stop::Error(e.to_string()))?;
         self.batch_buf.clear();
         if r.crashed {
@@ -295,37 +290,14 @@ pub fn simulate(
     )
 }
 
-/// [`simulate`] with `obs` attached to the event loop's hook points.
-/// When `cfg.trace` is on, the fault-lifecycle span builder rides along
-/// ahead of `obs`. Pass `&mut obs` to read the observer back afterwards.
+/// [`simulate`] with `obs` attached to the event loop's and the
+/// driver's hook points. Pass `&mut obs` to read the observer back
+/// afterwards.
 ///
 /// # Panics
 /// As [`simulate`].
 #[must_use]
 pub fn simulate_with<O: Observer>(
-    cfg: &GpuConfig,
-    engine: PolicyEngine,
-    streams: &[Vec<LaneItem>],
-    capacity_pages: u32,
-    footprint_pages: u64,
-    obs: O,
-) -> RunResult {
-    if cfg.trace.enabled {
-        let spans = LaneSpans::new(cfg.warps_per_sm);
-        run(
-            cfg,
-            engine,
-            streams,
-            capacity_pages,
-            footprint_pages,
-            (spans, obs),
-        )
-    } else {
-        run(cfg, engine, streams, capacity_pages, footprint_pages, obs)
-    }
-}
-
-fn run<O: Observer>(
     cfg: &GpuConfig,
     engine: PolicyEngine,
     streams: &[Vec<LaneItem>],
@@ -339,7 +311,7 @@ fn run<O: Observer>(
         streams.len(),
         cfg.lanes()
     );
-    let mut driver = UvmDriver::with_injection(
+    let driver = UvmDriver::with_injection(
         UvmConfig {
             capacity_pages,
             fault_base_cycles: cfg.fault_base_cycles,
@@ -354,7 +326,6 @@ fn run<O: Observer>(
         cfg.resilience,
     )
     .expect("invalid GPU/UVM configuration — pre-check with GpuConfig::validate");
-    driver.set_tracer(telemetry::Tracer::new(cfg.trace));
     let mut m = Machine {
         xlat: TranslationPath::new(&cfg.translation),
         driver,
@@ -486,7 +457,6 @@ fn run<O: Observer>(
     let Machine {
         xlat, mut driver, ..
     } = m;
-    let run_telemetry = driver.take_telemetry();
     let mhpe = driver.engine_mut().evict_policy_mut().mhpe_trace();
     let engine = driver.engine();
     RunResult {
@@ -507,7 +477,6 @@ fn run<O: Observer>(
         resident_pages: xlat.page_table().resident_count() as u64,
         injection: driver.injector_stats(),
         error,
-        telemetry: run_telemetry,
     }
 }
 
@@ -525,7 +494,7 @@ fn compute_cycles(cfg: &GpuConfig, step: AccessStep, rng: &mut Xoshiro256ss) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observe::{EvictionPasses, FireCounts, Invariants, Timeline};
+    use crate::observe::{DriverObserver, EvictionPasses, FireCounts, Invariants, Timeline};
     use cppe::presets::PolicyPreset;
     use uvm::driver::BatchResult;
 
@@ -745,6 +714,7 @@ mod tests {
         /// Page completions the driver handed back.
         #[derive(Default)]
         struct Completions(u64);
+        impl DriverObserver for Completions {}
         impl Observer for Completions {
             fn batch_dispatched(&mut self, _: Ctx<'_>, _: Cycle, batch: &BatchResult) {
                 self.0 += batch.completions.len() as u64;
@@ -833,6 +803,7 @@ mod tests {
         /// an ungated sweep makes.
         #[derive(Default)]
         struct NamedSpans(u64);
+        impl DriverObserver for NamedSpans {}
         impl Observer for NamedSpans {
             fn batch_dispatched(&mut self, _: Ctx<'_>, _: Cycle, batch: &BatchResult) {
                 let sets = batch
@@ -870,35 +841,6 @@ mod tests {
         let r = simulate_with(&tiny_cfg(), engine, &streams, 128, 512, &mut inv);
         inv.assert_clean();
         assert_eq!(inv.checks, r.driver.batches);
-    }
-
-    #[test]
-    fn tracing_attaches_telemetry_with_one_epoch_per_batch() {
-        let cfg = GpuConfig {
-            trace: telemetry::TraceConfig::on(),
-            ..tiny_cfg()
-        };
-        let streams = vec![seq_stream(128, 2, 100)];
-        let r = simulate_accesses(&cfg, PolicyPreset::Baseline.build(0), &streams, 64, 128);
-        let t = r.telemetry.as_ref().expect("tracing was on");
-        assert_eq!(t.series.rows.len() as u64, r.driver.batches);
-        t.series.parity().expect("counter deltas reconcile");
-        assert_eq!(t.series.final_total("driver.batches"), r.driver.batches);
-        assert_eq!(
-            t.series.final_total("cppe.pages_migrated"),
-            r.engine.pages_migrated
-        );
-        assert!(!t.events.is_empty());
-        assert!(!t.spans.is_empty(), "lane span trees ride along");
-
-        let off = simulate_accesses(
-            &tiny_cfg(),
-            PolicyPreset::Baseline.build(0),
-            &streams,
-            64,
-            128,
-        );
-        assert!(off.telemetry.is_none(), "no telemetry unless asked");
     }
 
     #[test]

@@ -12,7 +12,7 @@ use harness::report::{save, RESULTS_DIR};
 use harness::{Cell, ExpConfig};
 use std::path::Path;
 use std::process::ExitCode;
-use telemetry::{export, TraceFormat};
+use telemetry::{export, TraceConfig, TraceFormat};
 use workloads::registry;
 
 fn main() -> ExitCode {
@@ -51,7 +51,7 @@ fn main() -> ExitCode {
         scale,
         ..ExpConfig::default()
     };
-    cfg.gpu.trace.enabled = trace;
+    cfg.trace = trace.then(TraceConfig::default);
     cfg.trace_format = format;
 
     let w = registry::by_abbr(&which).expect("unknown workload");
@@ -64,7 +64,7 @@ fn main() -> ExitCode {
         for rate in [0.75, 0.5] {
             let t0 = std::time::Instant::now();
             let cell = Cell::new(&w, preset, rate, &cfg);
-            let r = cell.run();
+            let (r, telemetry) = cell.run();
             let frac = r.engine.total_untouch as f64 / r.engine.pages_evicted.max(1) as f64;
             let vol = r.engine.pages_evicted as f64 / w.pages(cfg.scale) as f64;
             println!(
@@ -73,13 +73,13 @@ fn main() -> ExitCode {
                 r.driver.faults_serviced, r.engine.chunk_evictions, frac, vol, t0.elapsed()
             );
             if trace && preset == PolicyPreset::Cppe && rate == 0.5 {
-                let t = r.telemetry.as_ref().expect("traced run has telemetry");
+                let t = telemetry.as_ref().expect("traced run has telemetry");
                 if format.wants_csv() {
                     files.push(("smoke_timeline.csv", export::timeline_csv(&t.series)));
                 }
                 if format.wants_json() {
                     let name = format!("{} {}", w.abbr, preset.label());
-                    let record = document(&[RunRecord::new(name, &cell, &r)]);
+                    let record = document(&[RunRecord::new(name, &cell, &r, Some(t))]);
                     files.push(("smoke.json", record));
                 }
                 if format.wants_chrome() {

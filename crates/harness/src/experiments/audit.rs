@@ -44,14 +44,12 @@ pub const EXPERIMENT: Experiment = Experiment::new("audit", cells, render);
 /// Panics on an unknown app abbreviation.
 #[must_use]
 pub fn audited(cfg: &ExpConfig, abbr: &str) -> Cell {
-    let mut cell = Cell::app(abbr, PolicyPreset::Cppe, 0.5, cfg);
-    cell.gpu.trace = telemetry::TraceConfig {
+    Cell::app(abbr, PolicyPreset::Cppe, 0.5, cfg).traced(telemetry::TraceConfig {
         ring_capacity: AUDIT_RING,
         span_capacity: AUDIT_RING,
         decision_capacity: AUDIT_RING,
         ..telemetry::TraceConfig::audited()
-    };
-    cell
+    })
 }
 
 /// Every [`APPS`] workload, audited.
@@ -98,7 +96,7 @@ fn render(cfg: &ExpConfig, results: &Results) -> Report {
     let runs: Vec<RunRecord> = cells(cfg)
         .iter()
         .zip(APPS)
-        .map(|(c, app)| RunRecord::new(app, c, results.get(c)))
+        .map(|(c, app)| RunRecord::new(app, c, results.get(c), results.telemetry(c)))
         .collect();
     let mut files = vec![("audit.json".to_string(), document(&runs))];
 
@@ -123,11 +121,7 @@ fn render(cfg: &ExpConfig, results: &Results) -> Report {
         "zero-regret%",
     ]);
     for run in &runs {
-        let t = run
-            .result
-            .telemetry
-            .as_ref()
-            .expect("audit runs are traced");
+        let t = run.telemetry.expect("audit runs are traced");
         let o = &run
             .audit
             .as_ref()
@@ -156,7 +150,7 @@ fn render(cfg: &ExpConfig, results: &Results) -> Report {
 
     for run in &runs {
         let r = run.result;
-        let t = r.telemetry.as_ref().expect("audit runs are traced");
+        let t = run.telemetry.expect("audit runs are traced");
         let ledger = &run
             .audit
             .as_ref()
@@ -224,21 +218,22 @@ mod tests {
         }
     }
 
-    /// An audited quick-scale cell and its run.
-    fn run_audited(app: &str) -> (Cell, gpu::RunResult) {
+    /// An audited quick-scale cell, its run and its telemetry.
+    fn run_audited(app: &str) -> (Cell, gpu::RunResult, telemetry::RunTelemetry) {
         let cell = audited(&quick_cfg(), app);
-        let r = cell.run();
-        (cell, r)
+        let (r, t) = cell.run();
+        (cell, r, t.expect("audit cells are traced"))
     }
 
     #[test]
     fn audited_run_is_bit_identical_to_untraced_run() {
         // The audit layer must be observational: the simulated outcome
         // of an audited run locks to the plain run, bit for bit.
-        let (_, a) = run_audited("STN");
+        let (_, a, _) = run_audited("STN");
         let spec = registry::by_abbr("STN").unwrap();
-        let plain = crate::runner::run_cell(&spec, PolicyPreset::Cppe, 0.5, &quick_cfg());
-        assert!(plain.telemetry.is_none(), "reference run is untraced");
+        let plain = Cell::new(&spec, PolicyPreset::Cppe, 0.5, &quick_cfg());
+        let (plain, untraced) = plain.run();
+        assert!(untraced.is_none(), "reference run is untraced");
         assert_eq!(a.outcome, plain.outcome);
         assert_eq!(a.cycles, plain.cycles);
         assert_eq!(a.accesses, plain.accesses);
@@ -252,9 +247,8 @@ mod tests {
     #[test]
     fn audit_invariants_hold_on_real_runs() {
         for app in APPS {
-            let (cell, r) = run_audited(app);
-            let run = RunRecord::new(app, &cell, &r);
-            let t = r.telemetry.as_ref().unwrap();
+            let (cell, r, t) = run_audited(app);
+            let run = RunRecord::new(app, &cell, &r, Some(&t));
             assert_eq!(t.dropped_decisions, 0, "{app}: ring sized losslessly");
             assert_eq!(t.dropped_spans, 0, "{app}: span ring sized losslessly");
             assert!(!t.decisions.is_empty(), "{app}: decisions recorded");
@@ -287,8 +281,8 @@ mod tests {
 
     #[test]
     fn lifetime_csv_round_trips_the_shared_parser() {
-        let (cell, r) = run_audited("STN");
-        let run = RunRecord::new("STN", &cell, &r);
+        let (cell, r, t) = run_audited("STN");
+        let run = RunRecord::new("STN", &cell, &r, Some(&t));
         let csv = run.audit.expect("decisions recorded").ledger.lifetime_csv();
         telemetry::csv::validate(&csv).expect("well-formed CSV");
         assert!(csv.starts_with("page,chunk,first_seen_cycle"));

@@ -15,6 +15,7 @@ use crate::runner::{Cell, ExpConfig};
 use cppe::presets::PolicyPreset;
 use gpu::Outcome;
 use sim_core::fault::InjectionConfig;
+use telemetry::TraceConfig;
 use uvm::driver::ResilienceConfig;
 
 /// Pattern-diverse subset (regular / irregular / mixed).
@@ -52,13 +53,12 @@ pub fn injected(abbr: &str, preset: PolicyPreset, cfg: &ExpConfig, inj: Injectio
 }
 
 /// The MVT baseline ladder cells: plain driver, degraded mode, and
-/// degraded mode with recovery after 64 quiet batches. Decision
-/// auditing is on: the ladder runs audit decisions when traced (audit
-/// is inert while tracing is off), so every shed-mode call carries its
-/// rung and fallback-policy provenance.
+/// degraded mode with recovery after 64 quiet batches. Traced runs
+/// audit the ladder's decisions too, so every shed-mode call carries
+/// its rung and fallback-policy provenance.
 fn ladder(cfg: &ExpConfig) -> [Cell; 3] {
     let mut cfg = *cfg;
-    cfg.gpu.trace.audit = true;
+    cfg.trace = cfg.trace.map(|t| TraceConfig { audit: true, ..t });
     let off = InjectionConfig::disabled();
     [
         ResilienceConfig::default(),
@@ -195,60 +195,58 @@ fn render(cfg: &ExpConfig, results: &Results) -> Report {
     // oracle.
     let mut banner = String::new();
     let mut files = Vec::new();
-    if cfg.gpu.trace.enabled {
-        if let Some(t) = &recovered.telemetry {
-            let loss = crate::report::loss_section(t);
-            if !loss.is_empty() {
-                banner = format!("\n{loss}");
-            }
-            let mut counts: std::collections::BTreeMap<(&'static str, &'static str, u32), u64> =
-                std::collections::BTreeMap::new();
-            for rec in &t.decisions {
-                *counts
-                    .entry((rec.event.kind.name(), rec.event.policy, rec.event.rung))
-                    .or_insert(0) += 1;
-            }
-            let mut prov = Table::new(&["kind", "policy", "rung", "count"]);
-            for ((kind, policy, rung), count) in counts {
-                prov.row(vec![
-                    kind.to_string(),
-                    policy.to_string(),
-                    rung.to_string(),
-                    count.to_string(),
-                ]);
-            }
-            let record = RunRecord::new("MVT ladder", &recovered_cell, recovered);
-            let oracle = &record
-                .audit
-                .as_ref()
-                .expect("ladder runs record decisions")
-                .oracle;
-            banner.push_str(&format!(
-                "\nDecision provenance across the ladder (recovered run),\n\
-                 by policy and rung:\n\n{}\n\
-                 Oracle regret: {} of {} chunk migrations avoidable;\n\
-                 eviction regret p50/p95 = {}/{} linearized accesses\n",
-                prov.render(),
-                oracle.avoidable_chunk_migrations(),
-                oracle.actual_chunk_migrations,
-                oracle.regret.quantile(0.5),
-                oracle.regret.quantile(0.95),
+    if let Some(t) = results.telemetry(&recovered_cell) {
+        let loss = crate::report::loss_section(t);
+        if !loss.is_empty() {
+            banner = format!("\n{loss}");
+        }
+        let mut counts: std::collections::BTreeMap<(&'static str, &'static str, u32), u64> =
+            std::collections::BTreeMap::new();
+        for rec in &t.decisions {
+            *counts
+                .entry((rec.event.kind.name(), rec.event.policy, rec.event.rung))
+                .or_insert(0) += 1;
+        }
+        let mut prov = Table::new(&["kind", "policy", "rung", "count"]);
+        for ((kind, policy, rung), count) in counts {
+            prov.row(vec![
+                kind.to_string(),
+                policy.to_string(),
+                rung.to_string(),
+                count.to_string(),
+            ]);
+        }
+        let record = RunRecord::new("MVT ladder", &recovered_cell, recovered, Some(t));
+        let oracle = &record
+            .audit
+            .as_ref()
+            .expect("ladder runs record decisions")
+            .oracle;
+        banner.push_str(&format!(
+            "\nDecision provenance across the ladder (recovered run),\n\
+             by policy and rung:\n\n{}\n\
+             Oracle regret: {} of {} chunk migrations avoidable;\n\
+             eviction regret p50/p95 = {}/{} linearized accesses\n",
+            prov.render(),
+            oracle.avoidable_chunk_migrations(),
+            oracle.actual_chunk_migrations,
+            oracle.regret.quantile(0.5),
+            oracle.regret.quantile(0.95),
+        ));
+        if cfg.trace_format.wants_chrome() {
+            files.push((
+                "chaos_mvt_ladder_trace.json".to_string(),
+                telemetry::export::chrome_trace_json(t),
             ));
-            if cfg.trace_format.wants_chrome() {
-                files.push((
-                    "chaos_mvt_ladder_trace.json".to_string(),
-                    telemetry::export::chrome_trace_json(t),
-                ));
-            }
-            if cfg.trace_format.wants_json() {
-                files.push(("chaos.json".to_string(), document(&[record])));
-            }
-            if cfg.trace_format.wants_csv() {
-                files.push((
-                    "chaos_mvt_ladder_timeline.csv".to_string(),
-                    telemetry::export::timeline_csv(&t.series),
-                ));
-            }
+        }
+        if cfg.trace_format.wants_json() {
+            files.push(("chaos.json".to_string(), document(&[record])));
+        }
+        if cfg.trace_format.wants_csv() {
+            files.push((
+                "chaos_mvt_ladder_timeline.csv".to_string(),
+                telemetry::export::timeline_csv(&t.series),
+            ));
         }
     }
 
@@ -288,7 +286,8 @@ mod tests {
             &cfg,
             InjectionConfig::disabled(),
         )
-        .run();
+        .run()
+        .0;
         let spec = workloads::registry::by_abbr("STN").unwrap();
         let plain = crate::runner::run_cell(&spec, PolicyPreset::Baseline, 0.5, &cfg);
         assert_eq!(injected.cycles, plain.cycles);
@@ -304,16 +303,16 @@ mod tests {
             scale: 0.25,
             ..ExpConfig::quick()
         };
-        cfg.gpu.trace = telemetry::TraceConfig::audited();
+        cfg.trace = Some(TraceConfig::audited());
         cfg.gpu.resilience = ResilienceConfig::degraded();
-        let r = injected(
+        let (_, t) = injected(
             "MVT",
             PolicyPreset::Baseline,
             &cfg,
             InjectionConfig::disabled(),
         )
         .run();
-        let t = r.telemetry.as_ref().expect("traced");
+        let t = t.expect("traced");
         assert!(!t.decisions.is_empty());
         assert!(
             t.decisions.iter().any(|d| d.event.rung > 0),
@@ -333,14 +332,16 @@ mod tests {
             &cfg,
             InjectionConfig::disabled(),
         )
-        .run();
+        .run()
+        .0;
         let hurt = injected(
             "STN",
             PolicyPreset::Baseline,
             &cfg,
             InjectionConfig::combined(cfg.seed),
         )
-        .run();
+        .run()
+        .0;
         assert!(clean.survived());
         assert!(hurt.survived(), "injection must not kill the run");
         assert!(

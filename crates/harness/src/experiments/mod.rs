@@ -54,6 +54,7 @@ use crate::plan::{run_plan, Experiment};
 use crate::report::{save_report, RESULTS_DIR};
 use crate::runner::ExpConfig;
 use std::process::ExitCode;
+use telemetry::TraceConfig;
 
 /// The reports `all` regenerates, in output order.
 pub const ALL: [Experiment; 16] = [
@@ -104,14 +105,16 @@ pub fn cli_config(args: &[String]) -> (ExpConfig, usize) {
                     .and_then(|s| s.parse().ok())
                     .expect("--threads needs a number");
             }
-            "--trace" => cfg.gpu.trace.enabled = true,
+            "--trace" => {
+                cfg.trace.get_or_insert_with(TraceConfig::default);
+            }
             "--trace-format" => {
                 i += 1;
                 cfg.trace_format = args
                     .get(i)
                     .and_then(|s| telemetry::TraceFormat::parse(s).ok())
                     .expect("--trace-format needs csv|json|chrome|all");
-                cfg.gpu.trace.enabled = true;
+                cfg.trace.get_or_insert_with(TraceConfig::default);
             }
             other => panic!("unknown argument: {other}"),
         }
@@ -185,10 +188,10 @@ mod tests {
     #[test]
     fn cli_trace_flags() {
         let (cfg, _) = cli_config(&[]);
-        assert!(!cfg.gpu.trace.enabled);
+        assert_eq!(cfg.trace, None);
 
         let (cfg, _) = cli_config(&["--trace".to_string()]);
-        assert!(cfg.gpu.trace.enabled);
+        assert_eq!(cfg.trace, Some(TraceConfig::default()));
         assert_eq!(cfg.trace_format, telemetry::TraceFormat::Csv);
 
         let args: Vec<String> = ["--trace-format", "all"]
@@ -196,7 +199,7 @@ mod tests {
             .map(|s| (*s).to_string())
             .collect();
         let (cfg, _) = cli_config(&args);
-        assert!(cfg.gpu.trace.enabled, "--trace-format implies --trace");
+        assert!(cfg.trace.is_some(), "--trace-format implies --trace");
         assert_eq!(cfg.trace_format, telemetry::TraceFormat::All);
     }
 

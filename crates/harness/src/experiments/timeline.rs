@@ -17,7 +17,7 @@ use crate::runner::{Cell, ExpConfig};
 use cppe::presets::PolicyPreset;
 use gpu::RunResult;
 use std::fmt::Write as _;
-use telemetry::export;
+use telemetry::{export, RunTelemetry};
 
 /// Default workload for the timeline (a Type IV thrasher).
 pub const DEFAULT_APP: &str = "HSD";
@@ -30,9 +30,7 @@ pub const EXPERIMENT: Experiment = Experiment::new("timeline", cells, render);
 /// replay).
 #[must_use]
 pub fn instrumented(cfg: &ExpConfig, abbr: &str, preset: PolicyPreset) -> Cell {
-    let mut cell = Cell::app(abbr, preset, 0.5, cfg);
-    cell.gpu.trace = telemetry::TraceConfig::audited();
-    cell
+    Cell::app(abbr, preset, 0.5, cfg).traced(telemetry::TraceConfig::audited())
 }
 
 /// The baseline and CPPE, instrumented, on [`DEFAULT_APP`].
@@ -42,16 +40,9 @@ fn cells(cfg: &ExpConfig) -> Vec<Cell> {
         .to_vec()
 }
 
-/// Wide per-epoch CSV of a traced run (every registered metric: the
-/// CPPE engine, driver resilience, injection and PCIe counters as
-/// per-batch deltas, plus residency/throttle/rung gauges).
-///
-/// # Panics
-/// Panics when the run was not traced.
-#[must_use]
-pub fn to_csv(r: &RunResult) -> String {
-    let t = r.telemetry.as_ref().expect("timeline runs are traced");
-    export::timeline_csv(&t.series)
+/// A timeline run's telemetry: its cells are always traced.
+fn traced<'a>(run: &RunRecord<'a>) -> &'a RunTelemetry {
+    run.telemetry.expect("timeline runs are traced")
 }
 
 /// Render the report with the per-run exports as side files.
@@ -63,17 +54,21 @@ fn render(cfg: &ExpConfig, results: &Results) -> Report {
             format!("{app} {}", preset.label()),
             &cell,
             results.get(&cell),
+            results.telemetry(&cell),
         )
     });
     let [base, cppe] = [runs[0].result, runs[1].result];
+    let [base_t, cppe_t] = [traced(&runs[0]), traced(&runs[1])];
 
     let mut files = Vec::new();
-    for (label, r) in [("baseline", base), ("cppe", cppe)] {
+    for (label, t) in [("baseline", base_t), ("cppe", cppe_t)] {
         if cfg.trace_format.wants_csv() {
-            files.push((format!("timeline_{app}_{label}.csv"), to_csv(r)));
+            files.push((
+                format!("timeline_{app}_{label}.csv"),
+                export::timeline_csv(&t.series),
+            ));
         }
         if cfg.trace_format.wants_chrome() {
-            let t = r.telemetry.as_ref().expect("timeline runs are traced");
             files.push((
                 format!("timeline_{app}_{label}_trace.json"),
                 export::chrome_trace_json(t),
@@ -87,8 +82,7 @@ fn render(cfg: &ExpConfig, results: &Results) -> Report {
     // Decile summary: cumulative evictions at each tenth of the run,
     // read back from the sampled epoch series.
     let mut table = Table::new(&["% of run", "baseline evictions", "cppe evictions"]);
-    let at = |r: &RunResult, frac: f64| -> u64 {
-        let t = r.telemetry.as_ref().expect("timeline runs are traced");
+    let at = |r: &RunResult, t: &RunTelemetry, frac: f64| -> u64 {
         let target = (r.cycles as f64 * frac) as u64;
         t.series.total_at("cppe.pages_evicted", target)
     };
@@ -96,8 +90,8 @@ fn render(cfg: &ExpConfig, results: &Results) -> Report {
         let frac = f64::from(decile) / 10.0;
         table.row(vec![
             format!("{}0%", decile),
-            at(base, frac).to_string(),
-            at(cppe, frac).to_string(),
+            at(base, base_t, frac).to_string(),
+            at(cppe, cppe_t, frac).to_string(),
         ]);
     }
 
@@ -114,11 +108,7 @@ fn render(cfg: &ExpConfig, results: &Results) -> Report {
     // truncated distribution never reads as a complete one.
     let mut stages = String::new();
     for (label, run) in [("baseline", &runs[0]), ("cppe", &runs[1])] {
-        let t = run
-            .result
-            .telemetry
-            .as_ref()
-            .expect("timeline runs are traced");
+        let t = traced(run);
         stages.push_str(&loss_section(t));
         let attr = run.stages.as_ref().expect("timeline runs record spans");
         stages.push_str(&format!("{label}:\n"));
@@ -132,7 +122,7 @@ fn render(cfg: &ExpConfig, results: &Results) -> Report {
     // experiment's committed baseline.
     let mut audit_sec = String::new();
     {
-        let t = cppe.telemetry.as_ref().expect("timeline runs are traced");
+        let t = cppe_t;
         audit_sec.push_str(&loss_section(t));
         audit_sec.push_str(&provenance_table(&t.decisions));
         let oracle = &runs[1]
@@ -184,8 +174,8 @@ mod tests {
     #[test]
     fn timeline_csv_has_one_row_per_batch() {
         let cfg = ExpConfig::quick();
-        let r = instrumented(&cfg, "STN", PolicyPreset::Baseline).run();
-        let csv = to_csv(&r);
+        let (r, t) = instrumented(&cfg, "STN", PolicyPreset::Baseline).run();
+        let csv = export::timeline_csv(&t.expect("traced").series);
         assert_eq!(csv.lines().count() as u64, 1 + r.driver.batches);
         assert!(csv.starts_with("epoch,cycle,cppe.faults"));
         telemetry::csv::validate(&csv).expect("well-formed CSV");
@@ -234,8 +224,8 @@ mod tests {
     #[test]
     fn instrumented_runs_record_decisions() {
         let cfg = ExpConfig::quick();
-        let r = instrumented(&cfg, "STN", PolicyPreset::Cppe).run();
-        let t = r.telemetry.as_ref().expect("traced");
+        let (_, t) = instrumented(&cfg, "STN", PolicyPreset::Cppe).run();
+        let t = t.expect("traced");
         assert!(!t.decisions.is_empty(), "auditing is on for timelines");
     }
 }

@@ -9,6 +9,8 @@
 //!   atomic job cursor with per-cell panic containment,
 //! * [`report`] — text table rendering and the report saver,
 //! * [`record`] — the one JSON run record every export writes,
+//! * [`tracing`] — [`Tracing`], the observer that records a traced
+//!   cell's telemetry,
 //! * [`opt`] — the offline Belady chunk-fault bound,
 //! * [`oracle`] — the decision-audit comparator against that bound,
 //! * [`experiments`] — one module per paper artifact.
@@ -20,6 +22,8 @@ pub mod plan;
 pub mod record;
 pub mod report;
 pub mod runner;
+pub mod tracing;
 
 pub use plan::{cross, run_plan, Experiment, Results};
 pub use runner::{capacity_pages, geomean, run_cell, speedup, Cell, CellKey, ExpConfig, RATES};
+pub use tracing::Tracing;

@@ -51,7 +51,7 @@ impl Experiment {
 
 /// Results of a plan, looked up by cell.
 pub struct Results {
-    map: HashMap<CellKey, RunResult>,
+    map: HashMap<CellKey, (RunResult, Option<RunTelemetry>)>,
     declared: usize,
 }
 
@@ -62,9 +62,7 @@ impl Results {
     /// Panics when the plan did not declare `cell`.
     #[must_use]
     pub fn get(&self, cell: &Cell) -> &RunResult {
-        self.map
-            .get(&cell.key())
-            .expect("the plan declared this cell")
+        &self.run(cell).0
     }
 
     /// The telemetry `cell` recorded (`None` unless it was traced).
@@ -73,7 +71,13 @@ impl Results {
     /// Panics when the plan did not declare `cell`.
     #[must_use]
     pub fn telemetry(&self, cell: &Cell) -> Option<&RunTelemetry> {
-        self.get(cell).telemetry.as_ref()
+        self.run(cell).1.as_ref()
+    }
+
+    fn run(&self, cell: &Cell) -> &(RunResult, Option<RunTelemetry>) {
+        self.map
+            .get(&cell.key())
+            .expect("the plan declared this cell")
     }
 
     /// The result of [`Cell::app`]`(abbr, preset, rate, cfg)`.
@@ -109,7 +113,7 @@ pub fn run_plan(experiments: &[Experiment], cfg: &ExpConfig, threads: usize) -> 
 #[must_use]
 pub fn run_cells_with<F>(cells: Vec<Cell>, threads: usize, exec: F) -> Results
 where
-    F: Fn(&Cell) -> RunResult + Sync,
+    F: Fn(&Cell) -> (RunResult, Option<RunTelemetry>) + Sync,
 {
     let declared = cells.len();
     let mut seen = HashSet::new();
@@ -130,7 +134,7 @@ where
         let mut done = Vec::new();
         while let Some((key, cell)) = jobs.get(cursor.fetch_add(1, Ordering::Relaxed)) {
             let result = catch_unwind(AssertUnwindSafe(|| exec(cell)))
-                .unwrap_or_else(|payload| RunResult::failed(panic_message(&*payload)));
+                .unwrap_or_else(|payload| (RunResult::failed(panic_message(&*payload)), None));
             done.push((key.clone(), result));
         }
         done
@@ -192,6 +196,7 @@ mod tests {
     use crate::runner::run_cell;
     use gpu::Outcome;
     use sim_core::fault::InjectionConfig;
+    use telemetry::TraceConfig;
 
     fn stub(cycles: u64) -> RunResult {
         let mut r = RunResult::failed("stub");
@@ -310,7 +315,8 @@ mod tests {
         vary(&|c| c.seed ^= 1);
         vary(&|c| c.gpu.jitter_seed ^= 1);
         vary(&|c| c.gpu.fault_base_cycles += 1);
-        vary(&|c| c.gpu.trace.enabled = true);
+        vary(&|c| c.trace = Some(TraceConfig::default()));
+        vary(&|c| c.trace = Some(TraceConfig::audited()));
         vary(&|c| c.gpu.injection = InjectionConfig::combined(7));
         vary(&|c| c.rate = f64::from_bits(c.rate.to_bits() + 1));
         vary(&|c| c.scale = 0.25);
@@ -330,7 +336,7 @@ mod tests {
         let calls = AtomicUsize::new(0);
         let results = run_cells_with(cells, 3, |cell| {
             calls.fetch_add(1, Ordering::Relaxed);
-            stub(cell.seed)
+            (stub(cell.seed), None)
         });
         assert_eq!(calls.load(Ordering::Relaxed), distinct, "one run per key");
         assert_eq!(results.runs(), distinct);

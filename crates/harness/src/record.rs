@@ -43,6 +43,8 @@ pub struct RunRecord<'a> {
     pub name: String,
     /// The simulation result.
     pub result: &'a RunResult,
+    /// The recorded telemetry; `None` for an untraced run.
+    pub telemetry: Option<&'a RunTelemetry>,
     /// Span attribution; `Some` when spans were recorded.
     pub stages: Option<LatencyAttribution>,
     /// Ledger and oracle; `Some` when decisions were recorded.
@@ -60,16 +62,20 @@ pub struct Audit {
 }
 
 impl<'a> RunRecord<'a> {
-    /// Fold `cell`'s `result` into a record run: spans into stage
-    /// attribution, decisions into ledger and oracle (the oracle
-    /// replays `cell`'s streams at its capacity).
+    /// Fold `cell`'s `result` and `telemetry` into a record run: spans
+    /// into stage attribution, decisions into ledger and oracle (the
+    /// oracle replays `cell`'s streams at its capacity).
     #[must_use]
-    pub fn new(name: impl Into<String>, cell: &Cell, result: &'a RunResult) -> Self {
-        let t = result.telemetry.as_ref();
-        let stages = t
+    pub fn new(
+        name: impl Into<String>,
+        cell: &Cell,
+        result: &'a RunResult,
+        telemetry: Option<&'a RunTelemetry>,
+    ) -> Self {
+        let stages = telemetry
             .filter(|t| !t.spans.is_empty())
             .map(|t| LatencyAttribution::from_spans(&t.spans));
-        let audit = t.filter(|t| !t.decisions.is_empty()).map(|t| {
+        let audit = telemetry.filter(|t| !t.decisions.is_empty()).map(|t| {
             let ledger = PageLedger::from_telemetry(t, PAGES_PER_CHUNK);
             let accesses = crate::opt::linearize(&cell.streams());
             let capacity_chunks = (u64::from(cell.capacity()) / PAGES_PER_CHUNK) as usize;
@@ -79,6 +85,7 @@ impl<'a> RunRecord<'a> {
         RunRecord {
             name: name.into(),
             result,
+            telemetry,
             stages,
             audit,
         }
@@ -132,7 +139,7 @@ pub fn document(runs: &[RunRecord]) -> String {
 fn write_run(s: &mut String, run: &RunRecord) {
     let r = run.result;
     let untraced = RunTelemetry::default();
-    let t = r.telemetry.as_ref().unwrap_or(&untraced);
+    let t = run.telemetry.unwrap_or(&untraced);
     let outcome = format!("{:?}", r.outcome).to_lowercase();
     let _ = write!(
         s,
@@ -403,32 +410,32 @@ mod tests {
     use cppe::presets::PolicyPreset;
     use telemetry::TraceConfig;
 
-    /// STN under CPPE at 50 %, quarter scale, with `trace`.
-    fn run(trace: TraceConfig) -> (Cell, RunResult) {
+    /// STN under CPPE at 50 %, quarter scale, traced with `trace`.
+    fn run(trace: Option<TraceConfig>) -> (Cell, RunResult, Option<RunTelemetry>) {
         let cfg = ExpConfig {
             scale: 0.25,
             ..ExpConfig::quick()
         };
         let mut cell = Cell::app("STN", PolicyPreset::Cppe, 0.5, &cfg);
-        cell.gpu.trace = trace;
-        let r = cell.run();
-        (cell, r)
+        cell.trace = trace;
+        let (r, t) = cell.run();
+        (cell, r, t)
     }
 
-    fn doc(trace: TraceConfig) -> String {
-        let (cell, r) = run(trace);
-        document(&[RunRecord::new("STN", &cell, &r)])
+    fn doc(trace: Option<TraceConfig>) -> String {
+        let (cell, r, t) = run(trace);
+        document(&[RunRecord::new("STN", &cell, &r, t.as_ref())])
     }
 
     #[test]
     fn sections_appear_only_with_their_streams() {
-        let untraced = doc(TraceConfig::default());
-        let no_spans = doc(TraceConfig {
+        let untraced = doc(None);
+        let no_spans = doc(Some(TraceConfig {
             span_capacity: 0,
-            ..TraceConfig::on()
-        });
-        let traced = doc(TraceConfig::on());
-        let audited = doc(TraceConfig::audited());
+            ..TraceConfig::default()
+        }));
+        let traced = doc(Some(TraceConfig::default()));
+        let audited = doc(Some(TraceConfig::audited()));
         for d in [&untraced, &no_spans, &traced, &audited] {
             validate(d).unwrap_or_else(|e| panic!("{e}\n{d}"));
             assert!(d.starts_with("{\"schema\":\"cppe-run-v1\",\"runs\":[{\"name\":\"STN\""));
@@ -452,12 +459,13 @@ mod tests {
 
     #[test]
     fn records_are_deterministic() {
-        assert_eq!(doc(TraceConfig::audited()), doc(TraceConfig::audited()));
+        let audited = Some(TraceConfig::audited());
+        assert_eq!(doc(audited), doc(audited));
     }
 
     #[test]
     fn validate_rejects_bad_schema_runs_and_accounting() {
-        let good = doc(TraceConfig::audited());
+        let good = doc(Some(TraceConfig::audited()));
         validate(&good).expect("a fresh record validates");
         let bad = |from: &str, to: &str| {
             assert!(good.contains(from), "fixture lacks {from}");
@@ -472,8 +480,8 @@ mod tests {
         assert!(e.contains("no runs"));
 
         // A recorded count that its section does not add up to.
-        let (_, r) = run(TraceConfig::audited());
-        let t = r.telemetry.as_ref().unwrap();
+        let (_, _, t) = run(Some(TraceConfig::audited()));
+        let t = t.unwrap();
         let decisions = format!("\"decisions\":{{\"recorded\":{}", t.decisions.len());
         let more = format!("\"decisions\":{{\"recorded\":{}", t.decisions.len() + 1);
         assert!(bad(&decisions, &more).contains("audit.provenance sums to"));
@@ -487,8 +495,11 @@ mod tests {
         );
         assert!(e.contains("spans.dropped is 0"), "{e}");
         // A section whose stream recorded nothing.
-        let with_audit =
-            doc(TraceConfig::on()).replacen("\"metrics\":{", "\"audit\":{},\"metrics\":{", 1);
+        let with_audit = doc(Some(TraceConfig::default())).replacen(
+            "\"metrics\":{",
+            "\"audit\":{},\"metrics\":{",
+            1,
+        );
         assert!(validate(&with_audit).unwrap_err().contains("audit present"));
     }
 }

@@ -1,6 +1,7 @@
 //! Experiment runner: one (workload × policy × oversubscription) cell,
 //! as data ([`Cell`]); [`Cell::run`] is the one place the harness calls
-//! `gpu::simulate`.
+//! the simulator, attaching the [`Tracing`] observer when the cell asks
+//! for tracing.
 //!
 //! §VI methodology: "We first used an unlimited memory capacity to
 //! determine the total memory footprint of each application. Next, we
@@ -9,10 +10,11 @@
 //! GPU memory." Capacity here is exactly `rate × footprint`, rounded to
 //! whole chunks.
 
+use crate::tracing::Tracing;
 use cppe::presets::PolicyPreset;
 use gmmu::types::PAGES_PER_CHUNK;
-use gpu::{simulate, GpuConfig, RunResult};
-use telemetry::{TraceConfig, TraceFormat};
+use gpu::{simulate, simulate_with, GpuConfig, RunResult};
+use telemetry::{RunTelemetry, TraceConfig, TraceFormat};
 use workloads::{registry, LaneItem, WorkloadSpec};
 
 /// The two oversubscription rates of the evaluation.
@@ -29,8 +31,11 @@ pub struct ExpConfig {
     pub gpu: GpuConfig,
     /// Seed for stochastic policies (Random eviction).
     pub seed: u64,
-    /// Which trace artifacts to export when `gpu.trace` is enabled
-    /// (`--trace-format`; ignored with tracing off).
+    /// Trace every cell with these ring capacities (`--trace`); `None`
+    /// runs untraced cells.
+    pub trace: Option<TraceConfig>,
+    /// Which trace artifacts to export when tracing (`--trace-format`;
+    /// ignored with tracing off).
     pub trace_format: TraceFormat,
 }
 
@@ -49,6 +54,7 @@ impl Default for ExpConfig {
                 ..GpuConfig::default()
             },
             seed: 0xC0FFEE,
+            trace: None,
             trace_format: TraceFormat::Csv,
         }
     }
@@ -76,8 +82,8 @@ pub fn capacity_pages(spec: &WorkloadSpec, rate: f64, scale: f64) -> u32 {
 }
 
 /// One run of the simulator, as data: workload, policy, capacity
-/// rate, the seed passed to [`PolicyPreset::build`], GPU model and
-/// footprint scale.
+/// rate, the seed passed to [`PolicyPreset::build`], GPU model,
+/// footprint scale and tracing request.
 #[derive(Clone)]
 pub struct Cell {
     /// Workload to run.
@@ -88,10 +94,13 @@ pub struct Cell {
     pub rate: f64,
     /// Seed handed to [`PolicyPreset::build`].
     pub seed: u64,
-    /// GPU model, including tracing, injection and resilience.
+    /// GPU model, including injection and resilience.
     pub gpu: GpuConfig,
     /// Footprint scale.
     pub scale: f64,
+    /// Record the run's telemetry with these ring capacities; `None`
+    /// runs untraced.
+    pub trace: Option<TraceConfig>,
 }
 
 /// Exact identity of a [`Cell`] (see [`Cell::key`]).
@@ -99,8 +108,8 @@ pub struct Cell {
 pub struct CellKey(String);
 
 impl Cell {
-    /// The standard cell: `cfg`'s GPU and scale, seed `cfg.seed ^
-    /// spec.seed`.
+    /// The standard cell: `cfg`'s GPU, scale and tracing request, seed
+    /// `cfg.seed ^ spec.seed`.
     #[must_use]
     pub fn new(spec: &WorkloadSpec, preset: PolicyPreset, rate: f64, cfg: &ExpConfig) -> Cell {
         Cell {
@@ -110,6 +119,7 @@ impl Cell {
             seed: cfg.seed ^ spec.seed,
             gpu: cfg.gpu,
             scale: cfg.scale,
+            trace: cfg.trace,
         }
     }
 
@@ -117,10 +127,7 @@ impl Cell {
     /// setting.
     #[must_use]
     pub fn traced(mut self, trace: TraceConfig) -> Cell {
-        self.gpu.trace = TraceConfig {
-            enabled: true,
-            ..trace
-        };
+        self.trace = Some(trace);
         self
     }
 
@@ -135,16 +142,18 @@ impl Cell {
     /// The cell's exact identity: two cells with equal keys run the
     /// same simulation. The spec is keyed by its fields (the phase
     /// builder by address), the rate and scale by their bits, and the
-    /// GPU model by its `Debug` text, which lists every field and prints
-    /// each `f64` as its shortest round-trip decimal, so equal text
-    /// means equal bits.
+    /// GPU model and tracing request by their `Debug` text, which lists
+    /// every field and prints each `f64` as its shortest round-trip
+    /// decimal, so equal text means equal bits.
     #[must_use]
     pub fn key(&self) -> CellKey {
         let s = &self.spec;
         let spec = (s.abbr, s.footprint_mb.to_bits(), s.seed, s.build as usize);
         let bits = (self.rate.to_bits(), self.scale.to_bits());
-        let (preset, seed, gpu) = (self.preset, self.seed, &self.gpu);
-        CellKey(format!("{spec:?} {preset:?} {bits:?} {seed} {gpu:?}"))
+        let (preset, seed, gpu, trace) = (self.preset, self.seed, &self.gpu, &self.trace);
+        CellKey(format!(
+            "{spec:?} {preset:?} {bits:?} {seed} {gpu:?} {trace:?}"
+        ))
     }
 
     /// Per-lane access streams at the cell's scale.
@@ -162,16 +171,30 @@ impl Cell {
         capacity_pages(&self.spec, self.rate, self.scale)
     }
 
-    /// Simulate the cell.
+    /// Simulate the cell; a traced cell also returns its telemetry.
     #[must_use]
-    pub fn run(&self) -> RunResult {
-        simulate(
-            &self.gpu,
-            self.preset.build(self.seed),
-            &self.streams(),
-            self.capacity(),
-            self.spec.pages(self.scale),
-        )
+    pub fn run(&self) -> (RunResult, Option<RunTelemetry>) {
+        let engine = self.preset.build(self.seed);
+        let (streams, capacity) = (self.streams(), self.capacity());
+        let footprint = self.spec.pages(self.scale);
+        match self.trace {
+            None => (
+                simulate(&self.gpu, engine, &streams, capacity, footprint),
+                None,
+            ),
+            Some(trace) => {
+                let mut tracing = Tracing::new(trace, self.gpu.warps_per_sm);
+                let r = simulate_with(
+                    &self.gpu,
+                    engine,
+                    &streams,
+                    capacity,
+                    footprint,
+                    &mut tracing,
+                );
+                (r, Some(tracing.finish()))
+            }
+        }
     }
 }
 
@@ -183,7 +206,7 @@ pub fn run_cell(
     rate: f64,
     cfg: &ExpConfig,
 ) -> RunResult {
-    Cell::new(spec, preset, rate, cfg).run()
+    Cell::new(spec, preset, rate, cfg).run().0
 }
 
 /// Speedup of `policy` over `base` (cycles ratio). `None` when either

@@ -14,15 +14,14 @@
 //!   under stable dotted names, absorbing [`sim_core::StatSet`], with
 //!   an epoch sampler that snapshots totals at fault-batch granularity
 //!   ([`EpochSeries`]),
-//! * [`tracer`] — [`Tracer`], the cheap handle the `uvm` driver and
-//!   `gpu` simulator carry; a disabled tracer is a no-op that allocates
-//!   nothing and draws no state, so runs with telemetry off are
-//!   bit-identical to runs that never heard of this crate,
+//! * [`tracer`] — [`Tracer`], the recording handle of one traced run;
+//!   the harness's tracing observer owns it and attaches to the `gpu`
+//!   event loop's and the `uvm` driver's hook points, so neither
+//!   simulator crate depends on this one,
 //! * [`span`] — [`SpanRecorder`]: cycle-stamped span trees over the
 //!   fault lifecycle (TLB probes → walker → fault-queue wait → batch
 //!   service → replay) and the driver batch pipeline, with the same
-//!   bounded-ring and zero-cost-when-disabled guarantees as the event
-//!   ring,
+//!   bounded-ring guarantee as the event ring,
 //! * [`attr`] — [`LatencyAttribution`]: spans folded into per-stage
 //!   latency quantiles, queueing-vs-service splits, and per-SM /
 //!   per-page-region fault-time totals,
@@ -38,11 +37,11 @@
 //!
 //! ## Overhead guarantee
 //!
-//! Every entry point checks [`Tracer::enabled`] first (one branch on a
-//! niche-optimized `Option`); event payloads are built inside closures
-//! that are never invoked when tracing is off. Telemetry observes
-//! simulation state and never mutates it, so enabling it cannot change
-//! a run's timing or results either — only record them.
+//! An untraced run has no tracer at all: the simulator crates do not
+//! depend on this crate, and the hook points a tracer attaches to
+//! compile to nothing when no observer is attached. Every hook sees the
+//! simulator read-only, so attaching a tracer cannot change a run's
+//! timing or results either — only record them.
 
 pub mod attr;
 pub mod csv;

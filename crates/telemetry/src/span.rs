@@ -10,8 +10,7 @@
 //! records.
 //!
 //! Same guarantees as the event ring: recording is bounded (drop-oldest,
-//! counted), never panics, and every entry point is a no-op behind a
-//! disabled [`crate::Tracer`]. Spans left open when a run ends (lanes
+//! counted) and never panics. Spans left open when a run ends (lanes
 //! still waiting on a migration at timeout/crash) are discarded and
 //! counted, so the exported set is always balanced: every recorded span
 //! has both endpoints.
@@ -20,13 +19,12 @@ use crate::ring::BoundedRing;
 use sim_core::FxHashMap;
 
 /// Opaque span handle. `SpanId::NONE` (0) means "no span" — the parent
-/// of a root span, or the result of opening a span on a disabled
-/// recorder.
+/// of a root span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SpanId(pub u64);
 
 impl SpanId {
-    /// The null span: no parent / recording disabled.
+    /// The null span: no parent.
     pub const NONE: SpanId = SpanId(0);
 
     /// Is this the null span?

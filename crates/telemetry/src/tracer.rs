@@ -1,15 +1,15 @@
-//! The tracer handle carried through the stack.
+//! The recording handle.
 //!
-//! [`Tracer`] is a niche-optimized `Option<Box<_>>`: disabled it is one
-//! machine word, every method is a single branch, and event payloads
-//! are built inside closures that never run. The `uvm` driver owns the
-//! run's tracer; [`Tracer::finish`] turns it into the [`RunTelemetry`]
-//! attached to `gpu::RunResult`.
+//! A [`Tracer`] records one run: typed events, decision provenance,
+//! epoch metrics and the span trees of [`crate::span`], each in its own
+//! bounded ring. The simulator crates do not know it exists: the
+//! harness's tracing observer, attached to the `gpu` event loop's and
+//! the `uvm` driver's hook points, owns the run's tracer and turns it
+//! into the run's [`RunTelemetry`] with [`Tracer::finish`]. A run that
+//! is not traced has no tracer at all.
 //!
-//! Besides point events and epoch metrics, the tracer records the span
-//! trees of [`crate::span`]: `span_open`/`span_close` bracket a stage
-//! whose end is not yet known, `span` records one whose endpoints are.
-//! All three are no-ops (returning [`SpanId::NONE`]) when disabled.
+//! `span_open`/`span_close` bracket a stage whose end is not yet known,
+//! `span` records one whose endpoints are.
 
 use crate::decision::{DecisionEvent, DecisionRecord};
 use crate::event::{EventRecord, TraceEvent};
@@ -19,22 +19,17 @@ use crate::span::{SpanId, SpanRecord, SpanRecorder, SpanStage};
 use sim_core::stats::Histogram;
 use std::collections::BTreeMap;
 
-/// Tracing knobs (part of `gpu::GpuConfig`; `Copy` so configs stay
-/// plain data).
+/// A tracing request: ring capacities and whether to audit decisions.
+/// `Copy`, so configs stay plain data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceConfig {
-    /// Master switch. Off (the default) records nothing, allocates
-    /// nothing and leaves runs bit-identical.
-    pub enabled: bool,
     /// Event ring capacity (newest events win on overflow).
     pub ring_capacity: usize,
     /// Span ring capacity (newest closed spans win on overflow).
     pub span_capacity: usize,
     /// Record policy-decision provenance ([`DecisionEvent`]s). Off by
     /// default — decisions carry owned candidate/plan sets, so auditing
-    /// is opt-in on top of `enabled` (it has no effect when `enabled`
-    /// is false) and leaves every existing export bit-identical when
-    /// off.
+    /// is opt-in and leaves every other export bit-identical when off.
     pub audit: bool,
     /// Decision ring capacity (newest decisions win on overflow).
     pub decision_capacity: usize,
@@ -43,7 +38,6 @@ pub struct TraceConfig {
 impl Default for TraceConfig {
     fn default() -> Self {
         TraceConfig {
-            enabled: false,
             ring_capacity: 65_536,
             span_capacity: 65_536,
             audit: false,
@@ -53,28 +47,19 @@ impl Default for TraceConfig {
 }
 
 impl TraceConfig {
-    /// Tracing on with the default ring capacities.
-    #[must_use]
-    pub fn on() -> Self {
-        TraceConfig {
-            enabled: true,
-            ..TraceConfig::default()
-        }
-    }
-
-    /// Tracing *and* decision auditing on with the default capacities.
+    /// Decision auditing on with the default capacities.
     #[must_use]
     pub fn audited() -> Self {
         TraceConfig {
-            enabled: true,
             audit: true,
             ..TraceConfig::default()
         }
     }
 }
 
+/// The recording handle of one traced run.
 #[derive(Debug)]
-struct TracerInner {
+pub struct Tracer {
     ring: BoundedRing<EventRecord>,
     registry: MetricsRegistry,
     spans: SpanRecorder,
@@ -82,78 +67,43 @@ struct TracerInner {
     decisions: Option<BoundedRing<DecisionRecord>>,
 }
 
-/// The recording handle. Cheap to hold, free when disabled.
-#[derive(Debug, Default)]
-pub struct Tracer {
-    inner: Option<Box<TracerInner>>,
-}
-
 impl Tracer {
-    /// A tracer that records nothing (the default).
-    #[must_use]
-    pub fn disabled() -> Self {
-        Tracer { inner: None }
-    }
-
-    /// Build from a config — disabled unless `cfg.enabled`.
+    /// A tracer with `cfg`'s ring capacities.
     #[must_use]
     pub fn new(cfg: TraceConfig) -> Self {
-        if !cfg.enabled {
-            return Tracer::disabled();
-        }
         Tracer {
-            inner: Some(Box::new(TracerInner {
-                ring: BoundedRing::new(cfg.ring_capacity),
-                registry: MetricsRegistry::new(),
-                spans: SpanRecorder::new(cfg.span_capacity),
-                decisions: cfg.audit.then(|| BoundedRing::new(cfg.decision_capacity)),
-            })),
+            ring: BoundedRing::new(cfg.ring_capacity),
+            registry: MetricsRegistry::new(),
+            spans: SpanRecorder::new(cfg.span_capacity),
+            decisions: cfg.audit.then(|| BoundedRing::new(cfg.decision_capacity)),
         }
     }
 
-    /// Is this tracer recording?
-    #[inline]
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Is decision auditing recording? (Implies [`Tracer::enabled`].)
+    /// Is decision auditing recording?
     #[inline]
     #[must_use]
     pub fn audit_enabled(&self) -> bool {
-        self.inner.as_deref().is_some_and(|i| i.decisions.is_some())
+        self.decisions.is_some()
     }
 
-    /// Record an event at `cycle`. The payload closure only runs when
-    /// tracing is on.
+    /// Record an event at `cycle`.
     #[inline]
-    pub fn emit(&mut self, cycle: u64, event: impl FnOnce() -> TraceEvent) {
-        if let Some(inner) = self.inner.as_deref_mut() {
-            inner.ring.push(EventRecord {
-                cycle,
-                event: event(),
-            });
-        }
+    pub fn emit(&mut self, cycle: u64, event: TraceEvent) {
+        self.ring.push(EventRecord { cycle, event });
     }
 
-    /// Record a policy decision at `cycle`. The payload closure only
-    /// runs when auditing is on, so candidate/plan sets are never built
-    /// otherwise; callers that need to gather the set *before* a
-    /// mutating selection call should gate on [`Tracer::audit_enabled`].
+    /// Record a policy decision at `cycle`; a no-op unless auditing is
+    /// on. Callers gate on [`Tracer::audit_enabled`] before building
+    /// the decision's candidate or plan set.
     #[inline]
-    pub fn decision(&mut self, cycle: u64, event: impl FnOnce() -> DecisionEvent) {
-        if let Some(ring) = self.inner.as_deref_mut().and_then(|i| i.decisions.as_mut()) {
-            ring.push(DecisionRecord {
-                cycle,
-                event: event(),
-            });
+    pub fn decision(&mut self, cycle: u64, event: DecisionEvent) {
+        if let Some(ring) = self.decisions.as_mut() {
+            ring.push(DecisionRecord { cycle, event });
         }
     }
 
     /// Open a span at `start` under `parent` (pass [`SpanId::NONE`] for
-    /// a root). Returns [`SpanId::NONE`] when disabled; closing that is
-    /// a no-op, so callers need no enabled-check of their own.
+    /// a root).
     #[inline]
     pub fn span_open(
         &mut self,
@@ -164,20 +114,14 @@ impl Tracer {
         lane: u32,
         page: u64,
     ) -> SpanId {
-        match self.inner.as_deref_mut() {
-            Some(inner) => inner.spans.open(stage, start, parent, sm, lane, page),
-            None => SpanId::NONE,
-        }
+        self.spans.open(stage, start, parent, sm, lane, page)
     }
 
     /// Close span `id` at `end`. Returns whether a span was actually
-    /// closed (false when disabled, already closed, or `NONE`).
+    /// closed (false when already closed, or `NONE`).
     #[inline]
     pub fn span_close(&mut self, id: SpanId, end: u64) -> bool {
-        match self.inner.as_deref_mut() {
-            Some(inner) => inner.spans.close(id, end),
-            None => false,
-        }
+        self.spans.close(id, end)
     }
 
     /// Record a complete span (both endpoints known).
@@ -193,12 +137,8 @@ impl Tracer {
         lane: u32,
         page: u64,
     ) -> SpanId {
-        match self.inner.as_deref_mut() {
-            Some(inner) => inner
-                .spans
-                .complete(stage, start, end, parent, sm, lane, page),
-            None => SpanId::NONE,
-        }
+        self.spans
+            .complete(stage, start, end, parent, sm, lane, page)
     }
 
     /// Sample one epoch: set every `(name, kind, value)` into the
@@ -212,76 +152,63 @@ impl Tracer {
         cycle: u64,
         metrics: impl IntoIterator<Item = (&'a str, MetricKind, u64)>,
     ) {
-        if let Some(inner) = self.inner.as_deref_mut() {
-            for (name, kind, value) in metrics {
-                inner.registry.set(name, kind, value);
-            }
-            let ring_dropped = inner.ring.dropped();
-            let span_dropped = inner.spans.dropped();
-            inner
-                .registry
-                .set("telemetry.ring.dropped", MetricKind::Counter, ring_dropped);
-            inner
-                .registry
-                .set("telemetry.spans.dropped", MetricKind::Counter, span_dropped);
-            // Only audited runs grow the schema — timeline CSVs of
-            // non-audited runs keep their exact column set.
-            if let Some(decisions) = inner.decisions.as_ref() {
-                inner.registry.set(
-                    "telemetry.decisions.dropped",
-                    MetricKind::Counter,
-                    decisions.dropped(),
-                );
-            }
-            inner.registry.snapshot_epoch(cycle);
+        for (name, kind, value) in metrics {
+            self.registry.set(name, kind, value);
         }
+        let ring_dropped = self.ring.dropped();
+        let span_dropped = self.spans.dropped();
+        self.registry
+            .set("telemetry.ring.dropped", MetricKind::Counter, ring_dropped);
+        self.registry
+            .set("telemetry.spans.dropped", MetricKind::Counter, span_dropped);
+        // Only audited runs grow the schema — timeline CSVs of
+        // non-audited runs keep their exact column set.
+        if let Some(decisions) = self.decisions.as_ref() {
+            self.registry.set(
+                "telemetry.decisions.dropped",
+                MetricKind::Counter,
+                decisions.dropped(),
+            );
+        }
+        self.registry.snapshot_epoch(cycle);
     }
 
-    /// The metrics registry, when tracing is on (harness-side extras:
-    /// absorbing a `StatSet`, histograms).
-    pub fn registry_mut(&mut self) -> Option<&mut MetricsRegistry> {
-        self.inner.as_deref_mut().map(|i| &mut i.registry)
-    }
-
-    /// Consume the tracer into the run's telemetry (`None` when it was
-    /// disabled). Every closed span's duration is folded into a
-    /// per-stage latency histogram (`latency.<stage>`) before export;
-    /// spans still open are discarded and counted so the exported set is
-    /// always balanced.
+    /// Consume the tracer into the run's telemetry. Every closed span's
+    /// duration is folded into a per-stage latency histogram
+    /// (`latency.<stage>`) before export; spans still open are
+    /// discarded and counted so the exported set is always balanced.
     #[must_use]
-    pub fn finish(self) -> Option<RunTelemetry> {
-        self.inner.map(|inner| {
-            let TracerInner {
-                ring,
-                mut registry,
-                spans,
-                decisions,
-            } = *inner;
-            let dropped = ring.dropped();
-            let (spans, dropped_spans, unclosed_spans) = spans.finish();
-            for s in &spans {
-                registry.observe(s.stage.metric(), s.duration());
+    pub fn finish(self) -> RunTelemetry {
+        let Tracer {
+            ring,
+            mut registry,
+            spans,
+            decisions,
+        } = self;
+        let dropped = ring.dropped();
+        let (spans, dropped_spans, unclosed_spans) = spans.finish();
+        for s in &spans {
+            registry.observe(s.stage.metric(), s.duration());
+        }
+        let (decisions, dropped_decisions) = match decisions {
+            Some(ring) => {
+                let dropped = ring.dropped();
+                (ring.into_vec(), dropped)
             }
-            let (decisions, dropped_decisions) = match decisions {
-                Some(ring) => {
-                    let dropped = ring.dropped();
-                    (ring.into_vec(), dropped)
-                }
-                None => (Vec::new(), 0),
-            };
-            let (series, hists) = registry.into_parts();
-            RunTelemetry {
-                events: ring.into_vec(),
-                dropped_events: dropped,
-                series,
-                spans,
-                dropped_spans,
-                unclosed_spans,
-                decisions,
-                dropped_decisions,
-                hists,
-            }
-        })
+            None => (Vec::new(), 0),
+        };
+        let (series, hists) = registry.into_parts();
+        RunTelemetry {
+            events: ring.into_vec(),
+            dropped_events: dropped,
+            series,
+            spans,
+            dropped_spans,
+            unclosed_spans,
+            decisions,
+            dropped_decisions,
+            hists,
+        }
     }
 }
 
@@ -323,30 +250,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_tracer_is_inert() {
-        let mut t = Tracer::disabled();
-        assert!(!t.enabled());
-        let mut built = false;
-        t.emit(5, || {
-            built = true;
-            TraceEvent::FarFault { page: 1 }
-        });
-        assert!(!built, "payload closure must not run when disabled");
-        t.sample_epoch(5, [("x", MetricKind::Counter, 1)]);
-        let s = t.span_open(SpanStage::FaultTotal, 0, SpanId::NONE, 0, 0, 0);
-        assert!(s.is_none());
-        assert!(!t.span_close(s, 10));
-        assert!(t
-            .span(SpanStage::TlbL1, 0, 1, SpanId::NONE, 0, 0, 0)
-            .is_none());
-        assert!(t.registry_mut().is_none());
-        assert!(t.finish().is_none());
-    }
-
-    #[test]
-    fn enabled_tracer_records_events_and_epochs() {
-        let mut t = Tracer::new(TraceConfig::on());
-        t.emit(10, || TraceEvent::FarFault { page: 3 });
+    fn tracer_records_events_and_epochs() {
+        let mut t = Tracer::new(TraceConfig::default());
+        t.emit(10, TraceEvent::FarFault { page: 3 });
         t.sample_epoch(
             10,
             [
@@ -361,7 +267,7 @@ mod tests {
                 ("m.resident", MetricKind::Gauge, 32),
             ],
         );
-        let r = t.finish().unwrap();
+        let r = t.finish();
         assert_eq!(r.events.len(), 1);
         assert_eq!(r.series.rows.len(), 2);
         assert_eq!(r.series.final_total("d.batches"), 2);
@@ -372,13 +278,13 @@ mod tests {
 
     #[test]
     fn spans_fold_into_latency_histograms() {
-        let mut t = Tracer::new(TraceConfig::on());
+        let mut t = Tracer::new(TraceConfig::default());
         let root = t.span_open(SpanStage::FaultTotal, 100, SpanId::NONE, 2, 9, 7);
         t.span(SpanStage::PageWalk, 100, 700, root, 2, 9, 7);
         assert!(t.span_close(root, 1100));
         let leak = t.span_open(SpanStage::Replay, 1100, root, 2, 9, 7);
         assert!(!leak.is_none());
-        let r = t.finish().unwrap();
+        let r = t.finish();
         assert_eq!(r.spans.len(), 2);
         assert_eq!(r.unclosed_spans, 1, "open replay span discarded");
         assert!(!r.lossy());
@@ -393,24 +299,17 @@ mod tests {
         let mut t = Tracer::new(TraceConfig {
             ring_capacity: 4,
             span_capacity: 2,
-            ..TraceConfig::on()
+            ..TraceConfig::default()
         });
         for i in 0..5u64 {
             t.span(SpanStage::TlbL1, i, i + 1, SpanId::NONE, 0, 0, i);
         }
         t.sample_epoch(100, []);
-        let r = t.finish().unwrap();
+        let r = t.finish();
         assert_eq!(r.spans.len(), 2);
         assert_eq!(r.dropped_spans, 3);
         assert!(r.lossy());
         assert_eq!(r.series.final_total("telemetry.spans.dropped"), 3);
-    }
-
-    #[test]
-    fn config_off_yields_disabled() {
-        let t = Tracer::new(TraceConfig::default());
-        assert!(!t.enabled());
-        assert!(Tracer::new(TraceConfig::on()).enabled());
     }
 
     fn sample_decision(chosen: u64) -> crate::decision::DecisionEvent {
@@ -426,17 +325,11 @@ mod tests {
 
     #[test]
     fn tracing_without_audit_records_no_decisions() {
-        let mut t = Tracer::new(TraceConfig::on());
-        assert!(t.enabled());
+        let mut t = Tracer::new(TraceConfig::default());
         assert!(!t.audit_enabled());
-        let mut built = false;
-        t.decision(5, || {
-            built = true;
-            sample_decision(1)
-        });
-        assert!(!built, "decision closure must not run without audit");
+        t.decision(5, sample_decision(1));
         t.sample_epoch(10, []);
-        let r = t.finish().unwrap();
+        let r = t.finish();
         assert!(r.decisions.is_empty());
         assert_eq!(r.dropped_decisions, 0);
         assert!(
@@ -456,10 +349,10 @@ mod tests {
         });
         assert!(t.audit_enabled());
         for i in 0..5u64 {
-            t.decision(i, || sample_decision(i));
+            t.decision(i, sample_decision(i));
         }
         t.sample_epoch(100, []);
-        let r = t.finish().unwrap();
+        let r = t.finish();
         assert_eq!(r.decisions.len(), 2);
         assert_eq!(r.dropped_decisions, 3);
         assert!(r.lossy());

@@ -39,6 +39,7 @@
 
 use crate::error::UvmError;
 use crate::frames::FrameAllocator;
+use crate::observe::{DriverEvent, DriverObserver, NoObserver};
 use crate::pcie::PcieLink;
 use cppe::engine::PolicyEngine;
 use cppe::pins::{PinCounts, PinSet};
@@ -49,15 +50,6 @@ use sim_core::error::{require_positive, ConfigError};
 use sim_core::fault::{FaultInjector, InjectionStats};
 use sim_core::time::Cycle;
 use sim_core::TouchVec;
-use telemetry::{
-    DecisionEvent, DecisionKind, InjectedFaultKind, MetricKind, RunTelemetry, SpanId, SpanStage,
-    TraceEvent, Tracer,
-};
-
-/// Candidate-window size recorded per audited eviction decision. Large
-/// enough to show what the policy weighed, small enough to keep the
-/// decision ring cheap.
-const AUDIT_CANDIDATES: usize = 8;
 
 /// Driver configuration.
 #[derive(Debug, Clone, Copy)]
@@ -308,15 +300,6 @@ pub struct UvmDriver {
     /// rung gets a fresh window to prove itself.
     shed_base_evicted: u64,
     shed_base_untouch: u64,
-    /// Telemetry recorder (inert unless armed via
-    /// [`UvmDriver::set_tracer`]).
-    tracer: Tracer,
-    /// Span of the batch currently being serviced ([`SpanId::NONE`]
-    /// outside `service_batch` or when tracing is off).
-    batch_span: SpanId,
-    /// Latest DMA completion charged by the current batch (eviction
-    /// write-backs can land after the last migration).
-    batch_dma_end: Cycle,
     /// Reusable [`BatchResult`] buffers, refilled by
     /// [`UvmDriver::recycle`]: once they reach their high-water marks,
     /// steady-state batch service allocates nothing.
@@ -383,9 +366,6 @@ impl UvmDriver {
             quiet_batches: 0,
             shed_base_evicted: 0,
             shed_base_untouch: 0,
-            tracer: Tracer::disabled(),
-            batch_span: SpanId::NONE,
-            batch_dma_end: Cycle::ZERO,
             scratch_migrated: Vec::new(),
             scratch_evicted: Vec::new(),
             scratch_completions: Vec::new(),
@@ -450,25 +430,6 @@ impl UvmDriver {
         self.rung
     }
 
-    /// Arm the driver with a telemetry tracer (typed events plus one
-    /// metrics epoch per serviced batch).
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    /// Take the recorded telemetry out of the driver (`None` when
-    /// tracing was off).
-    pub fn take_telemetry(&mut self) -> Option<RunTelemetry> {
-        std::mem::take(&mut self.tracer).finish()
-    }
-
-    /// Mutable access to the driver-owned tracer: the simulator records
-    /// its lane-side fault-lifecycle spans through the same recorder so
-    /// one run yields one coherent span set.
-    pub fn tracer_mut(&mut self) -> &mut Tracer {
-        &mut self.tracer
-    }
-
     /// Injection-side counters (what the injector actually fired).
     #[must_use]
     pub fn injector_stats(&self) -> InjectionStats {
@@ -483,37 +444,18 @@ impl UvmDriver {
 
     /// Evict one policy-selected chunk, releasing its frames. Returns
     /// false when no victim is available (empty chain).
-    fn evict_one<M: Mmu>(
+    fn evict_one<M: Mmu, O: DriverObserver>(
         &mut self,
         xlat: &mut M,
         evicted: &mut Vec<VirtPage>,
         pinned: &PinSet,
+        obs: &mut O,
     ) -> bool {
         self.engine.note_memory_full();
-        // Audit provenance: preview the candidate window *before*
-        // selection — selection itself mutates policy state (CLOCK's
-        // hand, RRIP aging, the random draw), so the preview must come
-        // first to describe the choice the policy actually faced.
-        let candidates = self
-            .tracer
-            .audit_enabled()
-            .then(|| self.engine.victim_candidates(pinned, AUDIT_CANDIDATES));
+        obs.selecting_victim(self, pinned);
         let Some(victim) = self.engine.select_victim_pinned(pinned) else {
             return false;
         };
-        if let Some(cands) = candidates {
-            let policy = self.engine.evict_name();
-            let rung = self.rung;
-            self.tracer
-                .decision(self.service_start.0, || DecisionEvent {
-                    kind: DecisionKind::Eviction,
-                    policy,
-                    origin: "capacity",
-                    rung,
-                    chosen: victim.0,
-                    pages: cands.into_iter().map(|c| c.0).collect(),
-                });
-        }
         let mut touch = TouchVec::empty();
         let mut resident = 0u32;
         let frames = &mut self.frames;
@@ -532,25 +474,15 @@ impl UvmDriver {
         let d2h_done =
             self.pcie
                 .transfer_d2h_at(u64::from(resident), self.service_start, self.service_bw);
-        if self.tracer.enabled() && resident > 0 {
-            self.tracer.span(
-                SpanStage::EvictionDma,
-                d2h_start.0,
-                d2h_done.0,
-                self.batch_span,
-                u16::MAX,
-                u32::MAX,
-                victim.0,
-            );
-            self.batch_dma_end = self.batch_dma_end.max(d2h_done);
-        }
         let untouch = resident.saturating_sub(touch.count_touched());
-        self.tracer
-            .emit(self.service_start.0, || TraceEvent::Eviction {
-                chunk: victim.0,
-                resident,
-                untouch,
-            });
+        let evicted = DriverEvent::ChunkEvicted {
+            at: self.service_start,
+            chunk: victim,
+            resident,
+            untouch,
+            d2h: (d2h_start, d2h_done),
+        };
+        obs.driver_event(self, evicted);
         self.engine.note_evicted(victim, touch, resident);
         true
     }
@@ -572,14 +504,30 @@ impl UvmDriver {
     /// if a fault lies at or past [`FLAT_LIMIT`]: the policy state is
     /// indexed by chunk id, so such a page would size every table to
     /// its chunk.
-    // Generic, so it is compiled in the calling crate: the helpers it
-    // calls here and in `frames` and `pcie` carry `#[inline]` so they
-    // can still inline into it there.
     pub fn service_batch<M: Mmu>(
         &mut self,
         faults: &[VirtPage],
         now: Cycle,
         xlat: &mut M,
+    ) -> Result<BatchResult, UvmError> {
+        self.service_batch_with(faults, now, xlat, NoObserver)
+    }
+
+    /// [`UvmDriver::service_batch`] with `obs` attached to the driver's
+    /// hook points (see [`crate::observe`]). Pass `&mut obs` to read the
+    /// observer back afterwards.
+    ///
+    /// # Errors
+    /// As [`UvmDriver::service_batch`].
+    // Generic, so it is compiled in the calling crate: the helpers it
+    // calls here and in `frames` and `pcie` carry `#[inline]` so they
+    // can still inline into it there.
+    pub fn service_batch_with<M: Mmu, O: DriverObserver>(
+        &mut self,
+        faults: &[VirtPage],
+        now: Cycle,
+        xlat: &mut M,
+        mut obs: O,
     ) -> Result<BatchResult, UvmError> {
         if let Some(&page) = faults.iter().find(|p| p.0 >= FLAT_LIMIT) {
             return Err(UvmError::PageOutOfRange { page });
@@ -587,15 +535,11 @@ impl UvmDriver {
         let batch_seq = self.stats.batches;
         self.stats.batches += 1;
         self.service_start = now;
-        self.batch_dma_end = now;
-        self.batch_span = self.tracer.span_open(
-            SpanStage::DriverBatch,
-            now.0,
-            SpanId::NONE,
-            u16::MAX,
-            u32::MAX,
-            batch_seq,
-        );
+        let opened = DriverEvent::BatchOpened {
+            now,
+            batch: batch_seq,
+        };
+        obs.driver_event(self, opened);
         let arrived = faults.len() as u32;
         // Perturbations for this batch: link bandwidth multiplier
         // (square wave of the current cycle) and queue overflow. A
@@ -608,11 +552,11 @@ impl UvmDriver {
                 self.stats.batch_splits += 1;
                 let cut = (faults.len() - depth) as u64;
                 self.stats.deferred_faults += cut;
-                self.tracer.emit(now.0, || TraceEvent::InjectedFault {
-                    kind: InjectedFaultKind::QueueOverflow {
-                        deferred: cut as u32,
-                    },
-                });
+                let overflow = DriverEvent::QueueOverflow {
+                    at: now,
+                    deferred: cut as u32,
+                };
+                obs.driver_event(self, overflow);
                 deferred.extend_from_slice(&faults[depth..]);
                 &faults[..depth]
             }
@@ -623,9 +567,7 @@ impl UvmDriver {
         if spike > 1.0 {
             self.stats.latency_spike_batches += 1;
             base_cycles = (base_cycles as f64 * spike).round() as u64;
-            self.tracer.emit(now.0, || TraceEvent::InjectedFault {
-                kind: InjectedFaultKind::LatencySpike,
-            });
+            obs.driver_event(self, DriverEvent::LatencySpike { at: now });
         }
 
         let mut migrated = std::mem::take(&mut self.scratch_migrated);
@@ -660,8 +602,11 @@ impl UvmDriver {
             if distinct > 1 {
                 host_cursor = host_cursor.after(self.cfg.per_fault_cycles);
             }
-            self.tracer
-                .emit(host_cursor.0, || TraceEvent::FarFault { page: fault.0 });
+            let far = DriverEvent::FarFault {
+                at: host_cursor,
+                page: fault,
+            };
+            obs.driver_event(self, far);
 
             // Draw this migration's DMA fate *before* any state changes:
             // injected transient failures cost one backoff each (bounded
@@ -675,10 +620,11 @@ impl UvmDriver {
             let mut abort = false;
             while self.injector.transfer_fails() {
                 self.stats.injected_transfer_faults += 1;
-                self.tracer
-                    .emit(host_cursor.0, || TraceEvent::InjectedFault {
-                        kind: InjectedFaultKind::TransferFailure,
-                    });
+                let failure = DriverEvent::TransferFailure {
+                    at: host_cursor,
+                    page: fault,
+                };
+                obs.driver_event(self, failure);
                 if attempts > self.resilience.max_transfer_retries {
                     abort = true;
                     break;
@@ -686,34 +632,34 @@ impl UvmDriver {
                 let wait = backoff_cycles(&self.resilience, attempts);
                 backoff += wait;
                 self.stats.retries += 1;
-                let attempt = attempts;
-                self.tracer.emit(host_cursor.0, || TraceEvent::DmaRetry {
-                    page: fault.0,
-                    attempt,
-                    backoff_cycles: wait,
-                });
+                let retry = DriverEvent::DmaRetry {
+                    at: host_cursor,
+                    page: fault,
+                    attempt: attempts,
+                    backoff: wait,
+                };
+                obs.driver_event(self, retry);
                 attempts += 1;
             }
             if backoff > 0 {
                 self.stats.retry_backoff_cycles += backoff;
                 let backoff_start = host_cursor;
                 host_cursor = host_cursor.after(backoff);
-                self.tracer.span(
-                    SpanStage::RetryBackoff,
-                    backoff_start.0,
-                    host_cursor.0,
-                    self.batch_span,
-                    u16::MAX,
-                    u32::MAX,
-                    fault.0,
-                );
+                let waited = DriverEvent::RetryBackoff {
+                    page: fault,
+                    start: backoff_start,
+                    end: host_cursor,
+                };
+                obs.driver_event(self, waited);
             }
             if abort {
                 self.stats.migrations_aborted += 1;
-                self.tracer.emit(host_cursor.0, || TraceEvent::DmaAbort {
-                    page: fault.0,
+                let abort = DriverEvent::DmaAbort {
+                    at: host_cursor,
+                    page: fault,
                     attempts,
-                });
+                };
+                obs.driver_event(self, abort);
                 completions.push((fault, host_cursor));
                 continue;
             }
@@ -738,12 +684,12 @@ impl UvmDriver {
                 plan.sort_unstable_by_key(|p| p.0);
             }
 
-            let planned = plan.len() as u32;
-            self.tracer
-                .emit(host_cursor.0, || TraceEvent::PrefetchDecision {
-                    page: fault.0,
-                    planned,
-                });
+            let planned = DriverEvent::PrefetchPlanned {
+                at: host_cursor,
+                page: fault,
+                planned: plan.len() as u32,
+            };
+            obs.driver_event(self, planned);
 
             // A chunk's planned pages are consecutive: pin it once.
             let mut last = None;
@@ -757,7 +703,7 @@ impl UvmDriver {
 
             // Make room.
             while (self.frames.free() as usize) < plan.len() {
-                if !self.evict_one(xlat, &mut evicted, &pinned) {
+                if !self.evict_one(xlat, &mut evicted, &pinned, &mut obs) {
                     // Chain exhausted (pathological): shrink the plan to
                     // whatever fits, keeping the faulted page.
                     let free = self.frames.free() as usize;
@@ -769,24 +715,9 @@ impl UvmDriver {
                 }
             }
 
-            // Audit provenance: the final plan (post cap-truncation and
-            // any chain-exhausted shrink) with the strategy branch that
-            // produced it. These are exactly the pages mapped below, so
-            // the ledger can replay residency from the decision stream.
-            if self.tracer.audit_enabled() {
-                let policy = self.engine.prefetch_name();
-                let origin = self.engine.plan_origin();
-                let rung = self.rung;
-                let pages: Vec<u64> = plan.iter().map(|p| p.0).collect();
-                self.tracer.decision(host_cursor.0, || DecisionEvent {
-                    kind: DecisionKind::Prefetch,
-                    policy,
-                    origin,
-                    rung,
-                    chosen: fault.0,
-                    pages,
-                });
-            }
+            // The final plan (post cap-truncation and any
+            // chain-exhausted shrink): exactly the pages mapped below.
+            obs.plan_final(self, host_cursor, fault, &plan);
 
             // Map, grouped by chunk for the policy notifications.
             let mut i = 0;
@@ -813,24 +744,13 @@ impl UvmDriver {
             let transfer_done = self
                 .pcie
                 .transfer_h2d_at(plan.len() as u64, now, self.service_bw);
-            if self.tracer.enabled() {
-                self.tracer.span(
-                    SpanStage::PcieTransfer,
-                    h2d_start.0,
-                    transfer_done.0,
-                    self.batch_span,
-                    u16::MAX,
-                    u32::MAX,
-                    fault.0,
-                );
-                self.batch_dma_end = self.batch_dma_end.max(transfer_done);
-            }
-            let pages = plan.len() as u32;
-            self.tracer.emit(now.0, || TraceEvent::MigrationDma {
-                page: fault.0,
-                pages,
-                done_cycle: transfer_done.0,
-            });
+            let dma = DriverEvent::MigrationDma {
+                at: now,
+                page: fault,
+                pages: plan.len() as u32,
+                h2d: (h2d_start, transfer_done),
+            };
+            obs.driver_event(self, dma);
             completions.push((fault, host_cursor.max(transfer_done)));
             migrated.extend_from_slice(&plan);
         }
@@ -843,31 +763,17 @@ impl UvmDriver {
             .unwrap_or(host_done)
             .max(host_done);
 
-        self.check_thrash(now);
-
-        self.tracer.emit(now.0, || TraceEvent::BatchServiced {
+        self.check_thrash(now, &mut obs);
+        let serviced = DriverEvent::BatchServiced {
+            now,
             batch: batch_seq,
             arrived,
             distinct: distinct as u32,
             coalesced,
-            host_done_cycle: host_done.0,
-            done_cycle: done_at.0,
-        });
-        if self.tracer.enabled() {
-            self.tracer.span(
-                SpanStage::HostService,
-                now.0,
-                host_done.0,
-                self.batch_span,
-                u16::MAX,
-                u32::MAX,
-                batch_seq,
-            );
-            let batch_end = done_at.max(self.batch_dma_end);
-            self.tracer.span_close(self.batch_span, batch_end.0);
-            self.batch_span = SpanId::NONE;
-        }
-        self.record_epoch(now);
+            host_done,
+            done_at,
+        };
+        obs.driver_event(self, serviced);
 
         self.pinned_buf = pinned;
         self.plan_buf = plan;
@@ -908,7 +814,7 @@ impl UvmDriver {
     /// is 0 (nothing to thrash against), or effectively when
     /// `crash_untouch_fraction > 1.0` (untouch never exceeds evictions).
     #[inline]
-    fn check_thrash(&mut self, now: Cycle) {
+    fn check_thrash<O: DriverObserver>(&mut self, now: Cycle, obs: &mut O) {
         if self.cfg.crash_min_evicted_factor == 0 || self.cfg.footprint_pages == 0 {
             return;
         }
@@ -918,7 +824,7 @@ impl UvmDriver {
         let armed = evicted > self.cfg.crash_min_evicted_factor * self.cfg.footprint_pages;
         let wasteful = (untouch as f64) > self.cfg.crash_untouch_fraction * evicted as f64;
         if !(armed && wasteful) {
-            self.try_recover(now);
+            self.try_recover(now, obs);
             return;
         }
         self.quiet_batches = 0;
@@ -944,8 +850,7 @@ impl UvmDriver {
         self.rung += 1;
         self.degraded_ever = true;
         let to = self.rung;
-        self.tracer
-            .emit(now.0, || TraceEvent::RungTransition { from, to });
+        obs.driver_event(self, DriverEvent::RungChanged { at: now, from, to });
         self.shed_base_evicted = st.pages_evicted;
         self.shed_base_untouch = st.total_untouch;
     }
@@ -957,7 +862,7 @@ impl UvmDriver {
     /// throttle to full aggressiveness — and give the detector a fresh
     /// baseline window. Disabled when the quiet period is 0.
     #[inline]
-    fn try_recover(&mut self, now: Cycle) {
+    fn try_recover<O: DriverObserver>(&mut self, now: Cycle, obs: &mut O) {
         if self.rung == 0 || self.resilience.recovery_quiet_batches == 0 {
             return;
         }
@@ -979,63 +884,20 @@ impl UvmDriver {
         self.rung -= 1;
         self.stats.rung_recoveries += 1;
         let to = self.rung;
-        self.tracer
-            .emit(now.0, || TraceEvent::RungTransition { from, to });
+        obs.driver_event(self, DriverEvent::RungChanged { at: now, from, to });
         let st = self.engine.stats;
         self.shed_base_evicted = st.pages_evicted;
         self.shed_base_untouch = st.total_untouch;
-    }
-
-    /// Snapshot every metric as one telemetry epoch at `now` (no-op when
-    /// tracing is off). One epoch per serviced batch: nothing mutates
-    /// driver or engine counters outside `service_batch`, so batch
-    /// granularity loses nothing.
-    #[inline]
-    fn record_epoch(&mut self, now: Cycle) {
-        if !self.tracer.enabled() {
-            return;
-        }
-        let mut m: Vec<(&'static str, MetricKind, u64)> = Vec::with_capacity(30);
-        for (n, v) in self.engine.stats.metrics() {
-            m.push((n, MetricKind::Counter, v));
-        }
-        m.push((
-            "cppe.wrong_evictions",
-            MetricKind::Counter,
-            self.engine.wrong_evictions(),
-        ));
-        for (n, v) in self.stats.metrics() {
-            m.push((n, MetricKind::Counter, v));
-        }
-        for (n, v) in self.injector.stats().metrics() {
-            m.push((n, MetricKind::Counter, v));
-        }
-        m.push(("pcie.bytes_h2d", MetricKind::Counter, self.pcie.bytes_h2d));
-        m.push(("pcie.bytes_d2h", MetricKind::Counter, self.pcie.bytes_d2h));
-        let free = u64::from(self.frames.free());
-        let resident = u64::from(self.frames.capacity()) - free;
-        m.push(("mem.resident_pages", MetricKind::Gauge, resident));
-        m.push(("mem.free_frames", MetricKind::Gauge, free));
-        m.push((
-            "cppe.chain_len",
-            MetricKind::Gauge,
-            self.engine.chain().len() as u64,
-        ));
-        m.push((
-            "cppe.prefetch_throttle",
-            MetricKind::Gauge,
-            u64::from(self.engine.prefetch_throttle()),
-        ));
-        m.push(("driver.rung", MetricKind::Gauge, u64::from(self.rung)));
-        self.tracer.sample_epoch(now.0, m);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observe::{Hook, HookLog};
     use cppe::presets::PolicyPreset;
     use gmmu::translation::{TranslationConfig, TranslationPath};
+    use gmmu::types::ChunkId;
 
     fn setup(capacity: u32, preset: PolicyPreset) -> (UvmDriver, TranslationPath) {
         let cfg = UvmConfig::table1(capacity, 1024);
@@ -1542,11 +1404,9 @@ mod tests {
 
     /// Degraded driver over a thrash-then-quiet workload: trip the
     /// ladder twice with white-box counter bumps (as in
-    /// `ladder_third_trip_crashes`), then run quiet batches.
-    fn ladder_then_quiet(
-        resilience: ResilienceConfig,
-        tracer: Option<telemetry::Tracer>,
-    ) -> UvmDriver {
+    /// `ladder_third_trip_crashes`), then run quiet batches, all
+    /// watched by `obs`.
+    fn ladder_then_quiet<O: DriverObserver>(resilience: ResilienceConfig, mut obs: O) -> UvmDriver {
         let cfg = UvmConfig {
             crash_untouch_fraction: 0.5,
             crash_min_evicted_factor: 1,
@@ -1560,27 +1420,24 @@ mod tests {
             resilience,
         )
         .unwrap();
-        if let Some(t) = tracer {
-            d.set_tracer(t);
-        }
         let mut xlat = TranslationPath::new(&TranslationConfig::default());
         for trip in 0..2u64 {
             d.engine_mut().stats.pages_evicted += 100;
             d.engine_mut().stats.total_untouch += 90;
-            d.service_batch(&[], Cycle(trip * 100_000), &mut xlat)
+            d.service_batch_with(&[], Cycle(trip * 100_000), &mut xlat, &mut obs)
                 .unwrap();
         }
         assert_eq!(d.sheds(), 2, "both rungs climbed");
         for i in 0..4u64 {
-            d.service_batch(&[], Cycle(1_000_000 + i * 100_000), &mut xlat)
-                .unwrap();
+            let now = Cycle(1_000_000 + i * 100_000);
+            d.service_batch_with(&[], now, &mut xlat, &mut obs).unwrap();
         }
         d
     }
 
     #[test]
     fn recovery_rearms_after_quiet_period() {
-        let d = ladder_then_quiet(ResilienceConfig::degraded_with_recovery(2), None);
+        let d = ladder_then_quiet(ResilienceConfig::degraded_with_recovery(2), NoObserver);
         // Quiet batches 2 and 4 each step one rung back up.
         assert_eq!(d.sheds(), 0, "fully recovered");
         assert_eq!(d.stats.rung_recoveries, 2);
@@ -1593,7 +1450,7 @@ mod tests {
 
     #[test]
     fn recovery_disabled_by_default_quiet_period() {
-        let d = ladder_then_quiet(ResilienceConfig::degraded(), None);
+        let d = ladder_then_quiet(ResilienceConfig::degraded(), NoObserver);
         assert_eq!(d.sheds(), 2, "no recovery without a quiet period");
         assert_eq!(d.stats.rung_recoveries, 0);
         assert!(d.engine().fell_back());
@@ -1601,17 +1458,13 @@ mod tests {
 
     #[test]
     fn rung_transitions_emit_telemetry_both_directions() {
-        use telemetry::{TraceConfig, TraceEvent, Tracer};
-        let mut d = ladder_then_quiet(
-            ResilienceConfig::degraded_with_recovery(2),
-            Some(Tracer::new(TraceConfig::on())),
-        );
-        let t = d.take_telemetry().expect("tracing was on");
-        let rungs: Vec<(u32, u32)> = t
-            .events
+        let mut log = HookLog::default();
+        ladder_then_quiet(ResilienceConfig::degraded_with_recovery(2), &mut log);
+        let rungs: Vec<(u32, u32)> = log
+            .calls
             .iter()
-            .filter_map(|e| match e.event {
-                TraceEvent::RungTransition { from, to } => Some((from, to)),
+            .filter_map(|h| match *h {
+                Hook::Event(DriverEvent::RungChanged { from, to, .. }) => Some((from, to)),
                 _ => None,
             })
             .collect();
@@ -1620,100 +1473,132 @@ mod tests {
             vec![(0, 1), (1, 2), (2, 1), (1, 0)],
             "down the ladder, then back up"
         );
-        assert!(d.take_telemetry().is_none(), "telemetry is taken once");
+    }
+
+    /// Three batches against a two-chunk memory, watched by `obs`: two
+    /// fills, then a fault that evicts chunk 0 (LRU). Returns the
+    /// driver and each batch's result as `Debug` text.
+    fn evicting_batches<O: DriverObserver>(mut obs: O) -> (UvmDriver, Vec<String>) {
+        let (mut d, mut xlat) = setup(32, PolicyPreset::Baseline);
+        let mut results = Vec::new();
+        for (page, t) in [(0, 0), (16, 100_000), (32, 200_000)] {
+            let r = d
+                .service_batch_with(&[VirtPage(page)], Cycle(t), &mut xlat, &mut obs)
+                .unwrap();
+            results.push(format!("{r:?}"));
+        }
+        (d, results)
+    }
+
+    /// The hook stream of [`evicting_batches`].
+    fn evicting_hooks() -> (UvmDriver, Vec<Hook>) {
+        let mut log = HookLog::default();
+        let (d, _) = evicting_batches(&mut log);
+        (d, log.calls)
     }
 
     #[test]
     fn traced_run_records_events_and_epochs() {
-        use telemetry::{TraceConfig, TraceEvent, Tracer};
-        let (mut d, mut xlat) = setup(32, PolicyPreset::Baseline);
-        d.set_tracer(Tracer::new(TraceConfig::on()));
-        d.service_batch(&[VirtPage(0)], Cycle::ZERO, &mut xlat)
-            .unwrap();
-        d.service_batch(&[VirtPage(16)], Cycle(100_000), &mut xlat)
-            .unwrap();
-        d.service_batch(&[VirtPage(32)], Cycle(200_000), &mut xlat)
-            .unwrap();
-        let t = d.take_telemetry().unwrap();
-        assert_eq!(t.series.rows.len(), 3, "one epoch per batch");
-        t.series.parity().expect("counter deltas reconcile");
-        assert_eq!(t.series.final_total("driver.batches"), 3);
-        assert_eq!(t.series.final_total("cppe.pages_evicted"), 16);
-        assert_eq!(
-            t.series.final_total("mem.resident_pages"),
-            32,
-            "memory full after the eviction round-trip"
-        );
-        let has = |pred: &dyn Fn(&TraceEvent) -> bool| t.events.iter().any(|e| pred(&e.event));
-        assert!(has(&|e| matches!(e, TraceEvent::FarFault { .. })));
-        assert!(has(&|e| matches!(e, TraceEvent::PrefetchDecision { .. })));
-        assert!(has(&|e| matches!(e, TraceEvent::MigrationDma { .. })));
-        assert!(has(&|e| matches!(e, TraceEvent::Eviction { .. })));
-        assert!(has(&|e| matches!(e, TraceEvent::BatchServiced { .. })));
+        let (d, hooks) = evicting_hooks();
+        let serviced: Vec<u64> = hooks
+            .iter()
+            .filter_map(|h| match h {
+                Hook::Event(DriverEvent::BatchServiced { batch, .. }) => Some(*batch),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(serviced, [0, 1, 2], "one serviced hook per batch");
+        assert_eq!(d.stats.batches, 3);
+        let has = |pred: &dyn Fn(&Hook) -> bool| hooks.iter().any(pred);
+        assert!(has(&|h| matches!(
+            h,
+            Hook::Event(DriverEvent::FarFault { .. })
+        )));
+        assert!(has(&|h| matches!(
+            h,
+            Hook::Event(DriverEvent::PrefetchPlanned { .. })
+        )));
+        assert!(has(&|h| matches!(
+            h,
+            Hook::Event(DriverEvent::MigrationDma { .. })
+        )));
+        assert!(has(&|h| matches!(
+            h,
+            Hook::Event(DriverEvent::ChunkEvicted { resident: 16, .. })
+        )));
+        // Each batch opens before it does anything else.
+        assert!(matches!(
+            hooks[0],
+            Hook::Event(DriverEvent::BatchOpened { batch: 0, .. })
+        ));
     }
 
     #[test]
     fn audited_run_records_decision_provenance() {
-        use telemetry::{DecisionKind, TraceConfig, Tracer};
-        let (mut d, mut xlat) = setup(32, PolicyPreset::Baseline);
-        d.set_tracer(Tracer::new(TraceConfig::audited()));
-        d.service_batch(&[VirtPage(0)], Cycle::ZERO, &mut xlat)
-            .unwrap();
-        d.service_batch(&[VirtPage(16)], Cycle(100_000), &mut xlat)
-            .unwrap();
-        // Memory full → this batch evicts chunk 0 (LRU) and migrates
-        // chunk 2: one eviction decision plus three prefetch decisions.
-        d.service_batch(&[VirtPage(32)], Cycle(200_000), &mut xlat)
-            .unwrap();
-        let t = d.take_telemetry().unwrap();
-        let evs: Vec<_> = t
-            .decisions
+        // Memory full → the third batch evicts chunk 0 (LRU) and
+        // migrates chunk 2: one victim selection plus three final plans.
+        let (_, hooks) = evicting_hooks();
+        let selections: Vec<_> = hooks
             .iter()
-            .filter(|r| r.event.kind == DecisionKind::Eviction)
+            .filter(|h| matches!(h, Hook::SelectingVictim { .. }))
             .collect();
-        let pfs: Vec<_> = t
-            .decisions
+        let plans: Vec<_> = hooks
             .iter()
-            .filter(|r| r.event.kind == DecisionKind::Prefetch)
+            .filter(|h| matches!(h, Hook::PlanFinal { .. }))
             .collect();
-        assert_eq!(evs.len(), 1);
-        assert_eq!(pfs.len(), 3, "one per serviced fault");
-        let ev = &evs[0].event;
-        assert_eq!(ev.policy, "lru");
-        assert_eq!(ev.origin, "capacity");
-        assert_eq!(ev.rung, 0);
-        assert_eq!(ev.chosen, 0, "LRU victim is chunk 0");
+        assert_eq!(selections.len(), 1);
+        assert_eq!(plans.len(), 3, "one per serviced fault");
+        let Hook::SelectingVictim {
+            policy,
+            rung,
+            candidates,
+        } = selections[0]
+        else {
+            unreachable!()
+        };
+        assert_eq!(*policy, "lru");
+        assert_eq!(*rung, 0);
+        assert!(candidates.len() <= HookLog::WINDOW);
+        let chosen = hooks.iter().find_map(|h| match h {
+            Hook::Event(DriverEvent::ChunkEvicted { chunk, .. }) => Some(*chunk),
+            _ => None,
+        });
+        assert_eq!(chosen, Some(ChunkId(0)), "LRU victim is chunk 0");
         assert!(
-            ev.pages.contains(&ev.chosen),
+            candidates.contains(&ChunkId(0)),
             "victim inside the candidate window"
         );
-        assert!(ev.pages.len() <= AUDIT_CANDIDATES);
-        let pf = &pfs[2].event;
-        assert_eq!(pf.policy, "seq-local");
-        assert_eq!(pf.origin, "whole-chunk");
-        assert_eq!(pf.chosen, 32);
-        assert_eq!(pf.pages.len(), 16, "the exact mapped plan");
-        assert!(pf.pages.contains(&32));
-        assert_eq!(t.dropped_decisions, 0);
+        let Hook::PlanFinal {
+            fault,
+            policy,
+            origin,
+            plan,
+            ..
+        } = plans[2]
+        else {
+            unreachable!()
+        };
+        assert_eq!(*policy, "seq-local");
+        assert_eq!(*origin, "whole-chunk");
+        assert_eq!(*fault, VirtPage(32));
+        assert_eq!(plan.len(), 16, "the exact mapped plan");
+        assert!(plan.contains(&VirtPage(32)));
     }
 
     #[test]
-    fn tracing_without_audit_records_no_decisions() {
-        use telemetry::{TraceConfig, Tracer};
-        let (mut d, mut xlat) = setup(32, PolicyPreset::Baseline);
-        d.set_tracer(Tracer::new(TraceConfig::on()));
-        d.service_batch(&[VirtPage(0)], Cycle::ZERO, &mut xlat)
-            .unwrap();
-        d.service_batch(&[VirtPage(16)], Cycle(100_000), &mut xlat)
-            .unwrap();
-        d.service_batch(&[VirtPage(32)], Cycle(200_000), &mut xlat)
-            .unwrap();
-        let t = d.take_telemetry().unwrap();
-        assert!(t.decisions.is_empty());
-        assert_eq!(t.dropped_decisions, 0);
-        assert!(
-            !t.series.schema.iter().any(|(n, _)| n.contains("decisions")),
-            "audit-off schema must not grow"
+    fn observed_service_is_bit_identical() {
+        let (plain, plain_results) = evicting_batches(NoObserver);
+        let mut log = HookLog::default();
+        let (observed, observed_results) = evicting_batches(&mut log);
+        assert!(!log.calls.is_empty());
+        assert_eq!(observed_results, plain_results);
+        assert_eq!(
+            format!("{:?}", observed.stats),
+            format!("{:?}", plain.stats)
+        );
+        assert_eq!(
+            format!("{:?}", observed.engine().stats),
+            format!("{:?}", plain.engine().stats)
         );
     }
 

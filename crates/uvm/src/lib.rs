@@ -10,6 +10,8 @@
 //! * [`driver`] — [`UvmDriver`], the fault-batch service loop with the
 //!   20 µs far-fault cost, eviction, touch-bit harvesting and crash
 //!   (thrash-death) detection,
+//! * [`observe`] — [`DriverObserver`], the hook points of the batch
+//!   service, and [`HookLog`], which records every hook call,
 //! * [`error`] — [`UvmError`], the typed errors of the fallible service
 //!   path (no injection scenario may panic the simulator).
 //!
@@ -21,9 +23,11 @@
 pub mod driver;
 pub mod error;
 pub mod frames;
+pub mod observe;
 pub mod pcie;
 
 pub use driver::{BatchResult, DriverStats, ResilienceConfig, UvmConfig, UvmDriver};
 pub use error::UvmError;
 pub use frames::FrameAllocator;
+pub use observe::{DriverEvent, DriverObserver, Hook, HookLog, NoObserver};
 pub use pcie::PcieLink;

@@ -16,8 +16,8 @@
 //! wake past the ring window, a barrier relaunch — so this suite runs
 //! each case through both loops and asserts their
 //! `gpu::reference::Fingerprint`s agree: outcome, every counter block,
-//! byte totals, the batch timeline, and — for traced runs — the
-//! driver's event, epoch and decision streams.
+//! byte totals, the batch timeline, and every driver hook call in order
+//! (the stream a tracing observer records from).
 //!
 //! The tests below use fixed xorshift streams, paper cells (one at 112
 //! lanes), fixed fault schedules that drive the inline wake's two
@@ -32,8 +32,8 @@ use cppe::presets::PolicyPreset;
 use gmmu::page_table::FLAT_LIMIT;
 use gmmu::types::VirtPage;
 use gpu::observe::Ctx;
-use gpu::{FireCounts, GpuConfig, NoObserver, Observer, Outcome, RunResult};
-use harness::{capacity_pages, ExpConfig};
+use gpu::{DriverObserver, FireCounts, GpuConfig, NoObserver, Observer, Outcome, RunResult};
+use harness::{capacity_pages, ExpConfig, Tracing};
 use sim_core::fault::InjectionConfig;
 use sim_core::rng::Xoshiro256ss;
 use sim_core::time::Cycle;
@@ -63,6 +63,17 @@ fn paper_cell(
     scale: f64,
     mutate: &dyn Fn(&mut GpuConfig),
 ) -> RunResult {
+    paper_cell_with(abbr, preset, scale, mutate, NoObserver)
+}
+
+/// [`paper_cell`] with `obs` attached to the production loop.
+fn paper_cell_with<O: Observer>(
+    abbr: &str,
+    preset: PolicyPreset,
+    scale: f64,
+    mutate: &dyn Fn(&mut GpuConfig),
+    obs: O,
+) -> RunResult {
     let spec = registry::by_abbr(abbr).expect("known app");
     let mut cfg = ExpConfig::default().gpu;
     mutate(&mut cfg);
@@ -78,7 +89,7 @@ fn paper_cell(
         &streams,
         capacity_pages(&spec, 0.5, scale),
         spec.pages(scale),
-        NoObserver,
+        obs,
     )
 }
 
@@ -234,27 +245,32 @@ fn single_lane_long_streaks_agree() {
     agree("long streaks", &cfg, &engine, &streams, 64, 48, NoObserver);
 }
 
-/// With tracing and decision auditing on, the driver's typed event,
-/// epoch and decision streams (not just the counters) are identical:
-/// the production loop must drive the driver to emit every record the
-/// reference loop does, in the same order, at the same cycles.
+/// With the tracing observer attached (decision auditing on), the run
+/// still equals the reference loop's, driver hook stream included: the
+/// observer records its events, spans, epochs and decisions without
+/// steering the production loop.
 #[test]
 fn traced_runs_agree() {
-    let audited = |cfg: &mut GpuConfig| cfg.trace = TraceConfig::audited();
-    let r = paper_cell("STN", PolicyPreset::Cppe, 0.25, &audited);
-    let t = r.telemetry.expect("tracing was on");
+    let cfg = ExpConfig::default().gpu;
+    let mut tracing = Tracing::new(TraceConfig::audited(), cfg.warps_per_sm);
+    paper_cell_with("STN", PolicyPreset::Cppe, 0.25, &|_| {}, &mut tracing);
+    let t = tracing.finish();
     assert!(!t.events.is_empty() && !t.decisions.is_empty());
+    assert!(!t.spans.is_empty());
     assert_eq!(t.dropped_spans, 0, "span drops would skew the series");
-    synthetic_cell(
-        0x5151_6262_7373_8484,
-        PolicyPreset::Cppe,
-        6,
-        3,
-        160,
-        640,
+    let streams = random_streams(0x5151_6262_7373_8484, 6, 3, 160, 640);
+    let preset = PolicyPreset::Cppe;
+    let mut tracing = Tracing::new(TraceConfig::audited(), cfg.warps_per_sm);
+    agree(
+        "traced synthetic",
+        &cfg,
+        &|| preset.build(0x5151_6262_7373_8484 ^ 0xD1B5_4A32_D192_ED03),
+        &streams,
         256,
-        &audited,
+        640,
+        &mut tracing,
     );
+    assert!(!tracing.finish().decisions.is_empty());
 }
 
 /// Seeded random stream shapes on top of the fixed-seed cases above:
@@ -378,6 +394,8 @@ struct Wakes {
     hits: Vec<(u64, u32)>,
     batches: Vec<(u64, u64)>,
 }
+
+impl DriverObserver for Wakes {}
 
 impl Observer for Wakes {
     fn access_hit(&mut self, _: Ctx<'_>, lane: u32, _: VirtPage, ready_at: Cycle) {

@@ -2,30 +2,35 @@
 //!
 //! `gpu::simulate_with` runs the event loop with an `Observer` attached.
 //! Every combination of the stock observers — batch timeline, invariant
-//! checker, fire counters — with tracing off and audited must leave
-//! every simulated quantity, and every recorded telemetry stream,
-//! bit-identical to a bare `gpu::simulate`; the timeline an observer
-//! records must not depend on tracing either; and the invariant checker
-//! must stay clean on the paper cells.
+//! checker, fire counters — without and beside the audited tracing
+//! observer (`harness::Tracing`) must leave every simulated quantity,
+//! and every recorded telemetry stream, bit-identical to a bare run
+//! with the same tracing; the timeline an observer records must not
+//! depend on tracing either; and the invariant checker must stay clean
+//! on the paper cells.
 
 use cppe::presets::PolicyPreset;
-use gpu::{FireCounts, GpuConfig, Invariants, NoObserver, Observer, RunResult, Timeline};
-use harness::{capacity_pages, ExpConfig};
-use telemetry::TraceConfig;
+use gpu::{FireCounts, Invariants, NoObserver, Observer, RunResult, Timeline};
+use harness::{capacity_pages, ExpConfig, Tracing};
+use telemetry::{RunTelemetry, TraceConfig};
 use workloads::registry;
 
 /// Everything a run computes, as comparable text (telemetry streams
 /// included through their `Debug` form).
-fn fingerprint(r: &RunResult) -> String {
-    format!("{r:?}")
+fn fingerprint((r, t): &(RunResult, Option<RunTelemetry>)) -> String {
+    format!("{r:?}\n{t:?}")
 }
 
-fn run<O: Observer>(abbr: &str, preset: PolicyPreset, trace: TraceConfig, obs: O) -> RunResult {
+/// Run `abbr` with `obs` attached, behind the tracing observer when
+/// `trace` asks for one.
+fn run<O: Observer>(
+    abbr: &str,
+    preset: PolicyPreset,
+    trace: Option<TraceConfig>,
+    obs: O,
+) -> (RunResult, Option<RunTelemetry>) {
     let scale = 0.125;
-    let cfg = GpuConfig {
-        trace,
-        ..ExpConfig::default().gpu
-    };
+    let cfg = ExpConfig::default().gpu;
     let spec = registry::by_abbr(abbr).expect("known app");
     let lanes = cfg.lanes();
     let streams: Vec<_> = (0..lanes)
@@ -33,14 +38,32 @@ fn run<O: Observer>(abbr: &str, preset: PolicyPreset, trace: TraceConfig, obs: O
         .collect();
     let capacity = capacity_pages(&spec, 0.5, scale);
     let engine = preset.build(ExpConfig::default().seed ^ spec.seed);
-    gpu::simulate_with(&cfg, engine, &streams, capacity, spec.pages(scale), obs)
+    let footprint = spec.pages(scale);
+    match trace {
+        None => {
+            let r = gpu::simulate_with(&cfg, engine, &streams, capacity, footprint, obs);
+            (r, None)
+        }
+        Some(trace) => {
+            let mut tracing = Tracing::new(trace, cfg.warps_per_sm);
+            let r = gpu::simulate_with(
+                &cfg,
+                engine,
+                &streams,
+                capacity,
+                footprint,
+                (&mut tracing, obs),
+            );
+            (r, Some(tracing.finish()))
+        }
+    }
 }
 
 #[test]
 fn every_observer_combination_is_bit_identical() {
     for (abbr, preset) in [("STN", PolicyPreset::Cppe), ("KMN", PolicyPreset::Baseline)] {
         let mut timelines = Vec::new();
-        for trace in [TraceConfig::default(), TraceConfig::audited()] {
+        for trace in [None, Some(TraceConfig::audited())] {
             let bare = fingerprint(&run(abbr, preset, trace, NoObserver));
             let mut timeline = Timeline::default();
             let mut invariants = Invariants::default();
@@ -61,10 +84,10 @@ fn every_observer_combination_is_bit_identical() {
                     bare,
                     "{abbr}/{} observer set {i} (traced: {}) perturbed the run",
                     preset.label(),
-                    trace.enabled
+                    trace.is_some()
                 );
             }
-            let r = &runs[0];
+            let r = &runs[0].0;
             // The composed observers saw exactly what the solo ones did.
             assert_eq!(all.0.points, timeline.points);
             assert_eq!(all.1 .1, counts);

@@ -1,8 +1,9 @@
 //! Span-profiler integration suite: the fault-lifecycle span layer must
 //! be invisible to the simulation and structurally sound in its exports.
 //!
-//! * Bit-identity: span recording on/off changes nothing about the
-//!   paper-figure numbers (cycles, faults, evictions, PCIe traffic).
+//! * Bit-identity: attaching the span-recording observer changes
+//!   nothing about the paper-figure numbers (cycles, faults,
+//!   evictions, PCIe traffic).
 //! * Golden shape: the Chrome trace carries every lifecycle stage as
 //!   balanced `B`/`E` pairs on per-lane tracks plus the driver-side
 //!   `X` tracks.
@@ -14,23 +15,29 @@
 //!   counts the loss, and still exports a balanced trace.
 
 use cppe::presets::PolicyPreset;
-use gpu::RunResult;
-use harness::{run_cell, ExpConfig};
+use harness::{run_cell, Cell, ExpConfig};
 use std::collections::HashMap;
-use telemetry::{export, SpanRecord, SpanStage, TraceConfig};
+use telemetry::{export, RunTelemetry, SpanRecord, SpanStage, TraceConfig};
 use workloads::registry;
 
-fn traced_run(abbr: &str) -> RunResult {
-    let mut cfg = ExpConfig {
+/// `abbr` under CPPE at 50 %, quarter scale, traced with `trace`.
+fn traced_with(abbr: &str, trace: TraceConfig) -> RunTelemetry {
+    let cfg = ExpConfig {
         scale: 0.25,
         ..ExpConfig::default()
     };
-    cfg.gpu.trace = TraceConfig {
-        span_capacity: 1 << 20,
-        ..TraceConfig::on()
-    };
-    let w = registry::by_abbr(abbr).expect("known app");
-    run_cell(&w, PolicyPreset::Cppe, 0.5, &cfg)
+    let cell = Cell::app(abbr, PolicyPreset::Cppe, 0.5, &cfg).traced(trace);
+    cell.run().1.expect("traced")
+}
+
+fn traced_run(abbr: &str) -> RunTelemetry {
+    traced_with(
+        abbr,
+        TraceConfig {
+            span_capacity: 1 << 20,
+            ..TraceConfig::default()
+        },
+    )
 }
 
 fn field_u64(ev: &str, key: &str) -> u64 {
@@ -58,9 +65,9 @@ fn paper_figures_bit_identical_with_span_recording() {
                 ..ExpConfig::default()
             };
             let off = run_cell(&w, preset, 0.5, &cfg);
-            let mut traced = cfg;
-            traced.gpu.trace = TraceConfig::on();
-            let on = run_cell(&w, preset, 0.5, &traced);
+            let traced = Cell::new(&w, preset, 0.5, &cfg).traced(TraceConfig::default());
+            let (on, t) = traced.run();
+            assert!(t.is_some_and(|t| !t.spans.is_empty()), "spans recorded");
             assert_eq!(off.outcome, on.outcome, "{abbr}/{preset:?}");
             assert_eq!(off.cycles, on.cycles, "{abbr}/{preset:?} cycle drift");
             assert_eq!(off.accesses, on.accesses);
@@ -75,10 +82,9 @@ fn paper_figures_bit_identical_with_span_recording() {
 
 #[test]
 fn span_chrome_trace_has_golden_shape() {
-    let r = traced_run("STN");
-    let t = r.telemetry.as_ref().expect("traced");
+    let t = traced_run("STN");
     assert_eq!(t.dropped_spans, 0, "test ring sized for losslessness");
-    let j = export::chrome_trace_json(t);
+    let j = export::chrome_trace_json(&t);
     telemetry::json::validate(&j).expect("well-formed trace JSON");
     let pairs = export::span_balance(&j).expect("balanced B/E events");
     assert!(pairs > 0, "lane span trees rendered");
@@ -113,8 +119,7 @@ fn span_chrome_trace_has_golden_shape() {
 
 #[test]
 fn span_events_form_well_nested_stacks_per_track() {
-    let r = traced_run("STN");
-    let j = export::chrome_trace_json(&r.telemetry.expect("traced"));
+    let j = export::chrome_trace_json(&traced_run("STN"));
     let body = j
         .trim_start_matches("{\"traceEvents\":[")
         .trim_end_matches("]}");
@@ -150,8 +155,7 @@ fn span_events_form_well_nested_stacks_per_track() {
 
 #[test]
 fn child_stage_sums_reconcile_with_their_roots() {
-    let r = traced_run("KMN");
-    let t = r.telemetry.expect("traced");
+    let t = traced_run("KMN");
     let roots: HashMap<u64, &SpanRecord> = t
         .spans
         .iter()
@@ -212,17 +216,13 @@ fn child_stage_sums_reconcile_with_their_roots() {
 
 #[test]
 fn span_ring_overflow_keeps_newest_counts_loss_and_still_balances() {
-    let mut cfg = ExpConfig {
-        scale: 0.25,
-        ..ExpConfig::default()
-    };
-    cfg.gpu.trace = TraceConfig {
-        span_capacity: 16,
-        ..TraceConfig::on()
-    };
-    let w = registry::by_abbr("STN").expect("known app");
-    let r = run_cell(&w, PolicyPreset::Cppe, 0.5, &cfg);
-    let t = r.telemetry.expect("traced");
+    let t = traced_with(
+        "STN",
+        TraceConfig {
+            span_capacity: 16,
+            ..TraceConfig::default()
+        },
+    );
     assert_eq!(t.spans.len(), 16, "ring bound respected");
     assert!(t.dropped_spans > 0, "loss counted");
     assert!(t.lossy(), "loss flagged for report banners");

@@ -1,8 +1,8 @@
 //! Telemetry integration suite: the observability layer must be free
 //! when off, truthful when on.
 //!
-//! * Bit-identity: enabling the tracer changes nothing about the run
-//!   itself — cycles, stats and transfer volumes match exactly.
+//! * Bit-identity: attaching the tracing observer changes nothing about
+//!   the run itself — cycles, stats and transfer volumes match exactly.
 //! * Counter parity: per-epoch deltas in the sampled series sum back to
 //!   the end-of-run totals the simulator reports.
 //! * Golden schema: the timeline CSV header, the run record and the
@@ -14,7 +14,7 @@ use cppe::presets::PolicyPreset;
 use gpu::RunResult;
 use harness::record::{self, RunRecord};
 use harness::{Cell, ExpConfig};
-use telemetry::{csv, json, TraceConfig};
+use telemetry::{csv, json, RunTelemetry, TraceConfig};
 use workloads::registry;
 
 /// The frozen timeline CSV header: `epoch,cycle` then every metric in
@@ -34,27 +34,33 @@ mem.resident_pages,mem.free_frames,cppe.chain_len,cppe.prefetch_throttle,\
 driver.rung,\
 telemetry.ring.dropped,telemetry.spans.dropped";
 
-/// STN under CPPE at 50 %, quarter scale, with `trace`.
-fn cell_with(trace: TraceConfig) -> Cell {
-    let mut cfg = ExpConfig {
+/// STN under CPPE at 50 %, quarter scale, traced with `trace`.
+fn cell_with(trace: Option<TraceConfig>) -> Cell {
+    let cfg = ExpConfig {
         scale: 0.25,
+        trace,
         ..ExpConfig::default()
     };
-    cfg.gpu.trace = trace;
     let w = registry::by_abbr("STN").expect("known app");
     Cell::new(&w, PolicyPreset::Cppe, 0.5, &cfg)
 }
 
-fn run_with(trace: TraceConfig) -> RunResult {
+fn run_with(trace: Option<TraceConfig>) -> (RunResult, Option<RunTelemetry>) {
     cell_with(trace).run()
+}
+
+/// A traced run and its telemetry.
+fn traced(trace: TraceConfig) -> (RunResult, RunTelemetry) {
+    let (r, t) = run_with(Some(trace));
+    (r, t.expect("traced"))
 }
 
 #[test]
 fn tracing_is_bit_identical_to_untraced_run() {
-    let off = run_with(TraceConfig::default());
-    let on = run_with(TraceConfig::on());
-    assert!(off.telemetry.is_none());
-    assert!(on.telemetry.is_some());
+    let (off, none) = run_with(None);
+    let (on, some) = run_with(Some(TraceConfig::default()));
+    assert!(none.is_none());
+    assert!(some.is_some());
     assert_eq!(off.outcome, on.outcome);
     assert_eq!(off.cycles, on.cycles, "tracing must not cost cycles");
     assert_eq!(off.accesses, on.accesses);
@@ -68,8 +74,7 @@ fn tracing_is_bit_identical_to_untraced_run() {
 
 #[test]
 fn epoch_deltas_reconcile_with_run_totals() {
-    let r = run_with(TraceConfig::on());
-    let t = r.telemetry.as_ref().unwrap();
+    let (r, t) = traced(TraceConfig::default());
     t.series.parity().expect("delta sums match final totals");
     // One epoch per serviced fault batch.
     assert_eq!(t.series.rows.len() as u64, r.driver.batches);
@@ -91,9 +96,9 @@ fn epoch_deltas_reconcile_with_run_totals() {
 
 #[test]
 fn golden_csv_and_chrome_trace_schema() {
-    let cell = cell_with(TraceConfig::on());
-    let r = cell.run();
-    let t = r.telemetry.as_ref().unwrap();
+    let cell = cell_with(Some(TraceConfig::default()));
+    let (r, t) = cell.run();
+    let t = t.as_ref().unwrap();
 
     let timeline = telemetry::export::timeline_csv(&t.series);
     let header = csv::validate(&timeline).expect("well-formed CSV");
@@ -104,7 +109,7 @@ fn golden_csv_and_chrome_trace_schema() {
         "one row per fault batch"
     );
 
-    let doc = record::document(&[RunRecord::new("STN", &cell, &r)]);
+    let doc = record::document(&[RunRecord::new("STN", &cell, &r, Some(t))]);
     record::validate(&doc).expect("valid run record");
     assert!(doc.starts_with("{\"schema\":\"cppe-run-v1\",\"runs\":[{\"name\":\"STN\""));
     assert!(doc.contains("\"outcome\":\"completed\""));
@@ -123,18 +128,16 @@ fn golden_csv_and_chrome_trace_schema() {
 
 #[test]
 fn event_ring_overflow_keeps_newest_without_panicking() {
-    let full = run_with(TraceConfig::on());
-    let full_events = full.telemetry.unwrap().events;
+    let full_events = traced(TraceConfig::default()).1.events;
     assert!(
         full_events.len() > 8,
         "run too small to exercise the ring bound"
     );
 
-    let tiny = run_with(TraceConfig {
+    let (_, t) = traced(TraceConfig {
         ring_capacity: 8,
-        ..TraceConfig::on()
+        ..TraceConfig::default()
     });
-    let t = tiny.telemetry.unwrap();
     assert_eq!(t.events.len(), 8);
     assert_eq!(t.dropped_events as usize, full_events.len() - 8);
     // Drop-oldest: what survives is exactly the tail of the full run.
