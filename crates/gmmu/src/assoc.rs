@@ -99,6 +99,14 @@ impl LruRows {
         self.find(set, key).is_some()
     }
 
+    /// Whether `set`'s row begins with `keys`, MRU first, without
+    /// touching LRU order. Reads only the front ways.
+    #[inline]
+    #[must_use]
+    pub fn starts_with(&self, set: usize, keys: &[u64]) -> bool {
+        self.keys[self.row(set)].starts_with(keys)
+    }
+
     /// Insert (or refresh) `key` in `set`. A refresh moves the way to
     /// the front; a full row evicts its LRU key and returns it.
     #[inline]
@@ -247,6 +255,11 @@ mod tests {
         assert!(s.remove(0, 12));
         assert!(!s.remove(0, 12));
         assert_eq!(s.row_keys(0), [13, 11, 10, EMPTY], "hole at the tail");
+        assert!(s.starts_with(0, &[13, 11]) && !s.starts_with(0, &[11, 13]));
+        assert!(
+            !s.starts_with(0, &[13, 11, 10, EMPTY, 9]),
+            "longer than the row"
+        );
         assert_eq!(s.occupancy(), 3);
         // The empty tail way is reused before any live way is evicted,
         // and the survivors' LRU order decides the next victim.

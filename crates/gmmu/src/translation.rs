@@ -333,10 +333,10 @@ impl TranslationPath {
     /// Drop `page` from each TLB named by `mask`, one row scan each.
     #[inline]
     fn shoot_down(&mut self, page: VirtPage, mut mask: u64) {
-        self.shootdowns.page_removes += u64::from(mask.count_ones());
         while mask != 0 {
             let bit = mask.trailing_zeros();
             mask &= mask - 1;
+            self.shootdowns.page_removes += 1;
             let hit = if bit == L2_MASK_BIT {
                 self.l2.invalidate(page)
             } else {
@@ -391,6 +391,14 @@ impl TranslationPath {
     #[must_use]
     pub fn shootdown_counts(&self) -> ShootdownCounts {
         self.shootdowns
+    }
+
+    /// Page walks so far whose page-walk-cache re-inserts of levels 3
+    /// and 4 were skipped as no-ops ([`WalkCache::walk`]). Checking aid
+    /// only: no result or fingerprint depends on it.
+    #[must_use]
+    pub fn walk_reinserts_skipped(&self) -> u64 {
+        self.pwc.reinserts_skipped.get()
     }
 
     /// Record an SM access to a resident page (sets the PTE access bit).

@@ -17,6 +17,12 @@
 //! making the same LRU and counter changes as a [`lookup`] per probed
 //! level followed by an [`insert`] per level, with fewer row scans.
 //!
+//! Below 2^18 pages — every workload here — levels 3 and 4 share set 0,
+//! and the walk before left that row starting with `[L4, L3]`. Then
+//! re-inserting L3 and L4 changes nothing, so a walk that finds its
+//! upper levels there returns after two word compares instead of two
+//! row scans and shifts ([`WalkCache::reinserts_skipped`] counts them).
+//!
 //! [`lookup`]: WalkCache::lookup
 //! [`insert`]: WalkCache::insert
 
@@ -45,6 +51,10 @@ pub struct WalkCache {
     pub hits: Counter,
     /// Probe misses.
     pub misses: Counter,
+    /// Walks whose level-3 and level-4 re-inserts were skipped because
+    /// they would have changed nothing. Checking aid only: no result or
+    /// fingerprint depends on it.
+    pub reinserts_skipped: Counter,
 }
 
 impl WalkCache {
@@ -70,6 +80,7 @@ impl WalkCache {
             hit_latency,
             hits: Counter::default(),
             misses: Counter::default(),
+            reinserts_skipped: Counter::default(),
         }
     }
 
@@ -95,7 +106,12 @@ impl WalkCache {
     ///   filled since its probe), so it is `fill`ed without a scan;
     /// * the hit node is still at the front of its row unless a lower
     ///   level's fill landed in its set, so only then is it re-inserted;
-    /// * levels above the hit were never probed and take a full insert.
+    /// * levels above the hit were never probed and take a full insert,
+    ///   except when levels 3 and 4 share a set whose row already starts
+    ///   with `[L4, L3]`: inserting L3 then L4 would move L3 to the front
+    ///   and L4 back in front of it (or, with only L4 to insert, leave
+    ///   it in front), and `insert` counts nothing, so the walk returns
+    ///   with the row as it is.
     #[inline]
     pub fn walk(&mut self, page: VirtPage) -> u32 {
         let mut hit = LEVELS + 1;
@@ -117,10 +133,24 @@ impl WalkCache {
             self.sets.fill(set, key(node));
         }
         let first_insert = if hit_moved { hit } else { hit + 1 };
+        if first_insert <= LEVELS && self.upper_levels_in_front(page) {
+            debug_assert!(first_insert >= LEVELS - 1);
+            self.reinserts_skipped.inc();
+            return hit;
+        }
         for level in first_insert..=LEVELS {
             self.insert(node_for(page, level));
         }
         hit
+    }
+
+    /// Whether `page`'s level-3 and level-4 nodes share a set whose row
+    /// starts with `[L4, L3]`.
+    #[inline]
+    fn upper_levels_in_front(&self, page: VirtPage) -> bool {
+        let (l3, l4) = (node_for(page, LEVELS - 1), node_for(page, LEVELS));
+        let set = self.set_index(l4);
+        set == self.set_index(l3) && self.sets.starts_with(set, &[key(l4), key(l3)])
     }
 
     /// Probe for `node`, updating LRU and counters.
@@ -378,6 +408,54 @@ mod tests {
         }
         assert!(at_level[2..].iter().all(|&n| n > 1000), "{at_level:?}");
         assert!(shared > 1000, "{shared} hits pushed back by a lower fill");
+    }
+
+    /// `walk` against the seed's scan PWC driven as a lookup per level up
+    /// to the first hit, then an insert per level, on Table I's geometry.
+    /// The stream mixes walks under level-2 nodes 1–63 (one per set
+    /// other than 0: the early return's case), pages 0–511 (level-2
+    /// node 0 shares set 0 with L3 and L4, so the row never starts with
+    /// `[L4, L3]` after its probe), 32 level-2 nodes of set 0 (more than
+    /// its 16 ways, so the row's order decides later victims) and pages
+    /// at or past 2^18, whose L3 and L4 nodes sit in different sets.
+    #[test]
+    fn walk_matches_scan_pwc() {
+        let mut fast = WalkCache::table1_default();
+        let mut scan = legacy::ScanWalkCache::new(1024, 16, 10);
+        let mut x = 0x5851_F42D_4C95_7F2Du64;
+        // Walks, and walks that skipped their re-inserts, per stream.
+        let (mut walks, mut skips) = ([0u64; 4], [0u64; 4]);
+        for step in 0..200_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let stream = (x % 4) as usize;
+            let low = (x >> 20) % 512;
+            let page = VirtPage(match stream {
+                0 => (1 + (x >> 8) % 63) << 9 | low,
+                1 => low,
+                2 => ((x >> 8) % 32 * 64) << 9 | low,
+                _ => (1 + (x >> 8) % 3) << (18 + 9 * ((x >> 12) % 2)) | ((x >> 30) % 64) << 9,
+            });
+            let before = fast.reinserts_skipped.get();
+            let hit = fast.walk(page);
+            let want = (2..=LEVELS).find(|&l| scan.lookup(node_for(page, l)));
+            for level in 2..=LEVELS {
+                scan.insert(node_for(page, level));
+            }
+            assert_eq!(hit, want.unwrap_or(LEVELS + 1), "step {step}: {page:?}");
+            assert_eq!(
+                (fast.hits.get(), fast.misses.get()),
+                (scan.hits.get(), scan.misses.get()),
+                "step {step}"
+            );
+            walks[stream] += 1;
+            skips[stream] += fast.reinserts_skipped.get() - before;
+        }
+        assert!(walks.iter().all(|&n| n > 10_000), "{walks:?}");
+        assert!(skips[0] > 10_000, "the early return fired {skips:?}");
+        assert_eq!((skips[1], skips[3]), (0, 0), "{skips:?}");
+        assert!(fast.misses.get() > 10_000, "set 0 never churned");
     }
 
     /// Random walk-shaped op streams through both implementations must

@@ -28,18 +28,25 @@
 //!   the page at the front, the ways between shifting back one word),
 //!   which is exactly the seed's min-stamp true LRU;
 //! * the L2 is a [`PageCache`] on the flat MRU-first rows shared with
-//!   the TLBs ([`gmmu::assoc::LruRows`]): a probe scans one 16-way row
-//!   of 128 contiguous bytes, and the victim is the row's last way. Its
+//!   the TLBs ([`gmmu::assoc::LruRows`]): a hit scans one 16-way row of
+//!   128 contiguous bytes, and the victim is the row's last way. Its
 //!   48 × 16 geometry is a pair of const parameters, so the set index is
 //!   a remainder by a constant (a multiply, not a `div`), and the hit
 //!   latencies are constants too.
 //!
-//! Both levels count their cached pages per chunk id (`ChunkCounts`,
-//! one `u16` per chunk: the L1 bank counts across every SM). A fill
-//! adds one for the page's chunk and takes one from the way it drops; a
-//! removal takes one. Invalidation reads the counts to skip work on
-//! chunks no cache holds, which is most of them: a victim chunk has
-//! usually not been touched for longer than a cache keeps a page.
+//! The L1 bank counts its cached pages per chunk id (`ChunkCounts`, one
+//! `u16` per chunk, summed across every SM). A fill adds one for the
+//! page's chunk and takes one from the way it drops; a removal takes
+//! one. Invalidation reads the counts to skip work on chunks no L1
+//! holds, which is most of them: a victim chunk has usually not been
+//! touched for longer than a cache keeps a page.
+//!
+//! The L2 keeps one presence bit per page instead ([`PageCache`]): set
+//! on a fill, cleared on the fill's victim and on invalidation, so the
+//! bit is set exactly when a row holds the page. A page-granular stream
+//! rarely reuses the L2 (about 2 % of probes hit on the Fig. 9 sweep),
+//! so most probes are misses that the bit answers without a row scan,
+//! and an invalidation is one bit test.
 //!
 //! The driver evicts whole chunks, so a fault batch's evicted pages are
 //! invalidated together ([`DataHierarchy::invalidate_evicted`]). Only
@@ -54,10 +61,10 @@
 //! eviction unmaps every resident page of its chunk, so a cached page of
 //! an evicted chunk is always one of the batch's evicted pages, and a
 //! chunk with no L1-held page has nothing to drop (`gpu::Invariants`
-//! checks the first half, and that the counts match the rows, at every
-//! batch). The L2 stays per page, since each page of a chunk sits in
-//! its own 16-way row, but it skips the row probe for a chunk with none
-//! cached.
+//! checks the first half, and that the counts and the L2's presence
+//! bits match the rows, at every batch). The L2 stays per page, since
+//! each page of a chunk sits in its own 16-way row, but it probes a row
+//! only for a page whose presence bit is set.
 //!
 //! The seed's scan implementation is preserved as
 //! [`legacy::ScanPageCache`] (the reference simulator's data caches,
@@ -68,6 +75,7 @@
 
 use crate::dram::Dram;
 use gmmu::assoc::LruRows;
+use gmmu::page_table::FLAT_LIMIT;
 use gmmu::types::{VirtPage, PAGES_PER_CHUNK};
 use sim_core::stats::Counter;
 use sim_core::time::Cycle;
@@ -77,18 +85,36 @@ use sim_core::BitVec;
 /// `SETS` rows of `WAYS` ways. The geometry is a type parameter, so the
 /// set index of Table I's 48-set L2 is a remainder by a constant.
 ///
-/// Beside the rows it counts the cached pages of each chunk, so an
-/// invalidation of a page whose chunk has none cached skips the row
-/// probe: most evicted chunks have not been touched for longer than
-/// the cache holds a page.
+/// Beside the rows it keeps one bit per page, set exactly when a row
+/// holds the page. A clear bit is a miss, which fills without a row
+/// scan; only a hit scans its row, and an invalidation of an uncached
+/// page is one bit test. Like the page table and the waiter table, the
+/// bitmap covers pages below [`FLAT_LIMIT`]: a page at or past it has
+/// no bit and always probes its row, so no page number sizes the
+/// bitmap past `FLAT_LIMIT / 8` bytes.
 #[derive(Debug)]
 pub struct PageCache<const SETS: usize, const WAYS: usize> {
     sets: LruRows,
-    chunk_pages: ChunkCounts,
+    /// Bit `p` set ⇔ a row holds page `p`, for `p < FLAT_LIMIT`.
+    present: BitVec,
+    /// Probes that scanned a row: the hits, and every probe of a page
+    /// past the bitmap.
+    row_scans: u64,
     /// Hits.
     pub hits: Counter,
     /// Misses (which allocate).
     pub misses: Counter,
+}
+
+/// How the L2's probes were answered. Checking aid only: no result or
+/// fingerprint depends on it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ProbeCounts {
+    /// Accesses probed.
+    pub probes: u64,
+    /// Probes a clear presence bit answered as a miss without a row
+    /// scan.
+    pub bitmap_misses: u64,
 }
 
 impl<const SETS: usize, const WAYS: usize> Default for PageCache<SETS, WAYS> {
@@ -106,7 +132,8 @@ impl<const SETS: usize, const WAYS: usize> PageCache<SETS, WAYS> {
     pub fn new() -> Self {
         PageCache {
             sets: LruRows::new(SETS, WAYS),
-            chunk_pages: ChunkCounts::default(),
+            present: BitVec::default(),
+            row_scans: 0,
             hits: Counter::default(),
             misses: Counter::default(),
         }
@@ -121,24 +148,44 @@ impl<const SETS: usize, const WAYS: usize> PageCache<SETS, WAYS> {
     #[inline]
     pub fn access(&mut self, page: VirtPage) -> bool {
         let set = Self::set_index(page);
+        if page.0 < FLAT_LIMIT && !self.present.get(page.0 as usize) {
+            self.misses.inc();
+            self.fill(set, page);
+            return false;
+        }
+        self.row_scans += 1;
         if self.sets.get(set, page.0) {
             self.hits.inc();
             return true;
         }
+        debug_assert!(page.0 >= FLAT_LIMIT, "presence bit of uncached {page:?}");
         self.misses.inc();
-        if let Some(victim) = self.sets.fill(set, page.0) {
-            self.chunk_pages.remove(victim);
-        }
-        self.chunk_pages.add(page.0);
+        self.fill(set, page);
         false
     }
 
+    /// Store `page`, which no row holds, in its row, moving the presence
+    /// bit from the dropped way to `page`.
+    #[inline]
+    fn fill(&mut self, set: usize, page: VirtPage) {
+        if page.0 < FLAT_LIMIT {
+            self.present.set(page.0 as usize, true);
+        }
+        if let Some(victim) = self.sets.fill(set, page.0) {
+            // Clearing a bit past the end never grows the vector.
+            self.present.set(victim as usize, false);
+        }
+    }
+
     /// Drop `page` (device-memory eviction invalidates cached data).
-    /// Probes the row only when `page`'s chunk has a page cached.
+    /// Probes the row only when `page` is cached or past the bitmap.
     #[inline]
     pub fn invalidate(&mut self, page: VirtPage) {
-        if self.chunk_pages.any(page.0) && self.sets.remove(Self::set_index(page), page.0) {
-            self.chunk_pages.remove(page.0);
+        if page.0 >= FLAT_LIMIT {
+            self.sets.remove(Self::set_index(page), page.0);
+        } else if self.present.take(page.0 as usize) {
+            let held = self.sets.remove(Self::set_index(page), page.0);
+            debug_assert!(held, "presence bit of uncached {page:?}");
         }
     }
 
@@ -152,13 +199,36 @@ impl<const SETS: usize, const WAYS: usize> PageCache<SETS, WAYS> {
     pub fn pages(&self) -> impl Iterator<Item = VirtPage> + '_ {
         self.sets.iter().map(VirtPage)
     }
+
+    /// How the probes so far were answered.
+    #[must_use]
+    pub fn probe_counts(&self) -> ProbeCounts {
+        let probes = self.hits.get() + self.misses.get();
+        ProbeCounts {
+            probes,
+            bitmap_misses: probes - self.row_scans,
+        }
+    }
+
+    /// Whether the presence bits are exactly the cached pages below
+    /// [`FLAT_LIMIT`]: every such page's bit is set and no other bit is.
+    #[must_use]
+    pub fn presence_consistent(&self) -> bool {
+        let mut near = 0;
+        for p in self.pages().filter(|p| p.0 < FLAT_LIMIT) {
+            if !self.present.get(p.0 as usize) {
+                return false;
+            }
+            near += 1;
+        }
+        near == self.present.count_ones()
+    }
 }
 
-/// Cached pages per chunk id, kept beside a cache's rows so that
-/// invalidation can skip a chunk with none cached. Ids past the end
-/// have none. A `u16` holds the most any cache here holds of one chunk:
-/// 16 pages in the L2, and 12 per SM in the L1 bank (756 at the 63-SM
-/// limit of `GpuConfig::validate`).
+/// Cached pages per chunk id, kept beside the L1 bank's rows so that
+/// invalidation can skip a chunk no L1 holds. Ids past the end have
+/// none. A `u16` holds the most the bank holds of one chunk: 12 pages
+/// per SM (756 at the 63-SM limit of `GpuConfig::validate`).
 #[derive(Debug, Default)]
 struct ChunkCounts(Vec<u16>);
 
@@ -456,11 +526,18 @@ impl DataHierarchy {
         self.l1.pages().chain(self.l2.pages())
     }
 
-    /// Whether both levels' per-chunk page counts match their rows, so
-    /// the invalidation gates read true counts.
+    /// Whether the state that lets a probe or invalidation skip a row
+    /// matches the rows: the L1 bank's per-chunk page counts, and the
+    /// L2's presence bits ([`PageCache::presence_consistent`]).
     #[must_use]
-    pub fn chunk_counts_consistent(&self) -> bool {
-        self.l1.chunk_pages.matches(self.l1.pages()) && self.l2.chunk_pages.matches(self.l2.pages())
+    pub fn gates_consistent(&self) -> bool {
+        self.l1.chunk_pages.matches(self.l1.pages()) && self.l2.presence_consistent()
+    }
+
+    /// How the L2's probes so far were answered.
+    #[must_use]
+    pub fn l2_probe_counts(&self) -> ProbeCounts {
+        self.l2.probe_counts()
     }
 
     /// Whether any L1 or the L2 holds `page`. Read-only: no LRU state
@@ -616,20 +693,18 @@ mod tests {
                 assert_eq!(f, s, "op {op}: {SETS}x{WAYS} diverged on {page:?}");
             }
             if op % 1000 == 0 {
-                assert_chunk_counts(&fast);
+                assert!(fast.presence_consistent(), "op {op}: {SETS}x{WAYS} bitmap");
             }
         }
         assert_eq!(fast.hits.get(), slow.hits.get());
         assert_eq!(fast.misses.get(), slow.misses.get());
-        assert_chunk_counts(&fast);
-    }
-
-    /// The per-chunk counts equal a recount of the cached pages.
-    fn assert_chunk_counts<const SETS: usize, const WAYS: usize>(c: &PageCache<SETS, WAYS>) {
-        assert!(
-            c.chunk_pages.matches(c.pages()),
-            "{SETS}x{WAYS}: chunk counts {:?}",
-            c.chunk_pages
+        assert!(fast.presence_consistent());
+        let counts = fast.probe_counts();
+        assert_eq!(counts.probes, fast.hits.get() + fast.misses.get());
+        assert_eq!(
+            counts.bitmap_misses,
+            fast.misses.get(),
+            "every miss skips the scan"
         );
     }
 
@@ -638,6 +713,51 @@ mod tests {
         matches_scan_cache::<2, 6>();
         matches_scan_cache::<L2_SETS, L2_WAYS>();
         matches_scan_cache::<1, 4>();
+    }
+
+    /// Pages at or past `FLAT_LIMIT` have no presence bit: they probe
+    /// their row, evict and are evicted by pages below it, and never
+    /// size the bitmap. Mixed with pages below the limit in one small
+    /// cache, every result matches the scan cache and the bits stay
+    /// exact.
+    #[test]
+    fn pages_past_the_bitmap_probe_their_row() {
+        let mut c = PageCache::<2, 2>::new();
+        let far = VirtPage(u64::MAX - 1);
+        assert!(!c.access(far) && c.access(far));
+        c.invalidate(far);
+        assert!(!c.contains(far) && !c.access(far));
+        assert_eq!(c.present.len(), 0, "no bit for a far page");
+        assert_eq!(c.probe_counts().bitmap_misses, 0);
+
+        let mut step = xorshift(0x3C6E_F372_FE94_F82B);
+        let mut fast = PageCache::<2, 3>::new();
+        let mut slow = legacy::ScanPageCache::new(6, 3);
+        let (mut near_victims, mut far_victims) = (0, 0);
+        for op in 0..100_000u64 {
+            let r = step();
+            let base = if r.is_multiple_of(2) { 0 } else { FLAT_LIMIT };
+            let page = VirtPage(base + (r >> 8) % 12);
+            if (r >> 4).is_multiple_of(9) {
+                fast.invalidate(page);
+                slow.invalidate(page);
+            } else {
+                let held: Vec<_> = fast.pages().collect();
+                let (f, s) = (fast.access(page), slow.access(page));
+                assert_eq!(f, s, "op {op}: diverged on {page:?}");
+                if let Some(gone) = held.iter().find(|&&p| !fast.contains(p)) {
+                    let (victim_far, page_far) = (gone.0 >= FLAT_LIMIT, page.0 >= FLAT_LIMIT);
+                    near_victims += u64::from(page_far && !victim_far);
+                    far_victims += u64::from(!page_far && victim_far);
+                }
+            }
+            assert!(fast.presence_consistent(), "op {op}");
+        }
+        assert!(
+            near_victims > 1000 && far_victims > 1000,
+            "{near_victims} {far_victims}"
+        );
+        assert!(fast.present.len() <= 12, "{} bits", fast.present.len());
     }
 
     /// xorshift64 stream for the model-based tests.
@@ -779,7 +899,7 @@ mod tests {
                     let first = batch.first().map(|p| p.chunk());
                     multi_chunk += u64::from(batch.iter().any(|p| Some(p.chunk()) != first));
                     assert!(bulk.pages().eq(single.pages()), "op {op}: rows differ");
-                    assert!(bulk.chunk_counts_consistent() && single.chunk_counts_consistent());
+                    assert!(bulk.gates_consistent() && single.gates_consistent());
                     assert!(bulk.pages().all(|p| resident[p.0 as usize]));
                     continue;
                 }

@@ -20,8 +20,9 @@
 //! * [`Timeline`] — one [`TimelinePoint`] per dispatched batch;
 //! * [`Invariants`] — cross-structure consistency checks at every batch
 //!   boundary;
-//! * [`FireCounts`] — the wake calendar's traffic per event kind, and
-//!   how often the inline wake fires;
+//! * [`FireCounts`] — the wake calendar's traffic per event kind, how
+//!   often the inline wake fires, and how often the L2's presence bits
+//!   and the page-walk cache's early return spared a row scan;
 //! * [`EvictionPasses`] — how often chunk-granular eviction replaced
 //!   per-page TLB removes and data-cache scans, how the chunk chain's
 //!   order index answered positional victim selections, and how the
@@ -31,7 +32,7 @@
 //! A pair `(A, B)` of observers is itself an observer that calls `A`
 //! then `B`.
 
-use crate::cache::{DataHierarchy, InvalidationCounts};
+use crate::cache::{DataHierarchy, InvalidationCounts, ProbeCounts};
 use crate::calendar::QueueCounts;
 use crate::waiters::WaiterTable;
 use cppe::chain::IndexCounts;
@@ -132,7 +133,7 @@ pub trait Observer: DriverObserver {
     /// The run ended, however it ended; `queue` is its traffic through
     /// the wake calendar.
     #[inline]
-    fn queue_traffic(&mut self, queue: &QueueCounts) {}
+    fn run_ended(&mut self, ctx: Ctx<'_>, queue: &QueueCounts) {}
 }
 
 impl Observer for NoObserver {}
@@ -177,9 +178,9 @@ impl<A: Observer, B: Observer> Observer for (A, B) {
     }
 
     #[inline]
-    fn queue_traffic(&mut self, queue: &QueueCounts) {
-        self.0.queue_traffic(queue);
-        self.1.queue_traffic(queue);
+    fn run_ended(&mut self, ctx: Ctx<'_>, queue: &QueueCounts) {
+        self.0.run_ended(ctx, queue);
+        self.1.run_ended(ctx, queue);
     }
 }
 
@@ -218,8 +219,8 @@ impl<O: Observer + ?Sized> Observer for &mut O {
     }
 
     #[inline]
-    fn queue_traffic(&mut self, queue: &QueueCounts) {
-        (**self).queue_traffic(queue);
+    fn run_ended(&mut self, ctx: Ctx<'_>, queue: &QueueCounts) {
+        (**self).run_ended(ctx, queue);
     }
 }
 
@@ -262,7 +263,8 @@ impl Observer for Timeline {
 
 /// What the event loop's own machinery did during a run — work
 /// `RunResult`'s counters cannot show: the wake calendar's counted
-/// traffic and the inline wakes that bypassed it.
+/// traffic, the inline wakes that bypassed it, and the row scans the
+/// L2's presence bits and the page-walk cache's early return saved.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FireCounts {
     /// Pushes and pops per event kind, and cross-kind stamp compares.
@@ -270,6 +272,12 @@ pub struct FireCounts {
     /// Woken lanes that replayed their faulted access without a queue
     /// round trip.
     pub inline_wakes: u64,
+    /// L2 probes, and the misses its presence bits answered without a
+    /// row scan.
+    pub l2_probes: ProbeCounts,
+    /// Page walks that skipped their no-op level-3 and level-4
+    /// page-walk-cache re-inserts.
+    pub walk_reinserts_skipped: u64,
 }
 
 impl DriverObserver for FireCounts {}
@@ -280,8 +288,10 @@ impl Observer for FireCounts {
         self.inline_wakes += 1;
     }
 
-    fn queue_traffic(&mut self, queue: &QueueCounts) {
+    fn run_ended(&mut self, ctx: Ctx<'_>, queue: &QueueCounts) {
         self.queue = *queue;
+        self.l2_probes = ctx.caches().l2_probe_counts();
+        self.walk_reinserts_skipped = ctx.xlat().walk_reinserts_skipped();
     }
 }
 
@@ -334,10 +344,11 @@ impl Observer for EvictionPasses {
 ///   ([`ChunkChain::indexes_consistent`](cppe::ChunkChain::indexes_consistent));
 /// * no page this batch evicted is still held by a data cache, and
 ///   every page an L1 or the L2 holds is resident — the fact that makes
-///   the data caches' chunk-granular invalidation exact — and both
-///   levels' per-chunk page counts, which gate that invalidation, match
-///   their rows
-///   ([`DataHierarchy::chunk_counts_consistent`]);
+///   the data caches' chunk-granular invalidation exact — and the state
+///   that lets a data-cache probe or invalidation skip a row matches
+///   the rows: the L1 bank's per-chunk page counts, and the L2's
+///   presence bits, set for exactly the pages its rows hold
+///   ([`DataHierarchy::gates_consistent`]);
 /// * no lane waits on two pages at once, and every page with waiters
 ///   is either pending dispatch or has a completion queued;
 /// * batches dispatch in non-decreasing time.
@@ -405,8 +416,10 @@ impl Invariants {
         if let Some(page) = ctx.caches().pages().find(|&p| !pt.is_resident(p)) {
             return Err(format!("{page:?} is in a data cache but not resident"));
         }
-        if !ctx.caches().chunk_counts_consistent() {
-            return Err("a data cache's per-chunk page counts disagree with its rows".into());
+        if !ctx.caches().gates_consistent() {
+            return Err(
+                "the L1 chunk counts or the L2 presence bits disagree with the cache rows".into(),
+            );
         }
         if dispatch.0 < self.last_dispatch {
             return Err(format!(

@@ -443,7 +443,7 @@ pub fn simulate_with<O: Observer>(
         }
     };
 
-    obs.queue_traffic(&m.q.counts());
+    obs.run_ended(m.ctx(), &m.q.counts());
     let (outcome, error) = match stop {
         None if m.driver.degraded() => (Outcome::Degraded, None),
         None => (Outcome::Completed, None),
@@ -736,6 +736,29 @@ mod tests {
         assert!(q.pushes.near_lane > 0 && q.pushes.far_lane > 0, "{q:?}");
         // A page completion shares its batch's host-done cycle.
         assert!(q.stamp_compares > 0, "{q:?}");
+    }
+
+    #[test]
+    fn fire_counts_see_skipped_scans() {
+        // Two passes over 2,048 pages (four level-2 nodes) with room for
+        // all of them: the second pass re-reads pages the 768-page L2
+        // dropped long ago, so its probes miss on a clear presence bit,
+        // and every walk under level-2 nodes 1–3 finds levels 3 and 4
+        // at the front of set 0 and skips their re-inserts.
+        let streams = items(&[seq_stream(2048, 2, 50)]);
+        let mut obs = FireCounts::default();
+        let engine = || PolicyPreset::Baseline.build(0);
+        let r = check_reference(&engine, &streams, 2048, 2048, &mut obs);
+        assert_eq!(r.outcome, Outcome::Completed);
+        let (probes, walks) = (obs.l2_probes, r.translation.walks);
+        // The L1 misses on every access: no page repeats within 12.
+        assert_eq!(probes.probes, r.accesses);
+        assert_eq!(probes.bitmap_misses, r.accesses, "{probes:?}");
+        assert!(
+            obs.walk_reinserts_skipped > walks / 2,
+            "{obs:?}, {walks} walks"
+        );
+        assert!(obs.walk_reinserts_skipped < walks, "pages 0–511 never skip");
     }
 
     #[test]

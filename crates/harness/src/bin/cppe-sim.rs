@@ -182,6 +182,14 @@ fn main() {
         fired.queue.stamp_compares,
         fired.inline_wakes
     );
+    println!(
+        "skipped scans     {} of {} L2 probes answered by the presence bits; \
+         {} of {} walks skipped no-op PWC re-inserts",
+        fired.l2_probes.bitmap_misses,
+        fired.l2_probes.probes,
+        fired.walk_reinserts_skipped,
+        r.translation.walks
+    );
     let (sd, inv) = (passes.shootdown, passes.invalidation);
     println!(
         "tlb shootdown     {} chunk row passes dropped {} entries; {} single-page removes",

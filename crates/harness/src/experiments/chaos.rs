@@ -24,7 +24,13 @@ pub const APPS: [&str; 3] = ["2DC", "KMN", "SRD"];
 /// Policies compared under injection.
 pub const PRESETS: [PolicyPreset; 2] = [PolicyPreset::Baseline, PolicyPreset::Cppe];
 
+/// Fault-queue depth of the overflow scenarios. A lane blocks on its
+/// one far fault, so a batch holds at most one fault per lane: the depth
+/// must sit below the experiment's 28 lanes for a batch to overflow.
+pub const QUEUE_DEPTH: usize = 16;
+
 /// The chaos scenarios, with the clean run first as the reference.
+/// `combined` is [`InjectionConfig::combined`] at [`QUEUE_DEPTH`].
 #[must_use]
 pub fn scenarios(seed: u64) -> Vec<(&'static str, InjectionConfig)> {
     vec![
@@ -35,8 +41,17 @@ pub fn scenarios(seed: u64) -> Vec<(&'static str, InjectionConfig)> {
             InjectionConfig::transient_failures(seed, 0.05),
         ),
         ("lat-spikes", InjectionConfig::latency_spikes(seed)),
-        ("queue-32", InjectionConfig::batch_overflow(seed, 32)),
-        ("combined", InjectionConfig::combined(seed)),
+        (
+            "queue-16",
+            InjectionConfig::batch_overflow(seed, QUEUE_DEPTH),
+        ),
+        (
+            "combined",
+            InjectionConfig {
+                fault_queue_depth: QUEUE_DEPTH,
+                ..InjectionConfig::combined(seed)
+            },
+        ),
     ]
 }
 
@@ -318,6 +333,28 @@ mod tests {
             t.decisions.iter().any(|d| d.event.rung > 0),
             "shed-mode decisions carry their ladder rung"
         );
+    }
+
+    #[test]
+    fn overflow_scenarios_split_batches() {
+        // Both overflow scenarios must fire at the experiment's lane
+        // count: a depth at or above it never splits a batch.
+        let cfg = ExpConfig {
+            scale: 0.25,
+            ..ExpConfig::quick()
+        };
+        assert!(QUEUE_DEPTH < cfg.gpu.lanes(), "{} lanes", cfg.gpu.lanes());
+        for (name, injection) in scenarios(cfg.seed) {
+            if injection.fault_queue_depth == 0 {
+                continue;
+            }
+            let r = injected("KMN", PolicyPreset::Baseline, &cfg, injection)
+                .run()
+                .0;
+            assert!(r.survived(), "{name}");
+            let d = &r.driver;
+            assert!(d.batch_splits > 0 && d.deferred_faults > 0, "{name}: {d:?}");
+        }
     }
 
     #[test]
