@@ -12,13 +12,24 @@
 //!   latency spikes, DMA retries and aborts and rung changes in both
 //!   directions all appear;
 //! * a plain traced (unaudited) baseline cell.
+//!
+//! A second hash per cell covers what the exports make of the
+//! telemetry: the Chrome trace, the timeline CSV, the cell's run record,
+//! the page-lifetime CSV and one `cycle name args` line per recorded
+//! event. It pins the exported bytes apart from how the events are
+//! represented in memory.
 
 use cppe::presets::PolicyPreset;
+use gmmu::types::PAGES_PER_CHUNK;
+use gpu::RunResult;
 use harness::experiments::audit;
 use harness::plan::run_cells_with;
+use harness::record::{self, RunRecord};
 use harness::{Cell, ExpConfig};
 use sim_core::fault::InjectionConfig;
-use telemetry::{InjectedFaultKind, RunTelemetry, TraceConfig, TraceEvent};
+use std::fmt::Write as _;
+use telemetry::export::{chrome_trace_json, timeline_csv};
+use telemetry::{InjectedFaultKind, PageLedger, RunTelemetry, TraceConfig, TraceEvent};
 use uvm::driver::ResilienceConfig;
 
 /// FNV-1a over `text`.
@@ -54,6 +65,24 @@ fn cells() -> [Cell; 3] {
     };
     let plain = Cell::app("STN", PolicyPreset::Baseline, 0.5, &cfg).traced(TraceConfig::default());
     [rings, chaos, plain]
+}
+
+/// Every export of one traced cell, concatenated.
+fn exports(cell: &Cell, r: &RunResult, t: &RunTelemetry) -> String {
+    let mut s = chrome_trace_json(t);
+    s.push_str(&timeline_csv(&t.series));
+    s.push_str(&record::document(&[RunRecord::new(
+        "pinned",
+        cell,
+        r,
+        Some(t),
+    )]));
+    s.push_str(&PageLedger::from_telemetry(t, PAGES_PER_CHUNK).lifetime_csv());
+    for rec in &t.events {
+        let e = &rec.event;
+        let _ = writeln!(s, "{} {} {}", rec.cycle, e.name(), e.args_json());
+    }
+    s
 }
 
 fn count(t: &RunTelemetry, pred: impl Fn(&TraceEvent) -> bool) -> usize {
@@ -114,5 +143,20 @@ fn traced_cells_record_exactly_the_pinned_telemetry() {
             11189198657943511259
         ],
         "recorded telemetry changed"
+    );
+
+    let exported: Vec<u64> = cells
+        .iter()
+        .zip(&t)
+        .map(|(c, t)| fnv1a(&exports(c, results.get(c), t)))
+        .collect();
+    assert_eq!(
+        exported,
+        [
+            5957512070957050107,
+            9314340046343413998,
+            15844349239863261113
+        ],
+        "exported telemetry changed"
     );
 }
