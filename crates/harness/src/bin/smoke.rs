@@ -9,10 +9,10 @@
 use cppe::presets::PolicyPreset;
 use harness::record::{document, RunRecord};
 use harness::report::{save, RESULTS_DIR};
+use harness::telemetry::{export, TraceConfig, TraceFormat};
 use harness::{Cell, ExpConfig};
 use std::path::Path;
 use std::process::ExitCode;
-use telemetry::{export, TraceConfig, TraceFormat};
 use workloads::registry;
 
 fn main() -> ExitCode {

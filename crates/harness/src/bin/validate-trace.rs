@@ -13,12 +13,12 @@ use std::process::ExitCode;
 /// Check one artifact by its file name.
 fn validate(name: &str, body: &str) -> Result<String, String> {
     if name.ends_with(".csv") {
-        let cols = telemetry::csv::validate(body)?;
+        let cols = harness::telemetry::csv::validate(body)?;
         return Ok(format!("{} columns", cols.len()));
     }
     if name.ends_with("trace.json") {
-        telemetry::json::validate(body)?;
-        let pairs = telemetry::export::span_balance(body)?;
+        harness::telemetry::json::validate(body)?;
+        let pairs = harness::telemetry::export::span_balance(body)?;
         return Ok(format!("spans balanced, {pairs} B/E pairs"));
     }
     harness::record::validate(body)

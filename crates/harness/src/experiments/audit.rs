@@ -3,10 +3,10 @@
 //!
 //! Runs the pattern-diverse subset under CPPE at 50 % oversubscription
 //! with span recording and decision auditing on
-//! ([`telemetry::TraceConfig::audited`]), folds the span trees into
-//! per-stage latency distributions ([`telemetry::LatencyAttribution`]),
+//! ([`crate::telemetry::TraceConfig::audited`]), folds the span trees into
+//! per-stage latency distributions ([`crate::telemetry::LatencyAttribution`]),
 //! replays the recorded decisions into the page-lifetime ledger
-//! ([`telemetry::PageLedger`]) and scores every audited decision
+//! ([`crate::telemetry::PageLedger`]) and scores every audited decision
 //! against the offline Belady oracle ([`crate::oracle`]). Exports:
 //!
 //! * `results/audit.json` — the three runs as one run record
@@ -21,9 +21,9 @@ use crate::plan::{Experiment, Results};
 use crate::record::{document, provenance_counts, RunRecord};
 use crate::report::{loss_section, Report, Table};
 use crate::runner::{Cell, ExpConfig};
+use crate::telemetry::LatencyAttribution;
 use cppe::presets::PolicyPreset;
 use std::fmt::Write as _;
-use telemetry::LatencyAttribution;
 
 /// Pattern-diverse subset (regular / irregular / mixed), matching the
 /// chaos suite so the baselines are comparable.
@@ -44,11 +44,11 @@ pub const EXPERIMENT: Experiment = Experiment::new("audit", cells, render);
 /// Panics on an unknown app abbreviation.
 #[must_use]
 pub fn audited(cfg: &ExpConfig, abbr: &str) -> Cell {
-    Cell::app(abbr, PolicyPreset::Cppe, 0.5, cfg).traced(telemetry::TraceConfig {
+    Cell::app(abbr, PolicyPreset::Cppe, 0.5, cfg).traced(crate::telemetry::TraceConfig {
         ring_capacity: AUDIT_RING,
         span_capacity: AUDIT_RING,
         decision_capacity: AUDIT_RING,
-        ..telemetry::TraceConfig::audited()
+        ..crate::telemetry::TraceConfig::audited()
     })
 }
 
@@ -59,7 +59,7 @@ fn cells(cfg: &ExpConfig) -> Vec<Cell> {
 
 /// [`provenance_counts`] rendered as a `kind/policy/origin/count` table.
 #[must_use]
-pub fn provenance_table(decisions: &[telemetry::DecisionRecord]) -> String {
+pub fn provenance_table(decisions: &[crate::telemetry::DecisionRecord]) -> String {
     let mut prov = Table::new(&["kind", "policy", "origin", "count"]);
     for ((kind, policy, origin), count) in provenance_counts(decisions) {
         prov.row(vec![
@@ -219,7 +219,7 @@ mod tests {
     }
 
     /// An audited quick-scale cell, its run and its telemetry.
-    fn run_audited(app: &str) -> (Cell, gpu::RunResult, telemetry::RunTelemetry) {
+    fn run_audited(app: &str) -> (Cell, gpu::RunResult, crate::telemetry::RunTelemetry) {
         let cell = audited(&quick_cfg(), app);
         let (r, t) = cell.run();
         (cell, r, t.expect("audit cells are traced"))
@@ -256,7 +256,7 @@ mod tests {
             let total = run
                 .stages
                 .as_ref()
-                .and_then(|a| a.stage(telemetry::SpanStage::FaultTotal))
+                .and_then(|a| a.stage(crate::telemetry::SpanStage::FaultTotal))
                 .expect("fault lifecycles recorded");
             assert!(total.count > 0);
             assert!(total.p50 <= total.p95 && total.p95 <= total.p99);
@@ -284,7 +284,7 @@ mod tests {
         let (cell, r, t) = run_audited("STN");
         let run = RunRecord::new("STN", &cell, &r, Some(&t));
         let csv = run.audit.expect("decisions recorded").ledger.lifetime_csv();
-        telemetry::csv::validate(&csv).expect("well-formed CSV");
+        crate::telemetry::csv::validate(&csv).expect("well-formed CSV");
         assert!(csv.starts_with("page,chunk,first_seen_cycle"));
         assert!(csv.lines().count() > 1, "pages recorded");
     }

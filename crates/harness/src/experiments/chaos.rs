@@ -12,10 +12,10 @@ use crate::plan::{Experiment, Results};
 use crate::record::{document, RunRecord};
 use crate::report::{Report, Table};
 use crate::runner::{Cell, ExpConfig};
+use crate::telemetry::TraceConfig;
 use cppe::presets::PolicyPreset;
 use gpu::Outcome;
 use sim_core::fault::InjectionConfig;
-use telemetry::TraceConfig;
 use uvm::driver::ResilienceConfig;
 
 /// Pattern-diverse subset (regular / irregular / mixed).
@@ -251,7 +251,7 @@ fn render(cfg: &ExpConfig, results: &Results) -> Report {
         if cfg.trace_format.wants_chrome() {
             files.push((
                 "chaos_mvt_ladder_trace.json".to_string(),
-                telemetry::export::chrome_trace_json(t),
+                crate::telemetry::export::chrome_trace_json(t),
             ));
         }
         if cfg.trace_format.wants_json() {
@@ -260,7 +260,7 @@ fn render(cfg: &ExpConfig, results: &Results) -> Report {
         if cfg.trace_format.wants_csv() {
             files.push((
                 "chaos_mvt_ladder_timeline.csv".to_string(),
-                telemetry::export::timeline_csv(&t.series),
+                crate::telemetry::export::timeline_csv(&t.series),
             ));
         }
     }

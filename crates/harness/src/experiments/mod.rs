@@ -53,8 +53,8 @@ pub mod timeline;
 use crate::plan::{run_plan, Experiment};
 use crate::report::{save_report, RESULTS_DIR};
 use crate::runner::ExpConfig;
+use crate::telemetry::TraceConfig;
 use std::process::ExitCode;
-use telemetry::TraceConfig;
 
 /// The reports `all` regenerates, in output order.
 pub const ALL: [Experiment; 16] = [
@@ -112,7 +112,7 @@ pub fn cli_config(args: &[String]) -> (ExpConfig, usize) {
                 i += 1;
                 cfg.trace_format = args
                     .get(i)
-                    .and_then(|s| telemetry::TraceFormat::parse(s).ok())
+                    .and_then(|s| crate::telemetry::TraceFormat::parse(s).ok())
                     .expect("--trace-format needs csv|json|chrome|all");
                 cfg.trace.get_or_insert_with(TraceConfig::default);
             }
@@ -192,7 +192,7 @@ mod tests {
 
         let (cfg, _) = cli_config(&["--trace".to_string()]);
         assert_eq!(cfg.trace, Some(TraceConfig::default()));
-        assert_eq!(cfg.trace_format, telemetry::TraceFormat::Csv);
+        assert_eq!(cfg.trace_format, crate::telemetry::TraceFormat::Csv);
 
         let args: Vec<String> = ["--trace-format", "all"]
             .iter()
@@ -200,7 +200,7 @@ mod tests {
             .collect();
         let (cfg, _) = cli_config(&args);
         assert!(cfg.trace.is_some(), "--trace-format implies --trace");
-        assert_eq!(cfg.trace_format, telemetry::TraceFormat::All);
+        assert_eq!(cfg.trace_format, crate::telemetry::TraceFormat::All);
     }
 
     #[test]

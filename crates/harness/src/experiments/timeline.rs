@@ -14,10 +14,10 @@ use crate::plan::{Experiment, Results};
 use crate::record::{document, RunRecord};
 use crate::report::{loss_section, Report, Table};
 use crate::runner::{Cell, ExpConfig};
+use crate::telemetry::{export, RunTelemetry};
 use cppe::presets::PolicyPreset;
 use gpu::RunResult;
 use std::fmt::Write as _;
-use telemetry::{export, RunTelemetry};
 
 /// Default workload for the timeline (a Type IV thrasher).
 pub const DEFAULT_APP: &str = "HSD";
@@ -30,7 +30,7 @@ pub const EXPERIMENT: Experiment = Experiment::new("timeline", cells, render);
 /// replay).
 #[must_use]
 pub fn instrumented(cfg: &ExpConfig, abbr: &str, preset: PolicyPreset) -> Cell {
-    Cell::app(abbr, preset, 0.5, cfg).traced(telemetry::TraceConfig::audited())
+    Cell::app(abbr, preset, 0.5, cfg).traced(crate::telemetry::TraceConfig::audited())
 }
 
 /// The baseline and CPPE, instrumented, on [`DEFAULT_APP`].
@@ -178,7 +178,7 @@ mod tests {
         let csv = export::timeline_csv(&t.expect("traced").series);
         assert_eq!(csv.lines().count() as u64, 1 + r.driver.batches);
         assert!(csv.starts_with("epoch,cycle,cppe.faults"));
-        telemetry::csv::validate(&csv).expect("well-formed CSV");
+        crate::telemetry::csv::validate(&csv).expect("well-formed CSV");
     }
 
     #[test]
@@ -200,7 +200,7 @@ mod tests {
     fn json_format_adds_a_valid_two_run_record() {
         let cfg = ExpConfig {
             scale: 0.25,
-            trace_format: telemetry::TraceFormat::All,
+            trace_format: crate::telemetry::TraceFormat::All,
             ..ExpConfig::quick()
         };
         let report = EXPERIMENT.run(&cfg, 0);

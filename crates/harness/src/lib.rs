@@ -9,6 +9,9 @@
 //!   atomic job cursor with per-cell panic containment,
 //! * [`report`] — text table rendering and the report saver,
 //! * [`record`] — the one JSON run record every export writes,
+//! * [`telemetry`] — what a traced run records (driver events, epoch
+//!   metrics, spans, audited decisions) and its exports: timeline CSV,
+//!   Chrome trace, page-lifetime ledger,
 //! * [`tracing`] — [`Tracing`], the observer that records a traced
 //!   cell's telemetry,
 //! * [`opt`] — the offline Belady chunk-fault bound,
@@ -22,6 +25,7 @@ pub mod plan;
 pub mod record;
 pub mod report;
 pub mod runner;
+pub mod telemetry;
 pub mod tracing;
 
 pub use plan::{cross, run_plan, Experiment, Results};

@@ -1,7 +1,7 @@
 //! Belady oracle comparator: per-policy regret against offline OPT.
 //!
 //! An audited run records *what* every policy decided and the ledger
-//! ([`telemetry::PageLedger`]) reconstructs *what happened to every
+//! ([`crate::telemetry::PageLedger`]) reconstructs *what happened to every
 //! page*; this module closes the loop by asking *what the omniscient
 //! policy would have done*. Three regret measures come out:
 //!
@@ -22,9 +22,10 @@
 //! Everything here is offline replay over recorded telemetry — the
 //! simulation hot path never sees it.
 
+use crate::telemetry::{DecisionKind, PageLedger, RunTelemetry};
 use gmmu::types::PAGE_SIZE;
 use sim_core::FxHashMap;
-use telemetry::{DecisionKind, PageLedger, RunTelemetry, TraceEvent};
+use uvm::observe::DriverEvent;
 use workloads::AccessStep;
 
 /// Where every migrated page ended up: the usefulness partition of the
@@ -198,10 +199,10 @@ impl OracleReport {
 fn prefetch_usefulness(telemetry: &RunTelemetry, ledger: &PageLedger) -> PrefetchUsefulness {
     let pages_migrated: u64 = ledger.pages.values().map(|l| u64::from(l.migrations)).sum();
     let (mut evicted, mut untouched) = (0u64, 0u64);
-    for rec in &telemetry.events {
-        if let TraceEvent::Eviction {
+    for event in &telemetry.events {
+        if let DriverEvent::ChunkEvicted {
             resident, untouch, ..
-        } = rec.event
+        } = *event
         {
             evicted += u64::from(resident);
             untouched += u64::from(untouch);
@@ -239,11 +240,11 @@ fn eviction_regret(telemetry: &RunTelemetry, accesses: &[AccessStep]) -> (Regret
     // checkpoint. Per-page queues (rather than one global cursor) keep
     // the mapping stable under the simulator's lane interleaving.
     let mut checkpoints: Vec<(u64, usize)> = Vec::new();
-    for rec in &telemetry.events {
-        if let TraceEvent::FarFault { page } = rec.event {
-            if let Some(q) = page_next.get_mut(&page) {
+    for event in &telemetry.events {
+        if let DriverEvent::FarFault { at, page } = *event {
+            if let Some(q) = page_next.get_mut(&page.0) {
                 if let Some(pos) = q.pop_front() {
-                    checkpoints.push((rec.cycle, pos));
+                    checkpoints.push((at.0, pos));
                 }
             }
         }
@@ -290,8 +291,9 @@ fn eviction_regret(telemetry: &RunTelemetry, accesses: &[AccessStep]) -> (Regret
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gmmu::types::VirtPage;
-    use telemetry::{DecisionEvent, DecisionRecord, EventRecord};
+    use crate::telemetry::{DecisionEvent, DecisionRecord};
+    use gmmu::types::{ChunkId, VirtPage};
+    use sim_core::time::Cycle;
 
     fn seq(pages: &[u64]) -> Vec<AccessStep> {
         pages
@@ -303,21 +305,20 @@ mod tests {
             .collect()
     }
 
-    fn fault(cycle: u64, page: u64) -> EventRecord {
-        EventRecord {
-            cycle,
-            event: TraceEvent::FarFault { page },
+    fn fault(cycle: u64, page: u64) -> DriverEvent {
+        DriverEvent::FarFault {
+            at: Cycle(cycle),
+            page: VirtPage(page),
         }
     }
 
-    fn evict_event(cycle: u64, chunk: u64, resident: u32, untouch: u32) -> EventRecord {
-        EventRecord {
-            cycle,
-            event: TraceEvent::Eviction {
-                chunk,
-                resident,
-                untouch,
-            },
+    fn evict_event(cycle: u64, chunk: u64, resident: u32, untouch: u32) -> DriverEvent {
+        DriverEvent::ChunkEvicted {
+            at: Cycle(cycle),
+            chunk: ChunkId(chunk),
+            resident,
+            untouch,
+            d2h: (Cycle(cycle), Cycle(cycle)),
         }
     }
 
@@ -349,7 +350,7 @@ mod tests {
         }
     }
 
-    fn telemetry(events: Vec<EventRecord>, decisions: Vec<DecisionRecord>) -> RunTelemetry {
+    fn telemetry(events: Vec<DriverEvent>, decisions: Vec<DecisionRecord>) -> RunTelemetry {
         RunTelemetry {
             events,
             decisions,

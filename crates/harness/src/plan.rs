@@ -7,12 +7,12 @@
 
 use crate::report::Report;
 use crate::runner::{Cell, CellKey, ExpConfig};
+use crate::telemetry::RunTelemetry;
 use cppe::presets::PolicyPreset;
 use gpu::RunResult;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use telemetry::RunTelemetry;
 use workloads::{registry, WorkloadSpec};
 
 /// One report: the cells it reads and how it renders them.
@@ -194,9 +194,9 @@ pub fn cross(
 mod tests {
     use super::*;
     use crate::runner::run_cell;
+    use crate::telemetry::TraceConfig;
     use gpu::Outcome;
     use sim_core::fault::InjectionConfig;
-    use telemetry::TraceConfig;
 
     fn stub(cycles: u64) -> RunResult {
         let mut r = RunResult::failed("stub");

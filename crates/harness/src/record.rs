@@ -21,12 +21,12 @@
 
 use crate::oracle::OracleReport;
 use crate::runner::Cell;
+use crate::telemetry::json::{self, Value};
+use crate::telemetry::{DecisionRecord, LatencyAttribution, MetricKind, PageLedger, RunTelemetry};
 use gmmu::types::PAGES_PER_CHUNK;
 use gpu::RunResult;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use telemetry::json::{self, Value};
-use telemetry::{DecisionRecord, LatencyAttribution, MetricKind, PageLedger, RunTelemetry};
 
 /// Schema marker of every record document.
 pub const SCHEMA: &str = "cppe-run-v1";
@@ -407,8 +407,8 @@ fn check_run(run: &Value) -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::runner::ExpConfig;
+    use crate::telemetry::TraceConfig;
     use cppe::presets::PolicyPreset;
-    use telemetry::TraceConfig;
 
     /// STN under CPPE at 50 %, quarter scale, traced with `trace`.
     fn run(trace: Option<TraceConfig>) -> (Cell, RunResult, Option<RunTelemetry>) {

@@ -2,7 +2,7 @@
 //! [`Report`] (text plus side files) and the saver that writes it.
 //!
 //! CSV rendering delegates to the schema-checked
-//! [`telemetry::CsvWriter`], so every CSV the workspace emits shares one
+//! [`crate::telemetry::CsvWriter`], so every CSV the workspace emits shares one
 //! escaping implementation.
 
 use std::path::{Path, PathBuf};
@@ -98,8 +98,8 @@ pub fn fmt_speedup(s: Option<f64>) -> String {
 /// renderer (timeline, chaos, audit) goes through this one helper so a
 /// truncated artifact is flagged identically everywhere.
 #[must_use]
-pub fn loss_section(t: &telemetry::RunTelemetry) -> String {
-    telemetry::export::loss_banner(t).map_or_else(String::new, |b| format!("{b}\n"))
+pub fn loss_section(t: &crate::telemetry::RunTelemetry) -> String {
+    crate::telemetry::export::loss_banner(t).map_or_else(String::new, |b| format!("{b}\n"))
 }
 
 /// Directory the binaries save their reports under.
@@ -133,7 +133,7 @@ impl From<String> for Report {
 pub fn save(dir: &Path, name: &str, content: &str) -> std::io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
     let path = dir.join(name);
-    telemetry::export::write_atomic(&path, content)?;
+    crate::telemetry::export::write_atomic(&path, content)?;
     Ok(path)
 }
 
@@ -212,11 +212,11 @@ mod tests {
 
     #[test]
     fn loss_section_empty_for_lossless_and_flags_drops() {
-        let clean = telemetry::RunTelemetry::default();
+        let clean = crate::telemetry::RunTelemetry::default();
         assert_eq!(loss_section(&clean), "");
-        let lossy = telemetry::RunTelemetry {
+        let lossy = crate::telemetry::RunTelemetry {
             dropped_events: 3,
-            ..telemetry::RunTelemetry::default()
+            ..crate::telemetry::RunTelemetry::default()
         };
         let s = loss_section(&lossy);
         assert!(s.starts_with("WARNING"));

@@ -10,11 +10,11 @@
 //! GPU memory." Capacity here is exactly `rate × footprint`, rounded to
 //! whole chunks.
 
+use crate::telemetry::{RunTelemetry, TraceConfig, TraceFormat};
 use crate::tracing::Tracing;
 use cppe::presets::PolicyPreset;
 use gmmu::types::PAGES_PER_CHUNK;
 use gpu::{simulate, simulate_with, GpuConfig, RunResult};
-use telemetry::{RunTelemetry, TraceConfig, TraceFormat};
 use workloads::{registry, LaneItem, WorkloadSpec};
 
 /// The two oversubscription rates of the evaluation.

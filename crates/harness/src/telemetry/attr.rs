@@ -9,7 +9,7 @@
 //! budget breaks down into. The harness renders these as report tables
 //! and exports them as the `stages` section of its run record.
 
-use crate::span::{SpanRecord, SpanStage};
+use crate::telemetry::span::{SpanRecord, SpanStage};
 use sim_core::stats::Histogram;
 use std::collections::BTreeMap;
 
@@ -171,7 +171,7 @@ impl LatencyAttribution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::{SpanId, SpanRecorder};
+    use crate::telemetry::span::{SpanId, SpanRecorder};
 
     fn fault_tree(r: &mut SpanRecorder, sm: u16, lane: u32, page: u64, t0: u64) {
         let root = r.open(SpanStage::FaultTotal, t0, SpanId::NONE, sm, lane, page);

@@ -1,12 +1,12 @@
 //! Typed policy-decision provenance events.
 //!
-//! The event ring ([`crate::ring`]) answers *what happened*; the
+//! The event ring ([`crate::telemetry::ring`]) answers *what happened*; the
 //! decision ring answers *why*: every eviction and prefetch the driver
 //! performs while auditing is on records which policy made the call,
 //! which degradation-ladder rung it was made under, and the candidate
 //! window (eviction) or planned page set (prefetch) it chose from.
 //! Decision events carry `Vec` payloads, so they live in their own
-//! ring instead of widening [`crate::event::TraceEvent`] —
+//! ring instead of riding in the event ring —
 //! the existing exporters never see them and stay bit-identical when
 //! auditing is off.
 

@@ -4,18 +4,18 @@
 //! `harness::record`):
 //!
 //! * [`timeline_csv`] — one wide row per epoch (fault batch) with every
-//!   registered metric: counters as per-epoch deltas, gauges as levels.
+//!   sampled metric: counters as per-epoch deltas, gauges as levels.
 //! * [`chrome_trace_json`] — the event ring in Chrome trace-event
 //!   format; load it at `ui.perfetto.dev` or `chrome://tracing` to see
 //!   fault batches, DMA spans, evictions and ladder transitions on a
 //!   shared timeline.
 
-use crate::csv::CsvWriter;
-use crate::event::TraceEvent;
-use crate::json;
-use crate::metrics::EpochSeries;
-use crate::span::{SpanRecord, SpanStage};
-use crate::tracer::RunTelemetry;
+use crate::telemetry::csv::CsvWriter;
+use crate::telemetry::event::show;
+use crate::telemetry::json;
+use crate::telemetry::metrics::EpochSeries;
+use crate::telemetry::span::{SpanRecord, SpanStage};
+use crate::telemetry::tracer::RunTelemetry;
 use sim_core::time::GPU_CLOCK_GHZ;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -71,7 +71,7 @@ impl TraceFormat {
 }
 
 /// Render the epoch series as a wide CSV: `epoch,cycle` then every
-/// registered metric in schema order (counters as per-epoch deltas,
+/// metric in schema order (counters as per-epoch deltas,
 /// gauges as sampled levels).
 #[must_use]
 pub fn timeline_csv(series: &EpochSeries) -> String {
@@ -142,27 +142,21 @@ pub fn chrome_trace_json(telemetry: &RunTelemetry) -> String {
         );
     }
 
-    for rec in &telemetry.events {
-        let e = &rec.event;
-        let dur_cycles = match *e {
-            TraceEvent::BatchServiced {
-                host_done_cycle, ..
-            } => Some(host_done_cycle.saturating_sub(rec.cycle)),
-            TraceEvent::MigrationDma { done_cycle, .. } => {
-                Some(done_cycle.saturating_sub(rec.cycle))
-            }
-            _ => None,
-        };
+    for event in &telemetry.events {
+        let e = show(event);
         let common = format!(
             "\"name\":\"{}\",\"cat\":\"{}\",\"pid\":1,\"tid\":{},\"ts\":{},\"args\":{}",
-            e.name(),
-            e.track(),
-            tid(e.track()),
-            ts_us(rec.cycle),
-            e.args_json()
+            e.name,
+            e.track,
+            tid(e.track),
+            ts_us(e.cycle),
+            e.args
         );
-        let item = match dur_cycles {
-            Some(d) => format!("{{\"ph\":\"X\",{common},\"dur\":{}}}", ts_us(d)),
+        let item = match e.end {
+            Some(end) => {
+                let dur = ts_us(end.saturating_sub(e.cycle));
+                format!("{{\"ph\":\"X\",{common},\"dur\":{dur}}}")
+            }
             None => format!("{{\"ph\":\"i\",\"s\":\"t\",{common}}}"),
         };
         push(&mut s, &item);
@@ -337,51 +331,52 @@ pub fn write_atomic(path: &std::path::Path, contents: &str) -> std::io::Result<(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EventRecord;
-    use crate::metrics::{MetricKind, MetricsRegistry};
+    use crate::telemetry::metrics::{EpochSeries, MetricKind};
+    use gmmu::types::VirtPage;
+    use sim_core::time::Cycle;
+    use uvm::observe::DriverEvent;
 
     fn sample_telemetry() -> RunTelemetry {
-        let mut r = MetricsRegistry::new();
-        r.set("driver.batches", MetricKind::Counter, 1);
-        r.set("mem.resident_pages", MetricKind::Gauge, 16);
-        r.snapshot_epoch(28_000);
-        r.set("driver.batches", MetricKind::Counter, 2);
-        r.set("mem.resident_pages", MetricKind::Gauge, 32);
-        r.snapshot_epoch(70_000);
+        let mut series = EpochSeries::default();
+        for (cycle, batches, resident) in [(28_000, 1, 16), (70_000, 2, 32)] {
+            series.push(
+                cycle,
+                [
+                    ("driver.batches", MetricKind::Counter, batches),
+                    ("mem.resident_pages", MetricKind::Gauge, resident),
+                ],
+            );
+        }
         RunTelemetry {
             events: vec![
-                EventRecord {
-                    cycle: 0,
-                    event: TraceEvent::BatchServiced {
-                        batch: 0,
-                        arrived: 4,
-                        distinct: 4,
-                        coalesced: 0,
-                        host_done_cycle: 28_000,
-                        done_cycle: 30_000,
-                    },
+                DriverEvent::BatchServiced {
+                    now: Cycle(0),
+                    batch: 0,
+                    arrived: 4,
+                    distinct: 4,
+                    coalesced: 0,
+                    host_done: Cycle(28_000),
+                    done_at: Cycle(30_000),
                 },
-                EventRecord {
-                    cycle: 100,
-                    event: TraceEvent::FarFault { page: 9 },
+                DriverEvent::FarFault {
+                    at: Cycle(100),
+                    page: VirtPage(9),
                 },
-                EventRecord {
-                    cycle: 200,
-                    event: TraceEvent::MigrationDma {
-                        page: 9,
-                        pages: 16,
-                        done_cycle: 5_000,
-                    },
+                DriverEvent::MigrationDma {
+                    at: Cycle(200),
+                    page: VirtPage(9),
+                    pages: 16,
+                    h2d: (Cycle(200), Cycle(5_000)),
                 },
             ],
             dropped_events: 0,
-            series: r.into_series(),
+            series,
             ..RunTelemetry::default()
         }
     }
 
     fn telemetry_with_spans() -> RunTelemetry {
-        use crate::span::{SpanId, SpanRecorder};
+        use crate::telemetry::span::{SpanId, SpanRecorder};
         let mut rec = SpanRecorder::new(64);
         let root = rec.open(SpanStage::FaultTotal, 1_400, SpanId::NONE, 0, 3, 42);
         rec.complete(SpanStage::TlbL1, 1_400, 1_401, root, 0, 3, 42);
@@ -415,7 +410,7 @@ mod tests {
         );
         assert_eq!(lines.next().unwrap(), "0,28000,1,16");
         assert_eq!(lines.next().unwrap(), "1,70000,1,32", "counter is a delta");
-        crate::csv::validate(&csv).unwrap();
+        crate::telemetry::csv::validate(&csv).unwrap();
     }
 
     #[test]
@@ -472,10 +467,10 @@ mod tests {
     #[test]
     fn loss_banner_names_dropped_decisions() {
         let audited = RunTelemetry {
-            decisions: vec![crate::decision::DecisionRecord {
+            decisions: vec![crate::telemetry::decision::DecisionRecord {
                 cycle: 9,
-                event: crate::decision::DecisionEvent {
-                    kind: crate::decision::DecisionKind::Prefetch,
+                event: crate::telemetry::decision::DecisionEvent {
+                    kind: crate::telemetry::decision::DecisionKind::Prefetch,
                     policy: "seq-local",
                     origin: "whole-chunk",
                     rung: 0,

@@ -15,16 +15,17 @@
 //! Residency comes from *prefetch decisions* (which carry the exact
 //! planned page set after driver capping) and *eviction events* (which
 //! carry the victim chunk); the ledger therefore needs an audited run
-//! ([`crate::tracer::TraceConfig::audit`]) with rings sized to hold the
+//! ([`crate::telemetry::tracer::TraceConfig::audit`]) with rings sized to hold the
 //! full history — [`PageLedger::from_telemetry`] is exact only when
-//! [`crate::tracer::RunTelemetry::lossy`] is false.
+//! [`crate::telemetry::tracer::RunTelemetry::lossy`] is false.
 
-use crate::csv::CsvWriter;
-use crate::decision::DecisionKind;
-use crate::event::TraceEvent;
-use crate::tracer::RunTelemetry;
+use crate::telemetry::csv::CsvWriter;
+use crate::telemetry::decision::DecisionKind;
+use crate::telemetry::event::show;
+use crate::telemetry::tracer::RunTelemetry;
 use sim_core::stats::Histogram;
 use sim_core::{FxHashMap, FxHashSet};
+use uvm::observe::DriverEvent;
 
 /// One page's lifetime through the run.
 #[derive(Debug, Clone, Default)]
@@ -112,31 +113,35 @@ impl PageLedger {
         // Merge the event and decision streams by cycle; events win
         // ties so a fault is registered before the plan it triggered
         // makes its page resident.
-        let (events, decisions) = (&telemetry.events, &telemetry.decisions);
+        let events: Vec<(u64, &DriverEvent)> = (telemetry.events.iter())
+            .map(|e| (show(e).cycle, e))
+            .collect();
+        let decisions = &telemetry.decisions;
         let (mut ei, mut di) = (0usize, 0usize);
         loop {
             let take_event = match (events.get(ei), decisions.get(di)) {
-                (Some(e), Some(d)) => e.cycle <= d.cycle,
+                (Some(&(cycle, _)), Some(d)) => cycle <= d.cycle,
                 (Some(_), None) => true,
                 (None, Some(_)) => false,
                 (None, None) => break,
             };
             if take_event {
-                let rec = &events[ei];
+                let (cycle, event) = events[ei];
                 ei += 1;
-                last_cycle = last_cycle.max(rec.cycle);
-                match rec.event {
-                    TraceEvent::FarFault { page } => {
+                last_cycle = last_cycle.max(cycle);
+                match *event {
+                    DriverEvent::FarFault { page, .. } => {
+                        let page = page.0;
                         fault_index += 1;
                         ledger.total_faults += 1;
                         let life = ledger.pages.entry(page).or_insert_with(|| PageLife {
-                            first_seen: rec.cycle,
+                            first_seen: cycle,
                             ..PageLife::default()
                         });
                         life.faults += 1;
                         if let Some((evicted_at, evicted_fault_index)) = life.last_evicted {
                             if !life.resident {
-                                let distance = rec.cycle.saturating_sub(evicted_at);
+                                let distance = cycle.saturating_sub(evicted_at);
                                 let gap = fault_index.saturating_sub(evicted_fault_index + 1);
                                 life.refaults += 1;
                                 life.refault_distance_sum += distance;
@@ -148,8 +153,8 @@ impl PageLedger {
                             }
                         }
                     }
-                    TraceEvent::Eviction { chunk, .. } => {
-                        let Some(residents) = chunk_resident.remove(&chunk) else {
+                    DriverEvent::ChunkEvicted { chunk, .. } => {
+                        let Some(residents) = chunk_resident.remove(&chunk.0) else {
                             ledger.unmatched_evictions += 1;
                             continue;
                         };
@@ -157,9 +162,9 @@ impl PageLedger {
                             let life = ledger.pages.entry(page).or_default();
                             life.resident = false;
                             life.evictions += 1;
-                            life.last_evicted = Some((rec.cycle, fault_index));
+                            life.last_evicted = Some((cycle, fault_index));
                             if let Some(since) = life.resident_since.take() {
-                                let dur = rec.cycle.saturating_sub(since);
+                                let dur = cycle.saturating_sub(since);
                                 life.total_residency += dur;
                                 ledger.residency.record(dur);
                             }
@@ -274,24 +279,24 @@ impl PageLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decision::{DecisionEvent, DecisionRecord};
-    use crate::event::EventRecord;
+    use crate::telemetry::decision::{DecisionEvent, DecisionRecord};
+    use gmmu::types::{ChunkId, VirtPage};
+    use sim_core::time::Cycle;
 
-    fn fault(cycle: u64, page: u64) -> EventRecord {
-        EventRecord {
-            cycle,
-            event: TraceEvent::FarFault { page },
+    fn fault(cycle: u64, page: u64) -> DriverEvent {
+        DriverEvent::FarFault {
+            at: Cycle(cycle),
+            page: VirtPage(page),
         }
     }
 
-    fn evict(cycle: u64, chunk: u64) -> EventRecord {
-        EventRecord {
-            cycle,
-            event: TraceEvent::Eviction {
-                chunk,
-                resident: 2,
-                untouch: 1,
-            },
+    fn evict(cycle: u64, chunk: u64) -> DriverEvent {
+        DriverEvent::ChunkEvicted {
+            at: Cycle(cycle),
+            chunk: ChunkId(chunk),
+            resident: 2,
+            untouch: 1,
+            d2h: (Cycle(cycle), Cycle(cycle)),
         }
     }
 
@@ -309,7 +314,7 @@ mod tests {
         }
     }
 
-    fn telemetry(events: Vec<EventRecord>, decisions: Vec<DecisionRecord>) -> RunTelemetry {
+    fn telemetry(events: Vec<DriverEvent>, decisions: Vec<DecisionRecord>) -> RunTelemetry {
         RunTelemetry {
             events,
             decisions,
@@ -413,7 +418,7 @@ mod tests {
         );
         let ledger = PageLedger::from_telemetry(&t, 16);
         let csv = ledger.lifetime_csv();
-        crate::csv::validate(&csv).expect("well-formed CSV");
+        crate::telemetry::csv::validate(&csv).expect("well-formed CSV");
         let lines: Vec<&str> = csv.lines().collect();
         assert!(lines[0].starts_with("page,chunk,first_seen_cycle"));
         assert!(lines[1].starts_with("3,0,"), "sorted by page");

@@ -1,23 +1,17 @@
-//! # telemetry — unified observability for the simulator stack
+//! # telemetry — what a traced run records, and its exports
 //!
-//! Before this crate, observability was scattered across four
-//! disconnected carriers: `sim_core::stats::StatSet`, the bespoke
-//! per-run timeline in `gpu::sim`, `uvm::DriverStats`, and per-binary
-//! CSV glue in the harness. This crate unifies them:
-//!
-//! * [`event`] — the typed [`TraceEvent`] taxonomy (far-fault
-//!   lifecycle, migration DMA start/retry/abort, evictions, prefetch
-//!   decisions, thrash-ladder rung transitions, injected faults),
+//! * [`event`] — [`show`], how the exports render a recorded
+//!   [`uvm::observe::DriverEvent`] (far-fault lifecycle, migration DMA
+//!   start/retry/abort, evictions, prefetch decisions, thrash-ladder
+//!   rung transitions, injected faults),
 //! * [`ring`] — [`BoundedRing`], the drop-oldest buffer behind the
 //!   event, decision and span rings (never panics, counts drops),
-//! * [`metrics`] — [`MetricsRegistry`]: counters/gauges/histograms
-//!   under stable dotted names, absorbing [`sim_core::StatSet`], with
-//!   an epoch sampler that snapshots totals at fault-batch granularity
-//!   ([`EpochSeries`]),
+//! * [`metrics`] — [`EpochSeries`]: counter and gauge totals under
+//!   stable dotted names, one row per fault batch,
 //! * [`tracer`] — [`Tracer`], the recording handle of one traced run;
-//!   the harness's tracing observer owns it and attaches to the `gpu`
-//!   event loop's and the `uvm` driver's hook points, so neither
-//!   simulator crate depends on this one,
+//!   the [`Tracing`](crate::Tracing) observer owns it and attaches to
+//!   the `gpu` event loop's and the `uvm` driver's hook points, so
+//!   neither simulator crate knows it exists,
 //! * [`span`] — [`SpanRecorder`]: cycle-stamped span trees over the
 //!   fault lifecycle (TLB probes → walker → fault-queue wait → batch
 //!   service → replay) and the driver batch pipeline, with the same
@@ -38,7 +32,7 @@
 //! ## Overhead guarantee
 //!
 //! An untraced run has no tracer at all: the simulator crates do not
-//! depend on this crate, and the hook points a tracer attaches to
+//! depend on the harness, and the hook points a tracer attaches to
 //! compile to nothing when no observer is attached. Every hook sees the
 //! simulator read-only, so attaching a tracer cannot change a run's
 //! timing or results either — only record them.
@@ -58,10 +52,10 @@ pub mod tracer;
 pub use attr::{AttributedTotal, LatencyAttribution, QueueServiceSplit, StageSummary};
 pub use csv::CsvWriter;
 pub use decision::{DecisionEvent, DecisionKind, DecisionRecord};
-pub use event::{EventRecord, InjectedFaultKind, TraceEvent};
+pub use event::{show, Shown};
 pub use export::TraceFormat;
 pub use ledger::{PageLedger, PageLife};
-pub use metrics::{EpochRow, EpochSeries, MetricKind, MetricsRegistry};
+pub use metrics::{EpochRow, EpochSeries, MetricKind};
 pub use ring::BoundedRing;
 pub use span::{SpanId, SpanRecord, SpanRecorder, SpanStage};
 pub use tracer::{RunTelemetry, TraceConfig, Tracer};

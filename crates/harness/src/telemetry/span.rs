@@ -1,12 +1,12 @@
 //! Cycle-stamped span trees for the fault lifecycle.
 //!
-//! Where [`crate::event::TraceEvent`] records *that* something happened,
+//! Where a recorded [`uvm::observe::DriverEvent`] says *that* something happened,
 //! a span records *how long a stage took* and *which stages it contains*:
 //! every far fault owns a span tree — TLB probes → walker queue/walk →
 //! fault-queue wait → driver batch service → replay — and every driver
 //! batch owns one for its host-side pipeline (host service, retry
 //! backoff, PCIe transfer, eviction DMA). The latency attribution engine
-//! ([`crate::attr`]) and the Chrome flame view are built on these
+//! ([`crate::telemetry::attr`]) and the Chrome flame view are built on these
 //! records.
 //!
 //! Same guarantees as the event ring: recording is bounded (drop-oldest,
@@ -15,7 +15,7 @@
 //! counted, so the exported set is always balanced: every recorded span
 //! has both endpoints.
 
-use crate::ring::BoundedRing;
+use crate::telemetry::ring::BoundedRing;
 use sim_core::FxHashMap;
 
 /// Opaque span handle. `SpanId::NONE` (0) means "no span" — the parent

@@ -1,7 +1,7 @@
 //! The recording handle.
 //!
-//! A [`Tracer`] records one run: typed events, decision provenance,
-//! epoch metrics and the span trees of [`crate::span`], each in its own
+//! A [`Tracer`] records one run: driver events, decision provenance,
+//! epoch metrics and the span trees of [`crate::telemetry::span`], each in its own
 //! bounded ring. The simulator crates do not know it exists: the
 //! harness's tracing observer, attached to the `gpu` event loop's and
 //! the `uvm` driver's hook points, owns the run's tracer and turns it
@@ -11,13 +11,13 @@
 //! `span_open`/`span_close` bracket a stage whose end is not yet known,
 //! `span` records one whose endpoints are.
 
-use crate::decision::{DecisionEvent, DecisionRecord};
-use crate::event::{EventRecord, TraceEvent};
-use crate::metrics::{EpochSeries, MetricKind, MetricsRegistry};
-use crate::ring::BoundedRing;
-use crate::span::{SpanId, SpanRecord, SpanRecorder, SpanStage};
+use crate::telemetry::decision::{DecisionEvent, DecisionRecord};
+use crate::telemetry::metrics::{EpochSeries, MetricKind};
+use crate::telemetry::ring::BoundedRing;
+use crate::telemetry::span::{SpanId, SpanRecord, SpanRecorder, SpanStage};
 use sim_core::stats::Histogram;
 use std::collections::BTreeMap;
+use uvm::observe::DriverEvent;
 
 /// A tracing request: ring capacities and whether to audit decisions.
 /// `Copy`, so configs stay plain data.
@@ -60,8 +60,8 @@ impl TraceConfig {
 /// The recording handle of one traced run.
 #[derive(Debug)]
 pub struct Tracer {
-    ring: BoundedRing<EventRecord>,
-    registry: MetricsRegistry,
+    ring: BoundedRing<DriverEvent>,
+    series: EpochSeries,
     spans: SpanRecorder,
     /// Present only when `TraceConfig::audit` was set.
     decisions: Option<BoundedRing<DecisionRecord>>,
@@ -73,7 +73,7 @@ impl Tracer {
     pub fn new(cfg: TraceConfig) -> Self {
         Tracer {
             ring: BoundedRing::new(cfg.ring_capacity),
-            registry: MetricsRegistry::new(),
+            series: EpochSeries::default(),
             spans: SpanRecorder::new(cfg.span_capacity),
             decisions: cfg.audit.then(|| BoundedRing::new(cfg.decision_capacity)),
         }
@@ -86,10 +86,10 @@ impl Tracer {
         self.decisions.is_some()
     }
 
-    /// Record an event at `cycle`.
+    /// Record a driver event (it carries its own cycle).
     #[inline]
-    pub fn emit(&mut self, cycle: u64, event: TraceEvent) {
-        self.ring.push(EventRecord { cycle, event });
+    pub fn emit(&mut self, event: DriverEvent) {
+        self.ring.push(event);
     }
 
     /// Record a policy decision at `cycle`; a no-op unless auditing is
@@ -141,36 +141,29 @@ impl Tracer {
             .complete(stage, start, end, parent, sm, lane, page)
     }
 
-    /// Sample one epoch: set every `(name, kind, value)` into the
-    /// registry (registering on first sight) and snapshot the totals at
-    /// `cycle`. Emitters must pass a stable set in a stable order. The
-    /// tracer appends its own loss accounting — `telemetry.ring.dropped`
-    /// and `telemetry.spans.dropped` — so ring overflow is visible in
-    /// the exported timeline, not just at end of run.
+    /// Sample one epoch of `(name, kind, total)` at `cycle` (see
+    /// [`EpochSeries::push`]: every epoch names the same metrics in the
+    /// same order). The tracer appends its own loss accounting —
+    /// `telemetry.ring.dropped` and `telemetry.spans.dropped` — so ring
+    /// overflow is visible in the exported timeline, not just at end of
+    /// run.
     pub fn sample_epoch<'a>(
         &mut self,
         cycle: u64,
         metrics: impl IntoIterator<Item = (&'a str, MetricKind, u64)>,
     ) {
-        for (name, kind, value) in metrics {
-            self.registry.set(name, kind, value);
-        }
-        let ring_dropped = self.ring.dropped();
-        let span_dropped = self.spans.dropped();
-        self.registry
-            .set("telemetry.ring.dropped", MetricKind::Counter, ring_dropped);
-        self.registry
-            .set("telemetry.spans.dropped", MetricKind::Counter, span_dropped);
         // Only audited runs grow the schema — timeline CSVs of
         // non-audited runs keep their exact column set.
-        if let Some(decisions) = self.decisions.as_ref() {
-            self.registry.set(
-                "telemetry.decisions.dropped",
-                MetricKind::Counter,
-                decisions.dropped(),
-            );
-        }
-        self.registry.snapshot_epoch(cycle);
+        let loss = [
+            Some(("telemetry.ring.dropped", self.ring.dropped())),
+            Some(("telemetry.spans.dropped", self.spans.dropped())),
+            (self.decisions.as_ref()).map(|d| ("telemetry.decisions.dropped", d.dropped())),
+        ];
+        let loss = loss.into_iter().flatten();
+        let metrics = metrics
+            .into_iter()
+            .chain(loss.map(|(name, n)| (name, MetricKind::Counter, n)));
+        self.series.push(cycle, metrics);
     }
 
     /// Consume the tracer into the run's telemetry. Every closed span's
@@ -181,14 +174,16 @@ impl Tracer {
     pub fn finish(self) -> RunTelemetry {
         let Tracer {
             ring,
-            mut registry,
+            series,
             spans,
             decisions,
         } = self;
         let dropped = ring.dropped();
         let (spans, dropped_spans, unclosed_spans) = spans.finish();
+        let mut hists: BTreeMap<String, Histogram> = BTreeMap::new();
         for s in &spans {
-            registry.observe(s.stage.metric(), s.duration());
+            let hist = hists.entry(s.stage.metric().to_string()).or_default();
+            hist.record(s.duration());
         }
         let (decisions, dropped_decisions) = match decisions {
             Some(ring) => {
@@ -197,7 +192,6 @@ impl Tracer {
             }
             None => (Vec::new(), 0),
         };
-        let (series, hists) = registry.into_parts();
         RunTelemetry {
             events: ring.into_vec(),
             dropped_events: dropped,
@@ -215,8 +209,9 @@ impl Tracer {
 /// Everything one run recorded.
 #[derive(Debug, Clone, Default)]
 pub struct RunTelemetry {
-    /// Traced events, oldest first (ring-bounded).
-    pub events: Vec<EventRecord>,
+    /// Driver events, oldest first (ring-bounded): every kind but the
+    /// span-only `BatchOpened` and `RetryBackoff`.
+    pub events: Vec<DriverEvent>,
     /// Events dropped by the ring.
     pub dropped_events: u64,
     /// The per-epoch metric series.
@@ -232,8 +227,8 @@ pub struct RunTelemetry {
     pub decisions: Vec<DecisionRecord>,
     /// Decisions dropped by the decision ring.
     pub dropped_decisions: u64,
-    /// Observed histograms by name — per-stage span latencies
-    /// (`latency.<stage>`) plus anything the harness observed directly.
+    /// Per-stage span latency histograms by name
+    /// (`latency.<stage>`).
     pub hists: BTreeMap<String, Histogram>,
 }
 
@@ -252,7 +247,10 @@ mod tests {
     #[test]
     fn tracer_records_events_and_epochs() {
         let mut t = Tracer::new(TraceConfig::default());
-        t.emit(10, TraceEvent::FarFault { page: 3 });
+        t.emit(DriverEvent::FarFault {
+            at: sim_core::time::Cycle(10),
+            page: gmmu::types::VirtPage(3),
+        });
         t.sample_epoch(
             10,
             [
@@ -312,9 +310,9 @@ mod tests {
         assert_eq!(r.series.final_total("telemetry.spans.dropped"), 3);
     }
 
-    fn sample_decision(chosen: u64) -> crate::decision::DecisionEvent {
-        crate::decision::DecisionEvent {
-            kind: crate::decision::DecisionKind::Eviction,
+    fn sample_decision(chosen: u64) -> crate::telemetry::decision::DecisionEvent {
+        crate::telemetry::decision::DecisionEvent {
+            kind: crate::telemetry::decision::DecisionKind::Eviction,
             policy: "lru",
             origin: "capacity",
             rung: 0,

@@ -7,7 +7,7 @@
 //! asks for tracing and hands back the run's [`RunTelemetry`]. It
 //! records:
 //!
-//! * the driver's typed events, one metrics epoch per serviced batch,
+//! * the driver's events, one metrics epoch per serviced batch,
 //!   and a `driver_batch` span per batch with `retry_backoff`,
 //!   `eviction_dma`, `pcie_transfer` and `host_service` children;
 //! * with auditing on, one decision per eviction, with the candidate
@@ -21,6 +21,9 @@
 //! Driver and lane spans share one recorder, so one run yields one
 //! span set.
 
+use crate::telemetry::{
+    DecisionEvent, DecisionKind, MetricKind, RunTelemetry, SpanId, SpanStage, TraceConfig, Tracer,
+};
 use cppe::pins::PinSet;
 use gmmu::translation::TranslationTiming;
 use gmmu::types::{ChunkId, VirtPage};
@@ -28,10 +31,6 @@ use gpu::observe::{Ctx, Observer};
 use sim_core::time::Cycle;
 use sim_core::FxHashMap;
 use std::collections::BTreeMap;
-use telemetry::{
-    DecisionEvent, DecisionKind, InjectedFaultKind, MetricKind, RunTelemetry, SpanId, SpanStage,
-    TraceConfig, TraceEvent, Tracer,
-};
 use uvm::driver::{BatchResult, UvmDriver};
 use uvm::observe::{DriverEvent, DriverObserver};
 
@@ -120,7 +119,7 @@ fn epoch_metrics(d: &UvmDriver) -> Vec<(&'static str, MetricKind, u64)> {
 
 impl DriverObserver for Tracing {
     fn driver_event(&mut self, d: &UvmDriver, ev: DriverEvent) {
-        let (at, event) = match ev {
+        match ev {
             DriverEvent::BatchOpened { now, batch } => {
                 self.batch_dma_end = now;
                 self.batch_span = self.tracer.span_open(
@@ -133,56 +132,16 @@ impl DriverObserver for Tracing {
                 );
                 return;
             }
-            DriverEvent::QueueOverflow { at, deferred } => {
-                let kind = InjectedFaultKind::QueueOverflow { deferred };
-                (at, TraceEvent::InjectedFault { kind })
-            }
-            DriverEvent::LatencySpike { at } => {
-                let kind = InjectedFaultKind::LatencySpike;
-                (at, TraceEvent::InjectedFault { kind })
-            }
-            DriverEvent::TransferFailure { at, .. } => {
-                let kind = InjectedFaultKind::TransferFailure;
-                (at, TraceEvent::InjectedFault { kind })
-            }
-            DriverEvent::FarFault { at, page } => (at, TraceEvent::FarFault { page: page.0 }),
-            DriverEvent::DmaRetry {
-                at,
-                page,
-                attempt,
-                backoff,
-            } => {
-                let event = TraceEvent::DmaRetry {
-                    page: page.0,
-                    attempt,
-                    backoff_cycles: backoff,
-                };
-                (at, event)
-            }
             DriverEvent::RetryBackoff { page, start, end } => {
                 self.driver_span(SpanStage::RetryBackoff, start, end, page.0);
                 return;
-            }
-            DriverEvent::DmaAbort { at, page, attempts } => {
-                let event = TraceEvent::DmaAbort {
-                    page: page.0,
-                    attempts,
-                };
-                (at, event)
-            }
-            DriverEvent::PrefetchPlanned { at, page, planned } => {
-                let event = TraceEvent::PrefetchDecision {
-                    page: page.0,
-                    planned,
-                };
-                (at, event)
             }
             DriverEvent::ChunkEvicted {
                 at,
                 chunk,
                 resident,
-                untouch,
                 d2h: (start, done),
+                ..
             } => {
                 if let Some(cands) = self.candidates.take() {
                     let decision = DecisionEvent {
@@ -199,49 +158,23 @@ impl DriverObserver for Tracing {
                     self.driver_span(SpanStage::EvictionDma, start, done, chunk.0);
                     self.batch_dma_end = self.batch_dma_end.max(done);
                 }
-                let event = TraceEvent::Eviction {
-                    chunk: chunk.0,
-                    resident,
-                    untouch,
-                };
-                (at, event)
             }
             DriverEvent::MigrationDma {
-                at,
                 page,
-                pages,
                 h2d: (start, done),
+                ..
             } => {
                 self.driver_span(SpanStage::PcieTransfer, start, done, page.0);
                 self.batch_dma_end = self.batch_dma_end.max(done);
-                let event = TraceEvent::MigrationDma {
-                    page: page.0,
-                    pages,
-                    done_cycle: done.0,
-                };
-                (at, event)
-            }
-            DriverEvent::RungChanged { at, from, to } => {
-                (at, TraceEvent::RungTransition { from, to })
             }
             DriverEvent::BatchServiced {
                 now,
                 batch,
-                arrived,
-                distinct,
-                coalesced,
                 host_done,
                 done_at,
+                ..
             } => {
-                let event = TraceEvent::BatchServiced {
-                    batch,
-                    arrived,
-                    distinct,
-                    coalesced,
-                    host_done_cycle: host_done.0,
-                    done_cycle: done_at.0,
-                };
-                self.tracer.emit(now.0, event);
+                self.tracer.emit(ev);
                 self.driver_span(SpanStage::HostService, now, host_done, batch);
                 let batch_end = done_at.max(self.batch_dma_end);
                 self.tracer.span_close(self.batch_span, batch_end.0);
@@ -249,8 +182,9 @@ impl DriverObserver for Tracing {
                 self.tracer.sample_epoch(now.0, epoch_metrics(d));
                 return;
             }
-        };
-        self.tracer.emit(at.0, event);
+            _ => {}
+        }
+        self.tracer.emit(ev);
     }
 
     fn selecting_victim(&mut self, d: &UvmDriver, pins: &PinSet) {
@@ -460,12 +394,19 @@ mod tests {
             32,
             "memory full after the eviction round-trip"
         );
-        let has = |pred: &dyn Fn(&TraceEvent) -> bool| t.events.iter().any(|e| pred(&e.event));
-        assert!(has(&|e| matches!(e, TraceEvent::FarFault { .. })));
-        assert!(has(&|e| matches!(e, TraceEvent::PrefetchDecision { .. })));
-        assert!(has(&|e| matches!(e, TraceEvent::MigrationDma { .. })));
-        assert!(has(&|e| matches!(e, TraceEvent::Eviction { .. })));
-        assert!(has(&|e| matches!(e, TraceEvent::BatchServiced { .. })));
+        let has = |pred: &dyn Fn(&DriverEvent) -> bool| t.events.iter().any(pred);
+        assert!(has(&|e| matches!(e, DriverEvent::FarFault { .. })));
+        assert!(has(&|e| matches!(e, DriverEvent::PrefetchPlanned { .. })));
+        assert!(has(&|e| matches!(e, DriverEvent::MigrationDma { .. })));
+        assert!(has(&|e| matches!(e, DriverEvent::ChunkEvicted { .. })));
+        assert!(has(&|e| matches!(e, DriverEvent::BatchServiced { .. })));
+        assert!(
+            !has(&|e| matches!(
+                e,
+                DriverEvent::BatchOpened { .. } | DriverEvent::RetryBackoff { .. }
+            )),
+            "span-only events stay out of the ring"
+        );
         let batches = t
             .spans
             .iter()

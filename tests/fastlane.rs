@@ -33,11 +33,11 @@ use gmmu::page_table::FLAT_LIMIT;
 use gmmu::types::VirtPage;
 use gpu::observe::Ctx;
 use gpu::{DriverObserver, FireCounts, GpuConfig, NoObserver, Observer, Outcome, RunResult};
+use harness::telemetry::TraceConfig;
 use harness::{capacity_pages, ExpConfig, Tracing};
 use sim_core::fault::InjectionConfig;
 use sim_core::rng::Xoshiro256ss;
 use sim_core::time::Cycle;
-use telemetry::TraceConfig;
 use uvm::driver::{BatchResult, ResilienceConfig};
 use workloads::registry;
 use workloads::types::{AccessStep, LaneItem};

@@ -11,8 +11,8 @@
 
 use cppe::presets::PolicyPreset;
 use gpu::{FireCounts, Invariants, NoObserver, Observer, RunResult, Timeline};
+use harness::telemetry::{RunTelemetry, TraceConfig};
 use harness::{capacity_pages, ExpConfig, Tracing};
-use telemetry::{RunTelemetry, TraceConfig};
 use workloads::registry;
 
 /// Everything a run computes, as comparable text (telemetry streams

@@ -15,9 +15,9 @@
 //!   counts the loss, and still exports a balanced trace.
 
 use cppe::presets::PolicyPreset;
+use harness::telemetry::{export, RunTelemetry, SpanRecord, SpanStage, TraceConfig};
 use harness::{run_cell, Cell, ExpConfig};
 use std::collections::HashMap;
-use telemetry::{export, RunTelemetry, SpanRecord, SpanStage, TraceConfig};
 use workloads::registry;
 
 /// `abbr` under CPPE at 50 %, quarter scale, traced with `trace`.
@@ -85,7 +85,7 @@ fn span_chrome_trace_has_golden_shape() {
     let t = traced_run("STN");
     assert_eq!(t.dropped_spans, 0, "test ring sized for losslessness");
     let j = export::chrome_trace_json(&t);
-    telemetry::json::validate(&j).expect("well-formed trace JSON");
+    harness::telemetry::json::validate(&j).expect("well-formed trace JSON");
     let pairs = export::span_balance(&j).expect("balanced B/E events");
     assert!(pairs > 0, "lane span trees rendered");
     for name in [
@@ -231,6 +231,6 @@ fn span_ring_overflow_keeps_newest_counts_loss_and_still_balances() {
         "loss surfaces in the sampled series"
     );
     let j = export::chrome_trace_json(&t);
-    telemetry::json::validate(&j).expect("well-formed trace JSON");
+    harness::telemetry::json::validate(&j).expect("well-formed trace JSON");
     export::span_balance(&j).expect("truncated trace still balances");
 }

@@ -13,8 +13,8 @@
 use cppe::presets::PolicyPreset;
 use gpu::RunResult;
 use harness::record::{self, RunRecord};
+use harness::telemetry::{csv, json, RunTelemetry, TraceConfig};
 use harness::{Cell, ExpConfig};
-use telemetry::{csv, json, RunTelemetry, TraceConfig};
 use workloads::registry;
 
 /// The frozen timeline CSV header: `epoch,cycle` then every metric in
@@ -100,7 +100,7 @@ fn golden_csv_and_chrome_trace_schema() {
     let (r, t) = cell.run();
     let t = t.as_ref().unwrap();
 
-    let timeline = telemetry::export::timeline_csv(&t.series);
+    let timeline = harness::telemetry::export::timeline_csv(&t.series);
     let header = csv::validate(&timeline).expect("well-formed CSV");
     assert_eq!(header.join(","), GOLDEN_HEADER, "timeline schema drifted");
     assert_eq!(
@@ -115,7 +115,7 @@ fn golden_csv_and_chrome_trace_schema() {
     assert!(doc.contains("\"outcome\":\"completed\""));
     assert!(doc.contains("\"metrics\":{\"cppe.faults\":{\"kind\":\"counter\""));
 
-    let trace = telemetry::export::chrome_trace_json(t);
+    let trace = harness::telemetry::export::chrome_trace_json(t);
     json::validate(&trace).expect("well-formed Chrome trace JSON");
     assert!(trace.starts_with("{\"traceEvents\":["));
     assert!(trace.contains("\"ph\":\"M\""), "track metadata missing");
@@ -141,9 +141,5 @@ fn event_ring_overflow_keeps_newest_without_panicking() {
     assert_eq!(t.events.len(), 8);
     assert_eq!(t.dropped_events as usize, full_events.len() - 8);
     // Drop-oldest: what survives is exactly the tail of the full run.
-    let tail = &full_events[full_events.len() - 8..];
-    for (kept, expected) in t.events.iter().zip(tail) {
-        assert_eq!(kept.cycle, expected.cycle);
-        assert_eq!(kept.event.name(), expected.event.name());
-    }
+    assert_eq!(t.events, full_events[full_events.len() - 8..]);
 }

@@ -25,12 +25,13 @@ use gpu::RunResult;
 use harness::experiments::audit;
 use harness::plan::run_cells_with;
 use harness::record::{self, RunRecord};
+use harness::telemetry::export::{chrome_trace_json, timeline_csv};
+use harness::telemetry::{show, PageLedger, RunTelemetry, TraceConfig};
 use harness::{Cell, ExpConfig};
 use sim_core::fault::InjectionConfig;
 use std::fmt::Write as _;
-use telemetry::export::{chrome_trace_json, timeline_csv};
-use telemetry::{InjectedFaultKind, PageLedger, RunTelemetry, TraceConfig, TraceEvent};
 use uvm::driver::ResilienceConfig;
+use uvm::observe::DriverEvent;
 
 /// FNV-1a over `text`.
 fn fnv1a(text: &str) -> u64 {
@@ -78,15 +79,14 @@ fn exports(cell: &Cell, r: &RunResult, t: &RunTelemetry) -> String {
         Some(t),
     )]));
     s.push_str(&PageLedger::from_telemetry(t, PAGES_PER_CHUNK).lifetime_csv());
-    for rec in &t.events {
-        let e = &rec.event;
-        let _ = writeln!(s, "{} {} {}", rec.cycle, e.name(), e.args_json());
+    for e in t.events.iter().map(show) {
+        let _ = writeln!(s, "{} {} {}", e.cycle, e.name, e.args);
     }
     s
 }
 
-fn count(t: &RunTelemetry, pred: impl Fn(&TraceEvent) -> bool) -> usize {
-    t.events.iter().filter(|e| pred(&e.event)).count()
+fn count(t: &RunTelemetry, pred: impl Fn(&DriverEvent) -> bool) -> usize {
+    t.events.iter().filter(|e| pred(e)).count()
 }
 
 #[test]
@@ -108,24 +108,18 @@ fn traced_cells_record_exactly_the_pinned_telemetry() {
 
     let chaos = t[1];
     assert!(!chaos.lossy(), "the chaos cell must record every event");
-    let injected = |kind: fn(&InjectedFaultKind) -> bool| {
-        count(
-            chaos,
-            |e| matches!(e, TraceEvent::InjectedFault { kind: k } if kind(k)),
-        )
-    };
-    assert!(injected(|k| matches!(k, InjectedFaultKind::QueueOverflow { .. })) > 0);
-    assert!(injected(|k| matches!(k, InjectedFaultKind::LatencySpike)) > 0);
-    assert!(injected(|k| matches!(k, InjectedFaultKind::TransferFailure)) > 0);
-    assert!(count(chaos, |e| matches!(e, TraceEvent::DmaRetry { .. })) > 0);
-    assert!(count(chaos, |e| matches!(e, TraceEvent::DmaAbort { .. })) > 0);
+    assert!(count(chaos, |e| matches!(e, DriverEvent::QueueOverflow { .. })) > 0);
+    assert!(count(chaos, |e| matches!(e, DriverEvent::LatencySpike { .. })) > 0);
+    assert!(count(chaos, |e| matches!(e, DriverEvent::TransferFailure { .. })) > 0);
+    assert!(count(chaos, |e| matches!(e, DriverEvent::DmaRetry { .. })) > 0);
+    assert!(count(chaos, |e| matches!(e, DriverEvent::DmaAbort { .. })) > 0);
     let down = count(
         chaos,
-        |e| matches!(e, TraceEvent::RungTransition { from, to } if to > from),
+        |e| matches!(e, DriverEvent::RungChanged { from, to, .. } if to > from),
     );
     let up = count(
         chaos,
-        |e| matches!(e, TraceEvent::RungTransition { from, to } if to < from),
+        |e| matches!(e, DriverEvent::RungChanged { from, to, .. } if to < from),
     );
     assert!(down > 0 && up > 0, "rung changes: {down} down, {up} up");
     assert!(!chaos.decisions.is_empty());
@@ -138,9 +132,9 @@ fn traced_cells_record_exactly_the_pinned_telemetry() {
     assert_eq!(
         hashes,
         [
-            10640596549034158153,
-            7454833401070310888,
-            11189198657943511259
+            11106838367648242389,
+            7798345140123820152,
+            17972765745204414003
         ],
         "recorded telemetry changed"
     );
