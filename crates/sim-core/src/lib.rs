@@ -41,5 +41,5 @@ pub use events::EventQueue;
 pub use fault::{FaultInjector, InjectionConfig, InjectionStats};
 pub use hash::{FxHashMap, FxHashSet};
 pub use rng::{SplitMix64, Xoshiro256ss};
-pub use stats::{Counter, Histogram, StatSet};
+pub use stats::{Counter, Histogram};
 pub use time::{Cycle, GPU_CLOCK_GHZ};

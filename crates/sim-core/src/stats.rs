@@ -2,11 +2,8 @@
 //!
 //! The paper's evaluation reports page-fault counts, eviction counts,
 //! untouch levels per interval (Tables III/IV) and derived speedups.
-//! [`StatSet`] is the common carrier those numbers travel in from the
-//! simulator to the harness.
 
 use std::collections::BTreeMap;
-use std::fmt;
 
 /// A monotonically increasing named counter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -138,62 +135,6 @@ impl Histogram {
     /// Iterate `(value, count)` in ascending value order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.buckets.iter().map(|(&v, &c)| (v, c))
-    }
-}
-
-/// A named bag of counters, kept sorted for stable text output.
-#[derive(Debug, Clone, Default)]
-pub struct StatSet {
-    values: BTreeMap<&'static str, u64>,
-}
-
-impl StatSet {
-    /// Empty set.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add `n` to counter `name` (creating it at zero).
-    pub fn add(&mut self, name: &'static str, n: u64) {
-        *self.values.entry(name).or_insert(0) += n;
-    }
-
-    /// Increment counter `name`.
-    pub fn inc(&mut self, name: &'static str) {
-        self.add(name, 1);
-    }
-
-    /// Overwrite counter `name`.
-    pub fn set(&mut self, name: &'static str, n: u64) {
-        self.values.insert(name, n);
-    }
-
-    /// Read counter `name` (0 if absent).
-    #[must_use]
-    pub fn get(&self, name: &str) -> u64 {
-        self.values.get(name).copied().unwrap_or(0)
-    }
-
-    /// Merge another set into this one (summing overlapping names).
-    pub fn merge(&mut self, other: &StatSet) {
-        for (&k, &v) in &other.values {
-            *self.values.entry(k).or_insert(0) += v;
-        }
-    }
-
-    /// Iterate `(name, value)` in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.values.iter().map(|(&k, &v)| (k, v))
-    }
-}
-
-impl fmt::Display for StatSet {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (k, v) in self.iter() {
-            writeln!(f, "{k:<32} {v}")?;
-        }
-        Ok(())
     }
 }
 
@@ -356,41 +297,5 @@ mod tests {
         }
         let items: Vec<_> = h.iter().collect();
         assert_eq!(items, vec![(1, 2), (5, 1), (9, 1)]);
-    }
-
-    #[test]
-    fn statset_roundtrip() {
-        let mut s = StatSet::new();
-        s.inc("faults");
-        s.add("faults", 2);
-        s.set("evictions", 7);
-        assert_eq!(s.get("faults"), 3);
-        assert_eq!(s.get("evictions"), 7);
-        assert_eq!(s.get("missing"), 0);
-    }
-
-    #[test]
-    fn statset_merge() {
-        let mut a = StatSet::new();
-        a.add("x", 1);
-        a.add("y", 2);
-        let mut b = StatSet::new();
-        b.add("y", 3);
-        b.add("z", 4);
-        a.merge(&b);
-        assert_eq!(a.get("x"), 1);
-        assert_eq!(a.get("y"), 5);
-        assert_eq!(a.get("z"), 4);
-    }
-
-    #[test]
-    fn statset_display_is_sorted() {
-        let mut s = StatSet::new();
-        s.set("zz", 1);
-        s.set("aa", 2);
-        let out = s.to_string();
-        let za = out.find("zz").unwrap();
-        let aa = out.find("aa").unwrap();
-        assert!(aa < za);
     }
 }
