@@ -9,13 +9,16 @@
 //! fingerprint must equal the production loop's bit for bit.
 //!
 //! Each case draws its workload from `sim_core`'s xoshiro RNG; a failure
-//! names the case's seed and what it drew. Std-only, so the fuzzing runs
-//! in the default test suite. `tests/chaos.rs` runs the same checker
-//! under fault injection on paper workloads.
+//! names the case's seed and what it drew. The small cases never fill
+//! the data L2 (eviction invalidates its lines, and they hold at most
+//! 23 chunks) or page-walk-cache set 0, so two wide families draw cases
+//! past each. Std-only, so the fuzzing runs in the default test suite.
+//! `tests/chaos.rs` runs the same checker under fault injection on
+//! paper workloads.
 
 use cppe::presets::PolicyPreset;
 use gmmu::types::{VirtPage, PAGES_PER_CHUNK};
-use gpu::{GpuConfig, Invariants, Outcome, RunResult};
+use gpu::{GpuConfig, Invariants, NoObserver, Observer, Outcome, RunResult};
 use sim_core::rng::Xoshiro256ss;
 use workloads::{AccessStep, LaneItem, Phase};
 
@@ -43,44 +46,48 @@ const PRESETS: [PolicyPreset; 19] = [
     PolicyPreset::Srrip,
 ];
 
+/// Pages between consecutive level-2 page-table nodes that share
+/// page-walk-cache set 0: 64 sets of nodes that each map 512 pages.
+const PWC_SET0_STRIDE: u64 = 64 * 512;
+
 /// `lo + [0, n)`.
 fn draw(rng: &mut Xoshiro256ss, lo: u64, n: u64) -> u64 {
     lo + rng.gen_range(n)
 }
 
-/// A random phase over `[0, len)` with `len < max_pages`.
-fn draw_phase(rng: &mut Xoshiro256ss, max_pages: u64) -> Phase {
+/// A random phase over `[start, start + len)` with `len < max_pages`.
+fn draw_phase(rng: &mut Xoshiro256ss, start: u64, max_pages: u64) -> Phase {
     let len = draw(rng, 1, max_pages - 1);
     let compute = draw(rng, 50, 450) as u32;
     match rng.gen_range(6) {
         0 => Phase::Seq {
-            start: 0,
+            start,
             len,
             passes: draw(rng, 1, 3) as u32,
             compute,
         },
         1 => Phase::Strided {
-            start: 0,
+            start,
             len,
             stride: draw(rng, 2, 4),
             passes: draw(rng, 1, 2) as u32,
             compute,
         },
         2 => Phase::Random {
-            start: 0,
+            start,
             len,
             count: draw(rng, 1, 199),
             compute,
         },
         3 => Phase::Zipf {
-            start: 0,
+            start,
             len,
             count: draw(rng, 1, 199),
             alpha_milli: draw(rng, 1000, 1000) as u32,
             compute,
         },
         4 => Phase::MovingWindow {
-            start: 0,
+            start,
             len,
             window: draw(rng, 1, 63),
             step: draw(rng, 1, 63),
@@ -91,7 +98,7 @@ fn draw_phase(rng: &mut Xoshiro256ss, max_pages: u64) -> Phase {
         _ => {
             let cols = draw(rng, 1, 15);
             Phase::Transposed {
-                start: 0,
+                start,
                 rows: (len / cols).max(1),
                 cols,
                 passes: draw(rng, 1, 2) as u32,
@@ -139,7 +146,7 @@ impl Case {
         let mut rng = Xoshiro256ss::new(seed);
         Case {
             phases: (0..draw(&mut rng, 1, max_phases))
-                .map(|_| draw_phase(&mut rng, max_pages))
+                .map(|_| draw_phase(&mut rng, 0, max_pages))
                 .collect(),
             preset: PRESETS[rng.gen_range(PRESETS.len() as u64) as usize],
             lanes: draw(&mut rng, 1, max_lanes) as usize,
@@ -147,25 +154,34 @@ impl Case {
         }
     }
 
+    /// A case past what [`Case::draw`] reaches: 49–96 chunks of memory,
+    /// more than the data L2's 768 pages, and `phases` phases of fewer
+    /// than `max_pages` pages each, each starting at a drawn one of 32
+    /// slots `stride` pages apart. Returns the case and its footprint.
+    fn draw_wide(seed: u64, phases: u64, stride: u64, max_pages: u64) -> (Self, u64) {
+        const SLOTS: u64 = 32;
+        let mut rng = Xoshiro256ss::new(seed);
+        let phases = (0..phases)
+            .map(|_| {
+                let start = rng.gen_range(SLOTS) * stride;
+                draw_phase(&mut rng, start, max_pages)
+            })
+            .collect();
+        let case = Case {
+            phases,
+            preset: PRESETS[rng.gen_range(PRESETS.len() as u64) as usize],
+            lanes: draw(&mut rng, 1, 4) as usize,
+            capacity_chunks: draw(&mut rng, 49, 48),
+        };
+        (case, SLOTS * stride + max_pages)
+    }
+
     /// Simulate with the invariant checker attached, and through the
     /// reference loop; panics naming `seed` on a violation or on any
     /// difference between the two runs.
     fn run(&self, seed: u64, streams: &[Vec<LaneItem>], footprint: u64) -> RunResult {
-        let cfg = GpuConfig {
-            sms: self.lanes,
-            warps_per_sm: 1,
-            ..GpuConfig::default()
-        };
         let mut invariants = Invariants::default();
-        let r = gpu::reference::check(
-            &cfg,
-            &|| self.preset.build(5),
-            streams,
-            (self.capacity_chunks * PAGES_PER_CHUNK) as u32,
-            footprint,
-            &mut invariants,
-        )
-        .unwrap_or_else(|d| panic!("seed {seed} ({self:?}): {d}"));
+        let r = self.check(seed, streams, footprint, &mut invariants);
         if let Some(v) = &invariants.violation {
             panic!("seed {seed} ({self:?}): invariant violated: {v}");
         }
@@ -174,6 +190,31 @@ impl Case {
             "seed {seed}: faults but no batch checked"
         );
         r
+    }
+
+    /// Simulate with `obs` attached, and through the reference loop;
+    /// panics naming `seed` on any difference between the two runs.
+    fn check(
+        &self,
+        seed: u64,
+        streams: &[Vec<LaneItem>],
+        footprint: u64,
+        obs: impl Observer,
+    ) -> RunResult {
+        let cfg = GpuConfig {
+            sms: self.lanes,
+            warps_per_sm: 1,
+            ..GpuConfig::default()
+        };
+        gpu::reference::check(
+            &cfg,
+            &|| self.preset.build(5),
+            streams,
+            (self.capacity_chunks * PAGES_PER_CHUNK) as u32,
+            footprint,
+            obs,
+        )
+        .unwrap_or_else(|d| panic!("seed {seed} ({self:?}): {d}"))
     }
 }
 
@@ -228,5 +269,36 @@ fn simulator_is_deterministic_under_fuzzing() {
         assert_eq!(a.cycles, b.cycles, "{at}");
         assert_eq!(a.engine.pages_migrated, b.engine.pages_migrated, "{at}");
         assert_eq!(a.wrong_evictions, b.wrong_evictions, "{at}");
+    }
+}
+
+/// Resident pages past the data L2's 768 lines, so the L2 drops victims
+/// of its own: no small case overflows it, because eviction invalidates
+/// its lines and they hold at most 23 chunks.
+#[test]
+fn cases_past_the_data_l2_agree_and_hold_invariants() {
+    for seed in 2000..2008 {
+        let (case, footprint) = Case::draw_wide(seed, 3, 0, 2048);
+        let streams = streams_from_phases(&case.phases, case.lanes);
+        let r = case.run(seed, &streams, footprint);
+        let at = format!("seed {seed} ({case:?})");
+        assert_ne!(r.outcome, Outcome::Timeout, "{at}");
+        assert_eq!(r.bytes_d2h, r.engine.pages_evicted * 4096, "{at}");
+    }
+}
+
+/// Phases a [`PWC_SET0_STRIDE`] apart put up to 32 level-2 nodes in
+/// page-walk-cache set 0, beside the level-3 and level-4 nodes of every
+/// page below 2^18, so the 16-way row churns and its order shows. The
+/// invariant checker scans every page up to the highest touched once
+/// per batch, which these million-page cases would make cost seconds;
+/// the reference loop checks them.
+#[test]
+fn cases_past_pwc_set_0_agree() {
+    for seed in 3000..3016 {
+        let (case, footprint) = Case::draw_wide(seed, 128, PWC_SET0_STRIDE, 128);
+        let streams = streams_from_phases(&case.phases, case.lanes);
+        let r = case.check(seed, &streams, footprint, NoObserver);
+        assert_ne!(r.outcome, Outcome::Timeout, "seed {seed} ({case:?})");
     }
 }
