@@ -2,8 +2,8 @@
 //!
 //! The tracer's event ring holds the driver's own [`DriverEvent`]s, each
 //! stamped with the cycle the driver charged. [`show`] is the one place
-//! that turns a variant into the Chrome trace's name, track and `args`,
-//! and the one place that reads the cycle of any variant.
+//! that turns any recorded variant into its cycle and the Chrome trace's
+//! name, track and `args`.
 
 use std::fmt::Write as _;
 use uvm::observe::DriverEvent;
@@ -27,21 +27,20 @@ pub struct Shown {
     pub end: Option<u64>,
 }
 
-/// Show `event`. The three injected perturbations share the name
-/// `injected_fault` and tell themselves apart by a `kind` argument; a
-/// transfer failure names no page. `BatchOpened` and `RetryBackoff` are
-/// recorded as spans, not events, but are shown too.
+/// Show a recorded `event`. The three injected perturbations share the
+/// name `injected_fault` and tell themselves apart by a `kind`
+/// argument; a transfer failure names no page.
+///
+/// # Panics
+/// Panics on `BatchOpened` and `RetryBackoff`, which the tracer records
+/// as spans only.
 #[must_use]
 pub fn show(event: &DriverEvent) -> Shown {
     let u = u64::from;
     let (at, name, track, args, end) = match *event {
-        DriverEvent::BatchOpened { now, batch } => (
-            now,
-            "batch_opened",
-            "driver",
-            object(None, &[("batch", batch)]),
-            None,
-        ),
+        DriverEvent::BatchOpened { .. } | DriverEvent::RetryBackoff { .. } => {
+            unreachable!("{event:?} is recorded as a span, not an event")
+        }
         DriverEvent::QueueOverflow { at, deferred } => {
             let args = object(Some("queue_overflow"), &[("deferred", u(deferred))]);
             (at, "injected_fault", "inject", args, None)
@@ -76,10 +75,6 @@ pub fn show(event: &DriverEvent) -> Shown {
                 ],
             );
             (at, "dma_retry", "dma", args, None)
-        }
-        DriverEvent::RetryBackoff { page, start, end } => {
-            let args = object(None, &[("page", page.0)]);
-            (start, "retry_backoff", "dma", args, Some(end.0))
         }
         DriverEvent::DmaAbort { at, page, attempts } => {
             let args = object(None, &[("page", page.0), ("attempts", u(attempts))]);

@@ -119,6 +119,13 @@ fn epoch_metrics(d: &UvmDriver) -> Vec<(&'static str, MetricKind, u64)> {
 
 impl DriverObserver for Tracing {
     fn driver_event(&mut self, d: &UvmDriver, ev: DriverEvent) {
+        let span_only = matches!(
+            ev,
+            DriverEvent::BatchOpened { .. } | DriverEvent::RetryBackoff { .. }
+        );
+        if !span_only {
+            self.tracer.emit(ev);
+        }
         match ev {
             DriverEvent::BatchOpened { now, batch } => {
                 self.batch_dma_end = now;
@@ -130,11 +137,9 @@ impl DriverObserver for Tracing {
                     u32::MAX,
                     batch,
                 );
-                return;
             }
             DriverEvent::RetryBackoff { page, start, end } => {
                 self.driver_span(SpanStage::RetryBackoff, start, end, page.0);
-                return;
             }
             DriverEvent::ChunkEvicted {
                 at,
@@ -174,17 +179,14 @@ impl DriverObserver for Tracing {
                 done_at,
                 ..
             } => {
-                self.tracer.emit(ev);
                 self.driver_span(SpanStage::HostService, now, host_done, batch);
                 let batch_end = done_at.max(self.batch_dma_end);
                 self.tracer.span_close(self.batch_span, batch_end.0);
                 self.batch_span = SpanId::NONE;
                 self.tracer.sample_epoch(now.0, epoch_metrics(d));
-                return;
             }
             _ => {}
         }
-        self.tracer.emit(ev);
     }
 
     fn selecting_victim(&mut self, d: &UvmDriver, pins: &PinSet) {
