@@ -65,6 +65,44 @@ pub enum PolicyPreset {
 }
 
 impl PolicyPreset {
+    /// Every preset that takes no parameter, in declaration order.
+    pub const FIXED: [PolicyPreset; 16] = [
+        PolicyPreset::Baseline,
+        PolicyPreset::Random,
+        PolicyPreset::ReservedLru10,
+        PolicyPreset::ReservedLru20,
+        PolicyPreset::DisablePfOnFull,
+        PolicyPreset::Cppe,
+        PolicyPreset::CppeScheme1,
+        PolicyPreset::MhpeOnly,
+        PolicyPreset::HpeNaive,
+        PolicyPreset::HpeNoPf,
+        PolicyPreset::LruNoPf,
+        PolicyPreset::LruTree,
+        PolicyPreset::LruPattern,
+        PolicyPreset::MhpeNoSwitch,
+        PolicyPreset::Clock,
+        PolicyPreset::Srrip,
+    ];
+
+    /// The preset whose [`label`](Self::label) is `label`: one of
+    /// [`FIXED`](Self::FIXED), or `mhpe-fd<N>`, `mhpe-t1-<N>` or
+    /// `mhpe-t3-<N>` with `N` written as `label` writes it.
+    #[must_use]
+    pub fn from_label(label: &str) -> Option<Self> {
+        fn number<T: std::str::FromStr>(label: &str, prefix: &str) -> Option<T> {
+            label.strip_prefix(prefix)?.parse().ok()
+        }
+        let preset = Self::FIXED
+            .into_iter()
+            .find(|p| p.label() == label)
+            .or_else(|| number(label, "mhpe-fd").map(PolicyPreset::MhpeFixedFd))
+            .or_else(|| number(label, "mhpe-t1-").map(PolicyPreset::MhpeT1))
+            .or_else(|| number(label, "mhpe-t3-").map(PolicyPreset::MhpeT3))?;
+        // A number parses from other spellings too ("+5", "05").
+        (preset.label() == label).then_some(preset)
+    }
+
     /// Human-readable name matching the paper's figure labels.
     #[must_use]
     pub fn label(&self) -> String {
@@ -194,33 +232,57 @@ impl PolicyPreset {
 mod tests {
     use super::*;
 
+    /// One of each parameterized preset, at the edges of its range.
+    const PARAMETERIZED: [PolicyPreset; 6] = [
+        PolicyPreset::MhpeFixedFd(0),
+        PolicyPreset::MhpeFixedFd(5),
+        PolicyPreset::MhpeT1(24),
+        PolicyPreset::MhpeT1(u32::MAX),
+        PolicyPreset::MhpeT3(24),
+        PolicyPreset::MhpeT3(usize::MAX),
+    ];
+
     #[test]
     fn every_preset_builds() {
-        let presets = [
-            PolicyPreset::Baseline,
-            PolicyPreset::Random,
-            PolicyPreset::ReservedLru10,
-            PolicyPreset::ReservedLru20,
-            PolicyPreset::DisablePfOnFull,
-            PolicyPreset::Cppe,
-            PolicyPreset::CppeScheme1,
-            PolicyPreset::MhpeOnly,
-            PolicyPreset::HpeNaive,
-            PolicyPreset::HpeNoPf,
-            PolicyPreset::LruNoPf,
-            PolicyPreset::LruTree,
-            PolicyPreset::LruPattern,
-            PolicyPreset::MhpeFixedFd(5),
-            PolicyPreset::MhpeT1(24),
-            PolicyPreset::MhpeT3(24),
-            PolicyPreset::MhpeNoSwitch,
-            PolicyPreset::Clock,
-            PolicyPreset::Srrip,
-        ];
-        for p in presets {
+        for p in PolicyPreset::FIXED.into_iter().chain(PARAMETERIZED) {
             let e = p.build(42);
             assert!(!e.name().is_empty());
             assert!(!p.label().is_empty());
+        }
+    }
+
+    #[test]
+    fn from_label_inverts_label() {
+        for p in PolicyPreset::FIXED.into_iter().chain(PARAMETERIZED) {
+            assert_eq!(PolicyPreset::from_label(&p.label()), Some(p), "{p:?}");
+        }
+        let mut labels: Vec<String> = PolicyPreset::FIXED
+            .iter()
+            .map(PolicyPreset::label)
+            .collect();
+        labels.sort();
+        labels.dedup();
+        assert_eq!(
+            labels.len(),
+            PolicyPreset::FIXED.len(),
+            "labels are distinct"
+        );
+        for other in [
+            "",
+            "CPPE",
+            "lru-10",
+            "hpe",
+            "mhpe",
+            "tree",
+            "mhpe-fd",
+            "mhpe-fd+5",
+            "mhpe-fd05",
+            "mhpe-t1-",
+            "mhpe-t1-x",
+            "mhpe-t3--1",
+            "mhpe-t1-4294967296",
+        ] {
+            assert_eq!(PolicyPreset::from_label(other), None, "{other:?}");
         }
     }
 

@@ -99,12 +99,14 @@ impl LruRows {
         self.find(set, key).is_some()
     }
 
-    /// Whether `set`'s row begins with `keys`, MRU first, without
-    /// touching LRU order. Reads only the front ways.
+    /// Whether `set`'s row begins with `first` then `second`, without
+    /// touching LRU order: two word compares on the front ways. A row
+    /// shorter than two ways never does.
     #[inline]
     #[must_use]
-    pub fn starts_with(&self, set: usize, keys: &[u64]) -> bool {
-        self.keys[self.row(set)].starts_with(keys)
+    pub fn front_is(&self, set: usize, first: u64, second: u64) -> bool {
+        let h = self.heads[set];
+        self.ways >= 2 && self.keys[h] == first && self.keys[h + 1] == second
     }
 
     /// Insert (or refresh) `key` in `set`. A refresh moves the way to
@@ -255,17 +257,23 @@ mod tests {
         assert!(s.remove(0, 12));
         assert!(!s.remove(0, 12));
         assert_eq!(s.row_keys(0), [13, 11, 10, EMPTY], "hole at the tail");
-        assert!(s.starts_with(0, &[13, 11]) && !s.starts_with(0, &[11, 13]));
-        assert!(
-            !s.starts_with(0, &[13, 11, 10, EMPTY, 9]),
-            "longer than the row"
-        );
+        assert!(s.front_is(0, 13, 11) && !s.front_is(0, 11, 13));
+        assert!(!s.front_is(0, 11, 10), "the front pair, not any pair");
         assert_eq!(s.occupancy(), 3);
         // The empty tail way is reused before any live way is evicted,
         // and the survivors' LRU order decides the next victim.
         assert_eq!(s.fill(0, 14), None);
         assert_eq!(s.fill(0, 15), Some(10));
         assert!(s.peek(0, 11));
+    }
+
+    #[test]
+    fn a_one_way_row_has_no_front_pair() {
+        let mut s = LruRows::new(1, 1);
+        assert!(!s.front_is(0, EMPTY, EMPTY), "no word past the row is read");
+        s.fill(0, 5);
+        // The word after the row is the set's spare half, not a way.
+        assert!(!s.front_is(0, 5, EMPTY));
     }
 
     /// `remove_where` must leave every row exactly as removing each

@@ -150,7 +150,7 @@ impl WalkCache {
     fn upper_levels_in_front(&self, page: VirtPage) -> bool {
         let (l3, l4) = (node_for(page, LEVELS - 1), node_for(page, LEVELS));
         let set = self.set_index(l4);
-        set == self.set_index(l3) && self.sets.starts_with(set, &[key(l4), key(l3)])
+        set == self.set_index(l3) && self.sets.front_is(set, key(l4), key(l3))
     }
 
     /// Probe for `node`, updating LRU and counters.

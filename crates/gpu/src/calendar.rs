@@ -29,6 +29,14 @@
 //! needs. Within a bucket and within the far run push order already
 //! holds, so stamps are compared only when two kinds' heads share a
 //! cycle.
+//!
+//! A hit's next wake is pushed and the very next step pops, so
+//! [`WakeCalendar::push_lane_then_pop`] does both with the pop decided
+//! first. The wake's stamp is the newest, so it loses every tie: when
+//! it is strictly earlier than every queued head it is the pop and never
+//! enters the calendar; otherwise the least head pops and only then is
+//! the wake pushed, into the ring or the far run as the push-time clock
+//! chose. The pop no longer waits on the push's stores.
 
 use gmmu::types::VirtPage;
 use sim_core::events::{RingBitmap, RING};
@@ -75,6 +83,10 @@ pub struct QueueCounts {
     /// Push-stamp compares: two kinds' heads shared a cycle, so push
     /// order decided which popped first.
     pub stamp_compares: u64,
+    /// Lane wakes `push_lane_then_pop` returned without queueing them,
+    /// being strictly the earliest event. Each is also counted as a
+    /// push and a pop of its kind.
+    pub direct_wakes: u64,
 }
 
 /// A far-run entry.
@@ -159,10 +171,67 @@ impl WakeCalendar {
     #[inline]
     pub(crate) fn push_lane(&mut self, at: Cycle, lane: u32) {
         let stamp = self.stamp(at);
+        self.queue_lane(at, stamp, lane, at.0 - self.now.0 < RING);
+    }
+
+    /// `push_lane(at, lane)` then `pop()`: the same event, clock and
+    /// counts, the compares `pop` would have made with the wake queued
+    /// included. A wake strictly earlier than every queued head is
+    /// returned without touching the ring or the far run.
+    #[inline]
+    pub(crate) fn push_lane_then_pop(&mut self, at: Cycle, lane: u32) -> (Cycle, Event) {
+        let stamp = self.stamp(at);
+        let near = at.0 - self.now.0 < RING;
+        let ring = self.occupied.first(self.now);
+        let ring_at = ring.map_or(u64::MAX, |(_, c)| c.0);
+        let far_at = self.far.front().map_or(u64::MAX, |f| f.at.0);
+        let driver_at = self.driver.map_or(u64::MAX, |(at, _)| at.0);
+        if at.0 < ring_at.min(far_at).min(driver_at) {
+            debug_assert_eq!(
+                self.next[lane as usize], IDLE,
+                "lane {lane} already has a queued wake"
+            );
+            let c = &mut self.counts;
+            if near {
+                c.pushes.near_lane += 1;
+                c.pops.near_lane += 1;
+            } else {
+                c.pushes.far_lane += 1;
+                c.pops.far_lane += 1;
+            }
+            c.direct_wakes += 1;
+            self.now = at;
+            return (at, Event::LaneReady(lane));
+        }
+        let popped = match ring {
+            // No compare, the wake queued or not: a near wake at the
+            // ring head's cycle would queue behind it, and a far wake is
+            // past every ring cycle.
+            Some((idx, c)) if c.0 < far_at.min(driver_at) => self.pop_ring(idx, c),
+            _ => {
+                // Queued, the wake would head its kind when earlier than
+                // that kind's head, and `pop` would compare its cycle.
+                let (ring_head, far_head) = if near {
+                    (ring_at.min(at.0), far_at)
+                } else {
+                    (ring_at, far_at.min(at.0))
+                };
+                self.counts.stamp_compares += ties(ring_head, far_head, driver_at);
+                self.pop_least(ring).expect("a head is queued")
+            }
+        };
+        self.queue_lane(at, stamp, lane, near);
+        popped
+    }
+
+    /// Queue `lane`'s wake at `at` with push stamp `stamp`: in the ring
+    /// when `near`, else in the far run.
+    #[inline]
+    fn queue_lane(&mut self, at: Cycle, stamp: u64, lane: u32, near: bool) {
         let l = lane as usize;
         debug_assert_eq!(self.next[l], IDLE, "lane {lane} already has a queued wake");
         self.next[l] = NIL;
-        if at.0 - self.now.0 < RING {
+        if near {
             self.stamps[l] = stamp;
             let idx = (at.0 & MASK) as usize;
             let bucket = &mut self.buckets[idx];
@@ -230,6 +299,8 @@ impl WakeCalendar {
                 return Some(self.pop_ring(idx, at));
             }
         }
+        let ring_at = ring.map_or(u64::MAX, |(_, c)| c.0);
+        self.counts.stamp_compares += ties(ring_at, far_at, driver_at);
         self.pop_least(ring)
     }
 
@@ -241,18 +312,10 @@ impl WakeCalendar {
         });
         let far = self.far.front().map(|f| (f.at, f.stamp, Head::Far));
         let driver = self.driver.map(|(at, stamp)| (at, stamp, Head::Driver));
-        let mut least: Option<(Cycle, u64, Head)> = None;
-        for head in [ring, far, driver].into_iter().flatten() {
-            least = match least {
-                Some(best) if best.0 < head.0 => Some(best),
-                Some(best) if best.0 == head.0 => {
-                    self.counts.stamp_compares += 1;
-                    Some(if best.1 < head.1 { best } else { head })
-                }
-                _ => Some(head),
-            };
-        }
-        let (at, _, head) = least?;
+        let (at, _, head) = [ring, far, driver]
+            .into_iter()
+            .flatten()
+            .min_by_key(|h| (h.0, h.1))?;
         Some(match head {
             Head::Ring(idx) => self.pop_ring(idx, at),
             Head::Far => {
@@ -292,6 +355,15 @@ impl WakeCalendar {
     }
 }
 
+/// The stamp compares a pop makes over heads at these cycles
+/// (`u64::MAX` for none). It folds the heads in ring, far, driver order,
+/// and each head that shares the least cycle before it costs one.
+#[inline]
+fn ties(ring: u64, far: u64, driver: u64) -> u64 {
+    let shares = |at: u64, least: u64| u64::from(at != u64::MAX && at == least);
+    shares(far, ring) + shares(driver, ring.min(far))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,9 +372,13 @@ mod tests {
     use std::collections::BinaryHeap;
 
     /// The calendar beside a binary heap keyed by `(cycle, push
-    /// sequence)`: every answer of the one must be the other's.
+    /// sequence)`, and beside a second calendar fed the same schedule
+    /// through `push_lane` and `pop` alone: every answer of the one must
+    /// be the heap's, and its counts the second calendar's.
     struct Model {
         cal: WakeCalendar,
+        /// Never calls `push_lane_then_pop`.
+        plain: WakeCalendar,
         heap: BinaryHeap<Reverse<(u64, u64)>>,
         /// Pushed events, by push sequence.
         events: Vec<Event>,
@@ -313,40 +389,44 @@ mod tests {
         recent: VecDeque<u64>,
         /// The pushes the calendar should count.
         pushes: KindCounts,
+        /// `push_lane_then_pop` wakes earlier than every queued event,
+        /// near and far.
+        direct: [u64; 2],
+        /// `push_lane_then_pop` wakes that tied the earliest queued
+        /// event, by its kind: lane, page, driver.
+        tied: [u64; 3],
     }
 
     impl Model {
         fn new(lanes: u32) -> Self {
             Model {
                 cal: WakeCalendar::new(lanes as usize),
+                plain: WakeCalendar::new(lanes as usize),
                 heap: BinaryHeap::new(),
                 events: Vec::new(),
                 idle: (0..lanes).collect(),
                 driver_queued: false,
                 recent: VecDeque::new(),
                 pushes: KindCounts::default(),
+                direct: [0; 2],
+                tied: [0; 3],
             }
         }
 
         fn push(&mut self, at: u64, event: Event) {
-            let now = self.cal.now().0;
+            push_to(&mut self.cal, at, event);
+            self.record(at, event);
+        }
+
+        /// Queue a push in the heap and the plain calendar, and count it.
+        fn record(&mut self, at: u64, event: Event) {
+            let now = self.plain.now().0;
+            push_to(&mut self.plain, at, event);
             match event {
-                Event::LaneReady(lane) => {
-                    self.cal.push_lane(Cycle(at), lane);
-                    if at - now < RING {
-                        self.pushes.near_lane += 1;
-                    } else {
-                        self.pushes.far_lane += 1;
-                    }
-                }
-                Event::PageReady(page) => {
-                    self.cal.push_page(Cycle(at), page);
-                    self.pushes.page += 1;
-                }
-                Event::DriverFree => {
-                    self.cal.push_driver(Cycle(at));
-                    self.pushes.driver += 1;
-                }
+                Event::LaneReady(_) if at - now < RING => self.pushes.near_lane += 1,
+                Event::LaneReady(_) => self.pushes.far_lane += 1,
+                Event::PageReady(_) => self.pushes.page += 1,
+                Event::DriverFree => self.pushes.driver += 1,
             }
             self.heap.push(Reverse((at, self.events.len() as u64)));
             self.events.push(event);
@@ -356,13 +436,49 @@ mod tests {
             }
         }
 
-        /// Pop both; panic unless they agree.
+        /// Pop all three; panic unless they agree.
         fn pop(&mut self) -> Option<(Cycle, Event)> {
+            let got = self.cal.pop();
+            self.check(got)
+        }
+
+        /// The loop's hit path: `lane`'s wake at `at` handed to the pop.
+        fn push_lane_then_pop(&mut self, at: u64, lane: u32) -> Option<(Cycle, Event)> {
+            match self.heap.peek() {
+                Some(&Reverse((t, seq))) if t <= at => {
+                    if t == at {
+                        self.tied[match self.events[seq as usize] {
+                            Event::LaneReady(_) => 0,
+                            Event::PageReady(_) => 1,
+                            Event::DriverFree => 2,
+                        }] += 1;
+                    }
+                }
+                _ => self.direct[usize::from(at - self.cal.now().0 >= RING)] += 1,
+            }
+            self.record(at, Event::LaneReady(lane));
+            let got = self.cal.push_lane_then_pop(Cycle(at), lane);
+            self.check(Some(got))
+        }
+
+        fn check(&mut self, got: Option<(Cycle, Event)>) -> Option<(Cycle, Event)> {
             let want = self
                 .heap
                 .pop()
                 .map(|Reverse((at, seq))| (Cycle(at), self.events[seq as usize]));
-            assert_eq!(self.cal.pop(), want, "after {} pushes", self.events.len());
+            let pushes = self.events.len();
+            assert_eq!(got, want, "after {pushes} pushes");
+            assert_eq!(self.plain.pop(), want, "after {pushes} pushes");
+            let direct_wakes = self.direct[0] + self.direct[1];
+            assert_eq!(self.cal.counts().direct_wakes, direct_wakes);
+            assert_eq!(
+                QueueCounts {
+                    direct_wakes: 0,
+                    ..self.cal.counts()
+                },
+                self.plain.counts(),
+                "after {pushes} pushes"
+            );
             match want {
                 Some((_, Event::LaneReady(lane))) => self.idle.push(lane),
                 Some((_, Event::DriverFree)) => self.driver_queued = false,
@@ -371,11 +487,9 @@ mod tests {
             want
         }
 
-        /// Push one random event: mostly lane wakes, some page
-        /// completions, a driver free when none is queued. About a
-        /// quarter land on a recent push's cycle, across kinds and in
-        /// either order.
-        fn push_random(&mut self, rng: &mut Xoshiro256ss) {
+        /// A cycle to push at: about a quarter land on a recent push's
+        /// cycle, across kinds and in either order.
+        fn draw_at(&self, rng: &mut Xoshiro256ss) -> u64 {
             let now = self.cal.now().0;
             let tie = self
                 .recent
@@ -383,7 +497,7 @@ mod tests {
                 .copied()
                 .filter(|&t| t >= now)
                 .nth(rng.gen_range(8) as usize);
-            let at = match (tie, rng.gen_range(8)) {
+            match (tie, rng.gen_range(8)) {
                 (Some(t), 0 | 1) => t,
                 (_, 2 | 3) => now + rng.gen_range(16),
                 (_, 4) => now + rng.gen_range(700),
@@ -392,11 +506,33 @@ mod tests {
                 (_, 6) => now + RING + rng.gen_range(8_000),
                 // A narrow far band: far ties and mid-run inserts.
                 _ => now + 28_000 + rng.gen_range(4),
-            };
+            }
+        }
+
+        /// A hit's wake: mostly as `draw_at`, but a third of the time
+        /// on or just before the earliest queued event, either side of
+        /// a direct return.
+        fn draw_wake_at(&self, rng: &mut Xoshiro256ss) -> u64 {
+            let now = self.cal.now().0;
+            match (self.heap.peek(), rng.gen_range(6)) {
+                (Some(&Reverse((t, _))), 0) => t,
+                (Some(&Reverse((t, _))), 1) => t.saturating_sub(1).max(now),
+                _ => self.draw_at(rng),
+            }
+        }
+
+        fn take_idle(&mut self, rng: &mut Xoshiro256ss) -> u32 {
+            let i = rng.gen_range(self.idle.len() as u64) as usize;
+            self.idle.swap_remove(i)
+        }
+
+        /// Push one random event: mostly lane wakes, some page
+        /// completions, a driver free when none is queued.
+        fn push_random(&mut self, rng: &mut Xoshiro256ss) {
+            let at = self.draw_at(rng);
             let kind = rng.gen_range(10);
             let event = if kind < 6 && !self.idle.is_empty() {
-                let i = rng.gen_range(self.idle.len() as u64) as usize;
-                Event::LaneReady(self.idle.swap_remove(i))
+                Event::LaneReady(self.take_idle(rng))
             } else if kind == 9 && !self.driver_queued {
                 self.driver_queued = true;
                 Event::DriverFree
@@ -412,8 +548,17 @@ mod tests {
         }
     }
 
+    fn push_to(cal: &mut WakeCalendar, at: u64, event: Event) {
+        match event {
+            Event::LaneReady(lane) => cal.push_lane(Cycle(at), lane),
+            Event::PageReady(page) => cal.push_page(Cycle(at), page),
+            Event::DriverFree => cal.push_driver(Cycle(at)),
+        }
+    }
+
     #[test]
     fn matches_a_binary_heap_under_random_schedules() {
+        let (mut direct, mut tied) = ([0; 2], [0; 3]);
         for seed in 0..8 {
             let mut rng = Xoshiro256ss::new(seed);
             let mut m = Model::new(1 + rng.gen_range(12) as u32);
@@ -421,15 +566,35 @@ mod tests {
                 m.push_random(&mut rng);
             }
             let mut pops = 0u64;
-            while m.pop().is_some() {
+            // A lane whose hit handed its next wake to the next pop.
+            let mut hit: Option<u32> = None;
+            loop {
+                let next = match hit.take() {
+                    Some(lane) => {
+                        let at = m.draw_wake_at(&mut rng);
+                        m.push_lane_then_pop(at, lane)
+                    }
+                    None => m.pop(),
+                };
+                let Some((_, event)) = next else { break };
                 pops += 1;
                 m.check_pending_now();
-                // Handlers push zero to three follow-ups, for a while.
-                if pops < 20_000 {
-                    for _ in 0..rng.gen_range(4) {
-                        m.push_random(&mut rng);
+                if pops >= 20_000 {
+                    continue;
+                }
+                // For a while, half the lane wakes hit; other handlers
+                // push zero to three follow-ups.
+                match event {
+                    Event::LaneReady(lane) if rng.gen_range(2) == 0 => {
+                        m.idle.retain(|&l| l != lane);
+                        hit = Some(lane);
                     }
-                    m.check_pending_now();
+                    _ => {
+                        for _ in 0..rng.gen_range(4) {
+                            m.push_random(&mut rng);
+                        }
+                        m.check_pending_now();
+                    }
                 }
             }
             let c = m.cal.counts();
@@ -446,7 +611,17 @@ mod tests {
                 "seed {seed}: now {}",
                 m.cal.now()
             );
+            for (sum, n) in direct.iter_mut().zip(m.direct) {
+                *sum += n;
+            }
+            for (sum, n) in tied.iter_mut().zip(m.tied) {
+                *sum += n;
+            }
         }
+        // Direct wakes on either side of the ring's far edge, and wakes
+        // that lost a tie to each kind of head.
+        assert!(direct.iter().all(|&n| n > 0), "direct {direct:?}");
+        assert!(tied.iter().all(|&n| n > 0), "tied {tied:?}");
     }
 
     #[test]
@@ -479,6 +654,15 @@ mod tests {
         let mut cal = WakeCalendar::new(1);
         cal.push_lane(Cycle(5), 0);
         cal.push_lane(Cycle(9), 0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "already has a queued wake")]
+    fn a_handed_wake_needs_an_idle_lane() {
+        let mut cal = WakeCalendar::new(1);
+        cal.push_lane(Cycle(5), 0);
+        cal.push_lane_then_pop(Cycle(3), 0);
     }
 
     #[test]

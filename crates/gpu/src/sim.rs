@@ -13,7 +13,9 @@
 //!
 //! Events run on the lane-indexed wake calendar (`crate::calendar`):
 //! one access per lane wake, except that a lane woken by a page
-//! completion with nothing else due that cycle replays inline.
+//! completion with nothing else due that cycle replays inline. A hit's
+//! next wake is handed to the pop that follows it, which returns it
+//! straight away when it is the earliest event.
 //!
 //! [`simulate_with`] runs the same loop with an [`Observer`] attached at
 //! its hook points (see [`crate::observe`]).
@@ -348,6 +350,9 @@ pub fn simulate_with<O: Observer>(
     // A woken lane whose `LaneReady` runs next without a queue round
     // trip (the inline wake, see `Event::PageReady`).
     let mut woken: Option<u32> = None;
+    // A hit's next wake, pushed by the next iteration's pop (see
+    // `WakeCalendar::push_lane_then_pop`).
+    let mut deferred: Option<(Cycle, u32)> = None;
 
     for (lane, s) in streams.iter().enumerate() {
         if !s.is_empty() {
@@ -356,9 +361,10 @@ pub fn simulate_with<O: Observer>(
     }
 
     let stop = loop {
-        let (now, ev) = match woken.take() {
-            Some(lane) => (m.q.now(), Event::LaneReady(lane)),
-            None => match m.q.pop() {
+        let (now, ev) = match (deferred.take(), woken.take()) {
+            (Some((at, lane)), _) => m.q.push_lane_then_pop(at, lane),
+            (None, Some(lane)) => (m.q.now(), Event::LaneReady(lane)),
+            (None, None) => match m.q.pop() {
                 Some(next) => next,
                 None => break None,
             },
@@ -408,7 +414,7 @@ pub fn simulate_with<O: Observer>(
                 idx[l] += 1;
                 accesses += 1;
                 let wake = ready_at.after(dlat + compute_cycles(cfg, step, &mut jitter[l]));
-                m.q.push_lane(wake, lane);
+                deferred = Some((wake, lane));
             }
             Event::PageReady(page) => {
                 // Lanes that faulted on this page replay now; lanes that

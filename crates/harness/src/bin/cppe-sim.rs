@@ -7,30 +7,12 @@
 //!     [--lanes 28] [--seed 42] [--trace-out FILE | --trace-in FILE]
 //! ```
 //!
-//! Policies: baseline random lru-10 lru-20 nopf cppe cppe-s1 mhpe hpe
-//! hpe-nopf lru-nopf tree
+//! `--policy` takes a preset's label, as reports print it
+//! (`PolicyPreset::label`); the usage line lists them.
 
 use cppe::presets::PolicyPreset;
 use gpu::{simulate_with, EvictionPasses, FireCounts, GpuConfig};
 use workloads::registry;
-
-fn parse_policy(name: &str) -> Option<PolicyPreset> {
-    Some(match name {
-        "baseline" => PolicyPreset::Baseline,
-        "random" => PolicyPreset::Random,
-        "lru-10" | "lru-10%" => PolicyPreset::ReservedLru10,
-        "lru-20" | "lru-20%" => PolicyPreset::ReservedLru20,
-        "nopf" | "nopf-on-full" => PolicyPreset::DisablePfOnFull,
-        "cppe" => PolicyPreset::Cppe,
-        "cppe-s1" => PolicyPreset::CppeScheme1,
-        "mhpe" => PolicyPreset::MhpeOnly,
-        "hpe" => PolicyPreset::HpeNaive,
-        "hpe-nopf" => PolicyPreset::HpeNoPf,
-        "lru-nopf" => PolicyPreset::LruNoPf,
-        "tree" => PolicyPreset::LruTree,
-        _ => return None,
-    })
-}
 
 struct Args {
     workload: String,
@@ -47,8 +29,9 @@ fn usage() -> ! {
     eprintln!(
         "usage: cppe-sim --workload ABBR --policy NAME [--rate 0.5] [--scale 1.0]\n\
          \x20               [--lanes 28] [--seed 42] [--trace-out FILE | --trace-in FILE]\n\
-         policies: baseline random lru-10 lru-20 nopf cppe cppe-s1 mhpe hpe hpe-nopf lru-nopf tree\n\
+         policies: {} mhpe-fd<N> mhpe-t1-<N> mhpe-t3-<N>\n\
          workloads: {}",
+        PolicyPreset::FIXED.map(|p| p.label()).join(" "),
         registry::all()
             .iter()
             .map(|w| w.abbr)
@@ -80,7 +63,7 @@ fn parse_args() -> Args {
             "--workload" | "-w" => a.workload = val(&mut i),
             "--policy" | "-p" => {
                 let name = val(&mut i);
-                a.policy = parse_policy(&name).unwrap_or_else(|| usage());
+                a.policy = PolicyPreset::from_label(&name).unwrap_or_else(|| usage());
             }
             "--rate" | "-r" => a.rate = val(&mut i).parse().unwrap_or_else(|_| usage()),
             "--scale" | "-s" => a.scale = val(&mut i).parse().unwrap_or_else(|_| usage()),
@@ -170,7 +153,7 @@ fn main() {
     println!(
         "event queue       pushes {} near lane, {} far lane, {} page, {} driver; \
          pops {} near lane, {} far lane, {} page, {} driver; {} stamp compares; \
-         {} woken lanes replayed inline",
+         {} woken lanes replayed inline, {} hit wakes returned without a push",
         pushes.near_lane,
         pushes.far_lane,
         pushes.page,
@@ -180,7 +163,8 @@ fn main() {
         pops.page,
         pops.driver,
         fired.queue.stamp_compares,
-        fired.inline_wakes
+        fired.inline_wakes,
+        fired.queue.direct_wakes
     );
     println!(
         "skipped scans     {} of {} L2 probes answered by the presence bits; \

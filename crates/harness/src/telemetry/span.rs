@@ -111,26 +111,6 @@ impl SpanStage {
         }
     }
 
-    /// Dotted metric name of this stage's latency histogram.
-    #[must_use]
-    pub fn metric(self) -> &'static str {
-        match self {
-            SpanStage::FaultTotal => "latency.fault_total",
-            SpanStage::TlbL1 => "latency.tlb_l1",
-            SpanStage::TlbL2 => "latency.tlb_l2",
-            SpanStage::WalkerQueue => "latency.walker_queue",
-            SpanStage::PageWalk => "latency.page_walk",
-            SpanStage::FaultQueueWait => "latency.fault_queue_wait",
-            SpanStage::BatchService => "latency.batch_service",
-            SpanStage::Replay => "latency.replay",
-            SpanStage::DriverBatch => "latency.driver_batch",
-            SpanStage::HostService => "latency.host_service",
-            SpanStage::RetryBackoff => "latency.retry_backoff",
-            SpanStage::PcieTransfer => "latency.pcie_transfer",
-            SpanStage::EvictionDma => "latency.eviction_dma",
-        }
-    }
-
     /// Is this stage part of the per-lane fault tree (as opposed to the
     /// driver batch tree)?
     #[must_use]
@@ -377,7 +357,6 @@ mod tests {
     #[test]
     fn stage_names_and_scopes_are_stable() {
         assert_eq!(SpanStage::FaultTotal.name(), "fault_total");
-        assert_eq!(SpanStage::PcieTransfer.metric(), "latency.pcie_transfer");
         assert!(SpanStage::Replay.lane_scoped());
         assert!(!SpanStage::DriverBatch.lane_scoped());
         assert!(SpanStage::WalkerQueue.is_queueing());

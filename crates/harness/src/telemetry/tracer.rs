@@ -15,8 +15,6 @@ use crate::telemetry::decision::{DecisionEvent, DecisionRecord};
 use crate::telemetry::metrics::{EpochSeries, MetricKind};
 use crate::telemetry::ring::BoundedRing;
 use crate::telemetry::span::{SpanId, SpanRecord, SpanRecorder, SpanStage};
-use sim_core::stats::Histogram;
-use std::collections::BTreeMap;
 use uvm::observe::DriverEvent;
 
 /// A tracing request: ring capacities and whether to audit decisions.
@@ -166,10 +164,9 @@ impl Tracer {
         self.series.push(cycle, metrics);
     }
 
-    /// Consume the tracer into the run's telemetry. Every closed span's
-    /// duration is folded into a per-stage latency histogram
-    /// (`latency.<stage>`) before export; spans still open are
-    /// discarded and counted so the exported set is always balanced.
+    /// Consume the tracer into the run's telemetry. Spans still open
+    /// are discarded and counted so the exported set is always
+    /// balanced.
     #[must_use]
     pub fn finish(self) -> RunTelemetry {
         let Tracer {
@@ -180,11 +177,6 @@ impl Tracer {
         } = self;
         let dropped = ring.dropped();
         let (spans, dropped_spans, unclosed_spans) = spans.finish();
-        let mut hists: BTreeMap<String, Histogram> = BTreeMap::new();
-        for s in &spans {
-            let hist = hists.entry(s.stage.metric().to_string()).or_default();
-            hist.record(s.duration());
-        }
         let (decisions, dropped_decisions) = match decisions {
             Some(ring) => {
                 let dropped = ring.dropped();
@@ -201,7 +193,6 @@ impl Tracer {
             unclosed_spans,
             decisions,
             dropped_decisions,
-            hists,
         }
     }
 }
@@ -227,9 +218,6 @@ pub struct RunTelemetry {
     pub decisions: Vec<DecisionRecord>,
     /// Decisions dropped by the decision ring.
     pub dropped_decisions: u64,
-    /// Per-stage span latency histograms by name
-    /// (`latency.<stage>`).
-    pub hists: BTreeMap<String, Histogram>,
 }
 
 impl RunTelemetry {
@@ -243,6 +231,7 @@ impl RunTelemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::attr::LatencyAttribution;
 
     #[test]
     fn tracer_records_events_and_epochs() {
@@ -275,7 +264,7 @@ mod tests {
     }
 
     #[test]
-    fn spans_fold_into_latency_histograms() {
+    fn finish_discards_open_spans() {
         let mut t = Tracer::new(TraceConfig::default());
         let root = t.span_open(SpanStage::FaultTotal, 100, SpanId::NONE, 2, 9, 7);
         t.span(SpanStage::PageWalk, 100, 700, root, 2, 9, 7);
@@ -286,10 +275,12 @@ mod tests {
         assert_eq!(r.spans.len(), 2);
         assert_eq!(r.unclosed_spans, 1, "open replay span discarded");
         assert!(!r.lossy());
-        let h = r.hists.get("latency.fault_total").unwrap();
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.max(), 1000);
-        assert_eq!(r.hists.get("latency.page_walk").unwrap().p50(), 600);
+        // The closed spans' latencies, as the run record folds them.
+        let stages = LatencyAttribution::from_spans(&r.spans).stages;
+        let stage = |s| stages.iter().find(|x| x.stage == s).unwrap();
+        assert_eq!(stage(SpanStage::FaultTotal).count, 1);
+        assert_eq!(stage(SpanStage::FaultTotal).max, 1000);
+        assert_eq!(stage(SpanStage::PageWalk).p50, 600);
     }
 
     #[test]

@@ -132,9 +132,9 @@ fn traced_cells_record_exactly_the_pinned_telemetry() {
     assert_eq!(
         hashes,
         [
-            11106838367648242389,
-            7798345140123820152,
-            17972765745204414003
+            14818499834705136399,
+            10918926652437344409,
+            1244399778301661652
         ],
         "recorded telemetry changed"
     );
